@@ -16,12 +16,8 @@ from .lattice import (
     RatPoint,
     RatVec,
     UnimodularAffineMap,
-    apply_map,
     ivec,
-    primitive_of,
     pt,
-    rot90,
-    wedge,
 )
 from .diagram import (
     BaseDiagram,

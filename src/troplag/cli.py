@@ -32,15 +32,9 @@ from .homology import (
 )
 from .lattice import IntVec, RatPoint
 from .render import render_document
-from .textio import Document, ParseError, parse_document, serialize_document
-from .topology import (
-    EndKind,
-    classify,
-    classify_end,
-    euler_breakdown,
-    surface_name,
-)
-from .tropical import validate, vertex_multiplicity
+from .textio import _RATIONAL, Document, parse_document, serialize_document
+from .topology import EndKind, classify, euler_breakdown, surface_name
+from .tropical import validate
 from . import __version__
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
@@ -59,8 +53,7 @@ def _read_document(path: str) -> Document:
 
 
 def _parse_rational(text: str) -> Fraction:
-    import re
-    if not re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
+    if not _RATIONAL.match(text):
         raise TroplagError(
             f"expected an exact rational like 3 or 22/7, got {text!r}")
     return Fraction(text)
@@ -71,6 +64,11 @@ def _parse_pair(text: str):
     if len(parts) != 2:
         raise TroplagError(f"expected two comma-separated values, got {text!r}")
     return parts
+
+
+def _invalid_lines(curve, report):
+    return ([f"curve {curve.name}: INVALID"]
+            + [f"  - {line}" for line in report.lines()])
 
 
 # ---------------------------------------------------------------------
@@ -87,27 +85,21 @@ def _cmd_validate(args) -> int:
             print(f"curve {curve.name}: valid")
         else:
             code = FAIL
-            print(f"curve {curve.name}: INVALID")
-            for line in report.lines():
-                print(f"  - {line}")
+            print("\n".join(_invalid_lines(curve, report)))
     return code
 
 
 def _topology_lines(doc, curve):
     report = validate(doc.diagram, curve)
     if not report.passed:
-        lines = [f"curve {curve.name}: INVALID"]
-        lines += [f"  - {line}" for line in report.lines()]
-        return lines, FAIL
-    multiplicities = sorted(
-        vertex_multiplicity(curve, v.id) for v in curve.vertices)
-    kinds = [classify_end(doc.diagram, e) for e in curve.ends]
+        return _invalid_lines(curve, report), FAIL
     breakdown = euler_breakdown(doc.diagram, curve)
-    sc = classify(doc.diagram, curve)
+    multiplicities = sorted(breakdown.multiplicities)
+    sc = breakdown.surface_class()
 
     lines = [f"curve {curve.name}: vertices={len(curve.vertices)} "
              f"edges={len(curve.edges)} ends={len(curve.ends)}"]
-    counts = {kind: kinds.count(kind) for kind in EndKind}
+    counts = {kind: breakdown.end_kinds.count(kind) for kind in EndKind}
     lines.append(f"curve {curve.name}: end kinds: "
                  f"disccap={counts[EndKind.DISC_CAP]} "
                  f"crosscap={counts[EndKind.CROSS_CAP]} "
@@ -163,9 +155,7 @@ def _cmd_homology(args) -> int:
     for curve in doc.curves:
         report = validate(doc.diagram, curve)
         if not report.passed:
-            print(f"curve {curve.name}: INVALID")
-            for line in report.lines():
-                print(f"  - {line}")
+            print("\n".join(_invalid_lines(curve, report)))
             code = FAIL
             continue
         horizontal = sweep_parity(doc.diagram, curve, SweepDirection.HORIZONTAL)
@@ -382,13 +372,7 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except TroplagError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except ValueError as err:
+    except (TroplagError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
 

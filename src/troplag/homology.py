@@ -124,11 +124,9 @@ def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
     return sorted(coords)
 
 
-def default_witness(diagram: BaseDiagram, curve: TropicalCurve,
-                    direction: SweepDirection) -> Fraction:
-    """Midpoint of the largest gap between critical coordinates (first
-    largest if tied); deterministic."""
-    coords = critical_coordinates(diagram, curve, direction)
+def _largest_gap_midpoint(coords) -> Fraction:
+    """Midpoint of the largest gap between sorted coordinates (first
+    largest if tied)."""
     best = None
     for a, b in zip(coords, coords[1:]):
         if best is None or b - a > best[1] - best[0]:
@@ -136,6 +134,14 @@ def default_witness(diagram: BaseDiagram, curve: TropicalCurve,
     if best is None or best[0] == best[1]:
         raise UnsweepableCurve("no generic witness line exists")
     return (best[0] + best[1]) / 2
+
+
+def default_witness(diagram: BaseDiagram, curve: TropicalCurve,
+                    direction: SweepDirection) -> Fraction:
+    """Midpoint of the largest gap between critical coordinates (first
+    largest if tied); deterministic."""
+    return _largest_gap_midpoint(
+        critical_coordinates(diagram, curve, direction))
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -151,7 +157,7 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     _require_sweepable(diagram, curve)
     criticals = critical_coordinates(diagram, curve, direction)
     if witness is None:
-        witness = default_witness(diagram, curve, direction)
+        witness = _largest_gap_midpoint(criticals)
     else:
         witness = Fraction(witness)
         if witness in criticals:

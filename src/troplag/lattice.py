@@ -329,22 +329,3 @@ def ray_segment_hit(origin: RatPoint, direction: IntVec,
         return t, origin.moved(direction, t)
     return None
 
-
-def wedge(u: IntVec, v: IntVec) -> int:
-    """u.x*v.y - u.y*v.x."""
-    return u.wedge(v)
-
-
-def primitive_of(v: IntVec) -> IntVec:
-    """v divided by gcd(|x|, |y|); raises DegenerateDirection on (0,0)."""
-    return v.primitive()
-
-
-def rot90(v: IntVec) -> IntVec:
-    """(x, y) -> (-y, x)."""
-    return v.rot90()
-
-
-def apply_map(m: UnimodularAffineMap, obj):
-    """Apply the affine map to a point (with translation) or vector (without)."""
-    return m.apply(obj)

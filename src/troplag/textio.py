@@ -130,8 +130,7 @@ def _split_sections(tokens):
     return sections
 
 
-def _parse_polygon_diagram(tokens):
-    head = tokens[0]
+def _parse_polygon_diagram(head, tokens):
     sections = _split_sections(tokens)
     vertices = [_point(tok) for tok in sections[0]]
     if len(vertices) < 3:
@@ -211,7 +210,7 @@ def _parse_diagram(tokens):
                      _rational(_keyvalue(tokens[4], "c")),
                      _rational(_keyvalue(tokens[5], "s")))
     if kind.text == "polygon":
-        return _parse_polygon_diagram(tokens[2:])
+        return _parse_polygon_diagram(kind, tokens[2:])
     raise ParseError(f"unknown diagram kind {kind.text!r}",
                      kind.line, kind.col)
 

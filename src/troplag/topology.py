@@ -14,8 +14,10 @@ surgery replacing each one by an embedded handle drops chi by 2.  So
 
     chi = -#vertices + #disc caps - 2 * sum (m-1)/2.
 
-classify() runs this bookkeeping directly; build_presentation() +
-oracle_classify() re-derive the same answer from an explicit piece/gluing
+euler_breakdown() counts this once per curve into a ChiBreakdown, which
+keeps the per-vertex multiplicities and per-end cap kinds beside the chi
+terms; classify() is that record's surface_class().  build_presentation()
++ oracle_classify() re-derive the same answer from an explicit piece/gluing
 presentation and cell counts, giving an independent check.
 """
 from __future__ import annotations
@@ -78,40 +80,49 @@ def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
 
 @dataclass(frozen=True)
 class ChiBreakdown:
-    """Euler characteristic with its provenance terms."""
+    """Euler characteristic with its provenance terms, and the inventory
+    they are counted from."""
 
     vertex_term: int     # -1 per vertex
     cap_term: int        # +1 per disc cap
     surgery_term: int    # -2 per surgered double point
+    multiplicities: tuple[int, ...]  # m per vertex, in curve order
+    end_kinds: tuple[EndKind, ...]   # cap kind per end, in curve order
 
     @property
     def chi(self) -> int:
         return self.vertex_term + self.cap_term + self.surgery_term
 
+    def surface_class(self) -> SurfaceClass:
+        """closed iff there are no collar ends; orientable iff there are no
+        cross-caps (surgery handles attach orientably; the curve avoids
+        cuts, so transporting fiber orientations around cycles is
+        monodromy-free)."""
+        return _surface_class(self.chi,
+                              self.end_kinds.count(EndKind.CROSS_CAP),
+                              self.end_kinds.count(EndKind.COLLAR),
+                              -self.surgery_term // 2)
 
-def _vertex_data(curve: TropicalCurve):
-    """(vertex id, m, double points) for every vertex; raises if any vertex
-    is not trivalent weight-one."""
-    data = []
-    for v in curve.vertices:
-        m = vertex_multiplicity(curve, v.id)
-        data.append((v.id, m, vertex_double_points(m)))
-    return data
 
-
-def _end_kinds(diagram: BaseDiagram, curve: TropicalCurve):
-    return [(e, classify_end(diagram, e)) for e in curve.ends]
+def _breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
+    """The inventory and chi terms of a curve; raises if the curve is empty,
+    a vertex is not trivalent weight-one, or an end has no cap type."""
+    if curve.is_empty:
+        raise EmptyCurve("the empty curve carries no surface")
+    multiplicities = tuple(vertex_multiplicity(curve, v.id)
+                           for v in curve.vertices)
+    end_kinds = tuple(classify_end(diagram, e) for e in curve.ends)
+    return ChiBreakdown(
+        vertex_term=-len(multiplicities),
+        cap_term=sum(kind.chi for kind in end_kinds),
+        surgery_term=-2 * sum(map(vertex_double_points, multiplicities)),
+        multiplicities=multiplicities,
+        end_kinds=end_kinds)
 
 
 def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
-    if curve.is_empty:
-        raise EmptyCurve("the empty curve has no Euler characteristic")
-    vertex_data = _vertex_data(curve)
-    kinds = _end_kinds(diagram, curve)
-    return ChiBreakdown(
-        vertex_term=-len(vertex_data),
-        cap_term=sum(kind.chi for _, kind in kinds),
-        surgery_term=-2 * sum(dp for _, _, dp in vertex_data))
+    """chi terms and inventory of the surface over a validated curve."""
+    return _breakdown(diagram, curve)
 
 
 def euler_characteristic(diagram: BaseDiagram, curve: TropicalCurve) -> int:
@@ -180,23 +191,9 @@ def _surface_class(chi: int, crosscaps: int, collars: int,
 
 
 def classify(diagram: BaseDiagram, curve: TropicalCurve) -> SurfaceClass:
-    """SurfaceClass of the Lagrangian over a validated curve.
-
-    closed iff there are no collar ends; orientable iff there are no
-    cross-caps (surgery handles attach orientably; the curve avoids cuts, so
-    transporting fiber orientations around cycles is monodromy-free).
-    """
-    if curve.is_empty:
-        raise EmptyCurve("the empty curve has no surface class")
-    vertex_data = _vertex_data(curve)
-    kinds = _end_kinds(diagram, curve)
-    chi = (-len(vertex_data)
-           + sum(kind.chi for _, kind in kinds)
-           - 2 * sum(dp for _, _, dp in vertex_data))
-    crosscaps = sum(1 for _, kind in kinds if kind is EndKind.CROSS_CAP)
-    collars = sum(1 for _, kind in kinds if kind is EndKind.COLLAR)
-    return _surface_class(chi, crosscaps, collars,
-                          sum(dp for _, _, dp in vertex_data))
+    """SurfaceClass of the Lagrangian over a validated curve (see
+    ChiBreakdown.surface_class)."""
+    return _breakdown(diagram, curve).surface_class()
 
 
 def surface_name(sc: SurfaceClass) -> str | None:

@@ -1,7 +1,9 @@
 import io
+import sys
 
 import pytest
 
+from troplag import topology, tropical
 from troplag.cli import main
 from conftest import FIGURES, GOLDEN
 
@@ -63,12 +65,46 @@ def test_topology_failing_document_exits_1(capsys):
     assert code == 1
 
 
-def test_malformed_document_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("text, fragment", [
+    pytest.param("diagram rectangle width=0.5 height=1\n", "decimals",
+                 id="decimal"),
+    pytest.param("diagram polygon\n",
+                 "line 1, col 9: polygon needs at least three vertices",
+                 id="empty-polygon"),
+])
+def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.trop"
-    bad.write_text("diagram rectangle width=0.5 height=1\n")
+    bad.write_text(text)
     code, _, err = run(capsys, "topology", str(bad))
     assert code == 2
-    assert "decimals" in err
+    assert fragment in err
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of module.name, wherever a troplag module holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, holder in list(sys.modules.items()):
+        held = vars(holder).get(name)
+        if key.split(".")[0] == "troplag" and held is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def test_topology_report_takes_one_inventory(capsys, monkeypatch):
+    # fig3_family has 8 vertices and 10 ends; the report reads m and the
+    # cap kinds from one euler_breakdown instead of recomputing them.
+    multiplicities = _count_calls(monkeypatch, tropical, "vertex_multiplicity")
+    end_kinds = _count_calls(monkeypatch, topology, "classify_end")
+    code, _, _ = run(capsys, "topology", str(FIGURES / "fig3_family.trop"))
+    assert code == 0
+    assert len(multiplicities) == 8
+    assert len(end_kinds) == 10
 
 
 def test_semantically_invalid_diagram_exits_2(capsys, tmp_path):

@@ -9,11 +9,7 @@ from troplag import (
     NonUnimodularMap,
     RatVec,
     UnimodularAffineMap,
-    apply_map,
-    primitive_of,
     pt,
-    rot90,
-    wedge,
 )
 from troplag.lattice import (
     on_closed_segment,
@@ -33,44 +29,44 @@ def shear(a, b, c, d):
                                RatVec(Fraction(0), Fraction(0)))
 
 
-# -- primitive_of ------------------------------------------------------
+# -- primitive --------------------------------------------------------
 
 def test_primitive_reduces_gcd():
-    assert primitive_of(IntVec(4, 2)) == IntVec(2, 1)
+    assert IntVec(4, 2).primitive() == IntVec(2, 1)
 
 
 def test_primitive_keeps_sign():
-    assert primitive_of(IntVec(-3, -3)) == IntVec(-1, -1)
+    assert IntVec(-3, -3).primitive() == IntVec(-1, -1)
 
 
 def test_primitive_of_zero_raises():
     with pytest.raises(DegenerateDirection):
-        primitive_of(IntVec(0, 0))
+        IntVec(0, 0).primitive()
 
 
 @given(nonzero_vecs)
 def test_primitive_idempotent(v):
-    assert primitive_of(primitive_of(v)) == primitive_of(v)
+    assert v.primitive().primitive() == v.primitive()
 
 
 # -- wedge -------------------------------------------------------------
 
 def test_wedge_figure_vertex_directions():
     # directions at the multiplicity-5 family vertex
-    assert wedge(IntVec(-2, 1), IntVec(3, 1)) == -5
+    assert IntVec(-2, 1).wedge(IntVec(3, 1)) == -5
 
 
 def test_wedge_standard_basis():
-    assert wedge(IntVec(1, 0), IntVec(0, 1)) == 1
+    assert IntVec(1, 0).wedge(IntVec(0, 1)) == 1
 
 
 def test_wedge_parallel():
-    assert wedge(IntVec(2, 1), IntVec(4, 2)) == 0
+    assert IntVec(2, 1).wedge(IntVec(4, 2)) == 0
 
 
 @given(vecs, vecs)
 def test_wedge_antisymmetric(u, v):
-    assert wedge(u, v) == -wedge(v, u)
+    assert u.wedge(v) == -v.wedge(u)
 
 
 @given(vecs, vecs, st.sampled_from([(1, 1, 0, 1), (1, 0, 1, 1),
@@ -78,27 +74,27 @@ def test_wedge_antisymmetric(u, v):
                                     (2, 1, 1, 1), (3, -2, -4, 3)]))
 def test_wedge_abs_unimodular_invariant(u, v, entries):
     m = shear(*entries)
-    assert abs(wedge(m.apply(u), m.apply(v))) == abs(wedge(u, v))
+    assert abs(m.apply(u).wedge(m.apply(v))) == abs(u.wedge(v))
 
 
 # -- rot90 -------------------------------------------------------------
 
 def test_rot90_fiber_circle_of_slope_half_segment():
-    assert rot90(IntVec(2, 1)) == IntVec(-1, 2)
+    assert IntVec(2, 1).rot90() == IntVec(-1, 2)
 
 
 def test_rot90_basis():
-    assert rot90(IntVec(1, 0)) == IntVec(0, 1)
+    assert IntVec(1, 0).rot90() == IntVec(0, 1)
 
 
 def test_rot90_twice_negates():
     v = IntVec(3, 5)
-    assert rot90(rot90(v)) == -v
+    assert v.rot90().rot90() == -v
 
 
 @given(vecs, vecs)
 def test_rot90_preserves_wedge(u, v):
-    assert wedge(rot90(u), rot90(v)) == wedge(u, v)
+    assert u.rot90().wedge(v.rot90()) == u.wedge(v)
 
 
 # -- affine maps -------------------------------------------------------
@@ -115,7 +111,7 @@ def test_apply_shear_to_vector():
 
 def test_apply_rotation_with_translation_to_point():
     m = UnimodularAffineMap(((0, -1), (1, 0)), RatVec(Fraction(1), Fraction(0)))
-    assert apply_map(m, pt(0, 0)) == pt(1, 0)
+    assert m.apply(pt(0, 0)) == pt(1, 0)
 
 
 def test_non_unimodular_rejected():

@@ -30,6 +30,7 @@ from troplag import (
     transformed,
     trop_family,
     validate,
+    vertex_multiplicity,
     visible_segment,
 )
 from conftest import load_document, random_curve, random_unimodular_map
@@ -216,6 +217,15 @@ def test_oracle_rejects_disconnected():
             (("a", "b"), ("c", "d")), 0))
 
 
+def assert_breakdown_is_the_inventory(diagram, curve, sc):
+    breakdown = euler_breakdown(diagram, curve)
+    assert breakdown.surface_class() == sc
+    assert breakdown.multiplicities == tuple(
+        vertex_multiplicity(curve, v.id) for v in curve.vertices)
+    assert breakdown.end_kinds == tuple(
+        classify_end(diagram, e) for e in curve.ends)
+
+
 def test_engine_equals_oracle_on_bundled():
     docs = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
             "fig3_family.trop", "fig4_squeeze.trop"]
@@ -224,6 +234,7 @@ def test_engine_equals_oracle_on_bundled():
         for curve in doc.curves:
             sc = classify(doc.diagram, curve)
             assert oracle_classify(build_presentation(doc.diagram, curve)) == sc
+            assert_breakdown_is_the_inventory(doc.diagram, curve, sc)
 
 
 def test_engine_equals_oracle_on_random_curves():
@@ -232,6 +243,7 @@ def test_engine_equals_oracle_on_random_curves():
         diagram, curve = random_curve(rng)
         sc = classify(diagram, curve)
         assert oracle_classify(build_presentation(diagram, curve)) == sc
+        assert_breakdown_is_the_inventory(diagram, curve, sc)
 
 
 def test_classify_invariant_under_unimodular_maps(fig1_left):
