@@ -16,7 +16,6 @@ from .lattice import (
     RatPoint,
     RatVec,
     UnimodularAffineMap,
-    ivec,
     pt,
 )
 from .diagram import (

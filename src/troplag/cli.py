@@ -280,8 +280,11 @@ def _cmd_render(args) -> int:
     if args.output == "-":
         sys.stdout.write(svg)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(svg)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(svg)
+        except OSError as err:
+            raise TroplagError(f"cannot write {args.output}: {err}") from None
         print(f"wrote {args.output} ({len(svg.encode('utf-8'))} bytes)")
     return PASS
 

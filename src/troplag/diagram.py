@@ -300,9 +300,6 @@ class BaseDiagram:
 
 
 RECTANGLE_BASIS = ("sphere_h", "sphere_v")
-RECTANGLE_BASIS_LEGEND = (
-    "sphere_h = class of the sphere over a horizontal segment; "
-    "sphere_v = class of the sphere over a vertical segment")
 
 
 def rectangle(width, height) -> BaseDiagram:

@@ -60,9 +60,6 @@ class IntVec:
     def __neg__(self) -> "IntVec":
         return IntVec(-self.x, -self.y)
 
-    def scaled(self, k: int) -> "IntVec":
-        return IntVec(self.x * k, self.y * k)
-
     def wedge(self, other) -> int:
         """Determinant |self other|; antisymmetric, unimodular-invariant."""
         return self.x * other.y - self.y * other.x
@@ -113,10 +110,6 @@ class RatVec:
     def __neg__(self) -> "RatVec":
         return RatVec(-self.x, -self.y)
 
-    def scaled(self, t) -> "RatVec":
-        t = _as_fraction(t)
-        return RatVec(self.x * t, self.y * t)
-
     def wedge(self, other) -> Fraction:
         return self.x * other.y - self.y * other.x
 
@@ -163,9 +156,6 @@ class RatPoint:
     def __sub__(self, other: "RatPoint") -> RatVec:
         return RatVec(self.x - other.x, self.y - other.y)
 
-    def translated(self, v) -> "RatPoint":
-        return RatPoint(self.x + _as_fraction(v.x), self.y + _as_fraction(v.y))
-
     def moved(self, direction, t) -> "RatPoint":
         """The point self + t*direction."""
         t = _as_fraction(t)
@@ -173,10 +163,6 @@ class RatPoint:
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
-
-
-def ivec(x, y) -> IntVec:
-    return IntVec(_as_int(x), _as_int(y))
 
 
 def pt(x, y) -> RatPoint:
@@ -201,10 +187,6 @@ class UnimodularAffineMap:
     @classmethod
     def identity(cls) -> "UnimodularAffineMap":
         return cls(((1, 0), (0, 1)), RatVec(Fraction(0), Fraction(0)))
-
-    @classmethod
-    def of(cls, a, b, c, d, tx=0, ty=0) -> "UnimodularAffineMap":
-        return cls(((a, b), (c, d)), RatVec(_as_fraction(tx), _as_fraction(ty)))
 
     @property
     def det(self) -> int:

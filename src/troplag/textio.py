@@ -14,8 +14,9 @@
 Rationals are written exactly ("3", "22/7", "-4/3"); decimals are a syntax
 error.  An end's <from> is a vertex id, or a point literal for a standalone
 segment.  Exactly one of land= / node= must be given.  Syntax errors carry
-line and column; semantic errors (a landing off the boundary, say) are
-deferred to validate().
+line and column; errors in building a curve (an unknown vertex, a weight
+below one, a non-primitive direction) point at its `curve` header; geometric
+errors (a landing off the boundary, say) are deferred to validate().
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .tropical import (
     BoundaryTerminal,
     CurveEnd,
     InternalEdge,
+    InvalidCurve,
     NodeTerminal,
     TropicalCurve,
     TropicalVertex,
@@ -220,13 +222,16 @@ def parse_document(text: str) -> Document:
     lines = _tokenize(text)
     diagram = None
     curves = []
-    current = None  # (name, vertices, edges, ends, seen ids)
+    current = None  # (header token, name, vertices, edges, ends, seen ids)
 
     def flush():
         nonlocal current
         if current is not None:
-            name, vertices, edges, ends, _ = current
-            curves.append(TropicalCurve(vertices, edges, ends, name=name))
+            header, name, vertices, edges, ends, _ = current
+            try:
+                curves.append(TropicalCurve(vertices, edges, ends, name=name))
+            except InvalidCurve as err:
+                raise ParseError(str(err), header.line, header.col) from None
             current = None
 
     for tokens in lines:
@@ -242,7 +247,7 @@ def parse_document(text: str) -> Document:
             if len(tokens) != 2:
                 raise ParseError("curve <name>", head.line, head.col)
             flush()
-            current = (_name(tokens[1]), [], [], [], set())
+            current = (head, _name(tokens[1]), [], [], [], set())
         elif head.text in ("vertex", "edge", "end"):
             if current is None:
                 raise ParseError(f"{head.text} outside a curve block",
@@ -259,7 +264,7 @@ def parse_document(text: str) -> Document:
 
 def _parse_element(tokens, current):
     head = tokens[0]
-    _, vertices, edges, ends, seen = current
+    _, _, vertices, edges, ends, seen = current
     ident = _name(tokens[1]) if len(tokens) > 1 else None
     if ident is None:
         raise ParseError(f"{head.text} needs an id", head.line, head.col)

@@ -104,9 +104,10 @@ class ChiBreakdown:
                               -self.surgery_term // 2)
 
 
-def _breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
-    """The inventory and chi terms of a curve; raises if the curve is empty,
-    a vertex is not trivalent weight-one, or an end has no cap type."""
+def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
+    """chi terms and inventory of the surface over a validated curve; raises
+    if the curve is empty, a vertex is not trivalent weight-one, or an end
+    has no cap type."""
     if curve.is_empty:
         raise EmptyCurve("the empty curve carries no surface")
     multiplicities = tuple(vertex_multiplicity(curve, v.id)
@@ -118,11 +119,6 @@ def _breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
         surgery_term=-2 * sum(map(vertex_double_points, multiplicities)),
         multiplicities=multiplicities,
         end_kinds=end_kinds)
-
-
-def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
-    """chi terms and inventory of the surface over a validated curve."""
-    return _breakdown(diagram, curve)
 
 
 def euler_characteristic(diagram: BaseDiagram, curve: TropicalCurve) -> int:
@@ -193,7 +189,7 @@ def _surface_class(chi: int, crosscaps: int, collars: int,
 def classify(diagram: BaseDiagram, curve: TropicalCurve) -> SurfaceClass:
     """SurfaceClass of the Lagrangian over a validated curve (see
     ChiBreakdown.surface_class)."""
-    return _breakdown(diagram, curve).surface_class()
+    return euler_breakdown(diagram, curve).surface_class()
 
 
 def surface_name(sc: SurfaceClass) -> str | None:
@@ -293,10 +289,9 @@ def build_presentation(diagram: BaseDiagram,
         if len(anchor_ends) != 2:
             raise MalformedPresentation(
                 f"anchor {point} carries {len(anchor_ends)} ends, expected 2")
-        key = ("anchor", point.x, point.y)
         labels = tuple(f"@{point}:{e.id}" for e in anchor_ends)
         for e in anchor_ends:
-            slot[(key, e.id)] = f"@{point}:{e.id}"
+            slot[(curve.site(e), e.id)] = f"@{point}:{e.id}"
         pieces.append(Piece(PieceKind.ANNULUS, labels))
 
     for e in curve.edges:
@@ -306,10 +301,6 @@ def build_presentation(diagram: BaseDiagram,
 
     for e in curve.ends:
         kind = classify_end(diagram, e)
-        if isinstance(e.source, str):
-            site = e.source
-        else:
-            site = ("anchor", e.source.x, e.source.y)
         if kind is EndKind.DISC_CAP:
             pieces.append(Piece(PieceKind.DISC, (f"{e.id}:cap",)))
         elif kind is EndKind.CROSS_CAP:
@@ -317,7 +308,7 @@ def build_presentation(diagram: BaseDiagram,
         else:
             pieces.append(Piece(PieceKind.COLLAR,
                                 (f"{e.id}:cap", f"{e.id}:boundary")))
-        gluings.append((slot[(site, e.id)], f"{e.id}:cap"))
+        gluings.append((slot[(curve.site(e), e.id)], f"{e.id}:cap"))
 
     return SurfacePresentation(tuple(pieces), tuple(gluings), handles)
 

@@ -7,6 +7,11 @@ focus-focus node (travelling along the node's cut direction).  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
 standalone anchor point.
 
+A curve builds its incidence once, at construction: each site (a vertex, or
+a standalone anchor) keeps its outgoing (direction, weight, element id)
+triples in `sites`, so outgoing() is a lookup; site() names the site an end
+leaves from.
+
 validate() checks every geometric and combinatorial invariant and returns a
 report; the numeric operations (vertex multiplicity, end multiplicity)
 assume a validated curve and raise on contract violations.
@@ -14,6 +19,7 @@ assume a validated curve and raise on contract violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, LocationKind
@@ -119,6 +125,10 @@ class TropicalCurve:
                 raise InvalidCurve(f"duplicate vertex id {v.id!r}")
             self._vertex_by_id[v.id] = v
 
+        # Incidence: site key -> outgoing (direction, weight, element id)
+        # triples, edges first; vertex sites first, then anchors.
+        incidence = {v.id: [] for v in self.vertices}
+        anchors = {}
         resolved = []
         seen_ids = set(self._vertex_by_id)
         for e in edges:
@@ -145,6 +155,8 @@ class TropicalCurve:
                 raise InvalidCurve(
                     f"edge {e.id!r} direction {e.direction} is not primitive")
             resolved.append(e)
+            incidence[e.src].append((e.direction, e.weight, e.id))
+            incidence[e.dst].append((-e.direction, e.weight, e.id))
         self.edges = tuple(resolved)
 
         for e in self.ends:
@@ -159,6 +171,14 @@ class TropicalCurve:
                     f"end {e.id!r} direction {e.direction} is not primitive")
             if not isinstance(e.weight, int) or e.weight < 1:
                 raise InvalidCurve(f"end {e.id!r} has non-positive weight")
+            key = self.site(e)
+            incidence.setdefault(key, []).append((e.direction, e.weight, e.id))
+            if key not in self._vertex_by_id:
+                anchors.setdefault(key, (e.source, []))[1].append(e)
+        self.sites = MappingProxyType(
+            {key: tuple(out) for key, out in incidence.items()})
+        self._anchors = tuple((point, tuple(anchor_ends))
+                              for point, anchor_ends in anchors.values())
 
     # -- basic accessors ------------------------------------------------
 
@@ -173,27 +193,17 @@ class TropicalCurve:
             return self.vertex(end.source).position
         return end.source
 
+    def site(self, end: CurveEnd):
+        """The key of the site an end leaves from: a vertex id or anchor key."""
+        return end.source if isinstance(end.source, str) else _anchor_key(end.source)
+
     def anchors(self):
         """Standalone anchor points, with their ends, in declaration order."""
-        found = {}
-        for e in self.ends:
-            if not isinstance(e.source, str):
-                found.setdefault(_anchor_key(e.source), (e.source, []))[1].append(e)
-        return list(found.values())
+        return self._anchors
 
     def outgoing(self, key):
         """Weighted outgoing primitive directions at a vertex id or anchor key."""
-        out = []
-        for e in self.edges:
-            if e.src == key:
-                out.append((e.direction, e.weight, e.id))
-            if e.dst == key:
-                out.append((-e.direction, e.weight, e.id))
-        for e in self.ends:
-            source = e.source if isinstance(e.source, str) else _anchor_key(e.source)
-            if source == key:
-                out.append((e.direction, e.weight, e.id))
-        return out
+        return self.sites.get(key, ())
 
     @property
     def is_empty(self) -> bool:
@@ -282,16 +292,14 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
     """Weighted outgoing directions must sum to zero at every vertex, and at
     every standalone anchor (where this just says the segment is straight)."""
     issues = []
-    sites = [(v.id, v.id) for v in curve.vertices]
-    sites += [(_anchor_key(point), f"anchor {point}")
-              for point, _ in curve.anchors()]
-    for key, label in sites:
-        out = curve.outgoing(key)
+    labels = {curve.site(anchor_ends[0]): f"anchor {point}"
+              for point, anchor_ends in curve.anchors()}
+    for key, out in curve.sites.items():
         sx = sum(d.x * w for d, w, _ in out)
         sy = sum(d.y * w for d, w, _ in out)
         if (sx, sy) != (0, 0):
             issues.append(ValidationIssue(
-                "balancing", label,
+                "balancing", labels.get(key, key),
                 f"weighted outgoing directions sum to ({sx},{sy}), "
                 "expected (0,0)"))
     return ValidationReport(tuple(issues))
@@ -301,25 +309,22 @@ def _segment_inventory(diagram: BaseDiagram, curve: TropicalCurve):
     """All curve segments with identity tokens for their two endpoints.
 
     Two segments may share a point only where both carry the same token
-    (a common vertex, anchor or terminal node)."""
+    (a common vertex, anchor or terminal node).  Vertex ids are strings and
+    every other token is a tuple, so the two never collide."""
     inventory = []
     for e in curve.edges:
         a, b = curve.edge_segment(e)
-        inventory.append((e.id, a, b, ("v", e.src), ("v", e.dst)))
+        inventory.append((e.id, a, b, e.src, e.dst))
     for e in curve.ends:
         try:
             a, b = curve.end_segment(diagram, e)
         except InvalidCurve:
             continue  # reported separately
-        if isinstance(e.source, str):
-            start_token = ("v", e.source)
-        else:
-            start_token = _anchor_key(e.source)
         if isinstance(e.terminal, NodeTerminal):
             finish_token = ("node", e.terminal.node_index)
         else:
             finish_token = ("landing", e.id)
-        inventory.append((e.id, a, b, start_token, finish_token))
+        inventory.append((e.id, a, b, curve.site(e), finish_token))
     return inventory
 
 
@@ -445,10 +450,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     # Connectivity of the underlying graph (edges join vertices; each
     # anchor is its own component unless the curve is just that segment).
-    keys = [v.id for v in curve.vertices]
-    keys += [_anchor_key(point) for point, _ in curve.anchors()]
-    if keys:
-        parent = {k: k for k in keys}
+    parent = {key: key for key in curve.sites}
+    if parent:
 
         def find(k):
             while parent[k] != k:
@@ -458,7 +461,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
         for e in curve.edges:
             parent[find(e.src)] = find(e.dst)
-        roots = {find(k) for k in keys}
+        roots = {find(k) for k in parent}
         if len(roots) > 1:
             issue("disconnected", curve.name or "curve",
                   f"underlying graph has {len(roots)} components")

@@ -65,12 +65,28 @@ def test_topology_failing_document_exits_1(capsys):
     assert code == 1
 
 
+# A curve header on line 2, then vertices a and b on lines 3 and 4.
+CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
+              "vertex a (1,1)\nvertex b (2,2)\n")
+
+
 @pytest.mark.parametrize("text, fragment", [
     pytest.param("diagram rectangle width=0.5 height=1\n", "decimals",
                  id="decimal"),
     pytest.param("diagram polygon\n",
                  "line 1, col 9: polygon needs at least three vertices",
                  id="empty-polygon"),
+    pytest.param(CURVE_HEAD + "edge e a zz\n",
+                 "line 2, col 1: edge 'e' refers to unknown vertex 'zz'",
+                 id="unknown-vertex"),
+    pytest.param(CURVE_HEAD + "edge e a b weight=0\n",
+                 "line 2, col 1: edge 'e' has non-positive weight",
+                 id="zero-weight"),
+    pytest.param(CURVE_HEAD + "end x a dir=(2,0) land=(0,1)\n",
+                 "line 2, col 1: end 'x' direction (2,0) is not primitive",
+                 id="nonprimitive-direction"),
+    pytest.param(CURVE_HEAD + "end x a dir=(-1,0) dir=(-1,0) land=(0,1)\n",
+                 "line 5, col 1: end <id> <from> dir=", id="repeated-dir"),
 ])
 def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.trop"
@@ -197,3 +213,10 @@ def test_render_to_stdout(capsys):
                        "-o", "-")
     assert code == 0
     assert out.startswith("<?xml") and "</svg>" in out
+
+
+def test_render_to_unwritable_path_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "render", str(FIGURES / "fig2_klein.trop"),
+                       "-o", str(tmp_path))
+    assert code == 2
+    assert "cannot write" in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from troplag import (
     vertex_multiplicity,
     x_abc,
 )
+from troplag.tropical import _anchor_key
+from conftest import FIGURES, load_document, random_curve
 
 F = Fraction
 
@@ -198,6 +201,55 @@ def test_handshake_on_bundled_curves():
         assert len(curve.vertices) == 4 * ell
         assert len(curve.edges) == 4 * ell - 1
         assert len(curve.ends) == 4 * ell + 2
+
+
+# -- incidence ---------------------------------------------------------
+
+def _scanned_outgoing(curve, key):
+    """The linear scan over every edge and end that the index replaces."""
+    out = []
+    for e in curve.edges:
+        if e.src == key:
+            out.append((e.direction, e.weight, e.id))
+        if e.dst == key:
+            out.append((-e.direction, e.weight, e.id))
+    for e in curve.ends:
+        source = e.source if isinstance(e.source, str) else _anchor_key(e.source)
+        if source == key:
+            out.append((e.direction, e.weight, e.id))
+    return tuple(out)
+
+
+def _index_test_curves():
+    for path in sorted(FIGURES.glob("*.trop")):
+        yield from load_document(path.name).curves
+    rng = random.Random(20201)
+    for _ in range(50):
+        yield random_curve(rng)[1]
+
+
+def test_incidence_index_matches_linear_scan():
+    anchored = 0
+    for curve in _index_test_curves():
+        anchor_keys = []
+        for e in curve.ends:
+            if isinstance(e.source, str):
+                assert curve.site(e) == e.source
+            else:
+                assert curve.site(e) == _anchor_key(e.source)
+                if curve.site(e) not in anchor_keys:
+                    anchor_keys.append(curve.site(e))
+        keys = [v.id for v in curve.vertices] + anchor_keys
+        assert list(curve.sites) == keys
+        for key, out in curve.sites.items():
+            assert out == curve.outgoing(key) == _scanned_outgoing(curve, key)
+        assert [(_anchor_key(point), list(anchor_ends))
+                for point, anchor_ends in curve.anchors()] \
+            == [(key, [e for e in curve.ends if curve.site(e) == key])
+                for key in anchor_keys]
+        assert curve.outgoing("no-such-site") == ()
+        anchored += bool(anchor_keys)
+    assert anchored >= 2  # the Klein bottle and squeeze figures
 
 
 # -- vertex multiplicity ----------------------------------------------
