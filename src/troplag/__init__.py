@@ -48,7 +48,6 @@ from .tropical import (
     WeightedVertexUnsupported,
     check_balancing,
     end_multiplicity,
-    resolve_boundary_edge,
     transformed,
     validate,
     vertex_double_points,

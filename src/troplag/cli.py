@@ -66,33 +66,35 @@ def _parse_pair(text: str):
     return parts
 
 
-def _invalid_lines(curve, report):
-    return ([f"curve {curve.name}: INVALID"]
-            + [f"  - {line}" for line in report.lines()])
+def _each_curve(doc, report, header=()) -> int:
+    """Print the header, then each curve's INVALID block or, for a valid
+    curve, the lines of report(doc, curve) -> (lines, code); return the
+    worst exit code."""
+    for line in header:
+        print(line)
+    code = PASS
+    for curve in doc.curves:
+        check = validate(doc.diagram, curve)
+        if check.passed:
+            lines, curve_code = report(doc, curve)
+        else:
+            lines = ([f"curve {curve.name}: INVALID"]
+                     + [f"  - {line}" for line in check.lines()])
+            curve_code = FAIL
+        print("\n".join(lines))
+        code = max(code, curve_code)
+    return code
 
 
 # ---------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    doc = _read_document(args.file)
-    print(f"diagram: {doc.diagram.name}; curves: {len(doc.curves)}")
-    code = PASS
-    for curve in doc.curves:
-        report = validate(doc.diagram, curve)
-        if report.passed:
-            print(f"curve {curve.name}: valid")
-        else:
-            code = FAIL
-            print("\n".join(_invalid_lines(curve, report)))
-    return code
+def _validate_lines(doc, curve):
+    return [f"curve {curve.name}: valid"], PASS
 
 
 def _topology_lines(doc, curve):
-    report = validate(doc.diagram, curve)
-    if not report.passed:
-        return _invalid_lines(curve, report), FAIL
     breakdown = euler_breakdown(doc.diagram, curve)
     multiplicities = sorted(breakdown.multiplicities)
     sc = breakdown.surface_class()
@@ -135,40 +137,54 @@ def _topology_lines(doc, curve):
     return lines, PASS
 
 
-def _cmd_topology(args) -> int:
+def _homology_lines(doc, curve):
+    horizontal = sweep_parity(doc.diagram, curve, SweepDirection.HORIZONTAL)
+    vertical = sweep_parity(doc.diagram, curve, SweepDirection.VERTICAL)
+    cls = mod2_class(doc.diagram, curve)
+    return [f"curve {curve.name}: horizontal sweep parity = "
+            f"{horizontal.parity} (witness y = "
+            f"{horizontal.witness_line_coordinate})",
+            f"curve {curve.name}: vertical sweep parity = "
+            f"{vertical.parity} (witness x = "
+            f"{vertical.witness_line_coordinate})",
+            f"curve {curve.name}: mod2 class = {cls} = {cls.label_sum()}"
+            ], PASS
+
+
+def _audin_lines(doc, curve, override):
+    if override is not None:
+        lift = override
+        lines = [f"curve {curve.name}: using supplied integral class "
+                 f"({','.join(str(c) for c in lift)})"]
+    else:
+        cls = mod2_class(doc.diagram, curve)
+        lift = cls.coefficients
+        lines = [f"curve {curve.name}: mod2 class = {cls} = "
+                 f"{cls.label_sum()}"]
+    p2 = pontryagin_square(doc.diagram.homology, lift)
+    sc = classify(doc.diagram, curve)
+    ok = audin_check(p2, sc.euler_char)
+    verdict = "PASS" if ok else "FAIL"
+    lines.append(f"curve {curve.name}: P2 = {p2}, chi = {sc.euler_char}; "
+                 f"residues mod 4: {p2} vs {sc.euler_char % 4}: {verdict}")
+    return lines, PASS if ok else FAIL
+
+
+def _cmd_validate(args) -> int:
     doc = _read_document(args.file)
-    code = PASS
-    for curve in doc.curves:
-        lines, curve_code = _topology_lines(doc, curve)
-        code = max(code, curve_code)
-        for line in lines:
-            print(line)
-    return code
+    return _each_curve(doc, _validate_lines, [
+        f"diagram: {doc.diagram.name}; curves: {len(doc.curves)}"])
+
+
+def _cmd_topology(args) -> int:
+    return _each_curve(_read_document(args.file), _topology_lines)
 
 
 def _cmd_homology(args) -> int:
     doc = _read_document(args.file)
     labels = doc.diagram.homology.basis_labels
-    if labels:
-        print("basis: " + ", ".join(labels))
-    code = PASS
-    for curve in doc.curves:
-        report = validate(doc.diagram, curve)
-        if not report.passed:
-            print("\n".join(_invalid_lines(curve, report)))
-            code = FAIL
-            continue
-        horizontal = sweep_parity(doc.diagram, curve, SweepDirection.HORIZONTAL)
-        vertical = sweep_parity(doc.diagram, curve, SweepDirection.VERTICAL)
-        print(f"curve {curve.name}: horizontal sweep parity = "
-              f"{horizontal.parity} (witness y = "
-              f"{horizontal.witness_line_coordinate})")
-        print(f"curve {curve.name}: vertical sweep parity = "
-              f"{vertical.parity} (witness x = "
-              f"{vertical.witness_line_coordinate})")
-        cls = mod2_class(doc.diagram, curve)
-        print(f"curve {curve.name}: mod2 class = {cls} = {cls.label_sum()}")
-    return code
+    return _each_curve(doc, _homology_lines,
+                       ["basis: " + ", ".join(labels)] if labels else [])
 
 
 def _cmd_audin(args) -> int:
@@ -176,31 +192,8 @@ def _cmd_audin(args) -> int:
     override = None
     if args.integral_class is not None:
         override = tuple(int(part) for part in args.integral_class.split(","))
-    code = PASS
-    for curve in doc.curves:
-        report = validate(doc.diagram, curve)
-        if not report.passed:
-            print(f"curve {curve.name}: INVALID")
-            code = FAIL
-            continue
-        if override is not None:
-            lift = override
-            print(f"curve {curve.name}: using supplied integral class "
-                  f"({','.join(str(c) for c in lift)})")
-        else:
-            cls = mod2_class(doc.diagram, curve)
-            lift = cls.coefficients
-            print(f"curve {curve.name}: mod2 class = {cls} = "
-                  f"{cls.label_sum()}")
-        p2 = pontryagin_square(doc.diagram.homology, lift)
-        sc = classify(doc.diagram, curve)
-        ok = audin_check(p2, sc.euler_char)
-        verdict = "PASS" if ok else "FAIL"
-        print(f"curve {curve.name}: P2 = {p2}, chi = {sc.euler_char}; "
-              f"residues mod 4: {p2} vs {sc.euler_char % 4}: {verdict}")
-        if not ok:
-            code = FAIL
-    return code
+    return _each_curve(
+        doc, lambda doc, curve: _audin_lines(doc, curve, override))
 
 
 def _cmd_triangle(args) -> int:

@@ -250,9 +250,8 @@ def trop_family(ell: int) -> FamilyInstance:
                          BoundaryTerminal(RatPoint(width, 1))))
     curve = TropicalCurve(vertices, edges, ends, name=f"family_ell{ell}")
     expected = SurfaceClass(
-        closed=True, orientable=False, euler_char=-20 * ell,
-        nonorientable_genus=20 * ell + 2, orientable_genus=None,
-        boundary_circles=0, double_points_surgered=8 * ell)
+        orientable=False, euler_char=-20 * ell, boundary_circles=0,
+        double_points_surgered=8 * ell)
     return FamilyInstance(ell, diagram, curve, expected)
 
 

@@ -22,6 +22,7 @@ _CUT_STYLE = ('stroke="#000000" stroke-width="1.5" '
               'stroke-dasharray="6 4" fill="none"')
 _CURVE_STYLE = 'stroke="#cc0000" stroke-width="2.5" fill="none"'
 _MARK_STYLE = 'stroke="#cc0000" stroke-width="1.5" fill="none"'
+_COLLAR_STYLE = 'stroke="#cc0000" stroke-width="1.5" fill="#ffffff"'
 _NODE_STYLE = 'stroke="#000000" stroke-width="1.5"'
 
 
@@ -74,7 +75,7 @@ def _end_marker(frame, diagram, curve, end):
     if kind is EndKind.CROSS_CAP:
         return (_circle(frame, point, _MARK_STYLE, radius=6.0)
                 + _cross(frame, point, _MARK_STYLE, radius=4.2))
-    return _circle(frame, point, _MARK_STYLE + ' fill="#ffffff"', radius=4.0)
+    return _circle(frame, point, _COLLAR_STYLE, radius=4.0)
 
 
 def render_document(doc) -> str:

@@ -14,9 +14,11 @@
 Rationals are written exactly ("3", "22/7", "-4/3"); decimals are a syntax
 error.  An end's <from> is a vertex id, or a point literal for a standalone
 segment.  Exactly one of land= / node= must be given.  Syntax errors carry
-line and column; errors in building a curve (an unknown vertex, a weight
-below one, a non-primitive direction) point at its `curve` header; geometric
-errors (a landing off the boundary, say) are deferred to validate().
+line and column; errors in building a diagram (a side of length zero, a
+non-primitive cut, an asymmetric form) point at its kind token, and errors
+in building a curve (an unknown vertex, a weight below one, a non-primitive
+direction) at its `curve` header; geometric errors (a landing off the
+boundary, say) are deferred to validate().
 """
 from __future__ import annotations
 
@@ -25,7 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TroplagError
-from .diagram import BaseDiagram, HomologyModel, Node, rectangle, x_abc
+from .diagram import (
+    BaseDiagram,
+    HomologyModel,
+    InvalidDiagram,
+    Node,
+    rectangle,
+    x_abc,
+)
 from .lattice import IntVec, RatPoint
 from .tropical import (
     BoundaryTerminal,
@@ -240,7 +249,11 @@ def parse_document(text: str) -> Document:
             if diagram is not None:
                 raise ParseError("only one diagram per document",
                                  head.line, head.col)
-            diagram = _parse_diagram(tokens)
+            try:
+                diagram = _parse_diagram(tokens)
+            except InvalidDiagram as err:
+                kind = tokens[1]  # _parse_diagram rejects a missing kind
+                raise ParseError(str(err), kind.line, kind.col) from None
         elif head.text == "curve":
             if diagram is None:
                 raise ParseError("curve before diagram", head.line, head.col)
@@ -319,14 +332,6 @@ def _parse_element(tokens, current):
 # Serialization
 # -----------------------------------------------------------------------
 
-def _fmt_point(p: RatPoint) -> str:
-    return f"({p.x},{p.y})"
-
-
-def _fmt_vec(v: IntVec) -> str:
-    return f"({v.x},{v.y})"
-
-
 def _serialize_diagram(diagram: BaseDiagram) -> str:
     if diagram.kind == "rectangle":
         p = diagram.params
@@ -335,10 +340,10 @@ def _serialize_diagram(diagram: BaseDiagram) -> str:
         p = diagram.params
         return (f"diagram xabc a={p['a']} b={p['b']} c={p['c']} s={p['s']}")
     parts = ["diagram polygon"]
-    parts += [_fmt_point(v) for v in diagram.polygon_vertices]
+    parts += [str(v) for v in diagram.polygon_vertices]
     for node in diagram.nodes:
-        parts += [";", "node", _fmt_point(node.position),
-                  f"cut={_fmt_vec(node.cut_direction)}"]
+        parts += [";", "node", str(node.position),
+                  f"cut={node.cut_direction}"]
     homology = diagram.homology
     if homology.basis_labels:
         parts += [";", "basis", *homology.basis_labels]
@@ -356,18 +361,16 @@ def _serialize_diagram(diagram: BaseDiagram) -> str:
 def _serialize_curve(curve: TropicalCurve):
     lines = [f"curve {curve.name or 'curve'}"]
     for v in curve.vertices:
-        lines.append(f"vertex {v.id} {_fmt_point(v.position)}")
+        lines.append(f"vertex {v.id} {v.position}")
     for e in curve.edges:
         suffix = f" weight={e.weight}" if e.weight != 1 else ""
         lines.append(f"edge {e.id} {e.src} {e.dst}{suffix}")
     for e in curve.ends:
-        source = e.source if isinstance(e.source, str) else _fmt_point(e.source)
         if isinstance(e.terminal, NodeTerminal):
             terminal = f"node={e.terminal.node_index}"
         else:
-            terminal = f"land={_fmt_point(e.terminal.landing)}"
-        lines.append(f"end {e.id} {source} dir={_fmt_vec(e.direction)} "
-                     f"{terminal}")
+            terminal = f"land={e.terminal.landing}"
+        lines.append(f"end {e.id} {e.source} dir={e.direction} {terminal}")
     return lines
 
 

@@ -98,10 +98,11 @@ class ChiBreakdown:
         cross-caps (surgery handles attach orientably; the curve avoids
         cuts, so transporting fiber orientations around cycles is
         monodromy-free)."""
-        return _surface_class(self.chi,
-                              self.end_kinds.count(EndKind.CROSS_CAP),
-                              self.end_kinds.count(EndKind.COLLAR),
-                              -self.surgery_term // 2)
+        return SurfaceClass(
+            orientable=EndKind.CROSS_CAP not in self.end_kinds,
+            euler_char=self.chi,
+            boundary_circles=self.end_kinds.count(EndKind.COLLAR),
+            double_points_surgered=-self.surgery_term // 2)
 
 
 def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
@@ -130,60 +131,40 @@ def euler_characteristic(diagram: BaseDiagram, curve: TropicalCurve) -> int:
 class SurfaceClass:
     """The topological type of the surface.
 
-    For closed surfaces exactly one genus field is set: nonorientable_genus
-    k with chi = 2 - k, or orientable_genus g with chi = 2 - 2g.  Surfaces
-    with boundary leave both genus fields empty.
+    Four fields are stored: orientable, euler_char, boundary_circles and
+    double_points_surgered.  The rest is derived: closed means no boundary
+    circles; a closed nonorientable surface has nonorientable_genus k with
+    chi = 2 - k, a closed orientable one orientable_genus g with
+    chi = 2 - 2g, and every other genus is None.
     """
 
-    closed: bool
     orientable: bool
     euler_char: int
-    nonorientable_genus: int | None
-    orientable_genus: int | None
     boundary_circles: int
     double_points_surgered: int
 
     def __post_init__(self):
-        if self.closed != (self.boundary_circles == 0):
-            raise ValueError("closed must match boundary_circles == 0")
-        if self.closed and not self.orientable:
-            if self.nonorientable_genus is None or self.orientable_genus is not None:
-                raise ValueError("closed nonorientable surfaces carry exactly "
-                                 "the nonorientable genus")
-            if self.euler_char != 2 - self.nonorientable_genus:
-                raise ValueError("chi must equal 2 - k")
-            if self.nonorientable_genus < 1:
-                raise ValueError("nonorientable genus must be positive")
-        elif self.closed:
-            if self.orientable_genus is None or self.nonorientable_genus is not None:
-                raise ValueError("closed orientable surfaces carry exactly "
-                                 "the orientable genus")
-            if self.euler_char != 2 - 2 * self.orientable_genus:
-                raise ValueError("chi must equal 2 - 2g")
-            if self.orientable_genus < 0:
-                raise ValueError("orientable genus must be nonnegative")
-        else:
-            if self.nonorientable_genus is not None or self.orientable_genus is not None:
-                raise ValueError("surfaces with boundary leave both genus "
-                                 "fields empty")
-
-
-def _surface_class(chi: int, crosscaps: int, collars: int,
-                   double_points: int) -> SurfaceClass:
-    closed = collars == 0
-    orientable = crosscaps == 0
-    k = g = None
-    if closed and not orientable:
-        k = 2 - chi
-    elif closed:
-        if chi % 2 != 0:
+        if not self.closed:
+            return
+        if self.orientable and self.euler_char % 2 != 0:
             raise MalformedPresentation(
-                f"closed orientable surface with odd chi = {chi}")
-        g = (2 - chi) // 2
-    return SurfaceClass(closed=closed, orientable=orientable, euler_char=chi,
-                        nonorientable_genus=k, orientable_genus=g,
-                        boundary_circles=collars,
-                        double_points_surgered=double_points)
+                f"closed orientable surface with odd chi = {self.euler_char}")
+        if self.orientable and self.orientable_genus < 0:
+            raise ValueError("orientable genus must be nonnegative")
+        if not self.orientable and self.nonorientable_genus < 1:
+            raise ValueError("nonorientable genus must be positive")
+
+    @property
+    def closed(self) -> bool:
+        return self.boundary_circles == 0
+
+    @property
+    def nonorientable_genus(self) -> int | None:
+        return 2 - self.euler_char if self.closed and not self.orientable else None
+
+    @property
+    def orientable_genus(self) -> int | None:
+        return (2 - self.euler_char) // 2 if self.closed and self.orientable else None
 
 
 def classify(diagram: BaseDiagram, curve: TropicalCurve) -> SurfaceClass:
@@ -377,8 +358,8 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
     nonorientable = any(p.kind is PieceKind.MOBIUS
                         for p in presentation.pieces)
 
+    # Each free label is one boundary circle.
     free = [label for label in owner if label not in glued]
-    boundary_circles = len(free)
-    collars = boundary_circles  # each free label is one boundary circle
-    return _surface_class(chi, crosscaps=int(nonorientable), collars=collars,
-                          double_points=presentation.handles)
+    return SurfaceClass(orientable=not nonorientable, euler_char=chi,
+                        boundary_circles=len(free),
+                        double_points_surgered=presentation.handles)

@@ -305,29 +305,6 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _segment_inventory(diagram: BaseDiagram, curve: TropicalCurve):
-    """All curve segments with identity tokens for their two endpoints.
-
-    Two segments may share a point only where both carry the same token
-    (a common vertex, anchor or terminal node).  Vertex ids are strings and
-    every other token is a tuple, so the two never collide."""
-    inventory = []
-    for e in curve.edges:
-        a, b = curve.edge_segment(e)
-        inventory.append((e.id, a, b, e.src, e.dst))
-    for e in curve.ends:
-        try:
-            a, b = curve.end_segment(diagram, e)
-        except InvalidCurve:
-            continue  # reported separately
-        if isinstance(e.terminal, NodeTerminal):
-            finish_token = ("node", e.terminal.node_index)
-        else:
-            finish_token = ("landing", e.id)
-        inventory.append((e.id, a, b, curve.site(e), finish_token))
-    return inventory
-
-
 def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     """Full geometric and combinatorial validation.
 
@@ -338,6 +315,11 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     The empty curve is vacuously valid.
     """
     issues = []
+    # Every segment as (id, start, finish, start token, finish token), edges
+    # first.  Two segments may share a point only where both carry the same
+    # token (a common vertex, anchor or terminal node).  Vertex ids are
+    # strings and every other token is a tuple, so the two never collide.
+    segments = []
 
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
@@ -363,6 +345,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     for e in curve.edges:
         a, b = curve.edge_segment(e)
+        segments.append((e.id, a, b, e.src, e.dst))
         t = (b - a).ratio_along(e.direction)
         if t is None or t <= 0:
             issue("edge-collinearity", e.id,
@@ -377,6 +360,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"no node with index {e.terminal.node_index}")
                 continue
             node = diagram.nodes[e.terminal.node_index]
+            segments.append((e.id, start, node.position, curve.site(e),
+                             ("node", e.terminal.node_index)))
             t = (node.position - start).ratio_along(e.direction)
             if t is None or t <= 0:
                 issue("end-collinearity", e.id,
@@ -388,6 +373,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"direction {node.cut_direction}")
         else:
             landing = e.terminal.landing
+            segments.append((e.id, start, landing, curve.site(e),
+                             ("landing", e.id)))
             t = (landing - start).ratio_along(e.direction)
             if t is None or t <= 0:
                 issue("end-collinearity", e.id,
@@ -409,14 +396,13 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"not {e.terminal.edge_index}")
 
     # Embeddedness: pairwise segment contacts, nodes, cuts.
-    inventory = _segment_inventory(diagram, curve)
-    for i in range(len(inventory)):
-        id1, a, b, tok_a, tok_b = inventory[i]
+    for i in range(len(segments)):
+        id1, a, b, tok_a, tok_b = segments[i]
         if a == b:
             issue("degenerate-segment", id1, "segment has zero length")
             continue
-        for j in range(i + 1, len(inventory)):
-            id2, c, d, tok_c, tok_d = inventory[j]
+        for j in range(i + 1, len(segments)):
+            id2, c, d, tok_c, tok_d = segments[j]
             contact = segment_contact(a, b, c, d)
             if contact is None:
                 continue
@@ -505,22 +491,6 @@ def vertex_double_points(m: int) -> int:
     return (m - 1) // 2
 
 
-def resolve_boundary_edge(diagram: BaseDiagram, end: CurveEnd) -> int:
-    """The index of the boundary edge the end lands on."""
-    if not isinstance(end.terminal, BoundaryTerminal):
-        raise NotABoundaryEnd(f"end {end.id!r} terminates at a node")
-    loc = diagram.contains(end.terminal.landing)
-    if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
-        raise InvalidCurve(
-            f"end {end.id!r} landing {end.terminal.landing} is {loc}, "
-            "not in the open interior of a boundary edge")
-    if end.terminal.edge_index is not None and end.terminal.edge_index != loc.index:
-        raise InvalidCurve(
-            f"end {end.id!r} names boundary edge {end.terminal.edge_index} "
-            f"but lands on edge {loc.index}")
-    return loc.index
-
-
 def end_multiplicity(diagram: BaseDiagram, end: CurveEnd) -> int:
     """mu = |wedge(end direction, boundary edge direction)| at the landing.
 
@@ -533,8 +503,16 @@ def end_multiplicity(diagram: BaseDiagram, end: CurveEnd) -> int:
         raise WeightedEndUnsupported(
             f"end {end.id!r} has weight {end.weight}; multiplicity is "
             "defined for weight one")
-    index = resolve_boundary_edge(diagram, end)
-    mu = abs(end.direction.wedge(diagram.boundary_edges[index].direction))
+    loc = diagram.contains(end.terminal.landing)
+    if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
+        raise InvalidCurve(
+            f"end {end.id!r} landing {end.terminal.landing} is {loc}, "
+            "not in the open interior of a boundary edge")
+    if end.terminal.edge_index is not None and end.terminal.edge_index != loc.index:
+        raise InvalidCurve(
+            f"end {end.id!r} names boundary edge {end.terminal.edge_index} "
+            f"but lands on edge {loc.index}")
+    mu = abs(end.direction.wedge(diagram.boundary_edges[loc.index].direction))
     if mu == 0:
         raise InvalidCurve(
             f"end {end.id!r} is parallel to the boundary edge it lands on; "

@@ -1,5 +1,6 @@
 import io
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -65,6 +66,26 @@ def test_topology_failing_document_exits_1(capsys):
     assert code == 1
 
 
+def test_audin_lists_the_issues_of_an_invalid_curve(capsys):
+    path = str(FIGURES / "invalid_unbalanced.trop")
+    _, validated, _ = run(capsys, "validate", path)
+    code, out, _ = run(capsys, "audin", path)
+    assert code == 1
+    block = validated[validated.index("curve broken: INVALID"):]
+    assert "  - [balancing] v:" in block
+    assert out == block
+
+
+def test_report_that_fails_prints_none_of_its_lines(capsys):
+    # The supplied lift has the wrong rank: pontryagin_square raises after
+    # the "using supplied integral class" line was formed.
+    code, out, err = run(capsys, "audin", str(FIGURES / "fig2_klein.trop"),
+                         "--class", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert "class vector has length 3" in err
+
+
 # A curve header on line 2, then vertices a and b on lines 3 and 4.
 CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
               "vertex a (1,1)\nvertex b (2,2)\n")
@@ -87,6 +108,17 @@ CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
                  id="nonprimitive-direction"),
     pytest.param(CURVE_HEAD + "end x a dir=(-1,0) dir=(-1,0) land=(0,1)\n",
                  "line 5, col 1: end <id> <from> dir=", id="repeated-dir"),
+    pytest.param("diagram rectangle width=0 height=1\n",
+                 "line 1, col 9: rectangle sides must be positive",
+                 id="zero-width"),
+    pytest.param("diagram polygon (0,0) (4,0) (4,4) (0,4) ; "
+                 "node (2,2) cut=(2,0)\n",
+                 "line 1, col 9: cut direction (2,0) is not primitive",
+                 id="nonprimitive-cut"),
+    pytest.param("diagram polygon (0,0) (4,0) (4,4) (0,4) ; "
+                 "basis a b ; form 0 1 2 0\n",
+                 "line 1, col 9: intersection form must be symmetric",
+                 id="asymmetric-form"),
 ])
 def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.trop"
@@ -206,6 +238,14 @@ def test_render_matches_golden_and_is_deterministic(capsys, tmp_path, name):
     first = out1.read_bytes()
     assert first == out2.read_bytes()
     assert first == (GOLDEN / f"{name}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(FIGURES.glob("*.trop")),
+                         ids=lambda path: path.stem)
+def test_render_is_well_formed_xml(capsys, path):
+    code, out, _ = run(capsys, "render", str(path), "-o", "-")
+    assert code == 0
+    assert ET.fromstring(out.encode("utf-8")).tag.endswith("svg")
 
 
 def test_render_to_stdout(capsys):

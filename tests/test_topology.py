@@ -111,10 +111,21 @@ def test_chi_empty_curve_rejected():
 
 def test_classify_klein(klein):
     sc = classify(*klein)
-    assert sc == SurfaceClass(closed=True, orientable=False, euler_char=0,
-                              nonorientable_genus=2, orientable_genus=None,
+    assert sc == SurfaceClass(orientable=False, euler_char=0,
                               boundary_circles=0, double_points_surgered=0)
     assert surface_name(sc) == "Klein bottle"
+
+
+@pytest.mark.parametrize("orientable, chi, error", [
+    (True, 1, MalformedPresentation),   # odd chi
+    (True, 4, ValueError),              # orientable genus g = -1
+    (False, 2, ValueError),             # nonorientable genus k = 0
+])
+def test_surface_class_rejects_impossible_closed_surfaces(orientable, chi,
+                                                          error):
+    with pytest.raises(error):
+        SurfaceClass(orientable=orientable, euler_char=chi,
+                     boundary_circles=0, double_points_surgered=0)
 
 
 def test_classify_disc():
