@@ -66,17 +66,35 @@ def _parse_pair(text: str):
     return parts
 
 
+def _parse_ints(text: str, option: str, count=None):
+    """The comma-separated integers given to option; count, if set, is how
+    many there must be."""
+    try:
+        values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or count not in (None, len(values)):
+        how_many = "" if count is None else f"{count} "
+        raise TroplagError(f"{option} expects {how_many}comma-separated "
+                           f"integers, got {text!r}")
+    return values
+
+
 def _each_curve(doc, report, header=()) -> int:
     """Print the header, then each curve's INVALID block or, for a valid
     curve, the lines of report(doc, curve) -> (lines, code); return the
-    worst exit code."""
+    worst exit code.  An input error raised by a report stops the run and
+    is re-raised with the curve's name in front."""
     for line in header:
         print(line)
     code = PASS
     for curve in doc.curves:
         check = validate(doc.diagram, curve)
         if check.passed:
-            lines, curve_code = report(doc, curve)
+            try:
+                lines, curve_code = report(doc, curve)
+            except (TroplagError, ValueError) as err:
+                raise TroplagError(f"curve {curve.name}: {err}") from None
         else:
             lines = ([f"curve {curve.name}: INVALID"]
                      + [f"  - {line}" for line in check.lines()])
@@ -191,7 +209,7 @@ def _cmd_audin(args) -> int:
     doc = _read_document(args.file)
     override = None
     if args.integral_class is not None:
-        override = tuple(int(part) for part in args.integral_class.split(","))
+        override = _parse_ints(args.integral_class, "--class")
     return _each_curve(
         doc, lambda doc, curve: _audin_lines(doc, curve, override))
 
@@ -224,8 +242,7 @@ def _cmd_gen_visible(args) -> int:
     width = _parse_rational(args.width)
     height = _parse_rational(args.height)
     diagram = rectangle(width, height)
-    dx, dy = _parse_pair(args.direction)
-    direction = IntVec(int(dx), int(dy))
+    direction = IntVec(*_parse_ints(args.direction, "--direction", 2))
     if args.anchor is None:
         anchor = RatPoint(width / 2, height / 2)
     else:

@@ -177,6 +177,7 @@ class BaseDiagram:
         self.params = dict(params) if params else None
         self._cut_segments = tuple(self._trace_cut(node) for node in self.nodes)
         self._check_nodes()
+        self._locations = {}  # RatPoint -> PointLocation, filled by contains
 
     # -- construction-time validation ---------------------------------
 
@@ -245,17 +246,26 @@ class BaseDiagram:
         return PointLocation(LocationKind.OUTSIDE)
 
     def contains(self, p: RatPoint) -> PointLocation:
-        """Exact classification of p against polygon, nodes and cuts."""
-        location = self._locate_in_polygon(p)
-        if location.kind is not LocationKind.INTERIOR:
+        """Exact classification of p against polygon, nodes and cuts.
+
+        A diagram never changes after construction, so each point is
+        classified once and its answer kept in a per-diagram memo."""
+        location = self._locations.get(p)
+        if location is not None:
             return location
-        for index, node in enumerate(self.nodes):
-            if p == node.position:
-                return PointLocation(LocationKind.ON_NODE, index)
-        for index, (start, end) in enumerate(self._cut_segments):
-            if on_open_segment(p, start, end):
-                return PointLocation(LocationKind.ON_CUT, index)
-        return PointLocation(LocationKind.INTERIOR)
+        location = self._locate_in_polygon(p)
+        if location.kind is LocationKind.INTERIOR:
+            for index, node in enumerate(self.nodes):
+                if p == node.position:
+                    location = PointLocation(LocationKind.ON_NODE, index)
+                    break
+            else:
+                for index, (start, end) in enumerate(self._cut_segments):
+                    if on_open_segment(p, start, end):
+                        location = PointLocation(LocationKind.ON_CUT, index)
+                        break
+        self._locations[p] = location
+        return location
 
     def bounds(self):
         xs = [v.x for v in self.polygon_vertices]

@@ -313,6 +313,10 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     cut direction), embeddedness (segments meet only at shared named
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
+
+    Embeddedness sweeps the segments' bounding boxes by min x (Shamos-Hoey)
+    and runs the exact segment_contact only on pairs whose boxes meet:
+    O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
     """
     issues = []
     # Every segment as (id, start, finish, start token, finish token), edges
@@ -395,13 +399,26 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"landing lies on boundary edge {loc.index}, "
                       f"not {e.terminal.edge_index}")
 
-    # Embeddedness: pairwise segment contacts, nodes, cuts.
+    # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
+    # only if their closed bounding boxes do; candidates[i] holds each such
+    # j > i.
+    boxes = sorted((min(a.x, b.x), max(a.x, b.x), min(a.y, b.y),
+                    max(a.y, b.y), k)
+                   for k, (_, a, b, _, _) in enumerate(segments))
+    candidates = [[] for _ in segments]
+    for n, (_, x1, y0, y1, k) in enumerate(boxes):
+        for m in range(n + 1, len(boxes)):
+            u0, _, v0, v1, other = boxes[m]
+            if u0 > x1:
+                break
+            if v0 <= y1 and y0 <= v1:
+                candidates[min(k, other)].append(max(k, other))
     for i in range(len(segments)):
         id1, a, b, tok_a, tok_b = segments[i]
         if a == b:
             issue("degenerate-segment", id1, "segment has zero length")
             continue
-        for j in range(i + 1, len(segments)):
+        for j in sorted(candidates[i]):
             id2, c, d, tok_c, tok_d = segments[j]
             contact = segment_contact(a, b, c, d)
             if contact is None:

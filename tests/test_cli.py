@@ -128,6 +128,41 @@ def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(("audin", str(FIGURES / "fig1_left.trop"), "--class", "x"),
+                 "--class expects comma-separated integers, got 'x'",
+                 id="class"),
+    pytest.param(("audin", str(FIGURES / "fig1_left.trop"), "--class",
+                  "1,,1"),
+                 "--class expects comma-separated integers, got '1,,1'",
+                 id="class-empty-part"),
+    pytest.param(("gen-visible", "4", "3", "--direction", "x,1"),
+                 "--direction expects 2 comma-separated integers, got 'x,1'",
+                 id="direction"),
+    pytest.param(("gen-visible", "4", "3", "--direction", "2,1,0"),
+                 "--direction expects 2 comma-separated integers",
+                 id="direction-count"),
+])
+def test_malformed_integer_option_exits_2(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
+def test_report_error_names_its_curve(capsys, tmp_path):
+    # The first curve is reported in full; the empty second one stops the
+    # run with an input error that says which curve it was.
+    klein = (FIGURES / "fig2_klein.trop").read_text()
+    doc = tmp_path / "two.trop"
+    doc.write_text(klein + "curve hollow\n")
+    _, alone, _ = run(capsys, "topology", str(FIGURES / "fig2_klein.trop"))
+    code, out, err = run(capsys, "topology", str(doc))
+    assert code == 2
+    assert out == alone
+    assert err == "error: curve hollow: the empty curve carries no surface\n"
+
+
 def _count_calls(monkeypatch, module, name):
     """Calls of module.name, wherever a troplag module holds it."""
     original = getattr(module, name)

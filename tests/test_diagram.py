@@ -11,11 +11,14 @@ from troplag import (
     LocationKind,
     Node,
     PointLocation,
+    RatPoint,
+    RatVec,
+    UnimodularAffineMap,
     pt,
     rectangle,
     x_abc,
 )
-from conftest import random_unimodular_map
+from conftest import FIGURES, load_document, random_unimodular_map
 
 F = Fraction
 
@@ -162,6 +165,49 @@ def test_contains_invariant_under_joint_transform():
             assert before.kind is after.kind
             if before.kind in (LocationKind.ON_NODE, LocationKind.ON_CUT):
                 assert before.index == after.index
+
+
+def _probe_points(rng, d):
+    """Seeded points in every location class of d: interior, on edges, at
+    corners, at nodes, on cuts, at cut exits and outside."""
+    x0, y0, x1, y1 = d.bounds()
+    points = list(d.polygon_vertices) + [n.position for n in d.nodes]
+    for start, end in [(e.start, e.end) for e in d.boundary_edges] \
+            + list(d.cut_segments):
+        points += [start.moved(end - start, F(rng.randint(1, 11), 12))
+                   for _ in range(3)]
+        points.append(end)
+    for _ in range(30):
+        points.append(pt(x0 + (x1 - x0) * F(rng.randint(-4, 28), 24),
+                         y0 + (y1 - y0) * F(rng.randint(-4, 28), 24)))
+    return points
+
+
+def test_contains_memo_is_transparent():
+    rng = random.Random(1979)
+    shift = UnimodularAffineMap(((1, 0), (0, 1)), RatVec(F(1, 2), F(1, 3)))
+    kinds = set()
+    for path in sorted(FIGURES.glob("*.trop")):
+        d = load_document(path.name).diagram
+        fresh = BaseDiagram(d.polygon_vertices, d.nodes, d.homology,
+                            name=d.name, kind=d.kind, params=d.params)
+        assert fresh == d
+        points = _probe_points(rng, d)
+        expected = {p: fresh.contains(p) for p in points}
+        queries = points * 2
+        rng.shuffle(queries)
+        for p in queries:
+            assert d.contains(p) == expected[p], (path.name, p)
+            assert d.contains(RatPoint(p.x, p.y)) == expected[p]
+        kinds.update(location.kind for location in expected.values())
+        # A transformed diagram answers for its own geometry, not from the
+        # memo of the diagram it came from.
+        moved = d.transform(shift)
+        unmemoized = d.transform(shift)
+        answers = [moved.contains(p) for p in points]
+        assert answers == [unmemoized.contains(p) for p in points]
+        assert answers != [expected[p] for p in points]
+    assert kinds == set(LocationKind)
 
 
 def test_transform_keeps_counterclockwise():

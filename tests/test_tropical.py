@@ -29,7 +29,9 @@ from troplag import (
     vertex_multiplicity,
     x_abc,
 )
-from troplag.tropical import _anchor_key
+from troplag import tropical
+from troplag.lattice import on_open_segment, segment_contact
+from troplag.tropical import ValidationIssue, _anchor_key
 from conftest import FIGURES, load_document, random_curve
 
 F = Fraction
@@ -250,6 +252,212 @@ def test_incidence_index_matches_linear_scan():
         assert curve.outgoing("no-such-site") == ()
         anchored += bool(anchor_keys)
     assert anchored >= 2  # the Klein bottle and squeeze figures
+
+
+# -- embeddedness ------------------------------------------------------
+
+_LOOP_CODES = {"degenerate-segment", "embedding", "crosses-node",
+               "crosses-cut"}
+
+
+def _all_pairs_embeddedness(diagram, curve):
+    """The all-pairs loop the box sweep in validate replaces: every pair of
+    segments goes through segment_contact."""
+    segments = [(e.id, *curve.edge_segment(e), e.src, e.dst)
+                for e in curve.edges]
+    for e in curve.ends:
+        start = curve.start_point(e)
+        if isinstance(e.terminal, NodeTerminal):
+            index = e.terminal.node_index
+            if 0 <= index < len(diagram.nodes):
+                segments.append((e.id, start, diagram.nodes[index].position,
+                                 curve.site(e), ("node", index)))
+        else:
+            segments.append((e.id, start, e.terminal.landing, curve.site(e),
+                             ("landing", e.id)))
+    issues = []
+
+    def issue(code, element, message):
+        issues.append(ValidationIssue(code, element, message))
+
+    for i in range(len(segments)):
+        id1, a, b, tok_a, tok_b = segments[i]
+        if a == b:
+            issue("degenerate-segment", id1, "segment has zero length")
+            continue
+        for j in range(i + 1, len(segments)):
+            id2, c, d, tok_c, tok_d = segments[j]
+            contact = segment_contact(a, b, c, d)
+            if contact is None:
+                continue
+            if contact == "overlap":
+                issue("embedding", id1, f"overlaps {id2} along a segment")
+                continue
+            tokens1 = {tok_a if contact == a else None,
+                       tok_b if contact == b else None} - {None}
+            tokens2 = {tok_c if contact == c else None,
+                       tok_d if contact == d else None} - {None}
+            if not tokens1 & tokens2:
+                issue("embedding", id1,
+                      f"meets {id2} at {contact}, which is not a shared "
+                      "endpoint")
+        for node in diagram.nodes:
+            if on_open_segment(node.position, a, b):
+                issue("crosses-node", id1,
+                      f"passes through the node at {node.position}")
+        for cut_index, (cs, ce) in enumerate(diagram.cut_segments):
+            contact = segment_contact(a, b, cs, ce)
+            if contact is None:
+                continue
+            if contact != "overlap" and contact == cs \
+                    and ("node", cut_index) in (tok_a, tok_b):
+                continue
+            issue("crosses-cut", id1, f"touches the cut of node {cut_index}")
+    return issues
+
+
+def _direction(a, b):
+    return IntVec(1, 0) if a == b else (b - a).primitive_direction()
+
+
+def _segments_curve(*pairs):
+    """One edge per ((x1, y1), (x2, y2)) pair, each endpoint its own vertex,
+    so any contact between two edges is at a point they do not share."""
+    vertices, edges = [], []
+    for k, (p, q) in enumerate(pairs):
+        a, b = pt(*p), pt(*q)
+        vertices += [TropicalVertex(f"s{k}a", a), TropicalVertex(f"s{k}b", b)]
+        edges.append(InternalEdge(f"s{k}", f"s{k}a", f"s{k}b",
+                                  _direction(a, b)))
+    return TropicalCurve(vertices, edges, (), name="soup")
+
+
+HAND_BUILT = {
+    "crossing-and-overlap": _segments_curve(
+        ((2, 2), (6, 6)), ((2, 6), (6, 2)), ((1, 1), (4, 4)),
+        ((3, 3), (5, 5))),
+    "zero-length": _segments_curve(
+        ((1, 3), (5, 3)), ((3, 3), (3, 3)), ((6, 6), (6, 6))),
+    "vertical-same-x": _segments_curve(
+        ((2, 1), (2, 3)), ((2, 5), (2, 7)), ((2, 4), (2, 6)),
+        ((2, 3), (2, 4))),
+    "corner-boxes": _segments_curve(
+        ((1, 2), (2, 1)), ((2, 3), (3, 2)), ((4, 4), (5, 5)),
+        ((5, 5), (6, 4))),
+    "t-junction": _segments_curve(((1, 6), (5, 6)), ((3, 6), (3, 7))),
+}
+
+
+def _random_soup(rng, diagram, size, den):
+    """Random edges and ends on a coarse rational grid: crossings, overlaps,
+    coincident vertices and ties in x are all common."""
+    def point():
+        return pt(F(rng.randint(0, size * den), den),
+                  F(rng.randint(0, size * den), den))
+
+    vertices = [TropicalVertex("v0", point())]
+    edges, ends = [], []
+    for k in range(rng.randint(1, 12)):
+        src = rng.choice(vertices)
+        if rng.random() < 0.3 and len(vertices) > 1:
+            dst = rng.choice([v for v in vertices if v is not src])
+        else:
+            dst = TropicalVertex(f"v{len(vertices)}", point())
+            vertices.append(dst)
+        edges.append(InternalEdge(f"e{k}", src.id, dst.id,
+                                  _direction(src.position, dst.position)))
+    for k in range(rng.randint(0, 6)):
+        vertex = rng.choice(vertices)
+        source, start = vertex.id, vertex.position
+        if rng.random() < 0.3:
+            source = start = point()  # a standalone anchor
+        if diagram.nodes and rng.random() < 0.3:
+            index = rng.randrange(len(diagram.nodes) + 1)
+            target = diagram.nodes[index % len(diagram.nodes)].position
+            terminal = NodeTerminal(index)
+        else:
+            edge = rng.choice(diagram.boundary_edges)
+            target = edge.start.moved(edge.end - edge.start,
+                                      F(rng.randint(0, 4), 4))
+            terminal = BoundaryTerminal(target)
+        ends.append(CurveEnd(f"x{k}", source, _direction(start, target),
+                             terminal))
+    return TropicalCurve(vertices, edges, ends, name="soup")
+
+
+def _embedding_cases():
+    for path in sorted(FIGURES.glob("*.trop")):
+        doc = load_document(path.name)
+        for curve in doc.curves:
+            yield path.stem, doc.diagram, curve
+    rng = random.Random(1976)
+    for k in range(20):
+        yield f"random-{k}", *random_curve(rng)
+    for name, curve in HAND_BUILT.items():
+        yield name, rectangle(8, 8), curve
+    for k in range(60):
+        diagram = rng.choice((rectangle(6, 6), x_abc(1, 1, F(4, 3), 4)))
+        yield f"soup-{k}", diagram, _random_soup(rng, diagram, 6,
+                                                  rng.choice((1, 1, 3)))
+
+
+def test_box_sweep_matches_all_pairs_loop():
+    codes = set()
+    for name, diagram, curve in _embedding_cases():
+        issues = validate(diagram, curve).issues
+        block = [k for k, issue in enumerate(issues)
+                 if issue.code in _LOOP_CODES]
+        # validate reports the embeddedness loop as one run of issues.
+        first = block[0] if block else 0
+        assert block == list(range(first, first + len(block))), name
+        assert [issues[k] for k in block] \
+            == _all_pairs_embeddedness(diagram, curve), name
+        codes.update(issues[k].code for k in block)
+    assert codes == _LOOP_CODES
+
+
+def test_hand_built_contacts_are_reported():
+    def embedding(name):
+        return [str(issue) for issue in validate(rectangle(8, 8),
+                                                  HAND_BUILT[name]).issues
+                if issue.code in ("embedding", "degenerate-segment")]
+
+    assert embedding("crossing-and-overlap") == [
+        "[embedding] s0: meets s1 at (4,4), which is not a shared endpoint",
+        "[embedding] s0: overlaps s2 along a segment",
+        "[embedding] s0: overlaps s3 along a segment",
+        "[embedding] s1: meets s2 at (4,4), which is not a shared endpoint",
+        "[embedding] s1: meets s3 at (4,4), which is not a shared endpoint",
+        "[embedding] s2: overlaps s3 along a segment"]
+    # A zero-length segment is still met by the segments before it.
+    assert embedding("zero-length") == [
+        "[embedding] s0: meets s1 at (3,3), which is not a shared endpoint",
+        "[degenerate-segment] s1: segment has zero length",
+        "[degenerate-segment] s2: segment has zero length"]
+    assert embedding("vertical-same-x") == [
+        "[embedding] s0: meets s3 at (2,3), which is not a shared endpoint",
+        "[embedding] s1: overlaps s2 along a segment",
+        "[embedding] s2: meets s3 at (2,4), which is not a shared endpoint"]
+    # s0 and s1 have boxes that share only the corner (2,2) and do not meet.
+    assert embedding("corner-boxes") == [
+        "[embedding] s2: meets s3 at (5,5), which is not a shared endpoint"]
+    assert embedding("t-junction") == [
+        "[embedding] s0: meets s1 at (3,6), which is not a shared endpoint"]
+
+
+@pytest.mark.parametrize("ell", [6, 12, 24])
+def test_validate_tests_a_linear_number_of_pairs(monkeypatch, ell):
+    instance = trop_family(ell)
+    calls = []
+    original = tropical.segment_contact
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tropical, "segment_contact", counted)
+    assert validate(instance.diagram, instance.curve).passed
+    assert len(calls) <= 2 * (8 * ell + 1)
 
 
 # -- vertex multiplicity ----------------------------------------------
