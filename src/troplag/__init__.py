@@ -67,7 +67,6 @@ from .topology import (
     classify,
     classify_end,
     euler_breakdown,
-    euler_characteristic,
     oracle_classify,
     surface_name,
 )

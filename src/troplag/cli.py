@@ -23,13 +23,7 @@ from .constructions import (
 )
 from .diagram import rectangle
 from .errors import TroplagError
-from .homology import (
-    SweepDirection,
-    audin_check,
-    mod2_class,
-    pontryagin_square,
-    sweep_parity,
-)
+from .homology import audin_check, mod2_class, pontryagin_square
 from .lattice import IntVec, RatPoint
 from .render import render_document
 from .textio import _RATIONAL, Document, parse_document, serialize_document
@@ -59,24 +53,18 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_pair(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise TroplagError(f"expected two comma-separated values, got {text!r}")
-    return parts
-
-
-def _parse_ints(text: str, option: str, count=None):
-    """The comma-separated integers given to option; count, if set, is how
-    many there must be."""
+def _parse_values(text: str, option: str, kind: str, parse=int, count=None):
+    """The comma-separated values given to option, each read by parse;
+    count, if set, is how many there must be.  kind names the values in
+    the error message."""
     try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
+        values = tuple(parse(part) for part in text.split(","))
+    except (TroplagError, ValueError):
         values = ()
     if not values or count not in (None, len(values)):
         how_many = "" if count is None else f"{count} "
         raise TroplagError(f"{option} expects {how_many}comma-separated "
-                           f"integers, got {text!r}")
+                           f"{kind}, got {text!r}")
     return values
 
 
@@ -156,9 +144,8 @@ def _topology_lines(doc, curve):
 
 
 def _homology_lines(doc, curve):
-    horizontal = sweep_parity(doc.diagram, curve, SweepDirection.HORIZONTAL)
-    vertical = sweep_parity(doc.diagram, curve, SweepDirection.VERTICAL)
     cls = mod2_class(doc.diagram, curve)
+    horizontal, vertical = cls.sweeps
     return [f"curve {curve.name}: horizontal sweep parity = "
             f"{horizontal.parity} (witness y = "
             f"{horizontal.witness_line_coordinate})",
@@ -209,7 +196,7 @@ def _cmd_audin(args) -> int:
     doc = _read_document(args.file)
     override = None
     if args.integral_class is not None:
-        override = _parse_ints(args.integral_class, "--class")
+        override = _parse_values(args.integral_class, "--class", "integers")
     return _each_curve(
         doc, lambda doc, curve: _audin_lines(doc, curve, override))
 
@@ -242,12 +229,13 @@ def _cmd_gen_visible(args) -> int:
     width = _parse_rational(args.width)
     height = _parse_rational(args.height)
     diagram = rectangle(width, height)
-    direction = IntVec(*_parse_ints(args.direction, "--direction", 2))
+    direction = IntVec(*_parse_values(args.direction, "--direction",
+                                      "integers", count=2))
     if args.anchor is None:
         anchor = RatPoint(width / 2, height / 2)
     else:
-        ax, ay = _parse_pair(args.anchor)
-        anchor = RatPoint(_parse_rational(ax), _parse_rational(ay))
+        anchor = RatPoint(*_parse_values(args.anchor, "--anchor", "rationals",
+                                         _parse_rational, count=2))
     curve = visible_segment(diagram, direction, anchor)
     sys.stdout.write(serialize_document(Document(diagram, (curve,))))
     return PASS

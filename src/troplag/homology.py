@@ -7,21 +7,26 @@ over a curve segment of direction u in |dot(u, t)| points (the sphere's
 fiber circle is t itself, the Lagrangian's is the 90-degree rotation of u,
 and |wedge(rot90(u), t)| = |dot(u, t)|).  Summing over the segments that
 cross one generic witness line gives the parity; balancing makes the parity
-independent of the witness for closed curves.
+independent of the witness for closed curves.  Closedness is read from
+topology.classify_end: every end must be a cross-cap, so a collar and an
+end with no cap kind (mu >= 3) are refused, as topology refuses them.
+sweep_parity walks the curve's segments once and chooses its default
+witness from that walk; mod2_class keeps the two sweeps it solved from.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import IntVec
-from .tropical import BoundaryTerminal, TropicalCurve, end_multiplicity
+from .topology import EndKind, classify_end
+from .tropical import BoundaryTerminal, TropicalCurve
 
 
 class InvalidClass(TroplagError):
@@ -54,10 +59,12 @@ class SweepParity:
 
 @dataclass(frozen=True)
 class Mod2Class:
-    """Coefficients over {0,1} in the diagram's homology basis."""
+    """Coefficients over {0,1} in the diagram's homology basis, with the
+    (horizontal, vertical) sweeps they were solved from."""
 
     coefficients: tuple[int, ...]
     basis_labels: tuple[str, ...]
+    sweeps: tuple[SweepParity, SweepParity] = field(compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.basis_labels):
@@ -85,63 +92,41 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
             raise UnsweepableCurve(
                 f"end {e.id!r} terminates at a node; rectangle diagrams "
                 "carry no nodes")
-        if end_multiplicity(diagram, e) % 2 != 0:
+        if classify_end(diagram, e) is EndKind.COLLAR:
             raise UnsweepableCurve(
-                f"end {e.id!r} has odd multiplicity; the surface has "
-                "boundary there and carries no closed mod-2 class")
+                f"end {e.id!r} is a collar; the surface has boundary there "
+                "and carries no closed mod-2 class")
     for e in curve.edges:
         if e.weight != 1:
             raise UnsweepableCurve(f"edge {e.id!r} has weight {e.weight}")
 
 
-def _segments(diagram: BaseDiagram, curve: TropicalCurve):
-    segments = []
-    for e in curve.edges:
-        a, b = curve.edge_segment(e)
-        segments.append((a, b, e.direction))
-    for e in curve.ends:
-        a, b = curve.end_segment(diagram, e)
-        segments.append((a, b, e.direction))
-    return segments
+def _spans(diagram: BaseDiagram, curve: TropicalCurve,
+           direction: SweepDirection):
+    """Per curve segment: (coordinate at start, coordinate at finish,
+    |dot(u, t)|), where the coordinate is the one that varies across
+    witness lines of this direction (x for vertical lines, y for
+    horizontal ones)."""
+    t = direction.line_direction
+    segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
+    segments += [(curve.end_segment(diagram, e), e.direction)
+                 for e in curve.ends]
+    if direction is SweepDirection.VERTICAL:
+        return [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
+    return [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
 
 
-def _axis(point, direction: SweepDirection) -> Fraction:
-    # The coordinate that varies across witness lines of this direction:
-    # vertical lines are x = const, horizontal lines y = const.
-    return point.x if direction is SweepDirection.VERTICAL else point.y
+def _criticals(diagram: BaseDiagram, direction: SweepDirection, spans):
+    x0, y0, x1, y1 = diagram.bounds()
+    lo, hi = ((x0, x1) if direction is SweepDirection.VERTICAL else (y0, y1))
+    return sorted({lo, hi}.union(*((ca, cb) for ca, cb, _ in spans)))
 
 
 def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
                          direction: SweepDirection):
     """Sorted coordinates a generic witness line must avoid, including the
     rectangle bounds."""
-    x0, y0, x1, y1 = diagram.bounds()
-    lo, hi = ((x0, x1) if direction is SweepDirection.VERTICAL else (y0, y1))
-    coords = {lo, hi}
-    for a, b, _ in _segments(diagram, curve):
-        coords.add(_axis(a, direction))
-        coords.add(_axis(b, direction))
-    return sorted(coords)
-
-
-def _largest_gap_midpoint(coords) -> Fraction:
-    """Midpoint of the largest gap between sorted coordinates (first
-    largest if tied)."""
-    best = None
-    for a, b in zip(coords, coords[1:]):
-        if best is None or b - a > best[1] - best[0]:
-            best = (a, b)
-    if best is None or best[0] == best[1]:
-        raise UnsweepableCurve("no generic witness line exists")
-    return (best[0] + best[1]) / 2
-
-
-def default_witness(diagram: BaseDiagram, curve: TropicalCurve,
-                    direction: SweepDirection) -> Fraction:
-    """Midpoint of the largest gap between critical coordinates (first
-    largest if tied); deterministic."""
-    return _largest_gap_midpoint(
-        critical_coordinates(diagram, curve, direction))
+    return _criticals(diagram, direction, _spans(diagram, curve, direction))
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -149,15 +134,21 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
                  witness: Fraction | None = None) -> SweepParity:
     """Mod-2 intersection parity with the sphere family of this direction.
 
-    A generic line of the given direction is chosen (or supplied); the
-    parity is the sum of |dot(segment direction, line direction)| over the
-    curve segments crossing it, mod 2.  Requires a closed weight-one curve
-    in a node-free rectangle diagram.
+    The parity is the sum of |dot(segment direction, line direction)| over
+    the curve segments crossing a generic line of the given direction,
+    mod 2.  The line is the supplied witness, or else the midpoint of the
+    largest gap between critical coordinates (the first such gap if
+    several tie), so the default is deterministic.  Requires a closed
+    weight-one curve in a node-free rectangle diagram: every end must be a
+    cross-cap.
     """
     _require_sweepable(diagram, curve)
-    criticals = critical_coordinates(diagram, curve, direction)
+    spans = _spans(diagram, curve, direction)
+    criticals = _criticals(diagram, direction, spans)
     if witness is None:
-        witness = _largest_gap_midpoint(criticals)
+        lo, hi = max(zip(criticals, criticals[1:]),
+                     key=lambda gap: gap[1] - gap[0])
+        witness = (lo + hi) / 2
     else:
         witness = Fraction(witness)
         if witness in criticals:
@@ -166,12 +157,8 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
         if not criticals[0] < witness < criticals[-1]:
             raise NonGenericWitness(
                 f"witness {witness} lies outside the rectangle")
-    t = direction.line_direction
-    total = 0
-    for a, b, seg_dir in _segments(diagram, curve):
-        ca, cb = _axis(a, direction), _axis(b, direction)
-        if min(ca, cb) < witness < max(ca, cb):
-            total += abs(seg_dir.dot(t))
+    total = sum(points for ca, cb, points in spans
+                if min(ca, cb) < witness < max(ca, cb))
     return SweepParity(direction, total % 2, witness)
 
 
@@ -192,8 +179,11 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     The two sweep parities are the pairings of the class with the sweep
     sphere classes; the coefficients are obtained by solving through the
     intersection form.  For the standard rectangle basis this gives
-    (vertical parity, horizontal parity).
+    (vertical parity, horizontal parity).  The sweeps run first, so a
+    diagram that is not a node-free rectangle is refused as one.
     """
+    sweeps = (sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
+              sweep_parity(diagram, curve, SweepDirection.VERTICAL))
     homology = diagram.homology
     if (homology.class_of_horizontal_sweep is None
             or homology.class_of_vertical_sweep is None):
@@ -201,8 +191,7 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     if homology.rank != 2:
         raise UnsupportedDiagram("sweep classes determine the mod-2 class "
                                  "only in a rank-2 basis")
-    p_v = sweep_parity(diagram, curve, SweepDirection.VERTICAL).parity
-    p_h = sweep_parity(diagram, curve, SweepDirection.HORIZONTAL).parity
+    p_h, p_v = (sweep.parity for sweep in sweeps)
     q = homology.intersection_form
     rows = []
     for sweep_vec in (homology.class_of_vertical_sweep,
@@ -215,7 +204,7 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
         raise UnsupportedDiagram(
             "sweep classes do not determine the mod-2 class "
             "(singular pairing)")
-    return Mod2Class(solution, homology.basis_labels)
+    return Mod2Class(solution, homology.basis_labels, sweeps)
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:

@@ -122,11 +122,6 @@ def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
         end_kinds=end_kinds)
 
 
-def euler_characteristic(diagram: BaseDiagram, curve: TropicalCurve) -> int:
-    """chi of the (surgered) Lagrangian surface over a validated curve."""
-    return euler_breakdown(diagram, curve).chi
-
-
 @dataclass(frozen=True)
 class SurfaceClass:
     """The topological type of the surface.

@@ -150,6 +150,25 @@ def test_malformed_integer_option_exits_2(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("anchor", ["1", "1,x", "1.5,1"])
+def test_malformed_anchor_exits_2(capsys, anchor):
+    code, out, err = run(capsys, "gen-visible", "4", "3", "--anchor", anchor)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --anchor expects 2 comma-separated rationals, "
+                   f"got {anchor!r}\n")
+
+
+def test_homology_refuses_an_end_without_a_cap_kind(capsys, monkeypatch):
+    code, document, _ = run(capsys, "gen-visible", "8", "4",
+                            "--direction", "4,1")
+    assert code == 0
+    code, _, err = run(capsys, "homology", "-", stdin_text=document,
+                       monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("error: curve visible: end 'plus' has mu = 4; ")
+
+
 def test_report_error_names_its_curve(capsys, tmp_path):
     # The first curve is reported in full; the empty second one stops the
     # run with an input error that says which curve it was.
@@ -188,6 +207,26 @@ def test_topology_report_takes_one_inventory(capsys, monkeypatch):
     assert code == 0
     assert len(multiplicities) == 8
     assert len(end_kinds) == 10
+
+
+def test_homology_report_walks_the_curve_once_per_sweep(capsys,
+                                                       monkeypatch):
+    # fig3_family has 10 ends; one mod2_class runs 2 sweeps, and each
+    # sweep reads every end's segment and cap kind once.
+    original = tropical.TropicalCurve.end_segment
+    segments = []
+
+    def counted(self, *args):
+        segments.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(tropical.TropicalCurve, "end_segment", counted)
+    multiplicities = _count_calls(monkeypatch, tropical, "end_multiplicity")
+    code, out, _ = run(capsys, "homology", str(FIGURES / "fig3_family.trop"))
+    assert code == 0
+    assert out == (GOLDEN / "fig3_family.homology.txt").read_text()
+    assert len(segments) == 20
+    assert len(multiplicities) == 20
 
 
 def test_semantically_invalid_diagram_exits_2(capsys, tmp_path):

@@ -10,6 +10,7 @@ from troplag import (
     SweepDirection,
     TropicalCurve,
     UnsupportedDiagram,
+    UnsupportedEndMultiplicity,
     UnsweepableCurve,
     audin_check,
     classify,
@@ -23,7 +24,9 @@ from troplag import (
     visible_segment,
     x_abc,
 )
-from troplag.homology import critical_coordinates, default_witness
+from troplag.homology import critical_coordinates
+
+from conftest import load_document
 
 F = Fraction
 
@@ -93,7 +96,8 @@ def test_default_witness_is_largest_gap_midpoint(klein):
     diagram, curve = klein
     criticals = critical_coordinates(diagram, curve, SweepDirection.VERTICAL)
     assert criticals == [0, 2, 4]
-    assert default_witness(diagram, curve, SweepDirection.VERTICAL) == 1
+    assert sweep_parity(diagram, curve, SweepDirection.VERTICAL
+                        ).witness_line_coordinate == 1
 
 
 def test_non_generic_witness_rejected(klein):
@@ -123,6 +127,16 @@ def test_sweep_requires_closed_curve():
         sweep_parity(diagram, curve, SweepDirection.VERTICAL)
 
 
+def test_sweep_refuses_an_end_without_a_cap_kind():
+    # both ends have mu = 4: even, but neither a collar nor a cross-cap,
+    # so sweeps refuse the curve as topology does
+    diagram = rectangle(8, 4)
+    curve = visible_segment(diagram, IntVec(4, 1), pt(4, 2))
+    for direction in SweepDirection:
+        with pytest.raises(UnsupportedEndMultiplicity, match="mu = 4"):
+            sweep_parity(diagram, curve, direction)
+
+
 # -- mod-2 classes -------------------------------------------------------
 
 def test_klein_class_is_horizontal_sphere(klein):
@@ -140,6 +154,39 @@ def test_empty_curve_class_is_zero():
     cls = mod2_class(rectangle(4, 2), TropicalCurve(name="empty"))
     assert cls.coefficients == (0, 0)
     assert cls.label_sum() == "0"
+
+
+def _sweep_cases():
+    for name in ("fig2_klein", "fig3_family", "fig4_squeeze"):
+        doc = load_document(f"{name}.trop")
+        for curve in doc.curves:
+            yield doc.diagram, curve
+    rng = random.Random(2009)
+    for _ in range(20):
+        if rng.random() < 0.25:
+            instance = trop_family(rng.randint(1, 3))
+            yield instance.diagram, instance.curve
+            continue
+        # (2, y) lands with mu = 2 on both vertical edges when the line
+        # through the centre clears the horizontal ones: height > |y| w/2
+        y = rng.choice((-3, -1, 1, 3))
+        width = F(rng.randint(1, 16), rng.choice((1, 2, 3)))
+        height = abs(y) * width / 2 + F(rng.randint(1, 9), rng.choice((1, 4)))
+        diagram = rectangle(width, height)
+        yield diagram, visible_segment(diagram, IntVec(2, y),
+                                       pt(width / 2, height / 2))
+
+
+def test_class_carries_the_sweeps_it_was_solved_from():
+    cases = list(_sweep_cases())
+    assert len(cases) == 23
+    for diagram, curve in cases:
+        cls = mod2_class(diagram, curve)
+        assert cls.sweeps == (
+            sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
+            sweep_parity(diagram, curve, SweepDirection.VERTICAL))
+        assert cls.coefficients == (cls.sweeps[1].parity,
+                                    cls.sweeps[0].parity)
 
 
 # -- Pontryagin squares --------------------------------------------------

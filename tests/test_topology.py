@@ -21,7 +21,6 @@ from troplag import (
     classify,
     classify_end,
     euler_breakdown,
-    euler_characteristic,
     oracle_classify,
     pt,
     rectangle,
@@ -83,12 +82,12 @@ def test_mu3_rejected():
 # -- euler characteristic ------------------------------------------------
 
 def test_chi_klein_segment(klein):
-    assert euler_characteristic(*klein) == 0
+    assert euler_breakdown(*klein).chi == 0
 
 
 def test_chi_rp2(fig1_left):
     diagram, curve = fig1_left
-    assert euler_characteristic(diagram, curve) == 1
+    assert euler_breakdown(diagram, curve).chi == 1
     breakdown = euler_breakdown(diagram, curve)
     assert (breakdown.vertex_term, breakdown.cap_term,
             breakdown.surgery_term) == (-1, 2, 0)
@@ -96,7 +95,7 @@ def test_chi_rp2(fig1_left):
 
 def test_chi_family():
     instance = trop_family(1)
-    assert euler_characteristic(instance.diagram, instance.curve) == -20
+    assert euler_breakdown(instance.diagram, instance.curve).chi == -20
     breakdown = euler_breakdown(instance.diagram, instance.curve)
     assert (breakdown.vertex_term, breakdown.cap_term,
             breakdown.surgery_term) == (-4, 0, -16)
@@ -104,7 +103,7 @@ def test_chi_family():
 
 def test_chi_empty_curve_rejected():
     with pytest.raises(EmptyCurve):
-        euler_characteristic(rectangle(2, 2), TropicalCurve(name="empty"))
+        euler_breakdown(rectangle(2, 2), TropicalCurve(name="empty"))
 
 
 # -- classify ------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_chi_parity_invariant_on_bundled():
     for name in docs:
         doc = load_document(name)
         for curve in doc.curves:
-            chi = euler_characteristic(doc.diagram, curve)
+            chi = euler_breakdown(doc.diagram, curve).chi
             disccaps = sum(1 for e in curve.ends
                            if classify_end(doc.diagram, e) is EndKind.DISC_CAP)
             assert (chi - len(curve.vertices) - disccaps) % 2 == 0
