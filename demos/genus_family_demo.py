@@ -52,4 +52,6 @@ print()
 print("genus bounds by width (strict thresholds):")
 for lam in ("3/2", "5", "11", "12", "25"):
     bound = genus_bound(Fraction(lam))
-    print(f"  lambda = {lam:>4}: k <= {bound.k}  [{bound}]")
+    witness = ("visible Klein bottle" if bound.witness_kind == "klein-bottle"
+               else f"family (ell = {bound.ell})")
+    print(f"  lambda = {lam:>4}: k <= {bound.k}  [witness: {witness}]")

@@ -30,6 +30,8 @@ print(f"{'a':>5} {'b':>5} {'c':>5}   triangle check        surface")
 print("-" * 60)
 for a, b, c in CASES:
     check = triangle_check(a, b, c)
+    verdict = ("satisfied" if check.satisfied
+               else "violated: " + ", ".join(check.violated))
     s = 2 * (a + b) + c + 1
     try:
         diagram, curve = rp2_curve(a, b, c, s)
@@ -42,7 +44,7 @@ for a, b, c in CASES:
         outcome = f"degenerate: {err}"
     except InvalidCurve:
         outcome = "no curve (vertex escapes the polygon)"
-    print(f"{str(a):>5} {str(b):>5} {str(c):>5}   {str(check):<20}  {outcome}")
+    print(f"{str(a):>5} {str(b):>5} {str(c):>5}   {verdict:<20}  {outcome}")
 
 print()
 print("The projective plane sits in the class E1+E2+E3:")

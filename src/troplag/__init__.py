@@ -44,7 +44,6 @@ from .tropical import (
     UnbalancedVertex,
     ValidationIssue,
     ValidationReport,
-    WeightedEndUnsupported,
     WeightedVertexUnsupported,
     check_balancing,
     end_multiplicity,

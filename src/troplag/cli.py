@@ -26,7 +26,8 @@ from .errors import TroplagError
 from .homology import audin_check, mod2_class, pontryagin_square
 from .lattice import IntVec, RatPoint
 from .render import render_document
-from .textio import _RATIONAL, Document, parse_document, serialize_document
+from .textio import (_INTEGER, _RATIONAL, Document, parse_document,
+                     serialize_document)
 from .topology import EndKind, classify, euler_breakdown, surface_name
 from .tropical import validate
 from . import __version__
@@ -53,28 +54,29 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_values(text: str, option: str, kind: str, parse=int, count=None):
-    """The comma-separated values given to option, each read by parse;
-    count, if set, is how many there must be.  kind names the values in
-    the error message."""
-    try:
-        values = tuple(parse(part) for part in text.split(","))
-    except (TroplagError, ValueError):
-        values = ()
-    if not values or count not in (None, len(values)):
+_SPELLINGS = {"integers": (_INTEGER, int), "rationals": (_RATIONAL, Fraction)}
+
+
+def _parse_values(text: str, option: str, kind: str, count=None):
+    """The comma-separated values given to option, each of kind "integers"
+    or "rationals" and spelled as the document format spells it; count, if
+    set, is how many there must be."""
+    pattern, parse = _SPELLINGS[kind]
+    parts = text.split(",")
+    if (not all(pattern.match(part) for part in parts)
+            or count not in (None, len(parts))):
         how_many = "" if count is None else f"{count} "
         raise TroplagError(f"{option} expects {how_many}comma-separated "
                            f"{kind}, got {text!r}")
-    return values
+    return tuple(parse(part) for part in parts)
 
 
 def _each_curve(doc, report, header=()) -> int:
-    """Print the header, then each curve's INVALID block or, for a valid
-    curve, the lines of report(doc, curve) -> (lines, code); return the
-    worst exit code.  An input error raised by a report stops the run and
-    is re-raised with the curve's name in front."""
-    for line in header:
-        print(line)
+    """Print each curve's INVALID block or, for a valid curve, the lines of
+    report(doc, curve) -> (lines, code), the header going out with the first
+    block (or alone, if there are no curves); return the worst exit code.
+    An input error raised by a report stops the run, with nothing of that
+    curve printed, and is re-raised with the curve's name in front."""
     code = PASS
     for curve in doc.curves:
         check = validate(doc.diagram, curve)
@@ -87,8 +89,11 @@ def _each_curve(doc, report, header=()) -> int:
             lines = ([f"curve {curve.name}: INVALID"]
                      + [f"  - {line}" for line in check.lines()])
             curve_code = FAIL
-        print("\n".join(lines))
+        print("\n".join([*header, *lines]))
+        header = ()
         code = max(code, curve_code)
+    for line in header:
+        print(line)
     return code
 
 
@@ -235,7 +240,7 @@ def _cmd_gen_visible(args) -> int:
         anchor = RatPoint(width / 2, height / 2)
     else:
         anchor = RatPoint(*_parse_values(args.anchor, "--anchor", "rationals",
-                                         _parse_rational, count=2))
+                                         count=2))
     curve = visible_segment(diagram, direction, anchor)
     sys.stdout.write(serialize_document(Document(diagram, (curve,))))
     return PASS

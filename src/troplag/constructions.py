@@ -113,11 +113,6 @@ class TriangleResult:
     satisfied: bool
     violated: tuple[str, ...]
 
-    def __str__(self):
-        if self.satisfied:
-            return "satisfied"
-        return "violated: " + ", ".join(self.violated)
-
 
 def triangle_check(a, b, c) -> TriangleResult:
     """The strict triangle inequalities on the three blow-up sizes;
@@ -262,11 +257,6 @@ class GenusBound:
     k: int
     witness_kind: str          # "klein-bottle" or "family"
     ell: int | None = None
-
-    def __str__(self):
-        if self.witness_kind == "klein-bottle":
-            return f"k = {self.k}, witness: visible Klein bottle"
-        return f"k = {self.k}, witness: family (ell = {self.ell})"
 
 
 def genus_bound(lam, threshold: str = "statement") -> GenusBound:

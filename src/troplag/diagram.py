@@ -191,9 +191,6 @@ class BaseDiagram:
                                   edge.start, edge.end)
             if hit is not None:
                 hits.append((hit[0], hit[1], index))
-        if not hits:
-            raise InvalidDiagram(f"cut from node at {node.position} never "
-                                 "reaches the boundary")
         t, point, index = min(hits, key=lambda h: h[0])
         edge = self.boundary_edges[index]
         if point == edge.start or point == edge.end:

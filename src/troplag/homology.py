@@ -86,8 +86,6 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
     for e in curve.ends:
-        if e.weight != 1:
-            raise UnsweepableCurve(f"end {e.id!r} has weight {e.weight}")
         if not isinstance(e.terminal, BoundaryTerminal):
             raise UnsweepableCurve(
                 f"end {e.id!r} terminates at a node; rectangle diagrams "
@@ -238,10 +236,6 @@ class GenusSpectrum:
 
     def first(self, count: int):
         return [self.base + self.step * i for i in range(count)]
-
-    def __str__(self):
-        return f"{{{self.base}, {self.base + self.step}, " \
-               f"{self.base + 2 * self.step}, ...}}"
 
 
 def genus_spectrum(k_min: int) -> GenusSpectrum:

@@ -51,12 +51,6 @@ class IntVec:
         _as_int(self.x)
         _as_int(self.y)
 
-    def __add__(self, other: "IntVec") -> "IntVec":
-        return IntVec(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "IntVec") -> "IntVec":
-        return IntVec(self.x - other.x, self.y - other.y)
-
     def __neg__(self) -> "IntVec":
         return IntVec(-self.x, -self.y)
 
@@ -103,9 +97,6 @@ class RatVec:
 
     def __add__(self, other: "RatVec") -> "RatVec":
         return RatVec(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "RatVec") -> "RatVec":
-        return RatVec(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "RatVec":
         return RatVec(-self.x, -self.y)
@@ -220,10 +211,6 @@ class UnimodularAffineMap:
         linear = ((d * det, -b * det), (-c * det, a * det))
         bare = UnimodularAffineMap(linear, RatVec(Fraction(0), Fraction(0)))
         return UnimodularAffineMap(linear, -bare.apply(self.translation))
-
-    def __str__(self) -> str:
-        (a, b), (c, d) = self.linear
-        return f"[[{a},{b}],[{c},{d}]]+{self.translation}"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .tropical import (
     CurveEnd,
     NodeTerminal,
     TropicalCurve,
-    WeightedEndUnsupported,
     end_multiplicity,
     vertex_double_points,
     vertex_multiplicity,
@@ -61,11 +60,8 @@ class EndKind(Enum):
 
 
 def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
-    """The cap type of a weight-one end (see module docstring)."""
-    if end.weight != 1:
-        raise WeightedEndUnsupported(
-            f"end {end.id!r} has weight {end.weight}; topology is defined "
-            "for weight one")
+    """The cap type of an end (see module docstring); ends are weight one
+    by construction, so only the terminal and mu decide it."""
     if isinstance(end.terminal, NodeTerminal):
         return EndKind.DISC_CAP
     mu = end_multiplicity(diagram, end)

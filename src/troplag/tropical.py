@@ -3,14 +3,15 @@
 A curve is a plane graph: vertices at rational interior points, weighted
 internal edges with primitive integer directions, and ends that leave the
 graph and terminate either on the interior of a boundary edge or at a
-focus-focus node (travelling along the node's cut direction).  A vertexless
+focus-focus node (travelling along the node's cut direction).  Ends have
+weight one by construction, as the text format writes them.  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
 standalone anchor point.
 
 A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, weight, element id)
-triples in `sites`, so outgoing() is a lookup; site() names the site an end
-leaves from.
+triples in `sites` (weight 1 for an end), so outgoing() is a lookup; site()
+names the site an end leaves from.
 
 validate() checks every geometric and combinatorial invariant and returns a
 report; the numeric operations (vertex multiplicity, end multiplicity)
@@ -42,10 +43,6 @@ class NonTrivalentVertex(TroplagError):
 
 class WeightedVertexUnsupported(TroplagError):
     """Vertex multiplicity requires all incident weights equal to one."""
-
-
-class WeightedEndUnsupported(TroplagError):
-    """End multiplicity and end classification require weight one."""
 
 
 class UnbalancedVertex(TroplagError):
@@ -80,11 +77,10 @@ class InternalEdge:
 
 @dataclass(frozen=True)
 class BoundaryTerminal:
-    """An end landing at a point in the open interior of a boundary edge.
-    edge_index may be left None and resolved geometrically."""
+    """An end landing at a point in the open interior of a boundary edge;
+    the edge is the one diagram.contains finds there."""
 
     landing: RatPoint
-    edge_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -96,15 +92,14 @@ class NodeTerminal:
 
 @dataclass(frozen=True)
 class CurveEnd:
-    """A ray leaving the curve.  source is a vertex id, or a RatPoint anchor
-    for a standalone (vertexless) segment.  direction is primitive and
-    outgoing."""
+    """A weight-one ray leaving the curve.  source is a vertex id, or a
+    RatPoint anchor for a standalone (vertexless) segment.  direction is
+    primitive and outgoing."""
 
     id: str
     source: str | RatPoint
     direction: IntVec
     terminal: BoundaryTerminal | NodeTerminal
-    weight: int = 1
 
 
 def _anchor_key(point: RatPoint):
@@ -169,10 +164,8 @@ class TropicalCurve:
             if not e.direction.is_primitive:
                 raise InvalidCurve(
                     f"end {e.id!r} direction {e.direction} is not primitive")
-            if not isinstance(e.weight, int) or e.weight < 1:
-                raise InvalidCurve(f"end {e.id!r} has non-positive weight")
             key = self.site(e)
-            incidence.setdefault(key, []).append((e.direction, e.weight, e.id))
+            incidence.setdefault(key, []).append((e.direction, 1, e.id))
             if key not in self._vertex_by_id:
                 anchors.setdefault(key, (e.source, []))[1].append(e)
         self.sites = MappingProxyType(
@@ -223,10 +216,7 @@ class TropicalCurve:
         return (start, end.terminal.landing)
 
     def transform(self, m: UnimodularAffineMap) -> "TropicalCurve":
-        """The curve in new integral affine coordinates.
-
-        Boundary edge indices are dropped (they are re-resolved
-        geometrically against the transformed diagram)."""
+        """The curve in new integral affine coordinates."""
         vertices = [TropicalVertex(v.id, m.apply(v.position))
                     for v in self.vertices]
         edges = [InternalEdge(e.id, e.src, e.dst, m.apply(e.direction),
@@ -239,7 +229,7 @@ class TropicalCurve:
             else:
                 terminal = BoundaryTerminal(m.apply(e.terminal.landing))
             ends.append(CurveEnd(e.id, source, m.apply(e.direction),
-                                 terminal, e.weight))
+                                 terminal))
         return TropicalCurve(vertices, edges, ends, name=self.name)
 
     def __eq__(self, other):
@@ -393,11 +383,6 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                 issue("end-landing", e.id,
                       f"landing {landing} is {loc}, must lie in the open "
                       "interior of a boundary edge")
-            elif (e.terminal.edge_index is not None
-                  and e.terminal.edge_index != loc.index):
-                issue("end-edge-mismatch", e.id,
-                      f"landing lies on boundary edge {loc.index}, "
-                      f"not {e.terminal.edge_index}")
 
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
     # only if their closed bounding boxes do; candidates[i] holds each such
@@ -512,23 +497,15 @@ def end_multiplicity(diagram: BaseDiagram, end: CurveEnd) -> int:
     """mu = |wedge(end direction, boundary edge direction)| at the landing.
 
     mu = 1 is a collar (the Lagrangian acquires a boundary circle there),
-    mu = 2 a cross-cap.  Only weight-one boundary ends are supported.
+    mu = 2 a cross-cap.  Only boundary ends have one.
     """
     if not isinstance(end.terminal, BoundaryTerminal):
         raise NotABoundaryEnd(f"end {end.id!r} terminates at a node")
-    if end.weight != 1:
-        raise WeightedEndUnsupported(
-            f"end {end.id!r} has weight {end.weight}; multiplicity is "
-            "defined for weight one")
     loc = diagram.contains(end.terminal.landing)
     if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
         raise InvalidCurve(
             f"end {end.id!r} landing {end.terminal.landing} is {loc}, "
             "not in the open interior of a boundary edge")
-    if end.terminal.edge_index is not None and end.terminal.edge_index != loc.index:
-        raise InvalidCurve(
-            f"end {end.id!r} names boundary edge {end.terminal.edge_index} "
-            f"but lands on edge {loc.index}")
     mu = abs(end.direction.wedge(diagram.boundary_edges[loc.index].direction))
     if mu == 0:
         raise InvalidCurve(

@@ -8,6 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from troplag import (
     BoundaryTerminal,
@@ -34,6 +35,76 @@ BUNDLED_DOCS = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
 
 def load_document(name: str):
     return parse_document((FIGURES / name).read_text(encoding="utf-8"))
+
+
+KLEIN_POLYGON_DIAGRAM = ("diagram polygon (0,0) (4,0) (4,5/2) (0,5/2) ; "
+                         "basis sphere_h sphere_v ; form 0 1 1 0 ; "
+                         "sweepclasses h=1,0 v=0,1")
+
+
+def klein_as_polygon() -> str:
+    """fig2_klein with its rectangle written out as a polygon that carries
+    the same basis, form and sweep classes."""
+    text = (FIGURES / "fig2_klein.trop").read_text(encoding="utf-8")
+    rectangle_line = "diagram rectangle width=4 height=5/2"
+    assert rectangle_line in text
+    return text.replace(rectangle_line, KLEIN_POLYGON_DIAGRAM)
+
+
+# ---------------------------------------------------------------------
+# Token soups for fuzzing the parser and the CLI.  A soup is a legal
+# diagram line and (most often) a `curve` header, then lines of the format
+# with distinct ids, some with a stray token, and at most one run of
+# tokens from the format's vocabulary, legal and not; so curve building,
+# validation and the reports are reached as well as the parser's errors.
+# ---------------------------------------------------------------------
+
+SOUP_TOKENS = (
+    "diagram", "rectangle", "xabc", "polygon", "curve", "vertex", "edge",
+    "end", ";", "node", "basis", "form", "sweepclasses", "#",
+    "width=4", "height=5/2", "width=0", "a=1", "c=9", "(0,0)", "(4,0)",
+    "(2,5/4)", "(1,1)", "(0,3)", "(1.5,1)", "(1,0/1)",
+    "dir=(2,1)", "dir=(-1,-1)", "dir=(0,0)", "dir=(2,2)", "land=(4,9/4)",
+    "land=(0,0)", "land=(9,9)", "node=0", "node=7", "cut=(1,0)",
+    "cut=(2,0)", "weight=2", "weight=0", "h=1,0", "v=0,1", "h=1", "v=x",
+    "E1", "0", "1", "-1", "1/0", "1.5", "v", "w", "k", "x", "=", "()",
+)
+
+SOUP_HEADS = (
+    "diagram rectangle width=4 height=5/2", KLEIN_POLYGON_DIAGRAM,
+    "diagram xabc a=1 b=1 c=4/3 s=4",
+    "diagram polygon (-4,-3) (4,-3) (4,4) (-4,4) ; node (1,0) cut=(1,0)",
+)
+
+SOUP_LINES = (
+    "vertex v (2,1)", "vertex w (3,2)", "edge e v w", "edge e v w weight=2",
+    "edge f w v", "curve m",
+    "end a v dir=(-1,0) land=(0,1)", "end b v dir=(0,-1) land=(2,0)",
+    "end c w dir=(1,0) land=(4,2)", "end d w dir=(0,1) land=(3,5/2)",
+    "end n v dir=(1,0) node=0",
+    "end plus (2,5/4) dir=(2,1) land=(4,9/4)",
+    "end minus (2,5/4) dir=(-2,-1) land=(0,1/4)",
+)
+
+
+def _soup(head, header, lines, junk, at):
+    lines[at:at] = junk
+    return "\n".join([head, *header, *lines])
+
+
+def _rarely(values, default):
+    """One of values a quarter of the time, else default."""
+    return st.sampled_from((default,) * 3 * len(values) + tuple(values))
+
+
+token_soups = st.builds(
+    _soup, st.sampled_from(SOUP_HEADS), _rarely([()], ("curve k",)),
+    st.lists(st.builds(lambda line, stray: f"{line} {stray}".rstrip(),
+                       st.sampled_from(SOUP_LINES), _rarely(SOUP_TOKENS, "")),
+             max_size=8, unique_by=lambda line: line.split()[1]),
+    st.one_of(st.just(()), st.lists(st.sampled_from(SOUP_TOKENS), min_size=1,
+                                    max_size=7).map(lambda t: (" ".join(t),))),
+    st.integers(0, 8))
 
 
 @pytest.fixture(scope="session")

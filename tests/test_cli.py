@@ -1,12 +1,16 @@
 import io
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from troplag import topology, tropical
 from troplag.cli import main
-from conftest import FIGURES, GOLDEN
+from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
+                      klein_as_polygon, token_soups)
 
 TOPOLOGY_GOLDENS = ["fig1_left", "fig1_right", "fig2_klein", "fig3_family",
                     "fig4_squeeze"]
@@ -142,6 +146,14 @@ def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     pytest.param(("gen-visible", "4", "3", "--direction", "2,1,0"),
                  "--direction expects 2 comma-separated integers",
                  id="direction-count"),
+    pytest.param(("gen-visible", "4", "3", "--direction", " 2_0,1"),
+                 "--direction expects 2 comma-separated integers, "
+                 "got ' 2_0,1'",
+                 id="direction-not-format-integer"),
+    pytest.param(("audin", str(FIGURES / "fig1_left.trop"), "--class",
+                  " 1,1_0,1"),
+                 "--class expects comma-separated integers, got ' 1,1_0,1'",
+                 id="class-not-format-integer"),
 ])
 def test_malformed_integer_option_exits_2(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -167,6 +179,59 @@ def test_homology_refuses_an_end_without_a_cap_kind(capsys, monkeypatch):
                        monkeypatch=monkeypatch)
     assert code == 2
     assert err.startswith("error: curve visible: end 'plus' has mu = 4; ")
+
+
+def test_homology_input_error_prints_no_header(capsys):
+    # fig1 is no rectangle: the sweep refusal leaves stdout empty, as it
+    # does for topology and audin.
+    code, out, err = run(capsys, "homology", str(FIGURES / "fig1_left.trop"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: curve rp2: ")
+
+
+def test_homology_header_alone_without_curves(capsys, monkeypatch):
+    code, out, _ = run(capsys, "homology", "-", monkeypatch=monkeypatch,
+                       stdin_text=KLEIN_POLYGON_DIAGRAM + "\n")
+    assert code == 0
+    assert out == "basis: sphere_h, sphere_v\n"
+
+
+def test_homology_reads_sweep_classes_of_a_polygon(capsys, monkeypatch):
+    code, out, _ = run(capsys, "homology", "-", monkeypatch=monkeypatch,
+                       stdin_text=klein_as_polygon())
+    assert code == 0
+    assert out == (GOLDEN / "fig2_klein.homology.txt").read_text()
+
+
+def test_topology_names_a_closed_orientable_surface(capsys, monkeypatch):
+    # Three disc caps on one m = 1 vertex: chi = -1 + 3 = 2.
+    sphere = ("diagram polygon (-4,-3) (4,-3) (4,4) (-4,4) ; "
+              "node (1,0) cut=(1,0) ; node (0,1) cut=(0,1) ; "
+              "node (-1,-1) cut=(-1,-1)\n"
+              "curve sphere\n"
+              "vertex v (0,0)\n"
+              "end a v dir=(1,0) node=0\n"
+              "end b v dir=(0,1) node=1\n"
+              "end c v dir=(-1,-1) node=2\n")
+    code, out, _ = run(capsys, "topology", "-", monkeypatch=monkeypatch,
+                       stdin_text=sphere)
+    assert code == 0
+    assert out.splitlines()[-1] == ("curve sphere: closed orientable "
+                                    "surface, chi=2, genus g=0 (sphere)")
+
+
+FUZZED_COMMANDS = (["validate", "-"], ["topology", "-"], ["homology", "-"],
+                   ["audin", "-"], ["render", "-", "-o", "-"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(token_soups)
+def test_cli_never_raises_on_token_soups(text):
+    for argv in FUZZED_COMMANDS:
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 def test_report_error_names_its_curve(capsys, tmp_path):

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from troplag import (
     Document,
     IntVec,
     NodeTerminal,
     ParseError,
+    TroplagError,
     parse_document,
     pt,
     rectangle,
@@ -14,7 +16,8 @@ from troplag import (
     trop_family,
     visible_segment,
 )
-from conftest import BUNDLED_DOCS, load_document, FIGURES
+from conftest import (BUNDLED_DOCS, load_document, FIGURES,
+                      klein_as_polygon, token_soups)
 
 F = Fraction
 
@@ -97,6 +100,23 @@ def test_round_trip_generated_documents():
     seg = visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))
     doc2 = Document(diagram, (seg,))
     assert parse_document(serialize_document(doc2)) == doc2
+
+
+def test_round_trip_sweep_classes():
+    doc = parse_document(klein_as_polygon())
+    homology = doc.diagram.homology
+    assert homology.class_of_horizontal_sweep == (1, 0)
+    assert homology.class_of_vertical_sweep == (0, 1)
+    assert parse_document(serialize_document(doc)) == doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(token_soups)
+def test_parse_raises_only_troplag_errors(text):
+    try:
+        parse_document(text)
+    except TroplagError:
+        pass
 
 
 def test_fig3_matches_generator():

@@ -218,7 +218,7 @@ def _scanned_outgoing(curve, key):
     for e in curve.ends:
         source = e.source if isinstance(e.source, str) else _anchor_key(e.source)
         if source == key:
-            out.append((e.direction, e.weight, e.id))
+            out.append((e.direction, 1, e.id))
     return tuple(out)
 
 
@@ -484,14 +484,14 @@ def test_four_valent_vertex_rejected():
 
 
 def test_weighted_vertex_rejected():
-    curve = one_vertex_curve(pt(4, 4), [
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 4))),
-        (IntVec(0, 1), BoundaryTerminal(pt(4, 8))),
-        (IntVec(-1, -1), BoundaryTerminal(pt(0, 0)))])
+    # balanced and trivalent; only the weight-2 edge stands in the way
     weighted = TropicalCurve(
-        curve.vertices, [],
-        [CurveEnd(e.id, e.source, e.direction, e.terminal, weight=2)
-         for e in curve.ends])
+        [TropicalVertex("v", pt(2, 2)), TropicalVertex("w", pt(4, 2))],
+        [InternalEdge("g", "v", "w", IntVec(1, 0), weight=2)],
+        [CurveEnd("a", "v", IntVec(-1, 1), BoundaryTerminal(pt(0, 4))),
+         CurveEnd("b", "v", IntVec(-1, -1), BoundaryTerminal(pt(0, 0))),
+         CurveEnd("c", "w", IntVec(1, 1), BoundaryTerminal(pt(6, 4))),
+         CurveEnd("d", "w", IntVec(1, -1), BoundaryTerminal(pt(6, 0)))])
     with pytest.raises(WeightedVertexUnsupported):
         vertex_multiplicity(weighted, "v")
 
