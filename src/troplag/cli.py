@@ -6,7 +6,7 @@ the document from stdin, so generators pipe into checkers:
 
     troplag gen-family 2 | troplag topology -
 
-Exit codes: 0 pass/success, 1 check failure, 2 input error.
+Exit codes: 0 pass/success, 1 check failure, 2 input error, 3 internal error.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .topology import EndKind, classify, euler_breakdown, surface_name
 from .tropical import validate
 from . import __version__
 
-PASS, FAIL, INPUT_ERROR = 0, 1, 2
+PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _read_document(path: str) -> Document:
@@ -381,6 +381,9 @@ def main(argv=None) -> int:
     except (TroplagError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main_entry():

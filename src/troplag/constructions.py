@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, LocationKind, UnsupportedDiagram, rectangle, x_abc
-from .lattice import IntVec, RatPoint, _as_fraction, ray_segment_hit
+from .lattice import IntVec, RatPoint, _as_fraction
 from .topology import SurfaceClass
 from .tropical import (
     BoundaryTerminal,
@@ -80,21 +80,15 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
                          "edges, not the two vertical ones")
     if diagram.contains(anchor).kind is not LocationKind.INTERIOR:
         raise DoesNotFit(f"anchor {anchor} is not strictly inside")
-    x0, y0, x1, y1 = diagram.bounds()
-    slope = Fraction(u.y, u.x)
-    y_left = anchor.y + (x0 - anchor.x) * slope
-    y_right = anchor.y + (x1 - anchor.x) * slope
-    for y_exit in (y_left, y_right):
-        if y_exit in (y0, y1):
+    ends = []
+    for end_id, way in (("minus", -u), ("plus", u)):  # left exit first
+        landing, location = diagram.exit(anchor, way)
+        if location.kind is LocationKind.ON_CORNER:
             raise DoesNotFit("the line exits through a corner")
-        if not y0 < y_exit < y1:
+        if diagram.boundary_edges[location.index].direction.y == 0:
             raise DoesNotFit("the line exits through a horizontal edge")
-    left = RatPoint(x0, y_left)
-    right = RatPoint(x1, y_right)
-    ends = (
-        CurveEnd("plus", anchor, u, BoundaryTerminal(right)),
-        CurveEnd("minus", anchor, -u, BoundaryTerminal(left)),
-    )
+        ends.insert(0, CurveEnd(end_id, anchor, way,
+                                BoundaryTerminal(landing)))
     return TropicalCurve((), (), ends, name="visible")
 
 
@@ -155,14 +149,9 @@ def rp2_curve(a, b, c, s):
             f"vertex {vertex_pos} lies on the boundary (c = a + b)")
 
     down = IntVec(-1, -1)
-    hits = []
-    for edge in diagram.boundary_edges:
-        hit = ray_segment_hit(vertex_pos, down, edge.start, edge.end)
-        if hit is not None:
-            hits.append(hit)
-    if location.kind is LocationKind.INTERIOR and hits:
-        t, landing = min(hits, key=lambda h: h[0])
-        if any(landing == v for v in diagram.polygon_vertices):
+    if location.kind is LocationKind.INTERIOR:
+        landing, where = diagram.exit(vertex_pos, down)
+        if where.kind is LocationKind.ON_CORNER:
             raise DegenerateConstruction(
                 f"the (-1,-1) end hits the corner {landing} exactly "
                 "(|a - b| = c)")
@@ -199,28 +188,25 @@ def trop_family(ell: int) -> FamilyInstance:
     Block j (j = 0..ell-1) has vertices at (10j+2, 1), (10j+5, 2),
     (10j+7, 1), (10j+10, 2), chained by edges of directions (3,1) and
     (2,-1); consecutive blocks are chained by a (2,-1) edge.  Every vertex
-    has multiplicity 5 (two double points).  The 4*ell + 2 ends all land
-    with mu = 2: one (-2,1) end on the left edge at height 2, one (2,-1)
-    end on the right edge at height 1, and (-1,-2) / (1,2) ends to the
-    bottom and top.  The down-end from (10j+7, 1) lands at x = 10j + 13/2,
-    as balancing forces.
+    has multiplicity 5 (two double points).  The 4*ell + 2 ends land where
+    their rays exit, all with mu = 2: one (-2,1) end on the left edge at
+    height 2, one (2,-1) end on the right edge at height 1, and (-1,-2) /
+    (1,2) ends to the bottom and top.  The down-end from (10j+7, 1) lands
+    at x = 10j + 13/2, as balancing forces.
     """
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInput(f"ell must be a positive integer, got {ell!r}")
-    width = 10 * ell + 2
-    diagram = rectangle(width, 3)
-    vertices = []
+    diagram = rectangle(10 * ell + 2, 3)
+    positions = {}
     edges = []
-    ends = []
-    half = Fraction(1, 2)
+    rays = []  # (end id, vertex id, direction)
+    down, up = IntVec(-1, -2), IntVec(1, 2)
     for j in range(ell):
         base = 10 * j
-        vertices += [
-            TropicalVertex(f"a{j}", RatPoint(base + 2, 1)),
-            TropicalVertex(f"b{j}", RatPoint(base + 5, 2)),
-            TropicalVertex(f"c{j}", RatPoint(base + 7, 1)),
-            TropicalVertex(f"d{j}", RatPoint(base + 10, 2)),
-        ]
+        positions.update({f"a{j}": RatPoint(base + 2, 1),
+                          f"b{j}": RatPoint(base + 5, 2),
+                          f"c{j}": RatPoint(base + 7, 1),
+                          f"d{j}": RatPoint(base + 10, 2)})
         edges += [
             InternalEdge(f"ab{j}", f"a{j}", f"b{j}", IntVec(3, 1)),
             InternalEdge(f"bc{j}", f"b{j}", f"c{j}", IntVec(2, -1)),
@@ -229,20 +215,14 @@ def trop_family(ell: int) -> FamilyInstance:
         if j + 1 < ell:
             edges.append(InternalEdge(f"da{j}", f"d{j}", f"a{j + 1}",
                                       IntVec(2, -1)))
-        ends += [
-            CurveEnd(f"down_a{j}", f"a{j}", IntVec(-1, -2),
-                     BoundaryTerminal(RatPoint(base + 2 - half, 0))),
-            CurveEnd(f"up_b{j}", f"b{j}", IntVec(1, 2),
-                     BoundaryTerminal(RatPoint(base + 5 + half, 3))),
-            CurveEnd(f"down_c{j}", f"c{j}", IntVec(-1, -2),
-                     BoundaryTerminal(RatPoint(base + 7 - half, 0))),
-            CurveEnd(f"up_d{j}", f"d{j}", IntVec(1, 2),
-                     BoundaryTerminal(RatPoint(base + 10 + half, 3))),
-        ]
-    ends.append(CurveEnd("left", "a0", IntVec(-2, 1),
-                         BoundaryTerminal(RatPoint(0, 2))))
-    ends.append(CurveEnd("right", f"d{ell - 1}", IntVec(2, -1),
-                         BoundaryTerminal(RatPoint(width, 1))))
+        rays += [(f"down_a{j}", f"a{j}", down), (f"up_b{j}", f"b{j}", up),
+                 (f"down_c{j}", f"c{j}", down), (f"up_d{j}", f"d{j}", up)]
+    rays += [("left", "a0", IntVec(-2, 1)),
+             ("right", f"d{ell - 1}", IntVec(2, -1))]
+    vertices = [TropicalVertex(vid, p) for vid, p in positions.items()]
+    ends = [CurveEnd(end_id, vid, direction, BoundaryTerminal(
+                diagram.exit(positions[vid], direction)[0]))
+            for end_id, vid, direction in rays]
     curve = TropicalCurve(vertices, edges, ends, name=f"family_ell{ell}")
     expected = SurfaceClass(
         orientable=False, euler_char=-20 * ell, boundary_circles=0,

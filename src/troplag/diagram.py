@@ -6,7 +6,9 @@ boundary, plus a description of the mod-2 homology of the ambient
 4-manifold (basis labels and intersection form).  Two constructors cover
 the spaces used throughout the package: the toric rectangle (a product of
 two spheres) and the triple blow-up triangle with one toric corner chop and
-two non-toric nodes.
+two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
+a ray from an interior point leaves the polygon: each cut ends at its
+node's exit, and the constructions land their ends at theirs.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .lattice import (
     _as_fraction,
     on_open_segment,
     orientation,
-    ray_segment_hit,
     segment_contact,
 )
 
@@ -137,10 +138,10 @@ class BaseDiagram:
     """A strictly convex polygon with focus-focus nodes and cuts.
 
     polygon_vertices are counterclockwise.  Boundary edges are derived from
-    consecutive vertex pairs; cut segments are computed by shooting each
-    node's cut ray to the boundary.  Construction validates convexity, node
-    interiority and cut disjointness, raising InvalidDiagram with the
-    violated constraint named.
+    consecutive vertex pairs; each cut segment ends at the exit of its
+    node's cut ray.  Construction validates convexity, node interiority and
+    cut disjointness, raising InvalidDiagram with the violated constraint
+    named.
     """
 
     def __init__(self, polygon_vertices, nodes=(), homology=_EMPTY_HOMOLOGY,
@@ -185,15 +186,8 @@ class BaseDiagram:
         if self._locate_in_polygon(node.position).kind is not LocationKind.INTERIOR:
             raise InvalidDiagram(
                 f"node at {node.position} is not strictly inside the polygon")
-        hits = []
-        for index, edge in enumerate(self.boundary_edges):
-            hit = ray_segment_hit(node.position, node.cut_direction,
-                                  edge.start, edge.end)
-            if hit is not None:
-                hits.append((hit[0], hit[1], index))
-        t, point, index = min(hits, key=lambda h: h[0])
-        edge = self.boundary_edges[index]
-        if point == edge.start or point == edge.end:
+        point, location = self.exit(node.position, node.cut_direction)
+        if location.kind is LocationKind.ON_CORNER:
             raise InvalidDiagram(f"cut from node at {node.position} exits "
                                  f"through the corner {point}")
         return node.position, point
@@ -241,6 +235,24 @@ class BaseDiagram:
             if on_open_segment(p, edge.start, edge.end):
                 return PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
         return PointLocation(LocationKind.OUTSIDE)
+
+    def exit(self, origin: RatPoint, direction: IntVec):
+        """Where the ray origin + t*direction (t > 0) leaves the polygon.
+
+        Returns (point, location): ON_CORNER(k) if point is polygon vertex
+        k, else ON_BOUNDARY_EDGE(i) for the edge i it crosses.  The ray
+        leaves through the nearest line of an edge it moves outward
+        through.  The origin must be strictly inside the polygon and the
+        direction nonzero."""
+        t, index = min(
+            (edge.direction.wedge(origin - edge.start) / -outward, index)
+            for index, edge in enumerate(self.boundary_edges)
+            if (outward := edge.direction.wedge(direction)) < 0)
+        point = origin.moved(direction, t)
+        for corner in (index, (index + 1) % len(self.polygon_vertices)):
+            if point == self.polygon_vertices[corner]:
+                return point, PointLocation(LocationKind.ON_CORNER, corner)
+        return point, PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
 
     def contains(self, p: RatPoint) -> PointLocation:
         """Exact classification of p against polygon, nodes and cuts.

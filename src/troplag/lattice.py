@@ -276,25 +276,3 @@ def segment_contact(a: RatPoint, b: RatPoint, c: RatPoint, d: RatPoint):
     if 0 <= t <= 1 and 0 <= s <= 1:
         return a.moved(u, t)
     return None
-
-
-def ray_segment_hit(origin: RatPoint, direction: IntVec,
-                    a: RatPoint, b: RatPoint):
-    """First meeting of the ray origin + t*direction (t > 0) with [a, b].
-
-    Returns (t, point) or None.  Collinear rays are treated as missing the
-    segment; callers fire rays from strictly interior points of convex
-    polygons, where that case cannot occur against boundary edges.
-    """
-    v = b - a
-    dvec = RatVec(Fraction(direction.x), Fraction(direction.y))
-    denom = dvec.wedge(v)
-    if denom == 0:
-        return None
-    w = a - origin
-    t = w.wedge(v) / denom
-    s = w.wedge(dvec) / denom
-    if t > 0 and 0 <= s <= 1:
-        return t, origin.moved(direction, t)
-    return None
-

@@ -26,16 +26,23 @@ _COLLAR_STYLE = 'stroke="#cc0000" stroke-width="1.5" fill="#ffffff"'
 _NODE_STYLE = 'stroke="#000000" stroke-width="1.5"'
 
 
+def _float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise TroplagError("a coordinate is out of SVG range") from None
+
+
 def _fmt(value: Fraction) -> str:
-    return f"{float(value):.2f}"
+    return f"{_float(value):.2f}"
 
 
 class _Frame:
     def __init__(self, diagram: BaseDiagram):
         x0, y0, x1, y1 = diagram.bounds()
         self.x0, self.y1 = x0, y1
-        self.width = float((x1 - x0) * SCALE) + 2 * MARGIN
-        self.height = float((y1 - y0) * SCALE) + 2 * MARGIN
+        self.width = _float((x1 - x0) * SCALE) + 2 * MARGIN
+        self.height = _float((y1 - y0) * SCALE) + 2 * MARGIN
 
     def project(self, p):
         # SVG y grows downward.

@@ -60,10 +60,13 @@ class Document:
     curves: tuple[TropicalCurve, ...]
 
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
-_INTEGER = re.compile(r"-?\d+\Z")
-_POINT = re.compile(r"\((-?\d+(?:/[1-9]\d*)?),(-?\d+(?:/[1-9]\d*)?)\)\Z")
-_INTPAIR = re.compile(r"\((-?\d+),(-?\d+)\)\Z")
+# Numbers are spelled in ASCII digits only (\d would admit any Unicode digit).
+_INT = r"-?[0-9]+"
+_RAT = _INT + r"(?:/[1-9][0-9]*)?"
+_RATIONAL = re.compile(_RAT + r"\Z")
+_INTEGER = re.compile(_INT + r"\Z")
+_POINT = re.compile(rf"\(({_RAT}),({_RAT})\)\Z")
+_INTPAIR = re.compile(rf"\(({_INT}),({_INT})\)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
 
 

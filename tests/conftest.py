@@ -15,6 +15,7 @@ from troplag import (
     CurveEnd,
     IntVec,
     InternalEdge,
+    LocationKind,
     RatPoint,
     RatVec,
     TropicalCurve,
@@ -23,7 +24,6 @@ from troplag import (
     rectangle,
     validate,
 )
-from troplag.lattice import ray_segment_hit
 from troplag.textio import parse_document
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
@@ -140,15 +140,6 @@ for _u in DIRECTION_POOL:
             SPLITS.setdefault((_w.x, _w.y), []).append((_u, _v))
 
 
-def _first_boundary_hit(diagram, origin, direction):
-    hits = []
-    for edge in diagram.boundary_edges:
-        hit = ray_segment_hit(origin, direction, edge.start, edge.end)
-        if hit is not None:
-            hits.append(hit)
-    return min(hits, key=lambda h: h[0])
-
-
 def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
     """A random valid weight-one tropical curve in rectangle(size, size).
 
@@ -157,7 +148,6 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
     validates.  Deterministic for a seeded rng.
     """
     diagram = rectangle(size, size)
-    corners = set((v.x, v.y) for v in diagram.polygon_vertices)
     for _ in range(400):
         target = rng.randint(1, max_vertices)
         position = RatPoint(rng.randint(size // 3, 2 * size // 3),
@@ -191,8 +181,8 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
         corner_hit = False
         for i, (vid, direction) in enumerate(rays):
             source = next(v.position for v in vertices if v.id == vid)
-            _, landing = _first_boundary_hit(diagram, source, direction)
-            if (landing.x, landing.y) in corners:
+            landing, location = diagram.exit(source, direction)
+            if location.kind is LocationKind.ON_CORNER:
                 corner_hit = True
                 break
             ends.append(CurveEnd(f"x{i}", vid, direction,

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from troplag import topology, tropical
+from troplag import cli, topology, tropical
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
                       klein_as_polygon, token_soups)
@@ -123,6 +123,12 @@ CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
                  "basis a b ; form 0 1 2 0\n",
                  "line 1, col 9: intersection form must be symmetric",
                  id="asymmetric-form"),
+    pytest.param("diagram rectangle width=\u0664 height=1\n",
+                 "line 1, col 25: expected a rational like 3 or 22/7",
+                 id="unicode-digit-width"),
+    pytest.param(CURVE_HEAD + "end x a dir=(\u0662,1) land=(0,1)\n",
+                 "line 5, col 13: expected an integer vector like (2,-1)",
+                 id="unicode-digit-dir"),
 ])
 def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.trop"
@@ -154,6 +160,10 @@ def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
                   " 1,1_0,1"),
                  "--class expects comma-separated integers, got ' 1,1_0,1'",
                  id="class-not-format-integer"),
+    pytest.param(("gen-visible", "4", "3", "--direction", "\u0662,1"),
+                 "--direction expects 2 comma-separated integers, "
+                 "got '\u0662,1'",
+                 id="direction-unicode-digit"),
 ])
 def test_malformed_integer_option_exits_2(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -345,6 +355,14 @@ def test_gen_visible_that_does_not_fit_exits_2(capsys):
     assert "corner" in err or "does not fit" in err or "horizontal" in err
 
 
+def test_gen_visible_refuses_a_unicode_digit(capsys):
+    code, out, err = run(capsys, "gen-visible", "\u0664", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: expected an exact rational like 3 or 22/7, "
+                   "got '\u0664'\n")
+
+
 def test_genus_bound_command(capsys):
     code, out, _ = run(capsys, "genus-bound", "3/2")
     assert code == 0 and "k = 2" in out and "Klein bottle" in out
@@ -392,6 +410,31 @@ def test_render_to_stdout(capsys):
                        "-o", "-")
     assert code == 0
     assert out.startswith("<?xml") and "</svg>" in out
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text", [
+    f"diagram rectangle width={HUGE} height=1\n",
+    ("diagram rectangle width=4 height=5/2\ncurve c\n"
+     f"vertex v ({HUGE},1)\nend a v dir=(-1,0) land=(0,1)\n"),
+], ids=["huge-diagram", "huge-vertex"])
+def test_render_out_of_svg_range_exits_2(capsys, monkeypatch, text):
+    code, out, err = run(capsys, "render", "-", "-o", "-", stdin_text=text,
+                         monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a coordinate is out of SVG range\n"
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "validate", boom)
+    code, _, err = run(capsys, "validate", str(FIGURES / "fig2_klein.trop"))
+    assert code == 3
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_render_to_unwritable_path_exits_2(capsys, tmp_path):

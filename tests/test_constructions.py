@@ -5,6 +5,7 @@ import pytest
 
 from troplag import (
     DegenerateConstruction,
+    Document,
     DoesNotFit,
     IntVec,
     InvalidCurve,
@@ -20,6 +21,7 @@ from troplag import (
     pt,
     rectangle,
     rp2_curve,
+    serialize_document,
     squeeze_check,
     surface_name,
     sweep_parity,
@@ -29,6 +31,7 @@ from troplag import (
     vertex_multiplicity,
     visible_segment,
 )
+from conftest import FIGURES
 
 F = Fraction
 
@@ -207,6 +210,14 @@ def test_family_down_end_coordinate():
     instance = trop_family(1)
     down = next(e for e in instance.curve.ends if e.id == "down_c0")
     assert down.terminal.landing == pt(F(13, 2), 0)
+
+
+def test_family_serializes_to_the_bundled_figure():
+    instance = trop_family(2)
+    text = serialize_document(Document(instance.diagram, (instance.curve,)))
+    figure = (FIGURES / "fig3_family.trop").read_text(encoding="utf-8")
+    assert text == "".join(line for line in figure.splitlines(keepends=True)
+                           if not line.startswith("#"))
 
 
 def test_family_rejects_bad_ell():

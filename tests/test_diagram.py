@@ -210,6 +210,59 @@ def test_contains_memo_is_transparent():
     assert kinds == set(LocationKind)
 
 
+# -- boundary exits ----------------------------------------------------
+
+def _least_hit(diagram, origin, direction):
+    """A reference exit: the least t at which the ray meets a closed edge,
+    and whether that point ends the edge (a corner)."""
+    d = RatVec(F(direction.x), F(direction.y))
+    hits = []
+    for edge in diagram.boundary_edges:
+        v = edge.end - edge.start
+        denom = d.wedge(v)
+        if denom == 0:
+            continue
+        w = edge.start - origin
+        t = w.wedge(v) / denom
+        s = w.wedge(d) / denom
+        if t > 0 and 0 <= s <= 1:
+            hits.append((t, origin.moved(direction, t), edge))
+    _, point, edge = min(hits, key=lambda h: h[0])
+    return point, point in (edge.start, edge.end)
+
+
+def test_exit_matches_the_least_edge_hit():
+    rng = random.Random(8040)
+    diagrams = [rectangle(4, F(5, 2)), x_abc(1, 1, F(4, 3), 4),
+                load_document("fig1_right.trop").diagram]
+    corner_rays = edge_rays = 0
+    for d in diagrams:
+        x0, y0, x1, y1 = d.bounds()
+        for _ in range(60):
+            origin = pt(x0 + (x1 - x0) * F(rng.randint(1, 47), 48),
+                        y0 + (y1 - y0) * F(rng.randint(1, 47), 48))
+            if d.contains(origin).kind in (LocationKind.OUTSIDE,
+                                           LocationKind.ON_BOUNDARY_EDGE,
+                                           LocationKind.ON_CORNER):
+                continue
+            directions = [(v - origin).primitive_direction()
+                          for v in d.polygon_vertices]
+            while len(directions) < 12:
+                u = IntVec(rng.randint(-5, 5), rng.randint(-5, 5))
+                if not u.is_zero:
+                    directions.append(u)
+            for u in directions:
+                point, location = d.exit(origin, u)
+                expected_point, expected_corner = _least_hit(d, origin, u)
+                assert point == expected_point, (d, origin, u)
+                at_corner = location.kind is LocationKind.ON_CORNER
+                assert at_corner == expected_corner
+                assert location == d.contains(point)
+                corner_rays += at_corner
+                edge_rays += not at_corner
+    assert corner_rays > 100 and edge_rays > 100
+
+
 def test_transform_keeps_counterclockwise():
     rng = random.Random(99)
     d = x_abc(1, 1, F(4, 3), 4)

@@ -15,7 +15,6 @@ from troplag.lattice import (
     on_closed_segment,
     on_open_segment,
     orientation,
-    ray_segment_hit,
     segment_contact,
 )
 
@@ -166,14 +165,6 @@ def test_segment_contact_cases():
     assert segment_contact(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0)) == pt(1, 0)
     # collinear disjoint
     assert segment_contact(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0)) is None
-
-
-def test_ray_segment_hit():
-    hit = ray_segment_hit(pt(1, 1), IntVec(0, 1), pt(0, 4), pt(4, 0))
-    assert hit is not None
-    t, point = hit
-    assert point == pt(1, 3) and t == 3 - 1
-    assert ray_segment_hit(pt(1, 1), IntVec(0, -1), pt(0, 4), pt(4, 0)) is None
 
 
 def test_ratio_along():
