@@ -6,11 +6,13 @@ the document from stdin, so generators pipe into checkers:
 
     troplag gen-family 2 | troplag topology -
 
-Exit codes: 0 pass/success, 1 check failure, 2 input error, 3 internal error.
+Exit codes: 0 pass/success, 1 check failure, 2 input error, 3 internal error,
+141 stdout closed by its reader (128 + SIGPIPE, as `yes | head` reports).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from .tropical import validate
 from . import __version__
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+BROKEN_PIPE = 141
 
 
 def _read_document(path: str) -> Document:
@@ -224,7 +227,9 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_gen_family(args) -> int:
-    instance = trop_family(args.ell)
+    if not _INTEGER.match(args.ell):
+        raise TroplagError(f"L expects an integer, got {args.ell!r}")
+    instance = trop_family(int(args.ell))
     doc = Document(instance.diagram, (instance.curve,))
     sys.stdout.write(serialize_document(doc))
     return PASS
@@ -333,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-family",
                        help="emit the genus 20L+2 family document")
-    p.add_argument("ell", type=int, metavar="L")
+    p.add_argument("ell", metavar="L")
     p.set_defaults(func=_cmd_gen_family)
 
     p = sub.add_parser("gen-visible",
@@ -377,7 +382,19 @@ def main(argv=None) -> int:
         parser.print_usage()
         return INPUT_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone, as in `troplag ... | head -1`: print nothing
+        # more, and point stdout's descriptor at os.devnull so that the
+        # flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return BROKEN_PIPE
     except (TroplagError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

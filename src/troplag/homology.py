@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
@@ -99,32 +100,46 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
             raise UnsweepableCurve(f"edge {e.id!r} has weight {e.weight}")
 
 
-def _spans(diagram: BaseDiagram, curve: TropicalCurve,
-           direction: SweepDirection):
-    """Per curve segment: (coordinate at start, coordinate at finish,
-    |dot(u, t)|), where the coordinate is the one that varies across
-    witness lines of this direction (x for vertical lines, y for
-    horizontal ones)."""
+def _sweep_lines(diagram: BaseDiagram, curve: TropicalCurve,
+                 direction: SweepDirection):
+    """(scale, spans, criticals) of one sweep, on ints.
+
+    The coordinate that varies across witness lines of this direction (x
+    for vertical lines, y for horizontal ones) is multiplied by scale, the
+    least common denominator of its values at the segment endpoints and at
+    the rectangle's bounds.  spans holds, per curve segment, (scaled
+    coordinate at start, at finish, |dot(u, t)|); criticals is the sorted
+    set of scaled coordinates a generic witness line must avoid, the
+    rectangle's bounds included."""
     t = direction.line_direction
     segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
     segments += [(curve.end_segment(diagram, e), e.direction)
                  for e in curve.ends]
-    if direction is SweepDirection.VERTICAL:
-        return [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
-    return [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
-
-
-def _criticals(diagram: BaseDiagram, direction: SweepDirection, spans):
     x0, y0, x1, y1 = diagram.bounds()
-    lo, hi = ((x0, x1) if direction is SweepDirection.VERTICAL else (y0, y1))
-    return sorted({lo, hi}.union(*((ca, cb) for ca, cb, _ in spans)))
+    if direction is SweepDirection.VERTICAL:
+        bounds = (x0, x1)
+        coords = [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
+    else:
+        bounds = (y0, y1)
+        coords = [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
+    scale = lcm(*{c.denominator for c in bounds}.union(
+        c.denominator for ca, cb, _ in coords for c in (ca, cb)))
+
+    def scaled(c):
+        return c.numerator * (scale // c.denominator)
+
+    spans = [(scaled(ca), scaled(cb), points) for ca, cb, points in coords]
+    criticals = sorted({scaled(c) for c in bounds}.union(
+        c for ca, cb, _ in spans for c in (ca, cb)))
+    return scale, spans, criticals
 
 
 def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
                          direction: SweepDirection):
     """Sorted coordinates a generic witness line must avoid, including the
     rectangle bounds."""
-    return _criticals(diagram, direction, _spans(diagram, curve, direction))
+    scale, _, criticals = _sweep_lines(diagram, curve, direction)
+    return [Fraction(c, scale) for c in criticals]
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -141,22 +156,24 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     cross-cap.
     """
     _require_sweepable(diagram, curve)
-    spans = _spans(diagram, curve, direction)
-    criticals = _criticals(diagram, direction, spans)
+    scale, spans, criticals = _sweep_lines(diagram, curve, direction)
+    # The witness line's scaled coordinate is line / den.
     if witness is None:
         lo, hi = max(zip(criticals, criticals[1:]),
                      key=lambda gap: gap[1] - gap[0])
-        witness = (lo + hi) / 2
+        line, den = lo + hi, 2
+        witness = Fraction(line, den * scale)
     else:
         witness = Fraction(witness)
-        if witness in criticals:
+        line, den = witness.numerator * scale, witness.denominator
+        if any(c * den == line for c in criticals):
             raise NonGenericWitness(
                 f"witness {witness} hits a critical coordinate")
-        if not criticals[0] < witness < criticals[-1]:
+        if not criticals[0] * den < line < criticals[-1] * den:
             raise NonGenericWitness(
                 f"witness {witness} lies outside the rectangle")
     total = sum(points for ca, cb, points in spans
-                if min(ca, cb) < witness < max(ca, cb))
+                if min(ca, cb) * den < line < max(ca, cb) * den)
     return SweepParity(direction, total % 2, witness)
 
 

@@ -2,7 +2,8 @@
 
 Integer vectors (edge directions), rational points (positions in a base
 diagram), unimodular affine maps (integral affine changes of coordinates),
-and the exact segment predicates the rest of the package is built on.
+and the exact segment predicates the rest of the package is built on, with
+their int-pair kernel for callers that clear denominators once.
 
 All arithmetic is exact: integer coordinates are Python ints (arbitrary
 precision, so overflow cannot occur), rational coordinates are
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import TroplagError
 
@@ -27,7 +28,10 @@ class NonUnimodularMap(TroplagError):
 
 
 def _as_fraction(value) -> Fraction:
-    """Convert to Fraction, refusing floats (exactness is a hard contract)."""
+    """Convert to Fraction, refusing floats (exactness is a hard contract).
+    A Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating point coordinates are not allowed; "
                         "use int, Fraction or a 'p/q' string")
@@ -216,8 +220,13 @@ class UnimodularAffineMap:
 # ---------------------------------------------------------------------------
 # Exact segment predicates.
 #
-# These are the only primitives the validation layers use, so all the sign
-# conventions live here.  Everything is on closed segments of RatPoints.
+# All the sign conventions live here.  orientation, on_closed_segment and
+# on_open_segment work on RatPoints; BaseDiagram's construction and its
+# memoized contains use them.  validate works on ints: it clears
+# denominators once (common_scale, then cleared) and runs the int-pair
+# kernel (turn, within, between, segment_contact) on the scaled points,
+# where every answer is unchanged because scaling by a positive integer
+# keeps every sign.  segment_contact takes RatPoints too.
 # ---------------------------------------------------------------------------
 
 def orientation(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
@@ -239,40 +248,100 @@ def on_open_segment(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
     return on_closed_segment(p, a, b) and p != a and p != b
 
 
-def segment_contact(a: RatPoint, b: RatPoint, c: RatPoint, d: RatPoint):
+OVERLAP = "overlap"
+
+
+def common_scale(points) -> int:
+    """The least positive integer whose multiple of every point is integral."""
+    # Unpack a set, not a generator: the argument tuple a generator builds
+    # is grown and then shrunk, and each shrunk tuple stays on the
+    # interpreter's free list for its length, which holds up to 2000.
+    return lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+
+
+def cleared(p: RatPoint, scale: int) -> tuple[int, int]:
+    """p times scale as an int pair; scale must be a common_scale multiple."""
+    x, y = p.x, p.y
+    return (x.numerator * (scale // x.denominator),
+            y.numerator * (scale // y.denominator))
+
+
+def uncleared(point, scale: int) -> RatPoint:
+    """The RatPoint of an (X, Y, W) point of contact, (X/W, Y/W), in
+    coordinates scaled by scale."""
+    x, y, w = point
+    return RatPoint(Fraction(x, w * scale), Fraction(y, w * scale))
+
+
+def turn(a, b, c) -> int:
+    """Sign of the turn a->b->c of int pairs: +1 left, -1 right, 0 collinear."""
+    s = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (s > 0) - (s < 0)
+
+
+def within(p, a, b) -> bool:
+    """Whether the int pair p lies on the closed segment [a, b]."""
+    return (turn(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def between(p, a, b) -> bool:
+    """Whether the int pair p lies strictly between a and b on the segment."""
+    return p != a and p != b and within(p, a, b)
+
+
+def segment_contact(a, b, c, d):
     """How the closed segments [a,b] and [c,d] meet.
 
-    Returns None if disjoint, the single RatPoint of contact if they meet
-    in exactly one point, or the string "overlap" if they share a
-    one-dimensional piece.
+    The four points are RatPoints, or int pairs cleared by one scale (see
+    common_scale).  Returns None if disjoint, OVERLAP ("overlap") if they
+    share a one-dimensional piece, or else their single point of contact:
+    a RatPoint for RatPoints, and for int pairs a reduced triple (X, Y, W)
+    with W > 0, the point (X/W, Y/W), so a contact at an int pair p is
+    (*p, 1).
     """
-    u = b - a
-    v = d - c
-    denom = u.wedge(v)
-    w = c - a
+    if isinstance(a, RatPoint):
+        scale = common_scale((a, b, c, d))
+        hit = _contact(*[cleared(p, scale) for p in (a, b, c, d)])
+        return hit if hit is None or hit == OVERLAP else uncleared(hit, scale)
+    return _contact(a, b, c, d)
+
+
+def _contact(a, b, c, d):
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = d[0] - c[0], d[1] - c[1]
+    wx, wy = c[0] - a[0], c[1] - a[1]
+    denom = ux * vy - uy * vx
     if denom == 0:
-        if w.wedge(u) != 0:
+        if wx * uy - wy * ux != 0:
             return None          # parallel, distinct lines
         # Collinear: compare parameter intervals along the common line.
-        if u.is_zero and v.is_zero:
-            return a if a == c else None
-        axis = u if not u.is_zero else v
-        key = (lambda p: (p - a).dot(axis))
+        if ux == uy == 0 and vx == vy == 0:
+            return (*a, 1) if a == c else None
+        ex, ey = (ux, uy) if ux or uy else (vx, vy)
+
+        def key(p):
+            return (p[0] - a[0]) * ex + (p[1] - a[1]) * ey
+
         lo1, hi1 = sorted((key(a), key(b)))
         lo2, hi2 = sorted((key(c), key(d)))
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo > hi:
             return None
         if lo < hi:
-            return "overlap"
-        # Touch at a single parameter; reconstruct the point.
+            return OVERLAP
+        # Touch at a single parameter; it is one of the four endpoints.
         for p in (a, b, c, d):
-            if key(p) == lo and on_closed_segment(p, a, b) \
-                    and on_closed_segment(p, c, d):
-                return p
+            if key(p) == lo and within(p, a, b) and within(p, c, d):
+                return (*p, 1)
         return None
-    t = w.wedge(v) / denom
-    s = w.wedge(u) / denom
-    if 0 <= t <= 1 and 0 <= s <= 1:
-        return a.moved(u, t)
+    t = wx * vy - wy * vx
+    s = wx * uy - wy * ux
+    if denom < 0:
+        denom, t, s = -denom, -t, -s
+    if 0 <= t <= denom and 0 <= s <= denom:
+        x, y = a[0] * denom + t * ux, a[1] * denom + t * uy
+        g = gcd(x, y, denom)
+        return (x // g, y // g, denom // g)
     return None

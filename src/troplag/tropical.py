@@ -25,11 +25,15 @@ from types import MappingProxyType
 from .errors import TroplagError
 from .diagram import BaseDiagram, LocationKind
 from .lattice import (
+    OVERLAP,
     IntVec,
     RatPoint,
     UnimodularAffineMap,
-    on_open_segment,
+    between,
+    cleared,
+    common_scale,
     segment_contact,
+    uncleared,
 )
 
 
@@ -295,6 +299,13 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def _reaches(a, b, direction: IntVec) -> bool:
+    """Whether the int pair b - a is a positive multiple of direction."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    return (dx * direction.y == dy * direction.x
+            and dx * direction.x + dy * direction.y > 0)
+
+
 def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     """Full geometric and combinatorial validation.
 
@@ -304,15 +315,29 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
 
+    The segment predicates run on ints: every curve point, node and cut end
+    is scaled once by the least common denominator of their coordinates.
     Embeddedness sweeps the segments' bounding boxes by min x (Shamos-Hoey)
     and runs the exact segment_contact only on pairs whose boxes meet:
     O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
     """
     issues = []
+    landings = [e.terminal.landing for e in curve.ends
+                if isinstance(e.terminal, BoundaryTerminal)]
+    scale = common_scale([v.position for v in curve.vertices]
+                         + [point for point, _ in curve.anchors()] + landings
+                         + [p for cut in diagram.cut_segments for p in cut])
+    # Each site's point, and each (node, cut exit), on ints.
+    grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
+    for point, anchor_ends in curve.anchors():
+        grid[curve.site(anchor_ends[0])] = cleared(point, scale)
+    cuts = [(cleared(node, scale), cleared(end, scale))
+            for node, end in diagram.cut_segments]
     # Every segment as (id, start, finish, start token, finish token), edges
-    # first.  Two segments may share a point only where both carry the same
-    # token (a common vertex, anchor or terminal node).  Vertex ids are
-    # strings and every other token is a tuple, so the two never collide.
+    # first, with int endpoints.  Two segments may share a point only where
+    # both carry the same token (a common vertex, anchor or terminal node).
+    # Vertex ids are strings and every other token is a tuple, so the two
+    # never collide.
     segments = []
 
     def issue(code, element, message):
@@ -338,26 +363,27 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   "exactly two (declare a vertex instead)")
 
     for e in curve.edges:
-        a, b = curve.edge_segment(e)
+        a, b = grid[e.src], grid[e.dst]
         segments.append((e.id, a, b, e.src, e.dst))
-        t = (b - a).ratio_along(e.direction)
-        if t is None or t <= 0:
+        if not _reaches(a, b, e.direction):
+            start, finish = curve.edge_segment(e)
             issue("edge-collinearity", e.id,
-                  f"displacement {b - a} is not a positive multiple of "
-                  f"direction {e.direction}")
+                  f"displacement {finish - start} is not a positive "
+                  f"multiple of direction {e.direction}")
 
     for e in curve.ends:
-        start = curve.start_point(e)
+        site = curve.site(e)
+        start = grid[site]
         if isinstance(e.terminal, NodeTerminal):
             if not 0 <= e.terminal.node_index < len(diagram.nodes):
                 issue("end-terminal", e.id,
                       f"no node with index {e.terminal.node_index}")
                 continue
             node = diagram.nodes[e.terminal.node_index]
-            segments.append((e.id, start, node.position, curve.site(e),
+            finish = cuts[e.terminal.node_index][0]
+            segments.append((e.id, start, finish, site,
                              ("node", e.terminal.node_index)))
-            t = (node.position - start).ratio_along(e.direction)
-            if t is None or t <= 0:
+            if not _reaches(start, finish, e.direction):
                 issue("end-collinearity", e.id,
                       f"node at {node.position} is not reached along "
                       f"direction {e.direction}")
@@ -367,10 +393,9 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"direction {node.cut_direction}")
         else:
             landing = e.terminal.landing
-            segments.append((e.id, start, landing, curve.site(e),
-                             ("landing", e.id)))
-            t = (landing - start).ratio_along(e.direction)
-            if t is None or t <= 0:
+            finish = cleared(landing, scale)
+            segments.append((e.id, start, finish, site, ("landing", e.id)))
+            if not _reaches(start, finish, e.direction):
                 issue("end-collinearity", e.id,
                       f"landing {landing} is not reached along direction "
                       f"{e.direction}")
@@ -387,8 +412,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
     # only if their closed bounding boxes do; candidates[i] holds each such
     # j > i.
-    boxes = sorted((min(a.x, b.x), max(a.x, b.x), min(a.y, b.y),
-                    max(a.y, b.y), k)
+    boxes = sorted((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
+                    max(a[1], b[1]), k)
                    for k, (_, a, b, _, _) in enumerate(segments))
     candidates = [[] for _ in segments]
     for n, (_, x1, y0, y1, k) in enumerate(boxes):
@@ -405,31 +430,30 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
             continue
         for j in sorted(candidates[i]):
             id2, c, d, tok_c, tok_d = segments[j]
-            contact = segment_contact(a, b, c, d)
-            if contact is None:
+            hit = segment_contact(a, b, c, d)
+            if hit is None:
                 continue
-            if contact == "overlap":
+            if hit == OVERLAP:
                 issue("embedding", id1,
                       f"overlaps {id2} along a segment")
                 continue
-            tokens1 = {tok_a if contact == a else None,
-                       tok_b if contact == b else None} - {None}
-            tokens2 = {tok_c if contact == c else None,
-                       tok_d if contact == d else None} - {None}
+            tokens1 = {tok for p, tok in ((a, tok_a), (b, tok_b))
+                       if hit == (*p, 1)}
+            tokens2 = {tok for p, tok in ((c, tok_c), (d, tok_d))
+                       if hit == (*p, 1)}
             if not tokens1 & tokens2:
                 issue("embedding", id1,
-                      f"meets {id2} at {contact}, which is not a shared "
-                      "endpoint")
-        for node_index, node in enumerate(diagram.nodes):
-            if on_open_segment(node.position, a, b):
-                issue("crosses-node", id1,
-                      f"passes through the node at {node.position}")
-        for cut_index, (cs, ce) in enumerate(diagram.cut_segments):
-            contact = segment_contact(a, b, cs, ce)
-            if contact is None:
+                      f"meets {id2} at {uncleared(hit, scale)}, which is not "
+                      "a shared endpoint")
+        for node_index, (node, _) in enumerate(cuts):
+            if between(node, a, b):
+                issue("crosses-node", id1, "passes through the node at "
+                      f"{diagram.nodes[node_index].position}")
+        for cut_index, (cs, ce) in enumerate(cuts):
+            hit = segment_contact(a, b, cs, ce)
+            if hit is None:
                 continue
-            if contact != "overlap" and contact == cs \
-                    and ("node", cut_index) in (tok_a, tok_b):
+            if hit == (*cs, 1) and ("node", cut_index) in (tok_a, tok_b):
                 continue  # an end terminating at this cut's own node
             issue("crosses-cut", id1,
                   f"touches the cut of node {cut_index}")

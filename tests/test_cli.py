@@ -1,4 +1,5 @@
 import io
+import os
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -164,6 +165,13 @@ def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
                  "--direction expects 2 comma-separated integers, "
                  "got '\u0662,1'",
                  id="direction-unicode-digit"),
+    pytest.param(("gen-family", "\u0662"),
+                 "L expects an integer, got '\u0662'",
+                 id="family-unicode-digit"),
+    pytest.param(("gen-family", " 1_0"), "L expects an integer, got ' 1_0'",
+                 id="family-not-format-integer"),
+    pytest.param(("gen-family", "1_0"), "L expects an integer, got '1_0'",
+                 id="family-underscore"),
 ])
 def test_malformed_integer_option_exits_2(capsys, argv, fragment):
     code, out, err = run(capsys, *argv)
@@ -435,6 +443,31 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "validate", str(FIGURES / "fig2_klein.trop"))
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, tmp_path):
+    # sink stands for the descriptor of a pipe whose reader has gone.
+    sink = open(tmp_path / "sink", "wb")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return sink.fileno()
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["topology", str(FIGURES / "fig3_family.trop")])
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    # The descriptor now leads to os.devnull, so a last flush is harmless.
+    os.write(sink.fileno(), b"flushed at exit")
+    sink.close()
+    assert (tmp_path / "sink").read_bytes() == b""
 
 
 def test_render_to_unwritable_path_exits_2(capsys, tmp_path):

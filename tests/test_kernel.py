@@ -1,0 +1,402 @@
+"""The integer kernel against the Fraction predicates it replaced.
+
+Each reference below is a Fraction body as it stood before validate and
+the sweeps ran on cleared-denominator ints: orientation, the closed and
+open segment tests, segment_contact, the polygon locator behind
+BaseDiagram.contains, and the sweeps' spans and critical coordinates.  The
+kernel (turn, within, between and segment_contact on cleared int pairs,
+and segment_contact on RatPoints), contains and the sweeps must give the
+same answers on the bundled figures, on seeded rational segments of every
+degenerate kind, on points at every kind of location in a rectangle and an
+x_abc diagram, and on all of these moved by random unimodular maps.
+"""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from troplag import (
+    BoundaryTerminal,
+    IntVec,
+    LocationKind,
+    PointLocation,
+    SweepDirection,
+    UnsweepableCurve,
+    pt,
+    rectangle,
+    sweep_parity,
+    trop_family,
+    validate,
+    x_abc,
+)
+from troplag import tropical
+from troplag.homology import critical_coordinates
+from troplag.lattice import (
+    OVERLAP,
+    between,
+    cleared,
+    common_scale,
+    segment_contact,
+    turn,
+    uncleared,
+    within,
+)
+from conftest import FIGURES, load_document, random_unimodular_map
+
+F = Fraction
+
+
+# -- the Fraction references -------------------------------------------
+
+def ref_orientation(a, b, c):
+    s = (b - a).wedge(c - a)
+    return (s > 0) - (s < 0)
+
+
+def ref_on_closed_segment(p, a, b):
+    if ref_orientation(a, b, p) != 0:
+        return False
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
+def ref_on_open_segment(p, a, b):
+    return ref_on_closed_segment(p, a, b) and p != a and p != b
+
+
+def ref_segment_contact(a, b, c, d):
+    u = b - a
+    v = d - c
+    denom = u.wedge(v)
+    w = c - a
+    if denom == 0:
+        if w.wedge(u) != 0:
+            return None
+        if u.is_zero and v.is_zero:
+            return a if a == c else None
+        axis = u if not u.is_zero else v
+        key = (lambda p: (p - a).dot(axis))
+        lo1, hi1 = sorted((key(a), key(b)))
+        lo2, hi2 = sorted((key(c), key(d)))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return None
+        if lo < hi:
+            return "overlap"
+        for p in (a, b, c, d):
+            if key(p) == lo and ref_on_closed_segment(p, a, b) \
+                    and ref_on_closed_segment(p, c, d):
+                return p
+        return None
+    t = w.wedge(v) / denom
+    s = w.wedge(u) / denom
+    if 0 <= t <= 1 and 0 <= s <= 1:
+        return a.moved(u, t)
+    return None
+
+
+def ref_locate_in_polygon(diagram, p):
+    on_edges = []
+    for index, edge in enumerate(diagram.boundary_edges):
+        side = ref_orientation(edge.start, edge.end, p)
+        if side < 0:
+            return PointLocation(LocationKind.OUTSIDE)
+        if side == 0:
+            on_edges.append(index)
+    if not on_edges:
+        return PointLocation(LocationKind.INTERIOR)
+    for index, v in enumerate(diagram.polygon_vertices):
+        if p == v:
+            return PointLocation(LocationKind.ON_CORNER, index)
+    for index in on_edges:
+        edge = diagram.boundary_edges[index]
+        if ref_on_open_segment(p, edge.start, edge.end):
+            return PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
+    return PointLocation(LocationKind.OUTSIDE)
+
+
+def ref_contains(diagram, p):
+    location = ref_locate_in_polygon(diagram, p)
+    if location.kind is LocationKind.INTERIOR:
+        for index, node in enumerate(diagram.nodes):
+            if p == node.position:
+                return PointLocation(LocationKind.ON_NODE, index)
+        for index, (start, end) in enumerate(diagram.cut_segments):
+            if ref_on_open_segment(p, start, end):
+                return PointLocation(LocationKind.ON_CUT, index)
+    return location
+
+
+def ref_spans(diagram, curve, direction):
+    t = direction.line_direction
+    segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
+    segments += [(curve.end_segment(diagram, e), e.direction)
+                 for e in curve.ends]
+    if direction is SweepDirection.VERTICAL:
+        return [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
+    return [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
+
+
+def ref_criticals(diagram, direction, spans):
+    x0, y0, x1, y1 = diagram.bounds()
+    lo, hi = ((x0, x1) if direction is SweepDirection.VERTICAL else (y0, y1))
+    return sorted({lo, hi}.union(*((ca, cb) for ca, cb, _ in spans)))
+
+
+def ref_parity(diagram, curve, direction, witness=None):
+    spans = ref_spans(diagram, curve, direction)
+    criticals = ref_criticals(diagram, direction, spans)
+    if witness is None:
+        lo, hi = max(zip(criticals, criticals[1:]),
+                     key=lambda gap: gap[1] - gap[0])
+        witness = (lo + hi) / 2
+    total = sum(points for ca, cb, points in spans
+                if min(ca, cb) < witness < max(ca, cb))
+    return total % 2, witness
+
+
+# -- inputs --------------------------------------------------------------
+
+def _curve_segments(diagram, curve):
+    return ([curve.edge_segment(e) for e in curve.edges]
+            + [curve.end_segment(diagram, e) for e in curve.ends])
+
+
+def _on(a, b, t):
+    return a.moved(b - a, t)
+
+
+def _random_point(rng, span=4):
+    return pt(F(rng.randint(-span * 2, span * 2), rng.choice((1, 2))),
+              F(rng.randint(-span * 3, span * 3), rng.choice((1, 3))))
+
+
+def _segment_quads(rng, count):
+    """Seeded rational segment pairs of every kind the predicates tell
+    apart: general, collinear (disjoint, touching, overlapping), touching
+    at an end or in an interior point, crossing, parallel, zero-length,
+    and vertical."""
+    quads = []
+    while len(quads) < count:
+        a, b = _random_point(rng), _random_point(rng)
+        t1, t2 = (F(rng.randint(-6, 12), rng.choice((1, 2, 3, 6)))
+                  for _ in range(2))
+        kind = rng.randrange(8)
+        if kind == 0:
+            c, d = _random_point(rng), _random_point(rng)
+        elif kind == 1:       # collinear: disjoint, touching or overlapping
+            c, d = _on(a, b, t1), _on(a, b, t2)
+        elif kind == 2:       # touching at an endpoint
+            c, d = rng.choice((a, b)), _random_point(rng)
+        elif kind == 3:       # one end on the other segment
+            c, d = _on(a, b, F(rng.randint(0, 6), 6)), _random_point(rng)
+        elif kind == 4:       # zero-length, on, off or at the other
+            c = rng.choice((a, b, _on(a, b, t1), _random_point(rng)))
+            d = c
+            if rng.random() < 0.3:
+                b = a
+        elif kind == 5:       # vertical, sharing x with the other
+            b = pt(a.x, b.y)
+            c = pt(a.x, _random_point(rng).y)
+            d = pt(rng.choice((a.x, b.x + 1)), _random_point(rng).y)
+        elif kind == 6:       # parallel and distinct
+            shift = _random_point(rng, 1) - pt(0, 0)
+            c = pt(a.x + shift.x, a.y + shift.y)
+            d = pt(b.x + shift.x, b.y + shift.y)
+        else:                 # crossing at a point inside both
+            p = _on(a, b, F(rng.randint(1, 5), 6))
+            off = _random_point(rng, 1) - pt(0, 0)
+            c, d = p.moved(off, 1), p.moved(off, -t1 if t1 > 0 else -1)
+        quads.append((a, b, c, d))
+    return quads
+
+
+def _probe_points(rng, diagram):
+    """Corners, node positions, points on every edge and cut (their ends
+    included), the polygon's bounds and seeded points in and around it."""
+    points = list(diagram.polygon_vertices)
+    points += [n.position for n in diagram.nodes]
+    pieces = [(e.start, e.end) for e in diagram.boundary_edges]
+    pieces += list(diagram.cut_segments)
+    for start, end in pieces:
+        points += [_on(start, end, F(k, 7)) for k in range(-1, 9)]
+    x0, y0, x1, y1 = diagram.bounds()
+    for _ in range(40):
+        points.append(pt(x0 + (x1 - x0) * F(rng.randint(-4, 28), 24),
+                         y0 + (y1 - y0) * F(rng.randint(-4, 28), 24)))
+    return points
+
+
+def _diagrams_and_curves():
+    """Every bundled figure's diagram with its curves, and the rectangle and
+    x_abc diagrams without curves."""
+    cases = [(path.name, load_document(path.name))
+             for path in sorted(FIGURES.glob("*.trop"))]
+    cases = [(name, doc.diagram, doc.curves) for name, doc in cases]
+    cases.append(("rectangle", rectangle(4, F(5, 2)), ()))
+    cases.append(("x_abc", x_abc(1, 1, F(4, 3), 4), ()))
+    cases.append(("x_abc thin", x_abc(F(1, 3), F(2, 5), F(1, 2), 3), ()))
+    return cases
+
+
+def _moved(rng, cases):
+    out = []
+    for name, diagram, curves in cases:
+        m = random_unimodular_map(rng)
+        out.append((f"{name} moved", diagram.transform(m),
+                    tuple(curve.transform(m) for curve in curves)))
+    return out
+
+
+def _assert_segment_predicates(quads):
+    for a, b, c, d in quads:
+        expected = ref_segment_contact(a, b, c, d)
+        assert segment_contact(a, b, c, d) == expected, (a, b, c, d)
+        scale = common_scale((a, b, c, d))
+        ia, ib, ic, id_ = (cleared(p, scale) for p in (a, b, c, d))
+        assert turn(ia, ib, ic) == ref_orientation(a, b, c)
+        assert turn(ia, ib, id_) == ref_orientation(a, b, d)
+        for p, ip in ((c, ic), (d, id_)):
+            assert within(ip, ia, ib) == ref_on_closed_segment(p, a, b)
+            assert between(ip, ia, ib) == ref_on_open_segment(p, a, b)
+
+
+def _assert_locations(diagram, points, label):
+    for p in points:
+        assert diagram.contains(p) == ref_contains(diagram, p), (label, p)
+
+
+# -- tests ---------------------------------------------------------------
+
+def test_contact_of_seeded_rational_segments():
+    rng = random.Random(20090)
+    quads = _segment_quads(rng, 4000)
+    _assert_segment_predicates(quads)
+    kinds = {"none": 0, "point": 0, "overlap": 0, "endpoint": 0}
+    for a, b, c, d in quads:
+        hit = ref_segment_contact(a, b, c, d)
+        if hit is None:
+            kinds["none"] += 1
+        elif hit == "overlap":
+            kinds["overlap"] += 1
+        else:
+            kinds["endpoint" if hit in (a, b, c, d) else "point"] += 1
+    assert min(kinds.values()) > 200, kinds
+    # The same pairs in new integral affine coordinates.
+    for _ in range(5):
+        m = random_unimodular_map(rng)
+        _assert_segment_predicates(
+            [tuple(m.apply(p) for p in quad) for quad in quads[:800]])
+
+
+def test_contact_on_cleared_ints_reports_reduced_points():
+    rng = random.Random(4242)
+    for a, b, c, d in _segment_quads(rng, 1500):
+        scale = common_scale((a, b, c, d))
+        hit = segment_contact(*(cleared(p, scale) for p in (a, b, c, d)))
+        expected = ref_segment_contact(a, b, c, d)
+        if hit is None or hit == OVERLAP:
+            assert hit == expected
+            continue
+        x, y, w = hit
+        assert w > 0 and gcd(x, y, w) == 1
+        assert uncleared(hit, scale) == expected
+
+
+def test_collinearity_matches_ratio_along():
+    # validate's collinearity test, on cleared ints, against the RatVec
+    # test it replaced: b - a must be a positive multiple of the direction.
+    rng = random.Random(515)
+    directions = [IntVec(x, y) for x in range(-2, 3) for y in range(-2, 3)
+                  if (x, y) != (0, 0)]
+    for _ in range(2000):
+        a, u = _random_point(rng), rng.choice(directions)
+        b = rng.choice((a, a.moved(u, F(rng.randint(-6, 6), 3)),
+                        _random_point(rng)))
+        scale = common_scale((a, b))
+        t = (b - a).ratio_along(u)
+        assert tropical._reaches(cleared(a, scale), cleared(b, scale), u) \
+            == (t is not None and t > 0), (a, b, u)
+
+
+def test_figures_segments_match_the_references():
+    rng = random.Random(1234)
+    cases = _diagrams_and_curves()
+    moved = _moved(rng, cases)
+    for name, diagram, curves in cases + moved:
+        segments = list(diagram.cut_segments)
+        for curve in curves:
+            segments += _curve_segments(diagram, curve)
+        quads = [(a, b, c, d) for i, (a, b) in enumerate(segments)
+                 for (c, d) in segments[i + 1:]]
+        _assert_segment_predicates(quads)
+
+
+def test_locations_match_the_reference_locator():
+    rng = random.Random(777)
+    cases = _diagrams_and_curves()
+    kinds = set()
+    for name, diagram, curves in cases + _moved(rng, cases):
+        points = _probe_points(rng, diagram)
+        for curve in curves:
+            for a, b in _curve_segments(diagram, curve):
+                points += [a, b, _on(a, b, F(1, 2))]
+        _assert_locations(diagram, points, name)
+        kinds.update(diagram.contains(p).kind for p in points)
+    assert kinds == set(LocationKind)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 5])
+def test_family_locations_and_validation(ell):
+    instance = trop_family(ell)
+    rng = random.Random(ell)
+    points = _probe_points(rng, instance.diagram)
+    for a, b in _curve_segments(instance.diagram, instance.curve):
+        points += [a, b]
+    _assert_locations(instance.diagram, points, f"family {ell}")
+    m = random_unimodular_map(rng)
+    diagram, curve = (instance.diagram.transform(m),
+                      instance.curve.transform(m))
+    assert validate(diagram, curve).passed
+    _assert_locations(diagram, [m.apply(p) for p in points], "moved")
+
+
+def _sweep_cases():
+    cases = [(name, diagram, curve)
+             for name, diagram, curves in _diagrams_and_curves()
+             for curve in curves
+             if diagram.is_rectangle and not diagram.nodes
+             and all(isinstance(e.terminal, BoundaryTerminal)
+                     for e in curve.ends)]
+    cases += [(f"family {ell}", trop_family(ell).diagram,
+               trop_family(ell).curve) for ell in (1, 3)]
+    return cases
+
+
+def test_sweeps_match_the_reference_spans_and_criticals():
+    rng = random.Random(31)
+    checked = 0
+    for name, diagram, curve in _sweep_cases():
+        for direction in SweepDirection:
+            spans = ref_spans(diagram, curve, direction)
+            criticals = ref_criticals(diagram, direction, spans)
+            assert critical_coordinates(diagram, curve, direction) \
+                == criticals, (name, direction)
+            try:
+                sweep = sweep_parity(diagram, curve, direction)
+            except UnsweepableCurve:
+                continue  # a collar: no closed class to sweep
+            parity, witness = ref_parity(diagram, curve, direction)
+            assert (sweep.parity, sweep.witness_line_coordinate) \
+                == (parity, witness)
+            lo, hi = criticals[0], criticals[-1]
+            for _ in range(10):
+                line = lo + (hi - lo) * F(rng.randint(1, 239), 240)
+                if line in criticals:
+                    continue
+                assert sweep_parity(diagram, curve, direction,
+                                    witness=line).parity \
+                    == ref_parity(diagram, curve, direction, line)[0]
+            checked += 1
+    assert checked >= 6
