@@ -6,104 +6,77 @@ characteristic, orientability, nonorientable genus), mod-2 homology class,
 Pontryagin squares and existence thresholds of the associated tropical and
 visible Lagrangian surfaces.  All geometry is exact (integers and rationals);
 there is no floating point in the core.
+
+Importing the package loads none of its submodules: each public name below
+is imported from its submodule on first access (PEP 562), so a command that
+needs only parsing and validation never compiles the rest.
 """
 
-from .errors import TroplagError
-from .lattice import (
-    DegenerateDirection,
-    IntVec,
-    NonUnimodularMap,
-    RatPoint,
-    RatVec,
-    UnimodularAffineMap,
-    pt,
-)
-from .diagram import (
-    BaseDiagram,
-    BoundaryEdge,
-    HomologyModel,
-    InvalidDiagram,
-    LocationKind,
-    Node,
-    PointLocation,
-    UnsupportedDiagram,
-    rectangle,
-    x_abc,
-)
-from .tropical import (
-    BoundaryTerminal,
-    CurveEnd,
-    InternalEdge,
-    InvalidCurve,
-    NodeTerminal,
-    NonIntegralSelfIntersection,
-    NonTrivalentVertex,
-    NotABoundaryEnd,
-    TropicalCurve,
-    TropicalVertex,
-    UnbalancedVertex,
-    ValidationIssue,
-    ValidationReport,
-    WeightedVertexUnsupported,
-    check_balancing,
-    end_multiplicity,
-    transformed,
-    validate,
-    vertex_double_points,
-    vertex_multiplicity,
-)
-from .topology import (
-    ChiBreakdown,
-    EmptyCurve,
-    EndKind,
-    MalformedPresentation,
-    Piece,
-    PieceKind,
-    SurfaceClass,
-    SurfacePresentation,
-    UnsupportedEndMultiplicity,
-    build_presentation,
-    classify,
-    classify_end,
-    euler_breakdown,
-    oracle_classify,
-    surface_name,
-)
-from .homology import (
-    GenusSpectrum,
-    InvalidClass,
-    Mod2Class,
-    NonGenericWitness,
-    SweepDirection,
-    SweepParity,
-    UnsweepableCurve,
-    audin_check,
-    genus_spectrum,
-    mod2_class,
-    pontryagin_square,
-    sweep_parity,
-)
-from .constructions import (
-    NULL_CLASS_MIN_GENUS,
-    RP2_INTEGRAL_CLASS,
-    DegenerateConstruction,
-    DoesNotFit,
-    FamilyInstance,
-    GenusBound,
-    InvalidInput,
-    SqueezeResult,
-    TriangleResult,
-    genus_bound,
-    klein_threshold,
-    rp2_curve,
-    squeeze_check,
-    triangle_check,
-    trop_family,
-    visible_segment,
-)
-from .textio import Document, ParseError, parse_document, serialize_document
-from .render import render_document
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodule -> the public names it defines.
+_EXPORTS = {
+    "errors": ("TroplagError",),
+    "lattice": (
+        "DegenerateDirection", "IntVec", "NonUnimodularMap", "RatPoint",
+        "RatVec", "UnimodularAffineMap", "pt",
+    ),
+    "diagram": (
+        "BaseDiagram", "BoundaryEdge", "HomologyModel", "InvalidDiagram",
+        "LocationKind", "Node", "PointLocation", "UnsupportedDiagram",
+        "rectangle", "x_abc",
+    ),
+    "tropical": (
+        "BoundaryTerminal", "CurveEnd", "InternalEdge", "InvalidCurve",
+        "NodeTerminal", "NonIntegralSelfIntersection", "NonTrivalentVertex",
+        "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
+        "UnbalancedVertex", "ValidationIssue", "ValidationReport",
+        "WeightedVertexUnsupported", "check_balancing", "end_multiplicity",
+        "transformed", "validate", "vertex_double_points",
+        "vertex_multiplicity",
+    ),
+    "topology": (
+        "ChiBreakdown", "EmptyCurve", "EndKind", "MalformedPresentation",
+        "Piece", "PieceKind", "SurfaceClass", "SurfacePresentation",
+        "UnsupportedEndMultiplicity", "build_presentation", "classify",
+        "classify_end", "euler_breakdown", "oracle_classify", "surface_name",
+    ),
+    "homology": (
+        "GenusSpectrum", "InvalidClass", "Mod2Class", "NonGenericWitness",
+        "SweepDirection", "SweepParity", "UnsweepableCurve", "audin_check",
+        "genus_spectrum", "mod2_class", "pontryagin_square", "sweep_parity",
+    ),
+    "constructions": (
+        "NULL_CLASS_MIN_GENUS", "RP2_INTEGRAL_CLASS",
+        "DegenerateConstruction", "DoesNotFit", "FamilyInstance",
+        "GenusBound", "InvalidInput", "SqueezeResult", "TriangleResult",
+        "genus_bound", "klein_threshold", "rp2_curve", "squeeze_check",
+        "triangle_check", "trop_family", "visible_segment",
+    ),
+    "textio": ("Document", "ParseError", "parse_document",
+               "serialize_document"),
+    "render": ("render_document",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted([*_EXPORTS, *_SOURCE])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

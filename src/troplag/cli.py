@@ -8,37 +8,26 @@ the document from stdin, so generators pipe into checkers:
 
 Exit codes: 0 pass/success, 1 check failure, 2 input error, 3 internal error,
 141 stdout closed by its reader (128 + SIGPIPE, as `yes | head` reports).
+
+Each command imports the modules it runs in its own body, so that `validate`,
+say, never loads topology, homology, constructions or render.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from .constructions import (
-    genus_bound,
-    squeeze_check,
-    triangle_check,
-    trop_family,
-    visible_segment,
-)
-from .diagram import rectangle
 from .errors import TroplagError
-from .homology import audin_check, mod2_class, pontryagin_square
-from .lattice import IntVec, RatPoint
-from .render import render_document
-from .textio import (_INTEGER, _RATIONAL, Document, parse_document,
-                     serialize_document)
-from .topology import EndKind, classify, euler_breakdown, surface_name
-from .tropical import validate
 from . import __version__
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 BROKEN_PIPE = 141
 
 
-def _read_document(path: str) -> Document:
+def _read_document(path: str):
+    from .textio import parse_document
+
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -50,21 +39,25 @@ def _read_document(path: str) -> Document:
     return parse_document(text)
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str):
+    from fractions import Fraction
+    from .textio import _RATIONAL
+
     if not _RATIONAL.match(text):
         raise TroplagError(
             f"expected an exact rational like 3 or 22/7, got {text!r}")
     return Fraction(text)
 
 
-_SPELLINGS = {"integers": (_INTEGER, int), "rationals": (_RATIONAL, Fraction)}
-
-
 def _parse_values(text: str, option: str, kind: str, count=None):
     """The comma-separated values given to option, each of kind "integers"
     or "rationals" and spelled as the document format spells it; count, if
     set, is how many there must be."""
-    pattern, parse = _SPELLINGS[kind]
+    from fractions import Fraction
+    from .textio import _INTEGER, _RATIONAL
+
+    pattern, parse = {"integers": (_INTEGER, int),
+                      "rationals": (_RATIONAL, Fraction)}[kind]
     parts = text.split(",")
     if (not all(pattern.match(part) for part in parts)
             or count not in (None, len(parts))):
@@ -80,6 +73,8 @@ def _each_curve(doc, report, header=()) -> int:
     block (or alone, if there are no curves); return the worst exit code.
     An input error raised by a report stops the run, with nothing of that
     curve printed, and is re-raised with the curve's name in front."""
+    from .tropical import validate
+
     code = PASS
     for curve in doc.curves:
         check = validate(doc.diagram, curve)
@@ -109,6 +104,8 @@ def _validate_lines(doc, curve):
 
 
 def _topology_lines(doc, curve):
+    from .topology import EndKind, euler_breakdown, surface_name
+
     breakdown = euler_breakdown(doc.diagram, curve)
     multiplicities = sorted(breakdown.multiplicities)
     sc = breakdown.surface_class()
@@ -152,6 +149,8 @@ def _topology_lines(doc, curve):
 
 
 def _homology_lines(doc, curve):
+    from .homology import mod2_class
+
     cls = mod2_class(doc.diagram, curve)
     horizontal, vertical = cls.sweeps
     return [f"curve {curve.name}: horizontal sweep parity = "
@@ -165,6 +164,9 @@ def _homology_lines(doc, curve):
 
 
 def _audin_lines(doc, curve, override):
+    from .homology import audin_check, mod2_class, pontryagin_square
+    from .topology import classify
+
     if override is not None:
         lift = override
         lines = [f"curve {curve.name}: using supplied integral class "
@@ -210,6 +212,8 @@ def _cmd_audin(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    from .constructions import triangle_check
+
     a = _parse_rational(args.a)
     b = _parse_rational(args.b)
     c = _parse_rational(args.c)
@@ -227,6 +231,9 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_gen_family(args) -> int:
+    from .constructions import trop_family
+    from .textio import _INTEGER, Document, serialize_document
+
     if not _INTEGER.match(args.ell):
         raise TroplagError(f"L expects an integer, got {args.ell!r}")
     instance = trop_family(int(args.ell))
@@ -236,6 +243,11 @@ def _cmd_gen_family(args) -> int:
 
 
 def _cmd_gen_visible(args) -> int:
+    from .constructions import visible_segment
+    from .diagram import rectangle
+    from .lattice import IntVec, RatPoint
+    from .textio import Document, serialize_document
+
     width = _parse_rational(args.width)
     height = _parse_rational(args.height)
     diagram = rectangle(width, height)
@@ -252,6 +264,8 @@ def _cmd_gen_visible(args) -> int:
 
 
 def _cmd_genus_bound(args) -> int:
+    from .constructions import genus_bound
+
     lam = _parse_rational(args.lam)
     bound = genus_bound(lam, threshold=args.threshold)
     if args.threshold != "statement":
@@ -268,6 +282,8 @@ def _cmd_genus_bound(args) -> int:
 
 
 def _cmd_squeeze(args) -> int:
+    from .constructions import squeeze_check
+
     length = _parse_rational(args.interval_length)
     result = squeeze_check(length)
     if result.exists:
@@ -283,6 +299,8 @@ def _cmd_squeeze(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_document
+
     doc = _read_document(args.file)
     svg = render_document(doc)
     if args.output == "-":

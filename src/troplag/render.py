@@ -7,8 +7,6 @@ Markers are drawn geometrically (no font glyphs) so output is byte-stable.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .topology import EndKind, classify_end
@@ -26,28 +24,40 @@ _COLLAR_STYLE = 'stroke="#cc0000" stroke-width="1.5" fill="#ffffff"'
 _NODE_STYLE = 'stroke="#000000" stroke-width="1.5"'
 
 
-def _float(value: Fraction) -> float:
+def _divide(num: int, den: int) -> float:
+    """num / den rounded once, as float(Fraction(num, den)) rounds it."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
         raise TroplagError("a coordinate is out of SVG range") from None
 
 
-def _fmt(value: Fraction) -> str:
-    return f"{_float(value):.2f}"
+def _fmt(num: int, den: int) -> str:
+    return f"{_divide(num, den):.2f}"
 
 
 class _Frame:
     def __init__(self, diagram: BaseDiagram):
         x0, y0, x1, y1 = diagram.bounds()
-        self.x0, self.y1 = x0, y1
-        self.width = _float((x1 - x0) * SCALE) + 2 * MARGIN
-        self.height = _float((y1 - y0) * SCALE) + 2 * MARGIN
+        # x0 and y1 as (numerator, denominator), so that project makes
+        # each coordinate in ints and rounds it once, by one division.
+        self.x0 = (x0.numerator, x0.denominator)
+        self.y1 = (y1.numerator, y1.denominator)
+        width, height = (x1 - x0) * SCALE, (y1 - y0) * SCALE
+        self.width = _divide(width.numerator, width.denominator) + 2 * MARGIN
+        self.height = (_divide(height.numerator, height.denominator)
+                       + 2 * MARGIN)
 
     def project(self, p):
-        # SVG y grows downward.
-        return (_fmt((p.x - self.x0) * SCALE + MARGIN),
-                _fmt((self.y1 - p.y) * SCALE + MARGIN))
+        """SVG text of (p.x - x0) * SCALE + MARGIN and, since SVG y grows
+        downward, (y1 - p.y) * SCALE + MARGIN."""
+        (x0, dx0), (y1, dy1) = self.x0, self.y1
+        x, dx = p.x.numerator, p.x.denominator
+        y, dy = p.y.numerator, p.y.denominator
+        return (_fmt((x * dx0 - x0 * dx) * SCALE + MARGIN * dx * dx0,
+                     dx * dx0),
+                _fmt((y1 * dy - y * dy1) * SCALE + MARGIN * dy * dy1,
+                     dy * dy1))
 
 
 def _line(frame, a, b, style):

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from troplag import cli, topology, tropical
+from troplag import topology, tropical
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
                       klein_as_polygon, token_soups)
@@ -439,7 +439,7 @@ def test_render_out_of_svg_range_exits_2(capsys, monkeypatch, text):
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")
-    monkeypatch.setattr(cli, "validate", boom)
+    monkeypatch.setattr(tropical, "validate", boom)
     code, _, err = run(capsys, "validate", str(FIGURES / "fig2_klein.trop"))
     assert code == 3
     assert err == "internal error: RuntimeError: boom\n"

@@ -1,0 +1,123 @@
+"""The package's public names and what importing it loads.
+
+`import troplag` loads no submodule; each public name is imported from its
+submodule on first access.  The CLI loads only the modules its command
+runs, which matters most where no bytecode is cached and every loaded
+module is compiled from source on each start.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import troplag
+
+FIGURES = Path(__file__).resolve().parent.parent / "figures"
+# The subprocess imports troplag from wherever this test session found it.
+PACKAGE_ROOT = str(Path(troplag.__file__).resolve().parent.parent)
+
+EXPORTS = {
+    "errors": ["TroplagError"],
+    "lattice": ["DegenerateDirection", "IntVec", "NonUnimodularMap",
+                "RatPoint", "RatVec", "UnimodularAffineMap", "pt"],
+    "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
+                "InvalidDiagram", "LocationKind", "Node", "PointLocation",
+                "UnsupportedDiagram", "rectangle", "x_abc"],
+    "tropical": ["BoundaryTerminal", "CurveEnd", "InternalEdge",
+                 "InvalidCurve", "NodeTerminal",
+                 "NonIntegralSelfIntersection", "NonTrivalentVertex",
+                 "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
+                 "UnbalancedVertex", "ValidationIssue", "ValidationReport",
+                 "WeightedVertexUnsupported", "check_balancing",
+                 "end_multiplicity", "transformed", "validate",
+                 "vertex_double_points", "vertex_multiplicity"],
+    "topology": ["ChiBreakdown", "EmptyCurve", "EndKind",
+                 "MalformedPresentation", "Piece", "PieceKind",
+                 "SurfaceClass", "SurfacePresentation",
+                 "UnsupportedEndMultiplicity", "build_presentation",
+                 "classify", "classify_end", "euler_breakdown",
+                 "oracle_classify", "surface_name"],
+    "homology": ["GenusSpectrum", "InvalidClass", "Mod2Class",
+                 "NonGenericWitness", "SweepDirection", "SweepParity",
+                 "UnsweepableCurve", "audin_check", "genus_spectrum",
+                 "mod2_class", "pontryagin_square", "sweep_parity"],
+    "constructions": ["NULL_CLASS_MIN_GENUS", "RP2_INTEGRAL_CLASS",
+                      "DegenerateConstruction", "DoesNotFit",
+                      "FamilyInstance", "GenusBound", "InvalidInput",
+                      "SqueezeResult", "TriangleResult", "genus_bound",
+                      "klein_threshold", "rp2_curve", "squeeze_check",
+                      "triangle_check", "trop_family", "visible_segment"],
+    "textio": ["Document", "ParseError", "parse_document",
+               "serialize_document"],
+    "render": ["render_document"],
+}
+NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
+
+# Prints, as its last line, the public names dir() misses on a fresh
+# package and the troplag submodules loaded after each step.
+STEPS = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("troplag."))
+
+import troplag
+not_in_dir = sorted(set(troplag.__all__) - set(dir(troplag)))
+after_package = loaded()
+import troplag.cli
+after_cli = loaded()
+code = troplag.cli.main(["validate", sys.argv[1]])
+print(json.dumps([not_in_dir, after_package, after_cli, loaded(), code]))
+"""
+
+
+def test_public_names_are_the_listed_ones():
+    assert len(NAMES) == 95
+    assert sorted(troplag.__all__) == NAMES
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_its_submodules_object(module):
+    owner = getattr(troplag, module)
+    assert owner is sys.modules[f"troplag.{module}"]
+    for name in EXPORTS[module]:
+        assert getattr(troplag, name) is getattr(owner, name)
+        assert vars(troplag)[name] is getattr(owner, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from troplag import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == NAMES
+    for name in NAMES:
+        assert namespace[name] is getattr(troplag, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        troplag.no_such_name
+    with pytest.raises(ImportError):
+        exec("from troplag import no_such_name", {})
+
+
+def test_imports_load_only_what_runs_and_dir_lists_every_name():
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT,
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", STEPS, str(FIGURES / "fig2_klein.trop")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    not_in_dir, after_package, after_cli, after_validate, code = json.loads(
+        result.stdout.splitlines()[-1])
+    assert not_in_dir == []
+    assert after_package == []
+    assert after_cli == ["troplag.cli", "troplag.errors"]
+    assert code == 0
+    assert after_validate == ["troplag.cli", "troplag.diagram",
+                              "troplag.errors", "troplag.lattice",
+                              "troplag.textio", "troplag.tropical"]
