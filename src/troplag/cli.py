@@ -41,7 +41,7 @@ def _read_document(path: str):
 
 def _parse_rational(text: str):
     from fractions import Fraction
-    from .textio import _RATIONAL
+    from .lattice import _RATIONAL
 
     if not _RATIONAL.match(text):
         raise TroplagError(
@@ -54,7 +54,7 @@ def _parse_values(text: str, option: str, kind: str, count=None):
     or "rationals" and spelled as the document format spells it; count, if
     set, is how many there must be."""
     from fractions import Fraction
-    from .textio import _INTEGER, _RATIONAL
+    from .lattice import _INTEGER, _RATIONAL
 
     pattern, parse = {"integers": (_INTEGER, int),
                       "rationals": (_RATIONAL, Fraction)}[kind]
@@ -232,7 +232,8 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_gen_family(args) -> int:
     from .constructions import trop_family
-    from .textio import _INTEGER, Document, serialize_document
+    from .lattice import _INTEGER
+    from .textio import Document, serialize_document
 
     if not _INTEGER.match(args.ell):
         raise TroplagError(f"L expects an integer, got {args.ell!r}")

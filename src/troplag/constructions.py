@@ -17,21 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import TroplagError
-from .diagram import BaseDiagram, LocationKind, UnsupportedDiagram, rectangle, x_abc
 from .lattice import IntVec, RatPoint, _as_fraction
-from .topology import SurfaceClass
-from .tropical import (
-    BoundaryTerminal,
-    CurveEnd,
-    InternalEdge,
-    InvalidCurve,
-    NodeTerminal,
-    TropicalCurve,
-    TropicalVertex,
-    validate,
-)
+
+if TYPE_CHECKING:  # for annotations; each function imports what it runs
+    from .diagram import BaseDiagram
+    from .topology import SurfaceClass
+    from .tropical import TropicalCurve
 
 
 class DoesNotFit(TroplagError):
@@ -67,6 +61,9 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
     meeting both in their interiors; it exits corner-free.  The result is a
     Klein bottle exactly when both ends have mu = 2.
     """
+    from .diagram import LocationKind, UnsupportedDiagram
+    from .tropical import BoundaryTerminal, CurveEnd, TropicalCurve
+
     if not diagram.is_rectangle or diagram.nodes:
         raise UnsupportedDiagram(
             "visible segments are constructed in node-free rectangles")
@@ -139,6 +136,11 @@ def rp2_curve(a, b, c, s):
     the surface is a projective plane; when one is strictly violated it
     lands on a leg with mu = 1 and the surface is a disc.
     """
+    from .diagram import LocationKind, x_abc
+    from .tropical import (BoundaryTerminal, CurveEnd, InvalidCurve,
+                           NodeTerminal, TropicalCurve, TropicalVertex,
+                           validate)
+
     diagram = x_abc(a, b, c, s)
     a = _as_fraction(a)
     b = _as_fraction(b)
@@ -194,6 +196,11 @@ def trop_family(ell: int) -> FamilyInstance:
     (1,2) ends to the bottom and top.  The down-end from (10j+7, 1) lands
     at x = 10j + 13/2, as balancing forces.
     """
+    from .diagram import rectangle
+    from .topology import SurfaceClass
+    from .tropical import (BoundaryTerminal, CurveEnd, InternalEdge,
+                           TropicalCurve, TropicalVertex)
+
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInput(f"ell must be a positive integer, got {ell!r}")
     diagram = rectangle(10 * ell + 2, 3)
@@ -280,6 +287,8 @@ def squeeze_check(interval_length) -> SqueezeResult:
     rational first homology maps to zero), so no essential representative
     can exist by any construction.
     """
+    from .diagram import rectangle
+
     length = _as_fraction(interval_length)
     if length <= 0:
         raise InvalidInput("interval length must be positive")

@@ -9,12 +9,17 @@ two spheres) and the triple blow-up triangle with one toric corner chop and
 two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
 a ray from an interior point leaves the polygon: each cut ends at its
 node's exit, and the constructions land their ends at theirs.
+BaseDiagram.contains locates points on ints: corners and nodes are cleared
+by one scale S when a diagram is built, a point (x, y) is (X, Y, W) with
+X/W = S*x and Y/W = S*y, and answers are memoized per diagram, keyed on
+the coordinates' numerators and denominators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import TroplagError
 from .lattice import (
@@ -22,9 +27,10 @@ from .lattice import (
     RatPoint,
     UnimodularAffineMap,
     _as_fraction,
-    on_open_segment,
-    orientation,
+    cleared,
+    common_scale,
     segment_contact,
+    turn,
 )
 
 
@@ -57,6 +63,10 @@ class PointLocation:
         if self.index is None:
             return self.kind.value
         return f"{self.kind.value}[{self.index}]"
+
+
+OUTSIDE = PointLocation(LocationKind.OUTSIDE)
+INTERIOR = PointLocation(LocationKind.INTERIOR)
 
 
 @dataclass(frozen=True)
@@ -151,39 +161,46 @@ class BaseDiagram:
             raise InvalidDiagram("a polygon needs at least three vertices")
         if len(set((v.x, v.y) for v in vertices)) != len(vertices):
             raise InvalidDiagram("polygon vertices must be distinct")
+        self.nodes = nodes = tuple(nodes)
+        scale = common_scale(vertices + tuple(n.position for n in nodes))
+        self._corners = corners = [cleared(v, scale) for v in vertices]
         n = len(vertices)
+        edges, lines = [], []  # lines: (e.x, e.y, e ^ A) for A -> B, e = B - A
         for i in range(n):
             a, b, c = vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
-            turn = orientation(a, b, c)
-            if turn < 0:
+            (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
+            side = turn((ax, ay), (bx, by), corners[(i + 2) % n])
+            if side < 0:
                 raise InvalidDiagram("polygon vertices must be listed "
                                      "counterclockwise")
-            if turn == 0:
+            if side == 0:
                 raise InvalidDiagram("polygon must be strictly convex "
                                      f"(vertices {a}, {b}, {c} are collinear)")
-        edges = []
-        for i in range(n):
-            a, b = vertices[i], vertices[(i + 1) % n]
             delta = b - a
             direction = delta.primitive_direction()
             length = delta.ratio_along(direction)
             edges.append(BoundaryEdge(a, b, direction, length))
+            lines.append((bx - ax, by - ay, bx * ay - by * ax))
 
         self.polygon_vertices = vertices
         self.boundary_edges = tuple(edges)
-        self.nodes = tuple(nodes)
         self.homology = homology
         self.name = name
         self.kind = kind
         self.params = dict(params) if params else None
-        self._cut_segments = tuple(self._trace_cut(node) for node in self.nodes)
+        self._scale = scale
+        self._lines = tuple(lines)
+        self._rays = [(*cleared(node.position, scale), node.cut_direction.x,
+                       node.cut_direction.y) for node in nodes]  # N, then d
+        self._cut_segments = tuple(self._trace_cut(node) for node in nodes)
         self._check_nodes()
-        self._locations = {}  # RatPoint -> PointLocation, filled by contains
+        self._locations = {}  # (x num, x den, y num, y den) -> PointLocation
 
     # -- construction-time validation ---------------------------------
 
     def _trace_cut(self, node: Node):
-        if self._locate_in_polygon(node.position).kind is not LocationKind.INTERIOR:
+        location = self._locate(*cleared(node.position, self._scale), 1)
+        if location.kind not in (LocationKind.ON_NODE, LocationKind.ON_CUT):
             raise InvalidDiagram(
                 f"node at {node.position} is not strictly inside the polygon")
         point, location = self.exit(node.position, node.cut_direction)
@@ -193,22 +210,15 @@ class BaseDiagram:
         return node.position, point
 
     def _check_nodes(self):
-        positions = [(n.position.x, n.position.y) for n in self.nodes]
-        if len(set(positions)) != len(positions):
+        if len({(nx, ny) for nx, ny, _, _ in self._rays}) != len(self._rays):
             raise InvalidDiagram("nodes must be at distinct positions")
-        segs = self._cut_segments
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if segment_contact(*segs[i], *segs[j]) is not None:
-                    raise InvalidDiagram(
-                        f"cuts from nodes at {self.nodes[i].position} and "
-                        f"{self.nodes[j].position} collide")
-        for i, node in enumerate(self.nodes):
-            for j, seg in enumerate(segs):
-                if i != j and on_open_segment(node.position, *seg):
-                    raise InvalidDiagram(
-                        f"node at {node.position} lies on the cut of the node "
-                        f"at {self.nodes[j].position}")
+        # A node on another node's cut needs no check of its own: its own
+        # cut starts there, so the two cuts meet.  contains relies on it.
+        pairs = combinations(zip(self.nodes, self._cut_segments), 2)
+        for (node, cut), (other, other_cut) in pairs:
+            if segment_contact(*cut, *other_cut) is not None:
+                raise InvalidDiagram(f"cuts from nodes at {node.position} and "
+                                     f"{other.position} collide")
 
     # -- queries -------------------------------------------------------
 
@@ -217,24 +227,30 @@ class BaseDiagram:
         """One (node position, boundary exit point) pair per node."""
         return self._cut_segments
 
-    def _locate_in_polygon(self, p: RatPoint) -> PointLocation:
-        on_edges = []
-        for index, edge in enumerate(self.boundary_edges):
-            side = orientation(edge.start, edge.end, p)
+    def _locate(self, X: int, Y: int, W: int) -> PointLocation:
+        """Where (X/W, Y/W) of the plane scaled by S sits in the diagram.
+        An inside node is ON_NODE itself, or ON_CUT of an earlier node."""
+        on_line = None
+        for index, (ex, ey, wedge_a) in enumerate(self._lines):
+            side = ex * Y - ey * X - W * wedge_a  # W * (e ^ (P - A))
             if side < 0:
-                return PointLocation(LocationKind.OUTSIDE)
+                return OUTSIDE
             if side == 0:
-                on_edges.append(index)
-        if not on_edges:
-            return PointLocation(LocationKind.INTERIOR)
-        for index, v in enumerate(self.polygon_vertices):
-            if p == v:
-                return PointLocation(LocationKind.ON_CORNER, index)
-        for index in on_edges:
-            edge = self.boundary_edges[index]
-            if on_open_segment(p, edge.start, edge.end):
-                return PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
-        return PointLocation(LocationKind.OUTSIDE)
+                on_line = index
+        if on_line is not None:
+            for index, (cx, cy) in enumerate(self._corners):
+                if X == W * cx and Y == W * cy:
+                    return PointLocation(LocationKind.ON_CORNER, index)
+            # Strictly convex: a point off the corners is on one edge only.
+            return PointLocation(LocationKind.ON_BOUNDARY_EDGE, on_line)
+        for index, (nx, ny, dx, dy) in enumerate(self._rays):
+            rx, ry = X - W * nx, Y - W * ny  # W * (P - N)
+            if rx == ry == 0:
+                return PointLocation(LocationKind.ON_NODE, index)
+            # Past the node on its cut's line, and inside: on the open cut.
+            if dx * ry == dy * rx and dx * rx + dy * ry > 0:
+                return PointLocation(LocationKind.ON_CUT, index)
+        return INTERIOR
 
     def exit(self, origin: RatPoint, direction: IntVec):
         """Where the ray origin + t*direction (t > 0) leaves the polygon.
@@ -255,25 +271,16 @@ class BaseDiagram:
         return point, PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
 
     def contains(self, p: RatPoint) -> PointLocation:
-        """Exact classification of p against polygon, nodes and cuts.
-
-        A diagram never changes after construction, so each point is
-        classified once and its answer kept in a per-diagram memo."""
-        location = self._locations.get(p)
-        if location is not None:
-            return location
-        location = self._locate_in_polygon(p)
-        if location.kind is LocationKind.INTERIOR:
-            for index, node in enumerate(self.nodes):
-                if p == node.position:
-                    location = PointLocation(LocationKind.ON_NODE, index)
-                    break
-            else:
-                for index, (start, end) in enumerate(self._cut_segments):
-                    if on_open_segment(p, start, end):
-                        location = PointLocation(LocationKind.ON_CUT, index)
-                        break
-        self._locations[p] = location
+        """Exact classification of p against polygon, nodes and cuts.  A
+        diagram never changes, so each answer is memoized, keyed on p's
+        numerators and denominators (equal Fractions reduce alike)."""
+        x, y = p.x, p.y
+        key = (x.numerator, x.denominator, y.numerator, y.denominator)
+        location = self._locations.get(key)
+        if location is None:
+            xn, xd, yn, yd = key
+            location = self._locations[key] = self._locate(
+                xn * yd * self._scale, yn * xd * self._scale, xd * yd)
         return location
 
     def bounds(self):

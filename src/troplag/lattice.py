@@ -2,8 +2,8 @@
 
 Integer vectors (edge directions), rational points (positions in a base
 diagram), unimodular affine maps (integral affine changes of coordinates),
-and the exact segment predicates the rest of the package is built on, with
-their int-pair kernel for callers that clear denominators once.
+the ASCII spellings of numbers, and the exact segment predicates the rest
+of the package is built on, on int pairs with denominators cleared.
 
 All arithmetic is exact: integer coordinates are Python ints (arbitrary
 precision, so overflow cannot occur), rational coordinates are
@@ -12,6 +12,7 @@ rejected at construction time.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,6 +26,13 @@ class DegenerateDirection(TroplagError):
 
 class NonUnimodularMap(TroplagError):
     """The linear part of an affine map must have determinant +1 or -1."""
+
+
+# Numbers are spelled in ASCII digits only (\d would admit any Unicode digit).
+_INT = r"-?[0-9]+"
+_RAT = _INT + r"(?:/[1-9][0-9]*)?"
+_RATIONAL = re.compile(_RAT + r"\Z")
+_INTEGER = re.compile(_INT + r"\Z")
 
 
 def _as_fraction(value) -> Fraction:
@@ -218,35 +226,14 @@ class UnimodularAffineMap:
 
 
 # ---------------------------------------------------------------------------
-# Exact segment predicates.
+# Exact segment predicates, on ints.
 #
-# All the sign conventions live here.  orientation, on_closed_segment and
-# on_open_segment work on RatPoints; BaseDiagram's construction and its
-# memoized contains use them.  validate works on ints: it clears
-# denominators once (common_scale, then cleared) and runs the int-pair
-# kernel (turn, within, between, segment_contact) on the scaled points,
-# where every answer is unchanged because scaling by a positive integer
-# keeps every sign.  segment_contact takes RatPoints too.
+# All the sign conventions live here.  A caller clears denominators once
+# (common_scale, then cleared; validate per call, BaseDiagram when built)
+# and runs the int-pair kernel (turn, within, between, segment_contact) on
+# the scaled points, where every answer is unchanged because scaling by a
+# positive integer keeps every sign.  segment_contact takes RatPoints too.
 # ---------------------------------------------------------------------------
-
-def orientation(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
-    """Sign of the turn a->b->c: +1 left, -1 right, 0 collinear."""
-    s = (b - a).wedge(c - a)
-    return (s > 0) - (s < 0)
-
-
-def on_closed_segment(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
-    """Whether p lies on the closed segment [a, b]."""
-    if orientation(a, b, p) != 0:
-        return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-
-
-def on_open_segment(p: RatPoint, a: RatPoint, b: RatPoint) -> bool:
-    """Whether p lies strictly between a and b on the segment."""
-    return on_closed_segment(p, a, b) and p != a and p != b
-
 
 OVERLAP = "overlap"
 

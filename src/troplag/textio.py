@@ -35,7 +35,7 @@ from .diagram import (
     rectangle,
     x_abc,
 )
-from .lattice import IntVec, RatPoint
+from .lattice import IntVec, RatPoint, _INT, _INTEGER, _RAT, _RATIONAL
 from .tropical import (
     BoundaryTerminal,
     CurveEnd,
@@ -60,11 +60,6 @@ class Document:
     curves: tuple[TropicalCurve, ...]
 
 
-# Numbers are spelled in ASCII digits only (\d would admit any Unicode digit).
-_INT = r"-?[0-9]+"
-_RAT = _INT + r"(?:/[1-9][0-9]*)?"
-_RATIONAL = re.compile(_RAT + r"\Z")
-_INTEGER = re.compile(_INT + r"\Z")
 _POINT = re.compile(rf"\(({_RAT}),({_RAT})\)\Z")
 _INTPAIR = re.compile(rf"\(({_INT}),({_INT})\)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")

@@ -300,6 +300,18 @@ def test_crossing_cuts_rejected():
                      Node(pt(1, 2), IntVec(1, 0))])
 
 
+@pytest.mark.parametrize("first, second", [
+    (Node(pt(1, 1), IntVec(1, 0)), Node(pt(2, 1), IntVec(1, 0))),
+    (Node(pt(2, 1), IntVec(0, 1)), Node(pt(1, 1), IntVec(1, 0))),
+])
+def test_node_on_another_nodes_cut_is_a_collision(first, second):
+    # The node's own cut starts on the other cut, so the two cuts collide.
+    with pytest.raises(InvalidDiagram) as err:
+        BaseDiagram([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)], [first, second])
+    assert str(err.value) == (f"cuts from nodes at {first.position} and "
+                              f"{second.position} collide")
+
+
 def test_homology_model_requires_symmetry():
     with pytest.raises(InvalidDiagram):
         HomologyModel(("A", "B"), ((0, 1), (0, 0)))

@@ -1,25 +1,34 @@
 """The integer kernel against the Fraction predicates it replaced.
 
-Each reference below is a Fraction body as it stood before validate and
-the sweeps ran on cleared-denominator ints: orientation, the closed and
-open segment tests, segment_contact, the polygon locator behind
-BaseDiagram.contains, and the sweeps' spans and critical coordinates.  The
-kernel (turn, within, between and segment_contact on cleared int pairs,
-and segment_contact on RatPoints), contains and the sweeps must give the
-same answers on the bundled figures, on seeded rational segments of every
-degenerate kind, on points at every kind of location in a rectangle and an
-x_abc diagram, and on all of these moved by random unimodular maps.
+Each reference below is a Fraction body as it stood before validate, the
+sweeps and BaseDiagram ran on cleared-denominator ints: orientation, the
+closed and open segment tests, segment_contact, the polygon locator
+behind BaseDiagram.contains, BaseDiagram's construction checks, and the
+sweeps' spans and critical coordinates.  The kernel (turn, within, between
+and segment_contact on cleared int pairs, and segment_contact on
+RatPoints), contains, construction and the sweeps must give the same
+answers on the bundled figures, on seeded rational segments of every
+degenerate kind, on points at every kind of location in a rectangle, in
+x_abc diagrams and in polygons with rational corners and nodes, on seeded
+polygons and nodes, valid and not, and on all of these moved by random
+unimodular maps.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from troplag import (
+    BaseDiagram,
+    BoundaryEdge,
     BoundaryTerminal,
     IntVec,
+    InvalidDiagram,
     LocationKind,
+    Node,
     PointLocation,
     SweepDirection,
     UnsweepableCurve,
@@ -128,6 +137,54 @@ def ref_contains(diagram, p):
     return location
 
 
+def ref_construction(vertices, nodes):
+    """BaseDiagram's construction checks on Fractions: the message of the
+    InvalidDiagram they raise, or the cut segments they build."""
+    n = len(vertices)
+    if n < 3:
+        return "a polygon needs at least three vertices"
+    if len(set(vertices)) != n:
+        return "polygon vertices must be distinct"
+    for i in range(n):
+        a, b, c = vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
+        side = ref_orientation(a, b, c)
+        if side < 0:
+            return "polygon vertices must be listed counterclockwise"
+        if side == 0:
+            return ("polygon must be strictly convex "
+                    f"(vertices {a}, {b}, {c} are collinear)")
+    # exit stayed on Fractions, so the reference runs BaseDiagram.exit on a
+    # stand-in with the two fields it reads.
+    polygon = SimpleNamespace(polygon_vertices=vertices, boundary_edges=[
+        BoundaryEdge(a, b, (b - a).primitive_direction(), None)
+        for a, b in zip(vertices, vertices[1:] + vertices[:1])])
+    segments = []
+    for node in nodes:
+        if ref_locate_in_polygon(polygon, node.position).kind \
+                is not LocationKind.INTERIOR:
+            return (f"node at {node.position} is not strictly inside the "
+                    "polygon")
+        point, location = BaseDiagram.exit(polygon, node.position,
+                                           node.cut_direction)
+        if location.kind is LocationKind.ON_CORNER:
+            return (f"cut from node at {node.position} exits through the "
+                    f"corner {point}")
+        segments.append((node.position, point))
+    if len({node.position for node in nodes}) != len(nodes):
+        return "nodes must be at distinct positions"
+    for i in range(len(segments)):
+        for j in range(i + 1, len(segments)):
+            if ref_segment_contact(*segments[i], *segments[j]) is not None:
+                return (f"cuts from nodes at {nodes[i].position} and "
+                        f"{nodes[j].position} collide")
+    for i, node in enumerate(nodes):
+        for j, segment in enumerate(segments):
+            if i != j and ref_on_open_segment(node.position, *segment):
+                return (f"node at {node.position} lies on the cut of the "
+                        f"node at {nodes[j].position}")
+    return tuple(segments)
+
+
 def ref_spans(diagram, curve, direction):
     t = direction.line_direction
     segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
@@ -214,13 +271,19 @@ def _segment_quads(rng, count):
 
 def _probe_points(rng, diagram):
     """Corners, node positions, points on every edge and cut (their ends
-    included), the polygon's bounds and seeded points in and around it."""
+    and midpoints included) and on their lines beyond both ends, points on
+    each cut's line either side of its node, the polygon's bounds and
+    seeded points in and around it."""
     points = list(diagram.polygon_vertices)
     points += [n.position for n in diagram.nodes]
     pieces = [(e.start, e.end) for e in diagram.boundary_edges]
     pieces += list(diagram.cut_segments)
     for start, end in pieces:
         points += [_on(start, end, F(k, 7)) for k in range(-1, 9)]
+        points.append(_on(start, end, F(1, 2)))
+    for node in diagram.nodes:
+        points += [node.position.moved(node.cut_direction, F(k, 5))
+                   for k in (-7, -1, 1, 3)]
     x0, y0, x1, y1 = diagram.bounds()
     for _ in range(40):
         points.append(pt(x0 + (x1 - x0) * F(rng.randint(-4, 28), 24),
@@ -237,7 +300,26 @@ def _diagrams_and_curves():
     cases.append(("rectangle", rectangle(4, F(5, 2)), ()))
     cases.append(("x_abc", x_abc(1, 1, F(4, 3), 4), ()))
     cases.append(("x_abc thin", x_abc(F(1, 3), F(2, 5), F(1, 2), 3), ()))
+    cases += [(d.name, d, ()) for d in _rational_polygons()]
     return cases
+
+
+def _rational_polygons():
+    """Polygons whose corners and nodes have denominators, so containment
+    runs on a scale S > 1."""
+    quadrilateral = BaseDiagram(
+        [pt(F(1, 3), F(-1, 2)), pt(F(9, 2), F(1, 5)), pt(F(7, 2), F(13, 4)),
+         pt(F(-2, 3), F(5, 2))],
+        [Node(pt(F(5, 4), F(2, 3)), IntVec(1, 2)),
+         Node(pt(F(8, 3), F(7, 5)), IntVec(2, -1)),
+         Node(pt(F(1, 2), F(3, 2)), IntVec(-1, 0))],
+        name="rational quadrilateral")
+    pentagon = BaseDiagram(
+        [pt(F(-5, 3), 0), pt(F(7, 4), F(-3, 2)), pt(F(11, 5), F(9, 7)),
+         pt(0, F(5, 2)), pt(F(-9, 4), F(6, 5))],
+        [Node(pt(F(1, 6), F(1, 7)), IntVec(-3, 1))],
+        name="rational pentagon")
+    return [quadrilateral, pentagon]
 
 
 def _moved(rng, cases):
@@ -265,6 +347,72 @@ def _assert_segment_predicates(quads):
 def _assert_locations(diagram, points, label):
     for p in points:
         assert diagram.contains(p) == ref_contains(diagram, p), (label, p)
+
+
+_SMALL_DIRECTIONS = [IntVec(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                     if gcd(x, y) == 1]
+
+
+def _hull(points):
+    """The counterclockwise convex hull of distinct points, without
+    collinear corners (Andrew's monotone chain)."""
+    points = sorted(set(points), key=lambda p: (p.x, p.y))
+    if len(points) < 3:
+        return points
+    lower, upper = [], []
+    for chain, ordered in ((lower, points), (upper, points[::-1])):
+        for p in ordered:
+            while len(chain) >= 2 and ref_orientation(chain[-2], chain[-1],
+                                                      p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _random_construction(rng):
+    """Seeded polygon vertices and nodes for BaseDiagram, valid or broken
+    in each way its checks tell apart: too few, repeated, clockwise or
+    collinear corners, nodes outside, on the boundary, on a corner's ray,
+    repeated or on another node's cut line."""
+    vertices = _hull([_random_point(rng) for _ in range(rng.randint(3, 7))])
+    kind = rng.randrange(10)
+    if kind == 0:
+        vertices = vertices[::-1]
+    elif kind == 1 and len(vertices) >= 2:
+        vertices.insert(1, _on(vertices[0], vertices[1], F(1, 2)))
+    elif kind == 2 and vertices:
+        vertices.append(vertices[0])
+    elif kind == 3:
+        rng.shuffle(vertices)
+    elif kind == 4:
+        vertices = vertices[:2]
+    nodes = []
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4))):
+        direction = rng.choice(_SMALL_DIRECTIONS)
+        pick = rng.randrange(10)
+        if pick == 0 and nodes:      # on an earlier node's cut line
+            other = rng.choice(nodes)
+            position = other.position.moved(other.cut_direction,
+                                            F(rng.randint(-4, 8), 4))
+        elif pick == 1 and nodes:    # at an earlier node
+            position = rng.choice(nodes).position
+        elif pick == 2 and vertices:  # on the boundary
+            a, b = rng.sample(vertices + vertices, 2)
+            position = _on(a, b, F(rng.randint(0, 4), 4))
+        elif pick == 3 or len(vertices) < 3:  # anywhere
+            position = _random_point(rng, 2)
+        else:                        # a weighted mean of three corners
+            weights = [rng.randint(1, 5) for _ in range(3)]
+            corners = rng.sample(vertices, 3)
+            position = pt(*(sum(w * getattr(c, axis)
+                                for w, c in zip(weights, corners))
+                            / sum(weights) for axis in "xy"))
+        if pick == 4 and vertices:   # aimed at a corner
+            aim = rng.choice(vertices) - position
+            if not aim.is_zero:
+                direction = aim.primitive_direction()
+        nodes.append(Node(position, direction))
+    return vertices, nodes
 
 
 # -- tests ---------------------------------------------------------------
@@ -336,7 +484,7 @@ def test_figures_segments_match_the_references():
 def test_locations_match_the_reference_locator():
     rng = random.Random(777)
     cases = _diagrams_and_curves()
-    kinds = set()
+    kinds, scales = set(), set()
     for name, diagram, curves in cases + _moved(rng, cases):
         points = _probe_points(rng, diagram)
         for curve in curves:
@@ -344,7 +492,40 @@ def test_locations_match_the_reference_locator():
                 points += [a, b, _on(a, b, F(1, 2))]
         _assert_locations(diagram, points, name)
         kinds.update(diagram.contains(p).kind for p in points)
+        scales.add(common_scale(diagram.polygon_vertices
+                                + tuple(n.position for n in diagram.nodes)))
     assert kinds == set(LocationKind)
+    assert len(scales) > 5  # containment ran on many scales S, not only 1
+
+
+def test_construction_matches_the_reference_checks():
+    rng = random.Random(60221)
+    outcomes = Counter()
+    for trial in range(2500):
+        vertices, nodes = _random_construction(rng)
+        if trial % 2:
+            m = random_unimodular_map(rng)
+            vertices = [m.apply(v) for v in vertices]
+            nodes = [Node(m.apply(n.position), m.apply(n.cut_direction))
+                     for n in nodes]
+        expected = ref_construction(vertices, nodes)
+        try:
+            built = BaseDiagram(vertices, nodes).cut_segments
+        except InvalidDiagram as err:
+            built = str(err)
+        assert built == expected, (vertices, nodes)
+        if isinstance(expected, tuple):
+            outcomes["valid, with nodes" if nodes else "valid"] += 1
+        else:
+            outcomes[next(word for word in (
+                "three", "vertices must be distinct", "counterclockwise",
+                "collinear", "inside", "corner", "positions", "collide",
+                "lies on")
+                if word in expected)] += 1
+    # A node on another node's open cut is on both cuts, so the cuts
+    # collide first: the old check after them never fired.
+    assert "lies on" not in outcomes
+    assert len(outcomes) == 10 and min(outcomes.values()) >= 20, outcomes
 
 
 @pytest.mark.parametrize("ell", [1, 2, 5])

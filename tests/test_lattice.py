@@ -11,12 +11,7 @@ from troplag import (
     UnimodularAffineMap,
     pt,
 )
-from troplag.lattice import (
-    on_closed_segment,
-    on_open_segment,
-    orientation,
-    segment_contact,
-)
+from troplag.lattice import between, segment_contact, turn, within
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 vecs = st.builds(IntVec, ints, ints)
@@ -136,18 +131,18 @@ def test_floats_rejected():
 # -- segment predicates ------------------------------------------------
 
 def test_orientation_signs():
-    assert orientation(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
-    assert orientation(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
-    assert orientation(pt(0, 0), pt(2, 2), pt(1, 1)) == 0
+    assert turn((0, 0), (1, 0), (0, 1)) == 1
+    assert turn((0, 0), (0, 1), (1, 0)) == -1
+    assert turn((0, 0), (2, 2), (1, 1)) == 0
 
 
 def test_on_segment_variants():
-    a, b = pt(0, 0), pt(4, 2)
-    assert on_closed_segment(pt(2, 1), a, b)
-    assert on_closed_segment(a, a, b)
-    assert not on_open_segment(a, a, b)
-    assert not on_closed_segment(pt(2, 2), a, b)
-    assert not on_closed_segment(pt(6, 3), a, b)
+    a, b = (0, 0), (4, 2)
+    assert within((2, 1), a, b)
+    assert within(a, a, b)
+    assert not between(a, a, b)
+    assert not within((2, 2), a, b)
+    assert not within((6, 3), a, b)
 
 
 def test_segment_contact_cases():

@@ -73,6 +73,28 @@ code = troplag.cli.main(["validate", sys.argv[1]])
 print(json.dumps([not_in_dir, after_package, after_cli, loaded(), code]))
 """
 
+# Runs the command given as arguments and prints, as its last line, the
+# troplag submodules loaded and the exit code.
+COMMAND = """
+import json, sys
+import troplag.cli
+code = troplag.cli.main(sys.argv[1:])
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("troplag.")),
+                  code]))
+"""
+
+
+def _fresh_interpreter(script, *args):
+    """The JSON on the last line script prints in a new interpreter."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT,
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
 
 def test_public_names_are_the_listed_ones():
     assert len(NAMES) == 95
@@ -105,15 +127,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_imports_load_only_what_runs_and_dir_lists_every_name():
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT,
-                                         os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", STEPS, str(FIGURES / "fig2_klein.trop")],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path))
-    assert result.returncode == 0, result.stderr
-    not_in_dir, after_package, after_cli, after_validate, code = json.loads(
-        result.stdout.splitlines()[-1])
+    not_in_dir, after_package, after_cli, after_validate, code = \
+        _fresh_interpreter(STEPS, str(FIGURES / "fig2_klein.trop"))
     assert not_in_dir == []
     assert after_package == []
     assert after_cli == ["troplag.cli", "troplag.errors"]
@@ -121,3 +136,13 @@ def test_imports_load_only_what_runs_and_dir_lists_every_name():
     assert after_validate == ["troplag.cli", "troplag.diagram",
                               "troplag.errors", "troplag.lattice",
                               "troplag.textio", "troplag.tropical"]
+
+
+@pytest.mark.parametrize("argv", [["triangle", "1", "1", "1"],
+                                  ["genus-bound", "5"]])
+def test_threshold_commands_load_no_geometry(argv):
+    # The thresholds compare rationals: no diagram, curve or parser.
+    loaded, code = _fresh_interpreter(COMMAND, *argv)
+    assert code == 0
+    assert loaded == ["troplag.cli", "troplag.constructions",
+                      "troplag.errors", "troplag.lattice"]

@@ -30,9 +30,10 @@ from troplag import (
     x_abc,
 )
 from troplag import tropical
-from troplag.lattice import on_open_segment, segment_contact
+from troplag.lattice import segment_contact
 from troplag.tropical import ValidationIssue, _anchor_key
 from conftest import FIGURES, load_document, random_curve
+from test_kernel import ref_on_open_segment
 
 F = Fraction
 
@@ -302,7 +303,7 @@ def _all_pairs_embeddedness(diagram, curve):
                       f"meets {id2} at {contact}, which is not a shared "
                       "endpoint")
         for node in diagram.nodes:
-            if on_open_segment(node.position, a, b):
+            if ref_on_open_segment(node.position, a, b):
                 issue("crosses-node", id1,
                       f"passes through the node at {node.position}")
         for cut_index, (cs, ce) in enumerate(diagram.cut_segments):
