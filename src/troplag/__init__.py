@@ -21,7 +21,7 @@ _EXPORTS = {
     "errors": ("TroplagError",),
     "lattice": (
         "DegenerateDirection", "IntVec", "NonUnimodularMap", "RatPoint",
-        "RatVec", "UnimodularAffineMap", "pt",
+        "UnimodularAffineMap", "pt",
     ),
     "diagram": (
         "BaseDiagram", "BoundaryEdge", "HomologyModel", "InvalidDiagram",
@@ -33,9 +33,8 @@ _EXPORTS = {
         "NodeTerminal", "NonIntegralSelfIntersection", "NonTrivalentVertex",
         "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
         "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-        "WeightedVertexUnsupported", "check_balancing", "end_multiplicity",
-        "transformed", "validate", "vertex_double_points",
-        "vertex_multiplicity",
+        "check_balancing", "end_multiplicity", "transformed", "validate",
+        "vertex_double_points", "vertex_multiplicity",
     ),
     "topology": (
         "ChiBreakdown", "EmptyCurve", "EndKind", "MalformedPresentation",

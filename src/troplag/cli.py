@@ -219,9 +219,8 @@ def _cmd_triangle(args) -> int:
     c = _parse_rational(args.c)
     result = triangle_check(a, b, c)
     print(f"triangle inequalities for a={a}, b={b}, c={c}:")
-    for label, lhs, rhs in (("a < b+c", a, b + c), ("b < c+a", b, c + a),
-                            ("c < a+b", c, a + b)):
-        status = "satisfied" if lhs < rhs else "VIOLATED"
+    for label, lhs, rhs, holds in result.comparisons:
+        status = "satisfied" if holds else "VIOLATED"
         print(f"  {label}: {lhs} < {rhs}: {status}")
     if result.satisfied:
         print("satisfied: all three strict inequalities hold")

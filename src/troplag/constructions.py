@@ -101,8 +101,19 @@ def klein_threshold(width, height) -> bool:
 
 @dataclass(frozen=True)
 class TriangleResult:
-    satisfied: bool
-    violated: tuple[str, ...]
+    """Each strict inequality as (label, left side, right side, whether it
+    holds), in the order a < b+c, b < c+a, c < a+b."""
+
+    comparisons: tuple[tuple[str, Fraction, Fraction, bool], ...]
+
+    @property
+    def violated(self) -> tuple[str, ...]:
+        return tuple(label for label, _, _, holds in self.comparisons
+                     if not holds)
+
+    @property
+    def satisfied(self) -> bool:
+        return not self.violated
 
 
 def triangle_check(a, b, c) -> TriangleResult:
@@ -113,14 +124,10 @@ def triangle_check(a, b, c) -> TriangleResult:
     c = _as_fraction(c)
     if a <= 0 or b <= 0 or c <= 0:
         raise InvalidInput("blow-up sizes must be positive")
-    violated = []
-    if not a < b + c:
-        violated.append("a < b+c")
-    if not b < c + a:
-        violated.append("b < c+a")
-    if not c < a + b:
-        violated.append("c < a+b")
-    return TriangleResult(not violated, tuple(violated))
+    return TriangleResult(tuple(
+        (label, lhs, rhs, lhs < rhs)
+        for label, lhs, rhs in (("a < b+c", a, b + c), ("b < c+a", b, c + a),
+                                ("c < a+b", c, a + b))))
 
 
 def rp2_curve(a, b, c, s):
@@ -159,7 +166,7 @@ def rp2_curve(a, b, c, s):
                 "(|a - b| = c)")
     else:
         # Vertex outside: let validation report it on a nominal landing.
-        landing = RatPoint(Fraction(0), b - a)
+        landing = RatPoint(0, b - a)
 
     curve = TropicalCurve(
         vertices=(TropicalVertex("v", vertex_pos),),
@@ -294,7 +301,7 @@ def squeeze_check(interval_length) -> SqueezeResult:
         raise InvalidInput("interval length must be positive")
     if length > 1:
         diagram = rectangle(2, length)
-        anchor = RatPoint(Fraction(1), length / 2)
+        anchor = RatPoint(1, length / 2)
         curve = visible_segment(diagram, IntVec(2, 1), anchor)
         return SqueezeResult(
             True, length, diagram, curve,

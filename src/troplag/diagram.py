@@ -9,10 +9,11 @@ two spheres) and the triple blow-up triangle with one toric corner chop and
 two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
 a ray from an interior point leaves the polygon: each cut ends at its
 node's exit, and the constructions land their ends at theirs.
-BaseDiagram.contains locates points on ints: corners and nodes are cleared
-by one scale S when a diagram is built, a point (x, y) is (X, Y, W) with
-X/W = S*x and Y/W = S*y, and answers are memoized per diagram, keyed on
-the coordinates' numerators and denominators.
+BaseDiagram reads every point as its reduced triple (X, Y, W): corners and
+nodes are cleared by one scale S when a diagram is built, contains locates
+the point (S*X, S*Y, W) of the scaled plane on ints and memoizes the
+answer per diagram, keyed on the point itself, and exit finds its
+parameter and its exit point on ints.
 """
 from __future__ import annotations
 
@@ -23,12 +24,14 @@ from itertools import combinations
 
 from .errors import TroplagError
 from .lattice import (
+    DegenerateDirection,
     IntVec,
     RatPoint,
     UnimodularAffineMap,
     _as_fraction,
     cleared,
     common_scale,
+    displacement,
     segment_contact,
     turn,
 )
@@ -147,11 +150,12 @@ _EMPTY_HOMOLOGY = HomologyModel((), ())
 class BaseDiagram:
     """A strictly convex polygon with focus-focus nodes and cuts.
 
-    polygon_vertices are counterclockwise.  Boundary edges are derived from
-    consecutive vertex pairs; each cut segment ends at the exit of its
-    node's cut ray.  Construction validates convexity, node interiority and
-    cut disjointness, raising InvalidDiagram with the violated constraint
-    named.
+    polygon_vertices are counterclockwise, and the polygon winds once:
+    every corner off an edge lies strictly left of that edge's line.
+    Boundary edges are derived from consecutive vertex pairs; each cut
+    segment ends at the exit of its node's cut ray.  Construction validates
+    convexity, node interiority and cut disjointness, raising
+    InvalidDiagram with the violated constraint named.
     """
 
     def __init__(self, polygon_vertices, nodes=(), homology=_EMPTY_HOMOLOGY,
@@ -159,27 +163,35 @@ class BaseDiagram:
         vertices = tuple(polygon_vertices)
         if len(vertices) < 3:
             raise InvalidDiagram("a polygon needs at least three vertices")
-        if len(set((v.x, v.y) for v in vertices)) != len(vertices):
+        if len(set(vertices)) != len(vertices):
             raise InvalidDiagram("polygon vertices must be distinct")
         self.nodes = nodes = tuple(nodes)
         scale = common_scale(vertices + tuple(n.position for n in nodes))
         self._corners = corners = [cleared(v, scale) for v in vertices]
         n = len(vertices)
-        edges, lines = [], []  # lines: (e.x, e.y, e ^ A) for A -> B, e = B - A
         for i in range(n):
-            a, b, c = vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n]
-            (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
-            side = turn((ax, ay), (bx, by), corners[(i + 2) % n])
+            side = turn(corners[i], corners[(i + 1) % n], corners[(i + 2) % n])
             if side < 0:
                 raise InvalidDiagram("polygon vertices must be listed "
                                      "counterclockwise")
             if side == 0:
+                a, b, c = (vertices[(i + k) % n] for k in range(3))
                 raise InvalidDiagram("polygon must be strictly convex "
                                      f"(vertices {a}, {b}, {c} are collinear)")
-            delta = b - a
-            direction = delta.primitive_direction()
-            length = delta.ratio_along(direction)
-            edges.append(BoundaryEdge(a, b, direction, length))
+        edges, lines = [], []  # lines: (e.x, e.y, e ^ A) for A -> B, e = B - A
+        for i in range(n):
+            a, b = vertices[i], vertices[(i + 1) % n]
+            (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
+            # Every turn is to the left, so the two corners next to edge i
+            # lie left of it; the corners still wind more than once unless
+            # every other corner does too.
+            for k in range(i + 3, i + n - 1):
+                if turn(corners[i], corners[(i + 1) % n], corners[k % n]) <= 0:
+                    raise InvalidDiagram(
+                        "polygon must wind once counterclockwise (vertex "
+                        f"{vertices[k % n]} is not strictly left of the edge "
+                        f"{a} to {b})")
+            edges.append(BoundaryEdge(a, b, *displacement(a, b)))
             lines.append((bx - ax, by - ay, bx * ay - by * ax))
 
         self.polygon_vertices = vertices
@@ -194,7 +206,7 @@ class BaseDiagram:
                        node.cut_direction.y) for node in nodes]  # N, then d
         self._cut_segments = tuple(self._trace_cut(node) for node in nodes)
         self._check_nodes()
-        self._locations = {}  # (x num, x den, y num, y den) -> PointLocation
+        self._locations = {}  # RatPoint -> PointLocation
 
     # -- construction-time validation ---------------------------------
 
@@ -214,7 +226,9 @@ class BaseDiagram:
             raise InvalidDiagram("nodes must be at distinct positions")
         # A node on another node's cut needs no check of its own: its own
         # cut starts there, so the two cuts meet.  contains relies on it.
-        pairs = combinations(zip(self.nodes, self._cut_segments), 2)
+        scale = common_scale(p for cut in self._cut_segments for p in cut)
+        cuts = [[cleared(p, scale) for p in cut] for cut in self._cut_segments]
+        pairs = combinations(zip(self.nodes, cuts), 2)
         for (node, cut), (other, other_cut) in pairs:
             if segment_contact(*cut, *other_cut) is not None:
                 raise InvalidDiagram(f"cuts from nodes at {node.position} and "
@@ -260,11 +274,21 @@ class BaseDiagram:
         leaves through the nearest line of an edge it moves outward
         through.  The origin must be strictly inside the polygon and the
         direction nonzero."""
-        t, index = min(
-            (edge.direction.wedge(origin - edge.start) / -outward, index)
-            for index, edge in enumerate(self.boundary_edges)
-            if (outward := edge.direction.wedge(direction)) < 0)
-        point = origin.moved(direction, t)
+        S, (dx, dy) = self._scale, (direction.x, direction.y)
+        X, Y, W = origin.X * S, origin.Y * S, origin.W  # the scaled origin P
+        best = None  # (W * (e ^ (P - A)), -(e ^ d), index); t is their ratio
+        for index, (ex, ey, wedge_a) in enumerate(self._lines):
+            outward = ey * dx - ex * dy
+            if outward > 0:
+                side = ex * Y - ey * X - W * wedge_a
+                if best is None or side * best[1] < best[0] * outward:
+                    best = (side, outward, index)
+        if best is None:
+            raise DegenerateDirection("a ray needs a nonzero direction")
+        side, outward, index = best
+        # P + t*d with t = side / (W * outward), back in unscaled coordinates.
+        point = RatPoint.of(X * outward + side * dx, Y * outward + side * dy,
+                            W * outward * S)
         for corner in (index, (index + 1) % len(self.polygon_vertices)):
             if point == self.polygon_vertices[corner]:
                 return point, PointLocation(LocationKind.ON_CORNER, corner)
@@ -272,15 +296,12 @@ class BaseDiagram:
 
     def contains(self, p: RatPoint) -> PointLocation:
         """Exact classification of p against polygon, nodes and cuts.  A
-        diagram never changes, so each answer is memoized, keyed on p's
-        numerators and denominators (equal Fractions reduce alike)."""
-        x, y = p.x, p.y
-        key = (x.numerator, x.denominator, y.numerator, y.denominator)
-        location = self._locations.get(key)
+        diagram never changes, so each answer is memoized, keyed on p."""
+        location = self._locations.get(p)
         if location is None:
-            xn, xd, yn, yd = key
-            location = self._locations[key] = self._locate(
-                xn * yd * self._scale, yn * xd * self._scale, xd * yd)
+            S = self._scale
+            location = self._locations[p] = self._locate(p.X * S, p.Y * S,
+                                                         p.W)
         return location
 
     def bounds(self):
@@ -338,9 +359,8 @@ def rectangle(width, height) -> BaseDiagram:
     height = _as_fraction(height)
     if width <= 0 or height <= 0:
         raise InvalidDiagram("rectangle sides must be positive")
-    zero = Fraction(0)
-    vertices = [RatPoint(zero, zero), RatPoint(width, zero),
-                RatPoint(width, height), RatPoint(zero, height)]
+    vertices = [RatPoint(0, 0), RatPoint(width, 0),
+                RatPoint(width, height), RatPoint(0, height)]
     homology = HomologyModel(
         RECTANGLE_BASIS, ((0, 1), (1, 0)),
         class_of_horizontal_sweep=(1, 0),
@@ -370,9 +390,7 @@ def x_abc(a, b, c, s) -> BaseDiagram:
         raise InvalidDiagram("blow-up sizes a and b must be positive")
     if not 0 < c < s:
         raise InvalidDiagram("chop size must satisfy 0 < c < s")
-    zero = Fraction(0)
-    vertices = [RatPoint(zero, c), RatPoint(c, zero),
-                RatPoint(s, zero), RatPoint(zero, s)]
+    vertices = [RatPoint(0, c), RatPoint(c, 0), RatPoint(s, 0), RatPoint(0, s)]
     node_a = Node(RatPoint(a, s - 2 * a), IntVec(0, 1))
     node_b = Node(RatPoint(s - 2 * b, b), IntVec(1, 0))
     homology = HomologyModel(("E1", "E2", "E3"),

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
-from .lattice import IntVec
+from .lattice import IntVec, cleared, common_scale
 from .topology import EndKind, classify_end
 from .tropical import BoundaryTerminal, TropicalCurve
 
@@ -39,7 +38,8 @@ class NonGenericWitness(TroplagError):
 
 
 class UnsweepableCurve(TroplagError):
-    """Sweep parities are defined for closed weight-one curves only."""
+    """Sweep parities are defined for closed curves only: an end at a node,
+    or a collar, has no closed mod-2 class to sweep."""
 
 
 class SweepDirection(Enum):
@@ -95,9 +95,6 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
             raise UnsweepableCurve(
                 f"end {e.id!r} is a collar; the surface has boundary there "
                 "and carries no closed mod-2 class")
-    for e in curve.edges:
-        if e.weight != 1:
-            raise UnsweepableCurve(f"edge {e.id!r} has weight {e.weight}")
 
 
 def _sweep_lines(diagram: BaseDiagram, curve: TropicalCurve,
@@ -105,31 +102,24 @@ def _sweep_lines(diagram: BaseDiagram, curve: TropicalCurve,
     """(scale, spans, criticals) of one sweep, on ints.
 
     The coordinate that varies across witness lines of this direction (x
-    for vertical lines, y for horizontal ones) is multiplied by scale, the
-    least common denominator of its values at the segment endpoints and at
-    the rectangle's bounds.  spans holds, per curve segment, (scaled
-    coordinate at start, at finish, |dot(u, t)|); criticals is the sorted
-    set of scaled coordinates a generic witness line must avoid, the
+    for vertical lines, y for horizontal ones) is read from the points'
+    triples, cleared by scale, the least common denominator of the segment
+    endpoints and the rectangle's corners.  spans holds, per curve segment,
+    (scaled coordinate at start, at finish, |dot(u, t)|); criticals is the
+    sorted set of scaled coordinates a generic witness line must avoid, the
     rectangle's bounds included."""
     t = direction.line_direction
+    axis = 0 if direction is SweepDirection.VERTICAL else 1
     segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
     segments += [(curve.end_segment(diagram, e), e.direction)
                  for e in curve.ends]
-    x0, y0, x1, y1 = diagram.bounds()
-    if direction is SweepDirection.VERTICAL:
-        bounds = (x0, x1)
-        coords = [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
-    else:
-        bounds = (y0, y1)
-        coords = [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
-    scale = lcm(*{c.denominator for c in bounds}.union(
-        c.denominator for ca, cb, _ in coords for c in (ca, cb)))
-
-    def scaled(c):
-        return c.numerator * (scale // c.denominator)
-
-    spans = [(scaled(ca), scaled(cb), points) for ca, cb, points in coords]
-    criticals = sorted({scaled(c) for c in bounds}.union(
+    corners = diagram.polygon_vertices
+    scale = common_scale([*corners,
+                          *(p for pair, _ in segments for p in pair)])
+    spans = [(cleared(a, scale)[axis], cleared(b, scale)[axis],
+              abs(u.dot(t))) for (a, b), u in segments]
+    bounds = [cleared(p, scale)[axis] for p in corners]
+    criticals = sorted({min(bounds), max(bounds)}.union(
         c for ca, cb, _ in spans for c in (ca, cb)))
     return scale, spans, criticals
 

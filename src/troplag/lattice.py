@@ -5,10 +5,12 @@ diagram), unimodular affine maps (integral affine changes of coordinates),
 the ASCII spellings of numbers, and the exact segment predicates the rest
 of the package is built on, on int pairs with denominators cleared.
 
-All arithmetic is exact: integer coordinates are Python ints (arbitrary
-precision, so overflow cannot occur), rational coordinates are
-fractions.Fraction (always reduced, positive denominator).  Floats are
-rejected at construction time.
+All arithmetic is exact and on Python ints (arbitrary precision, so
+overflow cannot occur).  A rational point is one reduced homogeneous
+triple (X, Y, W) with W > 0: every geometry reader clears denominators
+from it (common_scale, cleared) or computes on it directly, and its
+coordinates become fractions.Fraction only for printing and the public
+API.  Floats are rejected at construction time.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ class NonUnimodularMap(TroplagError):
 
 # Numbers are spelled in ASCII digits only (\d would admit any Unicode digit).
 _INT = r"-?[0-9]+"
-_RAT = _INT + r"(?:/[1-9][0-9]*)?"
+_DEN = r"[1-9][0-9]*"
+_RAT = _INT + rf"(?:/{_DEN})?"
 _RATIONAL = re.compile(_RAT + r"\Z")
 _INTEGER = re.compile(_INT + r"\Z")
 
@@ -96,88 +99,93 @@ class IntVec:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class RatVec:
-    """An exact rational displacement (difference of two RatPoints)."""
+_set = object.__setattr__  # RatPoint's own writes, past its __setattr__
 
-    x: Fraction
-    y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
+class RatPoint:
+    """An exact rational point (X/W, Y/W), held as reduced homogeneous ints
+    with W > 0 and gcd(X, Y, W) = 1.  RatPoint(x, y) takes ints, Fractions
+    or 'p/q' strings, and RatPoint.of(X, Y, W) any triple with W > 0.
+    Equality and hashing are on the triple; x and y are Fractions."""
 
-    def __add__(self, other: "RatVec") -> "RatVec":
-        return RatVec(self.x + other.x, self.y + other.y)
+    __slots__ = ("X", "Y", "W")
 
-    def __neg__(self) -> "RatVec":
-        return RatVec(-self.x, -self.y)
+    def __init__(self, x, y):
+        if type(x) is int and type(y) is int:
+            X, Y, W = x, y, 1
+        else:
+            x, y = _as_fraction(x), _as_fraction(y)
+            xd, yd = x.denominator, y.denominator
+            W = xd // gcd(xd, yd) * yd
+            X, Y = x.numerator * (W // xd), y.numerator * (W // yd)
+        _set(self, "X", X)
+        _set(self, "Y", Y)
+        _set(self, "W", W)
 
-    def wedge(self, other) -> Fraction:
-        return self.x * other.y - self.y * other.x
+    @classmethod
+    def of(cls, X: int, Y: int, W: int) -> "RatPoint":
+        """The point (X/W, Y/W) of ints with W > 0."""
+        if W <= 0:
+            raise ValueError(f"a point's W must be positive, got {W}")
+        g = gcd(X, Y, W)
+        point = object.__new__(cls)
+        _set(point, "X", X // g)
+        _set(point, "Y", Y // g)
+        _set(point, "W", W // g)
+        return point
 
-    def dot(self, other) -> Fraction:
-        return self.x * other.x + self.y * other.y
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RatPoint is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RatPoint is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return RatPoint.of, (self.X, self.Y, self.W)
 
     @property
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.W)
 
-    def primitive_direction(self) -> IntVec:
-        """The primitive integer vector pointing the same way."""
-        if self.is_zero:
-            raise DegenerateDirection("the zero displacement has no direction")
-        scale = self.x.denominator * self.y.denominator // gcd(
-            self.x.denominator, self.y.denominator)
-        return IntVec(int(self.x * scale), int(self.y * scale)).primitive()
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.W)
 
-    def ratio_along(self, direction: IntVec) -> Fraction | None:
-        """The t with self == t*direction, or None if not parallel."""
-        if direction.is_zero:
-            raise DegenerateDirection("cannot measure along the zero vector")
-        if self.wedge(direction) != 0:
-            return None
-        if direction.x != 0:
-            return self.x / direction.x
-        return self.y / direction.y
+    def __eq__(self, other):
+        if not isinstance(other, RatPoint):
+            return NotImplemented
+        return self.X == other.X and self.Y == other.Y and self.W == other.W
+
+    def __hash__(self):
+        return hash((self.X, self.Y, self.W))
+
+    def __repr__(self) -> str:
+        return f"RatPoint.of({self.X}, {self.Y}, {self.W})"
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class RatPoint:
-    """An exact rational point in the plane."""
-
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_fraction(self.x))
-        object.__setattr__(self, "y", _as_fraction(self.y))
-
-    def __sub__(self, other: "RatPoint") -> RatVec:
-        return RatVec(self.x - other.x, self.y - other.y)
-
-    def moved(self, direction, t) -> "RatPoint":
-        """The point self + t*direction."""
-        t = _as_fraction(t)
-        return RatPoint(self.x + t * direction.x, self.y + t * direction.y)
-
-    def __str__(self) -> str:
-        return f"({self.x},{self.y})"
+pt = RatPoint  # the short spelling
 
 
-def pt(x, y) -> RatPoint:
-    return RatPoint(_as_fraction(x), _as_fraction(y))
+def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
+    """b - a as (u, t): the primitive direction u and the lattice length
+    t > 0 with b = a + t*u, from int differences."""
+    dx, dy = b.X * a.W - a.X * b.W, b.Y * a.W - a.Y * b.W  # times a.W * b.W
+    g = gcd(dx, dy)
+    if g == 0:
+        raise DegenerateDirection(f"{a} to {b} has no direction")
+    return IntVec(dx // g, dy // g), Fraction(g, a.W * b.W)
 
 
 @dataclass(frozen=True)
 class UnimodularAffineMap:
-    """An integral affine map x -> L x + t with det L = +-1."""
+    """An integral affine map x -> L x + t with det L = +-1; translation is
+    t, the image of the origin."""
 
     linear: tuple[tuple[int, int], tuple[int, int]]
-    translation: RatVec
+    translation: RatPoint
 
     def __post_init__(self):
         (a, b), (c, d) = self.linear
@@ -189,7 +197,7 @@ class UnimodularAffineMap:
 
     @classmethod
     def identity(cls) -> "UnimodularAffineMap":
-        return cls(((1, 0), (0, 1)), RatVec(Fraction(0), Fraction(0)))
+        return cls(((1, 0), (0, 1)), RatPoint(0, 0))
 
     @property
     def det(self) -> int:
@@ -201,11 +209,11 @@ class UnimodularAffineMap:
         (a, b), (c, d) = self.linear
         if isinstance(obj, IntVec):
             return IntVec(a * obj.x + b * obj.y, c * obj.x + d * obj.y)
-        if isinstance(obj, RatVec):
-            return RatVec(a * obj.x + b * obj.y, c * obj.x + d * obj.y)
         if isinstance(obj, RatPoint):
-            return RatPoint(a * obj.x + b * obj.y + self.translation.x,
-                            c * obj.x + d * obj.y + self.translation.y)
+            t = self.translation
+            X, Y, W = obj.X, obj.Y, obj.W
+            return RatPoint.of((a * X + b * Y) * t.W + t.X * W,
+                               (c * X + d * Y) * t.W + t.Y * W, W * t.W)
         raise TypeError(f"cannot apply an affine map to {obj!r}")
 
     def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
@@ -214,15 +222,15 @@ class UnimodularAffineMap:
         (e, f), (g, h) = other.linear
         linear = ((a * e + b * g, a * f + b * h),
                   (c * e + d * g, c * f + d * h))
-        shift = self.apply(other.translation) + self.translation
-        return UnimodularAffineMap(linear, shift)
+        return UnimodularAffineMap(linear, self.apply(other.translation))
 
     def inverse(self) -> "UnimodularAffineMap":
         (a, b), (c, d) = self.linear
         det = self.det  # 1/det == det for det in {1, -1}
-        linear = ((d * det, -b * det), (-c * det, a * det))
-        bare = UnimodularAffineMap(linear, RatVec(Fraction(0), Fraction(0)))
-        return UnimodularAffineMap(linear, -bare.apply(self.translation))
+        (a, b), (c, d) = linear = ((d * det, -b * det), (-c * det, a * det))
+        t = self.translation  # the inverse sends the origin to -L^-1 t
+        return UnimodularAffineMap(linear, RatPoint.of(
+            -(a * t.X + b * t.Y), -(c * t.X + d * t.Y), t.W))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,7 @@ class UnimodularAffineMap:
 # (common_scale, then cleared; validate per call, BaseDiagram when built)
 # and runs the int-pair kernel (turn, within, between, segment_contact) on
 # the scaled points, where every answer is unchanged because scaling by a
-# positive integer keeps every sign.  segment_contact takes RatPoints too.
+# positive integer keeps every sign.
 # ---------------------------------------------------------------------------
 
 OVERLAP = "overlap"
@@ -243,21 +251,13 @@ def common_scale(points) -> int:
     # Unpack a set, not a generator: the argument tuple a generator builds
     # is grown and then shrunk, and each shrunk tuple stays on the
     # interpreter's free list for its length, which holds up to 2000.
-    return lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+    return lcm(*{p.W for p in points})
 
 
 def cleared(p: RatPoint, scale: int) -> tuple[int, int]:
     """p times scale as an int pair; scale must be a common_scale multiple."""
-    x, y = p.x, p.y
-    return (x.numerator * (scale // x.denominator),
-            y.numerator * (scale // y.denominator))
-
-
-def uncleared(point, scale: int) -> RatPoint:
-    """The RatPoint of an (X, Y, W) point of contact, (X/W, Y/W), in
-    coordinates scaled by scale."""
-    x, y, w = point
-    return RatPoint(Fraction(x, w * scale), Fraction(y, w * scale))
+    k = scale // p.W
+    return p.X * k, p.Y * k
 
 
 def turn(a, b, c) -> int:
@@ -281,21 +281,13 @@ def between(p, a, b) -> bool:
 def segment_contact(a, b, c, d):
     """How the closed segments [a,b] and [c,d] meet.
 
-    The four points are RatPoints, or int pairs cleared by one scale (see
-    common_scale).  Returns None if disjoint, OVERLAP ("overlap") if they
-    share a one-dimensional piece, or else their single point of contact:
-    a RatPoint for RatPoints, and for int pairs a reduced triple (X, Y, W)
-    with W > 0, the point (X/W, Y/W), so a contact at an int pair p is
-    (*p, 1).
+    The four points are int pairs cleared by one scale (see common_scale).
+    Returns None if disjoint, OVERLAP ("overlap") if they share a
+    one-dimensional piece, or else their single point of contact as a
+    reduced triple (X, Y, W) with W > 0, the point (X/W, Y/W), so a
+    contact at an int pair p is (*p, 1).  In coordinates scaled by S, the
+    contact is the point RatPoint.of(X, Y, W * S).
     """
-    if isinstance(a, RatPoint):
-        scale = common_scale((a, b, c, d))
-        hit = _contact(*[cleared(p, scale) for p in (a, b, c, d)])
-        return hit if hit is None or hit == OVERLAP else uncleared(hit, scale)
-    return _contact(a, b, c, d)
-
-
-def _contact(a, b, c, d):
     ux, uy = b[0] - a[0], b[1] - a[1]
     vx, vy = d[0] - c[0], d[1] - c[1]
     wx, wy = c[0] - a[0], c[1] - a[1]

@@ -50,14 +50,11 @@ class _Frame:
 
     def project(self, p):
         """SVG text of (p.x - x0) * SCALE + MARGIN and, since SVG y grows
-        downward, (y1 - p.y) * SCALE + MARGIN."""
+        downward, (y1 - p.y) * SCALE + MARGIN, from p's triple (X, Y, W)."""
         (x0, dx0), (y1, dy1) = self.x0, self.y1
-        x, dx = p.x.numerator, p.x.denominator
-        y, dy = p.y.numerator, p.y.denominator
-        return (_fmt((x * dx0 - x0 * dx) * SCALE + MARGIN * dx * dx0,
-                     dx * dx0),
-                _fmt((y1 * dy - y * dy1) * SCALE + MARGIN * dy * dy1,
-                     dy * dy1))
+        X, Y, W = p.X, p.Y, p.W
+        return (_fmt((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0),
+                _fmt((y1 * W - Y * dy1) * SCALE + MARGIN * W * dy1, W * dy1))
 
 
 def _line(frame, a, b, style):

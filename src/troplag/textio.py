@@ -8,17 +8,19 @@
         [; sweepclasses h=<ints> v=<ints>]
     curve <name>
     vertex <id> (<rat>,<rat>)
-    edge <id> <from> <to> [weight=<int>]
+    edge <id> <from> <to>
     end <id> <from> dir=(<int>,<int>) [land=(<rat>,<rat>)] [node=<index>]
 
 Rationals are written exactly ("3", "22/7", "-4/3"); decimals are a syntax
-error.  An end's <from> is a vertex id, or a point literal for a standalone
-segment.  Exactly one of land= / node= must be given.  Syntax errors carry
-line and column; errors in building a diagram (a side of length zero, a
-non-primitive cut, an asymmetric form) point at its kind token, and errors
-in building a curve (an unknown vertex, a weight below one, a non-primitive
-direction) at its `curve` header; geometric errors (a landing off the
-boundary, say) are deferred to validate().
+error; a point is built from its digits, with no Fraction.  Edges and ends
+have weight one: an edge may still say `weight=1`, and any other weight is
+a syntax error at that token.  An end's <from> is a vertex id, or a point
+literal for a standalone segment.  Exactly one of land= / node= must be
+given.  Syntax errors carry line and column; errors in building a diagram
+(a side of length zero, a non-primitive cut, an asymmetric form) point at
+its kind token, and errors in building a curve (an unknown vertex, a
+non-primitive direction) at its `curve` header; geometric errors (a
+landing off the boundary, say) are deferred to validate().
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .diagram import (
     rectangle,
     x_abc,
 )
-from .lattice import IntVec, RatPoint, _INT, _INTEGER, _RAT, _RATIONAL
+from .lattice import IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL
 from .tropical import (
     BoundaryTerminal,
     CurveEnd,
@@ -60,7 +62,8 @@ class Document:
     curves: tuple[TropicalCurve, ...]
 
 
-_POINT = re.compile(rf"\(({_RAT}),({_RAT})\)\Z")
+# A point's numerators and denominators, each denominator optional.
+_POINT = re.compile(rf"\(({_INT})(?:/({_DEN}))?,({_INT})(?:/({_DEN}))?\)\Z")
 _INTPAIR = re.compile(rf"\(({_INT}),({_INT})\)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
 
@@ -103,7 +106,9 @@ def _point(tok: _Token) -> RatPoint:
     if not m:
         raise ParseError(f"expected a point like (1,2/3), got {tok.text!r}",
                          tok.line, tok.col)
-    return RatPoint(Fraction(m.group(1)), Fraction(m.group(2)))
+    xn, xd, yn, yd = m.groups()
+    xd, yd = int(xd or 1), int(yd or 1)
+    return RatPoint.of(int(xn) * yd, int(yn) * xd, xd * yd)
 
 
 def _intvec(tok: _Token) -> IntVec:
@@ -290,13 +295,11 @@ def _parse_element(tokens, current):
         return
     if head.text == "edge":
         if len(tokens) not in (4, 5):
-            raise ParseError("edge <id> <from> <to> [weight=<int>]",
-                             head.line, head.col)
-        weight = 1
-        if len(tokens) == 5:
-            weight = _integer(_keyvalue(tokens[4], "weight"))
-        edges.append(InternalEdge(ident, _name(tokens[2]), _name(tokens[3]),
-                                  None, weight))
+            raise ParseError("edge <id> <from> <to>", head.line, head.col)
+        if len(tokens) == 5 and _integer(_keyvalue(tokens[4], "weight")) != 1:
+            raise ParseError(f"edges have weight 1, got {tokens[4].text!r}",
+                             tokens[4].line, tokens[4].col)
+        edges.append(InternalEdge(ident, _name(tokens[2]), _name(tokens[3])))
         return
     # end <id> <from> dir=(..) land=(..)|node=N
     if len(tokens) != 5:
@@ -361,8 +364,7 @@ def _serialize_curve(curve: TropicalCurve):
     for v in curve.vertices:
         lines.append(f"vertex {v.id} {v.position}")
     for e in curve.edges:
-        suffix = f" weight={e.weight}" if e.weight != 1 else ""
-        lines.append(f"edge {e.id} {e.src} {e.dst}{suffix}")
+        lines.append(f"edge {e.id} {e.src} {e.dst}")
     for e in curve.ends:
         if isinstance(e.terminal, NodeTerminal):
             terminal = f"node={e.terminal.node_index}"

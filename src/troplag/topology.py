@@ -103,7 +103,7 @@ class ChiBreakdown:
 
 def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
     """chi terms and inventory of the surface over a validated curve; raises
-    if the curve is empty, a vertex is not trivalent weight-one, or an end
+    if the curve is empty, a vertex is not trivalent, or an end
     has no cap type."""
     if curve.is_empty:
         raise EmptyCurve("the empty curve carries no surface")
@@ -247,8 +247,8 @@ def build_presentation(diagram: BaseDiagram,
     slot = {}  # (site key, element id) -> circle label on the site's piece
     for v in curve.vertices:
         incident = curve.outgoing(v.id)
-        labels = tuple(f"{v.id}:{eid}" for _, _, eid in incident)
-        for _, _, eid in incident:
+        labels = tuple(f"{v.id}:{eid}" for _, eid in incident)
+        for _, eid in incident:
             slot[(v.id, eid)] = f"{v.id}:{eid}"
         if len(incident) != 3:
             raise MalformedPresentation(

@@ -1,17 +1,18 @@
 """Tropical curves in a base diagram.
 
-A curve is a plane graph: vertices at rational interior points, weighted
-internal edges with primitive integer directions, and ends that leave the
-graph and terminate either on the interior of a boundary edge or at a
-focus-focus node (travelling along the node's cut direction).  Ends have
+A curve is a plane graph: vertices at rational interior points, internal
+edges with primitive integer directions, and ends that leave the graph and
+terminate either on the interior of a boundary edge or at a focus-focus
+node (travelling along the node's cut direction).  Edges and ends have
 weight one by construction, as the text format writes them.  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
 standalone anchor point.
 
 A curve builds its incidence once, at construction: each site (a vertex, or
-a standalone anchor) keeps its outgoing (direction, weight, element id)
-triples in `sites` (weight 1 for an end), so outgoing() is a lookup; site()
-names the site an end leaves from.
+a standalone anchor) keeps its outgoing (direction, element id) pairs in
+`sites`, so outgoing() is a lookup; site() names the site an end leaves
+from.  A direction left for the curve to derive comes from the int
+difference of its endpoints (lattice.displacement).
 
 validate() checks every geometric and combinatorial invariant and returns a
 report; the numeric operations (vertex multiplicity, end multiplicity)
@@ -32,8 +33,8 @@ from .lattice import (
     between,
     cleared,
     common_scale,
+    displacement,
     segment_contact,
-    uncleared,
 )
 
 
@@ -43,10 +44,6 @@ class InvalidCurve(TroplagError):
 
 class NonTrivalentVertex(TroplagError):
     """Vertex multiplicity is only defined at trivalent vertices."""
-
-
-class WeightedVertexUnsupported(TroplagError):
-    """Vertex multiplicity requires all incident weights equal to one."""
 
 
 class UnbalancedVertex(TroplagError):
@@ -69,14 +66,13 @@ class TropicalVertex:
 
 @dataclass(frozen=True)
 class InternalEdge:
-    """An edge between two vertices.  direction is primitive, src -> dst;
-    pass None to have it derived from the vertex positions."""
+    """A weight-one edge between two vertices.  direction is primitive,
+    src -> dst; pass None to have it derived from the vertex positions."""
 
     id: str
     src: str
     dst: str
     direction: IntVec | None = None
-    weight: int = 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class CurveEnd:
 
 
 def _anchor_key(point: RatPoint):
-    return ("anchor", point.x, point.y)
+    return ("anchor", point)
 
 
 class TropicalCurve:
@@ -124,8 +120,8 @@ class TropicalCurve:
                 raise InvalidCurve(f"duplicate vertex id {v.id!r}")
             self._vertex_by_id[v.id] = v
 
-        # Incidence: site key -> outgoing (direction, weight, element id)
-        # triples, edges first; vertex sites first, then anchors.
+        # Incidence: site key -> outgoing (direction, element id) pairs,
+        # edges first; vertex sites first, then anchors.
         incidence = {v.id: [] for v in self.vertices}
         anchors = {}
         resolved = []
@@ -140,22 +136,18 @@ class TropicalCurve:
                         f"edge {e.id!r} refers to unknown vertex {endpoint!r}")
             if e.src == e.dst:
                 raise InvalidCurve(f"edge {e.id!r} is a loop")
-            if not isinstance(e.weight, int) or e.weight < 1:
-                raise InvalidCurve(f"edge {e.id!r} has non-positive weight")
             if e.direction is None:
-                delta = (self._vertex_by_id[e.dst].position
-                         - self._vertex_by_id[e.src].position)
-                if delta.is_zero:
+                a, b = (self._vertex_by_id[k].position for k in (e.src, e.dst))
+                if a == b:
                     raise InvalidCurve(
                         f"edge {e.id!r} joins coincident vertices")
-                e = InternalEdge(e.id, e.src, e.dst,
-                                 delta.primitive_direction(), e.weight)
+                e = InternalEdge(e.id, e.src, e.dst, displacement(a, b)[0])
             elif not e.direction.is_primitive:
                 raise InvalidCurve(
                     f"edge {e.id!r} direction {e.direction} is not primitive")
             resolved.append(e)
-            incidence[e.src].append((e.direction, e.weight, e.id))
-            incidence[e.dst].append((-e.direction, e.weight, e.id))
+            incidence[e.src].append((e.direction, e.id))
+            incidence[e.dst].append((-e.direction, e.id))
         self.edges = tuple(resolved)
 
         for e in self.ends:
@@ -169,7 +161,7 @@ class TropicalCurve:
                 raise InvalidCurve(
                     f"end {e.id!r} direction {e.direction} is not primitive")
             key = self.site(e)
-            incidence.setdefault(key, []).append((e.direction, 1, e.id))
+            incidence.setdefault(key, []).append((e.direction, e.id))
             if key not in self._vertex_by_id:
                 anchors.setdefault(key, (e.source, []))[1].append(e)
         self.sites = MappingProxyType(
@@ -199,7 +191,7 @@ class TropicalCurve:
         return self._anchors
 
     def outgoing(self, key):
-        """Weighted outgoing primitive directions at a vertex id or anchor key."""
+        """Outgoing (direction, element id) pairs at a vertex id or anchor key."""
         return self.sites.get(key, ())
 
     @property
@@ -223,8 +215,8 @@ class TropicalCurve:
         """The curve in new integral affine coordinates."""
         vertices = [TropicalVertex(v.id, m.apply(v.position))
                     for v in self.vertices]
-        edges = [InternalEdge(e.id, e.src, e.dst, m.apply(e.direction),
-                              e.weight) for e in self.edges]
+        edges = [InternalEdge(e.id, e.src, e.dst, m.apply(e.direction))
+                 for e in self.edges]
         ends = []
         for e in self.ends:
             source = e.source if isinstance(e.source, str) else m.apply(e.source)
@@ -283,19 +275,18 @@ class ValidationReport:
 
 
 def check_balancing(curve: TropicalCurve) -> ValidationReport:
-    """Weighted outgoing directions must sum to zero at every vertex, and at
-    every standalone anchor (where this just says the segment is straight)."""
+    """Outgoing directions must sum to zero at every vertex, and at every
+    standalone anchor (where this just says the segment is straight)."""
     issues = []
     labels = {curve.site(anchor_ends[0]): f"anchor {point}"
               for point, anchor_ends in curve.anchors()}
     for key, out in curve.sites.items():
-        sx = sum(d.x * w for d, w, _ in out)
-        sy = sum(d.y * w for d, w, _ in out)
+        sx = sum(d.x for d, _ in out)
+        sy = sum(d.y for d, _ in out)
         if (sx, sy) != (0, 0):
             issues.append(ValidationIssue(
                 "balancing", labels.get(key, key),
-                f"weighted outgoing directions sum to ({sx},{sy}), "
-                "expected (0,0)"))
+                f"outgoing directions sum to ({sx},{sy}), expected (0,0)"))
     return ValidationReport(tuple(issues))
 
 
@@ -316,7 +307,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     The empty curve is vacuously valid.
 
     The segment predicates run on ints: every curve point, node and cut end
-    is scaled once by the least common denominator of their coordinates.
+    is scaled once by the least common denominator of their coordinates,
+    read from each point's triple.
     Embeddedness sweeps the segments' bounding boxes by min x (Shamos-Hoey)
     and runs the exact segment_contact only on pairs whose boxes meet:
     O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
@@ -366,9 +358,10 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
         a, b = grid[e.src], grid[e.dst]
         segments.append((e.id, a, b, e.src, e.dst))
         if not _reaches(a, b, e.direction):
-            start, finish = curve.edge_segment(e)
+            # (b - a) / scale, which prints as the point at it.
+            delta = RatPoint.of(b[0] - a[0], b[1] - a[1], scale)
             issue("edge-collinearity", e.id,
-                  f"displacement {finish - start} is not a positive "
+                  f"displacement {delta} is not a positive "
                   f"multiple of direction {e.direction}")
 
     for e in curve.ends:
@@ -442,9 +435,10 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
             tokens2 = {tok for p, tok in ((c, tok_c), (d, tok_d))
                        if hit == (*p, 1)}
             if not tokens1 & tokens2:
+                x, y, w = hit
                 issue("embedding", id1,
-                      f"meets {id2} at {uncleared(hit, scale)}, which is not "
-                      "a shared endpoint")
+                      f"meets {id2} at {RatPoint.of(x, y, w * scale)}, which "
+                      "is not a shared endpoint")
         for node_index, (node, _) in enumerate(cuts):
             if between(node, a, b):
                 issue("crosses-node", id1, "passes through the node at "
@@ -487,16 +481,13 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
 def vertex_multiplicity(curve: TropicalCurve, vertex_id: str) -> int:
     """The determinant m = |v1 ^ v2| of the outgoing directions at a
-    balanced trivalent weight-one vertex (the three pairwise values agree)."""
+    balanced trivalent vertex (the three pairwise values agree)."""
     curve.vertex(vertex_id)
     out = curve.outgoing(vertex_id)
     if len(out) != 3:
         raise NonTrivalentVertex(
             f"vertex {vertex_id!r} has valence {len(out)}, expected 3")
-    if any(w != 1 for _, w, _ in out):
-        raise WeightedVertexUnsupported(
-            f"vertex {vertex_id!r} has incident weights != 1")
-    (d1, _, _), (d2, _, _), (d3, _, _) = out
+    (d1, _), (d2, _), (d3, _) = out
     m12, m23, m31 = abs(d1.wedge(d2)), abs(d2.wedge(d3)), abs(d3.wedge(d1))
     if not m12 == m23 == m31:
         raise UnbalancedVertex(

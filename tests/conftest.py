@@ -1,8 +1,9 @@
 """Shared fixtures: bundled documents, random balanced curves, random
-unimodular maps."""
+unimodular maps, and Fraction references for point arithmetic."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -17,7 +18,6 @@ from troplag import (
     InternalEdge,
     LocationKind,
     RatPoint,
-    RatVec,
     TropicalCurve,
     TropicalVertex,
     UnimodularAffineMap,
@@ -107,6 +107,52 @@ token_soups = st.builds(
     st.integers(0, 8))
 
 
+# ---------------------------------------------------------------------
+# Fraction references for point arithmetic.  RatPoint computes on its
+# reduced int triple (X, Y, W); the tests check it against rational
+# arithmetic written out here, on the Fraction coordinates p.x and p.y.
+# ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FracVec:
+    """A rational displacement in Fraction arithmetic."""
+
+    x: Fraction
+    y: Fraction
+
+    def wedge(self, other) -> Fraction:
+        return self.x * other.y - self.y * other.x
+
+    def dot(self, other) -> Fraction:
+        return self.x * other.x + self.y * other.y
+
+    @property
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+    def primitive_direction(self) -> IntVec:
+        scale = self.x.denominator * self.y.denominator
+        return IntVec(int(self.x * scale), int(self.y * scale)).primitive()
+
+    def ratio_along(self, direction: IntVec) -> Fraction | None:
+        """The t with self == t*direction, or None if not parallel."""
+        if self.wedge(direction) != 0:
+            return None
+        if direction.x != 0:
+            return self.x / direction.x
+        return self.y / direction.y
+
+
+def diff(b, a) -> FracVec:
+    """The displacement b - a of two points."""
+    return FracVec(b.x - a.x, b.y - a.y)
+
+
+def moved(p, u, t) -> RatPoint:
+    """The point p + t*u."""
+    return RatPoint(p.x + t * u.x, p.y + t * u.y)
+
+
 @pytest.fixture(scope="session")
 def bundled_documents():
     return {name: load_document(name) for name in BUNDLED_DOCS}
@@ -162,7 +208,7 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
             splits = SPLITS.get((direction.x, direction.y))
             step = rng.randint(1, 3)
             source = next(v.position for v in vertices if v.id == vid)
-            landing_zone = source.moved(direction, step)
+            landing_zone = moved(source, direction, step)
             margin = Fraction(2)
             if (not splits
                     or not margin <= landing_zone.x <= size - margin
@@ -202,9 +248,8 @@ _SHEARS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)),
 def random_unimodular_map(rng: random.Random) -> UnimodularAffineMap:
     m = UnimodularAffineMap.identity()
     for _ in range(rng.randint(1, 4)):
-        g = UnimodularAffineMap(rng.choice(_SHEARS),
-                                RatVec(Fraction(0), Fraction(0)))
+        g = UnimodularAffineMap(rng.choice(_SHEARS), RatPoint(0, 0))
         m = g.compose(m)
-    translation = RatVec(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))),
-                         Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+    translation = RatPoint(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))),
+                           Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
     return UnimodularAffineMap(m.linear, translation)

@@ -106,7 +106,7 @@ CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
                  "line 2, col 1: edge 'e' refers to unknown vertex 'zz'",
                  id="unknown-vertex"),
     pytest.param(CURVE_HEAD + "edge e a b weight=0\n",
-                 "line 2, col 1: edge 'e' has non-positive weight",
+                 "line 5, col 12: edges have weight 1, got 'weight=0'",
                  id="zero-weight"),
     pytest.param(CURVE_HEAD + "end x a dir=(2,0) land=(0,1)\n",
                  "line 2, col 1: end 'x' direction (2,0) is not primitive",
@@ -124,6 +124,12 @@ CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
                  "basis a b ; form 0 1 2 0\n",
                  "line 1, col 9: intersection form must be symmetric",
                  id="asymmetric-form"),
+    # A convex pentagon's corners in star order: every turn is to the left,
+    # but the boundary winds twice around the polygon.
+    pytest.param("diagram polygon (0,0) (5,3) (-1,3) (4,0) (2,5)\n",
+                 "line 1, col 9: polygon must wind once counterclockwise "
+                 "(vertex (4,0) is not strictly left of the edge (0,0) to "
+                 "(5,3))", id="star-polygon"),
     pytest.param("diagram rectangle width=\u0664 height=1\n",
                  "line 1, col 25: expected a rational like 3 or 22/7",
                  id="unicode-digit-width"),
@@ -319,6 +325,24 @@ def test_semantically_invalid_diagram_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+# A balanced curve whose edge g has weight 2 (two unit ends at each vertex
+# balance it); edges carry weight one, so every command refuses it.
+WEIGHT_TWO = ("diagram rectangle width=6 height=4\ncurve c\n"
+              "vertex u (2,2)\nvertex w (4,2)\nedge g u w weight=2\n"
+              "end a u dir=(-1,1) land=(0,4)\nend b u dir=(-1,-1) land=(0,0)\n"
+              "end c w dir=(1,1) land=(6,4)\nend d w dir=(1,-1) land=(6,0)\n")
+
+
+@pytest.mark.parametrize("argv", [("validate", "-"), ("topology", "-"),
+                                  ("render", "-", "-o", "-")])
+def test_weighted_edge_exits_2(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, monkeypatch=monkeypatch,
+                         stdin_text=WEIGHT_TWO)
+    assert (code, out) == (2, "")
+    assert err == ("error: line 5, col 12: edges have weight 1, "
+                   "got 'weight=2'\n")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "topology", "no_such_file.trop")
     assert code == 2
@@ -335,8 +359,20 @@ def test_triangle_command(capsys):
     code, out, _ = run(capsys, "triangle", "1", "1", "3")
     assert code == 1
     assert "violated: c < a+b" in out
+    code, out, _ = run(capsys, "triangle", "1", "2", "3")
+    assert code == 1
+    assert out == ("triangle inequalities for a=1, b=2, c=3:\n"
+                   "  a < b+c: 1 < 5: satisfied\n"
+                   "  b < c+a: 2 < 4: satisfied\n"
+                   "  c < a+b: 3 < 3: VIOLATED\n"
+                   "violated: c < a+b\n")
     code, out, _ = run(capsys, "triangle", "2/3", "5/3", "2/3")
-    assert code == 1 and "violated: b < c+a" in out
+    assert code == 1
+    assert out == ("triangle inequalities for a=2/3, b=5/3, c=2/3:\n"
+                   "  a < b+c: 2/3 < 7/3: satisfied\n"
+                   "  b < c+a: 5/3 < 4/3: VIOLATED\n"
+                   "  c < a+b: 2/3 < 7/3: satisfied\n"
+                   "violated: b < c+a\n")
 
 
 def test_gen_family_pipes_into_topology(capsys, monkeypatch):

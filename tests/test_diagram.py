@@ -12,13 +12,13 @@ from troplag import (
     Node,
     PointLocation,
     RatPoint,
-    RatVec,
     UnimodularAffineMap,
     pt,
     rectangle,
     x_abc,
 )
-from conftest import FIGURES, load_document, random_unimodular_map
+from conftest import (FIGURES, FracVec, diff, load_document, moved,
+                      random_unimodular_map)
 
 F = Fraction
 
@@ -87,8 +87,8 @@ def test_x_abc_cut_length_equals_blowup_size():
     for a, b, c, s in ((1, 1, F(4, 3), 4), (F(1, 2), F(3, 4), F(1, 3), 4)):
         d = x_abc(a, b, c, s)
         (start_a, exit_a), (start_b, exit_b) = d.cut_segments
-        assert (exit_a - start_a).ratio_along(IntVec(0, 1)) == a
-        assert (exit_b - start_b).ratio_along(IntVec(1, 0)) == b
+        assert diff(exit_a, start_a).ratio_along(IntVec(0, 1)) == a
+        assert diff(exit_b, start_b).ratio_along(IntVec(1, 0)) == b
         # both exits on the slanted edge
         assert exit_a.x + exit_a.y == s and exit_b.x + exit_b.y == s
 
@@ -174,7 +174,7 @@ def _probe_points(rng, d):
     points = list(d.polygon_vertices) + [n.position for n in d.nodes]
     for start, end in [(e.start, e.end) for e in d.boundary_edges] \
             + list(d.cut_segments):
-        points += [start.moved(end - start, F(rng.randint(1, 11), 12))
+        points += [moved(start, diff(end, start), F(rng.randint(1, 11), 12))
                    for _ in range(3)]
         points.append(end)
     for _ in range(30):
@@ -185,7 +185,7 @@ def _probe_points(rng, d):
 
 def test_contains_memo_is_transparent():
     rng = random.Random(1979)
-    shift = UnimodularAffineMap(((1, 0), (0, 1)), RatVec(F(1, 2), F(1, 3)))
+    shift = UnimodularAffineMap(((1, 0), (0, 1)), pt(F(1, 2), F(1, 3)))
     kinds = set()
     for path in sorted(FIGURES.glob("*.trop")):
         d = load_document(path.name).diagram
@@ -215,18 +215,18 @@ def test_contains_memo_is_transparent():
 def _least_hit(diagram, origin, direction):
     """A reference exit: the least t at which the ray meets a closed edge,
     and whether that point ends the edge (a corner)."""
-    d = RatVec(F(direction.x), F(direction.y))
+    d = FracVec(F(direction.x), F(direction.y))
     hits = []
     for edge in diagram.boundary_edges:
-        v = edge.end - edge.start
+        v = diff(edge.end, edge.start)
         denom = d.wedge(v)
         if denom == 0:
             continue
-        w = edge.start - origin
+        w = diff(edge.start, origin)
         t = w.wedge(v) / denom
         s = w.wedge(d) / denom
         if t > 0 and 0 <= s <= 1:
-            hits.append((t, origin.moved(direction, t), edge))
+            hits.append((t, moved(origin, direction, t), edge))
     _, point, edge = min(hits, key=lambda h: h[0])
     return point, point in (edge.start, edge.end)
 
@@ -245,7 +245,7 @@ def test_exit_matches_the_least_edge_hit():
                                            LocationKind.ON_BOUNDARY_EDGE,
                                            LocationKind.ON_CORNER):
                 continue
-            directions = [(v - origin).primitive_direction()
+            directions = [diff(v, origin).primitive_direction()
                           for v in d.polygon_vertices]
             while len(directions) < 12:
                 u = IntVec(rng.randint(-5, 5), rng.randint(-5, 5))
@@ -285,6 +285,21 @@ def test_generic_polygon_rejects_clockwise():
 def test_generic_polygon_rejects_collinear():
     with pytest.raises(InvalidDiagram):
         BaseDiagram([pt(0, 0), pt(1, 0), pt(2, 0), pt(0, 2)])
+
+
+def test_generic_polygon_rejects_winding_twice():
+    # A convex pentagon's corners in star order 0, 2, 4, 1, 3: every turn
+    # is to the left, yet the boundary winds twice around the polygon.
+    pentagon = [pt(0, 0), pt(4, 0), pt(5, 3), pt(2, 5), pt(-1, 3)]
+    star = [pentagon[i] for i in (0, 2, 4, 1, 3)]
+    with pytest.raises(InvalidDiagram, match=r"polygon must wind once "
+                       r"counterclockwise \(vertex \(4,0\) is not strictly "
+                       r"left of the edge \(0,0\) to \(5,3\)\)"):
+        BaseDiagram(star)
+    # Listed once around, the same corners build a diagram, and (2,1/2)
+    # is inside it.
+    assert BaseDiagram(pentagon).contains(pt(2, F(1, 2))) == PointLocation(
+        LocationKind.INTERIOR)
 
 
 def test_node_cut_must_not_exit_through_corner():

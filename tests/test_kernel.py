@@ -3,15 +3,16 @@
 Each reference below is a Fraction body as it stood before validate, the
 sweeps and BaseDiagram ran on cleared-denominator ints: orientation, the
 closed and open segment tests, segment_contact, the polygon locator
-behind BaseDiagram.contains, BaseDiagram's construction checks, and the
-sweeps' spans and critical coordinates.  The kernel (turn, within, between
-and segment_contact on cleared int pairs, and segment_contact on
-RatPoints), contains, construction and the sweeps must give the same
-answers on the bundled figures, on seeded rational segments of every
-degenerate kind, on points at every kind of location in a rectangle, in
-x_abc diagrams and in polygons with rational corners and nodes, on seeded
-polygons and nodes, valid and not, and on all of these moved by random
-unimodular maps.
+behind BaseDiagram.contains, BaseDiagram's construction checks (with the
+rule that the corners wind once) and its exit, and the sweeps' spans and
+critical coordinates.  Point arithmetic in them is the Fraction reference
+of conftest (diff, moved).  The kernel (turn, within, between and
+segment_contact on cleared int pairs), contains, construction and the
+sweeps must give the same answers on the bundled figures, on seeded
+rational segments of every degenerate kind, on points at every kind of
+location in a rectangle, in x_abc diagrams and in polygons with rational
+corners and nodes, on seeded polygons and nodes, valid and not, and on all
+of these moved by random unimodular maps.
 """
 import random
 from collections import Counter
@@ -30,6 +31,7 @@ from troplag import (
     LocationKind,
     Node,
     PointLocation,
+    RatPoint,
     SweepDirection,
     UnsweepableCurve,
     pt,
@@ -48,10 +50,10 @@ from troplag.lattice import (
     common_scale,
     segment_contact,
     turn,
-    uncleared,
     within,
 )
-from conftest import FIGURES, load_document, random_unimodular_map
+from conftest import (FIGURES, diff, load_document, moved,
+                      random_unimodular_map)
 
 F = Fraction
 
@@ -59,7 +61,7 @@ F = Fraction
 # -- the Fraction references -------------------------------------------
 
 def ref_orientation(a, b, c):
-    s = (b - a).wedge(c - a)
+    s = diff(b, a).wedge(diff(c, a))
     return (s > 0) - (s < 0)
 
 
@@ -75,17 +77,17 @@ def ref_on_open_segment(p, a, b):
 
 
 def ref_segment_contact(a, b, c, d):
-    u = b - a
-    v = d - c
+    u = diff(b, a)
+    v = diff(d, c)
     denom = u.wedge(v)
-    w = c - a
+    w = diff(c, a)
     if denom == 0:
         if w.wedge(u) != 0:
             return None
         if u.is_zero and v.is_zero:
             return a if a == c else None
         axis = u if not u.is_zero else v
-        key = (lambda p: (p - a).dot(axis))
+        key = (lambda p: diff(p, a).dot(axis))
         lo1, hi1 = sorted((key(a), key(b)))
         lo2, hi2 = sorted((key(c), key(d)))
         lo, hi = max(lo1, lo2), min(hi1, hi2)
@@ -101,7 +103,7 @@ def ref_segment_contact(a, b, c, d):
     t = w.wedge(v) / denom
     s = w.wedge(u) / denom
     if 0 <= t <= 1 and 0 <= s <= 1:
-        return a.moved(u, t)
+        return moved(a, u, t)
     return None
 
 
@@ -153,10 +155,16 @@ def ref_construction(vertices, nodes):
         if side == 0:
             return ("polygon must be strictly convex "
                     f"(vertices {a}, {b}, {c} are collinear)")
-    # exit stayed on Fractions, so the reference runs BaseDiagram.exit on a
-    # stand-in with the two fields it reads.
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        for k in range(i + 2, i + n):
+            if ref_orientation(a, b, vertices[k % n]) <= 0:
+                return ("polygon must wind once counterclockwise (vertex "
+                        f"{vertices[k % n]} is not strictly left of the edge "
+                        f"{a} to {b})")
+    # The locator reads only the corners and each edge's two ends.
     polygon = SimpleNamespace(polygon_vertices=vertices, boundary_edges=[
-        BoundaryEdge(a, b, (b - a).primitive_direction(), None)
+        BoundaryEdge(a, b, None, None)
         for a, b in zip(vertices, vertices[1:] + vertices[:1])])
     segments = []
     for node in nodes:
@@ -164,8 +172,8 @@ def ref_construction(vertices, nodes):
                 is not LocationKind.INTERIOR:
             return (f"node at {node.position} is not strictly inside the "
                     "polygon")
-        point, location = BaseDiagram.exit(polygon, node.position,
-                                           node.cut_direction)
+        point, location = ref_exit(vertices, node.position,
+                                   node.cut_direction)
         if location.kind is LocationKind.ON_CORNER:
             return (f"cut from node at {node.position} exits through the "
                     f"corner {point}")
@@ -183,6 +191,22 @@ def ref_construction(vertices, nodes):
                 return (f"node at {node.position} lies on the cut of the "
                         f"node at {nodes[j].position}")
     return tuple(segments)
+
+
+def ref_exit(vertices, origin, direction):
+    """BaseDiagram.exit: the ray leaves through the nearest line of an edge
+    it moves outward through."""
+    n = len(vertices)
+    edges = [diff(vertices[(i + 1) % n], vertices[i]) for i in range(n)]
+    t, index = min(
+        (e.wedge(diff(origin, vertices[i])) / -outward, i)
+        for i, e in enumerate(edges)
+        if (outward := e.wedge(direction)) < 0)
+    point = moved(origin, direction, t)
+    for corner in (index, (index + 1) % n):
+        if point == vertices[corner]:
+            return point, PointLocation(LocationKind.ON_CORNER, corner)
+    return point, PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
 
 
 def ref_spans(diagram, curve, direction):
@@ -221,7 +245,7 @@ def _curve_segments(diagram, curve):
 
 
 def _on(a, b, t):
-    return a.moved(b - a, t)
+    return moved(a, diff(b, a), t)
 
 
 def _random_point(rng, span=4):
@@ -258,13 +282,13 @@ def _segment_quads(rng, count):
             c = pt(a.x, _random_point(rng).y)
             d = pt(rng.choice((a.x, b.x + 1)), _random_point(rng).y)
         elif kind == 6:       # parallel and distinct
-            shift = _random_point(rng, 1) - pt(0, 0)
+            shift = _random_point(rng, 1)
             c = pt(a.x + shift.x, a.y + shift.y)
             d = pt(b.x + shift.x, b.y + shift.y)
         else:                 # crossing at a point inside both
             p = _on(a, b, F(rng.randint(1, 5), 6))
-            off = _random_point(rng, 1) - pt(0, 0)
-            c, d = p.moved(off, 1), p.moved(off, -t1 if t1 > 0 else -1)
+            off = _random_point(rng, 1)
+            c, d = moved(p, off, 1), moved(p, off, -t1 if t1 > 0 else -1)
         quads.append((a, b, c, d))
     return quads
 
@@ -282,7 +306,7 @@ def _probe_points(rng, diagram):
         points += [_on(start, end, F(k, 7)) for k in range(-1, 9)]
         points.append(_on(start, end, F(1, 2)))
     for node in diagram.nodes:
-        points += [node.position.moved(node.cut_direction, F(k, 5))
+        points += [moved(node.position, node.cut_direction, F(k, 5))
                    for k in (-7, -1, 1, 3)]
     x0, y0, x1, y1 = diagram.bounds()
     for _ in range(40):
@@ -331,10 +355,21 @@ def _moved(rng, cases):
     return out
 
 
+def _contact(a, b, c, d):
+    """segment_contact of four points, cleared by their common scale, with
+    a point of contact read back as a RatPoint."""
+    scale = common_scale((a, b, c, d))
+    hit = segment_contact(*(cleared(p, scale) for p in (a, b, c, d)))
+    if hit is None or hit == OVERLAP:
+        return hit
+    x, y, w = hit
+    return RatPoint.of(x, y, w * scale)
+
+
 def _assert_segment_predicates(quads):
     for a, b, c, d in quads:
         expected = ref_segment_contact(a, b, c, d)
-        assert segment_contact(a, b, c, d) == expected, (a, b, c, d)
+        assert _contact(a, b, c, d) == expected, (a, b, c, d)
         scale = common_scale((a, b, c, d))
         ia, ib, ic, id_ = (cleared(p, scale) for p in (a, b, c, d))
         assert turn(ia, ib, ic) == ref_orientation(a, b, c)
@@ -372,7 +407,8 @@ def _hull(points):
 def _random_construction(rng):
     """Seeded polygon vertices and nodes for BaseDiagram, valid or broken
     in each way its checks tell apart: too few, repeated, clockwise or
-    collinear corners, nodes outside, on the boundary, on a corner's ray,
+    collinear corners, corners in star order (all turns to the left, but
+    winding twice), nodes outside, on the boundary, on a corner's ray,
     repeated or on another node's cut line."""
     vertices = _hull([_random_point(rng) for _ in range(rng.randint(3, 7))])
     kind = rng.randrange(10)
@@ -386,14 +422,16 @@ def _random_construction(rng):
         rng.shuffle(vertices)
     elif kind == 4:
         vertices = vertices[:2]
+    elif kind == 5 and len(vertices) >= 5:
+        vertices = vertices[::2] + vertices[1::2]
     nodes = []
     for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4))):
         direction = rng.choice(_SMALL_DIRECTIONS)
         pick = rng.randrange(10)
         if pick == 0 and nodes:      # on an earlier node's cut line
             other = rng.choice(nodes)
-            position = other.position.moved(other.cut_direction,
-                                            F(rng.randint(-4, 8), 4))
+            position = moved(other.position, other.cut_direction,
+                             F(rng.randint(-4, 8), 4))
         elif pick == 1 and nodes:    # at an earlier node
             position = rng.choice(nodes).position
         elif pick == 2 and vertices:  # on the boundary
@@ -408,7 +446,7 @@ def _random_construction(rng):
                                 for w, c in zip(weights, corners))
                             / sum(weights) for axis in "xy"))
         if pick == 4 and vertices:   # aimed at a corner
-            aim = rng.choice(vertices) - position
+            aim = diff(rng.choice(vertices), position)
             if not aim.is_zero:
                 direction = aim.primitive_direction()
         nodes.append(Node(position, direction))
@@ -449,21 +487,21 @@ def test_contact_on_cleared_ints_reports_reduced_points():
             continue
         x, y, w = hit
         assert w > 0 and gcd(x, y, w) == 1
-        assert uncleared(hit, scale) == expected
+        assert RatPoint.of(x, y, w * scale) == expected
 
 
 def test_collinearity_matches_ratio_along():
-    # validate's collinearity test, on cleared ints, against the RatVec
+    # validate's collinearity test, on cleared ints, against the Fraction
     # test it replaced: b - a must be a positive multiple of the direction.
     rng = random.Random(515)
     directions = [IntVec(x, y) for x in range(-2, 3) for y in range(-2, 3)
                   if (x, y) != (0, 0)]
     for _ in range(2000):
         a, u = _random_point(rng), rng.choice(directions)
-        b = rng.choice((a, a.moved(u, F(rng.randint(-6, 6), 3)),
+        b = rng.choice((a, moved(a, u, F(rng.randint(-6, 6), 3)),
                         _random_point(rng)))
         scale = common_scale((a, b))
-        t = (b - a).ratio_along(u)
+        t = diff(b, a).ratio_along(u)
         assert tropical._reaches(cleared(a, scale), cleared(b, scale), u) \
             == (t is not None and t > 0), (a, b, u)
 
@@ -518,14 +556,14 @@ def test_construction_matches_the_reference_checks():
             outcomes["valid, with nodes" if nodes else "valid"] += 1
         else:
             outcomes[next(word for word in (
-                "three", "vertices must be distinct", "counterclockwise",
-                "collinear", "inside", "corner", "positions", "collide",
-                "lies on")
+                "three", "vertices must be distinct", "wind once",
+                "counterclockwise", "collinear", "inside", "corner",
+                "positions", "collide", "lies on")
                 if word in expected)] += 1
     # A node on another node's open cut is on both cuts, so the cuts
     # collide first: the old check after them never fired.
     assert "lies on" not in outcomes
-    assert len(outcomes) == 10 and min(outcomes.values()) >= 20, outcomes
+    assert len(outcomes) == 11 and min(outcomes.values()) >= 20, outcomes
 
 
 @pytest.mark.parametrize("ell", [1, 2, 5])

@@ -1,17 +1,27 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from troplag import (
     DegenerateDirection,
     IntVec,
     NonUnimodularMap,
-    RatVec,
+    RatPoint,
     UnimodularAffineMap,
+    parse_document,
     pt,
+    rectangle,
 )
-from troplag.lattice import between, segment_contact, turn, within
+from troplag.lattice import (
+    OVERLAP,
+    between,
+    displacement,
+    segment_contact,
+    turn,
+    within,
+)
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 vecs = st.builds(IntVec, ints, ints)
@@ -19,8 +29,7 @@ nonzero_vecs = vecs.filter(lambda v: not v.is_zero)
 
 
 def shear(a, b, c, d):
-    return UnimodularAffineMap(((a, b), (c, d)),
-                               RatVec(Fraction(0), Fraction(0)))
+    return UnimodularAffineMap(((a, b), (c, d)), pt(0, 0))
 
 
 # -- primitive --------------------------------------------------------
@@ -104,7 +113,7 @@ def test_apply_shear_to_vector():
 
 
 def test_apply_rotation_with_translation_to_point():
-    m = UnimodularAffineMap(((0, -1), (1, 0)), RatVec(Fraction(1), Fraction(0)))
+    m = UnimodularAffineMap(((0, -1), (1, 0)), pt(1, 0))
     assert m.apply(pt(0, 0)) == pt(1, 0)
 
 
@@ -114,7 +123,7 @@ def test_non_unimodular_rejected():
 
 
 def test_inverse_roundtrip():
-    m = UnimodularAffineMap(((2, 1), (1, 1)), RatVec(Fraction(3, 2), Fraction(-1)))
+    m = UnimodularAffineMap(((2, 1), (1, 1)), pt(Fraction(3, 2), -1))
     inv = m.inverse()
     p = pt(Fraction(5, 3), Fraction(-7, 4))
     assert inv.apply(m.apply(p)) == p
@@ -124,6 +133,8 @@ def test_inverse_roundtrip():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         pt(0.5, 1)
+    with pytest.raises(TypeError):
+        RatPoint(1, 0.5)
     with pytest.raises(TypeError):
         IntVec(1.0, 2)
 
@@ -146,29 +157,111 @@ def test_on_segment_variants():
 
 
 def test_segment_contact_cases():
+    # int pairs in, and a contact as a reduced (X, Y, W) triple out
     # proper crossing
-    assert segment_contact(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0)) == pt(1, 1)
+    assert segment_contact((0, 0), (2, 2), (0, 2), (2, 0)) == (1, 1, 1)
+    # proper crossing between lattice points: (1/2, 1/2)
+    assert segment_contact((0, 0), (1, 1), (0, 1), (1, 0)) == (1, 1, 2)
     # disjoint
-    assert segment_contact(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)) is None
+    assert segment_contact((0, 0), (1, 0), (0, 1), (1, 1)) is None
     # shared endpoint
-    assert segment_contact(pt(0, 0), pt(1, 1), pt(1, 1), pt(2, 0)) == pt(1, 1)
+    assert segment_contact((0, 0), (1, 1), (1, 1), (2, 0)) == (1, 1, 1)
     # T-touch in the interior of the first segment
-    assert segment_contact(pt(0, 0), pt(2, 0), pt(1, 0), pt(1, 1)) == pt(1, 0)
+    assert segment_contact((0, 0), (2, 0), (1, 0), (1, 1)) == (1, 0, 1)
     # collinear overlap
-    assert segment_contact(pt(0, 0), pt(3, 0), pt(1, 0), pt(4, 0)) == "overlap"
+    assert segment_contact((0, 0), (3, 0), (1, 0), (4, 0)) == OVERLAP
     # collinear touch at one point
-    assert segment_contact(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 0)) == pt(1, 0)
+    assert segment_contact((0, 0), (1, 0), (1, 0), (2, 0)) == (1, 0, 1)
     # collinear disjoint
-    assert segment_contact(pt(0, 0), pt(1, 0), pt(2, 0), pt(3, 0)) is None
+    assert segment_contact((0, 0), (1, 0), (2, 0), (3, 0)) is None
 
 
 def test_ratio_along():
-    delta = pt(4, 2) - pt(1, Fraction(1, 2))
-    assert delta.ratio_along(IntVec(2, 1)) == Fraction(3, 2)
-    assert delta.ratio_along(IntVec(1, 1)) is None
-    assert (pt(0, 0) - pt(2, 1)).ratio_along(IntVec(2, 1)) == -1
+    # displacement(a, b) is b - a as a lattice length along its primitive
+    # direction
+    assert displacement(pt(1, Fraction(1, 2)), pt(4, 2)) \
+        == (IntVec(2, 1), Fraction(3, 2))
+    assert displacement(pt(2, 1), pt(0, 0)) == (IntVec(-2, -1), 1)
+    assert displacement(pt(0, Fraction(1, 3)), pt(0, Fraction(5, 6))) \
+        == (IntVec(0, 1), Fraction(1, 2))
+    with pytest.raises(DegenerateDirection):
+        displacement(pt(Fraction(2, 4), 1), pt(Fraction(1, 2), 1))
 
 
 def test_primitive_direction_of_rational_displacement():
-    delta = pt(Fraction(2, 3), Fraction(2, 3)) - pt(1, 1)
-    assert delta.primitive_direction() == IntVec(-1, -1)
+    direction, _ = displacement(pt(1, 1), pt(Fraction(2, 3), Fraction(2, 3)))
+    assert direction == IntVec(-1, -1)
+
+
+# -- the point type ----------------------------------------------------
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**4)
+
+
+def _same(p, q):
+    """p and q are one point, however each was built: equal, with equal
+    hashes and one reduced triple."""
+    assert p == q and hash(p) == hash(q)
+    assert (p.X, p.Y, p.W) == (q.X, q.Y, q.W)
+    assert p.W > 0 and gcd(p.X, p.Y, p.W) == 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rationals, rationals, st.integers(1, 50), st.sampled_from(
+    [(1, 1), (2, 1), (-1, 3), (0, -1), (-2, -5), (1, 0)]),
+    st.sampled_from([((1, 0), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)),
+                     ((1, 0), (3, -1)), ((-3, 2), (-5, 3))]))
+def test_every_route_builds_the_same_point(x, y, k, direction, linear):
+    p = RatPoint(x, y)
+    assert (p.x, p.y) == (x, y)
+    assert type(p.x) is Fraction and type(p.y) is Fraction
+    assert str(p) == f"({x},{y})"
+    _same(p, pt(x, y))
+    _same(p, pt(str(x), str(y)))
+    _same(p, RatPoint.of(p.X * k, p.Y * k, p.W * k))
+
+    # The parser, from unreduced digits.
+    spelled = (f"({x.numerator * k}/{x.denominator * k},"
+               f"{y.numerator * k}/{y.denominator * k})")
+    doc = parse_document("diagram rectangle width=1 height=1\ncurve c\n"
+                         f"vertex v {spelled}\n")
+    _same(doc.curves[0].vertex("v").position, p)
+
+    # Rectangle corners.
+    w, h = abs(x) + 1, abs(y) + 1
+    box = rectangle(w, h)
+    for corner, (cx, cy) in zip(box.polygon_vertices,
+                                [(0, 0), (w, 0), (w, h), (0, h)]):
+        _same(corner, pt(cx, cy))
+
+    # exit, against the least positive t at which the ray meets one of the
+    # box's four lines.
+    u = IntVec(*direction)
+    origin = pt(w * Fraction(k, 51), h * Fraction(51 - k, 51))
+    times = [bound / step for bound, step in (
+        ((w - origin.x) if u.x > 0 else -origin.x, u.x),
+        ((h - origin.y) if u.y > 0 else -origin.y, u.y)) if step]
+    t = min(times)
+    point, _ = box.exit(origin, u)
+    _same(point, pt(origin.x + t * u.x, origin.y + t * u.y))
+
+    # An affine map and its inverse.
+    (a, b), (c, d) = linear
+    shift = pt(y, x)
+    m = UnimodularAffineMap(linear, shift)
+    image = m.apply(p)
+    _same(image, pt(a * x + b * y + y, c * x + d * y + x))
+    inverse = m.inverse()
+    det = a * d - b * c
+    _same(inverse.translation,
+          pt(-det * (d * y - b * x), -det * (-c * y + a * x)))
+    _same(inverse.apply(image), p)
+    _same(m.compose(inverse).apply(p), p)
+
+
+def test_point_is_immutable():
+    p = pt(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        p.X = 2
+    assert repr(p) == "RatPoint.of(1, 6, 2)"

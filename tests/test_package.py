@@ -22,7 +22,7 @@ PACKAGE_ROOT = str(Path(troplag.__file__).resolve().parent.parent)
 EXPORTS = {
     "errors": ["TroplagError"],
     "lattice": ["DegenerateDirection", "IntVec", "NonUnimodularMap",
-                "RatPoint", "RatVec", "UnimodularAffineMap", "pt"],
+                "RatPoint", "UnimodularAffineMap", "pt"],
     "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
                 "InvalidDiagram", "LocationKind", "Node", "PointLocation",
                 "UnsupportedDiagram", "rectangle", "x_abc"],
@@ -31,9 +31,8 @@ EXPORTS = {
                  "NonIntegralSelfIntersection", "NonTrivalentVertex",
                  "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
                  "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-                 "WeightedVertexUnsupported", "check_balancing",
-                 "end_multiplicity", "transformed", "validate",
-                 "vertex_double_points", "vertex_multiplicity"],
+                 "check_balancing", "end_multiplicity", "transformed",
+                 "validate", "vertex_double_points", "vertex_multiplicity"],
     "topology": ["ChiBreakdown", "EmptyCurve", "EndKind",
                  "MalformedPresentation", "Piece", "PieceKind",
                  "SurfaceClass", "SurfacePresentation",
@@ -97,7 +96,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 95
+    assert len(NAMES) == 93
     assert sorted(troplag.__all__) == NAMES
 
 

@@ -68,6 +68,29 @@ def test_error_carries_line_and_column():
     assert err.value.col == 27
 
 
+# Two vertices joined by edge g, with two unit ends at each: weight 2 on g
+# would balance it.
+_WEIGHTED = ("diagram rectangle width=6 height=4\ncurve c\n"
+             "vertex u (2,2)\nvertex w (4,2)\nedge g u w{weight}\n"
+             "end a u dir=(-1,1) land=(0,4)\nend b u dir=(-1,-1) land=(0,0)\n"
+             "end c w dir=(1,1) land=(6,4)\nend d w dir=(1,-1) land=(6,0)\n")
+
+
+@pytest.mark.parametrize("weight", ["2", "0", "-1"])
+def test_edge_weight_other_than_one_is_a_parse_error(weight):
+    with pytest.raises(ParseError) as err:
+        parse_document(_WEIGHTED.format(weight=f" weight={weight}"))
+    assert (err.value.line, err.value.col) == (5, 12)
+    assert str(err.value) == ("line 5, col 12: edges have weight 1, got "
+                              f"'weight={weight}'")
+
+
+def test_weight_one_edge_parses_as_no_weight():
+    plain = parse_document(_WEIGHTED.format(weight=""))
+    assert parse_document(_WEIGHTED.format(weight=" weight=1")) == plain
+    assert "weight" not in serialize_document(plain)
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_document("diagram rectangle width=4 height=2\nvortex v (1,1)\n")

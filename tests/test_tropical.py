@@ -17,7 +17,6 @@ from troplag import (
     TropicalCurve,
     TropicalVertex,
     UnbalancedVertex,
-    WeightedVertexUnsupported,
     check_balancing,
     end_multiplicity,
     pt,
@@ -30,10 +29,9 @@ from troplag import (
     x_abc,
 )
 from troplag import tropical
-from troplag.lattice import segment_contact
 from troplag.tropical import ValidationIssue, _anchor_key
-from conftest import FIGURES, load_document, random_curve
-from test_kernel import ref_on_open_segment
+from conftest import FIGURES, diff, load_document, moved, random_curve
+from test_kernel import ref_on_open_segment, ref_segment_contact
 
 F = Fraction
 
@@ -57,7 +55,7 @@ def test_balancing_from_figure_coordinates(fig1_left):
     v = curve.vertex("v").position
     targets = [diagram.nodes[0].position, diagram.nodes[1].position,
                pt(F(2, 3), F(2, 3))]
-    directions = [(t - v).primitive_direction() for t in targets]
+    directions = [diff(t, v).primitive_direction() for t in targets]
     assert directions == [IntVec(0, 1), IntVec(1, 0), IntVec(-1, -1)]
     assert sum(d.x for d in directions) == 0
     assert sum(d.y for d in directions) == 0
@@ -69,7 +67,7 @@ def test_balancing_family_vertex():
     # and (3/2, 0)
     base = pt(2, 1)
     targets = [pt(5, 2), pt(0, 2), pt(F(3, 2), 0)]
-    directions = [(t - base).primitive_direction() for t in targets]
+    directions = [diff(t, base).primitive_direction() for t in targets]
     assert directions == [IntVec(3, 1), IntVec(-2, 1), IntVec(-1, -2)]
     assert sum(d.x for d in directions) == 0 and sum(d.y for d in directions) == 0
 
@@ -83,18 +81,6 @@ def test_unbalanced_vertex_reported():
     assert not report.passed
     assert report.issues[0].code == "balancing"
     assert "v" == report.issues[0].element
-
-
-def test_balancing_includes_weights():
-    # weight-2 edge balances two unit ends
-    curve = TropicalCurve(
-        [TropicalVertex("u", pt(2, 2)), TropicalVertex("w", pt(4, 2))],
-        [InternalEdge("g", "u", "w", IntVec(1, 0), weight=2)],
-        [CurveEnd("a", "u", IntVec(-1, 1), BoundaryTerminal(pt(0, 4))),
-         CurveEnd("b", "u", IntVec(-1, -1), BoundaryTerminal(pt(0, 0))),
-         CurveEnd("c", "w", IntVec(1, 1), BoundaryTerminal(pt(6, 4))),
-         CurveEnd("d", "w", IntVec(1, -1), BoundaryTerminal(pt(6, 0)))])
-    assert check_balancing(curve).passed
 
 
 def test_anchor_balancing():
@@ -213,13 +199,13 @@ def _scanned_outgoing(curve, key):
     out = []
     for e in curve.edges:
         if e.src == key:
-            out.append((e.direction, e.weight, e.id))
+            out.append((e.direction, e.id))
         if e.dst == key:
-            out.append((-e.direction, e.weight, e.id))
+            out.append((-e.direction, e.id))
     for e in curve.ends:
         source = e.source if isinstance(e.source, str) else _anchor_key(e.source)
         if source == key:
-            out.append((e.direction, 1, e.id))
+            out.append((e.direction, e.id))
     return tuple(out)
 
 
@@ -263,7 +249,7 @@ _LOOP_CODES = {"degenerate-segment", "embedding", "crosses-node",
 
 def _all_pairs_embeddedness(diagram, curve):
     """The all-pairs loop the box sweep in validate replaces: every pair of
-    segments goes through segment_contact."""
+    segments goes through the Fraction reference of segment_contact."""
     segments = [(e.id, *curve.edge_segment(e), e.src, e.dst)
                 for e in curve.edges]
     for e in curve.ends:
@@ -288,7 +274,7 @@ def _all_pairs_embeddedness(diagram, curve):
             continue
         for j in range(i + 1, len(segments)):
             id2, c, d, tok_c, tok_d = segments[j]
-            contact = segment_contact(a, b, c, d)
+            contact = ref_segment_contact(a, b, c, d)
             if contact is None:
                 continue
             if contact == "overlap":
@@ -307,7 +293,7 @@ def _all_pairs_embeddedness(diagram, curve):
                 issue("crosses-node", id1,
                       f"passes through the node at {node.position}")
         for cut_index, (cs, ce) in enumerate(diagram.cut_segments):
-            contact = segment_contact(a, b, cs, ce)
+            contact = ref_segment_contact(a, b, cs, ce)
             if contact is None:
                 continue
             if contact != "overlap" and contact == cs \
@@ -318,7 +304,7 @@ def _all_pairs_embeddedness(diagram, curve):
 
 
 def _direction(a, b):
-    return IntVec(1, 0) if a == b else (b - a).primitive_direction()
+    return IntVec(1, 0) if a == b else diff(b, a).primitive_direction()
 
 
 def _segments_curve(*pairs):
@@ -378,8 +364,8 @@ def _random_soup(rng, diagram, size, den):
             terminal = NodeTerminal(index)
         else:
             edge = rng.choice(diagram.boundary_edges)
-            target = edge.start.moved(edge.end - edge.start,
-                                      F(rng.randint(0, 4), 4))
+            target = moved(edge.start, diff(edge.end, edge.start),
+                           F(rng.randint(0, 4), 4))
             terminal = BoundaryTerminal(target)
         ends.append(CurveEnd(f"x{k}", source, _direction(start, target),
                              terminal))
@@ -482,19 +468,6 @@ def test_four_valent_vertex_rejected():
         (IntVec(0, -1), BoundaryTerminal(pt(4, 0)))])
     with pytest.raises(NonTrivalentVertex):
         vertex_multiplicity(curve, "v")
-
-
-def test_weighted_vertex_rejected():
-    # balanced and trivalent; only the weight-2 edge stands in the way
-    weighted = TropicalCurve(
-        [TropicalVertex("v", pt(2, 2)), TropicalVertex("w", pt(4, 2))],
-        [InternalEdge("g", "v", "w", IntVec(1, 0), weight=2)],
-        [CurveEnd("a", "v", IntVec(-1, 1), BoundaryTerminal(pt(0, 4))),
-         CurveEnd("b", "v", IntVec(-1, -1), BoundaryTerminal(pt(0, 0))),
-         CurveEnd("c", "w", IntVec(1, 1), BoundaryTerminal(pt(6, 4))),
-         CurveEnd("d", "w", IntVec(1, -1), BoundaryTerminal(pt(6, 0)))])
-    with pytest.raises(WeightedVertexUnsupported):
-        vertex_multiplicity(weighted, "v")
 
 
 def test_unbalanced_multiplicity_mismatch():
