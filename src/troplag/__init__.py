@@ -33,7 +33,7 @@ _EXPORTS = {
         "NodeTerminal", "NonIntegralSelfIntersection", "NonTrivalentVertex",
         "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
         "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-        "check_balancing", "end_multiplicity", "transformed", "validate",
+        "check_balancing", "end_multiplicity", "validate",
         "vertex_double_points", "vertex_multiplicity",
     ),
     "topology": (
@@ -43,12 +43,11 @@ _EXPORTS = {
         "classify_end", "euler_breakdown", "oracle_classify", "surface_name",
     ),
     "homology": (
-        "GenusSpectrum", "InvalidClass", "Mod2Class", "NonGenericWitness",
-        "SweepDirection", "SweepParity", "UnsweepableCurve", "audin_check",
-        "genus_spectrum", "mod2_class", "pontryagin_square", "sweep_parity",
+        "InvalidClass", "Mod2Class", "NonGenericWitness", "SweepDirection",
+        "SweepParity", "UnsweepableCurve", "audin_check", "mod2_class",
+        "pontryagin_square", "sweep_parity",
     ),
     "constructions": (
-        "NULL_CLASS_MIN_GENUS", "RP2_INTEGRAL_CLASS",
         "DegenerateConstruction", "DoesNotFit", "FamilyInstance",
         "GenusBound", "InvalidInput", "SqueezeResult", "TriangleResult",
         "genus_bound", "klein_threshold", "rp2_curve", "squeeze_check",

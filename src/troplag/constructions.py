@@ -41,18 +41,6 @@ class InvalidInput(TroplagError):
     """Parameters outside the stated preconditions."""
 
 
-#: Integral lift of the mod-2 class of the triple blow-up projective plane
-#: (the sum of the three exceptional classes E1 + E2 + E3).
-RP2_INTEGRAL_CLASS = (1, 1, 1)
-
-#: Minimal nonorientable genus in the trivial mod-2 class, when the
-#: symplectic form pairs positively with the first Chern class.  A known
-#: classification fact, recorded as a documented constant rather than
-#: computed: a six-cross-cap surface exists in a ball, and no smaller genus
-#: (in particular no nullhomologous Klein bottle) can occur.
-NULL_CLASS_MIN_GENUS = 6
-
-
 def visible_segment(diagram: BaseDiagram, direction: IntVec,
                     anchor: RatPoint) -> TropicalCurve:
     """The vertexless curve over the full line through anchor.
@@ -287,19 +275,20 @@ def squeeze_check(interval_length) -> SqueezeResult:
     """Existence of a visible Lagrangian Klein bottle over the cylinder of
     the given interval length (sphere area fixed at 2).
 
-    Exists strictly above length 1, witnessed by the centred slope-1/2
-    segment in the rectangle [0,2] x [0,length].  At 1 and below no visible
-    construction exists, and in that range any embedded Lagrangian Klein
-    bottle in the nontrivial class is homologically inessential (its
-    rational first homology maps to zero), so no essential representative
-    can exist by any construction.
+    Exists where klein_threshold(2, length) holds, strictly above length
+    1, witnessed by the centred slope-1/2 segment in the rectangle
+    [0,2] x [0,length].  At 1 and below no visible construction exists,
+    and in that range any embedded Lagrangian Klein bottle in the
+    nontrivial class is homologically inessential (its rational first
+    homology maps to zero), so no essential representative can exist by
+    any construction.
     """
     from .diagram import rectangle
 
     length = _as_fraction(interval_length)
     if length <= 0:
         raise InvalidInput("interval length must be positive")
-    if length > 1:
+    if klein_threshold(2, length):
         diagram = rectangle(2, length)
         anchor = RatPoint(1, length / 2)
         curve = visible_segment(diagram, IntVec(2, 1), anchor)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
@@ -167,49 +168,35 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     return SweepParity(direction, total % 2, witness)
 
 
-def _solve_mod2_2x2(matrix, rhs):
-    a, b = matrix[0]
-    c, d = matrix[1]
-    det = (a * d - b * c) % 2
-    if det == 0:
-        return None
-    x = (d * rhs[0] - b * rhs[1]) % 2
-    y = (-c * rhs[0] + a * rhs[1]) % 2
-    return (x, y)
-
-
 def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     """The curve's Lagrangian mod-2 class in the diagram's basis.
 
     The two sweep parities are the pairings of the class with the sweep
-    sphere classes; the coefficients are obtained by solving through the
-    intersection form.  For the standard rectangle basis this gives
+    sphere classes, so the class is the one lift c in {0,1}^2 whose
+    pairing(c, s) mod 2 with the horizontal and vertical sweep classes s
+    equals the horizontal and vertical parity; zero or several such lifts
+    is a singular pairing.  For the standard rectangle basis this gives
     (vertical parity, horizontal parity).  The sweeps run first, so a
     diagram that is not a node-free rectangle is refused as one.
     """
     sweeps = (sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
               sweep_parity(diagram, curve, SweepDirection.VERTICAL))
     homology = diagram.homology
-    if (homology.class_of_horizontal_sweep is None
-            or homology.class_of_vertical_sweep is None):
+    classes = (homology.class_of_horizontal_sweep,
+               homology.class_of_vertical_sweep)
+    if None in classes:
         raise UnsupportedDiagram("diagram carries no sweep class vectors")
     if homology.rank != 2:
         raise UnsupportedDiagram("sweep classes determine the mod-2 class "
                                  "only in a rank-2 basis")
-    p_h, p_v = (sweep.parity for sweep in sweeps)
-    q = homology.intersection_form
-    rows = []
-    for sweep_vec in (homology.class_of_vertical_sweep,
-                      homology.class_of_horizontal_sweep):
-        rows.append(tuple(
-            sum(sweep_vec[i] * q[i][j] for i in range(2)) % 2
-            for j in range(2)))
-    solution = _solve_mod2_2x2(rows, (p_v, p_h))
-    if solution is None:
+    lifts = [c for c in product((0, 1), repeat=2)
+             if all(homology.pairing(c, s) % 2 == sweep.parity
+                    for s, sweep in zip(classes, sweeps))]
+    if len(lifts) != 1:
         raise UnsupportedDiagram(
             "sweep classes do not determine the mod-2 class "
             "(singular pairing)")
-    return Mod2Class(solution, homology.basis_labels, sweeps)
+    return Mod2Class(lifts[0], homology.basis_labels, sweeps)
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:
@@ -228,27 +215,3 @@ def audin_check(p2: int, chi: int) -> bool:
     """Whether P2(class) = chi mod 4 (necessary for an embedded
     nonorientable Lagrangian of that Euler characteristic in that class)."""
     return (p2 - chi) % 4 == 0
-
-
-@dataclass(frozen=True)
-class GenusSpectrum:
-    """The arithmetic progression {base, base+4, base+8, ...} of realizable
-    nonorientable genera above a known minimum."""
-
-    base: int
-    step: int = 4
-
-    def __contains__(self, k: int) -> bool:
-        return k >= self.base and (k - self.base) % self.step == 0
-
-    def first(self, count: int):
-        return [self.base + self.step * i for i in range(count)]
-
-
-def genus_spectrum(k_min: int) -> GenusSpectrum:
-    """The set of genera realizable above the minimal one: cross-cap pairs
-    added by a finger move plus surgery raise the genus in steps of 4."""
-    if not isinstance(k_min, int) or k_min < 1:
-        raise InvalidClass(f"minimal genus must be a positive integer, "
-                           f"got {k_min!r}")
-    return GenusSpectrum(k_min)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .topology import EndKind, classify_end
-from .tropical import NodeTerminal
+from .tropical import InvalidCurve, NodeTerminal
 
 SCALE = 48
 MARGIN = 40
@@ -78,8 +78,7 @@ def _circle(frame, p, style, radius=6.0):
     return f'<circle cx="{px}" cy="{py}" r="{radius:.2f}" {style}/>'
 
 
-def _end_marker(frame, diagram, curve, end):
-    point = curve.end_segment(diagram, end)[1]
+def _end_marker(frame, diagram, end, point):
     if isinstance(end.terminal, NodeTerminal):
         return _cross(frame, point, _MARK_STYLE, radius=4.0)
     try:
@@ -113,13 +112,16 @@ def render_document(doc) -> str:
         parts.append(_cross(frame, node.position, _NODE_STYLE))
 
     for curve in doc.curves:
+        try:
+            ends = [curve.end_segment(diagram, e) for e in curve.ends]
+        except InvalidCurve as err:
+            raise InvalidCurve(f"curve {curve.name}: {err}") from None
         for e in curve.edges:
             parts.append(_line(frame, *curve.edge_segment(e), _CURVE_STYLE))
-        for e in curve.ends:
-            parts.append(_line(frame, *curve.end_segment(diagram, e),
-                               _CURVE_STYLE))
-        for e in curve.ends:
-            parts.append(_end_marker(frame, diagram, curve, e))
+        for segment in ends:
+            parts.append(_line(frame, *segment, _CURVE_STYLE))
+        for e, (_, point) in zip(curve.ends, ends):
+            parts.append(_end_marker(frame, diagram, e, point))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

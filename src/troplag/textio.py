@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import (
@@ -68,8 +69,7 @@ _INTPAIR = re.compile(rf"\(({_INT}),({_INT})\)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int

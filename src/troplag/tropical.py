@@ -239,12 +239,6 @@ class TropicalCurve:
                 f"{len(self.edges)} edges, {len(self.ends)} ends)")
 
 
-def transformed(diagram: BaseDiagram, curve: TropicalCurve,
-                m: UnimodularAffineMap):
-    """Apply one integral affine change of coordinates to both."""
-    return diagram.transform(m), curve.transform(m)
-
-
 # -----------------------------------------------------------------------
 # Validation
 # -----------------------------------------------------------------------

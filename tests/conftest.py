@@ -30,7 +30,7 @@ FIGURES = Path(__file__).resolve().parent.parent / "figures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BUNDLED_DOCS = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
-                "fig3_family.trop", "fig4_squeeze.trop"]
+                "fig3_family.trop", "fig4_squeeze.trop", "fig5_cycle.trop"]
 
 
 def load_document(name: str):

@@ -33,7 +33,6 @@ from troplag import (
     squeeze_check,
     surface_name,
     sweep_parity,
-    transformed,
     triangle_check,
     trop_family,
     validate,
@@ -257,7 +256,7 @@ def test_criterion_10_unimodular_invariance():
     for index in range(100):
         m = random_unimodular_map(rng)
         diagram, curve = pairs[index % len(pairs)]
-        moved_diagram, moved_curve = transformed(diagram, curve, m)
+        moved_diagram, moved_curve = diagram.transform(m), curve.transform(m)
         assert validate(moved_diagram, moved_curve).passed
         ms = {v.id: vertex_multiplicity(curve, v.id) for v in curve.vertices}
         moved_ms = {v.id: vertex_multiplicity(moved_curve, v.id)
@@ -271,8 +270,8 @@ def test_criterion_10_unimodular_invariance():
         assert mus == moved_mus
         assert classify(moved_diagram, moved_curve) == classify(diagram, curve)
         # validation status is also preserved on a failing curve
-        bad_diagram, bad_curve = transformed(invalid.diagram,
-                                             invalid.curves[0], m)
+        bad_diagram = invalid.diagram.transform(m)
+        bad_curve = invalid.curves[0].transform(m)
         assert not validate(bad_diagram, bad_curve).passed
     _passed(10, "validation, m, mu, chi and surface class invariant under "
                 "100 random unimodular maps")

@@ -8,13 +8,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from troplag import topology, tropical
+from troplag import (InvalidCurve, parse_document, render_document,
+                     topology, tropical)
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
                       klein_as_polygon, token_soups)
 
 TOPOLOGY_GOLDENS = ["fig1_left", "fig1_right", "fig2_klein", "fig3_family",
-                    "fig4_squeeze"]
+                    "fig4_squeeze", "fig5_cycle"]
 
 
 def run(capsys, *argv, stdin_text=None, monkeypatch=None):
@@ -32,7 +33,7 @@ def test_topology_reports_match_goldens(capsys, name):
     assert out == (GOLDEN / f"{name}.topology.txt").read_text()
 
 
-@pytest.mark.parametrize("name", ["fig2_klein", "fig3_family"])
+@pytest.mark.parametrize("name", ["fig2_klein", "fig3_family", "fig5_cycle"])
 def test_homology_reports_match_goldens(capsys, name):
     code, out, _ = run(capsys, "homology", str(FIGURES / f"{name}.trop"))
     assert code == 0
@@ -40,9 +41,10 @@ def test_homology_reports_match_goldens(capsys, name):
 
 
 def test_audin_report_matches_golden(capsys):
-    code, out, _ = run(capsys, "audin", str(FIGURES / "fig2_klein.trop"))
-    assert code == 0
-    assert out == (GOLDEN / "fig2_klein.audin.txt").read_text()
+    for name in ("fig2_klein", "fig5_cycle"):
+        code, out, _ = run(capsys, "audin", str(FIGURES / f"{name}.trop"))
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.audin.txt").read_text()
 
 
 def test_audin_with_class_override(capsys):
@@ -470,6 +472,20 @@ def test_render_out_of_svg_range_exits_2(capsys, monkeypatch, text):
     assert code == 2
     assert out == ""
     assert err == "error: a coordinate is out of SVG range\n"
+
+
+def test_render_error_names_its_curve(capsys, monkeypatch):
+    text = ("diagram rectangle width=4 height=5/2\n"
+            "curve good\nend a (2,5/4) dir=(2,1) land=(4,9/4)\n"
+            "end b (2,5/4) dir=(-2,-1) land=(0,1/4)\n"
+            "curve k\nvertex v (1,1)\nend a v dir=(-1,0) node=0\n")
+    with pytest.raises(InvalidCurve,
+                       match="^curve k: end 'a' refers to missing node 0$"):
+        render_document(parse_document(text))
+    code, out, err = run(capsys, "render", "-", "-o", "-", stdin_text=text,
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: curve k: end 'a' refers to missing node 0\n"
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

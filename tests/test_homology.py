@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from troplag import (
+    BaseDiagram,
+    HomologyModel,
     IntVec,
     InvalidClass,
     NonGenericWitness,
     SweepDirection,
+    SweepParity,
     TropicalCurve,
     UnsupportedDiagram,
     UnsupportedEndMultiplicity,
     UnsweepableCurve,
     audin_check,
     classify,
-    genus_spectrum,
     mod2_class,
     pontryagin_square,
     pt,
@@ -24,6 +27,7 @@ from troplag import (
     visible_segment,
     x_abc,
 )
+from troplag import homology as homology_module
 from troplag.homology import critical_coordinates
 
 from conftest import load_document
@@ -189,6 +193,80 @@ def test_class_carries_the_sweeps_it_was_solved_from():
                                     cls.sweeps[0].parity)
 
 
+def ref_solve_mod2_2x2(matrix, rhs):
+    """The 2x2 solve mod 2 that mod2_class used before it solved through
+    HomologyModel.pairing."""
+    a, b = matrix[0]
+    c, d = matrix[1]
+    det = (a * d - b * c) % 2
+    if det == 0:
+        return None
+    x = (d * rhs[0] - b * rhs[1]) % 2
+    y = (-c * rhs[0] + a * rhs[1]) % 2
+    return (x, y)
+
+
+def ref_mod2_class(homology, p_h, p_v):
+    q = homology.intersection_form
+    rows = [tuple(sum(sweep_vec[i] * q[i][j] for i in range(2)) % 2
+                  for j in range(2))
+            for sweep_vec in (homology.class_of_vertical_sweep,
+                              homology.class_of_horizontal_sweep)]
+    return ref_solve_mod2_2x2(rows, (p_v, p_h))
+
+
+def _with_sweeps(monkeypatch, parities):
+    """Make mod2_class read the given (horizontal, vertical) parities."""
+    def fake(diagram, curve, direction):
+        index = 0 if direction is SweepDirection.HORIZONTAL else 1
+        return SweepParity(direction, parities[index], F(1, 2))
+    monkeypatch.setattr(homology_module, "sweep_parity", fake)
+
+
+def test_solve_matches_the_2x2_formula_on_every_case(monkeypatch):
+    # Every symmetric form mod 2, each through several integer lifts, every
+    # pair of sweep vectors and every pair of parities.
+    corners = rectangle(1, 1).polygon_vertices
+    vectors = list(product((0, 1), repeat=2))
+    empty = TropicalCurve(name="empty")
+    solved = refused = 0
+    for a, b, d in product((-1, 0, 1, 2), repeat=3):
+        for s_h, s_v in product(vectors, repeat=2):
+            homology = HomologyModel(("A", "B"), ((a, b), (b, d)), s_h, s_v)
+            diagram = BaseDiagram(corners, (), homology)
+            for parities in product((0, 1), repeat=2):
+                _with_sweeps(monkeypatch, parities)
+                expected = ref_mod2_class(homology, *parities)
+                if expected is None:
+                    with pytest.raises(UnsupportedDiagram,
+                                       match=r"\(singular pairing\)"):
+                        mod2_class(diagram, empty)
+                    refused += 1
+                else:
+                    cls = mod2_class(diagram, empty)
+                    assert cls.coefficients == expected
+                    assert [s.parity for s in cls.sweeps] == list(parities)
+                    solved += 1
+    # Solvable: an invertible form mod 2 (32 of the 64) and two independent
+    # sweep vectors (6 of the 16 pairs), under each of the 4 parity pairs.
+    assert (solved, refused) == (32 * 6 * 4, 64 * 16 * 4 - 32 * 6 * 4)
+
+
+@pytest.mark.parametrize("homology, message", [
+    (HomologyModel(("A", "B"), ((0, 1), (1, 0))), "no sweep class vectors"),
+    (HomologyModel(("A", "B"), ((0, 1), (1, 0)), (1, 0)),
+     "no sweep class vectors"),
+    (HomologyModel(("A", "B", "C"), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                   (1, 0, 0), (0, 1, 0)), "only in a rank-2 basis"),
+], ids=["no-vectors", "one-vector", "rank-3"])
+def test_solve_refuses_a_basis_without_two_sweep_classes(
+        monkeypatch, homology, message):
+    _with_sweeps(monkeypatch, (1, 0))
+    diagram = BaseDiagram(rectangle(1, 1).polygon_vertices, (), homology)
+    with pytest.raises(UnsupportedDiagram, match=message):
+        mod2_class(diagram, TropicalCurve(name="empty"))
+
+
 # -- Pontryagin squares --------------------------------------------------
 
 def test_p2_on_product_form():
@@ -237,27 +315,3 @@ def test_audin_on_closed_constructions(klein):
             instance.diagram.homology,
             mod2_class(instance.diagram, instance.curve).coefficients)
         assert audin_check(p2, -20 * ell)
-
-
-# -- genus spectrum ------------------------------------------------------
-
-def test_spectrum_of_six():
-    spectrum = genus_spectrum(6)
-    assert all(k in spectrum for k in (6, 10, 14))
-    assert all(k not in spectrum for k in (7, 8, 9))
-
-
-def test_spectrum_of_two_contains_family_genus():
-    spectrum = genus_spectrum(2)
-    assert 2 in spectrum and 22 in spectrum
-
-
-def test_spectrum_of_one():
-    spectrum = genus_spectrum(1)
-    assert 1 in spectrum and 5 in spectrum and 2 not in spectrum
-    assert spectrum.first(3) == [1, 5, 9]
-
-
-def test_spectrum_requires_positive_base():
-    with pytest.raises(InvalidClass):
-        genus_spectrum(0)

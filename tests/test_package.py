@@ -31,20 +31,19 @@ EXPORTS = {
                  "NonIntegralSelfIntersection", "NonTrivalentVertex",
                  "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
                  "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-                 "check_balancing", "end_multiplicity", "transformed",
-                 "validate", "vertex_double_points", "vertex_multiplicity"],
+                 "check_balancing", "end_multiplicity", "validate",
+                 "vertex_double_points", "vertex_multiplicity"],
     "topology": ["ChiBreakdown", "EmptyCurve", "EndKind",
                  "MalformedPresentation", "Piece", "PieceKind",
                  "SurfaceClass", "SurfacePresentation",
                  "UnsupportedEndMultiplicity", "build_presentation",
                  "classify", "classify_end", "euler_breakdown",
                  "oracle_classify", "surface_name"],
-    "homology": ["GenusSpectrum", "InvalidClass", "Mod2Class",
-                 "NonGenericWitness", "SweepDirection", "SweepParity",
-                 "UnsweepableCurve", "audin_check", "genus_spectrum",
-                 "mod2_class", "pontryagin_square", "sweep_parity"],
-    "constructions": ["NULL_CLASS_MIN_GENUS", "RP2_INTEGRAL_CLASS",
-                      "DegenerateConstruction", "DoesNotFit",
+    "homology": ["InvalidClass", "Mod2Class", "NonGenericWitness",
+                 "SweepDirection", "SweepParity", "UnsweepableCurve",
+                 "audin_check", "mod2_class", "pontryagin_square",
+                 "sweep_parity"],
+    "constructions": ["DegenerateConstruction", "DoesNotFit",
                       "FamilyInstance", "GenusBound", "InvalidInput",
                       "SqueezeResult", "TriangleResult", "genus_bound",
                       "klein_threshold", "rp2_curve", "squeeze_check",
@@ -96,7 +95,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 93
+    assert len(NAMES) == 88
     assert sorted(troplag.__all__) == NAMES
 
 

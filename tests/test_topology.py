@@ -17,16 +17,20 @@ from troplag import (
     SurfacePresentation,
     TropicalCurve,
     UnsupportedEndMultiplicity,
+    audin_check,
     build_presentation,
     classify,
     classify_end,
     euler_breakdown,
+    mod2_class,
     oracle_classify,
+    parse_document,
+    pontryagin_square,
     pt,
     rectangle,
     rp2_curve,
+    serialize_document,
     surface_name,
-    transformed,
     trop_family,
     validate,
     vertex_multiplicity,
@@ -262,6 +266,35 @@ def test_classify_invariant_under_unimodular_maps(fig1_left):
     expected = classify(diagram, curve)
     for _ in range(20):
         m = random_unimodular_map(rng)
-        d2, c2 = transformed(diagram, curve, m)
+        d2, c2 = diagram.transform(m), curve.transform(m)
         assert validate(d2, c2).passed
         assert classify(d2, c2) == expected
+
+
+def test_cycle_figure_answers():
+    # The hexagon is one cycle: six vertices joined by six edges.
+    doc = load_document("fig5_cycle.trop")
+    diagram, (curve,) = doc.diagram, doc.curves
+    assert len(curve.edges) == len(curve.vertices) == 6
+    assert validate(diagram, curve).passed
+    ms = {v.id: vertex_multiplicity(curve, v.id) for v in curve.vertices}
+    assert Counter(ms.values()) == {3: 1, 5: 3, 7: 2}
+    sc = classify(diagram, curve)
+    assert (sc.closed, sc.orientable, sc.euler_char) == (True, False, -32)
+    assert sc.nonorientable_genus == 34
+    assert oracle_classify(build_presentation(diagram, curve)) == sc
+    cls = mod2_class(diagram, curve)
+    assert cls.coefficients == (1, 0)
+    p2 = pontryagin_square(diagram.homology, cls.coefficients)
+    assert p2 == 0 and audin_check(p2, sc.euler_char)
+    assert parse_document(serialize_document(doc)) == doc
+    rng = random.Random(5)
+    for _ in range(20):
+        m = random_unimodular_map(rng)
+        d2, c2 = diagram.transform(m), curve.transform(m)
+        assert validate(d2, c2).passed
+        assert {v.id: vertex_multiplicity(c2, v.id)
+                for v in c2.vertices} == ms
+        assert all(classify_end(d2, e) is EndKind.CROSS_CAP for e in c2.ends)
+        assert classify(d2, c2) == sc
+        assert oracle_classify(build_presentation(d2, c2)) == sc
