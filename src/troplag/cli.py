@@ -39,14 +39,23 @@ def _read_document(path: str):
     return parse_document(text)
 
 
-def _parse_rational(text: str):
+def _convert(parse, text: str, option: str):
+    """parse(text) given to option; a number too long for int() names it."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise TroplagError(f"{option} has a number with more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _parse_rational(text: str, option: str):
     from fractions import Fraction
     from .lattice import _RATIONAL
 
     if not _RATIONAL.match(text):
         raise TroplagError(
             f"expected an exact rational like 3 or 22/7, got {text!r}")
-    return Fraction(text)
+    return _convert(Fraction, text, option)
 
 
 def _parse_values(text: str, option: str, kind: str, count=None):
@@ -64,7 +73,7 @@ def _parse_values(text: str, option: str, kind: str, count=None):
         how_many = "" if count is None else f"{count} "
         raise TroplagError(f"{option} expects {how_many}comma-separated "
                            f"{kind}, got {text!r}")
-    return tuple(parse(part) for part in parts)
+    return tuple(_convert(parse, part, option) for part in parts)
 
 
 def _each_curve(doc, report, header=()) -> int:
@@ -112,19 +121,12 @@ def _topology_lines(doc, curve):
 
     lines = [f"curve {curve.name}: vertices={len(curve.vertices)} "
              f"edges={len(curve.edges)} ends={len(curve.ends)}"]
-    counts = {kind: breakdown.end_kinds.count(kind) for kind in EndKind}
-    lines.append(f"curve {curve.name}: end kinds: "
-                 f"disccap={counts[EndKind.DISC_CAP]} "
-                 f"crosscap={counts[EndKind.CROSS_CAP]} "
-                 f"collar={counts[EndKind.COLLAR]}")
-    if multiplicities:
-        grouped = []
-        for m in sorted(set(multiplicities)):
-            grouped.append(f"m={m} x{multiplicities.count(m)}")
-        lines.append(f"curve {curve.name}: vertex multiplicities: "
-                     + ", ".join(grouped))
-    else:
-        lines.append(f"curve {curve.name}: vertex multiplicities: none")
+    lines.append(f"curve {curve.name}: end kinds: " + " ".join(
+        f"{kind.value}={breakdown.end_kinds.count(kind)}" for kind in EndKind))
+    grouped = ", ".join(f"m={m} x{multiplicities.count(m)}"
+                        for m in sorted(set(multiplicities)))
+    lines.append(f"curve {curve.name}: vertex multiplicities: "
+                 f"{grouped or 'none'}")
     lines.append(f"curve {curve.name}: double points surgered = "
                  f"{sc.double_points_surgered}")
     lines.append(f"curve {curve.name}: chi = {sc.euler_char} "
@@ -214,9 +216,9 @@ def _cmd_audin(args) -> int:
 def _cmd_triangle(args) -> int:
     from .constructions import triangle_check
 
-    a = _parse_rational(args.a)
-    b = _parse_rational(args.b)
-    c = _parse_rational(args.c)
+    a = _parse_rational(args.a, "a")
+    b = _parse_rational(args.b, "b")
+    c = _parse_rational(args.c, "c")
     result = triangle_check(a, b, c)
     print(f"triangle inequalities for a={a}, b={b}, c={c}:")
     for label, lhs, rhs, holds in result.comparisons:
@@ -236,7 +238,7 @@ def _cmd_gen_family(args) -> int:
 
     if not _INTEGER.match(args.ell):
         raise TroplagError(f"L expects an integer, got {args.ell!r}")
-    instance = trop_family(int(args.ell))
+    instance = trop_family(_convert(int, args.ell, "L"))
     doc = Document(instance.diagram, (instance.curve,))
     sys.stdout.write(serialize_document(doc))
     return PASS
@@ -248,8 +250,8 @@ def _cmd_gen_visible(args) -> int:
     from .lattice import IntVec, RatPoint
     from .textio import Document, serialize_document
 
-    width = _parse_rational(args.width)
-    height = _parse_rational(args.height)
+    width = _parse_rational(args.width, "width")
+    height = _parse_rational(args.height, "height")
     diagram = rectangle(width, height)
     direction = IntVec(*_parse_values(args.direction, "--direction",
                                       "integers", count=2))
@@ -264,9 +266,9 @@ def _cmd_gen_visible(args) -> int:
 
 
 def _cmd_genus_bound(args) -> int:
-    from .constructions import genus_bound
+    from .constructions import _family_sides, genus_bound
 
-    lam = _parse_rational(args.lam)
+    lam = _parse_rational(args.lam, "LAMBDA")
     bound = genus_bound(lam, threshold=args.threshold)
     if args.threshold != "statement":
         print(f"threshold convention: {args.threshold}")
@@ -274,25 +276,26 @@ def _cmd_genus_bound(args) -> int:
         print(f"lambda = {lam}: nonorientable genus bound k = {bound.k}, "
               "witness = visible Klein bottle (slope-1/2 segment)")
     else:
-        width = 10 * bound.ell + 2
+        width, height = _family_sides(bound.ell)
         print(f"lambda = {lam}: nonorientable genus bound k = {bound.k}, "
               f"witness = tropical family (ell = {bound.ell}) in "
-              f"[0,{width}]x[0,3]")
+              f"[0,{width}]x[0,{height}]")
     return PASS
 
 
 def _cmd_squeeze(args) -> int:
     from .constructions import squeeze_check
 
-    length = _parse_rational(args.interval_length)
+    length = _parse_rational(args.interval_length, "I")
     result = squeeze_check(length)
     if result.exists:
-        left = result.witness.ends[1].terminal.landing
-        right = result.witness.ends[0].terminal.landing
+        plus, minus = result.witness.ends
+        x0, y0, x1, y1 = result.diagram.bounds()
         print(f"interval length = {length} > 1: visible Lagrangian Klein "
               "bottle exists")
-        print(f"witness: segment from {left} to {right} with direction "
-              f"(2,1) in rectangle [0,2]x[0,{length}]")
+        print(f"witness: segment from {minus.terminal.landing} to "
+              f"{plus.terminal.landing} with direction {plus.direction} "
+              f"in rectangle [{x0},{x1}]x[{y0},{y1}]")
         return PASS
     print(f"interval length = {length} <= 1: {result.note}")
     return FAIL

@@ -52,7 +52,7 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
     from .diagram import LocationKind, UnsupportedDiagram
     from .tropical import BoundaryTerminal, CurveEnd, TropicalCurve
 
-    if not diagram.is_rectangle or diagram.nodes:
+    if not diagram.is_rectangle:
         raise UnsupportedDiagram(
             "visible segments are constructed in node-free rectangles")
     if direction.is_zero:
@@ -60,9 +60,6 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
     u = direction.primitive()
     if u.x < 0:
         u = -u
-    if u.x == 0:
-        raise DoesNotFit("a vertical line exits through the horizontal "
-                         "edges, not the two vertical ones")
     if diagram.contains(anchor).kind is not LocationKind.INTERIOR:
         raise DoesNotFit(f"anchor {anchor} is not strictly inside")
     ends = []
@@ -171,6 +168,11 @@ def rp2_curve(a, b, c, s):
     return diagram, curve
 
 
+def _family_sides(ell: int) -> tuple[int, int]:
+    """Width and height of the family's rectangle [0, 10*ell+2] x [0, 3]."""
+    return 10 * ell + 2, 3
+
+
 @dataclass(frozen=True)
 class FamilyInstance:
     ell: int
@@ -198,7 +200,7 @@ def trop_family(ell: int) -> FamilyInstance:
 
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInput(f"ell must be a positive integer, got {ell!r}")
-    diagram = rectangle(10 * ell + 2, 3)
+    diagram = rectangle(*_family_sides(ell))
     positions = {}
     edges = []
     rays = []  # (end id, vertex id, direction)

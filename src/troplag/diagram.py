@@ -124,10 +124,9 @@ class HomologyModel:
                 len(row) != n for row in self.intersection_form):
             raise InvalidDiagram("intersection form must be square and match "
                                  "the number of basis labels")
-        for i in range(n):
-            for j in range(n):
-                if self.intersection_form[i][j] != self.intersection_form[j][i]:
-                    raise InvalidDiagram("intersection form must be symmetric")
+        form = self.intersection_form
+        if any(form[i][j] != form[j][i] for i in range(n) for j in range(i)):
+            raise InvalidDiagram("intersection form must be symmetric")
         for vec in (self.class_of_horizontal_sweep,
                     self.class_of_vertical_sweep):
             if vec is not None and len(vec) != n:
@@ -299,9 +298,8 @@ class BaseDiagram:
         diagram never changes, so each answer is memoized, keyed on p."""
         location = self._locations.get(p)
         if location is None:
-            S = self._scale
-            location = self._locations[p] = self._locate(p.X * S, p.Y * S,
-                                                         p.W)
+            (X, Y, W), S = p, self._scale
+            location = self._locations[p] = self._locate(X * S, Y * S, W)
         return location
 
     def bounds(self):
@@ -311,8 +309,9 @@ class BaseDiagram:
 
     @property
     def is_rectangle(self) -> bool:
-        """Axis-aligned rectangle (the diagrams whose sweeps define classes)."""
-        if len(self.boundary_edges) != 4:
+        """A node-free axis-aligned rectangle (the diagrams whose sweeps
+        define classes); a rectangle with a node is not one."""
+        if self.nodes or len(self.boundary_edges) != 4:
             return False
         dirs = [(e.direction.x, e.direction.y) for e in self.boundary_edges]
         return sorted(dirs) == [(-1, 0), (0, -1), (0, 1), (1, 0)]

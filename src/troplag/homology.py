@@ -11,7 +11,8 @@ independent of the witness for closed curves.  Closedness is read from
 topology.classify_end: every end must be a cross-cap, so a collar and an
 end with no cap kind (mu >= 3) are refused, as topology refuses them.
 sweep_parity walks the curve's segments once and chooses its default
-witness from that walk; mod2_class keeps the two sweeps it solved from.
+witness from that walk; mod2_class asks vertex_multiplicity about every
+vertex first, as topology does, and keeps the two sweeps it solved from.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -27,7 +28,7 @@ from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import IntVec, cleared, common_scale
 from .topology import EndKind, classify_end
-from .tropical import BoundaryTerminal, TropicalCurve
+from .tropical import TropicalCurve, vertex_multiplicity
 
 
 class InvalidClass(TroplagError):
@@ -39,8 +40,8 @@ class NonGenericWitness(TroplagError):
 
 
 class UnsweepableCurve(TroplagError):
-    """Sweep parities are defined for closed curves only: an end at a node,
-    or a collar, has no closed mod-2 class to sweep."""
+    """Sweep parities are defined for closed curves only: a collar has no
+    closed mod-2 class to sweep."""
 
 
 class SweepDirection(Enum):
@@ -84,14 +85,10 @@ class Mod2Class:
 
 
 def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
-    if not diagram.is_rectangle or diagram.nodes:
+    if not diagram.is_rectangle:
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
     for e in curve.ends:
-        if not isinstance(e.terminal, BoundaryTerminal):
-            raise UnsweepableCurve(
-                f"end {e.id!r} terminates at a node; rectangle diagrams "
-                "carry no nodes")
         if classify_end(diagram, e) is EndKind.COLLAR:
             raise UnsweepableCurve(
                 f"end {e.id!r} is a collar; the surface has boundary there "
@@ -176,9 +173,12 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     pairing(c, s) mod 2 with the horizontal and vertical sweep classes s
     equals the horizontal and vertical parity; zero or several such lifts
     is a singular pairing.  For the standard rectangle basis this gives
-    (vertical parity, horizontal parity).  The sweeps run first, so a
-    diagram that is not a node-free rectangle is refused as one.
+    (vertical parity, horizontal parity).  A curve with no surface over
+    it (a vertex with no multiplicity) has no class; then the sweeps run,
+    so a diagram that is not a node-free rectangle is refused as one.
     """
+    for v in curve.vertices:
+        vertex_multiplicity(curve, v.id)
     sweeps = (sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
               sweep_parity(diagram, curve, SweepDirection.VERTICAL))
     homology = diagram.homology

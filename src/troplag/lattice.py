@@ -6,11 +6,11 @@ the ASCII spellings of numbers, and the exact segment predicates the rest
 of the package is built on, on int pairs with denominators cleared.
 
 All arithmetic is exact and on Python ints (arbitrary precision, so
-overflow cannot occur).  A rational point is one reduced homogeneous
-triple (X, Y, W) with W > 0: every geometry reader clears denominators
-from it (common_scale, cleared) or computes on it directly, and its
-coordinates become fractions.Fraction only for printing and the public
-API.  Floats are rejected at construction time.
+overflow cannot occur).  A rational point is the tuple of its reduced
+homogeneous triple (X, Y, W) with W > 0: every geometry reader clears
+denominators from it (common_scale, cleared) or computes on it directly,
+and its coordinates become fractions.Fraction only for printing and the
+public API.  Floats are rejected at construction time.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import TroplagError
 
@@ -99,28 +100,22 @@ class IntVec:
         return f"({self.x},{self.y})"
 
 
-_set = object.__setattr__  # RatPoint's own writes, past its __setattr__
+class RatPoint(tuple):
+    """An exact rational point (X/W, Y/W): the tuple (X, Y, W) of reduced
+    homogeneous ints with W > 0 and gcd(X, Y, W) = 1, so it equals and
+    hashes as that triple and is immutable.  RatPoint(x, y) takes ints,
+    Fractions or 'p/q' strings, and RatPoint.of(X, Y, W) any triple with
+    W > 0; x and y are Fractions.  There is no point arithmetic: + and *
+    are the tuple's concatenation and repetition."""
 
+    __slots__ = ()
 
-class RatPoint:
-    """An exact rational point (X/W, Y/W), held as reduced homogeneous ints
-    with W > 0 and gcd(X, Y, W) = 1.  RatPoint(x, y) takes ints, Fractions
-    or 'p/q' strings, and RatPoint.of(X, Y, W) any triple with W > 0.
-    Equality and hashing are on the triple; x and y are Fractions."""
-
-    __slots__ = ("X", "Y", "W")
-
-    def __init__(self, x, y):
+    def __new__(cls, x, y):
         if type(x) is int and type(y) is int:
-            X, Y, W = x, y, 1
-        else:
-            x, y = _as_fraction(x), _as_fraction(y)
-            xd, yd = x.denominator, y.denominator
-            W = xd // gcd(xd, yd) * yd
-            X, Y = x.numerator * (W // xd), y.numerator * (W // yd)
-        _set(self, "X", X)
-        _set(self, "Y", Y)
-        _set(self, "W", W)
+            return tuple.__new__(cls, (x, y, 1))
+        x, y = _as_fraction(x), _as_fraction(y)
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        return cls.of(xn * yd, yn * xd, xd * yd)
 
     @classmethod
     def of(cls, X: int, Y: int, W: int) -> "RatPoint":
@@ -128,39 +123,25 @@ class RatPoint:
         if W <= 0:
             raise ValueError(f"a point's W must be positive, got {W}")
         g = gcd(X, Y, W)
-        point = object.__new__(cls)
-        _set(point, "X", X // g)
-        _set(point, "Y", Y // g)
-        _set(point, "W", W // g)
-        return point
+        return tuple.__new__(cls, (X // g, Y // g, W // g))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RatPoint is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"RatPoint is immutable; cannot delete {name!r}")
+    X = property(itemgetter(0))
+    Y = property(itemgetter(1))
+    W = property(itemgetter(2))
 
     def __reduce__(self):
-        return RatPoint.of, (self.X, self.Y, self.W)
+        return RatPoint.of, tuple(self)
 
     @property
     def x(self) -> Fraction:
-        return Fraction(self.X, self.W)
+        return Fraction(self[0], self[2])
 
     @property
     def y(self) -> Fraction:
-        return Fraction(self.Y, self.W)
-
-    def __eq__(self, other):
-        if not isinstance(other, RatPoint):
-            return NotImplemented
-        return self.X == other.X and self.Y == other.Y and self.W == other.W
-
-    def __hash__(self):
-        return hash((self.X, self.Y, self.W))
+        return Fraction(self[1], self[2])
 
     def __repr__(self) -> str:
-        return f"RatPoint.of({self.X}, {self.Y}, {self.W})"
+        return "RatPoint.of({}, {}, {})".format(*self)
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
@@ -172,11 +153,12 @@ pt = RatPoint  # the short spelling
 def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
     """b - a as (u, t): the primitive direction u and the lattice length
     t > 0 with b = a + t*u, from int differences."""
-    dx, dy = b.X * a.W - a.X * b.W, b.Y * a.W - a.Y * b.W  # times a.W * b.W
+    (ax, ay, aw), (bx, by, bw) = a, b
+    dx, dy = bx * aw - ax * bw, by * aw - ay * bw  # times aw * bw
     g = gcd(dx, dy)
     if g == 0:
         raise DegenerateDirection(f"{a} to {b} has no direction")
-    return IntVec(dx // g, dy // g), Fraction(g, a.W * b.W)
+    return IntVec(dx // g, dy // g), Fraction(g, aw * bw)
 
 
 @dataclass(frozen=True)
@@ -210,10 +192,9 @@ class UnimodularAffineMap:
         if isinstance(obj, IntVec):
             return IntVec(a * obj.x + b * obj.y, c * obj.x + d * obj.y)
         if isinstance(obj, RatPoint):
-            t = self.translation
-            X, Y, W = obj.X, obj.Y, obj.W
-            return RatPoint.of((a * X + b * Y) * t.W + t.X * W,
-                               (c * X + d * Y) * t.W + t.Y * W, W * t.W)
+            (tX, tY, tW), (X, Y, W) = self.translation, obj
+            return RatPoint.of((a * X + b * Y) * tW + tX * W,
+                               (c * X + d * Y) * tW + tY * W, W * tW)
         raise TypeError(f"cannot apply an affine map to {obj!r}")
 
     def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
@@ -228,9 +209,9 @@ class UnimodularAffineMap:
         (a, b), (c, d) = self.linear
         det = self.det  # 1/det == det for det in {1, -1}
         (a, b), (c, d) = linear = ((d * det, -b * det), (-c * det, a * det))
-        t = self.translation  # the inverse sends the origin to -L^-1 t
+        tX, tY, tW = self.translation  # the inverse sends it to -L^-1 t
         return UnimodularAffineMap(linear, RatPoint.of(
-            -(a * t.X + b * t.Y), -(c * t.X + d * t.Y), t.W))
+            -(a * tX + b * tY), -(c * tX + d * tY), tW))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +232,14 @@ def common_scale(points) -> int:
     # Unpack a set, not a generator: the argument tuple a generator builds
     # is grown and then shrunk, and each shrunk tuple stays on the
     # interpreter's free list for its length, which holds up to 2000.
-    return lcm(*{p.W for p in points})
+    return lcm(*{W for _, _, W in points})
 
 
 def cleared(p: RatPoint, scale: int) -> tuple[int, int]:
     """p times scale as an int pair; scale must be a common_scale multiple."""
-    k = scale // p.W
-    return p.X * k, p.Y * k
+    X, Y, W = p
+    k = scale // W
+    return X * k, Y * k
 
 
 def turn(a, b, c) -> int:

@@ -1,16 +1,17 @@
 """Deterministic SVG rendering of a document.
 
 Shaded polygon, dashed cuts with an x mark at each node, curves in red,
-and a marker at each end: a circled cross for a cross-cap landing (mu = 2),
-an open circle for a collar landing (mu = 1), a red x at a node terminal.
-Markers are drawn geometrically (no font glyphs) so output is byte-stable.
+and a marker per cap kind (topology.classify_end): a circled cross for a
+cross-cap (mu = 2), an open circle for a collar (mu = 1), a red x for a
+disc cap.  Markers are drawn geometrically (no font glyphs) so output is
+byte-stable.
 """
 from __future__ import annotations
 
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .topology import EndKind, classify_end
-from .tropical import InvalidCurve, NodeTerminal
+from .tropical import InvalidCurve
 
 SCALE = 48
 MARGIN = 40
@@ -52,7 +53,7 @@ class _Frame:
         """SVG text of (p.x - x0) * SCALE + MARGIN and, since SVG y grows
         downward, (y1 - p.y) * SCALE + MARGIN, from p's triple (X, Y, W)."""
         (x0, dx0), (y1, dy1) = self.x0, self.y1
-        X, Y, W = p.X, p.Y, p.W
+        X, Y, W = p
         return (_fmt((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0),
                 _fmt((y1 * W - Y * dy1) * SCALE + MARGIN * W * dy1, W * dy1))
 
@@ -79,12 +80,12 @@ def _circle(frame, p, style, radius=6.0):
 
 
 def _end_marker(frame, diagram, end, point):
-    if isinstance(end.terminal, NodeTerminal):
-        return _cross(frame, point, _MARK_STYLE, radius=4.0)
     try:
         kind = classify_end(diagram, end)
     except TroplagError:
         return _circle(frame, point, _MARK_STYLE, radius=3.0)
+    if kind is EndKind.DISC_CAP:
+        return _cross(frame, point, _MARK_STYLE, radius=4.0)
     if kind is EndKind.CROSS_CAP:
         return (_circle(frame, point, _MARK_STYLE, radius=6.0)
                 + _cross(frame, point, _MARK_STYLE, radius=4.2))

@@ -25,6 +25,7 @@ landing off the boundary, say) are deferred to validate().
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -86,19 +87,29 @@ def _tokenize(text: str):
     return lines
 
 
+def _ints(tok: _Token, *digits: str) -> list[int]:
+    """The ints spelled in tok; one too long for int() is refused at tok."""
+    try:
+        return [int(text) for text in digits]
+    except ValueError:
+        raise ParseError(f"a number has more than "
+                         f"{sys.get_int_max_str_digits()} digits",
+                         tok.line, tok.col) from None
+
+
 def _rational(tok: _Token) -> Fraction:
     if not _RATIONAL.match(tok.text):
         raise ParseError(f"expected a rational like 3 or 22/7, got "
                          f"{tok.text!r} (decimals are not allowed)",
                          tok.line, tok.col)
-    return Fraction(tok.text)
+    return Fraction(*_ints(tok, *tok.text.split("/")))
 
 
 def _integer(tok: _Token) -> int:
     if not _INTEGER.match(tok.text):
         raise ParseError(f"expected an integer, got {tok.text!r}",
                          tok.line, tok.col)
-    return int(tok.text)
+    return _ints(tok, tok.text)[0]
 
 
 def _point(tok: _Token) -> RatPoint:
@@ -106,9 +117,8 @@ def _point(tok: _Token) -> RatPoint:
     if not m:
         raise ParseError(f"expected a point like (1,2/3), got {tok.text!r}",
                          tok.line, tok.col)
-    xn, xd, yn, yd = m.groups()
-    xd, yd = int(xd or 1), int(yd or 1)
-    return RatPoint.of(int(xn) * yd, int(yn) * xd, xd * yd)
+    xn, xd, yn, yd = _ints(tok, *m.groups("1"))
+    return RatPoint.of(xn * yd, yn * xd, xd * yd)
 
 
 def _intvec(tok: _Token) -> IntVec:
@@ -116,7 +126,7 @@ def _intvec(tok: _Token) -> IntVec:
     if not m:
         raise ParseError(f"expected an integer vector like (2,-1), got "
                          f"{tok.text!r}", tok.line, tok.col)
-    return IntVec(int(m.group(1)), int(m.group(2)))
+    return IntVec(*_ints(tok, *m.groups()))
 
 
 def _name(tok: _Token) -> str:
@@ -196,13 +206,10 @@ def _parse_polygon_diagram(head, tokens):
 
 def _intlist(tok: _Token) -> tuple[int, ...]:
     parts = tok.text.split(",")
-    out = []
-    for part in parts:
-        if not _INTEGER.match(part):
-            raise ParseError(f"expected comma-separated integers, got "
-                             f"{tok.text!r}", tok.line, tok.col)
-        out.append(int(part))
-    return tuple(out)
+    if not all(_INTEGER.match(part) for part in parts):
+        raise ParseError(f"expected comma-separated integers, got "
+                         f"{tok.text!r}", tok.line, tok.col)
+    return tuple(_ints(tok, *parts))
 
 
 def _parse_diagram(tokens):
@@ -306,11 +313,7 @@ def _parse_element(tokens, current):
         raise ParseError("end <id> <from> dir=(<int>,<int>) "
                          "land=(<rat>,<rat>)|node=<index>",
                          head.line, head.col)
-    source_tok = tokens[2]
-    if _POINT.match(source_tok.text):
-        source = _point(source_tok)
-    else:
-        source = _name(source_tok)
+    source = (_point if _POINT.match(tokens[2].text) else _name)(tokens[2])
     direction = None
     terminal = None
     for tok in tokens[3:]:

@@ -244,32 +244,23 @@ def build_presentation(diagram: BaseDiagram,
     gluings = []
     handles = 0
 
-    slot = {}  # (site key, element id) -> circle label on the site's piece
-    for v in curve.vertices:
-        incident = curve.outgoing(v.id)
-        labels = tuple(f"{v.id}:{eid}" for _, eid in incident)
-        for _, eid in incident:
-            slot[(v.id, eid)] = f"{v.id}:{eid}"
-        if len(incident) != 3:
-            raise MalformedPresentation(
-                f"vertex {v.id!r} has valence {len(incident)}; the piece "
-                "decomposition needs trivalent vertices")
-        pieces.append(Piece(PieceKind.PANTS, labels))
-        handles += vertex_double_points(vertex_multiplicity(curve, v.id))
+    def slot(site, eid):
+        """The circle by which element eid leaves the piece over site."""
+        return f"{site}:{eid}" if isinstance(site, str) else f"@{site}:{eid}"
 
+    # vertex_multiplicity owns trivalence, and Piece each kind's circle count.
+    for v in curve.vertices:
+        handles += vertex_double_points(vertex_multiplicity(curve, v.id))
+        pieces.append(Piece(PieceKind.PANTS, tuple(
+            slot(v.id, eid) for _, eid in curve.outgoing(v.id))))
     for point, anchor_ends in curve.anchors():
-        if len(anchor_ends) != 2:
-            raise MalformedPresentation(
-                f"anchor {point} carries {len(anchor_ends)} ends, expected 2")
-        labels = tuple(f"@{point}:{e.id}" for e in anchor_ends)
-        for e in anchor_ends:
-            slot[(curve.site(e), e.id)] = f"@{point}:{e.id}"
-        pieces.append(Piece(PieceKind.ANNULUS, labels))
+        pieces.append(Piece(PieceKind.ANNULUS, tuple(
+            slot(point, e.id) for e in anchor_ends)))
 
     for e in curve.edges:
         pieces.append(Piece(PieceKind.ANNULUS, (f"{e.id}:src", f"{e.id}:dst")))
-        gluings.append((slot[(e.src, e.id)], f"{e.id}:src"))
-        gluings.append((slot[(e.dst, e.id)], f"{e.id}:dst"))
+        gluings.append((slot(e.src, e.id), f"{e.id}:src"))
+        gluings.append((slot(e.dst, e.id), f"{e.id}:dst"))
 
     for e in curve.ends:
         kind = classify_end(diagram, e)
@@ -280,7 +271,7 @@ def build_presentation(diagram: BaseDiagram,
         else:
             pieces.append(Piece(PieceKind.COLLAR,
                                 (f"{e.id}:cap", f"{e.id}:boundary")))
-        gluings.append((slot[(curve.site(e), e.id)], f"{e.id}:cap"))
+        gluings.append((slot(e.source, e.id), f"{e.id}:cap"))
 
     return SurfacePresentation(tuple(pieces), tuple(gluings), handles)
 
@@ -317,27 +308,25 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
         raise MalformedPresentation("negative handle count")
 
     # Connectivity of the gluing graph.
-    if presentation.pieces:
-        adjacency = {i: set() for i in range(len(presentation.pieces))}
-        for a, b in presentation.gluings:
-            adjacency[owner[a]].add(owner[b])
-            adjacency[owner[b]].add(owner[a])
-        seen = {0}
-        queue = [0]
-        while queue:
-            current = queue.pop()
-            for neighbour in adjacency[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    queue.append(neighbour)
-        if len(seen) != len(presentation.pieces):
-            raise MalformedPresentation("presentation is disconnected")
-    else:
+    if not presentation.pieces:
         raise MalformedPresentation("presentation has no pieces")
+    adjacency = {i: set() for i in range(len(presentation.pieces))}
+    for a, b in presentation.gluings:
+        adjacency[owner[a]].add(owner[b])
+        adjacency[owner[b]].add(owner[a])
+    seen = {0}
+    queue = [0]
+    while queue:
+        current = queue.pop()
+        for neighbour in adjacency[current]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                queue.append(neighbour)
+    if len(seen) != len(presentation.pieces):
+        raise MalformedPresentation("presentation is disconnected")
 
-    cells_v = sum(_PIECE_CELLS[p.kind][0] for p in presentation.pieces)
-    cells_e = sum(_PIECE_CELLS[p.kind][1] for p in presentation.pieces)
-    cells_f = sum(_PIECE_CELLS[p.kind][2] for p in presentation.pieces)
+    cells_v, cells_e, cells_f = map(sum, zip(
+        *(_PIECE_CELLS[p.kind] for p in presentation.pieces)))
     n_glue = len(presentation.gluings)
     chi = (cells_v - n_glue) - (cells_e - n_glue) + cells_f
     chi -= 2 * presentation.handles

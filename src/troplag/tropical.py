@@ -10,9 +10,10 @@ standalone anchor point.
 
 A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, element id) pairs in
-`sites`, so outgoing() is a lookup; site() names the site an end leaves
-from.  A direction left for the curve to derive comes from the int
-difference of its endpoints (lattice.displacement).
+`sites`, so outgoing() is a lookup.  A site's key is an end's source as the
+format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
+so the two never collide.  A direction left for the curve to derive comes
+from the int difference of its endpoints (lattice.displacement).
 
 validate() checks every geometric and combinatorial invariant and returns a
 report; the numeric operations (vertex multiplicity, end multiplicity)
@@ -47,7 +48,7 @@ class NonTrivalentVertex(TroplagError):
 
 
 class UnbalancedVertex(TroplagError):
-    """The three pairwise wedge values at a vertex disagree."""
+    """The outgoing directions at a vertex do not sum to zero."""
 
 
 class NonIntegralSelfIntersection(TroplagError):
@@ -100,10 +101,6 @@ class CurveEnd:
     source: str | RatPoint
     direction: IntVec
     terminal: BoundaryTerminal | NodeTerminal
-
-
-def _anchor_key(point: RatPoint):
-    return ("anchor", point)
 
 
 class TropicalCurve:
@@ -160,14 +157,13 @@ class TropicalCurve:
             if not e.direction.is_primitive:
                 raise InvalidCurve(
                     f"end {e.id!r} direction {e.direction} is not primitive")
-            key = self.site(e)
-            incidence.setdefault(key, []).append((e.direction, e.id))
-            if key not in self._vertex_by_id:
-                anchors.setdefault(key, (e.source, []))[1].append(e)
+            incidence.setdefault(e.source, []).append((e.direction, e.id))
+            if not isinstance(e.source, str):
+                anchors.setdefault(e.source, []).append(e)
         self.sites = MappingProxyType(
             {key: tuple(out) for key, out in incidence.items()})
         self._anchors = tuple((point, tuple(anchor_ends))
-                              for point, anchor_ends in anchors.values())
+                              for point, anchor_ends in anchors.items())
 
     # -- basic accessors ------------------------------------------------
 
@@ -182,16 +178,12 @@ class TropicalCurve:
             return self.vertex(end.source).position
         return end.source
 
-    def site(self, end: CurveEnd):
-        """The key of the site an end leaves from: a vertex id or anchor key."""
-        return end.source if isinstance(end.source, str) else _anchor_key(end.source)
-
     def anchors(self):
         """Standalone anchor points, with their ends, in declaration order."""
         return self._anchors
 
     def outgoing(self, key):
-        """Outgoing (direction, element id) pairs at a vertex id or anchor key."""
+        """Outgoing (direction, element id) pairs at a vertex id or anchor."""
         return self.sites.get(key, ())
 
     @property
@@ -268,18 +260,24 @@ class ValidationReport:
         return "ok" if self.passed else "; ".join(self.lines())
 
 
+def _imbalance(out) -> tuple[int, int]:
+    """The sum of the outgoing directions at a site; (0, 0) is balanced."""
+    sx = sy = 0
+    for d, _ in out:
+        sx += d.x
+        sy += d.y
+    return sx, sy
+
+
 def check_balancing(curve: TropicalCurve) -> ValidationReport:
     """Outgoing directions must sum to zero at every vertex, and at every
     standalone anchor (where this just says the segment is straight)."""
     issues = []
-    labels = {curve.site(anchor_ends[0]): f"anchor {point}"
-              for point, anchor_ends in curve.anchors()}
     for key, out in curve.sites.items():
-        sx = sum(d.x for d, _ in out)
-        sy = sum(d.y for d, _ in out)
-        if (sx, sy) != (0, 0):
+        sx, sy = _imbalance(out)
+        if sx or sy:
             issues.append(ValidationIssue(
-                "balancing", labels.get(key, key),
+                "balancing", key if isinstance(key, str) else f"anchor {key}",
                 f"outgoing directions sum to ({sx},{sy}), expected (0,0)"))
     return ValidationReport(tuple(issues))
 
@@ -315,15 +313,15 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                          + [p for cut in diagram.cut_segments for p in cut])
     # Each site's point, and each (node, cut exit), on ints.
     grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
-    for point, anchor_ends in curve.anchors():
-        grid[curve.site(anchor_ends[0])] = cleared(point, scale)
+    for point, _ in curve.anchors():
+        grid[point] = cleared(point, scale)
     cuts = [(cleared(node, scale), cleared(end, scale))
             for node, end in diagram.cut_segments]
     # Every segment as (id, start, finish, start token, finish token), edges
     # first, with int endpoints.  Two segments may share a point only where
     # both carry the same token (a common vertex, anchor or terminal node).
-    # Vertex ids are strings and every other token is a tuple, so the two
-    # never collide.
+    # Vertex ids are strings, an anchor is its point, and a node or landing
+    # token is a pair that starts with a string, so no two kinds collide.
     segments = []
 
     def issue(code, element, message):
@@ -359,8 +357,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   f"multiple of direction {e.direction}")
 
     for e in curve.ends:
-        site = curve.site(e)
-        start = grid[site]
+        start = grid[e.source]
         if isinstance(e.terminal, NodeTerminal):
             if not 0 <= e.terminal.node_index < len(diagram.nodes):
                 issue("end-terminal", e.id,
@@ -368,7 +365,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                 continue
             node = diagram.nodes[e.terminal.node_index]
             finish = cuts[e.terminal.node_index][0]
-            segments.append((e.id, start, finish, site,
+            segments.append((e.id, start, finish, e.source,
                              ("node", e.terminal.node_index)))
             if not _reaches(start, finish, e.direction):
                 issue("end-collinearity", e.id,
@@ -381,7 +378,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
         else:
             landing = e.terminal.landing
             finish = cleared(landing, scale)
-            segments.append((e.id, start, finish, site, ("landing", e.id)))
+            segments.append((e.id, start, finish, e.source,
+                             ("landing", e.id)))
             if not _reaches(start, finish, e.direction):
                 issue("end-collinearity", e.id,
                       f"landing {landing} is not reached along direction "
@@ -474,20 +472,20 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 # -----------------------------------------------------------------------
 
 def vertex_multiplicity(curve: TropicalCurve, vertex_id: str) -> int:
-    """The determinant m = |v1 ^ v2| of the outgoing directions at a
-    balanced trivalent vertex (the three pairwise values agree)."""
+    """m = |d1 ^ d2| for two outgoing directions at a trivalent vertex that
+    balances as check_balancing requires (then every pair gives m)."""
     curve.vertex(vertex_id)
     out = curve.outgoing(vertex_id)
     if len(out) != 3:
         raise NonTrivalentVertex(
             f"vertex {vertex_id!r} has valence {len(out)}, expected 3")
-    (d1, _), (d2, _), (d3, _) = out
-    m12, m23, m31 = abs(d1.wedge(d2)), abs(d2.wedge(d3)), abs(d3.wedge(d1))
-    if not m12 == m23 == m31:
+    sx, sy = _imbalance(out)
+    if sx or sy:
         raise UnbalancedVertex(
-            f"vertex {vertex_id!r} has pairwise wedges {m12}, {m23}, {m31}; "
-            "it cannot be balanced")
-    return m12
+            f"vertex {vertex_id!r} is unbalanced: outgoing directions sum "
+            f"to ({sx},{sy}), expected (0,0)")
+    (d1, _), (d2, _), _ = out
+    return abs(d1.wedge(d2))
 
 
 def vertex_double_points(m: int) -> int:

@@ -207,6 +207,79 @@ def test_homology_refuses_an_end_without_a_cap_kind(capsys, monkeypatch):
     assert err.startswith("error: curve visible: end 'plus' has mu = 4; ")
 
 
+FOUR_VALENT = """diagram rectangle width=4 height=4
+curve c
+vertex v (2,2)
+end e1 v dir=(2,1) land=(4,3)
+end e2 v dir=(-2,-1) land=(0,1)
+end e3 v dir=(1,2) land=(3,4)
+end e4 v dir=(-1,-2) land=(1,0)
+"""
+
+
+def test_homology_refuses_a_curve_without_a_surface(capsys, tmp_path):
+    # The four-valent vertex is balanced and the curve validates, but no
+    # surface lies over it, so it has no class either.
+    path = tmp_path / "four_valent.trop"
+    path.write_text(FOUR_VALENT)
+    assert run(capsys, "validate", str(path))[0] == 0
+    for command in ("homology", "topology", "audin"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err == "error: curve c: vertex 'v' has valence 4, expected 3\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """The most digits int() converts, set to the default while the test
+    runs if the interpreter has the limit off."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("template, col", [
+    ("diagram rectangle width={} height=3\n", 25),
+    ("diagram polygon (0,0) (4,0) (4,1/{}) (0,4)\n", 29),
+    (CURVE_HEAD + "end x a dir=(-{},0) land=(0,1)\n", 13),
+    ("diagram polygon (0,0) (1,0) (0,1) ; basis a ; form {}\n", 52),
+])
+def test_overlong_number_in_a_document_exits_2(capsys, tmp_path,
+                                                digit_limit, template, col):
+    bad = tmp_path / "bad.trop"
+    bad.write_text(template.format("1" * (digit_limit + 1)))
+    code, out, err = run(capsys, "validate", str(bad))
+    line = template.count("\n")
+    assert (code, out) == (2, "")
+    assert err == (f"error: line {line}, col {col}: a number has more than "
+                   f"{digit_limit} digits\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("triangle", "1", "{}", "1"), "b"),
+    (("gen-visible", "{}", "3"), "width"),
+    (("gen-visible", "4", "3", "--direction", "2,{}"), "--direction"),
+    (("gen-visible", "4", "3", "--anchor", "1/{},1"), "--anchor"),
+    (("genus-bound", "{}"), "LAMBDA"),
+    (("squeeze", "{}"), "I"),
+    (("gen-family", "{}"), "L"),
+    (("audin", str(FIGURES / "fig1_left.trop"), "--class", "{},1,1"),
+     "--class"),
+])
+def test_overlong_number_option_exits_2(capsys, digit_limit, argv, option):
+    ones = "1" * (digit_limit + 1)
+    code, out, err = run(capsys, *(arg.format(ones) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {option} has a number with more than "
+                   f"{digit_limit} digits\n")
+
+
 def test_homology_input_error_prints_no_header(capsys):
     # fig1 is no rectangle: the sweep refusal leaves stdout empty, as it
     # does for topology and audin.

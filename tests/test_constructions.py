@@ -50,6 +50,15 @@ def test_segment_exiting_horizontally_does_not_fit():
         visible_segment(diagram, IntVec(2, 1), pt(2, F(9, 8)))
 
 
+@pytest.mark.parametrize("direction", [IntVec(0, 1), IntVec(0, -3)])
+def test_vertical_segment_exits_horizontally(direction):
+    # A vertical line is refused as any line leaving through a horizontal
+    # edge is.
+    with pytest.raises(DoesNotFit,
+                       match=r"\Athe line exits through a horizontal edge\Z"):
+        visible_segment(rectangle(4, 2), direction, pt(1, 1))
+
+
 def test_segment_in_taller_rectangle_is_klein_bottle():
     diagram = rectangle(4, F(5, 2))
     curve = visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))

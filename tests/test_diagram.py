@@ -327,6 +327,13 @@ def test_node_on_another_nodes_cut_is_a_collision(first, second):
                               f"{second.position} collide")
 
 
+def test_rectangle_with_a_node_is_not_a_rectangle():
+    corners = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+    assert BaseDiagram(corners).is_rectangle
+    assert not BaseDiagram(corners, [Node(pt(2, 2), IntVec(1, 0))]).is_rectangle
+    assert not x_abc(1, 1, F(4, 3), 4).is_rectangle
+
+
 def test_homology_model_requires_symmetry():
     with pytest.raises(InvalidDiagram):
         HomologyModel(("A", "B"), ((0, 1), (0, 0)))

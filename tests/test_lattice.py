@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -265,3 +266,21 @@ def test_point_is_immutable():
     with pytest.raises(AttributeError):
         p.X = 2
     assert repr(p) == "RatPoint.of(1, 6, 2)"
+
+
+def test_point_is_its_triple():
+    p = pt(Fraction(1, 2), 3)
+    assert p == (1, 6, 2) and hash(p) == hash((1, 6, 2))
+    assert {p: "p"}[(1, 6, 2)] == "p"
+    assert tuple(p) == (p.X, p.Y, p.W) == (1, 6, 2)
+    copy = pickle.loads(pickle.dumps(p))
+    assert type(copy) is RatPoint and copy == p and repr(copy) == repr(p)
+    # No NamedTuple helpers that would build an unreduced triple, and no
+    # field that can be set or deleted.
+    assert not hasattr(p, "_replace") and not hasattr(p, "_make")
+    for field in ("X", "Y", "W", "x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, 4)
+        with pytest.raises(AttributeError):
+            delattr(p, field)
+    assert p == (1, 6, 2)

@@ -36,7 +36,8 @@ from troplag import (
     vertex_multiplicity,
     visible_segment,
 )
-from conftest import load_document, random_curve, random_unimodular_map
+from conftest import (BUNDLED_DOCS, load_document, random_curve,
+                      random_unimodular_map)
 
 F = Fraction
 
@@ -159,9 +160,7 @@ def test_oracle_two_discs_plus_annulus_is_sphere():
 
 
 def test_chi_parity_invariant_on_bundled():
-    docs = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
-            "fig3_family.trop", "fig4_squeeze.trop"]
-    for name in docs:
+    for name in BUNDLED_DOCS:
         doc = load_document(name)
         for curve in doc.curves:
             chi = euler_breakdown(doc.diagram, curve).chi
@@ -241,9 +240,7 @@ def assert_breakdown_is_the_inventory(diagram, curve, sc):
 
 
 def test_engine_equals_oracle_on_bundled():
-    docs = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
-            "fig3_family.trop", "fig4_squeeze.trop"]
-    for name in docs:
+    for name in BUNDLED_DOCS:
         doc = load_document(name)
         for curve in doc.curves:
             sc = classify(doc.diagram, curve)

@@ -29,7 +29,7 @@ from troplag import (
     x_abc,
 )
 from troplag import tropical
-from troplag.tropical import ValidationIssue, _anchor_key
+from troplag.tropical import ValidationIssue
 from conftest import FIGURES, diff, load_document, moved, random_curve
 from test_kernel import ref_on_open_segment, ref_segment_contact
 
@@ -203,8 +203,7 @@ def _scanned_outgoing(curve, key):
         if e.dst == key:
             out.append((-e.direction, e.id))
     for e in curve.ends:
-        source = e.source if isinstance(e.source, str) else _anchor_key(e.source)
-        if source == key:
+        if e.source == key:
             out.append((e.direction, e.id))
     return tuple(out)
 
@@ -222,19 +221,15 @@ def test_incidence_index_matches_linear_scan():
     for curve in _index_test_curves():
         anchor_keys = []
         for e in curve.ends:
-            if isinstance(e.source, str):
-                assert curve.site(e) == e.source
-            else:
-                assert curve.site(e) == _anchor_key(e.source)
-                if curve.site(e) not in anchor_keys:
-                    anchor_keys.append(curve.site(e))
+            if not isinstance(e.source, str) and e.source not in anchor_keys:
+                anchor_keys.append(e.source)
         keys = [v.id for v in curve.vertices] + anchor_keys
         assert list(curve.sites) == keys
         for key, out in curve.sites.items():
             assert out == curve.outgoing(key) == _scanned_outgoing(curve, key)
-        assert [(_anchor_key(point), list(anchor_ends))
+        assert [(point, list(anchor_ends))
                 for point, anchor_ends in curve.anchors()] \
-            == [(key, [e for e in curve.ends if curve.site(e) == key])
+            == [(key, [e for e in curve.ends if e.source == key])
                 for key in anchor_keys]
         assert curve.outgoing("no-such-site") == ()
         anchored += bool(anchor_keys)
@@ -258,9 +253,9 @@ def _all_pairs_embeddedness(diagram, curve):
             index = e.terminal.node_index
             if 0 <= index < len(diagram.nodes):
                 segments.append((e.id, start, diagram.nodes[index].position,
-                                 curve.site(e), ("node", index)))
+                                 e.source, ("node", index)))
         else:
-            segments.append((e.id, start, e.terminal.landing, curve.site(e),
+            segments.append((e.id, start, e.terminal.landing, e.source,
                              ("landing", e.id)))
     issues = []
 
@@ -477,6 +472,19 @@ def test_unbalanced_multiplicity_mismatch():
         (IntVec(-2, -1), BoundaryTerminal(pt(0, 2)))])
     with pytest.raises(UnbalancedVertex):
         vertex_multiplicity(curve, "v")
+
+
+def test_unbalanced_vertex_with_equal_pairwise_wedges():
+    # |wedge| is 1 for each pair, but the directions sum to (2,2).
+    curve = one_vertex_curve(pt(4, 2), [
+        (IntVec(1, 0), BoundaryTerminal(pt(8, 2))),
+        (IntVec(0, 1), BoundaryTerminal(pt(4, 8))),
+        (IntVec(1, 1), BoundaryTerminal(pt(8, 6)))])
+    with pytest.raises(UnbalancedVertex) as err:
+        vertex_multiplicity(curve, "v")
+    assert str(err.value) == ("vertex 'v' is unbalanced: outgoing directions "
+                              "sum to (2,2), expected (0,0)")
+    assert [issue.element for issue in check_balancing(curve).issues] == ["v"]
 
 
 primitive_vecs = st.builds(
