@@ -39,10 +39,11 @@ def _read_document(path: str):
     return parse_document(text)
 
 
-def _convert(parse, text: str, option: str):
-    """parse(text) given to option; a number too long for int() names it."""
+def _convert(parse, value, option: str):
+    """parse(value) for the option or quantity named option; a number with
+    too many digits to convert between int and str names it."""
     try:
-        return parse(text)
+        return parse(value)
     except ValueError:
         raise TroplagError(f"{option} has a number with more than "
                            f"{sys.get_int_max_str_digits()} digits") from None
@@ -220,15 +221,18 @@ def _cmd_triangle(args) -> int:
     b = _parse_rational(args.b, "b")
     c = _parse_rational(args.c, "c")
     result = triangle_check(a, b, c)
-    print(f"triangle inequalities for a={a}, b={b}, c={c}:")
+    lines = [f"triangle inequalities for a={a}, b={b}, c={c}:"]
     for label, lhs, rhs, holds in result.comparisons:
+        left, right = label.split(" < ")
+        lhs, rhs = _convert(str, lhs, left), _convert(str, rhs, right)
         status = "satisfied" if holds else "VIOLATED"
-        print(f"  {label}: {lhs} < {rhs}: {status}")
+        lines.append(f"  {label}: {lhs} < {rhs}: {status}")
     if result.satisfied:
-        print("satisfied: all three strict inequalities hold")
-        return PASS
-    print("violated: " + ", ".join(result.violated))
-    return FAIL
+        lines.append("satisfied: all three strict inequalities hold")
+    else:
+        lines.append("violated: " + ", ".join(result.violated))
+    print("\n".join(lines))
+    return PASS if result.satisfied else FAIL
 
 
 def _cmd_gen_family(args) -> int:
@@ -270,14 +274,17 @@ def _cmd_genus_bound(args) -> int:
 
     lam = _parse_rational(args.lam, "LAMBDA")
     bound = genus_bound(lam, threshold=args.threshold)
+    # Of the numbers printed, only k = 20*ell + 2 can be too long for str():
+    # ell and the width 10*ell + 2 are shorter, and lambda was read as text.
+    k = _convert(str, bound.k, "k")
     if args.threshold != "statement":
         print(f"threshold convention: {args.threshold}")
     if bound.witness_kind == "klein-bottle":
-        print(f"lambda = {lam}: nonorientable genus bound k = {bound.k}, "
+        print(f"lambda = {lam}: nonorientable genus bound k = {k}, "
               "witness = visible Klein bottle (slope-1/2 segment)")
     else:
         width, height = _family_sides(bound.ell)
-        print(f"lambda = {lam}: nonorientable genus bound k = {bound.k}, "
+        print(f"lambda = {lam}: nonorientable genus bound k = {k}, "
               f"witness = tropical family (ell = {bound.ell}) in "
               f"[0,{width}]x[0,{height}]")
     return PASS

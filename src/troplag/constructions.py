@@ -15,9 +15,8 @@ thresholds that govern them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import TroplagError
 from .lattice import IntVec, RatPoint, _as_fraction
@@ -84,8 +83,7 @@ def klein_threshold(width, height) -> bool:
     return height > width / 2
 
 
-@dataclass(frozen=True)
-class TriangleResult:
+class TriangleResult(NamedTuple):
     """Each strict inequality as (label, left side, right side, whether it
     holds), in the order a < b+c, b < c+a, c < a+b."""
 
@@ -173,8 +171,7 @@ def _family_sides(ell: int) -> tuple[int, int]:
     return 10 * ell + 2, 3
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     ell: int
     diagram: BaseDiagram
     curve: TropicalCurve
@@ -234,8 +231,7 @@ def trop_family(ell: int) -> FamilyInstance:
     return FamilyInstance(ell, diagram, curve, expected)
 
 
-@dataclass(frozen=True)
-class GenusBound:
+class GenusBound(NamedTuple):
     """An upper bound k for the nonorientable genus, with its witness."""
 
     k: int
@@ -264,8 +260,7 @@ def genus_bound(lam, threshold: str = "statement") -> GenusBound:
     return GenusBound(20 * ell + 2, "family", ell)
 
 
-@dataclass(frozen=True)
-class SqueezeResult:
+class SqueezeResult(NamedTuple):
     exists: bool
     interval_length: Fraction
     diagram: BaseDiagram | None

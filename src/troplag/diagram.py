@@ -17,10 +17,10 @@ parameter and its exit point on ints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import TroplagError
 from .lattice import (
@@ -54,8 +54,7 @@ class LocationKind(Enum):
     ON_CUT = "on-cut"
 
 
-@dataclass(frozen=True)
-class PointLocation:
+class PointLocation(NamedTuple):
     """Where a point sits relative to a diagram; index names the edge, corner,
     node or cut when applicable."""
 
@@ -72,8 +71,7 @@ OUTSIDE = PointLocation(LocationKind.OUTSIDE)
 INTERIOR = PointLocation(LocationKind.INTERIOR)
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
+class BoundaryEdge(NamedTuple):
     """One edge of the polygon, oriented counterclockwise.
 
     direction is primitive and points from start to end; affine_length is
@@ -86,25 +84,36 @@ class BoundaryEdge:
     affine_length: Fraction
 
 
-@dataclass(frozen=True)
-class Node:
+class _Node(NamedTuple):
+    position: RatPoint
+    cut_direction: IntVec
+
+
+class Node(_Node):
     """A focus-focus node with the primitive direction of its cut.
 
     The cut runs from the node position along cut_direction until it leaves
     the polygon through the interior of a boundary edge.
     """
 
-    position: RatPoint
-    cut_direction: IntVec
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __post_init__(self):
-        if not self.cut_direction.is_primitive:
+    def __new__(cls, position, cut_direction):
+        if not cut_direction.is_primitive:
             raise InvalidDiagram(
-                f"cut direction {self.cut_direction} is not primitive")
+                f"cut direction {cut_direction} is not primitive")
+        return tuple.__new__(cls, (position, cut_direction))
 
 
-@dataclass(frozen=True)
-class HomologyModel:
+class _HomologyModel(NamedTuple):
+    basis_labels: tuple[str, ...]
+    intersection_form: tuple[tuple[int, ...], ...]
+    class_of_horizontal_sweep: tuple[int, ...] | None = None
+    class_of_vertical_sweep: tuple[int, ...] | None = None
+
+
+class HomologyModel(_HomologyModel):
     """Mod-2 homology bookkeeping for the ambient space.
 
     basis_labels name a basis of H_2(X; Z/2); intersection_form is the
@@ -113,12 +122,11 @@ class HomologyModel:
     a horizontal and over a vertical segment.
     """
 
-    basis_labels: tuple[str, ...]
-    intersection_form: tuple[tuple[int, ...], ...]
-    class_of_horizontal_sweep: tuple[int, ...] | None = None
-    class_of_vertical_sweep: tuple[int, ...] | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.basis_labels)
         if len(self.intersection_form) != n or any(
                 len(row) != n for row in self.intersection_form):
@@ -131,6 +139,7 @@ class HomologyModel:
                     self.class_of_vertical_sweep):
             if vec is not None and len(vec) != n:
                 raise InvalidDiagram("sweep class vector has wrong length")
+        return self
 
     @property
     def rank(self) -> int:

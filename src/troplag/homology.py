@@ -19,14 +19,14 @@ intersection form, Q(c, c) mod 4, which only depends on c mod 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
-from .lattice import IntVec, cleared, common_scale
+from .lattice import IntVec, _as_fraction, cleared, common_scale
 from .topology import EndKind, classify_end
 from .tropical import TropicalCurve, vertex_multiplicity
 
@@ -53,27 +53,42 @@ class SweepDirection(Enum):
         return IntVec(1, 0) if self is SweepDirection.HORIZONTAL else IntVec(0, 1)
 
 
-@dataclass(frozen=True)
-class SweepParity:
+class SweepParity(NamedTuple):
     direction: SweepDirection
     parity: int
     witness_line_coordinate: Fraction
 
 
-@dataclass(frozen=True)
-class Mod2Class:
-    """Coefficients over {0,1} in the diagram's homology basis, with the
-    (horizontal, vertical) sweeps they were solved from."""
-
+class _Mod2Class(NamedTuple):
     coefficients: tuple[int, ...]
     basis_labels: tuple[str, ...]
-    sweeps: tuple[SweepParity, SweepParity] = field(compare=False)
+    sweeps: tuple[SweepParity, SweepParity]
 
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.basis_labels):
+
+class Mod2Class(_Mod2Class):
+    """Coefficients over {0,1} in the diagram's homology basis, with the
+    (horizontal, vertical) sweeps they were solved from.  Two classes are
+    equal, and hash alike, when their coefficients and labels are; the
+    sweeps are not compared."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, coefficients, basis_labels, sweeps):
+        if len(coefficients) != len(basis_labels):
             raise InvalidClass("coefficient vector does not match basis")
-        if any(c not in (0, 1) for c in self.coefficients):
+        if any(c not in (0, 1) for c in coefficients):
             raise InvalidClass("mod-2 coefficients must be 0 or 1")
+        return tuple.__new__(cls, (coefficients, basis_labels, sweeps))
+
+    def __eq__(self, other):
+        return isinstance(other, Mod2Class) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def label_sum(self) -> str:
         terms = [label for c, label in
@@ -152,7 +167,7 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
         line, den = lo + hi, 2
         witness = Fraction(line, den * scale)
     else:
-        witness = Fraction(witness)
+        witness = _as_fraction(witness)
         line, den = witness.numerator * scale, witness.denominator
         if any(c * den == line for c in criticals):
             raise NonGenericWitness(

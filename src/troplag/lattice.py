@@ -5,6 +5,11 @@ diagram), unimodular affine maps (integral affine changes of coordinates),
 the ASCII spellings of numbers, and the exact segment predicates the rest
 of the package is built on, on int pairs with denominators cleared.
 
+Every value type is a tuple.  IntVec and UnimodularAffineMap are
+typing.NamedTuple records that check their fields in __new__ (and so in
+_make, _replace and unpickling too), so a vector equals the int pair
+(x, y) and a map the pair (linear, translation).
+
 All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
 homogeneous triple (X, Y, W) with W > 0: every geometry reader clears
@@ -15,10 +20,10 @@ public API.  Floats are rejected at construction time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import TroplagError
 
@@ -56,16 +61,19 @@ def _as_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class IntVec:
-    """An exact integer vector in the plane."""
-
+class _IntVec(NamedTuple):
     x: int
     y: int
 
-    def __post_init__(self):
-        _as_int(self.x)
-        _as_int(self.y)
+
+class IntVec(_IntVec):
+    """An exact integer vector in the plane."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, x, y):
+        return tuple.__new__(cls, (_as_int(x), _as_int(y)))
 
     def __neg__(self) -> "IntVec":
         return IntVec(-self.x, -self.y)
@@ -161,21 +169,26 @@ def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
     return IntVec(dx // g, dy // g), Fraction(g, aw * bw)
 
 
-@dataclass(frozen=True)
-class UnimodularAffineMap:
-    """An integral affine map x -> L x + t with det L = +-1; translation is
-    t, the image of the origin."""
-
+class _UnimodularAffineMap(NamedTuple):
     linear: tuple[tuple[int, int], tuple[int, int]]
     translation: RatPoint
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.linear
+
+class UnimodularAffineMap(_UnimodularAffineMap):
+    """An integral affine map x -> L x + t with det L = +-1; translation is
+    t, the image of the origin."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, linear, translation):
+        (a, b), (c, d) = linear
         for entry in (a, b, c, d):
             _as_int(entry)
         if a * d - b * c not in (1, -1):
             raise NonUnimodularMap(
                 f"determinant {a * d - b * c} is not +1 or -1")
+        return tuple.__new__(cls, (linear, translation))
 
     @classmethod
     def identity(cls) -> "UnimodularAffineMap":

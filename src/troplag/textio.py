@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,8 +57,7 @@ class ParseError(TroplagError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     diagram: BaseDiagram
     curves: tuple[TropicalCurve, ...]
 

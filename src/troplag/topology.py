@@ -22,8 +22,8 @@ presentation and cell counts, giving an independent check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
@@ -74,8 +74,7 @@ def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
         "(cross-cap) carry a surface meaning")
 
 
-@dataclass(frozen=True)
-class ChiBreakdown:
+class ChiBreakdown(NamedTuple):
     """Euler characteristic with its provenance terms, and the inventory
     they are counted from."""
 
@@ -118,8 +117,14 @@ def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
         end_kinds=end_kinds)
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class _SurfaceClass(NamedTuple):
+    orientable: bool
+    euler_char: int
+    boundary_circles: int
+    double_points_surgered: int
+
+
+class SurfaceClass(_SurfaceClass):
     """The topological type of the surface.
 
     Four fields are stored: orientable, euler_char, boundary_circles and
@@ -129,14 +134,13 @@ class SurfaceClass:
     chi = 2 - 2g, and every other genus is None.
     """
 
-    orientable: bool
-    euler_char: int
-    boundary_circles: int
-    double_points_surgered: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.closed:
-            return
+            return self
         if self.orientable and self.euler_char % 2 != 0:
             raise MalformedPresentation(
                 f"closed orientable surface with odd chi = {self.euler_char}")
@@ -144,6 +148,7 @@ class SurfaceClass:
             raise ValueError("orientable genus must be nonnegative")
         if not self.orientable and self.nonorientable_genus < 1:
             raise ValueError("nonorientable genus must be positive")
+        return self
 
     @property
     def closed(self) -> bool:
@@ -213,20 +218,24 @@ _PIECE_CIRCLES = {
 }
 
 
-@dataclass(frozen=True)
-class Piece:
+class _Piece(NamedTuple):
     kind: PieceKind
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.labels) != _PIECE_CIRCLES[self.kind]:
+
+class Piece(_Piece):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
+
+    def __new__(cls, kind, labels):
+        if len(labels) != _PIECE_CIRCLES[kind]:
             raise MalformedPresentation(
-                f"{self.kind.value} carries {_PIECE_CIRCLES[self.kind]} "
-                f"boundary circles, got labels {self.labels}")
+                f"{kind.value} carries {_PIECE_CIRCLES[kind]} "
+                f"boundary circles, got labels {labels}")
+        return tuple.__new__(cls, (kind, labels))
 
 
-@dataclass(frozen=True)
-class SurfacePresentation:
+class SurfacePresentation(NamedTuple):
     """Pieces with labelled boundary circles, a pairing of labels, and a
     count of surgery handle attachments."""
 

@@ -6,7 +6,9 @@ terminate either on the interior of a boundary edge or at a focus-focus
 node (travelling along the node's cut direction).  Edges and ends have
 weight one by construction, as the text format writes them.  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
-standalone anchor point.
+standalone anchor point.  Vertices, edges, ends, terminals and validation
+issues are typing.NamedTuple records, each the tuple of its fields, so an
+end unpacks as (id, source, direction, terminal).
 
 A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, element id) pairs in
@@ -21,8 +23,8 @@ assume a validated curve and raise on contract violations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, LocationKind
@@ -59,14 +61,12 @@ class NotABoundaryEnd(TroplagError):
     """End multiplicity is only defined for boundary-terminal ends."""
 
 
-@dataclass(frozen=True)
-class TropicalVertex:
+class TropicalVertex(NamedTuple):
     id: str
     position: RatPoint
 
 
-@dataclass(frozen=True)
-class InternalEdge:
+class InternalEdge(NamedTuple):
     """A weight-one edge between two vertices.  direction is primitive,
     src -> dst; pass None to have it derived from the vertex positions."""
 
@@ -76,23 +76,20 @@ class InternalEdge:
     direction: IntVec | None = None
 
 
-@dataclass(frozen=True)
-class BoundaryTerminal:
+class BoundaryTerminal(NamedTuple):
     """An end landing at a point in the open interior of a boundary edge;
     the edge is the one diagram.contains finds there."""
 
     landing: RatPoint
 
 
-@dataclass(frozen=True)
-class NodeTerminal:
+class NodeTerminal(NamedTuple):
     """An end terminating at a focus-focus node, along its cut direction."""
 
     node_index: int
 
 
-@dataclass(frozen=True)
-class CurveEnd:
+class CurveEnd(NamedTuple):
     """A weight-one ray leaving the curve.  source is a vertex id, or a
     RatPoint anchor for a standalone (vertexless) segment.  direction is
     primitive and outgoing."""
@@ -235,8 +232,7 @@ class TropicalCurve:
 # Validation
 # -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str
     element: str
     message: str
@@ -245,8 +241,7 @@ class ValidationIssue:
         return f"[{self.code}] {self.element}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -263,9 +258,9 @@ class ValidationReport:
 def _imbalance(out) -> tuple[int, int]:
     """The sum of the outgoing directions at a site; (0, 0) is balanced."""
     sx = sy = 0
-    for d, _ in out:
-        sx += d.x
-        sy += d.y
+    for (x, y), _ in out:
+        sx += x
+        sy += y
     return sx, sy
 
 
@@ -285,8 +280,8 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
 def _reaches(a, b, direction: IntVec) -> bool:
     """Whether the int pair b - a is a positive multiple of direction."""
     dx, dy = b[0] - a[0], b[1] - a[1]
-    return (dx * direction.y == dy * direction.x
-            and dx * direction.x + dy * direction.y > 0)
+    ux, uy = direction
+    return dx * uy == dy * ux and dx * ux + dy * uy > 0
 
 
 def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
@@ -346,51 +341,49 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   f"{len(anchor_ends)} ends meet here; an anchor carries "
                   "exactly two (declare a vertex instead)")
 
-    for e in curve.edges:
-        a, b = grid[e.src], grid[e.dst]
-        segments.append((e.id, a, b, e.src, e.dst))
-        if not _reaches(a, b, e.direction):
+    for eid, src, dst, direction in curve.edges:
+        a, b = grid[src], grid[dst]
+        segments.append((eid, a, b, src, dst))
+        if not _reaches(a, b, direction):
             # (b - a) / scale, which prints as the point at it.
             delta = RatPoint.of(b[0] - a[0], b[1] - a[1], scale)
-            issue("edge-collinearity", e.id,
+            issue("edge-collinearity", eid,
                   f"displacement {delta} is not a positive "
-                  f"multiple of direction {e.direction}")
+                  f"multiple of direction {direction}")
 
-    for e in curve.ends:
-        start = grid[e.source]
-        if isinstance(e.terminal, NodeTerminal):
-            if not 0 <= e.terminal.node_index < len(diagram.nodes):
-                issue("end-terminal", e.id,
-                      f"no node with index {e.terminal.node_index}")
+    for eid, source, direction, terminal in curve.ends:
+        start = grid[source]
+        if isinstance(terminal, NodeTerminal):
+            (index,) = terminal
+            if not 0 <= index < len(diagram.nodes):
+                issue("end-terminal", eid, f"no node with index {index}")
                 continue
-            node = diagram.nodes[e.terminal.node_index]
-            finish = cuts[e.terminal.node_index][0]
-            segments.append((e.id, start, finish, e.source,
-                             ("node", e.terminal.node_index)))
-            if not _reaches(start, finish, e.direction):
-                issue("end-collinearity", e.id,
+            node = diagram.nodes[index]
+            finish = cuts[index][0]
+            segments.append((eid, start, finish, source, ("node", index)))
+            if not _reaches(start, finish, direction):
+                issue("end-collinearity", eid,
                       f"node at {node.position} is not reached along "
-                      f"direction {e.direction}")
-            if e.direction != node.cut_direction:
-                issue("end-cut-direction", e.id,
-                      f"direction {e.direction} differs from the node's cut "
+                      f"direction {direction}")
+            if direction != node.cut_direction:
+                issue("end-cut-direction", eid,
+                      f"direction {direction} differs from the node's cut "
                       f"direction {node.cut_direction}")
         else:
-            landing = e.terminal.landing
+            (landing,) = terminal
             finish = cleared(landing, scale)
-            segments.append((e.id, start, finish, e.source,
-                             ("landing", e.id)))
-            if not _reaches(start, finish, e.direction):
-                issue("end-collinearity", e.id,
+            segments.append((eid, start, finish, source, ("landing", eid)))
+            if not _reaches(start, finish, direction):
+                issue("end-collinearity", eid,
                       f"landing {landing} is not reached along direction "
-                      f"{e.direction}")
+                      f"{direction}")
             loc = diagram.contains(landing)
             if loc.kind is LocationKind.ON_CORNER:
-                issue("end-corner-landing", e.id,
+                issue("end-corner-landing", eid,
                       f"landing {landing} is a polygon corner; corners are "
                       "not legal landing sites")
             elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
-                issue("end-landing", e.id,
+                issue("end-landing", eid,
                       f"landing {landing} is {loc}, must lie in the open "
                       "interior of a boundary edge")
 

@@ -280,6 +280,23 @@ def test_overlong_number_option_exits_2(capsys, digit_limit, argv, option):
                    f"{digit_limit} digits\n")
 
 
+@pytest.mark.parametrize("argv, quantity", [
+    (("triangle", "1", "1", "{}"), "b+c"),
+    (("triangle", "{}", "1", "1"), "c+a"),
+    (("genus-bound", "{}"), "k"),
+    (("genus-bound", "{}", "--threshold", "proof"), "k"),
+])
+def test_overlong_computed_number_exits_2(capsys, digit_limit, argv,
+                                          quantity):
+    # Every argument has as many digits as int() reads, and the named
+    # quantity one more: nothing of the report is printed.
+    nines = "9" * digit_limit
+    code, out, err = run(capsys, *(arg.format(nines) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {quantity} has a number with more than "
+                   f"{digit_limit} digits\n")
+
+
 def test_homology_input_error_prints_no_header(capsys):
     # fig1 is no rectangle: the sweep refusal leaves stdout empty, as it
     # does for topology and audin.

@@ -112,6 +112,19 @@ def test_non_generic_witness_rejected(klein):
         sweep_parity(diagram, curve, SweepDirection.VERTICAL, witness=F(9))
 
 
+def test_witness_is_exact(klein):
+    # A float is refused as every other public number is; a 'p/q' string
+    # and a Fraction give the same exact line.
+    diagram, curve = klein
+    with pytest.raises(TypeError, match="floating point"):
+        sweep_parity(diagram, curve, SweepDirection.VERTICAL, witness=0.1)
+    for witness in ("1/3", F(1, 3)):
+        parity = sweep_parity(diagram, curve, SweepDirection.VERTICAL,
+                              witness=witness)
+        assert parity.witness_line_coordinate == F(1, 3)
+        assert type(parity.witness_line_coordinate) is F
+
+
 def test_sweep_requires_rectangle():
     diagram = x_abc(1, 1, F(4, 3), 4)
     with pytest.raises(UnsupportedDiagram):

@@ -8,8 +8,13 @@ from hypothesis import given, settings, strategies as st
 from troplag import (
     DegenerateDirection,
     IntVec,
+    InvalidDiagram,
+    Mod2Class,
+    Node,
     NonUnimodularMap,
     RatPoint,
+    SweepDirection,
+    SweepParity,
     UnimodularAffineMap,
     parse_document,
     pt,
@@ -284,3 +289,42 @@ def test_point_is_its_triple():
         with pytest.raises(AttributeError):
             delattr(p, field)
     assert p == (1, 6, 2)
+
+
+# -- records ------------------------------------------------------------
+
+def test_records_are_their_field_tuples():
+    v = IntVec(2, -1)
+    assert v == (2, -1) and hash(v) == hash((2, -1))
+    assert repr(v) == "IntVec(x=2, y=-1)" and str(v) == "(2,-1)"
+    with pytest.raises(AttributeError):
+        v.x = 3
+    # _replace and _make build through the checks, as the constructor does.
+    with pytest.raises(TypeError):
+        v._replace(x=1.5)
+    with pytest.raises(NonUnimodularMap):
+        shear(1, 0, 0, 1)._replace(linear=((2, 0), (0, 1)))
+    with pytest.raises(InvalidDiagram):
+        Node._make((pt(1, 1), IntVec(2, 0)))
+
+
+def _klein_class(witness):
+    """The class (1,0) with both sweeps read at the given witness."""
+    sweeps = tuple(SweepParity(d, 0, witness) for d in SweepDirection)
+    return Mod2Class((1, 0), ("sphere_h", "sphere_v"), sweeps)
+
+
+def test_mod2_classes_differing_only_in_sweeps_are_equal():
+    a, b = _klein_class(Fraction(1, 2)), _klein_class(Fraction(1, 3))
+    assert a.sweeps != b.sweeps
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != Mod2Class((0, 1), a.basis_labels, a.sweeps)
+
+
+def test_records_survive_pickling():
+    records = [IntVec(2, -1), Node(pt(Fraction(1, 2), 3), IntVec(0, 1)),
+               rectangle(4, 3).homology, _klein_class(Fraction(1, 2))]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record and tuple(copy) == tuple(record)

@@ -81,6 +81,17 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("troplag.")),
                   code]))
 """
 
+# Runs the command given as arguments and prints, as its last line, which
+# of dataclasses and inspect (which loads ast, dis and tokenize) it
+# loaded, and the exit code.
+HEAVY = """
+import json, sys
+import troplag.cli
+code = troplag.cli.main(sys.argv[1:])
+print(json.dumps([sorted({"dataclasses", "inspect"} & set(sys.modules)),
+                  code]))
+"""
+
 
 def _fresh_interpreter(script, *args):
     """The JSON on the last line script prints in a new interpreter."""
@@ -144,3 +155,13 @@ def test_threshold_commands_load_no_geometry(argv):
     assert code == 0
     assert loaded == ["troplag.cli", "troplag.constructions",
                       "troplag.errors", "troplag.lattice"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["topology", str(FIGURES / "fig2_klein.trop")],
+    ["gen-family", "2"],
+    ["triangle", "1", "1", "1"],
+])
+def test_commands_load_no_dataclasses(argv):
+    # The records are NamedTuples, so no command pays for @dataclass.
+    assert _fresh_interpreter(HEAVY, *argv) == [[], 0]
