@@ -265,7 +265,9 @@ def _cmd_gen_visible(args) -> int:
         anchor = RatPoint(*_parse_values(args.anchor, "--anchor", "rationals",
                                          count=2))
     curve = visible_segment(diagram, direction, anchor)
-    sys.stdout.write(serialize_document(Document(diagram, (curve,))))
+    # A landing can have more digits than the sides it was computed from.
+    sys.stdout.write(_convert(serialize_document, Document(diagram, (curve,)),
+                              f"curve {curve.name}"))
     return PASS
 
 

@@ -8,11 +8,12 @@ fiber circle is t itself, the Lagrangian's is the 90-degree rotation of u,
 and |wedge(rot90(u), t)| = |dot(u, t)|).  Summing over the segments that
 cross one generic witness line gives the parity; balancing makes the parity
 independent of the witness for closed curves.  Closedness is read from
-topology.classify_end: every end must be a cross-cap, so a collar and an
-end with no cap kind (mu >= 3) are refused, as topology refuses them.
-sweep_parity walks the curve's segments once and chooses its default
-witness from that walk; mod2_class asks vertex_multiplicity about every
-vertex first, as topology does, and keeps the two sweeps it solved from.
+topology.classify_end: every end must be a cross-cap, so a collar, an end
+at a node (a disc cap) and an end with no cap kind (mu >= 3) are refused.
+sweep_parity reads the curve's segments from tropical.geometry, once per
+sweep, and chooses its default witness from them; mod2_class asks
+vertex_multiplicity about every vertex first, as topology does, and keeps
+the two sweeps it solved from.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -26,9 +27,9 @@ from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
-from .lattice import IntVec, _as_fraction, cleared, common_scale
+from .lattice import IntVec, _as_fraction, cleared
 from .topology import EndKind, classify_end
-from .tropical import TropicalCurve, vertex_multiplicity
+from .tropical import TropicalCurve, geometry, vertex_multiplicity
 
 
 class InvalidClass(TroplagError):
@@ -40,8 +41,8 @@ class NonGenericWitness(TroplagError):
 
 
 class UnsweepableCurve(TroplagError):
-    """Sweep parities are defined for closed curves only: a collar has no
-    closed mod-2 class to sweep."""
+    """Sweep parities are defined for closed curves only: every end must
+    be a cross-cap."""
 
 
 class SweepDirection(Enum):
@@ -104,44 +105,36 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
     for e in curve.ends:
-        if classify_end(diagram, e) is EndKind.COLLAR:
+        kind = classify_end(diagram, e)
+        if kind is not EndKind.CROSS_CAP:
             raise UnsweepableCurve(
-                f"end {e.id!r} is a collar; the surface has boundary there "
-                "and carries no closed mod-2 class")
+                f"end {e.id!r} is a {kind.value}, not a crosscap; only a "
+                "closed curve has a mod-2 class to sweep")
 
 
-def _sweep_lines(diagram: BaseDiagram, curve: TropicalCurve,
+def _sweep_lines(diagram: BaseDiagram, scale: int, segments,
                  direction: SweepDirection):
-    """(scale, spans, criticals) of one sweep, on ints.
-
-    The coordinate that varies across witness lines of this direction (x
-    for vertical lines, y for horizontal ones) is read from the points'
-    triples, cleared by scale, the least common denominator of the segment
-    endpoints and the rectangle's corners.  spans holds, per curve segment,
-    (scaled coordinate at start, at finish, |dot(u, t)|); criticals is the
-    sorted set of scaled coordinates a generic witness line must avoid, the
-    rectangle's bounds included."""
+    """(spans, criticals) of one sweep over geometry()'s scale and segments,
+    in the scaled coordinate that varies across its witness lines (x for
+    vertical lines, y for horizontal ones).  spans holds, per segment, (the
+    coordinate at start, at finish, |dot(u, t)|); criticals is the sorted
+    set a generic witness line must avoid, the rectangle's bounds included."""
     t = direction.line_direction
     axis = 0 if direction is SweepDirection.VERTICAL else 1
-    segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
-    segments += [(curve.end_segment(diagram, e), e.direction)
-                 for e in curve.ends]
-    corners = diagram.polygon_vertices
-    scale = common_scale([*corners,
-                          *(p for pair, _ in segments for p in pair)])
-    spans = [(cleared(a, scale)[axis], cleared(b, scale)[axis],
-              abs(u.dot(t))) for (a, b), u in segments]
-    bounds = [cleared(p, scale)[axis] for p in corners]
+    spans = [(a[axis], b[axis], abs(u.dot(t)))
+             for _, a, b, _, _, u in segments]
+    bounds = [cleared(p, scale)[axis] for p in diagram.polygon_vertices]
     criticals = sorted({min(bounds), max(bounds)}.union(
         c for ca, cb, _ in spans for c in (ca, cb)))
-    return scale, spans, criticals
+    return spans, criticals
 
 
 def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
                          direction: SweepDirection):
     """Sorted coordinates a generic witness line must avoid, including the
-    rectangle bounds."""
-    scale, _, criticals = _sweep_lines(diagram, curve, direction)
+    rectangle bounds; an end to a missing node has no segment to add."""
+    scale, _, segments = geometry(diagram, curve)
+    _, criticals = _sweep_lines(diagram, scale, segments, direction)
     return [Fraction(c, scale) for c in criticals]
 
 
@@ -159,7 +152,8 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     cross-cap.
     """
     _require_sweepable(diagram, curve)
-    scale, spans, criticals = _sweep_lines(diagram, curve, direction)
+    scale, _, segments = geometry(diagram, curve)
+    spans, criticals = _sweep_lines(diagram, scale, segments, direction)
     # The witness line's scaled coordinate is line / den.
     if witness is None:
         lo, hi = max(zip(criticals, criticals[1:]),

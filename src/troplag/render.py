@@ -4,14 +4,16 @@ Shaded polygon, dashed cuts with an x mark at each node, curves in red,
 and a marker per cap kind (topology.classify_end): a circled cross for a
 cross-cap (mu = 2), an open circle for a collar (mu = 1), a red x for a
 disc cap.  Markers are drawn geometrically (no font glyphs) so output is
-byte-stable.
+byte-stable.  Curves are drawn from tropical.geometry: a point is its int
+pair over the curve's scale, and each SVG coordinate is one correctly
+rounded int division, so it is the float the reduced point gives.
 """
 from __future__ import annotations
 
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .topology import EndKind, classify_end
-from .tropical import InvalidCurve
+from .tropical import InvalidCurve, geometry
 
 SCALE = 48
 MARGIN = 40
@@ -50,8 +52,9 @@ class _Frame:
                        + 2 * MARGIN)
 
     def project(self, p):
-        """SVG text of (p.x - x0) * SCALE + MARGIN and, since SVG y grows
-        downward, (y1 - p.y) * SCALE + MARGIN, from p's triple (X, Y, W)."""
+        """SVG text of (x - x0) * SCALE + MARGIN and, since SVG y grows
+        downward, (y1 - y) * SCALE + MARGIN, for p = (X, Y, W), the point
+        (X/W, Y/W): a RatPoint, or a geometry() pair and its scale."""
         (x0, dx0), (y1, dy1) = self.x0, self.y1
         X, Y, W = p
         return (_fmt((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0),
@@ -113,16 +116,17 @@ def render_document(doc) -> str:
         parts.append(_cross(frame, node.position, _NODE_STYLE))
 
     for curve in doc.curves:
-        try:
-            ends = [curve.end_segment(diagram, e) for e in curve.ends]
-        except InvalidCurve as err:
-            raise InvalidCurve(f"curve {curve.name}: {err}") from None
-        for e in curve.edges:
-            parts.append(_line(frame, *curve.edge_segment(e), _CURVE_STYLE))
-        for segment in ends:
-            parts.append(_line(frame, *segment, _CURVE_STYLE))
-        for e, (_, point) in zip(curve.ends, ends):
-            parts.append(_end_marker(frame, diagram, e, point))
+        scale, _, segments = geometry(diagram, curve)
+        ends = segments[len(curve.edges):]
+        if len(ends) < len(curve.ends):
+            drawn = {eid for eid, *_ in ends}
+            e = next(e for e in curve.ends if e.id not in drawn)
+            raise InvalidCurve(f"curve {curve.name}: end {e.id!r} refers to "
+                               f"missing node {e.terminal.node_index}")
+        for _, a, b, _, _, _ in segments:
+            parts.append(_line(frame, (*a, scale), (*b, scale), _CURVE_STYLE))
+        for e, (_, _, point, _, _, _) in zip(curve.ends, ends):
+            parts.append(_end_marker(frame, diagram, e, (*point, scale)))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

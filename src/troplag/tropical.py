@@ -17,9 +17,11 @@ format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
 so the two never collide.  A direction left for the curve to derive comes
 from the int difference of its endpoints (lattice.displacement).
 
-validate() checks every geometric and combinatorial invariant and returns a
-report; the numeric operations (vertex multiplicity, end multiplicity)
-assume a validated curve and raise on contract violations.
+geometry() is the one place a curve becomes segments on int pairs, for
+validate(), the homology sweeps and render.  validate() checks every
+geometric and combinatorial invariant and returns a report; the numeric
+operations (vertex multiplicity, end multiplicity) assume a validated curve
+and raise on contract violations.
 """
 from __future__ import annotations
 
@@ -170,11 +172,6 @@ class TropicalCurve:
         except KeyError:
             raise InvalidCurve(f"no vertex with id {vertex_id!r}") from None
 
-    def start_point(self, end: CurveEnd) -> RatPoint:
-        if isinstance(end.source, str):
-            return self.vertex(end.source).position
-        return end.source
-
     def anchors(self):
         """Standalone anchor points, with their ends, in declaration order."""
         return self._anchors
@@ -186,19 +183,6 @@ class TropicalCurve:
     @property
     def is_empty(self) -> bool:
         return not (self.vertices or self.edges or self.ends)
-
-    def edge_segment(self, edge: InternalEdge):
-        return (self.vertex(edge.src).position, self.vertex(edge.dst).position)
-
-    def end_segment(self, diagram: BaseDiagram, end: CurveEnd):
-        start = self.start_point(end)
-        if isinstance(end.terminal, NodeTerminal):
-            if not 0 <= end.terminal.node_index < len(diagram.nodes):
-                raise InvalidCurve(
-                    f"end {end.id!r} refers to missing node "
-                    f"{end.terminal.node_index}")
-            return (start, diagram.nodes[end.terminal.node_index].position)
-        return (start, end.terminal.landing)
 
     def transform(self, m: UnimodularAffineMap) -> "TropicalCurve":
         """The curve in new integral affine coordinates."""
@@ -231,6 +215,42 @@ class TropicalCurve:
 # -----------------------------------------------------------------------
 # Validation
 # -----------------------------------------------------------------------
+
+def geometry(diagram: BaseDiagram, curve: TropicalCurve):
+    """(scale, cuts, segments): the curve on ints, for validate, the sweeps
+    and render.  scale is the least common denominator of the corners, the
+    cut ends and every curve point, and each point is cleared by it, which
+    keeps every sign.  cuts holds each node's (position, exit); segments
+    holds (id, start, finish, start token, finish token, direction) per
+    edge, then per end, in curve order, and none for an end to a missing
+    node.  Two segments may share a point only where both carry the same
+    token there: a vertex id (a string), an anchor (its point), or a node
+    or landing token (a pair that starts with a string).
+    """
+    scale = common_scale([*diagram.polygon_vertices,
+                          *(p for cut in diagram.cut_segments for p in cut),
+                          *(v.position for v in curve.vertices),
+                          *(point for point, _ in curve.anchors()),
+                          *(e.terminal.landing for e in curve.ends
+                            if isinstance(e.terminal, BoundaryTerminal))])
+    grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
+    for point, _ in curve.anchors():
+        grid[point] = cleared(point, scale)
+    cuts = [(cleared(node, scale), cleared(end, scale))
+            for node, end in diagram.cut_segments]
+    segments = [(eid, grid[src], grid[dst], src, dst, direction)
+                for eid, src, dst, direction in curve.edges]
+    for eid, source, direction, terminal in curve.ends:
+        if isinstance(terminal, NodeTerminal):
+            (index,) = terminal
+            if 0 <= index < len(cuts):
+                segments.append((eid, grid[source], cuts[index][0], source,
+                                 ("node", index), direction))
+        else:
+            segments.append((eid, grid[source],
+                             cleared(terminal.landing, scale), source,
+                             ("landing", eid), direction))
+    return scale, cuts, segments
 
 class ValidationIssue(NamedTuple):
     code: str
@@ -293,31 +313,13 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
 
-    The segment predicates run on ints: every curve point, node and cut end
-    is scaled once by the least common denominator of their coordinates,
-    read from each point's triple.
+    The segment predicates run on the int pairs of geometry().
     Embeddedness sweeps the segments' bounding boxes by min x (Shamos-Hoey)
     and runs the exact segment_contact only on pairs whose boxes meet:
     O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
     """
     issues = []
-    landings = [e.terminal.landing for e in curve.ends
-                if isinstance(e.terminal, BoundaryTerminal)]
-    scale = common_scale([v.position for v in curve.vertices]
-                         + [point for point, _ in curve.anchors()] + landings
-                         + [p for cut in diagram.cut_segments for p in cut])
-    # Each site's point, and each (node, cut exit), on ints.
-    grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
-    for point, _ in curve.anchors():
-        grid[point] = cleared(point, scale)
-    cuts = [(cleared(node, scale), cleared(end, scale))
-            for node, end in diagram.cut_segments]
-    # Every segment as (id, start, finish, start token, finish token), edges
-    # first, with int endpoints.  Two segments may share a point only where
-    # both carry the same token (a common vertex, anchor or terminal node).
-    # Vertex ids are strings, an anchor is its point, and a node or landing
-    # token is a pair that starts with a string, so no two kinds collide.
-    segments = []
+    scale, cuts, segments = geometry(diagram, curve)
 
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
@@ -341,9 +343,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   f"{len(anchor_ends)} ends meet here; an anchor carries "
                   "exactly two (declare a vertex instead)")
 
-    for eid, src, dst, direction in curve.edges:
-        a, b = grid[src], grid[dst]
-        segments.append((eid, a, b, src, dst))
+    for eid, a, b, _, _, direction in segments[:len(curve.edges)]:
         if not _reaches(a, b, direction):
             # (b - a) / scale, which prints as the point at it.
             delta = RatPoint.of(b[0] - a[0], b[1] - a[1], scale)
@@ -351,16 +351,15 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   f"displacement {delta} is not a positive "
                   f"multiple of direction {direction}")
 
-    for eid, source, direction, terminal in curve.ends:
-        start = grid[source]
+    end_segments = iter(segments[len(curve.edges):])
+    for eid, _, direction, terminal in curve.ends:
         if isinstance(terminal, NodeTerminal):
             (index,) = terminal
-            if not 0 <= index < len(diagram.nodes):
+            if not 0 <= index < len(cuts):
                 issue("end-terminal", eid, f"no node with index {index}")
                 continue
+            _, start, finish, _, _, _ = next(end_segments)
             node = diagram.nodes[index]
-            finish = cuts[index][0]
-            segments.append((eid, start, finish, source, ("node", index)))
             if not _reaches(start, finish, direction):
                 issue("end-collinearity", eid,
                       f"node at {node.position} is not reached along "
@@ -370,9 +369,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"direction {direction} differs from the node's cut "
                       f"direction {node.cut_direction}")
         else:
+            _, start, finish, _, _, _ = next(end_segments)
             (landing,) = terminal
-            finish = cleared(landing, scale)
-            segments.append((eid, start, finish, source, ("landing", eid)))
             if not _reaches(start, finish, direction):
                 issue("end-collinearity", eid,
                       f"landing {landing} is not reached along direction "
@@ -392,7 +390,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     # j > i.
     boxes = sorted((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
                     max(a[1], b[1]), k)
-                   for k, (_, a, b, _, _) in enumerate(segments))
+                   for k, (_, a, b, _, _, _) in enumerate(segments))
     candidates = [[] for _ in segments]
     for n, (_, x1, y0, y1, k) in enumerate(boxes):
         for m in range(n + 1, len(boxes)):
@@ -402,12 +400,12 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
             if v0 <= y1 and y0 <= v1:
                 candidates[min(k, other)].append(max(k, other))
     for i in range(len(segments)):
-        id1, a, b, tok_a, tok_b = segments[i]
+        id1, a, b, tok_a, tok_b, _ = segments[i]
         if a == b:
             issue("degenerate-segment", id1, "segment has zero length")
             continue
         for j in sorted(candidates[i]):
-            id2, c, d, tok_c, tok_d = segments[j]
+            id2, c, d, tok_c, tok_d, _ = segments[j]
             hit = segment_contact(a, b, c, d)
             if hit is None:
                 continue

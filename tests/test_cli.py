@@ -8,8 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from troplag import (InvalidCurve, parse_document, render_document,
-                     topology, tropical)
+from troplag import (InvalidCurve, homology, parse_document,
+                     render_document, topology, tropical)
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
                       klein_as_polygon, token_soups)
@@ -65,6 +65,24 @@ def test_validate_failing_document_exits_1(capsys):
                        str(FIGURES / "invalid_unbalanced.trop"))
     assert code == 1
     assert "INVALID" in out and "balancing" in out
+
+
+def test_validate_reports_an_end_to_a_missing_node(capsys, monkeypatch):
+    # End x has no node, so it has no segment; the embedding defect is
+    # between the segments before and after it.
+    text = ("diagram rectangle width=4 height=4\ncurve k\n"
+            "vertex v (1,2)\nvertex w (2,1)\n"
+            "end a v dir=(-1,0) land=(0,2)\nend b v dir=(1,1) land=(3,4)\n"
+            "end x v dir=(0,-1) node=0\nend c w dir=(0,1) land=(2,4)\n"
+            "end d w dir=(1,-1) land=(3,0)\nend e w dir=(-1,0) land=(0,1)\n")
+    code, out, _ = run(capsys, "validate", "-", stdin_text=text,
+                       monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "curve k: INVALID",
+        "  - [end-terminal] x: no node with index 0",
+        "  - [embedding] b: meets c at (2,3), which is not a shared endpoint",
+        "  - [disconnected] k: underlying graph has 2 components"]
 
 
 def test_topology_failing_document_exits_1(capsys):
@@ -285,6 +303,7 @@ def test_overlong_number_option_exits_2(capsys, digit_limit, argv, option):
     (("triangle", "{}", "1", "1"), "c+a"),
     (("genus-bound", "{}"), "k"),
     (("genus-bound", "{}", "--threshold", "proof"), "k"),
+    (("gen-visible", "4", "{}"), "curve visible"),  # a landing's y
 ])
 def test_overlong_computed_number_exits_2(capsys, digit_limit, argv,
                                           quantity):
@@ -393,20 +412,21 @@ def test_topology_report_takes_one_inventory(capsys, monkeypatch):
 def test_homology_report_walks_the_curve_once_per_sweep(capsys,
                                                        monkeypatch):
     # fig3_family has 10 ends; one mod2_class runs 2 sweeps, and each
-    # sweep reads every end's segment and cap kind once.
-    original = tropical.TropicalCurve.end_segment
-    segments = []
+    # sweep builds the curve's geometry once and reads every end's cap
+    # kind once.
+    original = homology.geometry
+    builds = []
 
-    def counted(self, *args):
-        segments.append(args)
-        return original(self, *args)
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(tropical.TropicalCurve, "end_segment", counted)
+    monkeypatch.setattr(homology, "geometry", counted)
     multiplicities = _count_calls(monkeypatch, tropical, "end_multiplicity")
     code, out, _ = run(capsys, "homology", str(FIGURES / "fig3_family.trop"))
     assert code == 0
     assert out == (GOLDEN / "fig3_family.homology.txt").read_text()
-    assert len(segments) == 20
+    assert len(builds) == 2
     assert len(multiplicities) == 20
 
 

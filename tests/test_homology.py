@@ -13,12 +13,14 @@ from troplag import (
     SweepDirection,
     SweepParity,
     TropicalCurve,
+    TroplagError,
     UnsupportedDiagram,
     UnsupportedEndMultiplicity,
     UnsweepableCurve,
     audin_check,
     classify,
     mod2_class,
+    parse_document,
     pontryagin_square,
     pt,
     rectangle,
@@ -152,6 +154,22 @@ def test_sweep_refuses_an_end_without_a_cap_kind():
     for direction in SweepDirection:
         with pytest.raises(UnsupportedEndMultiplicity, match="mu = 4"):
             sweep_parity(diagram, curve, direction)
+
+
+def test_sweep_refuses_an_end_at_a_node():
+    # A rectangle has no node, so end x has no segment to sweep; its two
+    # other ends are cross-caps, and without x the curve would read (0,0).
+    doc = parse_document("diagram rectangle width=2 height=2\n"
+                         "curve k\nvertex v (1,1)\n"
+                         "end a v dir=(-2,1) land=(0,3/2)\n"
+                         "end b v dir=(1,2) land=(3/2,2)\n"
+                         "end x v dir=(1,-3) node=0\n")
+    diagram, (curve,) = doc.diagram, doc.curves
+    for direction in SweepDirection:
+        with pytest.raises(TroplagError, match="end 'x'"):
+            sweep_parity(diagram, curve, direction)
+    with pytest.raises(TroplagError, match="end 'x'"):
+        mod2_class(diagram, curve)
 
 
 # -- mod-2 classes -------------------------------------------------------

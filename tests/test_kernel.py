@@ -30,6 +30,7 @@ from troplag import (
     InvalidDiagram,
     LocationKind,
     Node,
+    NodeTerminal,
     PointLocation,
     RatPoint,
     SweepDirection,
@@ -211,12 +212,10 @@ def ref_exit(vertices, origin, direction):
 
 def ref_spans(diagram, curve, direction):
     t = direction.line_direction
-    segments = [(curve.edge_segment(e), e.direction) for e in curve.edges]
-    segments += [(curve.end_segment(diagram, e), e.direction)
-                 for e in curve.ends]
+    segments = ref_segments(diagram, curve)
     if direction is SweepDirection.VERTICAL:
-        return [(a.x, b.x, abs(u.dot(t))) for (a, b), u in segments]
-    return [(a.y, b.y, abs(u.dot(t))) for (a, b), u in segments]
+        return [(a.x, b.x, abs(u.dot(t))) for a, b, u in segments]
+    return [(a.y, b.y, abs(u.dot(t))) for a, b, u in segments]
 
 
 def ref_criticals(diagram, direction, spans):
@@ -239,9 +238,25 @@ def ref_parity(diagram, curve, direction, witness=None):
 
 # -- inputs --------------------------------------------------------------
 
+def ref_segments(diagram, curve):
+    """Each edge's, then each end's, (start, finish, direction), read from
+    the vertices, anchors, landings and node positions."""
+    def position(site):
+        return curve.vertex(site).position if isinstance(site, str) else site
+
+    segments = [(position(e.src), position(e.dst), e.direction)
+                for e in curve.edges]
+    for e in curve.ends:
+        if isinstance(e.terminal, NodeTerminal):
+            finish = diagram.nodes[e.terminal.node_index].position
+        else:
+            finish = e.terminal.landing
+        segments.append((position(e.source), finish, e.direction))
+    return segments
+
+
 def _curve_segments(diagram, curve):
-    return ([curve.edge_segment(e) for e in curve.edges]
-            + [curve.end_segment(diagram, e) for e in curve.ends])
+    return [(a, b) for a, b, _ in ref_segments(diagram, curve)]
 
 
 def _on(a, b, t):

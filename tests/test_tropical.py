@@ -245,10 +245,12 @@ _LOOP_CODES = {"degenerate-segment", "embedding", "crosses-node",
 def _all_pairs_embeddedness(diagram, curve):
     """The all-pairs loop the box sweep in validate replaces: every pair of
     segments goes through the Fraction reference of segment_contact."""
-    segments = [(e.id, *curve.edge_segment(e), e.src, e.dst)
+    segments = [(e.id, curve.vertex(e.src).position,
+                 curve.vertex(e.dst).position, e.src, e.dst)
                 for e in curve.edges]
     for e in curve.ends:
-        start = curve.start_point(e)
+        start = (curve.vertex(e.source).position if isinstance(e.source, str)
+                 else e.source)
         if isinstance(e.terminal, NodeTerminal):
             index = e.terminal.node_index
             if 0 <= index < len(diagram.nodes):
