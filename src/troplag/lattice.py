@@ -76,7 +76,7 @@ class IntVec(_IntVec):
         return tuple.__new__(cls, (_as_int(x), _as_int(y)))
 
     def __neg__(self) -> "IntVec":
-        return IntVec(-self.x, -self.y)
+        return tuple.__new__(IntVec, (-self[0], -self[1]))  # ints already
 
     def wedge(self, other) -> int:
         """Determinant |self other|; antisymmetric, unimodular-invariant."""
@@ -87,7 +87,7 @@ class IntVec(_IntVec):
 
     def rot90(self) -> "IntVec":
         """Rotate 90 degrees counterclockwise: (x, y) -> (-y, x)."""
-        return IntVec(-self.y, self.x)
+        return tuple.__new__(IntVec, (-self[1], self[0]))  # ints already
 
     @property
     def is_zero(self) -> bool:

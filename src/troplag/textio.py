@@ -21,12 +21,18 @@ given.  Syntax errors carry line and column; errors in building a diagram
 its kind token, and errors in building a curve (an unknown vertex, a
 non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
-"""
-from __future__ import annotations
 
+A line is kept as its number, its body (before any `#`) and its words,
+with no record per word.  One anchored pattern reads each vertex, edge or
+end line; _refuse reads the words of a line it refuses, in order, to raise
+the error, as the diagram line is read.  An error's column is where its
+word starts, plus len("key=") inside a key=value word.
+"""
 import re
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -63,138 +69,132 @@ class Document(NamedTuple):
 
 
 # A point's numerators and denominators, each denominator optional.
-_POINT = re.compile(rf"\(({_INT})(?:/({_DEN}))?,({_INT})(?:/({_DEN}))?\)\Z")
-_INTPAIR = re.compile(rf"\(({_INT}),({_INT})\)\Z")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*\Z")
+_PAIR = rf"\(({_INT})(?:/({_DEN}))?,({_INT})(?:/({_DEN}))?\)"
+_POINT = re.compile(_PAIR + r"\Z")
+_ID = r"([A-Za-z_][A-Za-z0-9_.-]*)"
+_NAME = re.compile(_ID + r"\Z")
+_WORD = re.compile(r"\S+")  # a word of str.split(), with its offset
+# The diagram kinds given by rationals: the builder and the keys in order.
+_PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
+               "xabc": (x_abc, ("a", "b", "c", "s"))}
 
-
-class _Token(NamedTuple):
-    text: str
-    line: int
-    col: int
+# One pattern per element line, anchored at both ends; \s is the
+# whitespace str.split() splits on.  An end's dir= and terminal come in
+# either order: each lookahead finds its word among the last two.
+_ELEMENTS = {
+    "vertex": re.compile(rf"\s*vertex\s+{_ID}\s+{_PAIR}\s*\Z"),
+    "edge": re.compile(
+        rf"\s*edge\s+{_ID}\s+{_ID}\s+{_ID}(?:\s+weight=({_INT}))?\s*\Z"),
+    "end": re.compile(
+        rf"\s*end\s+{_ID}\s+(?:{_ID}|{_PAIR})\s+"
+        rf"(?=(?:\S+\s+)?dir=\(({_INT}),({_INT})\)(?:\s|\Z))"
+        rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
+        r"\S+\s+\S+\s*\Z"),
+}
 
 
 def _tokenize(text: str):
-    lines = []
+    """(number, body, words) for each line that has a word."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [_Token(m.group(0), lineno, m.start() + 1)
-                  for m in re.finditer(r"\S+", body)]
-        if tokens:
-            lines.append(tokens)
-    return lines
+        words = body.split()
+        if words:
+            yield lineno, body, words
 
 
-def _ints(tok: _Token, *digits: str) -> list[int]:
-    """The ints spelled in tok; one too long for int() is refused at tok."""
+def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
+    """The error at the i-th word of line, skip characters into it."""
+    lineno, body, _ = line
+    word = next(islice(_WORD.finditer(body), i, None))
+    return ParseError(message, lineno, word.start() + 1 + skip)
+
+
+def _read(pattern, message, build, text, line, i, skip=0):
+    """build(match) of a word that pattern matches in full, refusing any
+    other word with message and a number too long for int() at its place."""
+    m = pattern.match(text)
+    if m is None:
+        raise _error(message.format(text), line, i, skip)
     try:
-        return [int(text) for text in digits]
+        return build(m)
     except ValueError:
-        raise ParseError(f"a number has more than "
-                         f"{sys.get_int_max_str_digits()} digits",
-                         tok.line, tok.col) from None
+        raise _error(f"a number has more than "
+                     f"{sys.get_int_max_str_digits()} digits",
+                     line, i, skip) from None
 
 
-def _rational(tok: _Token) -> Fraction:
-    if not _RATIONAL.match(tok.text):
-        raise ParseError(f"expected a rational like 3 or 22/7, got "
-                         f"{tok.text!r} (decimals are not allowed)",
-                         tok.line, tok.col)
-    return Fraction(*_ints(tok, *tok.text.split("/")))
-
-
-def _integer(tok: _Token) -> int:
-    if not _INTEGER.match(tok.text):
-        raise ParseError(f"expected an integer, got {tok.text!r}",
-                         tok.line, tok.col)
-    return _ints(tok, tok.text)[0]
-
-
-def _point(tok: _Token) -> RatPoint:
-    m = _POINT.match(tok.text)
-    if not m:
-        raise ParseError(f"expected a point like (1,2/3), got {tok.text!r}",
-                         tok.line, tok.col)
-    xn, xd, yn, yd = _ints(tok, *m.groups("1"))
+def _pair(xn, xd, yn, yd) -> RatPoint:
+    """The point (xn/xd, yn/yd) of digit groups; None for xd or yd is 1."""
+    xn, yn, xd, yd = int(xn), int(yn), int(xd or 1), int(yd or 1)
     return RatPoint.of(xn * yd, yn * xd, xd * yd)
 
 
-def _intvec(tok: _Token) -> IntVec:
-    m = _INTPAIR.match(tok.text)
-    if not m:
-        raise ParseError(f"expected an integer vector like (2,-1), got "
-                         f"{tok.text!r}", tok.line, tok.col)
-    return IntVec(*_ints(tok, *m.groups()))
+# The word readers, called as reader(text, line, i, skip=0): the text of
+# the i-th word of line, skip characters into the word.
+_rational = partial(_read, _RATIONAL, "expected a rational like 3 or 22/7, "
+                    "got {!r} (decimals are not allowed)",
+                    lambda m: Fraction(*map(int, m[0].split("/"))))
+_integer = partial(_read, _INTEGER, "expected an integer, got {!r}",
+                   lambda m: int(m[0]))
+_point = partial(_read, _POINT, "expected a point like (1,2/3), got {!r}",
+                 lambda m: _pair(*m.groups()))
+_intvec = partial(_read, re.compile(rf"\(({_INT}),({_INT})\)\Z"),
+                  "expected an integer vector like (2,-1), got {!r}",
+                  lambda m: IntVec(int(m[1]), int(m[2])))
+_name = partial(_read, _NAME, "expected a name, got {!r}", lambda m: m[0])
+_intlist = partial(_read, re.compile(rf"{_INT}(?:,{_INT})*\Z"),
+                   "expected comma-separated integers, got {!r}",
+                   lambda m: tuple(map(int, m[0].split(","))))
 
 
-def _name(tok: _Token) -> str:
-    if not _NAME.match(tok.text):
-        raise ParseError(f"expected a name, got {tok.text!r}",
-                         tok.line, tok.col)
-    return tok.text
-
-
-def _keyvalue(tok: _Token, key: str) -> _Token:
+def _keyvalue(line, i, key, read):
+    """read applied to the value of the i-th word, which must be key=..."""
+    text = line[2][i]
     prefix = key + "="
-    if not tok.text.startswith(prefix):
-        raise ParseError(f"expected {key}=..., got {tok.text!r}",
-                         tok.line, tok.col)
-    return _Token(tok.text[len(prefix):], tok.line, tok.col + len(prefix))
+    if not text.startswith(prefix):
+        raise _error(f"expected {key}=..., got {text!r}", line, i)
+    return read(text[len(prefix):], line, i, len(prefix))
 
 
-def _split_sections(tokens):
-    sections = [[]]
-    for tok in tokens:
-        if tok.text == ";":
-            sections.append([])
-        else:
-            sections[-1].append(tok)
-    return sections
-
-
-def _parse_polygon_diagram(head, tokens):
-    sections = _split_sections(tokens)
-    vertices = [_point(tok) for tok in sections[0]]
+def _parse_polygon_diagram(line):
+    words = line[2]
+    cuts = [1, *(i for i, w in enumerate(words) if w == ";"), len(words)]
+    sections = [range(a + 1, b) for a, b in zip(cuts, cuts[1:])]
+    vertices = [_point(words[i], line, i) for i in sections[0]]
     if len(vertices) < 3:
-        raise ParseError("polygon needs at least three vertices",
-                         head.line, head.col)
+        raise _error("polygon needs at least three vertices", line, 1)
     nodes = []
-    basis = None
-    form = None
-    sweep_h = None
-    sweep_v = None
+    basis = form = sweep_h = sweep_v = None
     for section in sections[1:]:
         if not section:
-            raise ParseError("empty ';' section", head.line, head.col)
-        kind = section[0]
-        if kind.text == "node":
+            raise _error("empty ';' section", line, 1)
+        k = section[0]
+        kind = words[k]
+        if kind == "node":
             if len(section) != 3:
-                raise ParseError("node takes a position and cut=(dx,dy)",
-                                 kind.line, kind.col)
-            nodes.append(Node(_point(section[1]),
-                              _intvec(_keyvalue(section[2], "cut"))))
-        elif kind.text == "basis":
-            basis = tuple(_name(tok) for tok in section[1:])
-        elif kind.text == "form":
-            form = [_integer(tok) for tok in section[1:]]
-        elif kind.text == "sweepclasses":
+                raise _error("node takes a position and cut=(dx,dy)", line, k)
+            nodes.append(Node(_point(words[k + 1], line, k + 1),
+                              _keyvalue(line, k + 2, "cut", _intvec)))
+        elif kind == "basis":
+            basis = tuple(_name(words[i], line, i) for i in section[1:])
+        elif kind == "form":
+            form = [_integer(words[i], line, i) for i in section[1:]]
+        elif kind == "sweepclasses":
             if len(section) != 3:
-                raise ParseError("sweepclasses takes h=... and v=...",
-                                 kind.line, kind.col)
-            sweep_h = _intlist(_keyvalue(section[1], "h"))
-            sweep_v = _intlist(_keyvalue(section[2], "v"))
+                raise _error("sweepclasses takes h=... and v=...", line, k)
+            sweep_h = _keyvalue(line, k + 1, "h", _intlist)
+            sweep_v = _keyvalue(line, k + 2, "v", _intlist)
         else:
-            raise ParseError(f"unknown diagram section {kind.text!r}",
-                             kind.line, kind.col)
+            raise _error(f"unknown diagram section {kind!r}", line, k)
     if basis is None:
         homology = HomologyModel((), ())
         if form:
-            raise ParseError("form given without basis", head.line, head.col)
+            raise _error("form given without basis", line, 1)
     else:
         n = len(basis)
         if form is None or len(form) != n * n:
-            raise ParseError(f"form must list {n}x{n} row-major integers",
-                             head.line, head.col)
+            raise _error(f"form must list {n}x{n} row-major integers",
+                         line, 1)
         rows = tuple(tuple(form[i * n:(i + 1) * n]) for i in range(n))
         homology = HomologyModel(basis, rows,
                                  class_of_horizontal_sweep=sweep_h,
@@ -202,44 +202,29 @@ def _parse_polygon_diagram(head, tokens):
     return BaseDiagram(vertices, nodes, homology, name="polygon")
 
 
-def _intlist(tok: _Token) -> tuple[int, ...]:
-    parts = tok.text.split(",")
-    if not all(_INTEGER.match(part) for part in parts):
-        raise ParseError(f"expected comma-separated integers, got "
-                         f"{tok.text!r}", tok.line, tok.col)
-    return tuple(_ints(tok, *parts))
-
-
-def _parse_diagram(tokens):
-    if len(tokens) < 2:
-        raise ParseError("diagram needs a kind", tokens[0].line, tokens[0].col)
-    kind = tokens[1]
-    if kind.text == "rectangle":
-        if len(tokens) != 4:
-            raise ParseError("diagram rectangle width=<rat> height=<rat>",
-                             kind.line, kind.col)
-        return rectangle(_rational(_keyvalue(tokens[2], "width")),
-                         _rational(_keyvalue(tokens[3], "height")))
-    if kind.text == "xabc":
-        if len(tokens) != 6:
-            raise ParseError("diagram xabc a=<rat> b=<rat> c=<rat> s=<rat>",
-                             kind.line, kind.col)
-        return x_abc(_rational(_keyvalue(tokens[2], "a")),
-                     _rational(_keyvalue(tokens[3], "b")),
-                     _rational(_keyvalue(tokens[4], "c")),
-                     _rational(_keyvalue(tokens[5], "s")))
-    if kind.text == "polygon":
-        return _parse_polygon_diagram(kind, tokens[2:])
-    raise ParseError(f"unknown diagram kind {kind.text!r}",
-                     kind.line, kind.col)
+def _parse_diagram(line):
+    words = line[2]
+    if len(words) < 2:
+        raise _error("diagram needs a kind", line)
+    kind = words[1]
+    if kind in _PARAMETRIC:
+        build, keys = _PARAMETRIC[kind]
+        if len(words) != 2 + len(keys):
+            raise _error(" ".join(["diagram", kind,
+                                   *(f"{key}=<rat>" for key in keys)]),
+                         line, 1)
+        return build(*(_keyvalue(line, i, key, _rational)
+                       for i, key in enumerate(keys, start=2)))
+    if kind == "polygon":
+        return _parse_polygon_diagram(line)
+    raise _error(f"unknown diagram kind {kind!r}", line, 1)
 
 
 def parse_document(text: str) -> Document:
     """Parse a document; exact rationals only, duplicate ids rejected."""
-    lines = _tokenize(text)
     diagram = None
     curves = []
-    current = None  # (header token, name, vertices, edges, ends, seen ids)
+    current = None  # (header line, name, vertices, edges, ends, seen ids)
 
     def flush():
         nonlocal current
@@ -248,86 +233,102 @@ def parse_document(text: str) -> Document:
             try:
                 curves.append(TropicalCurve(vertices, edges, ends, name=name))
             except InvalidCurve as err:
-                raise ParseError(str(err), header.line, header.col) from None
+                raise _error(str(err), header) from None
             current = None
 
-    for tokens in lines:
-        head = tokens[0]
-        if head.text == "diagram":
+    for line in _tokenize(text):
+        words = line[2]
+        head = words[0]
+        if head == "diagram":
             if diagram is not None:
-                raise ParseError("only one diagram per document",
-                                 head.line, head.col)
+                raise _error("only one diagram per document", line)
             try:
-                diagram = _parse_diagram(tokens)
+                diagram = _parse_diagram(line)
             except InvalidDiagram as err:
-                kind = tokens[1]  # _parse_diagram rejects a missing kind
-                raise ParseError(str(err), kind.line, kind.col) from None
-        elif head.text == "curve":
+                # _parse_diagram rejects a missing kind
+                raise _error(str(err), line, 1) from None
+        elif head == "curve":
             if diagram is None:
-                raise ParseError("curve before diagram", head.line, head.col)
-            if len(tokens) != 2:
-                raise ParseError("curve <name>", head.line, head.col)
+                raise _error("curve before diagram", line)
+            if len(words) != 2:
+                raise _error("curve <name>", line)
             flush()
-            current = (head, _name(tokens[1]), [], [], [], set())
-        elif head.text in ("vertex", "edge", "end"):
+            current = (line, _name(words[1], line, 1), [], [], [], set())
+        elif head in _ELEMENTS:
             if current is None:
-                raise ParseError(f"{head.text} outside a curve block",
-                                 head.line, head.col)
-            _parse_element(tokens, current)
+                raise _error(f"{head} outside a curve block", line)
+            _parse_element(line, current)
         else:
-            raise ParseError(f"unknown directive {head.text!r}",
-                             head.line, head.col)
+            raise _error(f"unknown directive {head!r}", line)
     flush()
     if diagram is None:
         raise ParseError("document has no diagram", 1, 1)
     return Document(diagram, tuple(curves))
 
 
-def _parse_element(tokens, current):
-    head = tokens[0]
+def _parse_element(line, current):
     _, _, vertices, edges, ends, seen = current
-    ident = _name(tokens[1]) if len(tokens) > 1 else None
-    if ident is None:
-        raise ParseError(f"{head.text} needs an id", head.line, head.col)
-    if ident in seen:
-        raise ParseError(f"duplicate id {ident!r}", tokens[1].line,
-                         tokens[1].col)
-    seen.add(ident)
-    if head.text == "vertex":
-        if len(tokens) != 3:
-            raise ParseError("vertex <id> (<rat>,<rat>)", head.line, head.col)
-        vertices.append(TropicalVertex(ident, _point(tokens[2])))
-        return
-    if head.text == "edge":
-        if len(tokens) not in (4, 5):
-            raise ParseError("edge <id> <from> <to>", head.line, head.col)
-        if len(tokens) == 5 and _integer(_keyvalue(tokens[4], "weight")) != 1:
-            raise ParseError(f"edges have weight 1, got {tokens[4].text!r}",
-                             tokens[4].line, tokens[4].col)
-        edges.append(InternalEdge(ident, _name(tokens[2]), _name(tokens[3])))
-        return
-    # end <id> <from> dir=(..) land=(..)|node=N
-    if len(tokens) != 5:
-        raise ParseError("end <id> <from> dir=(<int>,<int>) "
-                         "land=(<rat>,<rat>)|node=<index>",
-                         head.line, head.col)
-    source = (_point if _POINT.match(tokens[2].text) else _name)(tokens[2])
-    direction = None
-    terminal = None
-    for tok in tokens[3:]:
-        if tok.text.startswith("dir="):
-            direction = _intvec(_keyvalue(tok, "dir"))
-        elif tok.text.startswith("land="):
-            terminal = BoundaryTerminal(_point(_keyvalue(tok, "land")))
-        elif tok.text.startswith("node="):
-            terminal = NodeTerminal(_integer(_keyvalue(tok, "node")))
+    head = line[2][0]
+    m = _ELEMENTS[head].match(line[1])
+    if m is None or m[1] in seen:
+        _refuse(line, seen)
+    try:
+        if head == "vertex":
+            ident, *digits = m.groups()
+            vertices.append(TropicalVertex(ident, _pair(*digits)))
+        elif head == "edge":
+            ident, src, dst, weight = m.groups()
+            if weight is not None and int(weight) != 1:
+                _refuse(line, seen)
+            edges.append(InternalEdge(ident, src, dst))
         else:
-            raise ParseError(f"unknown end attribute {tok.text!r}",
-                             tok.line, tok.col)
-    if direction is None or terminal is None:
-        raise ParseError("end needs dir= and exactly one of land=/node=",
-                         head.line, head.col)
-    ends.append(CurveEnd(ident, source, direction, terminal))
+            ident, name, *source, dx, dy, xn, xd, yn, yd, node = m.groups()
+            terminal = (NodeTerminal(int(node)) if node is not None
+                        else BoundaryTerminal(_pair(xn, xd, yn, yd)))
+            ends.append(CurveEnd(ident, name or _pair(*source),
+                                 IntVec(int(dx), int(dy)), terminal))
+    except ValueError:  # a number too long for int()
+        _refuse(line, seen)
+    seen.add(ident)
+
+
+def _refuse(line, seen):
+    """Raise the error in an element line that its pattern refused, or
+    whose number int() refused: its words are read in order, as the
+    format at the top of this module gives them, until one fails."""
+    words = line[2]
+    head = words[0]
+    if len(words) < 2:
+        raise _error(f"{head} needs an id", line)
+    ident = _name(words[1], line, 1)
+    if ident in seen:
+        raise _error(f"duplicate id {ident!r}", line, 1)
+    if head == "vertex":
+        if len(words) != 3:
+            raise _error("vertex <id> (<rat>,<rat>)", line)
+        _point(words[2], line, 2)
+    elif head == "edge":
+        if len(words) not in (4, 5):
+            raise _error("edge <id> <from> <to>", line)
+        if len(words) == 5 and _keyvalue(line, 4, "weight", _integer) != 1:
+            raise _error(f"edges have weight 1, got {words[4]!r}", line, 4)
+        _name(words[2], line, 2)
+        _name(words[3], line, 3)
+    else:
+        if len(words) != 5:
+            raise _error("end <id> <from> dir=(<int>,<int>) "
+                         "land=(<rat>,<rat>)|node=<index>", line)
+        (_point if _POINT.match(words[2]) else _name)(words[2], line, 2)
+        readers = {"dir": _intvec, "land": _point, "node": _integer}
+        for i in (3, 4):
+            key, sep, _ = words[i].partition("=")
+            if not sep or key not in readers:
+                raise _error(f"unknown end attribute {words[i]!r}", line, i)
+            _keyvalue(line, i, key, readers[key])
+        if words[3].startswith("dir=") == words[4].startswith("dir="):
+            raise _error("end needs dir= and exactly one of land=/node=",
+                         line)
+    raise AssertionError(f"line {line[0]} passes every check but _ELEMENTS")
 
 
 # -----------------------------------------------------------------------
@@ -335,12 +336,10 @@ def _parse_element(tokens, current):
 # -----------------------------------------------------------------------
 
 def _serialize_diagram(diagram: BaseDiagram) -> str:
-    if diagram.kind == "rectangle":
-        p = diagram.params
-        return f"diagram rectangle width={p['width']} height={p['height']}"
-    if diagram.kind == "xabc":
-        p = diagram.params
-        return (f"diagram xabc a={p['a']} b={p['b']} c={p['c']} s={p['s']}")
+    if diagram.kind in _PARAMETRIC:
+        return " ".join(["diagram", diagram.kind,
+                         *(f"{key}={diagram.params[key]}"
+                           for key in _PARAMETRIC[diagram.kind][1])])
     parts = ["diagram polygon"]
     parts += [str(v) for v in diagram.polygon_vertices]
     for node in diagram.nodes:

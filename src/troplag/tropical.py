@@ -14,8 +14,8 @@ A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, element id) pairs in
 `sites`, so outgoing() is a lookup.  A site's key is an end's source as the
 format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
-so the two never collide.  A direction left for the curve to derive comes
-from the int difference of its endpoints (lattice.displacement).
+so the two never collide.  A direction left for the curve to derive is the
+int difference of its endpoints divided by its gcd.
 
 geometry() is the one place a curve becomes segments on int pairs, for
 validate(), the homology sweeps and render.  validate() checks every
@@ -23,8 +23,7 @@ geometric and combinatorial invariant and returns a report; the numeric
 operations (vertex multiplicity, end multiplicity) assume a validated curve
 and raise on contract violations.
 """
-from __future__ import annotations
-
+from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -38,7 +37,6 @@ from .lattice import (
     between,
     cleared,
     common_scale,
-    displacement,
     segment_contact,
 )
 
@@ -133,11 +131,14 @@ class TropicalCurve:
             if e.src == e.dst:
                 raise InvalidCurve(f"edge {e.id!r} is a loop")
             if e.direction is None:
-                a, b = (self._vertex_by_id[k].position for k in (e.src, e.dst))
-                if a == b:
+                (ax, ay, aw), (bx, by, bw) = (self._vertex_by_id[k].position
+                                              for k in (e.src, e.dst))
+                dx, dy = bx * aw - ax * bw, by * aw - ay * bw
+                g = gcd(dx, dy)
+                if g == 0:
                     raise InvalidCurve(
                         f"edge {e.id!r} joins coincident vertices")
-                e = InternalEdge(e.id, e.src, e.dst, displacement(a, b)[0])
+                e = InternalEdge(e.id, e.src, e.dst, IntVec(dx // g, dy // g))
             elif not e.direction.is_primitive:
                 raise InvalidCurve(
                     f"edge {e.id!r} direction {e.direction} is not primitive")

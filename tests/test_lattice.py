@@ -101,6 +101,13 @@ def test_rot90_twice_negates():
     assert v.rot90().rot90() == -v
 
 
+def test_negation_and_rot90_are_int_vectors():
+    for w in (-IntVec(3, -5), IntVec(3, -5).rot90()):
+        assert type(w) is IntVec
+        assert all(type(c) is int for c in w)
+    assert -IntVec(3, -5) == IntVec(-3, 5)
+
+
 @given(vecs, vecs)
 def test_rot90_preserves_wedge(u, v):
     assert u.rot90().wedge(v.rot90()) == u.wedge(v)

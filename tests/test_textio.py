@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,58 @@ def test_parse_raises_only_troplag_errors(text):
         parse_document(text)
     except TroplagError:
         pass
+
+
+# Columns count from 1 at the start of the word the error is in, and from
+# just after "key=" for an error in a key=value word; any run of Unicode
+# whitespace separates words.  The line under test is line 4.
+_PREFIX = "diagram rectangle width=4 height=2\ncurve c\nvertex v (1,1)\n"
+_POINT_ERROR = "expected a point like (1,2/3), got {!r}"
+
+
+@pytest.mark.parametrize("line, message, col", [
+    ("vertex\tw  (1.5,1)", _POINT_ERROR.format("(1.5,1)"), 11),
+    ("   edge e v w weight=2", "edges have weight 1, got 'weight=2'", 15),
+    ("edge e v w\t weight=x", "expected an integer, got 'x'", 20),
+    ("vertex w (1,x) # (1,1)", _POINT_ERROR.format("(1,x)"), 10),
+    ("end a v dir=(1,0) # land=(0,1)", "end <id> <from> dir=(<int>,<int>) "
+     "land=(<rat>,<rat>)|node=<index>", 1),
+    ("vertex\u2003w\u00a0(1,2/0)", _POINT_ERROR.format("(1,2/0)"), 10),
+    ("end\x1fa v dir=(1,0)\x1fland=(0,x)", _POINT_ERROR.format("(0,x)"), 24),
+    ("end a v dir=(1,0/1) land=(0,1)", "expected an integer vector like "
+     "(2,-1), got '(1,0/1)'", 13),
+    ("end a v land=(0,1) dir=(0,x)", "expected an integer vector like "
+     "(2,-1), got '(0,x)'", 24),
+    ("  vertex  v (2,1)", "duplicate id 'v'", 11),
+    ("  end a v dir=(1,0) dir=(0,1)",
+     "end needs dir= and exactly one of land=/node=", 3),
+    ("end a v dir=(1,0) node=" + "9" * 5000,
+     "a number has more than 4300 digits", 24),
+])
+def test_error_columns(line, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_document(_PREFIX + line + "\n")
+    assert (err.value.line, err.value.col) == (4, col)
+    assert str(err.value) == f"line 4, col {col}: {message}"
+
+
+def test_unicode_whitespace_separates_words():
+    plain = parse_document(_PREFIX + "vertex w (3,1)\nedge e v w\n"
+                           "end a v dir=(-1,0) land=(0,1)\n")
+    spaced = parse_document(_PREFIX + "vertex\x1fw\u2003(3,1)\u00a0# c\n"
+                            "\t edge e\tv  w\n"
+                            "\u2003end a v dir=(-1,0)\u00a0land=(0,1)\n")
+    assert spaced == plain
+
+
+def test_parse_corpus_replays():
+    """Every input of parse_corpus.json (see make_parse_corpus.py) gives
+    the document or the error message, line and column recorded for it."""
+    from make_parse_corpus import CORPUS, expand, outcome, text_of
+    for case in map(expand, json.loads(CORPUS.read_text(encoding="utf-8"))):
+        expected = {key: case[key] for key in ("doc", "error", "line", "col")
+                    if key in case}
+        assert outcome(text_of(case)) == expected, case
 
 
 def test_fig3_matches_generator():

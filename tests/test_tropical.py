@@ -181,6 +181,17 @@ def test_nonprimitive_direction_rejected():
             CurveEnd("a", pt(2, 1), IntVec(2, 2), BoundaryTerminal(pt(4, 3)))])
 
 
+def test_derived_edge_direction_is_primitive_from_src_to_dst():
+    u, w = (TropicalVertex("u", pt(Fraction(1, 3), 2)),
+            TropicalVertex("w", pt(Fraction(5, 3), Fraction(4, 3))))
+    curve = TropicalCurve([u, w], [InternalEdge("e", "w", "u")], [])
+    assert curve.edges[0].direction == IntVec(-2, 1)
+    assert curve.outgoing("u") == ((IntVec(2, -1), "e"),)
+    coincident = TropicalVertex("c", pt(Fraction(2, 6), 2))
+    with pytest.raises(InvalidCurve, match="joins coincident vertices"):
+        TropicalCurve([u, coincident], [InternalEdge("e", "u", "c")], [])
+
+
 def test_handshake_on_bundled_curves():
     # trivalent curves satisfy 3V = 2E + X
     for ell in (1, 2, 3):
