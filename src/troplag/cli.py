@@ -12,8 +12,6 @@ Exit codes: 0 pass/success, 1 check failure, 2 input error, 3 internal error,
 Each command imports the modules it runs in its own body, so that `validate`,
 say, never loads topology, homology, constructions or render.
 """
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -15,8 +15,6 @@ the point (S*X, S*Y, W) of the scaled plane on ints and memoizes the
 answer per diagram, keyed on the point itself, and exit finds its
 parameter and its exit point on ints.
 """
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations

@@ -10,16 +10,14 @@ cross one generic witness line gives the parity; balancing makes the parity
 independent of the witness for closed curves.  Closedness is read from
 topology.classify_end: every end must be a cross-cap, so a collar, an end
 at a node (a disc cap) and an end with no cap kind (mu >= 3) are refused.
-sweep_parity reads the curve's segments from tropical.geometry, once per
-sweep, and chooses its default witness from them; mod2_class asks
-vertex_multiplicity about every vertex first, as topology does, and keeps
-the two sweeps it solved from.
+sweep_parity and mod2_class check closedness once, read the curve's
+segments from tropical.geometry once and walk each direction with _sweep,
+which chooses the default witness; mod2_class asks vertex_multiplicity
+about every vertex first, as topology does, and keeps both sweeps.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
 """
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -112,21 +110,39 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
                 "closed curve has a mod-2 class to sweep")
 
 
-def _sweep_lines(diagram: BaseDiagram, scale: int, segments,
-                 direction: SweepDirection):
-    """(spans, criticals) of one sweep over geometry()'s scale and segments,
-    in the scaled coordinate that varies across its witness lines (x for
-    vertical lines, y for horizontal ones).  spans holds, per segment, (the
-    coordinate at start, at finish, |dot(u, t)|); criticals is the sorted
-    set a generic witness line must avoid, the rectangle's bounds included."""
+def _sweep(diagram: BaseDiagram, scale: int, segments,
+           direction: SweepDirection, witness=None):
+    """One sweep over geometry()'s scale and segments: (criticals, the
+    SweepParity of the witness or of the default one; see sweep_parity).
+    Coordinates are scaled and run across the witness lines (x for vertical
+    lines, y for horizontal ones); criticals is the sorted set a generic
+    witness line must avoid, the rectangle's bounds included."""
     t = direction.line_direction
     axis = 0 if direction is SweepDirection.VERTICAL else 1
+    # Per segment: the coordinate at start, at finish, and |dot(u, t)|.
     spans = [(a[axis], b[axis], abs(u.dot(t)))
              for _, a, b, _, _, u in segments]
     bounds = [cleared(p, scale)[axis] for p in diagram.polygon_vertices]
     criticals = sorted({min(bounds), max(bounds)}.union(
         c for ca, cb, _ in spans for c in (ca, cb)))
-    return spans, criticals
+    # The witness line's scaled coordinate is line / den.
+    if witness is None:
+        lo, hi = max(zip(criticals, criticals[1:]),
+                     key=lambda gap: gap[1] - gap[0])
+        line, den = lo + hi, 2
+        witness = Fraction(line, den * scale)
+    else:
+        witness = _as_fraction(witness)
+        line, den = witness.numerator * scale, witness.denominator
+        if any(c * den == line for c in criticals):
+            raise NonGenericWitness(
+                f"witness {witness} hits a critical coordinate")
+        if not criticals[0] * den < line < criticals[-1] * den:
+            raise NonGenericWitness(
+                f"witness {witness} lies outside the rectangle")
+    total = sum(points for ca, cb, points in spans
+                if min(ca, cb) * den < line < max(ca, cb) * den)
+    return criticals, SweepParity(direction, total % 2, witness)
 
 
 def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
@@ -134,7 +150,7 @@ def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
     """Sorted coordinates a generic witness line must avoid, including the
     rectangle bounds; an end to a missing node has no segment to add."""
     scale, _, segments = geometry(diagram, curve)
-    _, criticals = _sweep_lines(diagram, scale, segments, direction)
+    criticals, _ = _sweep(diagram, scale, segments, direction)
     return [Fraction(c, scale) for c in criticals]
 
 
@@ -153,44 +169,13 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     """
     _require_sweepable(diagram, curve)
     scale, _, segments = geometry(diagram, curve)
-    spans, criticals = _sweep_lines(diagram, scale, segments, direction)
-    # The witness line's scaled coordinate is line / den.
-    if witness is None:
-        lo, hi = max(zip(criticals, criticals[1:]),
-                     key=lambda gap: gap[1] - gap[0])
-        line, den = lo + hi, 2
-        witness = Fraction(line, den * scale)
-    else:
-        witness = _as_fraction(witness)
-        line, den = witness.numerator * scale, witness.denominator
-        if any(c * den == line for c in criticals):
-            raise NonGenericWitness(
-                f"witness {witness} hits a critical coordinate")
-        if not criticals[0] * den < line < criticals[-1] * den:
-            raise NonGenericWitness(
-                f"witness {witness} lies outside the rectangle")
-    total = sum(points for ca, cb, points in spans
-                if min(ca, cb) * den < line < max(ca, cb) * den)
-    return SweepParity(direction, total % 2, witness)
+    return _sweep(diagram, scale, segments, direction, witness)[1]
 
 
-def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
-    """The curve's Lagrangian mod-2 class in the diagram's basis.
-
-    The two sweep parities are the pairings of the class with the sweep
-    sphere classes, so the class is the one lift c in {0,1}^2 whose
-    pairing(c, s) mod 2 with the horizontal and vertical sweep classes s
-    equals the horizontal and vertical parity; zero or several such lifts
-    is a singular pairing.  For the standard rectangle basis this gives
-    (vertical parity, horizontal parity).  A curve with no surface over
-    it (a vertex with no multiplicity) has no class; then the sweeps run,
-    so a diagram that is not a node-free rectangle is refused as one.
-    """
-    for v in curve.vertices:
-        vertex_multiplicity(curve, v.id)
-    sweeps = (sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
-              sweep_parity(diagram, curve, SweepDirection.VERTICAL))
-    homology = diagram.homology
+def _solve(homology: HomologyModel, sweeps) -> Mod2Class:
+    """The class whose pairings with the horizontal and vertical sweep
+    sphere classes are the parities of the (horizontal, vertical) sweeps:
+    the one such lift c in {0,1}^2; zero or several is a singular pairing."""
     classes = (homology.class_of_horizontal_sweep,
                homology.class_of_vertical_sweep)
     if None in classes:
@@ -206,6 +191,20 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
             "sweep classes do not determine the mod-2 class "
             "(singular pairing)")
     return Mod2Class(lifts[0], homology.basis_labels, sweeps)
+
+
+def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
+    """The curve's Lagrangian mod-2 class in the diagram's basis, which
+    _solve reads from the two sweeps: (vertical parity, horizontal parity)
+    in the standard rectangle basis.  It refuses, in order: a vertex with
+    no multiplicity (no surface over the curve), a diagram that is not a
+    node-free rectangle, a curve that is not closed, then the basis."""
+    for v in curve.vertices:
+        vertex_multiplicity(curve, v.id)
+    _require_sweepable(diagram, curve)
+    scale, _, segments = geometry(diagram, curve)
+    return _solve(diagram.homology, tuple(
+        _sweep(diagram, scale, segments, d)[1] for d in SweepDirection))
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:

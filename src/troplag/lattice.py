@@ -17,8 +17,6 @@ denominators from it (common_scale, cleared) or computes on it directly,
 and its coordinates become fractions.Fraction only for printing and the
 public API.  Floats are rejected at construction time.
 """
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import gcd, lcm

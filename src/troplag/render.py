@@ -8,8 +8,6 @@ byte-stable.  Curves are drawn from tropical.geometry: a point is its int
 pair over the curve's scale, and each SVG coordinate is one correctly
 rounded int division, so it is the float the reduced point gives.
 """
-from __future__ import annotations
-
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .topology import EndKind, classify_end

@@ -20,8 +20,6 @@ terms; classify() is that record's surface_class().  build_presentation()
 + oracle_classify() re-derive the same answer from an explicit piece/gluing
 presentation and cell counts, giving an independent check.
 """
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 
@@ -88,7 +86,7 @@ class ChiBreakdown(NamedTuple):
     def chi(self) -> int:
         return self.vertex_term + self.cap_term + self.surgery_term
 
-    def surface_class(self) -> SurfaceClass:
+    def surface_class(self) -> "SurfaceClass":
         """closed iff there are no collar ends; orientable iff there are no
         cross-caps (surgery handles attach orientably; the curve avoids
         cuts, so transporting fiber orientations around cycles is

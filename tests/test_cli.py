@@ -322,7 +322,8 @@ def test_homology_input_error_prints_no_header(capsys):
     code, out, err = run(capsys, "homology", str(FIGURES / "fig1_left.trop"))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: curve rp2: ")
+    assert err == ("error: curve rp2: sweep parities are defined for "
+                   "node-free rectangle diagrams\n")
 
 
 def test_homology_header_alone_without_curves(capsys, monkeypatch):
@@ -409,11 +410,9 @@ def test_topology_report_takes_one_inventory(capsys, monkeypatch):
     assert len(end_kinds) == 10
 
 
-def test_homology_report_walks_the_curve_once_per_sweep(capsys,
-                                                       monkeypatch):
-    # fig3_family has 10 ends; one mod2_class runs 2 sweeps, and each
-    # sweep builds the curve's geometry once and reads every end's cap
-    # kind once.
+def test_homology_report_walks_the_curve_once(capsys, monkeypatch):
+    # fig3_family has 10 ends; one mod2_class builds the curve's geometry
+    # once and reads every end's cap kind once, for both sweeps.
     original = homology.geometry
     builds = []
 
@@ -426,8 +425,8 @@ def test_homology_report_walks_the_curve_once_per_sweep(capsys,
     code, out, _ = run(capsys, "homology", str(FIGURES / "fig3_family.trop"))
     assert code == 0
     assert out == (GOLDEN / "fig3_family.homology.txt").read_text()
-    assert len(builds) == 2
-    assert len(multiplicities) == 20
+    assert len(builds) == 1
+    assert len(multiplicities) == 10
 
 
 def test_semantically_invalid_diagram_exits_2(capsys, tmp_path):

@@ -24,13 +24,13 @@ from troplag import (
     pontryagin_square,
     pt,
     rectangle,
+    rp2_curve,
     sweep_parity,
     trop_family,
     visible_segment,
     x_abc,
 )
-from troplag import homology as homology_module
-from troplag.homology import critical_coordinates
+from troplag.homology import _solve, critical_coordinates
 
 from conftest import load_document
 
@@ -246,35 +246,29 @@ def ref_mod2_class(homology, p_h, p_v):
     return ref_solve_mod2_2x2(rows, (p_v, p_h))
 
 
-def _with_sweeps(monkeypatch, parities):
-    """Make mod2_class read the given (horizontal, vertical) parities."""
-    def fake(diagram, curve, direction):
-        index = 0 if direction is SweepDirection.HORIZONTAL else 1
-        return SweepParity(direction, parities[index], F(1, 2))
-    monkeypatch.setattr(homology_module, "sweep_parity", fake)
+def _sweeps(parities):
+    """(horizontal, vertical) sweeps with the given parities."""
+    return tuple(SweepParity(direction, parity, F(1, 2))
+                 for direction, parity in zip(SweepDirection, parities))
 
 
-def test_solve_matches_the_2x2_formula_on_every_case(monkeypatch):
+def test_solve_matches_the_2x2_formula_on_every_case():
     # Every symmetric form mod 2, each through several integer lifts, every
     # pair of sweep vectors and every pair of parities.
-    corners = rectangle(1, 1).polygon_vertices
     vectors = list(product((0, 1), repeat=2))
-    empty = TropicalCurve(name="empty")
     solved = refused = 0
     for a, b, d in product((-1, 0, 1, 2), repeat=3):
         for s_h, s_v in product(vectors, repeat=2):
             homology = HomologyModel(("A", "B"), ((a, b), (b, d)), s_h, s_v)
-            diagram = BaseDiagram(corners, (), homology)
             for parities in product((0, 1), repeat=2):
-                _with_sweeps(monkeypatch, parities)
                 expected = ref_mod2_class(homology, *parities)
                 if expected is None:
                     with pytest.raises(UnsupportedDiagram,
                                        match=r"\(singular pairing\)"):
-                        mod2_class(diagram, empty)
+                        _solve(homology, _sweeps(parities))
                     refused += 1
                 else:
-                    cls = mod2_class(diagram, empty)
+                    cls = _solve(homology, _sweeps(parities))
                     assert cls.coefficients == expected
                     assert [s.parity for s in cls.sweeps] == list(parities)
                     solved += 1
@@ -290,12 +284,16 @@ def test_solve_matches_the_2x2_formula_on_every_case(monkeypatch):
     (HomologyModel(("A", "B", "C"), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
                    (1, 0, 0), (0, 1, 0)), "only in a rank-2 basis"),
 ], ids=["no-vectors", "one-vector", "rank-3"])
-def test_solve_refuses_a_basis_without_two_sweep_classes(
-        monkeypatch, homology, message):
-    _with_sweeps(monkeypatch, (1, 0))
-    diagram = BaseDiagram(rectangle(1, 1).polygon_vertices, (), homology)
+def test_solve_refuses_a_basis_without_two_sweep_classes(homology, message):
     with pytest.raises(UnsupportedDiagram, match=message):
-        mod2_class(diagram, TropicalCurve(name="empty"))
+        _solve(homology, _sweeps((1, 0)))
+
+
+def test_class_refuses_a_diagram_before_its_basis():
+    # x_abc carries no sweep class vectors, but it has nodes, so the
+    # rectangle refusal comes first, as the mod2_class docstring says.
+    with pytest.raises(UnsupportedDiagram, match="node-free rectangle"):
+        mod2_class(*rp2_curve(1, 1, F(4, 3), 4))
 
 
 # -- Pontryagin squares --------------------------------------------------
