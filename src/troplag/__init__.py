@@ -29,18 +29,19 @@ _EXPORTS = {
         "rectangle", "x_abc",
     ),
     "tropical": (
-        "BoundaryTerminal", "CurveEnd", "InternalEdge", "InvalidCurve",
-        "NodeTerminal", "NonIntegralSelfIntersection", "NonTrivalentVertex",
-        "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
-        "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-        "check_balancing", "end_multiplicity", "validate",
+        "BoundaryTerminal", "CurveEnd", "EndKind", "InternalEdge",
+        "InvalidCurve", "NodeTerminal", "NonIntegralSelfIntersection",
+        "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
+        "TropicalVertex", "UnbalancedVertex", "UnsupportedEndMultiplicity",
+        "ValidationIssue", "ValidationReport", "check_balancing",
+        "classify_end", "end_multiplicity", "validate",
         "vertex_double_points", "vertex_multiplicity",
     ),
     "topology": (
-        "ChiBreakdown", "EmptyCurve", "EndKind", "MalformedPresentation",
-        "Piece", "PieceKind", "SurfaceClass", "SurfacePresentation",
-        "UnsupportedEndMultiplicity", "build_presentation", "classify",
-        "classify_end", "euler_breakdown", "oracle_classify", "surface_name",
+        "ChiBreakdown", "EmptyCurve", "MalformedPresentation", "Piece",
+        "PieceKind", "SurfaceClass", "SurfacePresentation",
+        "build_presentation", "classify", "euler_breakdown",
+        "oracle_classify", "surface_name",
     ),
     "homology": (
         "InvalidClass", "Mod2Class", "NonGenericWitness", "SweepDirection",

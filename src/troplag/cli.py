@@ -112,7 +112,8 @@ def _validate_lines(doc, curve):
 
 
 def _topology_lines(doc, curve):
-    from .topology import EndKind, euler_breakdown, surface_name
+    from .topology import euler_breakdown, surface_name
+    from .tropical import EndKind
 
     breakdown = euler_breakdown(doc.diagram, curve)
     multiplicities = sorted(breakdown.multiplicities)
@@ -179,6 +180,10 @@ def _audin_lines(doc, curve, override):
                  f"{cls.label_sum()}"]
     p2 = pontryagin_square(doc.diagram.homology, lift)
     sc = classify(doc.diagram, curve)
+    if not sc.closed:
+        raise TroplagError("the Audin congruence is defined for closed "
+                           f"surfaces; this one has {sc.boundary_circles} "
+                           "boundary circles")
     ok = audin_check(p2, sc.euler_char)
     verdict = "PASS" if ok else "FAIL"
     lines.append(f"curve {curve.name}: P2 = {p2}, chi = {sc.euler_char}; "

@@ -8,7 +8,7 @@ fiber circle is t itself, the Lagrangian's is the 90-degree rotation of u,
 and |wedge(rot90(u), t)| = |dot(u, t)|).  Summing over the segments that
 cross one generic witness line gives the parity; balancing makes the parity
 independent of the witness for closed curves.  Closedness is read from
-topology.classify_end: every end must be a cross-cap, so a collar, an end
+tropical.classify_end: every end must be a cross-cap, so a collar, an end
 at a node (a disc cap) and an end with no cap kind (mu >= 3) are refused.
 sweep_parity and mod2_class check closedness once, read the curve's
 segments from tropical.geometry once and walk each direction with _sweep,
@@ -26,8 +26,8 @@ from typing import NamedTuple
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import IntVec, _as_fraction, cleared
-from .topology import EndKind, classify_end
-from .tropical import TropicalCurve, geometry, vertex_multiplicity
+from .tropical import (EndKind, TropicalCurve, classify_end, geometry,
+                       vertex_multiplicity)
 
 
 class InvalidClass(TroplagError):

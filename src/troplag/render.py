@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of a document.
 
 Shaded polygon, dashed cuts with an x mark at each node, curves in red,
-and a marker per cap kind (topology.classify_end): a circled cross for a
+and a marker per cap kind (tropical.classify_end): a circled cross for a
 cross-cap (mu = 2), an open circle for a collar (mu = 1), a red x for a
 disc cap.  Markers are drawn geometrically (no font glyphs) so output is
 byte-stable.  Curves are drawn from tropical.geometry: a point is its int
@@ -10,8 +10,7 @@ rounded int division, so it is the float the reduced point gives.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
-from .topology import EndKind, classify_end
-from .tropical import InvalidCurve, geometry
+from .tropical import EndKind, InvalidCurve, classify_end, geometry
 
 SCALE = 48
 MARGIN = 40

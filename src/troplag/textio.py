@@ -190,6 +190,8 @@ def _parse_polygon_diagram(line):
         homology = HomologyModel((), ())
         if form:
             raise _error("form given without basis", line, 1)
+        if sweep_h is not None:
+            raise _error("sweepclasses given without basis", line, 1)
     else:
         n = len(basis)
         if form is None or len(form) != n * n:

@@ -2,12 +2,12 @@
 
 The Lagrangian lift assembles from standard pieces: a pair of pants over
 each trivalent vertex, an annulus over each internal edge (and over each
-standalone anchor), and a cap over each end.  The cap type is a pure
-function of the end's terminal and multiplicity:
+standalone anchor), and a cap over each end, of the kind that
+tropical.classify_end gives it:
 
-  * node terminal            -> disc cap   (chi contribution +1)
-  * boundary terminal, mu=2  -> cross-cap  (chi 0, kills orientability)
-  * boundary terminal, mu=1  -> collar     (chi 0, one boundary circle)
+  * disc cap   (node terminal)  -> chi +1
+  * cross-cap  (mu = 2)         -> chi 0, kills orientability
+  * collar     (mu = 1)         -> chi 0, one boundary circle
 
 A vertex of multiplicity m carries (m-1)/2 transverse double points; the
 surgery replacing each one by an embedded handle drops chi by 2.  So
@@ -17,26 +17,16 @@ surgery replacing each one by an embedded handle drops chi by 2.  So
 euler_breakdown() counts this once per curve into a ChiBreakdown, which
 keeps the per-vertex multiplicities and per-end cap kinds beside the chi
 terms; classify() is that record's surface_class().  build_presentation()
-+ oracle_classify() re-derive the same answer from an explicit piece/gluing
-presentation and cell counts, giving an independent check.
++ oracle_classify() re-derive it from pieces, gluings and cell counts, but
+from the same cap kinds and double points, so they check only the gluing.
 """
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
-from .tropical import (
-    CurveEnd,
-    NodeTerminal,
-    TropicalCurve,
-    end_multiplicity,
-    vertex_double_points,
-    vertex_multiplicity,
-)
-
-
-class UnsupportedEndMultiplicity(TroplagError):
-    """Boundary ends with mu >= 3 have no assigned surface topology."""
+from .tropical import (EndKind, TropicalCurve, classify_end,
+                       vertex_double_points, vertex_multiplicity)
 
 
 class EmptyCurve(TroplagError):
@@ -45,31 +35,6 @@ class EmptyCurve(TroplagError):
 
 class MalformedPresentation(TroplagError):
     """A surface presentation with inconsistent gluing data."""
-
-
-class EndKind(Enum):
-    DISC_CAP = "disccap"
-    CROSS_CAP = "crosscap"
-    COLLAR = "collar"
-
-    @property
-    def chi(self) -> int:
-        return 1 if self is EndKind.DISC_CAP else 0
-
-
-def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
-    """The cap type of an end (see module docstring); ends are weight one
-    by construction, so only the terminal and mu decide it."""
-    if isinstance(end.terminal, NodeTerminal):
-        return EndKind.DISC_CAP
-    mu = end_multiplicity(diagram, end)
-    if mu == 1:
-        return EndKind.COLLAR
-    if mu == 2:
-        return EndKind.CROSS_CAP
-    raise UnsupportedEndMultiplicity(
-        f"end {end.id!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
-        "(cross-cap) carry a surface meaning")
 
 
 class ChiBreakdown(NamedTuple):
@@ -109,7 +74,7 @@ def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
     end_kinds = tuple(classify_end(diagram, e) for e in curve.ends)
     return ChiBreakdown(
         vertex_term=-len(multiplicities),
-        cap_term=sum(kind.chi for kind in end_kinds),
+        cap_term=end_kinds.count(EndKind.DISC_CAP),
         surgery_term=-2 * sum(map(vertex_double_points, multiplicities)),
         multiplicities=multiplicities,
         end_kinds=end_kinds)

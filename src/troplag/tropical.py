@@ -19,10 +19,12 @@ int difference of its endpoints divided by its gcd.
 
 geometry() is the one place a curve becomes segments on int pairs, for
 validate(), the homology sweeps and render.  validate() checks every
-geometric and combinatorial invariant and returns a report; the numeric
-operations (vertex multiplicity, end multiplicity) assume a validated curve
-and raise on contract violations.
+geometric and combinatorial invariant and returns a report; the
+per-element facts (a vertex's multiplicity m and its (m-1)/2 double points,
+an end's mu and its cap kind) assume a validated curve and raise on
+contract violations.
 """
+from enum import Enum
 from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
@@ -59,6 +61,10 @@ class NonIntegralSelfIntersection(TroplagError):
 
 class NotABoundaryEnd(TroplagError):
     """End multiplicity is only defined for boundary-terminal ends."""
+
+
+class UnsupportedEndMultiplicity(TroplagError):
+    """Boundary ends with mu >= 3 have no assigned surface topology."""
 
 
 class TropicalVertex(NamedTuple):
@@ -511,3 +517,24 @@ def end_multiplicity(diagram: BaseDiagram, end: CurveEnd) -> int:
             f"end {end.id!r} is parallel to the boundary edge it lands on; "
             "a legal landing cannot have mu = 0")
     return mu
+
+
+class EndKind(Enum):
+    DISC_CAP = "disccap"
+    CROSS_CAP = "crosscap"
+    COLLAR = "collar"
+
+
+def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
+    """The cap over a weight-one end: a disc at a node, a collar at mu = 1,
+    a cross-cap at mu = 2."""
+    if isinstance(end.terminal, NodeTerminal):
+        return EndKind.DISC_CAP
+    mu = end_multiplicity(diagram, end)
+    if mu == 1:
+        return EndKind.COLLAR
+    if mu == 2:
+        return EndKind.CROSS_CAP
+    raise UnsupportedEndMultiplicity(
+        f"end {end.id!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
+        "(cross-cap) carry a surface meaning")

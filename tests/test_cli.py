@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from troplag import (InvalidCurve, homology, parse_document,
-                     render_document, topology, tropical)
+                     render_document, tropical)
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
                       klein_as_polygon, token_soups)
@@ -101,6 +101,19 @@ def test_audin_lists_the_issues_of_an_invalid_curve(capsys):
     assert out == block
 
 
+def test_audin_refuses_a_surface_with_boundary(capsys, monkeypatch):
+    # The congruence holds for closed Lagrangians; with --class there is
+    # no sweep to refuse this annulus's collars first.
+    text = ("diagram rectangle width=4 height=5/2\ncurve k\n"
+            "end a (2,5/4) dir=(1,0) land=(4,5/4)\n"
+            "end b (2,5/4) dir=(-1,0) land=(0,5/4)\n")
+    code, out, err = run(capsys, "audin", "--class", "1,0", "-",
+                         stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == ("error: curve k: the Audin congruence is defined for "
+                   "closed surfaces; this one has 2 boundary circles\n")
+
+
 def test_report_that_fails_prints_none_of_its_lines(capsys):
     # The supplied lift has the wrong rank: pontryagin_square raises after
     # the "using supplied integral class" line was formed.
@@ -156,6 +169,25 @@ CURVE_HEAD = ("diagram rectangle width=4 height=4\ncurve c\n"
     pytest.param(CURVE_HEAD + "end x a dir=(\u0662,1) land=(0,1)\n",
                  "line 5, col 13: expected an integer vector like (2,-1)",
                  id="unicode-digit-dir"),
+    pytest.param("", "error: line 1, col 1: document has no diagram\n",
+                 id="empty-document"),
+    pytest.param("# a comment\n\n",
+                 "error: line 1, col 1: document has no diagram\n",
+                 id="comment-only-document"),
+    pytest.param("diagram polygon (0,0) (4,0) (4,2) (0,2) ; ; basis A\n",
+                 "line 1, col 9: empty ';' section", id="empty-section"),
+    pytest.param("diagram polygon (0,0) (4,0) (4,2) (0,2) ; form 0 1 1 0\n",
+                 "line 1, col 9: form given without basis",
+                 id="form-without-basis"),
+    pytest.param("diagram polygon (0,0) (4,0) (4,2) (0,2) ; basis A B ; "
+                 "form 0 1 1 0 ; sweepclasses h=1,0\n",
+                 "line 1, col 70: sweepclasses takes h=... and v=...",
+                 id="sweepclasses-without-v"),
+    pytest.param(CURVE_HEAD + "edge e a a\n",
+                 "line 2, col 1: edge 'e' is a loop", id="loop-edge"),
+    pytest.param(CURVE_HEAD + "vertex c (1,1)\nedge e a c\n",
+                 "line 2, col 1: edge 'e' joins coincident vertices",
+                 id="coincident-vertices"),
 ])
 def test_malformed_document_exits_2(capsys, tmp_path, text, fragment):
     bad = tmp_path / "bad.trop"
@@ -403,7 +435,7 @@ def test_topology_report_takes_one_inventory(capsys, monkeypatch):
     # fig3_family has 8 vertices and 10 ends; the report reads m and the
     # cap kinds from one euler_breakdown instead of recomputing them.
     multiplicities = _count_calls(monkeypatch, tropical, "vertex_multiplicity")
-    end_kinds = _count_calls(monkeypatch, topology, "classify_end")
+    end_kinds = _count_calls(monkeypatch, tropical, "classify_end")
     code, _, _ = run(capsys, "topology", str(FIGURES / "fig3_family.trop"))
     assert code == 0
     assert len(multiplicities) == 8

@@ -26,18 +26,17 @@ EXPORTS = {
     "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
                 "InvalidDiagram", "LocationKind", "Node", "PointLocation",
                 "UnsupportedDiagram", "rectangle", "x_abc"],
-    "tropical": ["BoundaryTerminal", "CurveEnd", "InternalEdge",
+    "tropical": ["BoundaryTerminal", "CurveEnd", "EndKind", "InternalEdge",
                  "InvalidCurve", "NodeTerminal",
                  "NonIntegralSelfIntersection", "NonTrivalentVertex",
                  "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
-                 "UnbalancedVertex", "ValidationIssue", "ValidationReport",
-                 "check_balancing", "end_multiplicity", "validate",
+                 "UnbalancedVertex", "UnsupportedEndMultiplicity",
+                 "ValidationIssue", "ValidationReport", "check_balancing",
+                 "classify_end", "end_multiplicity", "validate",
                  "vertex_double_points", "vertex_multiplicity"],
-    "topology": ["ChiBreakdown", "EmptyCurve", "EndKind",
-                 "MalformedPresentation", "Piece", "PieceKind",
-                 "SurfaceClass", "SurfacePresentation",
-                 "UnsupportedEndMultiplicity", "build_presentation",
-                 "classify", "classify_end", "euler_breakdown",
+    "topology": ["ChiBreakdown", "EmptyCurve", "MalformedPresentation",
+                 "Piece", "PieceKind", "SurfaceClass", "SurfacePresentation",
+                 "build_presentation", "classify", "euler_breakdown",
                  "oracle_classify", "surface_name"],
     "homology": ["InvalidClass", "Mod2Class", "NonGenericWitness",
                  "SweepDirection", "SweepParity", "UnsweepableCurve",
@@ -53,6 +52,9 @@ EXPORTS = {
     "render": ["render_document"],
 }
 NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
+# What `validate` loads; every document command loads at least these.
+VALIDATE_SET = ["troplag.cli", "troplag.diagram", "troplag.errors",
+                "troplag.lattice", "troplag.textio", "troplag.tropical"]
 
 # Prints, as its last line, the public names dir() misses on a fresh
 # package and the troplag submodules loaded after each step.
@@ -142,9 +144,7 @@ def test_imports_load_only_what_runs_and_dir_lists_every_name():
     assert after_package == []
     assert after_cli == ["troplag.cli", "troplag.errors"]
     assert code == 0
-    assert after_validate == ["troplag.cli", "troplag.diagram",
-                              "troplag.errors", "troplag.lattice",
-                              "troplag.textio", "troplag.tropical"]
+    assert after_validate == VALIDATE_SET
 
 
 @pytest.mark.parametrize("argv", [["triangle", "1", "1", "1"],
@@ -155,6 +155,20 @@ def test_threshold_commands_load_no_geometry(argv):
     assert code == 0
     assert loaded == ["troplag.cli", "troplag.constructions",
                       "troplag.errors", "troplag.lattice"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["homology", str(FIGURES / "fig2_klein.trop")], ["homology"]),
+    (["render", str(FIGURES / "fig2_klein.trop"), "-o", "-"], ["render"]),
+    (["topology", str(FIGURES / "fig2_klein.trop")], ["topology"]),
+    (["audin", str(FIGURES / "fig2_klein.trop")], ["homology", "topology"]),
+], ids=["homology", "render", "topology", "audin"])
+def test_only_chi_commands_load_topology(argv, extra):
+    # An end's cap kind is tropical.classify_end, so the sweeps and the
+    # markers need no chi engine; topology and audin print chi.
+    loaded, code = _fresh_interpreter(COMMAND, *argv)
+    assert code == 0
+    assert loaded == sorted(VALIDATE_SET + [f"troplag.{m}" for m in extra])
 
 
 @pytest.mark.parametrize("argv", [

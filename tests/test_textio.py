@@ -92,6 +92,14 @@ def test_weight_one_edge_parses_as_no_weight():
     assert "weight" not in serialize_document(plain)
 
 
+def test_sweep_classes_need_a_basis():
+    # As a form does: with no basis there is nothing for them to name.
+    with pytest.raises(ParseError) as err:
+        parse_document("diagram polygon (0,0) (4,0) (4,2) (0,2) ; "
+                       "sweepclasses h=1,0 v=0,1\n")
+    assert str(err.value) == "line 1, col 9: sweepclasses given without basis"
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_document("diagram rectangle width=4 height=2\nvortex v (1,1)\n")
