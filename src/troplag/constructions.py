@@ -175,7 +175,15 @@ class FamilyInstance(NamedTuple):
     ell: int
     diagram: BaseDiagram
     curve: TropicalCurve
-    expected: SurfaceClass
+
+    @property
+    def expected(self) -> SurfaceClass:
+        """The surface the family is built to have; loads topology."""
+        from .topology import SurfaceClass
+
+        return SurfaceClass(orientable=False, euler_char=-20 * self.ell,
+                            boundary_circles=0,
+                            double_points_surgered=8 * self.ell)
 
 
 def trop_family(ell: int) -> FamilyInstance:
@@ -191,7 +199,6 @@ def trop_family(ell: int) -> FamilyInstance:
     at x = 10j + 13/2, as balancing forces.
     """
     from .diagram import rectangle
-    from .topology import SurfaceClass
     from .tropical import (BoundaryTerminal, CurveEnd, InternalEdge,
                            TropicalCurve, TropicalVertex)
 
@@ -208,14 +215,11 @@ def trop_family(ell: int) -> FamilyInstance:
                           f"b{j}": RatPoint(base + 5, 2),
                           f"c{j}": RatPoint(base + 7, 1),
                           f"d{j}": RatPoint(base + 10, 2)})
-        edges += [
-            InternalEdge(f"ab{j}", f"a{j}", f"b{j}", IntVec(3, 1)),
-            InternalEdge(f"bc{j}", f"b{j}", f"c{j}", IntVec(2, -1)),
-            InternalEdge(f"cd{j}", f"c{j}", f"d{j}", IntVec(3, 1)),
-        ]
+        edges += [InternalEdge(f"ab{j}", f"a{j}", f"b{j}"),
+                  InternalEdge(f"bc{j}", f"b{j}", f"c{j}"),
+                  InternalEdge(f"cd{j}", f"c{j}", f"d{j}")]
         if j + 1 < ell:
-            edges.append(InternalEdge(f"da{j}", f"d{j}", f"a{j + 1}",
-                                      IntVec(2, -1)))
+            edges.append(InternalEdge(f"da{j}", f"d{j}", f"a{j + 1}"))
         rays += [(f"down_a{j}", f"a{j}", down), (f"up_b{j}", f"b{j}", up),
                  (f"down_c{j}", f"c{j}", down), (f"up_d{j}", f"d{j}", up)]
     rays += [("left", "a0", IntVec(-2, 1)),
@@ -225,10 +229,7 @@ def trop_family(ell: int) -> FamilyInstance:
                 diagram.exit(positions[vid], direction)[0]))
             for end_id, vid, direction in rays]
     curve = TropicalCurve(vertices, edges, ends, name=f"family_ell{ell}")
-    expected = SurfaceClass(
-        orientable=False, euler_char=-20 * ell, boundary_circles=0,
-        double_points_surgered=8 * ell)
-    return FamilyInstance(ell, diagram, curve, expected)
+    return FamilyInstance(ell, diagram, curve)
 
 
 class GenusBound(NamedTuple):

@@ -327,15 +327,20 @@ class BaseDiagram:
         """The diagram in new integral affine coordinates.
 
         Orientation-reversing maps reverse the vertex list to keep it
-        counterclockwise.  The result is a generic polygon diagram; homology
-        data is carried over unchanged.
+        counterclockwise.  The result is a generic polygon diagram, named
+        as one.  Its homology is this one's, except that a map swapping the
+        axes swaps the two sweep classes: the sphere over a horizontal
+        segment then lies over a vertical one.
         """
         vertices = [m.apply(v) for v in self.polygon_vertices]
         if m.det < 0:
             vertices.reverse()
         nodes = [Node(m.apply(n.position), m.apply(n.cut_direction))
                  for n in self.nodes]
-        return BaseDiagram(vertices, nodes, self.homology, name=self.name)
+        basis, form, h, v = self.homology
+        if m.linear[0][0] == m.linear[1][1] == 0:  # the axes swap
+            h, v = v, h
+        return BaseDiagram(vertices, nodes, HomologyModel(basis, form, h, v))
 
     def __eq__(self, other):
         if not isinstance(other, BaseDiagram):

@@ -165,11 +165,15 @@ def _parse_polygon_diagram(line):
         raise _error("polygon needs at least three vertices", line, 1)
     nodes = []
     basis = form = sweep_h = sweep_v = None
+    given = set()
     for section in sections[1:]:
         if not section:
             raise _error("empty ';' section", line, 1)
         k = section[0]
         kind = words[k]
+        if kind != "node" and kind in given:
+            raise _error(f"{kind} given twice", line, k)
+        given.add(kind)
         if kind == "node":
             if len(section) != 3:
                 raise _error("node takes a position and cut=(dx,dy)", line, k)
@@ -188,7 +192,7 @@ def _parse_polygon_diagram(line):
             raise _error(f"unknown diagram section {kind!r}", line, k)
     if basis is None:
         homology = HomologyModel((), ())
-        if form:
+        if form is not None:
             raise _error("form given without basis", line, 1)
         if sweep_h is not None:
             raise _error("sweepclasses given without basis", line, 1)

@@ -14,7 +14,7 @@ A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, element id) pairs in
 `sites`, so outgoing() is a lookup.  A site's key is an end's source as the
 format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
-so the two never collide.  A direction left for the curve to derive is the
+so the two never collide.  An edge's direction is derived there too: the
 int difference of its endpoints divided by its gcd.
 
 geometry() is the one place a curve becomes segments on int pairs, for
@@ -73,13 +73,12 @@ class TropicalVertex(NamedTuple):
 
 
 class InternalEdge(NamedTuple):
-    """A weight-one edge between two vertices.  direction is primitive,
-    src -> dst; pass None to have it derived from the vertex positions."""
+    """A weight-one edge between two vertices at distinct points; the
+    curve derives its primitive direction, src -> dst."""
 
     id: str
     src: str
     dst: str
-    direction: IntVec | None = None
 
 
 class BoundaryTerminal(NamedTuple):
@@ -124,9 +123,10 @@ class TropicalCurve:
         # edges first; vertex sites first, then anchors.
         incidence = {v.id: [] for v in self.vertices}
         anchors = {}
-        resolved = []
+        self.edges = tuple(edges)
+        self._edge_directions = []  # each edge's, src -> dst
         seen_ids = set(self._vertex_by_id)
-        for e in edges:
+        for e in self.edges:
             if e.id in seen_ids:
                 raise InvalidCurve(f"duplicate element id {e.id!r}")
             seen_ids.add(e.id)
@@ -136,22 +136,16 @@ class TropicalCurve:
                         f"edge {e.id!r} refers to unknown vertex {endpoint!r}")
             if e.src == e.dst:
                 raise InvalidCurve(f"edge {e.id!r} is a loop")
-            if e.direction is None:
-                (ax, ay, aw), (bx, by, bw) = (self._vertex_by_id[k].position
-                                              for k in (e.src, e.dst))
-                dx, dy = bx * aw - ax * bw, by * aw - ay * bw
-                g = gcd(dx, dy)
-                if g == 0:
-                    raise InvalidCurve(
-                        f"edge {e.id!r} joins coincident vertices")
-                e = InternalEdge(e.id, e.src, e.dst, IntVec(dx // g, dy // g))
-            elif not e.direction.is_primitive:
-                raise InvalidCurve(
-                    f"edge {e.id!r} direction {e.direction} is not primitive")
-            resolved.append(e)
-            incidence[e.src].append((e.direction, e.id))
-            incidence[e.dst].append((-e.direction, e.id))
-        self.edges = tuple(resolved)
+            (ax, ay, aw), (bx, by, bw) = (self._vertex_by_id[k].position
+                                          for k in (e.src, e.dst))
+            dx, dy = bx * aw - ax * bw, by * aw - ay * bw
+            g = gcd(dx, dy)
+            if g == 0:
+                raise InvalidCurve(f"edge {e.id!r} joins coincident vertices")
+            direction = IntVec(dx // g, dy // g)
+            self._edge_directions.append(direction)
+            incidence[e.src].append((direction, e.id))
+            incidence[e.dst].append((-direction, e.id))
 
         for e in self.ends:
             if e.id in seen_ids:
@@ -195,8 +189,6 @@ class TropicalCurve:
         """The curve in new integral affine coordinates."""
         vertices = [TropicalVertex(v.id, m.apply(v.position))
                     for v in self.vertices]
-        edges = [InternalEdge(e.id, e.src, e.dst, m.apply(e.direction))
-                 for e in self.edges]
         ends = []
         for e in self.ends:
             source = e.source if isinstance(e.source, str) else m.apply(e.source)
@@ -206,7 +198,7 @@ class TropicalCurve:
                 terminal = BoundaryTerminal(m.apply(e.terminal.landing))
             ends.append(CurveEnd(e.id, source, m.apply(e.direction),
                                  terminal))
-        return TropicalCurve(vertices, edges, ends, name=self.name)
+        return TropicalCurve(vertices, self.edges, ends, name=self.name)
 
     def __eq__(self, other):
         if not isinstance(other, TropicalCurve):
@@ -246,7 +238,8 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     cuts = [(cleared(node, scale), cleared(end, scale))
             for node, end in diagram.cut_segments]
     segments = [(eid, grid[src], grid[dst], src, dst, direction)
-                for eid, src, dst, direction in curve.edges]
+                for (eid, src, dst), direction
+                in zip(curve.edges, curve._edge_directions)]
     for eid, source, direction, terminal in curve.ends:
         if isinstance(terminal, NodeTerminal):
             (index,) = terminal
@@ -314,7 +307,7 @@ def _reaches(a, b, direction: IntVec) -> bool:
 def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     """Full geometric and combinatorial validation.
 
-    Checks vertex/anchor containment, edge and end collinearity, terminal
+    Checks vertex/anchor containment, end collinearity, terminal
     legality (boundary landings in open edge interiors, node ends along the
     cut direction), embeddedness (segments meet only at shared named
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
@@ -349,14 +342,6 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
             issue("anchor-not-segment", label,
                   f"{len(anchor_ends)} ends meet here; an anchor carries "
                   "exactly two (declare a vertex instead)")
-
-    for eid, a, b, _, _, direction in segments[:len(curve.edges)]:
-        if not _reaches(a, b, direction):
-            # (b - a) / scale, which prints as the point at it.
-            delta = RatPoint.of(b[0] - a[0], b[1] - a[1], scale)
-            issue("edge-collinearity", eid,
-                  f"displacement {delta} is not a positive "
-                  f"multiple of direction {direction}")
 
     end_segments = iter(segments[len(curve.edges):])
     for eid, _, direction, terminal in curve.ends:

@@ -218,8 +218,7 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
             new_id = f"v{counter}"
             counter += 1
             vertices.append(TropicalVertex(new_id, landing_zone))
-            edges.append(InternalEdge(f"e{vid}.{new_id}", vid, new_id,
-                                      direction))
+            edges.append(InternalEdge(f"e{vid}.{new_id}", vid, new_id))
             a, b = rng.choice(splits)
             rays.append((new_id, a))
             rays.append((new_id, b))

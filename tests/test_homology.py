@@ -14,6 +14,7 @@ from troplag import (
     SweepParity,
     TropicalCurve,
     TroplagError,
+    UnimodularAffineMap,
     UnsupportedDiagram,
     UnsupportedEndMultiplicity,
     UnsweepableCurve,
@@ -189,6 +190,22 @@ def test_empty_curve_class_is_zero():
     cls = mod2_class(rectangle(4, 2), TropicalCurve(name="empty"))
     assert cls.coefficients == (0, 0)
     assert cls.label_sum() == "0"
+
+
+@pytest.mark.parametrize("name", ["fig2_klein", "fig3_family", "fig5_cycle"])
+def test_class_is_unchanged_by_the_maps_that_keep_a_rectangle(name):
+    # The eight signed permutations, each with a translation; the four that
+    # swap the axes also swap the horizontal and vertical sweep classes.
+    doc = load_document(f"{name}.trop")
+    signs = list(product((1, -1), repeat=2))
+    for linear in ([((x, 0), (0, y)) for x, y in signs]
+                   + [((0, x), (y, 0)) for x, y in signs]):
+        m = UnimodularAffineMap(linear, pt(F(7, 3), -5))
+        diagram = doc.diagram.transform(m)
+        assert diagram.is_rectangle
+        for curve in doc.curves:
+            assert mod2_class(diagram, curve.transform(m)).coefficients \
+                == mod2_class(doc.diagram, curve).coefficients == (1, 0)
 
 
 def _sweep_cases():

@@ -244,7 +244,8 @@ def ref_segments(diagram, curve):
     def position(site):
         return curve.vertex(site).position if isinstance(site, str) else site
 
-    segments = [(position(e.src), position(e.dst), e.direction)
+    segments = [(position(e.src), position(e.dst),
+                 diff(position(e.dst), position(e.src)).primitive_direction())
                 for e in curve.edges]
     for e in curve.ends:
         if isinstance(e.terminal, NodeTerminal):

@@ -162,10 +162,12 @@ def test_threshold_commands_load_no_geometry(argv):
     (["render", str(FIGURES / "fig2_klein.trop"), "-o", "-"], ["render"]),
     (["topology", str(FIGURES / "fig2_klein.trop")], ["topology"]),
     (["audin", str(FIGURES / "fig2_klein.trop")], ["homology", "topology"]),
-], ids=["homology", "render", "topology", "audin"])
+    (["gen-family", "2"], ["constructions"]),
+], ids=["homology", "render", "topology", "audin", "gen-family"])
 def test_only_chi_commands_load_topology(argv, extra):
     # An end's cap kind is tropical.classify_end, so the sweeps and the
-    # markers need no chi engine; topology and audin print chi.
+    # markers need no chi engine, and a family's expected surface is built
+    # only when it is read; topology and audin print chi.
     loaded, code = _fresh_interpreter(COMMAND, *argv)
     assert code == 0
     assert loaded == sorted(VALIDATE_SET + [f"troplag.{m}" for m in extra])

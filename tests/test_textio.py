@@ -10,12 +10,14 @@ from troplag import (
     NodeTerminal,
     ParseError,
     TroplagError,
+    UnimodularAffineMap,
     parse_document,
     pt,
     rectangle,
     serialize_document,
     trop_family,
     visible_segment,
+    x_abc,
 )
 from conftest import (BUNDLED_DOCS, load_document, FIGURES,
                       klein_as_polygon, token_soups)
@@ -100,6 +102,24 @@ def test_sweep_classes_need_a_basis():
     assert str(err.value) == "line 1, col 9: sweepclasses given without basis"
 
 
+_POLYGON = "diagram polygon (0,0) (4,0) (4,2) (0,2) ; "
+
+
+@pytest.mark.parametrize("sections, message", [
+    ("basis A ; basis B ; form 0", "col 53: basis given twice"),
+    ("basis A ; form 0 ; form 1", "col 62: form given twice"),
+    ("basis A B ; form 0 1 1 0 ; sweepclasses h=1,0 v=0,1 ; "
+     "sweepclasses h=0,1 v=1,0", "col 97: sweepclasses given twice"),
+    ("form", "col 9: form given without basis"),
+])
+def test_polygon_sections_are_given_once(sections, message):
+    # A repeated section would silently replace the earlier one, and an
+    # empty form is still a form given without a basis.
+    with pytest.raises(ParseError) as err:
+        parse_document(_POLYGON + sections + "\n")
+    assert str(err.value) == f"line 1, {message}"
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_document("diagram rectangle width=4 height=2\nvortex v (1,1)\n")
@@ -132,6 +152,20 @@ def test_round_trip_generated_documents():
     seg = visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))
     doc2 = Document(diagram, (seg,))
     assert parse_document(serialize_document(doc2)) == doc2
+
+
+def test_round_trip_transformed_diagrams():
+    # A moved diagram is a polygon, named as one.
+    documents = [Document(rectangle(4, 2), ()),
+                 Document(x_abc(1, 1, F(4, 3), 4), ()),
+                 load_document("fig1_right.trop")]
+    for linear in (((1, 1), (0, 1)), ((0, -1), (1, 0))):
+        m = UnimodularAffineMap(linear, pt(F(1, 2), -3))
+        for doc in documents:
+            moved = Document(doc.diagram.transform(m),
+                             tuple(c.transform(m) for c in doc.curves))
+            assert moved.diagram.name == "polygon"
+            assert parse_document(serialize_document(moved)) == moved
 
 
 def test_round_trip_sweep_classes():

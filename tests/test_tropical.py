@@ -185,7 +185,8 @@ def test_derived_edge_direction_is_primitive_from_src_to_dst():
     u, w = (TropicalVertex("u", pt(Fraction(1, 3), 2)),
             TropicalVertex("w", pt(Fraction(5, 3), Fraction(4, 3))))
     curve = TropicalCurve([u, w], [InternalEdge("e", "w", "u")], [])
-    assert curve.edges[0].direction == IntVec(-2, 1)
+    assert curve.edges == (InternalEdge("e", "w", "u"),)
+    assert curve.outgoing("w") == ((IntVec(-2, 1), "e"),)
     assert curve.outgoing("u") == ((IntVec(2, -1), "e"),)
     coincident = TropicalVertex("c", pt(Fraction(2, 6), 2))
     with pytest.raises(InvalidCurve, match="joins coincident vertices"):
@@ -206,13 +207,16 @@ def test_handshake_on_bundled_curves():
 # -- incidence ---------------------------------------------------------
 
 def _scanned_outgoing(curve, key):
-    """The linear scan over every edge and end that the index replaces."""
+    """The linear scan over every edge and end that the index replaces;
+    an edge's direction is the Fraction reference's, src -> dst."""
     out = []
     for e in curve.edges:
+        direction = diff(curve.vertex(e.dst).position,
+                         curve.vertex(e.src).position).primitive_direction()
         if e.src == key:
-            out.append((e.direction, e.id))
+            out.append((direction, e.id))
         if e.dst == key:
-            out.append((-e.direction, e.id))
+            out.append((-direction, e.id))
     for e in curve.ends:
         if e.source == key:
             out.append((e.direction, e.id))
@@ -316,15 +320,20 @@ def _direction(a, b):
 
 
 def _segments_curve(*pairs):
-    """One edge per ((x1, y1), (x2, y2)) pair, each endpoint its own vertex,
-    so any contact between two edges is at a point they do not share."""
-    vertices, edges = [], []
+    """One element s<k> per ((x1, y1), (x2, y2)) pair, so any contact
+    between two of them is at a point they do not share: an edge between
+    two vertices of its own, or, for a zero-length pair (which no edge can
+    be), an end from an anchor that lands where it starts."""
+    vertices, edges, ends = [], [], []
     for k, (p, q) in enumerate(pairs):
         a, b = pt(*p), pt(*q)
+        if a == b:
+            ends.append(CurveEnd(f"s{k}", a, IntVec(1, 0),
+                                 BoundaryTerminal(b)))
+            continue
         vertices += [TropicalVertex(f"s{k}a", a), TropicalVertex(f"s{k}b", b)]
-        edges.append(InternalEdge(f"s{k}", f"s{k}a", f"s{k}b",
-                                  _direction(a, b)))
-    return TropicalCurve(vertices, edges, (), name="soup")
+        edges.append(InternalEdge(f"s{k}", f"s{k}a", f"s{k}b"))
+    return TropicalCurve(vertices, edges, ends, name="soup")
 
 
 HAND_BUILT = {
@@ -345,7 +354,8 @@ HAND_BUILT = {
 
 def _random_soup(rng, diagram, size, den):
     """Random edges and ends on a coarse rational grid: crossings, overlaps,
-    coincident vertices and ties in x are all common."""
+    coincident vertices and ties in x are all common; no edge joins two
+    coincident vertices, which a curve refuses."""
     def point():
         return pt(F(rng.randint(0, size * den), den),
                   F(rng.randint(0, size * den), den))
@@ -359,8 +369,8 @@ def _random_soup(rng, diagram, size, den):
         else:
             dst = TropicalVertex(f"v{len(vertices)}", point())
             vertices.append(dst)
-        edges.append(InternalEdge(f"e{k}", src.id, dst.id,
-                                  _direction(src.position, dst.position)))
+        if dst.position != src.position:  # an edge needs two points
+            edges.append(InternalEdge(f"e{k}", src.id, dst.id))
     for k in range(rng.randint(0, 6)):
         vertex = rng.choice(vertices)
         source, start = vertex.id, vertex.position
