@@ -220,9 +220,7 @@ def _cmd_audin(args) -> int:
 def _cmd_triangle(args) -> int:
     from .constructions import triangle_check
 
-    a = _parse_rational(args.a, "a")
-    b = _parse_rational(args.b, "b")
-    c = _parse_rational(args.c, "c")
+    a, b, c = (_parse_rational(getattr(args, k), k) for k in "abc")
     result = triangle_check(a, b, c)
     lines = [f"triangle inequalities for a={a}, b={b}, c={c}:"]
     for label, lhs, rhs, holds in result.comparisons:
@@ -339,19 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("validate", help="validate every curve in a document")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("topology",
-                       help="surface class of every curve in a document")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.set_defaults(func=_cmd_topology)
-
-    p = sub.add_parser("homology",
-                       help="sweep parities and mod-2 class (rectangles)")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.set_defaults(func=_cmd_homology)
+    for name, func, summary in (
+            ("validate", _cmd_validate, "validate every curve in a document"),
+            ("topology", _cmd_topology,
+             "surface class of every curve in a document"),
+            ("homology", _cmd_homology,
+             "sweep parities and mod-2 class (rectangles)")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", help="document path, or - for stdin")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("audin",
                        help="check P2(class) = chi mod 4 for each curve")

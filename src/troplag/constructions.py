@@ -76,8 +76,7 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
 def klein_threshold(width, height) -> bool:
     """Whether a slope-1/2 segment spanning the width fits with both ends
     in the interiors of the vertical edges: strictly, height > width/2."""
-    width = _as_fraction(width)
-    height = _as_fraction(height)
+    width, height = _as_fraction(width), _as_fraction(height)
     if width <= 0 or height <= 0:
         raise InvalidInput("rectangle sides must be positive")
     return height > width / 2
@@ -102,9 +101,7 @@ class TriangleResult(NamedTuple):
 def triangle_check(a, b, c) -> TriangleResult:
     """The strict triangle inequalities on the three blow-up sizes;
     equality counts as a violation."""
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    c = _as_fraction(c)
+    a, b, c = map(_as_fraction, (a, b, c))
     if a <= 0 or b <= 0 or c <= 0:
         raise InvalidInput("blow-up sizes must be positive")
     return TriangleResult(tuple(
@@ -132,8 +129,7 @@ def rp2_curve(a, b, c, s):
                            validate)
 
     diagram = x_abc(a, b, c, s)
-    a = _as_fraction(a)
-    b = _as_fraction(b)
+    a, b = _as_fraction(a), _as_fraction(b)
     vertex_pos = RatPoint(a, b)
     location = diagram.contains(vertex_pos)
     if location.kind in (LocationKind.ON_BOUNDARY_EDGE, LocationKind.ON_CORNER):

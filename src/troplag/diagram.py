@@ -30,6 +30,7 @@ from .lattice import (
     cleared,
     common_scale,
     displacement,
+    reaches,
     segment_contact,
     turn,
 )
@@ -208,16 +209,16 @@ class BaseDiagram:
         self.params = dict(params) if params else None
         self._scale = scale
         self._lines = tuple(lines)
-        self._rays = [(*cleared(node.position, scale), node.cut_direction.x,
-                       node.cut_direction.y) for node in nodes]  # N, then d
+        self._rays = [(cleared(node.position, scale), node.cut_direction)
+                      for node in nodes]
+        self._locations = {}  # RatPoint -> PointLocation
         self._cut_segments = tuple(self._trace_cut(node) for node in nodes)
         self._check_nodes()
-        self._locations = {}  # RatPoint -> PointLocation
 
     # -- construction-time validation ---------------------------------
 
     def _trace_cut(self, node: Node):
-        location = self._locate(*cleared(node.position, self._scale), 1)
+        location = self.contains(node.position)
         if location.kind not in (LocationKind.ON_NODE, LocationKind.ON_CUT):
             raise InvalidDiagram(
                 f"node at {node.position} is not strictly inside the polygon")
@@ -228,7 +229,7 @@ class BaseDiagram:
         return node.position, point
 
     def _check_nodes(self):
-        if len({(nx, ny) for nx, ny, _, _ in self._rays}) != len(self._rays):
+        if len({node for node, _ in self._rays}) != len(self._rays):
             raise InvalidDiagram("nodes must be at distinct positions")
         # A node on another node's cut needs no check of its own: its own
         # cut starts there, so the two cuts meet.  contains relies on it.
@@ -263,12 +264,12 @@ class BaseDiagram:
                     return PointLocation(LocationKind.ON_CORNER, index)
             # Strictly convex: a point off the corners is on one edge only.
             return PointLocation(LocationKind.ON_BOUNDARY_EDGE, on_line)
-        for index, (nx, ny, dx, dy) in enumerate(self._rays):
-            rx, ry = X - W * nx, Y - W * ny  # W * (P - N)
-            if rx == ry == 0:
+        for index, ((nx, ny), direction) in enumerate(self._rays):
+            node = (W * nx, W * ny)  # times W, as (X, Y) is
+            if node == (X, Y):
                 return PointLocation(LocationKind.ON_NODE, index)
             # Past the node on its cut's line, and inside: on the open cut.
-            if dx * ry == dy * rx and dx * rx + dy * ry > 0:
+            if reaches(node, (X, Y), direction):
                 return PointLocation(LocationKind.ON_CUT, index)
         return INTERIOR
 
@@ -366,8 +367,7 @@ def rectangle(width, height) -> BaseDiagram:
     Homology basis: sphere_h (sphere over a horizontal segment) and sphere_v
     (sphere over a vertical segment), intersection form [[0,1],[1,0]].
     """
-    width = _as_fraction(width)
-    height = _as_fraction(height)
+    width, height = _as_fraction(width), _as_fraction(height)
     if width <= 0 or height <= 0:
         raise InvalidDiagram("rectangle sides must be positive")
     vertices = [RatPoint(0, 0), RatPoint(width, 0),
@@ -393,10 +393,7 @@ def x_abc(a, b, c, s) -> BaseDiagram:
     (a, s-a), lattice length a) and node_b = (s-2b, b) with horizontal cut.
     Homology basis E1, E2, E3 with intersection form -Identity.
     """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    c = _as_fraction(c)
-    s = _as_fraction(s)
+    a, b, c, s = map(_as_fraction, (a, b, c, s))
     if a <= 0 or b <= 0:
         raise InvalidDiagram("blow-up sizes a and b must be positive")
     if not 0 < c < s:

@@ -3,17 +3,18 @@
 In a rectangle diagram the class of the Lagrangian over a closed curve is
 read off from intersection parities with the two sphere families: the
 sphere over a segment of primitive direction t meets the Lagrangian piece
-over a curve segment of direction u in |dot(u, t)| points (the sphere's
-fiber circle is t itself, the Lagrangian's is the 90-degree rotation of u,
-and |wedge(rot90(u), t)| = |dot(u, t)|).  Summing over the segments that
-cross one generic witness line gives the parity; balancing makes the parity
-independent of the witness for closed curves.  Closedness is read from
-tropical.classify_end: every end must be a cross-cap, so a collar, an end
-at a node (a disc cap) and an end with no cap kind (mu >= 3) are refused.
-sweep_parity and mod2_class check closedness once, read the curve's
-segments from tropical.geometry once and walk each direction with _sweep,
-which chooses the default witness; mod2_class asks vertex_multiplicity
-about every vertex first, as topology does, and keeps both sweeps.
+over a curve segment of direction u in |dot(u, t)| points, the component
+of u along an axis-parallel t (the sphere's fiber circle is t itself, the
+Lagrangian's is rot90(u), and |wedge(rot90(u), t)| = |dot(u, t)|).
+Summing over the segments that cross one generic witness line gives the
+parity; balancing makes it independent of the witness for closed curves.
+Closedness is read from tropical.classify_end: every end must be a
+cross-cap, so a collar, an end at a node (a disc cap) and an end with no
+cap kind (mu >= 3) are refused.  sweep_parity and mod2_class check
+closedness once, build tropical.geometry once and walk it with _sweep,
+which reads only that integer plane and chooses the default witness;
+mod2_class asks vertex_multiplicity about every vertex first, as topology
+does, and keeps both sweeps.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
-from .lattice import IntVec, _as_fraction, cleared
+from .lattice import _as_fraction
 from .tropical import (EndKind, TropicalCurve, classify_end, geometry,
                        vertex_multiplicity)
 
@@ -46,10 +47,6 @@ class UnsweepableCurve(TroplagError):
 class SweepDirection(Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
-
-    @property
-    def line_direction(self) -> IntVec:
-        return IntVec(1, 0) if self is SweepDirection.HORIZONTAL else IntVec(0, 1)
 
 
 class SweepParity(NamedTuple):
@@ -110,19 +107,19 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
                 "closed curve has a mod-2 class to sweep")
 
 
-def _sweep(diagram: BaseDiagram, scale: int, segments,
-           direction: SweepDirection, witness=None):
-    """One sweep over geometry()'s scale and segments: (criticals, the
+def _sweep(plane, direction: SweepDirection, witness=None):
+    """One sweep over the plane geometry() returns: (criticals, the
     SweepParity of the witness or of the default one; see sweep_parity).
     Coordinates are scaled and run across the witness lines (x for vertical
-    lines, y for horizontal ones); criticals is the sorted set a generic
-    witness line must avoid, the rectangle's bounds included."""
-    t = direction.line_direction
+    lines, y for horizontal ones), and t is the unit vector along the lines;
+    criticals is the sorted set a generic witness line must avoid, the
+    rectangle's bounds included."""
+    scale, corners, _, segments = plane
     axis = 0 if direction is SweepDirection.VERTICAL else 1
     # Per segment: the coordinate at start, at finish, and |dot(u, t)|.
-    spans = [(a[axis], b[axis], abs(u.dot(t)))
+    spans = [(a[axis], b[axis], abs(u[1 - axis]))
              for _, a, b, _, _, u in segments]
-    bounds = [cleared(p, scale)[axis] for p in diagram.polygon_vertices]
+    bounds = [corner[axis] for corner in corners]
     criticals = sorted({min(bounds), max(bounds)}.union(
         c for ca, cb, _ in spans for c in (ca, cb)))
     # The witness line's scaled coordinate is line / den.
@@ -149,9 +146,8 @@ def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
                          direction: SweepDirection):
     """Sorted coordinates a generic witness line must avoid, including the
     rectangle bounds; an end to a missing node has no segment to add."""
-    scale, _, segments = geometry(diagram, curve)
-    criticals, _ = _sweep(diagram, scale, segments, direction)
-    return [Fraction(c, scale) for c in criticals]
+    plane = geometry(diagram, curve)
+    return [Fraction(c, plane[0]) for c in _sweep(plane, direction)[0]]
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -168,8 +164,7 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     cross-cap.
     """
     _require_sweepable(diagram, curve)
-    scale, _, segments = geometry(diagram, curve)
-    return _sweep(diagram, scale, segments, direction, witness)[1]
+    return _sweep(geometry(diagram, curve), direction, witness)[1]
 
 
 def _solve(homology: HomologyModel, sweeps) -> Mod2Class:
@@ -202,9 +197,9 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     for v in curve.vertices:
         vertex_multiplicity(curve, v.id)
     _require_sweepable(diagram, curve)
-    scale, _, segments = geometry(diagram, curve)
+    plane = geometry(diagram, curve)
     return _solve(diagram.homology, tuple(
-        _sweep(diagram, scale, segments, d)[1] for d in SweepDirection))
+        _sweep(plane, d)[1] for d in SweepDirection))
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:

@@ -2,8 +2,11 @@
 
 Integer vectors (edge directions), rational points (positions in a base
 diagram), unimodular affine maps (integral affine changes of coordinates),
-the ASCII spellings of numbers, and the exact segment predicates the rest
-of the package is built on, on int pairs with denominators cleared.
+the ASCII spellings of numbers, and the exact rules that every other
+module reads from here alone: the primitive direction of b - a
+(primitive_direction; displacement adds the lattice length) and, on int
+pairs with denominators cleared, orientation, containment, reach (b - a is
+a positive multiple of a direction) and contact.
 
 Every value type is a tuple.  IntVec and UnimodularAffineMap are
 typing.NamedTuple records that check their fields in __new__ (and so in
@@ -12,10 +15,12 @@ _make, _replace and unpickling too), so a vector equals the int pair
 
 All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
-homogeneous triple (X, Y, W) with W > 0: every geometry reader clears
-denominators from it (common_scale, cleared) or computes on it directly,
-and its coordinates become fractions.Fraction only for printing and the
-public API.  Floats are rejected at construction time.
+homogeneous triple (X, Y, W) with W > 0.  Only BaseDiagram and
+tropical.geometry clear its denominators (common_scale, cleared); other
+readers take their int pairs or compute on the triple, and its coordinates
+become fractions.Fraction only for printing and the public API.  Floats,
+bools and strings the document format would refuse are rejected at
+construction time.
 """
 import re
 from fractions import Fraction
@@ -43,13 +48,17 @@ _INTEGER = re.compile(_INT + r"\Z")
 
 
 def _as_fraction(value) -> Fraction:
-    """Convert to Fraction, refusing floats (exactness is a hard contract).
-    A Fraction is returned as it is."""
+    """Convert to Fraction, refusing floats (exactness is a hard contract),
+    bools, and any string but an ASCII 'p' or 'p/q'.  A Fraction is
+    returned as it is."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floating point coordinates are not allowed; "
                         "use int, Fraction or a 'p/q' string")
+    if isinstance(value, bool) or (isinstance(value, str)
+                                   and not _RATIONAL.match(value)):
+        raise TypeError(f"a rational was expected, got {value!r}")
     return Fraction(value)
 
 
@@ -156,15 +165,22 @@ class RatPoint(tuple):
 pt = RatPoint  # the short spelling
 
 
-def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
-    """b - a as (u, t): the primitive direction u and the lattice length
-    t > 0 with b = a + t*u, from int differences."""
+def primitive_direction(a: RatPoint, b: RatPoint) -> IntVec:
+    """The primitive direction of b - a; DegenerateDirection if a == b."""
     (ax, ay, aw), (bx, by, bw) = a, b
     dx, dy = bx * aw - ax * bw, by * aw - ay * bw  # times aw * bw
     g = gcd(dx, dy)
     if g == 0:
         raise DegenerateDirection(f"{a} to {b} has no direction")
-    return IntVec(dx // g, dy // g), Fraction(g, aw * bw)
+    return tuple.__new__(IntVec, (dx // g, dy // g))  # ints already
+
+
+def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
+    """b - a as (u, t): the primitive direction u and the lattice length
+    t > 0 with b = a + t*u, read off a nonzero component of u."""
+    u = primitive_direction(a, b)
+    k = 0 if u[0] else 1
+    return u, Fraction(b[k] * a[2] - a[k] * b[2], a[2] * b[2] * u[k])
 
 
 class _UnimodularAffineMap(NamedTuple):
@@ -226,13 +242,9 @@ class UnimodularAffineMap(_UnimodularAffineMap):
 
 
 # ---------------------------------------------------------------------------
-# Exact segment predicates, on ints.
-#
-# All the sign conventions live here.  A caller clears denominators once
-# (common_scale, then cleared; validate per call, BaseDiagram when built)
-# and runs the int-pair kernel (turn, within, between, segment_contact) on
-# the scaled points, where every answer is unchanged because scaling by a
-# positive integer keeps every sign.
+# Exact segment predicates, with every sign convention, on int pairs cleared
+# by one scale (common_scale, then cleared): scaling by a positive integer
+# keeps every sign, so every answer is the one on the rational points.
 # ---------------------------------------------------------------------------
 
 OVERLAP = "overlap"
@@ -269,6 +281,13 @@ def within(p, a, b) -> bool:
 def between(p, a, b) -> bool:
     """Whether the int pair p lies strictly between a and b on the segment."""
     return p != a and p != b and within(p, a, b)
+
+
+def reaches(a, b, u) -> bool:
+    """Whether the int pair b - a is a positive multiple of the direction u."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    ux, uy = u
+    return dx * uy == dy * ux and dx * ux + dy * uy > 0
 
 
 def segment_contact(a, b, c, d):

@@ -113,7 +113,7 @@ def render_document(doc) -> str:
         parts.append(_cross(frame, node.position, _NODE_STYLE))
 
     for curve in doc.curves:
-        scale, _, segments = geometry(diagram, curve)
+        scale, _, _, segments = geometry(diagram, curve)
         ends = segments[len(curve.edges):]
         if len(ends) < len(curve.ends):
             drawn = {eid for eid, *_ in ends}

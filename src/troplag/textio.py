@@ -70,26 +70,25 @@ class Document(NamedTuple):
 
 # A point's numerators and denominators, each denominator optional.
 _PAIR = rf"\(({_INT})(?:/({_DEN}))?,({_INT})(?:/({_DEN}))?\)"
-_POINT = re.compile(_PAIR + r"\Z")
+_POINT = _PAIR + r"\Z"
 _ID = r"([A-Za-z_][A-Za-z0-9_.-]*)"
-_NAME = re.compile(_ID + r"\Z")
-_WORD = re.compile(r"\S+")  # a word of str.split(), with its offset
+_NAME = _ID + r"\Z"
+_WORD = r"\S+"  # a word of str.split(), with its offset
 # The diagram kinds given by rationals: the builder and the keys in order.
 _PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
                "xabc": (x_abc, ("a", "b", "c", "s"))}
 
 # One pattern per element line, anchored at both ends; \s is the
 # whitespace str.split() splits on.  An end's dir= and terminal come in
-# either order: each lookahead finds its word among the last two.
+# either order: each lookahead finds its word among the last two.  Like the
+# word patterns above, they are compiled in re's cache on first use.
 _ELEMENTS = {
-    "vertex": re.compile(rf"\s*vertex\s+{_ID}\s+{_PAIR}\s*\Z"),
-    "edge": re.compile(
-        rf"\s*edge\s+{_ID}\s+{_ID}\s+{_ID}(?:\s+weight=({_INT}))?\s*\Z"),
-    "end": re.compile(
-        rf"\s*end\s+{_ID}\s+(?:{_ID}|{_PAIR})\s+"
-        rf"(?=(?:\S+\s+)?dir=\(({_INT}),({_INT})\)(?:\s|\Z))"
-        rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
-        r"\S+\s+\S+\s*\Z"),
+    "vertex": rf"\s*vertex\s+{_ID}\s+{_PAIR}\s*\Z",
+    "edge": rf"\s*edge\s+{_ID}\s+{_ID}\s+{_ID}(?:\s+weight=({_INT}))?\s*\Z",
+    "end": rf"\s*end\s+{_ID}\s+(?:{_ID}|{_PAIR})\s+"
+           rf"(?=(?:\S+\s+)?dir=\(({_INT}),({_INT})\)(?:\s|\Z))"
+           rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
+           r"\S+\s+\S+\s*\Z",
 }
 
 
@@ -105,14 +104,14 @@ def _tokenize(text: str):
 def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
     """The error at the i-th word of line, skip characters into it."""
     lineno, body, _ = line
-    word = next(islice(_WORD.finditer(body), i, None))
+    word = next(islice(re.finditer(_WORD, body), i, None))
     return ParseError(message, lineno, word.start() + 1 + skip)
 
 
 def _read(pattern, message, build, text, line, i, skip=0):
     """build(match) of a word that pattern matches in full, refusing any
     other word with message and a number too long for int() at its place."""
-    m = pattern.match(text)
+    m = re.match(pattern, text)
     if m is None:
         raise _error(message.format(text), line, i, skip)
     try:
@@ -138,11 +137,11 @@ _integer = partial(_read, _INTEGER, "expected an integer, got {!r}",
                    lambda m: int(m[0]))
 _point = partial(_read, _POINT, "expected a point like (1,2/3), got {!r}",
                  lambda m: _pair(*m.groups()))
-_intvec = partial(_read, re.compile(rf"\(({_INT}),({_INT})\)\Z"),
+_intvec = partial(_read, rf"\(({_INT}),({_INT})\)\Z",
                   "expected an integer vector like (2,-1), got {!r}",
                   lambda m: IntVec(int(m[1]), int(m[2])))
 _name = partial(_read, _NAME, "expected a name, got {!r}", lambda m: m[0])
-_intlist = partial(_read, re.compile(rf"{_INT}(?:,{_INT})*\Z"),
+_intlist = partial(_read, rf"{_INT}(?:,{_INT})*\Z",
                    "expected comma-separated integers, got {!r}",
                    lambda m: tuple(map(int, m[0].split(","))))
 
@@ -231,6 +230,7 @@ def parse_document(text: str) -> Document:
     diagram = None
     curves = []
     current = None  # (header line, name, vertices, edges, ends, seen ids)
+    elements = {head: re.compile(p) for head, p in _ELEMENTS.items()}
 
     def flush():
         nonlocal current
@@ -260,10 +260,10 @@ def parse_document(text: str) -> Document:
                 raise _error("curve <name>", line)
             flush()
             current = (line, _name(words[1], line, 1), [], [], [], set())
-        elif head in _ELEMENTS:
+        elif head in elements:
             if current is None:
                 raise _error(f"{head} outside a curve block", line)
-            _parse_element(line, current)
+            _parse_element(line, current, elements[head])
         else:
             raise _error(f"unknown directive {head!r}", line)
     flush()
@@ -272,10 +272,10 @@ def parse_document(text: str) -> Document:
     return Document(diagram, tuple(curves))
 
 
-def _parse_element(line, current):
+def _parse_element(line, current, pattern):
     _, _, vertices, edges, ends, seen = current
     head = line[2][0]
-    m = _ELEMENTS[head].match(line[1])
+    m = pattern.match(line[1])
     if m is None or m[1] in seen:
         _refuse(line, seen)
     try:
@@ -324,7 +324,7 @@ def _refuse(line, seen):
         if len(words) != 5:
             raise _error("end <id> <from> dir=(<int>,<int>) "
                          "land=(<rat>,<rat>)|node=<index>", line)
-        (_point if _POINT.match(words[2]) else _name)(words[2], line, 2)
+        (_point if re.match(_POINT, words[2]) else _name)(words[2], line, 2)
         readers = {"dir": _intvec, "land": _point, "node": _integer}
         for i in (3, 4):
             key, sep, _ = words[i].partition("=")

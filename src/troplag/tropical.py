@@ -14,18 +14,17 @@ A curve builds its incidence once, at construction: each site (a vertex, or
 a standalone anchor) keeps its outgoing (direction, element id) pairs in
 `sites`, so outgoing() is a lookup.  A site's key is an end's source as the
 format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
-so the two never collide.  An edge's direction is derived there too: the
-int difference of its endpoints divided by its gcd.
+so the two never collide.  An edge's direction is derived there too, by
+lattice.primitive_direction from its endpoints.
 
 geometry() is the one place a curve becomes segments on int pairs, for
-validate(), the homology sweeps and render.  validate() checks every
-geometric and combinatorial invariant and returns a report; the
-per-element facts (a vertex's multiplicity m and its (m-1)/2 double points,
-an end's mu and its cap kind) assume a validated curve and raise on
-contract violations.
+validate(), the homology sweeps and render; it hands out the diagram's
+corners and cuts on the same ints.  validate() checks every geometric and
+combinatorial invariant and returns a report; the per-element facts (a
+vertex's multiplicity m and its (m-1)/2 double points, an end's mu and its
+cap kind) assume a validated curve and raise on contract violations.
 """
 from enum import Enum
-from math import gcd
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -33,12 +32,15 @@ from .errors import TroplagError
 from .diagram import BaseDiagram, LocationKind
 from .lattice import (
     OVERLAP,
+    DegenerateDirection,
     IntVec,
     RatPoint,
     UnimodularAffineMap,
     between,
     cleared,
     common_scale,
+    primitive_direction,
+    reaches,
     segment_contact,
 )
 
@@ -136,13 +138,13 @@ class TropicalCurve:
                         f"edge {e.id!r} refers to unknown vertex {endpoint!r}")
             if e.src == e.dst:
                 raise InvalidCurve(f"edge {e.id!r} is a loop")
-            (ax, ay, aw), (bx, by, bw) = (self._vertex_by_id[k].position
-                                          for k in (e.src, e.dst))
-            dx, dy = bx * aw - ax * bw, by * aw - ay * bw
-            g = gcd(dx, dy)
-            if g == 0:
-                raise InvalidCurve(f"edge {e.id!r} joins coincident vertices")
-            direction = IntVec(dx // g, dy // g)
+            try:
+                direction = primitive_direction(
+                    self._vertex_by_id[e.src].position,
+                    self._vertex_by_id[e.dst].position)
+            except DegenerateDirection:
+                raise InvalidCurve(
+                    f"edge {e.id!r} joins coincident vertices") from None
             self._edge_directions.append(direction)
             incidence[e.src].append((direction, e.id))
             incidence[e.dst].append((-direction, e.id))
@@ -216,10 +218,11 @@ class TropicalCurve:
 # -----------------------------------------------------------------------
 
 def geometry(diagram: BaseDiagram, curve: TropicalCurve):
-    """(scale, cuts, segments): the curve on ints, for validate, the sweeps
-    and render.  scale is the least common denominator of the corners, the
-    cut ends and every curve point, and each point is cleared by it, which
-    keeps every sign.  cuts holds each node's (position, exit); segments
+    """(scale, corners, cuts, segments): the diagram and the curve on ints,
+    for validate, the sweeps and render.  scale is the least common
+    denominator of the corners, the cut ends and every curve point, and
+    each point is cleared by it, which keeps every sign.  corners holds the
+    polygon's corners in order, cuts each node's (position, exit); segments
     holds (id, start, finish, start token, finish token, direction) per
     edge, then per end, in curve order, and none for an end to a missing
     node.  Two segments may share a point only where both carry the same
@@ -232,6 +235,7 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
                           *(point for point, _ in curve.anchors()),
                           *(e.terminal.landing for e in curve.ends
                             if isinstance(e.terminal, BoundaryTerminal))])
+    corners = [cleared(p, scale) for p in diagram.polygon_vertices]
     grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
     for point, _ in curve.anchors():
         grid[point] = cleared(point, scale)
@@ -250,7 +254,8 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
             segments.append((eid, grid[source],
                              cleared(terminal.landing, scale), source,
                              ("landing", eid), direction))
-    return scale, cuts, segments
+    return scale, corners, cuts, segments
+
 
 class ValidationIssue(NamedTuple):
     code: str
@@ -297,13 +302,6 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _reaches(a, b, direction: IntVec) -> bool:
-    """Whether the int pair b - a is a positive multiple of direction."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    ux, uy = direction
-    return dx * uy == dy * ux and dx * ux + dy * uy > 0
-
-
 def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     """Full geometric and combinatorial validation.
 
@@ -319,7 +317,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
     """
     issues = []
-    scale, cuts, segments = geometry(diagram, curve)
+    scale, _, cuts, segments = geometry(diagram, curve)
 
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
@@ -352,7 +350,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                 continue
             _, start, finish, _, _, _ = next(end_segments)
             node = diagram.nodes[index]
-            if not _reaches(start, finish, direction):
+            if not reaches(start, finish, direction):
                 issue("end-collinearity", eid,
                       f"node at {node.position} is not reached along "
                       f"direction {direction}")
@@ -363,7 +361,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
         else:
             _, start, finish, _, _, _ = next(end_segments)
             (landing,) = terminal
-            if not _reaches(start, finish, direction):
+            if not reaches(start, finish, direction):
                 issue("end-collinearity", eid,
                       f"landing {landing} is not reached along direction "
                       f"{direction}")

@@ -6,6 +6,7 @@ import pytest
 
 from troplag import (
     BaseDiagram,
+    EndKind,
     HomologyModel,
     IntVec,
     InvalidClass,
@@ -20,6 +21,7 @@ from troplag import (
     UnsweepableCurve,
     audin_check,
     classify,
+    classify_end,
     mod2_class,
     parse_document,
     pontryagin_square,
@@ -33,7 +35,7 @@ from troplag import (
 )
 from troplag.homology import _solve, critical_coordinates
 
-from conftest import load_document
+from conftest import FIGURES, load_document, random_curve
 
 F = Fraction
 
@@ -97,6 +99,50 @@ def test_witness_independence_family():
         for witness in coords:
             assert sweep_parity(instance.diagram, instance.curve, direction,
                                 witness=witness).parity == base
+
+
+def _closed_rectangle_curves():
+    """(name, diagram, curve) for the curves of the figures, of
+    trop_family(1..5) and of 1,500 seeded random_curve draws."""
+    for path in sorted(FIGURES.glob("*.trop")):
+        doc = load_document(path.name)
+        for curve in doc.curves:
+            yield path.name, doc.diagram, curve
+    for ell in range(1, 6):
+        instance = trop_family(ell)
+        yield f"family {ell}", instance.diagram, instance.curve
+    rng = random.Random(2021)
+    for k in range(1500):
+        yield f"random {k}", *random_curve(rng)
+
+
+def test_sweep_parity_counts_the_ends_on_each_edge():
+    # A line just inside an edge crosses only the ends landing on that
+    # edge.  Each is a cross-cap, mu = 2 = the component of its primitive
+    # direction u across the edge, so the component along the edge, which
+    # is the end's weight |dot(u, t)| in the sweep, is odd.  So each
+    # parity is the number of ends on either edge across its lines, mod 2.
+    closed = 0
+    for name, diagram, curve in _closed_rectangle_curves():
+        if not diagram.is_rectangle or not all(
+                classify_end(diagram, e) is EndKind.CROSS_CAP
+                for e in curve.ends):
+            continue
+        closed += 1
+        x0, y0, x1, y1 = diagram.bounds()
+        landings = [e.terminal.landing for e in curve.ends]
+        for direction, low, high, coordinate in (
+                (SweepDirection.VERTICAL, x0, x1, lambda p: p.x),
+                (SweepDirection.HORIZONTAL, y0, y1, lambda p: p.y)):
+            counts = {sum(coordinate(p) == edge for p in landings) % 2
+                      for edge in (low, high)}
+            criticals = critical_coordinates(diagram, curve, direction)
+            near_low = (criticals[0] + criticals[1]) / 2
+            parities = {sweep_parity(diagram, curve, direction,
+                                     witness=witness).parity
+                        for witness in (None, near_low)}
+            assert len(counts) == 1 and parities == counts, (name, direction)
+    assert closed > 5
 
 
 def test_default_witness_is_largest_gap_midpoint(klein):

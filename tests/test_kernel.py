@@ -6,8 +6,8 @@ closed and open segment tests, segment_contact, the polygon locator
 behind BaseDiagram.contains, BaseDiagram's construction checks (with the
 rule that the corners wind once) and its exit, and the sweeps' spans and
 critical coordinates.  Point arithmetic in them is the Fraction reference
-of conftest (diff, moved).  The kernel (turn, within, between and
-segment_contact on cleared int pairs), contains, construction and the
+of conftest (diff, moved).  The kernel (turn, within, between, reaches
+and segment_contact on cleared int pairs), contains, construction and the
 sweeps must give the same answers on the bundled figures, on seeded
 rational segments of every degenerate kind, on points at every kind of
 location in a rectangle, in x_abc diagrams and in polygons with rational
@@ -42,13 +42,13 @@ from troplag import (
     validate,
     x_abc,
 )
-from troplag import tropical
 from troplag.homology import critical_coordinates
 from troplag.lattice import (
     OVERLAP,
     between,
     cleared,
     common_scale,
+    reaches,
     segment_contact,
     turn,
     within,
@@ -211,7 +211,9 @@ def ref_exit(vertices, origin, direction):
 
 
 def ref_spans(diagram, curve, direction):
-    t = direction.line_direction
+    # The witness lines' direction: horizontal lines for a horizontal sweep.
+    horizontal = direction is SweepDirection.HORIZONTAL
+    t = IntVec(1, 0) if horizontal else IntVec(0, 1)
     segments = ref_segments(diagram, curve)
     if direction is SweepDirection.VERTICAL:
         return [(a.x, b.x, abs(u.dot(t))) for a, b, u in segments]
@@ -518,7 +520,7 @@ def test_collinearity_matches_ratio_along():
                         _random_point(rng)))
         scale = common_scale((a, b))
         t = diff(b, a).ratio_along(u)
-        assert tropical._reaches(cleared(a, scale), cleared(b, scale), u) \
+        assert reaches(cleared(a, scale), cleared(b, scale), u) \
             == (t is not None and t > 0), (a, b, u)
 
 

@@ -1,4 +1,5 @@
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -16,14 +17,17 @@ from troplag import (
     SweepDirection,
     SweepParity,
     UnimodularAffineMap,
+    genus_bound,
     parse_document,
     pt,
     rectangle,
+    triangle_check,
 )
 from troplag.lattice import (
     OVERLAP,
     between,
     displacement,
+    primitive_direction,
     segment_contact,
     turn,
     within,
@@ -152,6 +156,37 @@ def test_floats_rejected():
         IntVec(1.0, 2)
 
 
+# Each entry point that reads a rational from a caller's value: a point's
+# coordinates, a rectangle's sides, the genus bound's lambda and the
+# blow-up sizes.
+RATIONAL_TAKERS = [
+    lambda v: RatPoint(v, 1),
+    lambda v: RatPoint(1, v),
+    lambda v: rectangle(v, 2),
+    lambda v: rectangle(2, v),
+    lambda v: genus_bound(v),
+    lambda v: triangle_check(v, 1, 1),
+    lambda v: triangle_check(1, 1, v),
+]
+
+
+@pytest.mark.parametrize("take", RATIONAL_TAKERS)
+@pytest.mark.parametrize("value", ["1.5", "1e1", "2.5", "1_0", "\u0664",
+                                   " 3/2 ", "3/2 ", "+3", "3/-2", "1/0",
+                                   "", True, False])
+def test_strings_and_bools_the_format_refuses_are_refused(take, value):
+    # Only an ASCII 'p' or 'p/q' string, as the document format spells a
+    # rational, is read; a bool is not a number, as IntVec holds.
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        take(value)
+
+
+@pytest.mark.parametrize("take", RATIONAL_TAKERS)
+def test_ascii_rational_strings_are_read(take):
+    assert take("3/2") == take(Fraction(3, 2))
+    assert take("007") == take(7)
+
+
 # -- segment predicates ------------------------------------------------
 
 def test_orientation_signs():
@@ -204,6 +239,39 @@ def test_ratio_along():
 def test_primitive_direction_of_rational_displacement():
     direction, _ = displacement(pt(1, 1), pt(Fraction(2, 3), Fraction(2, 3)))
     assert direction == IntVec(-1, -1)
+
+
+def test_primitive_direction_reduces_the_difference():
+    u = primitive_direction(pt(1, Fraction(1, 2)), pt(4, 2))
+    assert u == IntVec(2, 1) and type(u) is IntVec
+    assert primitive_direction(pt(0, 0), pt(6, -9)) == IntVec(2, -3)
+    assert primitive_direction(pt(Fraction(1, 3), 0),
+                               pt(Fraction(1, 3), Fraction(7, 5))) \
+        == IntVec(0, 1)
+
+
+def test_primitive_direction_points_from_a_to_b():
+    a, b = pt(Fraction(5, 3), 2), pt(-1, Fraction(-2, 3))
+    assert primitive_direction(a, b) == IntVec(-1, -1)
+    assert primitive_direction(b, a) == IntVec(1, 1)
+    assert primitive_direction(pt(3, 1), pt(0, 1)) == IntVec(-1, 0)
+
+
+def test_primitive_direction_of_equal_points_raises():
+    with pytest.raises(DegenerateDirection):
+        primitive_direction(pt(2, 1), pt(2, 1))
+    with pytest.raises(DegenerateDirection):
+        primitive_direction(pt(Fraction(2, 4), 1), RatPoint.of(3, 6, 6))
+
+
+@given(nonzero_vecs, ints, ints, st.integers(min_value=1, max_value=50),
+       st.integers(min_value=1, max_value=50))
+def test_displacement_is_the_primitive_direction_and_length(v, x, y, w, k):
+    a = RatPoint.of(x, y, w)
+    b = RatPoint.of(x * k + v.x * w, y * k + v.y * w, w * k)  # a + v/k
+    u, t = displacement(a, b)
+    assert u == primitive_direction(a, b) and u.is_primitive
+    assert (b.x - a.x, b.y - a.y) == (t * u.x, t * u.y) and t > 0
 
 
 # -- the point type ----------------------------------------------------
