@@ -8,13 +8,13 @@ of u along an axis-parallel t (the sphere's fiber circle is t itself, the
 Lagrangian's is rot90(u), and |wedge(rot90(u), t)| = |dot(u, t)|).
 Summing over the segments that cross one generic witness line gives the
 parity; balancing makes it independent of the witness for closed curves.
-Closedness is read from tropical.classify_end: every end must be a
+Closedness is read from tropical.end_kinds: every end must be a
 cross-cap, so a collar, an end at a node (a disc cap) and an end with no
-cap kind (mu >= 3) are refused.  sweep_parity and mod2_class check
-closedness once, build tropical.geometry once and walk it with _sweep,
-which reads only that integer plane and chooses the default witness;
-mod2_class asks vertex_multiplicity about every vertex first, as topology
-does, and keeps both sweeps.
+cap kind (mu >= 3) are refused, the last before any collar.  _sweep
+walks the plane tropical.geometry hands out and chooses the default
+witness.  Both default sweeps are one per-curve fact, _default_sweeps,
+read by sweep_parity without a witness and by mod2_class, which asks
+tropical.multiplicities first, as topology does, and keeps both sweeps.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -27,8 +27,8 @@ from typing import NamedTuple
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import _as_fraction
-from .tropical import (EndKind, TropicalCurve, classify_end, geometry,
-                       vertex_multiplicity)
+from .tropical import (EndKind, TropicalCurve, _remember, end_kinds,
+                       geometry, multiplicities)
 
 
 class InvalidClass(TroplagError):
@@ -99,8 +99,7 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
     if not diagram.is_rectangle:
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
-    for e in curve.ends:
-        kind = classify_end(diagram, e)
+    for e, kind in zip(curve.ends, end_kinds(diagram, curve)):
         if kind is not EndKind.CROSS_CAP:
             raise UnsweepableCurve(
                 f"end {e.id!r} is a {kind.value}, not a crosscap; only a "
@@ -163,8 +162,21 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     weight-one curve in a node-free rectangle diagram: every end must be a
     cross-cap.
     """
+    if witness is None:
+        horizontal, vertical = _default_sweeps(diagram, curve)
+        return vertical if direction is SweepDirection.VERTICAL else horizontal
     _require_sweepable(diagram, curve)
     return _sweep(geometry(diagram, curve), direction, witness)[1]
+
+
+def _default_sweeps(diagram: BaseDiagram, curve: TropicalCurve):
+    """The (horizontal, vertical) SweepParity at the default witnesses,
+    walked once per curve and diagram (tropical._remember)."""
+    def build():
+        _require_sweepable(diagram, curve)
+        plane = geometry(diagram, curve)
+        return tuple(_sweep(plane, d)[1] for d in SweepDirection)
+    return _remember(diagram, curve, _default_sweeps, build)
 
 
 def _solve(homology: HomologyModel, sweeps) -> Mod2Class:
@@ -194,12 +206,8 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     in the standard rectangle basis.  It refuses, in order: a vertex with
     no multiplicity (no surface over the curve), a diagram that is not a
     node-free rectangle, a curve that is not closed, then the basis."""
-    for v in curve.vertices:
-        vertex_multiplicity(curve, v.id)
-    _require_sweepable(diagram, curve)
-    plane = geometry(diagram, curve)
-    return _solve(diagram.homology, tuple(
-        _sweep(plane, d)[1] for d in SweepDirection))
+    multiplicities(diagram, curve)
+    return _solve(diagram.homology, _default_sweeps(diagram, curve))
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:

@@ -6,7 +6,8 @@ cross-cap (mu = 2), an open circle for a collar (mu = 1), a red x for a
 disc cap.  Markers are drawn geometrically (no font glyphs) so output is
 byte-stable.  Curves are drawn from tropical.geometry: a point is its int
 pair over the curve's scale, and each SVG coordinate is one correctly
-rounded int division, so it is the float the reduced point gives.
+rounded int division, so it is the float the reduced point gives; a frame
+formats each distinct point once per render_document call.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
@@ -47,15 +48,20 @@ class _Frame:
         self.width = _divide(width.numerator, width.denominator) + 2 * MARGIN
         self.height = (_divide(height.numerator, height.denominator)
                        + 2 * MARGIN)
+        self._projected = {}  # point -> its SVG text, for this render
 
     def project(self, p):
         """SVG text of (x - x0) * SCALE + MARGIN and, since SVG y grows
         downward, (y1 - y) * SCALE + MARGIN, for p = (X, Y, W), the point
         (X/W, Y/W): a RatPoint, or a geometry() pair and its scale."""
-        (x0, dx0), (y1, dy1) = self.x0, self.y1
-        X, Y, W = p
-        return (_fmt((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0),
+        text = self._projected.get(p)
+        if text is None:
+            (x0, dx0), (y1, dy1) = self.x0, self.y1
+            X, Y, W = p
+            text = self._projected[p] = (
+                _fmt((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0),
                 _fmt((y1 * W - Y * dy1) * SCALE + MARGIN * W * dy1, W * dy1))
+        return text
 
 
 def _line(frame, a, b, style):

@@ -291,8 +291,8 @@ def _parse_element(line, current, pattern):
             ident, name, *source, dx, dy, xn, xd, yn, yd, node = m.groups()
             terminal = (NodeTerminal(int(node)) if node is not None
                         else BoundaryTerminal(_pair(xn, xd, yn, yd)))
-            ends.append(CurveEnd(ident, name or _pair(*source),
-                                 IntVec(int(dx), int(dy)), terminal))
+            ends.append(CurveEnd(ident, name or _pair(*source), tuple.__new__(
+                IntVec, (int(dx), int(dy))), terminal))  # ints: no checks
     except ValueError:  # a number too long for int()
         _refuse(line, seen)
     seen.add(ident)

@@ -14,19 +14,21 @@ surgery replacing each one by an embedded handle drops chi by 2.  So
 
     chi = -#vertices + #disc caps - 2 * sum (m-1)/2.
 
-euler_breakdown() counts this once per curve into a ChiBreakdown, which
-keeps the per-vertex multiplicities and per-end cap kinds beside the chi
-terms; classify() is that record's surface_class().  build_presentation()
-+ oracle_classify() re-derive it from pieces, gluings and cell counts, but
+euler_breakdown() counts this into a ChiBreakdown, which keeps the
+per-vertex multiplicities and per-end cap kinds beside the chi terms;
+classify() is that record's surface_class().  build_presentation() +
+oracle_classify() re-derive it from pieces, gluings and cell counts, but
 from the same cap kinds and double points, so they check only the gluing.
+Both read them from tropical.multiplicities and tropical.end_kinds, which
+keep them in the curve's memo.
 """
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
-from .tropical import (EndKind, TropicalCurve, classify_end,
-                       vertex_double_points, vertex_multiplicity)
+from .tropical import (EndKind, TropicalCurve, end_kinds, multiplicities,
+                       vertex_double_points)
 
 
 class EmptyCurve(TroplagError):
@@ -69,15 +71,14 @@ def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
     has no cap type."""
     if curve.is_empty:
         raise EmptyCurve("the empty curve carries no surface")
-    multiplicities = tuple(vertex_multiplicity(curve, v.id)
-                           for v in curve.vertices)
-    end_kinds = tuple(classify_end(diagram, e) for e in curve.ends)
+    ms = multiplicities(diagram, curve)
+    kinds = end_kinds(diagram, curve)
     return ChiBreakdown(
-        vertex_term=-len(multiplicities),
-        cap_term=end_kinds.count(EndKind.DISC_CAP),
-        surgery_term=-2 * sum(map(vertex_double_points, multiplicities)),
-        multiplicities=multiplicities,
-        end_kinds=end_kinds)
+        vertex_term=-len(ms),
+        cap_term=kinds.count(EndKind.DISC_CAP),
+        surgery_term=-2 * sum(map(vertex_double_points, ms)),
+        multiplicities=ms,
+        end_kinds=kinds)
 
 
 class _SurfaceClass(NamedTuple):
@@ -221,8 +222,8 @@ def build_presentation(diagram: BaseDiagram,
         return f"{site}:{eid}" if isinstance(site, str) else f"@{site}:{eid}"
 
     # vertex_multiplicity owns trivalence, and Piece each kind's circle count.
-    for v in curve.vertices:
-        handles += vertex_double_points(vertex_multiplicity(curve, v.id))
+    for v, m in zip(curve.vertices, multiplicities(diagram, curve)):
+        handles += vertex_double_points(m)
         pieces.append(Piece(PieceKind.PANTS, tuple(
             slot(v.id, eid) for _, eid in curve.outgoing(v.id))))
     for point, anchor_ends in curve.anchors():
@@ -234,8 +235,7 @@ def build_presentation(diagram: BaseDiagram,
         gluings.append((slot(e.src, e.id), f"{e.id}:src"))
         gluings.append((slot(e.dst, e.id), f"{e.id}:dst"))
 
-    for e in curve.ends:
-        kind = classify_end(diagram, e)
+    for e, kind in zip(curve.ends, end_kinds(diagram, curve)):
         if kind is EndKind.DISC_CAP:
             pieces.append(Piece(PieceKind.DISC, (f"{e.id}:cap",)))
         elif kind is EndKind.CROSS_CAP:

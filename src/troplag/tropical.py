@@ -17,12 +17,15 @@ format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
 so the two never collide.  An edge's direction is derived there too, by
 lattice.primitive_direction from its endpoints.
 
-geometry() is the one place a curve becomes segments on int pairs, for
-validate(), the homology sweeps and render; it hands out the diagram's
-corners and cuts on the same ints.  validate() checks every geometric and
-combinatorial invariant and returns a report; the per-element facts (a
-vertex's multiplicity m and its (m-1)/2 double points, an end's mu and its
-cap kind) assume a validated curve and raise on contract violations.
+geometry() hands out the one plane in which a curve becomes segments on
+int pairs, for validate(), the homology sweeps and render, with the
+diagram's corners and cuts on the same ints.  validate() checks every
+geometric and combinatorial invariant and returns a report; the
+per-element facts (a vertex's multiplicity m and its (m-1)/2 double
+points, an end's mu and its cap kind) assume a validated curve and raise
+on contract violations.  The plane, the cap kinds (end_kinds), the m's
+(multiplicities) and homology's default sweeps are computed once per
+curve and diagram and kept in the curve's one memo slot (_remember).
 """
 from enum import Enum
 from types import MappingProxyType
@@ -166,6 +169,7 @@ class TropicalCurve:
             {key: tuple(out) for key, out in incidence.items()})
         self._anchors = tuple((point, tuple(anchor_ends))
                               for point, anchor_ends in anchors.items())
+        self._memo = None  # (diagram, {owner function: fact}); see _remember
 
     # -- basic accessors ------------------------------------------------
 
@@ -217,30 +221,48 @@ class TropicalCurve:
 # Validation
 # -----------------------------------------------------------------------
 
+def _remember(diagram: BaseDiagram, curve: TropicalCurve, key, build):
+    """The fact key of curve against diagram: build() once, then the stored
+    tuple.  The curve's one slot holds (diagram, facts), keyed on the
+    diagram by identity (a BaseDiagram has __eq__ and no hash), and another
+    diagram replaces it; a build that raises stores nothing."""
+    memo = curve._memo
+    if memo is None or memo[0] is not diagram:
+        memo = curve._memo = (diagram, {})
+    if key not in memo[1]:
+        memo[1][key] = build()
+    return memo[1][key]
+
+
 def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     """(scale, corners, cuts, segments): the diagram and the curve on ints,
-    for validate, the sweeps and render.  scale is the least common
-    denominator of the corners, the cut ends and every curve point, and
-    each point is cleared by it, which keeps every sign.  corners holds the
-    polygon's corners in order, cuts each node's (position, exit); segments
-    holds (id, start, finish, start token, finish token, direction) per
-    edge, then per end, in curve order, and none for an end to a missing
-    node.  Two segments may share a point only where both carry the same
-    token there: a vertex id (a string), an anchor (its point), or a node
-    or landing token (a pair that starts with a string).
+    for validate, the sweeps and render, built once per curve and diagram
+    (_remember).  scale is the least common denominator of the corners,
+    the cut ends and every curve point, and each point is cleared by it,
+    which keeps every sign.  corners holds the polygon's corners in order,
+    cuts each node's (position, exit); segments holds (id, start, finish,
+    start token, finish token, direction) per edge, then per end, in curve
+    order, and none for an end to a missing node.  Two segments may share
+    a point only where both carry the same token there: a vertex id (a
+    string), an anchor (its point), or a node or landing token (a pair
+    that starts with a string).
     """
+    return _remember(diagram, curve, geometry, lambda: _plane(diagram, curve))
+
+
+def _plane(diagram: BaseDiagram, curve: TropicalCurve):
     scale = common_scale([*diagram.polygon_vertices,
                           *(p for cut in diagram.cut_segments for p in cut),
                           *(v.position for v in curve.vertices),
                           *(point for point, _ in curve.anchors()),
                           *(e.terminal.landing for e in curve.ends
                             if isinstance(e.terminal, BoundaryTerminal))])
-    corners = [cleared(p, scale) for p in diagram.polygon_vertices]
+    corners = tuple(cleared(p, scale) for p in diagram.polygon_vertices)
     grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
     for point, _ in curve.anchors():
         grid[point] = cleared(point, scale)
-    cuts = [(cleared(node, scale), cleared(end, scale))
-            for node, end in diagram.cut_segments]
+    cuts = tuple((cleared(node, scale), cleared(end, scale))
+                 for node, end in diagram.cut_segments)
     segments = [(eid, grid[src], grid[dst], src, dst, direction)
                 for (eid, src, dst), direction
                 in zip(curve.edges, curve._edge_directions)]
@@ -254,7 +276,7 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
             segments.append((eid, grid[source],
                              cleared(terminal.landing, scale), source,
                              ("landing", eid), direction))
-    return scale, corners, cuts, segments
+    return scale, corners, cuts, tuple(segments)
 
 
 class ValidationIssue(NamedTuple):
@@ -469,6 +491,12 @@ def vertex_multiplicity(curve: TropicalCurve, vertex_id: str) -> int:
     return abs(d1.wedge(d2))
 
 
+def multiplicities(diagram: BaseDiagram, curve: TropicalCurve):
+    """vertex_multiplicity of every vertex, in curve order (_remember)."""
+    return _remember(diagram, curve, multiplicities, lambda: tuple(
+        vertex_multiplicity(curve, v.id) for v in curve.vertices))
+
+
 def vertex_double_points(m: int) -> int:
     """(m-1)/2, the number of Lagrangian double points a vertex of
     multiplicity m contributes."""
@@ -521,3 +549,9 @@ def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
     raise UnsupportedEndMultiplicity(
         f"end {end.id!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
         "(cross-cap) carry a surface meaning")
+
+
+def end_kinds(diagram: BaseDiagram, curve: TropicalCurve):
+    """classify_end of every end, in curve order (_remember)."""
+    return _remember(diagram, curve, end_kinds, lambda: tuple(
+        classify_end(diagram, e) for e in curve.ends))

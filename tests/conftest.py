@@ -3,6 +3,7 @@ unimodular maps, and Fraction references for point arithmetic."""
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,6 +32,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BUNDLED_DOCS = ["fig1_left.trop", "fig1_right.trop", "fig2_klein.trop",
                 "fig3_family.trop", "fig4_squeeze.trop", "fig5_cycle.trop"]
+
+
+def count_calls(monkeypatch, module, name):
+    """Calls of module.name, wherever a troplag module holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, holder in list(sys.modules.items()):
+        held = vars(holder).get(name)
+        if key.split(".")[0] == "troplag" and held is original:
+            monkeypatch.setattr(holder, name, counted)
+    return calls
 
 
 def load_document(name: str):

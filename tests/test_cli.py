@@ -12,7 +12,7 @@ from troplag import (InvalidCurve, homology, parse_document,
                      render_document, tropical)
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
-                      klein_as_polygon, token_soups)
+                      count_calls, klein_as_polygon, token_soups)
 
 TOPOLOGY_GOLDENS = ["fig1_left", "fig1_right", "fig2_klein", "fig3_family",
                     "fig4_squeeze", "fig5_cycle"]
@@ -415,27 +415,11 @@ def test_report_error_names_its_curve(capsys, tmp_path):
     assert err == "error: curve hollow: the empty curve carries no surface\n"
 
 
-def _count_calls(monkeypatch, module, name):
-    """Calls of module.name, wherever a troplag module holds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for key, holder in list(sys.modules.items()):
-        held = vars(holder).get(name)
-        if key.split(".")[0] == "troplag" and held is original:
-            monkeypatch.setattr(holder, name, counted)
-    return calls
-
-
 def test_topology_report_takes_one_inventory(capsys, monkeypatch):
     # fig3_family has 8 vertices and 10 ends; the report reads m and the
     # cap kinds from one euler_breakdown instead of recomputing them.
-    multiplicities = _count_calls(monkeypatch, tropical, "vertex_multiplicity")
-    end_kinds = _count_calls(monkeypatch, tropical, "classify_end")
+    multiplicities = count_calls(monkeypatch, tropical, "vertex_multiplicity")
+    end_kinds = count_calls(monkeypatch, tropical, "classify_end")
     code, _, _ = run(capsys, "topology", str(FIGURES / "fig3_family.trop"))
     assert code == 0
     assert len(multiplicities) == 8
@@ -453,7 +437,7 @@ def test_homology_report_walks_the_curve_once(capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(homology, "geometry", counted)
-    multiplicities = _count_calls(monkeypatch, tropical, "end_multiplicity")
+    multiplicities = count_calls(monkeypatch, tropical, "end_multiplicity")
     code, out, _ = run(capsys, "homology", str(FIGURES / "fig3_family.trop"))
     assert code == 0
     assert out == (GOLDEN / "fig3_family.homology.txt").read_text()

@@ -1,0 +1,231 @@
+"""The per-curve memo: every fact a curve remembers equals the fact
+computed afresh.
+
+A curve keeps one memo slot, (diagram, facts), keyed on the diagram by
+identity.  Each answer read through it is compared with the same answer on
+a fresh parse_document(serialize_document(doc)) copy, one copy per
+question, so no copy reads a fact another question stored.  A curve read
+against several diagrams in turn must answer for each diagram, and a
+refusal is never stored: it is raised again, the same, on every read.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from troplag import (
+    BoundaryTerminal,
+    CurveEnd,
+    Document,
+    IntVec,
+    SweepDirection,
+    TropicalCurve,
+    TroplagError,
+    UnimodularAffineMap,
+    build_presentation,
+    classify,
+    euler_breakdown,
+    mod2_class,
+    oracle_classify,
+    parse_document,
+    pt,
+    rectangle,
+    render_document,
+    serialize_document,
+    sweep_parity,
+    trop_family,
+    tropical,
+    validate,
+)
+from troplag.homology import critical_coordinates
+from troplag.tropical import geometry
+
+from conftest import (BUNDLED_DOCS, FIGURES, count_calls, load_document,
+                      random_curve)
+
+H, V = SweepDirection.HORIZONTAL, SweepDirection.VERTICAL
+
+
+def _outcome(question, diagram, curve):
+    """question's answer, or the type and text of its refusal."""
+    try:
+        answer = question(diagram, curve)
+    except TroplagError as err:
+        return type(err), str(err)
+    # A mod-2 class compares on its coefficients; keep its sweeps too.
+    return tuple(answer) if isinstance(answer, tuple) else answer
+
+
+def _first_gap_midpoint(diagram, curve, direction):
+    criticals = critical_coordinates(diagram, curve, direction)
+    return (criticals[0] + criticals[1]) / 2
+
+
+QUESTIONS = {
+    "validate": validate,
+    "euler_breakdown": euler_breakdown,
+    "classify": classify,
+    "presentation": lambda d, c: oracle_classify(build_presentation(d, c)),
+    "sweep H": lambda d, c: sweep_parity(d, c, H),
+    "sweep V": lambda d, c: sweep_parity(d, c, V),
+    "sweep H at a witness": lambda d, c: sweep_parity(
+        d, c, H, _first_gap_midpoint(d, c, H)),
+    "sweep V at a witness": lambda d, c: sweep_parity(
+        d, c, V, _first_gap_midpoint(d, c, V)),
+    "mod2_class": mod2_class,
+    "render": lambda d, c: render_document(Document(d, (c,))),
+}
+
+
+def _fresh(diagram, curve):
+    """A copy of diagram and curve with nothing remembered."""
+    doc = parse_document(serialize_document(Document(diagram, (curve,))))
+    return doc.diagram, doc.curves[0]
+
+
+def _assert_memo_answers_fresh(diagram, curve):
+    """Every question, asked twice of curve (the second time from its memo)
+    in certification order, then in reverse, equals the fresh answer."""
+    fresh = {name: _outcome(question, *_fresh(diagram, curve))
+             for name, question in QUESTIONS.items()}
+    for names in (list(QUESTIONS), list(QUESTIONS)[::-1]):
+        for name in names:
+            assert _outcome(QUESTIONS[name], diagram, curve) == fresh[name], \
+                name
+
+
+def _cases():
+    for name in BUNDLED_DOCS + ["invalid_unbalanced.trop"]:
+        doc = load_document(name)
+        for curve in doc.curves:
+            yield f"{name}:{curve.name}", doc.diagram, curve
+    for ell in range(1, 6):
+        instance = trop_family(ell)
+        yield f"trop_family({ell})", instance.diagram, instance.curve
+    rng = random.Random(2022)
+    for k in range(12):
+        diagram, curve = random_curve(rng)
+        yield f"random_curve {k}", diagram, curve
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("diagram, curve", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_memo_answers_equal_fresh_answers(diagram, curve):
+    _assert_memo_answers_fresh(diagram, curve)
+
+
+def test_cached_plane_is_made_of_tuples():
+    doc = load_document("fig3_family.trop")
+    (curve,) = doc.curves
+    scale, corners, cuts, segments = geometry(doc.diagram, curve)
+    assert geometry(doc.diagram, curve) is geometry(doc.diagram, curve)
+    for part in (corners, cuts, segments, *segments):
+        assert type(part) is tuple
+
+
+# A segment through (7/2, 1) along (1,2), landing at (4,2) and at (3,0).
+# (4,2) is on the right edge of rectangle(4,4) (a collar there), on the
+# top edge of rectangle(6,2) and rectangle(19/3,2) (a cross-cap, so the
+# lift is a closed Klein bottle), and a corner of rectangle(4,2) (refused).
+# rectangle(19/3,2) also changes the plane's scale from 2 to 6.
+SLANTED_ENDS = (
+    CurveEnd("up", pt(Fraction(7, 2), 1), IntVec(1, 2),
+             BoundaryTerminal(pt(4, 2))),
+    CurveEnd("down", pt(Fraction(7, 2), 1), IntVec(-1, -2),
+             BoundaryTerminal(pt(3, 0))))
+DIAGRAMS = (rectangle(4, 4), rectangle(6, 2), rectangle(4, 2),
+            rectangle(Fraction(19, 3), 2))
+
+
+def test_one_curve_read_against_diagrams_in_turn():
+    curve = TropicalCurve(ends=SLANTED_ENDS, name="slanted")
+    kinds = set()
+    for diagram in DIAGRAMS * 2:
+        _assert_memo_answers_fresh(diagram, curve)
+        kinds.add(_outcome(tropical.end_kinds, diagram, curve))
+        assert geometry(diagram, curve)[0] == (
+            6 if diagram is DIAGRAMS[3] else 2)
+    # Three diagrams answer differently: a collar, a closed surface and a
+    # refusal.
+    assert len(kinds) == 3
+
+
+def test_a_refusal_is_raised_again_and_not_stored():
+    # A vertex of valence two: no multiplicity, so no surface and no class.
+    doc = parse_document(
+        "diagram rectangle width=4 height=4\ncurve bent\nvertex v (2,2)\n"
+        "end a v dir=(1,0) land=(4,2)\nend b v dir=(0,1) land=(2,4)\n")
+    diagram, (curve,) = doc.diagram, doc.curves
+    for question in (euler_breakdown, mod2_class, build_presentation,
+                     tropical.multiplicities):
+        with pytest.raises(TroplagError) as first:
+            question(diagram, curve)
+        with pytest.raises(TroplagError) as second:
+            question(diagram, curve)
+        assert type(first.value) is type(second.value)
+        assert str(first.value) == str(second.value)
+        assert "valence 2" in str(first.value)
+    assert tropical.multiplicities not in curve._memo[1]
+
+
+def test_sweeps_refuse_the_first_end_without_a_cap_kind():
+    # End a is a collar and end b has mu = 3: the sweeps read every cap
+    # kind before testing for cross-caps, so b's refusal comes first.
+    doc = parse_document(
+        "diagram rectangle width=8 height=4\ncurve two\n"
+        "end a (4,2) dir=(1,0) land=(8,2)\n"
+        "end b (4,2) dir=(-3,-1) land=(0,2/3)\n")
+    diagram, (curve,) = doc.diagram, doc.curves
+    for question in (QUESTIONS["sweep H"], mod2_class):
+        for _ in range(2):
+            kind, text = _outcome(question, diagram, curve)
+            assert kind.__name__ == "UnsupportedEndMultiplicity"
+            assert "mu = 3" in text
+
+
+def test_transform_and_equality_ignore_the_memo():
+    doc = load_document("fig2_klein.trop")
+    (curve,) = doc.curves
+    mod2_class(doc.diagram, curve)
+    assert curve._memo is not None
+    copy = _fresh(doc.diagram, curve)[1]
+    assert copy._memo is None
+    assert curve == copy
+    moved = curve.transform(UnimodularAffineMap.identity())
+    assert moved._memo is None
+    assert moved == curve
+
+
+def test_one_certification_builds_each_fact_once(monkeypatch):
+    doc = parse_document((FIGURES / "fig3_family.trop").read_text())
+    diagram, (curve,) = doc.diagram, doc.curves
+    planes = count_calls(monkeypatch, tropical, "_plane")
+    kinds = count_calls(monkeypatch, tropical, "classify_end")
+    assert validate(diagram, curve).passed
+    classify(diagram, curve)
+    euler_breakdown(diagram, curve)
+    oracle_classify(build_presentation(diagram, curve))
+    sweep_parity(diagram, curve, H)
+    sweep_parity(diagram, curve, V)
+    mod2_class(diagram, curve)
+    render_document(doc)
+    assert len(planes) == 1
+    # Once per end for the memo, once per end for render's marker.
+    per_end = [sum(1 for _, end in kinds if end is e) for e in curve.ends]
+    assert per_end == [2] * len(curve.ends)
+
+
+def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():
+    # Both ends of this segment have mu = 4, which has no cap kind.
+    doc = parse_document(
+        "diagram rectangle width=8 height=4\ncurve visible\n"
+        "end plus (4,2) dir=(4,1) land=(8,3)\n"
+        "end minus (4,2) dir=(-4,-1) land=(0,1)\n")
+    with pytest.raises(TroplagError, match="mu = 4"):
+        euler_breakdown(doc.diagram, doc.curves[0])
+    svg = render_document(doc)
+    assert svg.count('r="3.00"') == 2
+    assert svg == render_document(parse_document(serialize_document(doc)))
