@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of a document.
 
 Shaded polygon, dashed cuts with an x mark at each node, curves in red,
-and a marker per cap kind (tropical.classify_end): a circled cross for a
-cross-cap (mu = 2), an open circle for a collar (mu = 1), a red x for a
-disc cap.  Markers are drawn geometrically (no font glyphs) so output is
+and a marker per cap kind (tropical.end_kinds; classify_end end by end
+when some end has none): a circled cross for a cross-cap (mu = 2), an
+open circle for a collar (mu = 1), a red x for a disc cap, a small circle
+for none.  Markers are drawn geometrically (no font glyphs) so output is
 byte-stable.  Curves are drawn from tropical.geometry: a point is its int
 pair over the curve's scale, and each SVG coordinate is one correctly
 rounded int division, so it is the float the reduced point gives; a frame
@@ -11,7 +12,8 @@ formats each distinct point once per render_document call.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
-from .tropical import EndKind, InvalidCurve, classify_end, geometry
+from .tropical import (EndKind, InvalidCurve, classify_end, end_kinds,
+                       geometry)
 
 SCALE = 48
 MARGIN = 40
@@ -85,11 +87,13 @@ def _circle(frame, p, style, radius=6.0):
     return f'<circle cx="{px}" cy="{py}" r="{radius:.2f}" {style}/>'
 
 
-def _end_marker(frame, diagram, end, point):
-    try:
-        kind = classify_end(diagram, end)
-    except TroplagError:
-        return _circle(frame, point, _MARK_STYLE, radius=3.0)
+def _end_marker(frame, diagram, end, kind, point):
+    """The marker of end's cap kind; kind None asks classify_end."""
+    if kind is None:
+        try:
+            kind = classify_end(diagram, end)
+        except TroplagError:
+            return _circle(frame, point, _MARK_STYLE, radius=3.0)
     if kind is EndKind.DISC_CAP:
         return _cross(frame, point, _MARK_STYLE, radius=4.0)
     if kind is EndKind.CROSS_CAP:
@@ -128,8 +132,13 @@ def render_document(doc) -> str:
                                f"missing node {e.terminal.node_index}")
         for _, a, b, _, _, _ in segments:
             parts.append(_line(frame, (*a, scale), (*b, scale), _CURVE_STYLE))
-        for e, (_, _, point, _, _, _) in zip(curve.ends, ends):
-            parts.append(_end_marker(frame, diagram, e, (*point, scale)))
+        try:
+            kinds = end_kinds(diagram, curve)
+        except TroplagError:  # some end has no cap kind: ask end by end
+            kinds = (None,) * len(ends)
+        for e, kind, (_, _, point, _, _, _) in zip(curve.ends, kinds, ends):
+            parts.append(_end_marker(frame, diagram, e, kind,
+                                     (*point, scale)))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

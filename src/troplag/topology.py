@@ -20,15 +20,18 @@ classify() is that record's surface_class().  build_presentation() +
 oracle_classify() re-derive it from pieces, gluings and cell counts, but
 from the same cap kinds and double points, so they check only the gluing.
 Both read them from tropical.multiplicities and tropical.end_kinds, which
-keep them in the curve's memo.
+keep them in the curve's memo.  The presentation labels its circles
+0, 1, 2, ...; the oracle takes any hashable labels and finds components
+by a union-find over the pieces.
 """
+from collections.abc import Hashable
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
-from .tropical import (EndKind, TropicalCurve, end_kinds, multiplicities,
-                       vertex_double_points)
+from .tropical import (EndKind, TropicalCurve, _components, end_kinds,
+                       multiplicities, vertex_double_points)
 
 
 class EmptyCurve(TroplagError):
@@ -152,39 +155,31 @@ def surface_name(sc: SurfaceClass) -> str | None:
 # -----------------------------------------------------------------------
 
 class PieceKind(Enum):
-    PANTS = "pair-of-pants"
-    ANNULUS = "annulus"
-    DISC = "disc"
-    MOBIUS = "mobius-band"
-    COLLAR = "collar-annulus"
+    """A piece, with its boundary circle count and a cell structure
+    (V, E, F), each boundary circle cellulated as one vertex and one loop
+    edge:
+      disc: its circle plus one face                       -> chi = 1
+      annulus/collar: two circles, a rung, one face        -> chi = 0
+      mobius band: boundary circle, core circle, rung, one face (the face
+        runs around the core twice)                        -> chi = 0
+      pants: three circles, two rungs, one face            -> chi = -1
+    """
 
+    PANTS = "pair-of-pants", 3, (3, 5, 1)
+    ANNULUS = "annulus", 2, (2, 3, 1)
+    DISC = "disc", 1, (1, 1, 1)
+    MOBIUS = "mobius-band", 1, (2, 3, 1)
+    COLLAR = "collar-annulus", 2, (2, 3, 1)
 
-# Boundary circle count and a cell structure (V, E, F) per piece, with each
-# boundary circle cellulated as one vertex and one loop edge:
-#   disc: its circle plus one face                       -> chi = 1
-#   annulus/collar: two circles, a rung, one face        -> chi = 0
-#   mobius band: boundary circle, core circle, rung, one face (the face
-#     runs around the core twice)                        -> chi = 0
-#   pants: three circles, two rungs, one face            -> chi = -1
-_PIECE_CELLS = {
-    PieceKind.DISC: (1, 1, 1),
-    PieceKind.ANNULUS: (2, 3, 1),
-    PieceKind.COLLAR: (2, 3, 1),
-    PieceKind.MOBIUS: (2, 3, 1),
-    PieceKind.PANTS: (3, 5, 1),
-}
-_PIECE_CIRCLES = {
-    PieceKind.DISC: 1,
-    PieceKind.ANNULUS: 2,
-    PieceKind.COLLAR: 2,
-    PieceKind.MOBIUS: 1,
-    PieceKind.PANTS: 3,
-}
+    def __new__(cls, value, circles, cells):
+        kind = object.__new__(cls)
+        kind._value_, kind.circles, kind.cells = value, circles, cells
+        return kind
 
 
 class _Piece(NamedTuple):
     kind: PieceKind
-    labels: tuple[str, ...]
+    labels: tuple[Hashable, ...]
 
 
 class Piece(_Piece):
@@ -192,58 +187,59 @@ class Piece(_Piece):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __new__(cls, kind, labels):
-        if len(labels) != _PIECE_CIRCLES[kind]:
+        if len(labels) != kind.circles:
             raise MalformedPresentation(
-                f"{kind.value} carries {_PIECE_CIRCLES[kind]} "
+                f"{kind.value} carries {kind.circles} "
                 f"boundary circles, got labels {labels}")
         return tuple.__new__(cls, (kind, labels))
 
 
 class SurfacePresentation(NamedTuple):
     """Pieces with labelled boundary circles, a pairing of labels, and a
-    count of surgery handle attachments."""
+    count of surgery handle attachments; a label is any hashable value."""
 
     pieces: tuple[Piece, ...]
-    gluings: tuple[tuple[str, str], ...]
+    gluings: tuple[tuple[Hashable, Hashable], ...]
     handles: int
 
 
 def build_presentation(diagram: BaseDiagram,
                        curve: TropicalCurve) -> SurfacePresentation:
-    """The piece decomposition mirroring the curve's incidence structure."""
+    """The piece decomposition mirroring the curve's incidence structure,
+    its circles labelled 0, 1, 2, ... in the order they are made."""
     if curve.is_empty:
         raise EmptyCurve("the empty curve has no presentation")
+    # vertex_multiplicity owns trivalence, and Piece each kind's circle count.
+    handles = sum(map(vertex_double_points, multiplicities(diagram, curve)))
     pieces = []
     gluings = []
-    handles = 0
+    # A piece per site, a circle per outgoing element: pants over each
+    # vertex (the sites start with the vertices), an annulus per anchor.
+    slot = {}  # (site, element id) -> the circle eid leaves site's piece by
+    for site, out in curve.sites.items():
+        first = len(slot)
+        for _, eid in out:
+            slot[site, eid] = len(slot)
+        pieces.append(Piece(
+            PieceKind.PANTS if isinstance(site, str) else PieceKind.ANNULUS,
+            tuple(range(first, len(slot)))))
 
-    def slot(site, eid):
-        """The circle by which element eid leaves the piece over site."""
-        return f"{site}:{eid}" if isinstance(site, str) else f"@{site}:{eid}"
-
-    # vertex_multiplicity owns trivalence, and Piece each kind's circle count.
-    for v, m in zip(curve.vertices, multiplicities(diagram, curve)):
-        handles += vertex_double_points(m)
-        pieces.append(Piece(PieceKind.PANTS, tuple(
-            slot(v.id, eid) for _, eid in curve.outgoing(v.id))))
-    for point, anchor_ends in curve.anchors():
-        pieces.append(Piece(PieceKind.ANNULUS, tuple(
-            slot(point, e.id) for e in anchor_ends)))
-
-    for e in curve.edges:
-        pieces.append(Piece(PieceKind.ANNULUS, (f"{e.id}:src", f"{e.id}:dst")))
-        gluings.append((slot(e.src, e.id), f"{e.id}:src"))
-        gluings.append((slot(e.dst, e.id), f"{e.id}:dst"))
+    n = len(slot)  # the next label
+    for eid, src, dst in curve.edges:
+        pieces.append(Piece(PieceKind.ANNULUS, (n, n + 1)))
+        gluings.append((slot[src, eid], n))
+        gluings.append((slot[dst, eid], n + 1))
+        n += 2
 
     for e, kind in zip(curve.ends, end_kinds(diagram, curve)):
         if kind is EndKind.DISC_CAP:
-            pieces.append(Piece(PieceKind.DISC, (f"{e.id}:cap",)))
+            pieces.append(Piece(PieceKind.DISC, (n,)))
         elif kind is EndKind.CROSS_CAP:
-            pieces.append(Piece(PieceKind.MOBIUS, (f"{e.id}:cap",)))
+            pieces.append(Piece(PieceKind.MOBIUS, (n,)))
         else:
-            pieces.append(Piece(PieceKind.COLLAR,
-                                (f"{e.id}:cap", f"{e.id}:boundary")))
-        gluings.append((slot(e.source, e.id), f"{e.id}:cap"))
+            pieces.append(Piece(PieceKind.COLLAR, (n, n + 1)))
+        gluings.append((slot[e.source, e.id], n))
+        n += len(pieces[-1].labels)
 
     return SurfacePresentation(tuple(pieces), tuple(gluings), handles)
 
@@ -252,14 +248,16 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
     """Classify the glued surface from the presentation alone.
 
     chi comes from cell counts of the glued complex: each piece contributes
-    its (V, E, F) from the table above, and every circle gluing identifies
-    one vertex and one edge pair; each surgery handle then subtracts 2.
+    its (V, E, F) from PieceKind, and every circle gluing identifies
+    one vertex pair and one edge pair, which cancel in V - E; each surgery
+    handle then subtracts 2.
     Orientability is decided by propagating orientations across the gluing
     graph: Mobius pieces admit none, and the remaining pieces glue by the
     orientation-compatible identifications the construction uses.
     """
+    pieces = presentation.pieces
     owner = {}
-    for index, piece in enumerate(presentation.pieces):
+    for index, piece in enumerate(pieces):
         for label in piece.labels:
             if label in owner:
                 raise MalformedPresentation(f"label {label!r} appears twice")
@@ -267,6 +265,8 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
 
     glued = set()
     for a, b in presentation.gluings:
+        if a == b:  # first: the pair's second label would be glued twice
+            raise MalformedPresentation(f"label {a!r} glued to itself")
         for label in (a, b):
             if label not in owner:
                 raise MalformedPresentation(f"gluing names unknown label "
@@ -274,44 +274,27 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
             if label in glued:
                 raise MalformedPresentation(f"label {label!r} glued twice")
             glued.add(label)
-        if a == b:
-            raise MalformedPresentation(f"label {a!r} glued to itself")
     if presentation.handles < 0:
         raise MalformedPresentation("negative handle count")
 
-    # Connectivity of the gluing graph.
-    if not presentation.pieces:
+    if not pieces:
         raise MalformedPresentation("presentation has no pieces")
-    adjacency = {i: set() for i in range(len(presentation.pieces))}
-    for a, b in presentation.gluings:
-        adjacency[owner[a]].add(owner[b])
-        adjacency[owner[b]].add(owner[a])
-    seen = {0}
-    queue = [0]
-    while queue:
-        current = queue.pop()
-        for neighbour in adjacency[current]:
-            if neighbour not in seen:
-                seen.add(neighbour)
-                queue.append(neighbour)
-    if len(seen) != len(presentation.pieces):
+    if _components(range(len(pieces)), [
+            (owner[a], owner[b]) for a, b in presentation.gluings]) != 1:
         raise MalformedPresentation("presentation is disconnected")
 
-    cells_v, cells_e, cells_f = map(sum, zip(
-        *(_PIECE_CELLS[p.kind] for p in presentation.pieces)))
-    n_glue = len(presentation.gluings)
-    chi = (cells_v - n_glue) - (cells_e - n_glue) + cells_f
-    chi -= 2 * presentation.handles
+    # Cells summed per kind (kinds.count, not a PieceKind hash per piece).
+    kinds = [p.kind for p in pieces]
+    cells_v, cells_e, cells_f = map(sum, zip(*(
+        [kinds.count(kind) * c for c in kind.cells] for kind in PieceKind)))
+    chi = cells_v - cells_e + cells_f - 2 * presentation.handles
 
     # Orientation propagation: each gluing joins two distinct boundary
     # circles, so orientations chosen piece by piece can always be made
     # compatible across every gluing; the propagation fails exactly when a
-    # piece admits no orientation at all, i.e. on a Mobius band.
-    nonorientable = any(p.kind is PieceKind.MOBIUS
-                        for p in presentation.pieces)
-
-    # Each free label is one boundary circle.
-    free = [label for label in owner if label not in glued]
-    return SurfaceClass(orientable=not nonorientable, euler_char=chi,
-                        boundary_circles=len(free),
+    # piece admits no orientation at all, i.e. on a Mobius band.  Each
+    # label left unglued is one boundary circle.
+    return SurfaceClass(orientable=PieceKind.MOBIUS not in kinds,
+                        euler_char=chi,
+                        boundary_circles=len(owner) - len(glued),
                         double_points_surgered=presentation.handles)

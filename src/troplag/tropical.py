@@ -242,10 +242,11 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     which keeps every sign.  corners holds the polygon's corners in order,
     cuts each node's (position, exit); segments holds (id, start, finish,
     start token, finish token, direction) per edge, then per end, in curve
-    order, and none for an end to a missing node.  Two segments may share
-    a point only where both carry the same token there: a vertex id (a
-    string), an anchor (its point), or a node or landing token (a pair
-    that starts with a string).
+    order, and none for an end to a missing node; the direction is a plain
+    pair, since an IntVec would keep the segment tracked by the collector.
+    Two segments may share a point only where both carry the same token
+    there: a vertex id (a string), an anchor (its point), or a node or
+    landing token (a pair that starts with a string).
     """
     return _remember(diagram, curve, geometry, lambda: _plane(diagram, curve))
 
@@ -263,19 +264,18 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
         grid[point] = cleared(point, scale)
     cuts = tuple((cleared(node, scale), cleared(end, scale))
                  for node, end in diagram.cut_segments)
-    segments = [(eid, grid[src], grid[dst], src, dst, direction)
-                for (eid, src, dst), direction
+    segments = [(eid, grid[src], grid[dst], src, dst, (x, y))
+                for (eid, src, dst), (x, y)
                 in zip(curve.edges, curve._edge_directions)]
-    for eid, source, direction, terminal in curve.ends:
-        if isinstance(terminal, NodeTerminal):
+    for eid, source, (x, y), terminal in curve.ends:
+        if isinstance(terminal, BoundaryTerminal):
+            finish, token = cleared(terminal.landing, scale), ("landing", eid)
+        elif 0 <= terminal.node_index < len(cuts):
             (index,) = terminal
-            if 0 <= index < len(cuts):
-                segments.append((eid, grid[source], cuts[index][0], source,
-                                 ("node", index), direction))
+            finish, token = cuts[index][0], ("node", index)
         else:
-            segments.append((eid, grid[source],
-                             cleared(terminal.landing, scale), source,
-                             ("landing", eid), direction))
+            continue  # an end to a missing node has no segment
+        segments.append((eid, grid[source], finish, source, token, (x, y)))
     return scale, corners, cuts, tuple(segments)
 
 
@@ -400,9 +400,12 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
     # only if their closed bounding boxes do; candidates[i] holds each such
     # j > i.
-    boxes = sorted((min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
-                    max(a[1], b[1]), k)
-                   for k, (_, a, b, _, _, _) in enumerate(segments))
+    boxes = []
+    for k, (_, (ax, ay), (bx, by), _, _, _) in enumerate(segments):
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
+        boxes.append((x0, x1, y0, y1, k))
+    boxes.sort()
     candidates = [[] for _ in segments]
     for n, (_, x1, y0, y1, k) in enumerate(boxes):
         for m in range(n + 1, len(boxes)):
@@ -425,11 +428,11 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                 issue("embedding", id1,
                       f"overlaps {id2} along a segment")
                 continue
-            tokens1 = {tok for p, tok in ((a, tok_a), (b, tok_b))
-                       if hit == (*p, 1)}
-            tokens2 = {tok for p, tok in ((c, tok_c), (d, tok_d))
-                       if hit == (*p, 1)}
-            if not tokens1 & tokens2:
+            # At most one end of i (which has length) is the contact, and a
+            # token names one point: j (maybe of zero length) shares it.
+            tok = (tok_a if hit == (*a, 1) else
+                   tok_b if hit == (*b, 1) else None)
+            if tok is None or tok not in (tok_c, tok_d):
                 x, y, w = hit
                 issue("embedding", id1,
                       f"meets {id2} at {RatPoint.of(x, y, w * scale)}, which "
@@ -451,23 +454,25 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     # Connectivity of the underlying graph (edges join vertices; each
     # anchor is its own component unless the curve is just that segment).
-    parent = {key: key for key in curve.sites}
-    if parent:
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for e in curve.edges:
-            parent[find(e.src)] = find(e.dst)
-        roots = {find(k) for k in parent}
-        if len(roots) > 1:
-            issue("disconnected", curve.name or "curve",
-                  f"underlying graph has {len(roots)} components")
+    count = _components(curve.sites,
+                        [(src, dst) for _, src, dst in curve.edges])
+    if count > 1:
+        issue("disconnected", curve.name or "curve",
+              f"underlying graph has {count} components")
 
     return ValidationReport(tuple(issues))
+
+
+def _components(keys, links) -> int:
+    """How many classes the (key, key) links join keys into: a union-find."""
+    parent = {key: key for key in keys}
+    for a, b in links:
+        while parent[a] != a:  # climb to the roots, halving the paths
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    return sum(1 for k, up in parent.items() if k == up)  # one root each
 
 
 # -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ question, so no copy reads a fact another question stored.  A curve read
 against several diagrams in turn must answer for each diagram, and a
 refusal is never stored: it is raised again, the same, on every read.
 """
+import gc
 import random
 from fractions import Fraction
 
@@ -199,6 +200,18 @@ def test_transform_and_equality_ignore_the_memo():
     assert moved == curve
 
 
+def test_no_plane_segment_stays_tracked_by_the_collector():
+    # A full collection untracks a tuple whose items are all untracked,
+    # one nesting level per collection: the points and tokens first, then
+    # the segment, so long as its direction is a plain pair.
+    instance = trop_family(24)
+    assert validate(instance.diagram, instance.curve).passed
+    segments = geometry(instance.diagram, instance.curve)[3]
+    gc.collect()
+    gc.collect()
+    assert [s[0] for s in segments if gc.is_tracked(s)] == []
+
+
 def test_one_certification_builds_each_fact_once(monkeypatch):
     doc = parse_document((FIGURES / "fig3_family.trop").read_text())
     diagram, (curve,) = doc.diagram, doc.curves
@@ -213,9 +226,9 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # Once per end for the memo, once per end for render's marker.
+    # Once per end, for the memo; render's markers read it there.
     per_end = [sum(1 for _, end in kinds if end is e) for e in curve.ends]
-    assert per_end == [2] * len(curve.ends)
+    assert per_end == [1] * len(curve.ends)
 
 
 def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():
@@ -229,3 +242,20 @@ def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():
     svg = render_document(doc)
     assert svg.count('r="3.00"') == 2
     assert svg == render_document(parse_document(serialize_document(doc)))
+
+
+def test_markers_keep_each_cap_kind_beside_an_end_without_one():
+    # a lands on the top edge with mu = 2, b on the bottom edge with
+    # mu = 3: end_kinds refuses the curve, and each end gets its own marker.
+    doc = parse_document(
+        "diagram rectangle width=8 height=4\ncurve mixed\n"
+        "end a (4,2) dir=(1,2) land=(5,4)\n"
+        "end b (4,2) dir=(-1,-3) land=(10/3,0)\n")
+    with pytest.raises(TroplagError, match="mu = 3"):
+        tropical.end_kinds(doc.diagram, doc.curves[0])
+    svg = render_document(doc)
+    assert svg.count("<circle") == 2
+    assert ('<circle cx="280.00" cy="40.00" r="6.00" '
+            'stroke="#cc0000" stroke-width="1.5" fill="none"/>'
+            '<line x1="275.80" y1="35.80" x2="284.20" y2="44.20"') in svg
+    assert '<circle cx="200.00" cy="232.00" r="3.00"' in svg

@@ -215,19 +215,77 @@ def test_oracle_two_mobius_plus_annulus_is_klein():
     assert (sc.closed, sc.euler_char, sc.nonorientable_genus) == (True, 0, 2)
 
 
-def test_oracle_rejects_double_gluing():
-    with pytest.raises(MalformedPresentation):
-        oracle_classify(SurfacePresentation(
-            (Piece(PieceKind.DISC, ("a",)), Piece(PieceKind.MOBIUS, ("b",))),
-            (("a", "b"), ("a", "b")), 0))
+def _malformed(label):
+    """Each refusal of a malformed presentation: a maker that builds the
+    presentation and the message it is refused with, for circles named by
+    label("a"), label("b"), ..."""
+    a, b, c, d = map(label, "abcd")
+    disc, mobius = PieceKind.DISC, PieceKind.MOBIUS
+    rp2 = (Piece(disc, (a,)), Piece(mobius, (b,)))
+    return {
+        "duplicate-label": (
+            lambda: SurfacePresentation(
+                (Piece(disc, (a,)), Piece(mobius, (a,))), (), 0),
+            f"label {a!r} appears twice"),
+        "unknown-label": (
+            lambda: SurfacePresentation(rp2, ((a, c),), 0),
+            f"gluing names unknown label {c!r}"),
+        "glued-twice": (
+            lambda: SurfacePresentation(rp2, ((a, b), (a, b)), 0),
+            f"label {a!r} glued twice"),
+        "glued-to-itself": (
+            lambda: SurfacePresentation(
+                (Piece(PieceKind.ANNULUS, (a, b)),), ((a, a),), 0),
+            f"label {a!r} glued to itself"),
+        "negative-handles": (
+            lambda: SurfacePresentation(rp2, ((a, b),), -1),
+            "negative handle count"),
+        "no-pieces": (
+            lambda: SurfacePresentation((), (), 0),
+            "presentation has no pieces"),
+        "disconnected": (
+            lambda: SurfacePresentation(
+                tuple(Piece(disc, (x,)) for x in (a, b, c, d)),
+                ((a, b), (c, d)), 0),
+            "presentation is disconnected"),
+        "wrong-circle-count": (
+            lambda: SurfacePresentation(
+                (Piece(PieceKind.PANTS, (a, b)),), (), 0),
+            f"pair-of-pants carries 3 boundary circles, got labels "
+            f"{(a, b)}"),
+    }
 
 
-def test_oracle_rejects_disconnected():
-    with pytest.raises(MalformedPresentation):
-        oracle_classify(SurfacePresentation(
-            (Piece(PieceKind.DISC, ("a",)), Piece(PieceKind.DISC, ("b",)),
-             Piece(PieceKind.DISC, ("c",)), Piece(PieceKind.DISC, ("d",))),
-            (("a", "b"), ("c", "d")), 0))
+LABELINGS = {"str": str, "int": "abcd".index}
+
+
+@pytest.mark.parametrize("fault, labeling", [
+    (fault, labeling)
+    for fault in _malformed(str) for labeling in LABELINGS], ids=str)
+def test_oracle_refuses_malformed_presentations(fault, labeling):
+    make, message = _malformed(LABELINGS[labeling])[fault]
+    with pytest.raises(MalformedPresentation) as refusal:
+        oracle_classify(make())
+    assert str(refusal.value) == message
+
+
+def _large_and_cyclic():
+    instance = trop_family(200)
+    cycle = load_document("fig5_cycle.trop")
+    return [(instance.diagram, instance.curve),
+            (cycle.diagram, cycle.curves[0])]
+
+
+@pytest.mark.parametrize("diagram, curve", _large_and_cyclic(),
+                         ids=["trop_family(200)", "fig5_cycle"])
+def test_presentation_labels_circles_by_index(diagram, curve):
+    presentation = build_presentation(diagram, curve)
+    labels = [label for piece in presentation.pieces
+              for label in piece.labels]
+    assert labels == list(range(len(labels)))
+    glued = Counter(label for pair in presentation.gluings for label in pair)
+    assert set(glued.values()) == {1}
+    assert oracle_classify(presentation) == classify(diagram, curve)
 
 
 def assert_breakdown_is_the_inventory(diagram, curve, sc):
