@@ -119,8 +119,8 @@ def _topology_lines(doc, curve):
     multiplicities = sorted(breakdown.multiplicities)
     sc = breakdown.surface_class()
 
-    lines = [f"curve {curve.name}: vertices={len(curve.vertices)} "
-             f"edges={len(curve.edges)} ends={len(curve.ends)}"]
+    lines = [f"curve {curve.name}: vertices={len(curve._ids)} "
+             f"edges={len(curve._edge_rows)} ends={len(curve._end_rows)}"]
     lines.append(f"curve {curve.name}: end kinds: " + " ".join(
         f"{kind.value}={breakdown.end_kinds.count(kind)}" for kind in EndKind))
     grouped = ", ".join(f"m={m} x{multiplicities.count(m)}"

@@ -9,11 +9,10 @@ two spheres) and the triple blow-up triangle with one toric corner chop and
 two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
 a ray from an interior point leaves the polygon: each cut ends at its
 node's exit, and the constructions land their ends at theirs.
-BaseDiagram reads every point as its reduced triple (X, Y, W): corners and
-nodes are cleared by one scale S when a diagram is built, contains locates
-the point (S*X, S*Y, W) of the scaled plane on ints and memoizes the
-answer per diagram, keyed on the point itself, and exit finds its
-parameter and its exit point on ints.
+BaseDiagram reads every point as its triple (X, Y, W): corners and nodes
+are cleared by one scale S when a diagram is built, contains locates the
+point (S*X, S*Y, W) of the scaled plane on ints, with no memo and no
+RatPoint needed, and exit finds its parameter and its exit point on ints.
 """
 from enum import Enum
 from fractions import Fraction
@@ -209,9 +208,10 @@ class BaseDiagram:
         self.params = dict(params) if params else None
         self._scale = scale
         self._lines = tuple(lines)
+        self._on_edges = tuple(PointLocation(LocationKind.ON_BOUNDARY_EDGE, i)
+                               for i in range(n))
         self._rays = [(cleared(node.position, scale), node.cut_direction)
                       for node in nodes]
-        self._locations = {}  # RatPoint -> PointLocation
         self._cut_segments = tuple(self._trace_cut(node) for node in nodes)
         self._check_nodes()
 
@@ -259,11 +259,14 @@ class BaseDiagram:
             if side == 0:
                 on_line = index
         if on_line is not None:
-            for index, (cx, cy) in enumerate(self._corners):
+            # Strictly convex: the point is on the closed edge on_line, and
+            # a corner there is its start or end (corner 0 is on the last
+            # edge's line too); off them it is on that edge only.
+            for index in (on_line, (on_line + 1) % len(self._corners)):
+                cx, cy = self._corners[index]
                 if X == W * cx and Y == W * cy:
                     return PointLocation(LocationKind.ON_CORNER, index)
-            # Strictly convex: a point off the corners is on one edge only.
-            return PointLocation(LocationKind.ON_BOUNDARY_EDGE, on_line)
+            return self._on_edges[on_line]
         for index, ((nx, ny), direction) in enumerate(self._rays):
             node = (W * nx, W * ny)  # times W, as (X, Y) is
             if node == (X, Y):
@@ -302,13 +305,10 @@ class BaseDiagram:
         return point, PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
 
     def contains(self, p: RatPoint) -> PointLocation:
-        """Exact classification of p against polygon, nodes and cuts.  A
-        diagram never changes, so each answer is memoized, keyed on p."""
-        location = self._locations.get(p)
-        if location is None:
-            (X, Y, W), S = p, self._scale
-            location = self._locations[p] = self._locate(X * S, Y * S, W)
-        return location
+        """Exact classification of p against polygon, nodes and cuts; p is a
+        RatPoint or any (X, Y, W) triple of ints with W > 0."""
+        (X, Y, W), S = p, self._scale
+        return self._locate(X * S, Y * S, W)
 
     def bounds(self):
         xs = [v.x for v in self.polygon_vertices]

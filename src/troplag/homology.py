@@ -99,10 +99,10 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
     if not diagram.is_rectangle:
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
-    for e, kind in zip(curve.ends, end_kinds(diagram, curve)):
+    for (eid, *_), kind in zip(curve._end_rows, end_kinds(diagram, curve)):
         if kind is not EndKind.CROSS_CAP:
             raise UnsweepableCurve(
-                f"end {e.id!r} is a {kind.value}, not a crosscap; only a "
+                f"end {eid!r} is a {kind.value}, not a crosscap; only a "
                 "closed curve has a mod-2 class to sweep")
 
 

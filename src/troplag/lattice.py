@@ -4,7 +4,8 @@ Integer vectors (edge directions), rational points (positions in a base
 diagram), unimodular affine maps (integral affine changes of coordinates),
 the ASCII spellings of numbers, and the exact rules that every other
 module reads from here alone: the primitive direction of b - a
-(primitive_direction; displacement adds the lattice length) and, on int
+(primitive_pair, and primitive_direction as an IntVec; displacement adds
+the lattice length), the reduced triple of a point (reduced) and, on int
 pairs with denominators cleared, orientation, containment, reach (b - a is
 a positive multiple of a direction) and contact.
 
@@ -15,10 +16,12 @@ _make, _replace and unpickling too), so a vector equals the int pair
 
 All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
-homogeneous triple (X, Y, W) with W > 0.  Only BaseDiagram and
-tropical.geometry clear its denominators (common_scale, cleared); other
-readers take their int pairs or compute on the triple, and its coordinates
-become fractions.Fraction only for printing and the public API.  Floats,
+homogeneous triple (X, Y, W) with W > 0 (reduced); the text parser and a
+curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram,
+tropical.TropicalCurve and tropical.geometry clear denominators
+(common_scale, cleared); other readers take their int pairs or compute on
+the triple, and its coordinates become fractions.Fraction only for
+printing and the public API.  Floats,
 bools and strings the document format would refuse are rejected at
 construction time.
 """
@@ -135,10 +138,7 @@ class RatPoint(tuple):
     @classmethod
     def of(cls, X: int, Y: int, W: int) -> "RatPoint":
         """The point (X/W, Y/W) of ints with W > 0."""
-        if W <= 0:
-            raise ValueError(f"a point's W must be positive, got {W}")
-        g = gcd(X, Y, W)
-        return tuple.__new__(cls, (X // g, Y // g, W // g))
+        return tuple.__new__(cls, reduced(X, Y, W))
 
     X = property(itemgetter(0))
     Y = property(itemgetter(1))
@@ -165,14 +165,30 @@ class RatPoint(tuple):
 pt = RatPoint  # the short spelling
 
 
-def primitive_direction(a: RatPoint, b: RatPoint) -> IntVec:
-    """The primitive direction of b - a; DegenerateDirection if a == b."""
+def reduced(X: int, Y: int, W: int) -> tuple[int, int, int]:
+    """The reduced triple of the point (X/W, Y/W) of ints with W > 0, as a
+    plain tuple: a RatPoint's items."""
+    if W <= 0:
+        raise ValueError(f"a point's W must be positive, got {W}")
+    g = gcd(X, Y, W)
+    return X // g, Y // g, W // g
+
+
+def primitive_pair(a, b) -> tuple[int, int]:
+    """The primitive direction of b - a as a plain int pair, for two
+    reduced triples (RatPoints or plain); DegenerateDirection if a == b."""
     (ax, ay, aw), (bx, by, bw) = a, b
     dx, dy = bx * aw - ax * bw, by * aw - ay * bw  # times aw * bw
     g = gcd(dx, dy)
     if g == 0:
-        raise DegenerateDirection(f"{a} to {b} has no direction")
-    return tuple.__new__(IntVec, (dx // g, dy // g))  # ints already
+        raise DegenerateDirection(
+            f"{RatPoint.of(*a)} to {RatPoint.of(*b)} has no direction")
+    return dx // g, dy // g
+
+
+def primitive_direction(a: RatPoint, b: RatPoint) -> IntVec:
+    """The primitive direction of b - a; DegenerateDirection if a == b."""
+    return tuple.__new__(IntVec, primitive_pair(a, b))  # ints already
 
 
 def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:

@@ -88,7 +88,8 @@ def _circle(frame, p, style, radius=6.0):
 
 
 def _end_marker(frame, diagram, end, kind, point):
-    """The marker of end's cap kind; kind None asks classify_end."""
+    """The marker of the cap kind of end (a row of the curve's end
+    column); kind None asks classify_end."""
     if kind is None:
         try:
             kind = classify_end(diagram, end)
@@ -124,20 +125,22 @@ def render_document(doc) -> str:
 
     for curve in doc.curves:
         scale, _, _, segments = geometry(diagram, curve)
-        ends = segments[len(curve.edges):]
-        if len(ends) < len(curve.ends):
+        ends = segments[len(curve._edge_rows):]
+        if len(ends) < len(curve._end_rows):
             drawn = {eid for eid, *_ in ends}
-            e = next(e for e in curve.ends if e.id not in drawn)
-            raise InvalidCurve(f"curve {curve.name}: end {e.id!r} refers to "
-                               f"missing node {e.terminal.node_index}")
+            eid, _, _, index = next(row for row in curve._end_rows
+                                    if row[0] not in drawn)
+            raise InvalidCurve(f"curve {curve.name}: end {eid!r} refers to "
+                               f"missing node {index}")
         for _, a, b, _, _, _ in segments:
             parts.append(_line(frame, (*a, scale), (*b, scale), _CURVE_STYLE))
         try:
             kinds = end_kinds(diagram, curve)
         except TroplagError:  # some end has no cap kind: ask end by end
             kinds = (None,) * len(ends)
-        for e, kind, (_, _, point, _, _, _) in zip(curve.ends, kinds, ends):
-            parts.append(_end_marker(frame, diagram, e, kind,
+        for row, kind, (_, _, point, _, _, _) in zip(curve._end_rows, kinds,
+                                                     ends):
+            parts.append(_end_marker(frame, diagram, row, kind,
                                      (*point, scale)))
 
     parts.append("</svg>")

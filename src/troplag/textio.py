@@ -27,6 +27,14 @@ with no record per word.  One anchored pattern reads each vertex, edge or
 end line; _refuse reads the words of a line it refuses, in order, to raise
 the error, as the diagram line is read.  An error's column is where its
 word starts, plus len("key=") inside a key=value word.
+
+A curve block is read into int columns, not records: vertex ids with
+their reduced (X, Y, W) point triples, edges as (id, src id, dst id), and
+ends as (id, source, (dx, dy), terminal), the source a vertex id or an
+anchor triple and the terminal a node index or a landing triple.
+TropicalCurve._of_rows turns them into the curve's columns at the end of
+the block, and the curve builds its records only when they are read (by
+serialization, say), so a certification makes none.
 """
 import re
 import sys
@@ -44,16 +52,9 @@ from .diagram import (
     rectangle,
     x_abc,
 )
-from .lattice import IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL
-from .tropical import (
-    BoundaryTerminal,
-    CurveEnd,
-    InternalEdge,
-    InvalidCurve,
-    NodeTerminal,
-    TropicalCurve,
-    TropicalVertex,
-)
+from .lattice import (IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL,
+                      reduced)
+from .tropical import InvalidCurve, NodeTerminal, TropicalCurve
 
 
 class ParseError(TroplagError):
@@ -122,10 +123,13 @@ def _read(pattern, message, build, text, line, i, skip=0):
                      line, i, skip) from None
 
 
-def _pair(xn, xd, yn, yd) -> RatPoint:
-    """The point (xn/xd, yn/yd) of digit groups; None for xd or yd is 1."""
+def _triple(xn, xd, yn, yd) -> tuple[int, int, int]:
+    """The reduced (X, Y, W) of the point (xn/xd, yn/yd) of digit groups;
+    None for xd or yd is 1."""
+    if xd is None and yd is None:
+        return int(xn), int(yn), 1
     xn, yn, xd, yd = int(xn), int(yn), int(xd or 1), int(yd or 1)
-    return RatPoint.of(xn * yd, yn * xd, xd * yd)
+    return reduced(xn * yd, yn * xd, xd * yd)
 
 
 # The word readers, called as reader(text, line, i, skip=0): the text of
@@ -136,7 +140,7 @@ _rational = partial(_read, _RATIONAL, "expected a rational like 3 or 22/7, "
 _integer = partial(_read, _INTEGER, "expected an integer, got {!r}",
                    lambda m: int(m[0]))
 _point = partial(_read, _POINT, "expected a point like (1,2/3), got {!r}",
-                 lambda m: _pair(*m.groups()))
+                 lambda m: RatPoint.of(*_triple(*m.groups())))
 _intvec = partial(_read, rf"\(({_INT}),({_INT})\)\Z",
                   "expected an integer vector like (2,-1), got {!r}",
                   lambda m: IntVec(int(m[1]), int(m[2])))
@@ -229,15 +233,16 @@ def parse_document(text: str) -> Document:
     """Parse a document; exact rationals only, duplicate ids rejected."""
     diagram = None
     curves = []
-    current = None  # (header line, name, vertices, edges, ends, seen ids)
+    # (header line, name, vertex ids, points, edges, ends, seen ids)
+    current = None
     elements = {head: re.compile(p) for head, p in _ELEMENTS.items()}
 
     def flush():
         nonlocal current
         if current is not None:
-            header, name, vertices, edges, ends, _ = current
+            header, name, *rows, _ = current
             try:
-                curves.append(TropicalCurve(vertices, edges, ends, name=name))
+                curves.append(TropicalCurve._of_rows(name, *rows))
             except InvalidCurve as err:
                 raise _error(str(err), header) from None
             current = None
@@ -259,7 +264,7 @@ def parse_document(text: str) -> Document:
             if len(words) != 2:
                 raise _error("curve <name>", line)
             flush()
-            current = (line, _name(words[1], line, 1), [], [], [], set())
+            current = (line, _name(words[1], line, 1), [], [], [], [], set())
         elif head in elements:
             if current is None:
                 raise _error(f"{head} outside a curve block", line)
@@ -273,26 +278,29 @@ def parse_document(text: str) -> Document:
 
 
 def _parse_element(line, current, pattern):
-    _, _, vertices, edges, ends, seen = current
+    """Append the element line's row to the curve block's columns, in the
+    form TropicalCurve._of_rows takes: no record and no RatPoint."""
+    _, _, ids, points, edges, ends, seen = current
     head = line[2][0]
     m = pattern.match(line[1])
     if m is None or m[1] in seen:
         _refuse(line, seen)
     try:
         if head == "vertex":
-            ident, *digits = m.groups()
-            vertices.append(TropicalVertex(ident, _pair(*digits)))
+            ident, xn, xd, yn, yd = m.groups()
+            points.append(_triple(xn, xd, yn, yd))
+            ids.append(ident)
         elif head == "edge":
             ident, src, dst, weight = m.groups()
             if weight is not None and int(weight) != 1:
                 _refuse(line, seen)
-            edges.append(InternalEdge(ident, src, dst))
+            edges.append((ident, src, dst))
         else:
-            ident, name, *source, dx, dy, xn, xd, yn, yd, node = m.groups()
-            terminal = (NodeTerminal(int(node)) if node is not None
-                        else BoundaryTerminal(_pair(xn, xd, yn, yd)))
-            ends.append(CurveEnd(ident, name or _pair(*source), tuple.__new__(
-                IntVec, (int(dx), int(dy))), terminal))  # ints: no checks
+            (ident, name, axn, axd, ayn, ayd, dx, dy,
+             xn, xd, yn, yd, node) = m.groups()
+            ends.append((ident, name or _triple(axn, axd, ayn, ayd),
+                         (int(dx), int(dy)), int(node) if node is not None
+                         else _triple(xn, xd, yn, yd)))
     except ValueError:  # a number too long for int()
         _refuse(line, seen)
     seen.add(ident)

@@ -20,9 +20,9 @@ classify() is that record's surface_class().  build_presentation() +
 oracle_classify() re-derive it from pieces, gluings and cell counts, but
 from the same cap kinds and double points, so they check only the gluing.
 Both read them from tropical.multiplicities and tropical.end_kinds, which
-keep them in the curve's memo.  The presentation labels its circles
-0, 1, 2, ...; the oracle takes any hashable labels and finds components
-by a union-find over the pieces.
+keep them in the curve's memo.  The presentation reads the curve's
+columns by index and labels its circles 0, 1, 2, ...; the oracle takes
+any hashable labels and finds components by a union-find over the pieces.
 """
 from collections.abc import Hashable
 from enum import Enum
@@ -213,32 +213,33 @@ def build_presentation(diagram: BaseDiagram,
     handles = sum(map(vertex_double_points, multiplicities(diagram, curve)))
     pieces = []
     gluings = []
-    # A piece per site, a circle per outgoing element: pants over each
+    # A piece per site, a circle per half-edge leaving it: pants over each
     # vertex (the sites start with the vertices), an annulus per anchor.
-    slot = {}  # (site, element id) -> the circle eid leaves site's piece by
-    for site, out in curve.sites.items():
-        first = len(slot)
-        for _, eid in out:
-            slot[site, eid] = len(slot)
-        pieces.append(Piece(
-            PieceKind.PANTS if isinstance(site, str) else PieceKind.ANNULUS,
-            tuple(range(first, len(slot)))))
+    slot = [0] * len(curve._half)  # half-edge -> the circle it leaves by
+    n = 0  # the next label
+    for site, out in enumerate(curve._sites):
+        first = n
+        for h in out:
+            slot[h] = n
+            n += 1
+        pieces.append(Piece(PieceKind.PANTS if site < len(curve._ids)
+                            else PieceKind.ANNULUS, tuple(range(first, n))))
 
-    n = len(slot)  # the next label
-    for eid, src, dst in curve.edges:
+    for k in range(len(curve._edge_rows)):  # edge k is half-edges 2k, 2k+1
         pieces.append(Piece(PieceKind.ANNULUS, (n, n + 1)))
-        gluings.append((slot[src, eid], n))
-        gluings.append((slot[dst, eid], n + 1))
+        gluings.append((slot[2 * k], n))
+        gluings.append((slot[2 * k + 1], n + 1))
         n += 2
 
-    for e, kind in zip(curve.ends, end_kinds(diagram, curve)):
+    for h, kind in enumerate(end_kinds(diagram, curve),
+                             2 * len(curve._edge_rows)):
         if kind is EndKind.DISC_CAP:
             pieces.append(Piece(PieceKind.DISC, (n,)))
         elif kind is EndKind.CROSS_CAP:
             pieces.append(Piece(PieceKind.MOBIUS, (n,)))
         else:
             pieces.append(Piece(PieceKind.COLLAR, (n, n + 1)))
-        gluings.append((slot[e.source, e.id], n))
+        gluings.append((slot[h], n))
         n += len(pieces[-1].labels)
 
     return SurfacePresentation(tuple(pieces), tuple(gluings), handles)
@@ -279,7 +280,7 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
 
     if not pieces:
         raise MalformedPresentation("presentation has no pieces")
-    if _components(range(len(pieces)), [
+    if _components(len(pieces), [
             (owner[a], owner[b]) for a, b in presentation.gluings]) != 1:
         raise MalformedPresentation("presentation is disconnected")
 

@@ -10,24 +10,38 @@ standalone anchor point.  Vertices, edges, ends, terminals and validation
 issues are typing.NamedTuple records, each the tuple of its fields, so an
 end unpacks as (id, source, direction, terminal).
 
-A curve builds its incidence once, at construction: each site (a vertex, or
-a standalone anchor) keeps its outgoing (direction, element id) pairs in
-`sites`, so outgoing() is a lookup.  A site's key is an end's source as the
-format writes it, a vertex id or the anchor RatPoint itself; ids are strings,
-so the two never collide.  An edge's direction is derived there too, by
-lattice.primitive_direction from its endpoints.
+A curve holds int columns, built once: vertex ids (with an id -> index
+dict) and reduced (X, Y, W) point triples, the anchors' triples, edge rows
+(id, src index, dst index, direction) and end rows (id, site, direction,
+terminal), the terminal a node index or a landing triple, all plain tuples
+that the collector stops tracking.  Sites are the vertices, then the
+anchors by first appearance; each keeps the indices of the half-edges
+leaving it, edges first: edge k leaves src as 2k and dst as 2k + 1, end j
+its site as 2 * #edges + j, and each half-edge's direction is kept too.
+An edge's direction is derived by lattice.primitive_pair from its
+endpoints, and every point is cleared once by the curve's own scale.  The
+records (vertices, edges, ends), the public incidence `sites` (site key ->
+outgoing (direction, element id) pairs, the key a vertex id or the anchor
+RatPoint) and anchors() are built from the columns on first read, so a
+curve read from text makes none until asked; a curve built from records
+keeps them.  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on
 int pairs, for validate(), the homology sweeps and render, with the
-diagram's corners and cuts on the same ints.  validate() checks every
-geometric and combinatorial invariant and returns a report; the
+diagram's corners and cuts on the same ints: the curve's cleared points
+times one factor, the plane's scale over the curve's.  validate() checks
+every geometric and combinatorial invariant and returns a report; the
 per-element facts (a vertex's multiplicity m and its (m-1)/2 double
 points, an end's mu and its cap kind) assume a validated curve and raise
-on contract violations.  The plane, the cap kinds (end_kinds), the m's
-(multiplicities) and homology's default sweeps are computed once per
-curve and diagram and kept in the curve's one memo slot (_remember).
+on contract violations.  Each reads the columns by index; end_multiplicity
+and classify_end take an end row as well as a CurveEnd.  The plane, the
+cap kinds (end_kinds), the m's (multiplicities) and homology's default
+sweeps are computed once per curve and diagram and kept in the curve's one
+memo slot (_remember).
 """
 from enum import Enum
+from functools import cached_property
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -42,7 +56,7 @@ from .lattice import (
     between,
     cleared,
     common_scale,
-    primitive_direction,
+    primitive_pair,
     reaches,
     segment_contact,
 )
@@ -112,76 +126,155 @@ class CurveEnd(NamedTuple):
 
 class TropicalCurve:
     """An immutable tropical curve; geometry is validated against a diagram
-    by validate()."""
+    by validate().  Built from records, it keeps them; read from text, it
+    builds them on first read (see the module docstring)."""
 
     def __init__(self, vertices=(), edges=(), ends=(), name=""):
-        self.name = name
-        self.vertices = tuple(vertices)
-        self.ends = tuple(ends)
-        self._vertex_by_id = {}
-        for v in self.vertices:
-            if v.id in self._vertex_by_id:
-                raise InvalidCurve(f"duplicate vertex id {v.id!r}")
-            self._vertex_by_id[v.id] = v
+        self.vertices = vertices = tuple(vertices)
+        self.edges = edges = tuple(edges)
+        self.ends = ends = tuple(ends)
+        self._build(name, [v.id for v in vertices],
+                    [v.position for v in vertices], edges,
+                    [(e.id, e.source, tuple(e.direction), e.terminal[0])
+                     for e in ends])
 
-        # Incidence: site key -> outgoing (direction, element id) pairs,
-        # edges first; vertex sites first, then anchors.
-        incidence = {v.id: [] for v in self.vertices}
-        anchors = {}
-        self.edges = tuple(edges)
-        self._edge_directions = []  # each edge's, src -> dst
-        seen_ids = set(self._vertex_by_id)
-        for e in self.edges:
-            if e.id in seen_ids:
-                raise InvalidCurve(f"duplicate element id {e.id!r}")
-            seen_ids.add(e.id)
-            for endpoint in (e.src, e.dst):
-                if endpoint not in self._vertex_by_id:
+    @classmethod
+    def _of_rows(cls, name, ids, points, edges, ends):
+        """The curve of a parser's rows, as _build takes them; its records
+        are built on first read."""
+        curve = cls.__new__(cls)
+        curve._build(name, ids, points, edges, ends)
+        return curve
+
+    def _build(self, name, ids, points, edges, ends):
+        """The columns of vertex ids and reduced (X, Y, W) points, edges
+        (id, src id, dst id) and ends (id, source, (dx, dy), terminal), the
+        source a vertex id or an anchor point, the terminal a node index or
+        a landing point."""
+        self.name = name
+        self._index = index = {}
+        for i, vid in enumerate(ids):
+            if index.setdefault(vid, i) != i:
+                raise InvalidCurve(f"duplicate vertex id {vid!r}")
+        # Half-edges: edge k leaves src as 2k and dst as 2k + 1, end j
+        # leaves its source as 2 * len(edges) + j; half holds each one's
+        # direction and sites each site's half-edges, edges first, as
+        # tuples of ints (lists would stay tracked by the collector).
+        sites = [()] * len(ids)
+        half = []
+        edge_rows = []
+        seen_ids = set(index)
+        for k, (eid, src, dst) in enumerate(edges):
+            if eid in seen_ids:
+                raise InvalidCurve(f"duplicate element id {eid!r}")
+            seen_ids.add(eid)
+            for endpoint in (src, dst):
+                if endpoint not in index:
                     raise InvalidCurve(
-                        f"edge {e.id!r} refers to unknown vertex {endpoint!r}")
-            if e.src == e.dst:
-                raise InvalidCurve(f"edge {e.id!r} is a loop")
+                        f"edge {eid!r} refers to unknown vertex {endpoint!r}")
+            if src == dst:
+                raise InvalidCurve(f"edge {eid!r} is a loop")
+            s, d = index[src], index[dst]
             try:
-                direction = primitive_direction(
-                    self._vertex_by_id[e.src].position,
-                    self._vertex_by_id[e.dst].position)
+                u = x, y = primitive_pair(points[s], points[d])
             except DegenerateDirection:
                 raise InvalidCurve(
-                    f"edge {e.id!r} joins coincident vertices") from None
-            self._edge_directions.append(direction)
-            incidence[e.src].append((direction, e.id))
-            incidence[e.dst].append((-direction, e.id))
+                    f"edge {eid!r} joins coincident vertices") from None
+            sites[s] += (2 * k,)
+            sites[d] += (2 * k + 1,)
+            half += (u, (-x, -y))
+            edge_rows.append((eid, s, d, u))
 
-        for e in self.ends:
-            if e.id in seen_ids:
-                raise InvalidCurve(f"duplicate element id {e.id!r}")
-            seen_ids.add(e.id)
-            if isinstance(e.source, str) and e.source not in self._vertex_by_id:
-                raise InvalidCurve(
-                    f"end {e.id!r} refers to unknown vertex {e.source!r}")
-            if not e.direction.is_primitive:
-                raise InvalidCurve(
-                    f"end {e.id!r} direction {e.direction} is not primitive")
-            incidence.setdefault(e.source, []).append((e.direction, e.id))
-            if not isinstance(e.source, str):
-                anchors.setdefault(e.source, []).append(e)
-        self.sites = MappingProxyType(
-            {key: tuple(out) for key, out in incidence.items()})
-        self._anchors = tuple((point, tuple(anchor_ends))
-                              for point, anchor_ends in anchors.items())
+        anchors = {}  # anchor point -> its site
+        end_rows = []
+        for j, (eid, source, u, terminal) in enumerate(ends, len(half)):
+            if eid in seen_ids:
+                raise InvalidCurve(f"duplicate element id {eid!r}")
+            seen_ids.add(eid)
+            if isinstance(source, str):
+                if source not in index:
+                    raise InvalidCurve(
+                        f"end {eid!r} refers to unknown vertex {source!r}")
+                site = index[source]
+            elif source in anchors:
+                site = anchors[source]
+            else:
+                site = anchors[source] = len(sites)
+                sites.append(())
+            if gcd(*u) != 1:
+                raise InvalidCurve(f"end {eid!r} direction "
+                                   "({},{}) is not primitive".format(*u))
+            sites[site] += (j,)
+            half.append(u)
+            end_rows.append((eid, site, u, terminal))
+
+        self._ids, self._points = tuple(ids), tuple(points)
+        self._anchors = tuple(anchors)
+        self._edge_rows, self._end_rows = tuple(edge_rows), tuple(end_rows)
+        self._sites, self._half = tuple(sites), tuple(half)
+        # Every point cleared once by the curve's own scale: each site's,
+        # then each end's landing (None for an end at a node).
+        landings = [None if isinstance(t, int) else t for *_, t in end_rows]
+        self._scale = scale = common_scale(
+            [*points, *anchors, *filter(None, landings)])
+        self._grid = tuple([(X * (scale // W), Y * (scale // W))
+                            for X, Y, W in (*points, *anchors)])
+        self._landings = tuple([p and (p[0] * (scale // p[2]),
+                                       p[1] * (scale // p[2]))
+                                for p in landings])
         self._memo = None  # (diagram, {owner function: fact}); see _remember
+
+    # -- records, built on first read ------------------------------------
+
+    @cached_property
+    def vertices(self):
+        return tuple([TropicalVertex(vid, RatPoint.of(*p))
+                      for vid, p in zip(self._ids, self._points)])
+
+    @cached_property
+    def edges(self):
+        ids = self._ids
+        return tuple([InternalEdge(eid, ids[s], ids[d])
+                      for eid, s, d, _ in self._edge_rows])
+
+    @cached_property
+    def ends(self):
+        keys = self._keys()
+        return tuple([CurveEnd(
+            eid, keys[site], tuple.__new__(IntVec, u),  # ints already
+            NodeTerminal(t) if isinstance(t, int)
+            else BoundaryTerminal(RatPoint.of(*t)))
+            for eid, site, u, t in self._end_rows])
+
+    @cached_property
+    def sites(self):
+        """Site key -> outgoing (direction, element id) pairs, vertex sites
+        first, then anchors; edges before ends at each site."""
+        names = [row[0] for row in self._edge_rows for _ in (0, 1)]
+        names += [row[0] for row in self._end_rows]
+        return MappingProxyType({
+            key: tuple([(tuple.__new__(IntVec, self._half[h]), names[h])
+                        for h in out])
+            for key, out in zip(self._keys(), self._sites)})
+
+    def _keys(self):
+        """Each site's key: its vertex id, or its anchor RatPoint."""
+        return [*self._ids, *(RatPoint.of(*p) for p in self._anchors)]
 
     # -- basic accessors ------------------------------------------------
 
     def vertex(self, vertex_id: str) -> TropicalVertex:
         try:
-            return self._vertex_by_id[vertex_id]
+            return self.vertices[self._index[vertex_id]]
         except KeyError:
             raise InvalidCurve(f"no vertex with id {vertex_id!r}") from None
 
     def anchors(self):
         """Standalone anchor points, with their ends, in declaration order."""
-        return self._anchors
+        ends, first = self.ends, 2 * len(self._edge_rows)
+        return tuple((RatPoint.of(*p), tuple(ends[h - first] for h in out))
+                     for p, out in zip(self._anchors,
+                                       self._sites[len(self._ids):]))
 
     def outgoing(self, key):
         """Outgoing (direction, element id) pairs at a vertex id or anchor."""
@@ -189,7 +282,7 @@ class TropicalCurve:
 
     @property
     def is_empty(self) -> bool:
-        return not (self.vertices or self.edges or self.ends)
+        return not (self._ids or self._edge_rows or self._end_rows)
 
     def transform(self, m: UnimodularAffineMap) -> "TropicalCurve":
         """The curve in new integral affine coordinates."""
@@ -206,15 +299,18 @@ class TropicalCurve:
                                  terminal))
         return TropicalCurve(vertices, self.edges, ends, name=self.name)
 
+    def _columns(self):
+        return (self.name, self._ids, self._points, self._anchors,
+                self._edge_rows, self._end_rows)
+
     def __eq__(self, other):
         if not isinstance(other, TropicalCurve):
             return NotImplemented
-        return (self.name == other.name and self.vertices == other.vertices
-                and self.edges == other.edges and self.ends == other.ends)
+        return self._columns() == other._columns()
 
     def __repr__(self):
-        return (f"TropicalCurve({self.name!r}, {len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges, {len(self.ends)} ends)")
+        return (f"TropicalCurve({self.name!r}, {len(self._ids)} vertices, "
+                f"{len(self._edge_rows)} edges, {len(self._end_rows)} ends)")
 
 
 # -----------------------------------------------------------------------
@@ -239,43 +335,42 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     for validate, the sweeps and render, built once per curve and diagram
     (_remember).  scale is the least common denominator of the corners,
     the cut ends and every curve point, and each point is cleared by it,
-    which keeps every sign.  corners holds the polygon's corners in order,
-    cuts each node's (position, exit); segments holds (id, start, finish,
-    start token, finish token, direction) per edge, then per end, in curve
-    order, and none for an end to a missing node; the direction is a plain
-    pair, since an IntVec would keep the segment tracked by the collector.
-    Two segments may share a point only where both carry the same token
-    there: a vertex id (a string), an anchor (its point), or a node or
-    landing token (a pair that starts with a string).
+    which keeps every sign; the curve's points, already cleared by its own
+    scale, are multiplied by one factor, none when the two scales agree.
+    corners holds the polygon's corners in order, cuts each node's
+    (position, exit); segments holds (id, start, finish, start token,
+    finish token, direction) per edge, then per end, in curve order, and
+    none for an end to a missing node.  Every part is a plain tuple of
+    ints and strings, which the collector stops tracking.  Two segments
+    may share a point only where both carry the same token there: a site
+    index (an int) at a vertex or an anchor, or a node or landing token (a
+    pair that starts with a string).
     """
     return _remember(diagram, curve, geometry, lambda: _plane(diagram, curve))
 
 
 def _plane(diagram: BaseDiagram, curve: TropicalCurve):
-    scale = common_scale([*diagram.polygon_vertices,
-                          *(p for cut in diagram.cut_segments for p in cut),
-                          *(v.position for v in curve.vertices),
-                          *(point for point, _ in curve.anchors()),
-                          *(e.terminal.landing for e in curve.ends
-                            if isinstance(e.terminal, BoundaryTerminal))])
+    scale = lcm(curve._scale, common_scale(
+        [*diagram.polygon_vertices,
+         *(p for cut in diagram.cut_segments for p in cut)]))
     corners = tuple(cleared(p, scale) for p in diagram.polygon_vertices)
-    grid = {v.id: cleared(v.position, scale) for v in curve.vertices}
-    for point, _ in curve.anchors():
-        grid[point] = cleared(point, scale)
     cuts = tuple((cleared(node, scale), cleared(end, scale))
                  for node, end in diagram.cut_segments)
-    segments = [(eid, grid[src], grid[dst], src, dst, (x, y))
-                for (eid, src, dst), (x, y)
-                in zip(curve.edges, curve._edge_directions)]
-    for eid, source, (x, y), terminal in curve.ends:
-        if isinstance(terminal, BoundaryTerminal):
-            finish, token = cleared(terminal.landing, scale), ("landing", eid)
-        elif 0 <= terminal.node_index < len(cuts):
-            (index,) = terminal
-            finish, token = cuts[index][0], ("node", index)
+    grid, landings = curve._grid, curve._landings
+    factor = scale // curve._scale
+    if factor != 1:
+        grid = [(x * factor, y * factor) for x, y in grid]
+        landings = [p and (p[0] * factor, p[1] * factor) for p in landings]
+    segments = [(eid, grid[s], grid[d], s, d, u)
+                for eid, s, d, u in curve._edge_rows]
+    for (eid, site, u, terminal), finish in zip(curve._end_rows, landings):
+        if finish is not None:
+            token = ("landing", eid)
+        elif 0 <= terminal < len(cuts):
+            finish, token = cuts[terminal][0], ("node", terminal)
         else:
             continue  # an end to a missing node has no segment
-        segments.append((eid, grid[source], finish, source, token, (x, y)))
+        segments.append((eid, grid[site], finish, site, token, u))
     return scale, corners, cuts, tuple(segments)
 
 
@@ -302,24 +397,39 @@ class ValidationReport(NamedTuple):
         return "ok" if self.passed else "; ".join(self.lines())
 
 
-def _imbalance(out) -> tuple[int, int]:
-    """The sum of the outgoing directions at a site; (0, 0) is balanced."""
+def _imbalance(curve: TropicalCurve, out) -> tuple[int, int]:
+    """The sum of the outgoing directions of the half-edges out at a site;
+    (0, 0) is balanced."""
+    half = curve._half
     sx = sy = 0
-    for (x, y), _ in out:
+    for h in out:
+        x, y = half[h]
         sx += x
         sy += y
     return sx, sy
+
+
+def _text(p) -> str:
+    """A reduced (X, Y, W) triple as RatPoint prints it, for a message."""
+    return str(RatPoint.of(*p))
+
+
+def _site_name(curve: TropicalCurve, site: int) -> str:
+    """A site as a message names it: its vertex id, or "anchor (x,y)"."""
+    n = len(curve._ids)
+    return (curve._ids[site] if site < n
+            else f"anchor {_text(curve._anchors[site - n])}")
 
 
 def check_balancing(curve: TropicalCurve) -> ValidationReport:
     """Outgoing directions must sum to zero at every vertex, and at every
     standalone anchor (where this just says the segment is straight)."""
     issues = []
-    for key, out in curve.sites.items():
-        sx, sy = _imbalance(out)
+    for site, out in enumerate(curve._sites):
+        sx, sy = _imbalance(curve, out)
         if sx or sy:
             issues.append(ValidationIssue(
-                "balancing", key if isinstance(key, str) else f"anchor {key}",
+                "balancing", _site_name(curve, site),
                 f"outgoing directions sum to ({sx},{sy}), expected (0,0)"))
     return ValidationReport(tuple(issues))
 
@@ -333,10 +443,12 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
 
-    The segment predicates run on the int pairs of geometry().
-    Embeddedness sweeps the segments' bounding boxes by min x (Shamos-Hoey)
-    and runs the exact segment_contact only on pairs whose boxes meet:
-    O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 contact tests.
+    It reads the curve's columns by index: diagram.contains locates each
+    point's triple, and the segment predicates run on the int pairs of
+    geometry(); a point is printed only in an issue.  Embeddedness sweeps
+    the segments' bounding boxes by min x (Shamos-Hoey) and runs the exact
+    segment_contact only on pairs whose boxes meet: O(n log n + k) for k
+    pairs overlapping in x, not n(n-1)/2 contact tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
@@ -344,58 +456,56 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
 
-    for v in curve.vertices:
-        loc = diagram.contains(v.position)
+    for vid, p, out in zip(curve._ids, curve._points, curve._sites):
+        loc = diagram.contains(p)
         if loc.kind is not LocationKind.INTERIOR:
-            issue("vertex-position", v.id,
-                  f"position {v.position} is {loc}, must be strictly interior")
-        if not curve.outgoing(v.id):
-            issue("isolated-vertex", v.id, "vertex has no incident elements")
+            issue("vertex-position", vid, f"position {_text(p)} is {loc}, "
+                  "must be strictly interior")
+        if not out:
+            issue("isolated-vertex", vid, "vertex has no incident elements")
 
-    for point, anchor_ends in curve.anchors():
-        label = f"anchor {point}"
-        loc = diagram.contains(point)
+    for site, p in enumerate(curve._anchors, len(curve._ids)):
+        loc = diagram.contains(p)
         if loc.kind is not LocationKind.INTERIOR:
-            issue("anchor-position", label,
+            issue("anchor-position", _site_name(curve, site),
                   f"anchor is {loc}, must be strictly interior")
-        if len(anchor_ends) != 2:
-            issue("anchor-not-segment", label,
-                  f"{len(anchor_ends)} ends meet here; an anchor carries "
-                  "exactly two (declare a vertex instead)")
+        if len(curve._sites[site]) != 2:
+            issue("anchor-not-segment", _site_name(curve, site),
+                  f"{len(curve._sites[site])} ends meet here; an anchor "
+                  "carries exactly two (declare a vertex instead)")
 
-    end_segments = iter(segments[len(curve.edges):])
-    for eid, _, direction, terminal in curve.ends:
-        if isinstance(terminal, NodeTerminal):
-            (index,) = terminal
-            if not 0 <= index < len(cuts):
-                issue("end-terminal", eid, f"no node with index {index}")
+    end_segments = iter(segments[len(curve._edge_rows):])
+    for eid, _, direction, terminal in curve._end_rows:
+        u = "({},{})".format(*direction)
+        if isinstance(terminal, int):
+            if not 0 <= terminal < len(cuts):
+                issue("end-terminal", eid, f"no node with index {terminal}")
                 continue
             _, start, finish, _, _, _ = next(end_segments)
-            node = diagram.nodes[index]
+            node = diagram.nodes[terminal]
             if not reaches(start, finish, direction):
                 issue("end-collinearity", eid,
                       f"node at {node.position} is not reached along "
-                      f"direction {direction}")
+                      f"direction {u}")
             if direction != node.cut_direction:
                 issue("end-cut-direction", eid,
-                      f"direction {direction} differs from the node's cut "
+                      f"direction {u} differs from the node's cut "
                       f"direction {node.cut_direction}")
         else:
             _, start, finish, _, _, _ = next(end_segments)
-            (landing,) = terminal
             if not reaches(start, finish, direction):
                 issue("end-collinearity", eid,
-                      f"landing {landing} is not reached along direction "
-                      f"{direction}")
-            loc = diagram.contains(landing)
+                      f"landing {_text(terminal)} is not reached along "
+                      f"direction {u}")
+            loc = diagram.contains(terminal)
             if loc.kind is LocationKind.ON_CORNER:
                 issue("end-corner-landing", eid,
-                      f"landing {landing} is a polygon corner; corners are "
-                      "not legal landing sites")
+                      f"landing {_text(terminal)} is a polygon corner; "
+                      "corners are not legal landing sites")
             elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
                 issue("end-landing", eid,
-                      f"landing {landing} is {loc}, must lie in the open "
-                      "interior of a boundary edge")
+                      f"landing {_text(terminal)} is {loc}, must lie in the "
+                      "open interior of a boundary edge")
 
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
     # only if their closed bounding boxes do; candidates[i] holds each such
@@ -454,8 +564,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     # Connectivity of the underlying graph (edges join vertices; each
     # anchor is its own component unless the curve is just that segment).
-    count = _components(curve.sites,
-                        [(src, dst) for _, src, dst in curve.edges])
+    count = _components(len(curve._sites),
+                        [(src, dst) for _, src, dst, _ in curve._edge_rows])
     if count > 1:
         issue("disconnected", curve.name or "curve",
               f"underlying graph has {count} components")
@@ -463,16 +573,17 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _components(keys, links) -> int:
-    """How many classes the (key, key) links join keys into: a union-find."""
-    parent = {key: key for key in keys}
+def _components(n: int, links) -> int:
+    """How many classes the (i, j) links join 0, ..., n-1 into: a
+    union-find."""
+    parent = list(range(n))
     for a, b in links:
         while parent[a] != a:  # climb to the roots, halving the paths
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         parent[a] = b
-    return sum(1 for k, up in parent.items() if k == up)  # one root each
+    return sum(1 for k, up in enumerate(parent) if k == up)  # one root each
 
 
 # -----------------------------------------------------------------------
@@ -482,24 +593,26 @@ def _components(keys, links) -> int:
 def vertex_multiplicity(curve: TropicalCurve, vertex_id: str) -> int:
     """m = |d1 ^ d2| for two outgoing directions at a trivalent vertex that
     balances as check_balancing requires (then every pair gives m)."""
-    curve.vertex(vertex_id)
-    out = curve.outgoing(vertex_id)
+    try:
+        out = curve._sites[curve._index[vertex_id]]
+    except KeyError:
+        raise InvalidCurve(f"no vertex with id {vertex_id!r}") from None
     if len(out) != 3:
         raise NonTrivalentVertex(
             f"vertex {vertex_id!r} has valence {len(out)}, expected 3")
-    sx, sy = _imbalance(out)
+    sx, sy = _imbalance(curve, out)
     if sx or sy:
         raise UnbalancedVertex(
             f"vertex {vertex_id!r} is unbalanced: outgoing directions sum "
             f"to ({sx},{sy}), expected (0,0)")
-    (d1, _), (d2, _), _ = out
-    return abs(d1.wedge(d2))
+    (x1, y1), (x2, y2) = curve._half[out[0]], curve._half[out[1]]
+    return abs(x1 * y2 - y1 * x2)
 
 
 def multiplicities(diagram: BaseDiagram, curve: TropicalCurve):
     """vertex_multiplicity of every vertex, in curve order (_remember)."""
     return _remember(diagram, curve, multiplicities, lambda: tuple(
-        vertex_multiplicity(curve, v.id) for v in curve.vertices))
+        vertex_multiplicity(curve, vid) for vid in curve._ids))
 
 
 def vertex_double_points(m: int) -> int:
@@ -514,23 +627,37 @@ def vertex_double_points(m: int) -> int:
     return (m - 1) // 2
 
 
-def end_multiplicity(diagram: BaseDiagram, end: CurveEnd) -> int:
+# An end is a CurveEnd, or a row (id, site, (dx, dy), terminal) of a
+# curve's end column, whose terminal is a node index or a landing triple:
+# end_multiplicity and classify_end take either, and end_kinds the rows.
+
+def _terminal(end):
+    """An end's node index, or its landing."""
+    terminal = end[3]
+    if isinstance(terminal, (BoundaryTerminal, NodeTerminal)):
+        (terminal,) = terminal
+    return terminal
+
+
+def end_multiplicity(diagram: BaseDiagram, end) -> int:
     """mu = |wedge(end direction, boundary edge direction)| at the landing.
 
     mu = 1 is a collar (the Lagrangian acquires a boundary circle there),
     mu = 2 a cross-cap.  Only boundary ends have one.
     """
-    if not isinstance(end.terminal, BoundaryTerminal):
-        raise NotABoundaryEnd(f"end {end.id!r} terminates at a node")
-    loc = diagram.contains(end.terminal.landing)
+    eid, (dx, dy), landing = end[0], end[2], _terminal(end)
+    if isinstance(landing, int):
+        raise NotABoundaryEnd(f"end {eid!r} terminates at a node")
+    loc = diagram.contains(landing)
     if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
         raise InvalidCurve(
-            f"end {end.id!r} landing {end.terminal.landing} is {loc}, "
+            f"end {eid!r} landing {_text(landing)} is {loc}, "
             "not in the open interior of a boundary edge")
-    mu = abs(end.direction.wedge(diagram.boundary_edges[loc.index].direction))
+    ex, ey = diagram.boundary_edges[loc.index].direction
+    mu = abs(dx * ey - dy * ex)
     if mu == 0:
         raise InvalidCurve(
-            f"end {end.id!r} is parallel to the boundary edge it lands on; "
+            f"end {eid!r} is parallel to the boundary edge it lands on; "
             "a legal landing cannot have mu = 0")
     return mu
 
@@ -541,10 +668,10 @@ class EndKind(Enum):
     COLLAR = "collar"
 
 
-def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
+def classify_end(diagram: BaseDiagram, end) -> EndKind:
     """The cap over a weight-one end: a disc at a node, a collar at mu = 1,
     a cross-cap at mu = 2."""
-    if isinstance(end.terminal, NodeTerminal):
+    if isinstance(_terminal(end), int):
         return EndKind.DISC_CAP
     mu = end_multiplicity(diagram, end)
     if mu == 1:
@@ -552,11 +679,11 @@ def classify_end(diagram: BaseDiagram, end: CurveEnd) -> EndKind:
     if mu == 2:
         return EndKind.CROSS_CAP
     raise UnsupportedEndMultiplicity(
-        f"end {end.id!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
+        f"end {end[0]!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
         "(cross-cap) carry a surface meaning")
 
 
 def end_kinds(diagram: BaseDiagram, curve: TropicalCurve):
-    """classify_end of every end, in curve order (_remember)."""
+    """classify_end of every end row, in curve order (_remember)."""
     return _remember(diagram, curve, end_kinds, lambda: tuple(
-        classify_end(diagram, e) for e in curve.ends))
+        classify_end(diagram, row) for row in curve._end_rows))

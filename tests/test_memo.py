@@ -18,9 +18,13 @@ from troplag import (
     BoundaryTerminal,
     CurveEnd,
     Document,
+    InternalEdge,
     IntVec,
+    NodeTerminal,
+    RatPoint,
     SweepDirection,
     TropicalCurve,
+    TropicalVertex,
     TroplagError,
     UnimodularAffineMap,
     build_presentation,
@@ -37,6 +41,7 @@ from troplag import (
     trop_family,
     tropical,
     validate,
+    visible_segment,
 )
 from troplag.homology import critical_coordinates
 from troplag.tropical import geometry
@@ -203,13 +208,95 @@ def test_transform_and_equality_ignore_the_memo():
 def test_no_plane_segment_stays_tracked_by_the_collector():
     # A full collection untracks a tuple whose items are all untracked,
     # one nesting level per collection: the points and tokens first, then
-    # the segment, so long as its direction is a plain pair.
+    # the segment, so long as its direction is a plain pair and its tokens
+    # are site indices and pairs of strings and ints (an anchor's too).
     instance = trop_family(24)
-    assert validate(instance.diagram, instance.curve).passed
-    segments = geometry(instance.diagram, instance.curve)[3]
-    gc.collect()
-    gc.collect()
-    assert [s[0] for s in segments if gc.is_tracked(s)] == []
+    visible = rectangle(5, 3)
+    for diagram, curve in [(instance.diagram, instance.curve), (
+            visible, visible_segment(visible, IntVec(2, 1),
+                                     pt(Fraction(5, 2), Fraction(3, 2))))]:
+        assert validate(diagram, curve).passed
+        segments = geometry(diagram, curve)[3]
+        gc.collect()
+        gc.collect()
+        assert [s[0] for s in segments if gc.is_tracked(s)] == []
+
+
+def _certify(doc):
+    for curve in doc.curves:
+        assert validate(doc.diagram, curve).passed
+        classify(doc.diagram, curve)
+        oracle_classify(build_presentation(doc.diagram, curve))
+        mod2_class(doc.diagram, curve)
+    render_document(doc)
+
+
+def test_tracked_objects_stay_flat_in_the_family_size():
+    # A parsed, certified document keeps its columns and facts as plain
+    # tuples of ints and strings, which the collector stops tracking, so
+    # what stays tracked does not grow with the curve.
+    texts = [serialize_document(Document(b.diagram, (b.curve,)))
+             for b in map(trop_family, (1, 24, 1000))]
+    _certify(parse_document(texts[0]))  # compiles the parser's patterns
+    tracked = []
+    for text in texts[1:]:
+        gc.collect()
+        gc.collect()
+        before = len(gc.get_objects())
+        doc = parse_document(text)
+        _certify(doc)
+        gc.collect()
+        gc.collect()
+        tracked.append(len(gc.get_objects()) - before)
+        del doc
+    small, large = tracked
+    assert large <= small < 100, tracked
+
+
+def test_certification_builds_no_record(monkeypatch):
+    doc = parse_document((FIGURES / "fig3_family.trop").read_text())
+    (curve,) = doc.curves
+    built = [count_calls(monkeypatch, tropical, name) for name in
+             ("TropicalVertex", "InternalEdge", "CurveEnd")]
+    _certify(doc)
+    sweep_parity(doc.diagram, curve, H)
+    euler_breakdown(doc.diagram, curve)
+    assert built == [[], [], []]
+    # The lazy records are built on first read, and kept.
+    assert not {"vertices", "edges", "ends", "sites"} & set(vars(curve))
+    assert curve.ends is curve.ends
+    assert [len(calls) for calls in built] == [0, 0, 10]
+
+
+def _assert_records(curve):
+    """Every record of curve is of its type, down to its points."""
+    for v in curve.vertices:
+        assert type(v) is TropicalVertex and type(v.position) is RatPoint
+    assert all(type(e) is InternalEdge for e in curve.edges)
+    for e in curve.ends:
+        assert type(e) is CurveEnd and type(e.direction) is IntVec
+        assert type(e.source) in (str, RatPoint)
+        if type(e.terminal) is BoundaryTerminal:
+            assert type(e.terminal.landing) is RatPoint
+        else:
+            assert type(e.terminal) is NodeTerminal
+
+
+@pytest.mark.parametrize("diagram, curve", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_lazy_records_equal_the_given_records(diagram, curve):
+    # Figures are parsed, the rest built from records; each is compared
+    # with its parse_document(serialize_document(...)) copy.
+    copy = _fresh(diagram, curve)[1]
+    for one, other in [(curve, copy), (copy, curve)]:
+        assert one == other
+        assert (one.vertices, one.edges, one.ends) \
+            == (other.vertices, other.edges, other.ends)
+        assert dict(one.sites) == dict(other.sites)
+        assert one.anchors() == other.anchors()
+        _assert_records(one)
+    moved = copy.transform(UnimodularAffineMap.identity())
+    assert moved == copy and copy == moved
 
 
 def test_one_certification_builds_each_fact_once(monkeypatch):
@@ -226,9 +313,11 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # Once per end, for the memo; render's markers read it there.
-    per_end = [sum(1 for _, end in kinds if end is e) for e in curve.ends]
-    assert per_end == [1] * len(curve.ends)
+    # Once per end, on the row of the curve's end column that end_kinds
+    # passes, for the memo; render's markers read it there.
+    rows = curve._end_rows
+    per_end = [sum(1 for _, end in kinds if end is row) for row in rows]
+    assert per_end == [1] * len(rows) == [1] * 10
 
 
 def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():
