@@ -11,17 +11,17 @@ parity; balancing makes it independent of the witness for closed curves.
 Closedness is read from tropical.end_kinds: every end must be a
 cross-cap, so a collar, an end at a node (a disc cap) and an end with no
 cap kind (mu >= 3) are refused, the last before any collar.  _sweep
-walks the plane tropical.geometry hands out and chooses the default
-witness.  Both default sweeps are one per-curve fact, _default_sweeps,
-read by sweep_parity without a witness and by mod2_class, which asks
-tropical.multiplicities first, as topology does, and keeps both sweeps.
+orders each span of the plane tropical.geometry hands out once, and
+chooses the default witness.  Both default sweeps are one per-curve fact,
+_default_sweeps, read by sweep_parity without a witness and by mod2_class,
+which asks tropical.multiplicities first, as topology does, and keeps them.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
 """
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -114,18 +114,18 @@ def _sweep(plane, direction: SweepDirection, witness=None):
     criticals is the sorted set a generic witness line must avoid, the
     rectangle's bounds included."""
     scale, corners, _, segments = plane
-    axis = 0 if direction is SweepDirection.VERTICAL else 1
-    # Per segment: the coordinate at start, at finish, and |dot(u, t)|.
-    spans = [(a[axis], b[axis], abs(u[1 - axis]))
-             for _, a, b, _, _, u in segments]
+    axis, other = (0, 1) if direction is SweepDirection.VERTICAL else (1, 0)
+    # Per segment: its span (low, high) across the lines, and its direction.
+    spans = [(ca, cb, u) if ca <= cb else (cb, ca, u) for _, a, b, _, _, u
+             in segments for ca, cb in ((a[axis], b[axis]),)]
     bounds = [corner[axis] for corner in corners]
     criticals = sorted({min(bounds), max(bounds)}.union(
-        c for ca, cb, _ in spans for c in (ca, cb)))
+        *islice(zip(*spans), 2)))
     # The witness line's scaled coordinate is line / den.
     if witness is None:
-        lo, hi = max(zip(criticals, criticals[1:]),
-                     key=lambda gap: gap[1] - gap[0])
-        line, den = lo + hi, 2
+        gaps = [hi - lo for lo, hi in zip(criticals, criticals[1:])]
+        k = gaps.index(max(gaps))  # the first largest gap
+        line, den = criticals[k] + criticals[k + 1], 2
         witness = Fraction(line, den * scale)
     else:
         witness = _as_fraction(witness)
@@ -136,8 +136,8 @@ def _sweep(plane, direction: SweepDirection, witness=None):
         if not criticals[0] * den < line < criticals[-1] * den:
             raise NonGenericWitness(
                 f"witness {witness} lies outside the rectangle")
-    total = sum(points for ca, cb, points in spans
-                if min(ca, cb) * den < line < max(ca, cb) * den)
+    total = sum(abs(u[other]) for lo, hi, u in spans
+                if lo * den < line < hi * den)
     return criticals, SweepParity(direction, total % 2, witness)
 
 

@@ -23,8 +23,8 @@ endpoints, and every point is cleared once by the curve's own scale.  The
 records (vertices, edges, ends), the public incidence `sites` (site key ->
 outgoing (direction, element id) pairs, the key a vertex id or the anchor
 RatPoint) and anchors() are built from the columns on first read, so a
-curve read from text makes none until asked; a curve built from records
-keeps them.  Equality compares the columns.
+curve makes none until asked, even one built from records (it keeps only
+the columns).  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on
 int pairs, for validate(), the homology sweeps and render, with the
@@ -34,11 +34,13 @@ every geometric and combinatorial invariant and returns a report; the
 per-element facts (a vertex's multiplicity m and its (m-1)/2 double
 points, an end's mu and its cap kind) assume a validated curve and raise
 on contract violations.  Each reads the columns by index; end_multiplicity
-and classify_end take an end row as well as a CurveEnd.  The plane, the
-cap kinds (end_kinds), the m's (multiplicities) and homology's default
+and classify_end take an end row or a CurveEnd, and its landing's location
+if known.  The plane, every site's and landing's location (locations),
+the cap kinds (end_kinds), the m's (multiplicities) and homology's default
 sweeps are computed once per curve and diagram and kept in the curve's one
 memo slot (_remember).
 """
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
@@ -126,13 +128,11 @@ class CurveEnd(NamedTuple):
 
 class TropicalCurve:
     """An immutable tropical curve; geometry is validated against a diagram
-    by validate().  Built from records, it keeps them; read from text, it
-    builds them on first read (see the module docstring)."""
+    by validate().  It keeps only its columns, and builds its records on
+    first read (see the module docstring)."""
 
     def __init__(self, vertices=(), edges=(), ends=(), name=""):
-        self.vertices = vertices = tuple(vertices)
-        self.edges = edges = tuple(edges)
-        self.ends = ends = tuple(ends)
+        vertices = tuple(vertices)
         self._build(name, [v.id for v in vertices],
                     [v.position for v in vertices], edges,
                     [(e.id, e.source, tuple(e.direction), e.terminal[0])
@@ -374,6 +374,16 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
     return scale, corners, cuts, tuple(segments)
 
 
+def locations(diagram: BaseDiagram, curve: TropicalCurve):
+    """(sites, landings): diagram.contains of each site's point, vertices
+    then anchors, and of each end's landing (None for an end at a node),
+    once per curve and diagram (_remember)."""
+    return _remember(diagram, curve, locations, lambda: (
+        tuple(map(diagram.contains, curve._points + curve._anchors)),
+        tuple([None if isinstance(t, int) else diagram.contains(t)
+               for _, _, _, t in curve._end_rows])))
+
+
 class ValidationIssue(NamedTuple):
     code: str
     element: str
@@ -443,29 +453,29 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
 
-    It reads the curve's columns by index: diagram.contains locates each
-    point's triple, and the segment predicates run on the int pairs of
-    geometry(); a point is printed only in an issue.  Embeddedness sweeps
-    the segments' bounding boxes by min x (Shamos-Hoey) and runs the exact
-    segment_contact only on pairs whose boxes meet: O(n log n + k) for k
-    pairs overlapping in x, not n(n-1)/2 contact tests.
+    It reads the curve's columns by index, each point's location from
+    locations(), and the int pairs of geometry(); a point or a direction is
+    printed only in an issue.  Embeddedness sweeps the segments' bounding
+    boxes by min x (Shamos-Hoey) into one sorted list of the (i, j) whose
+    boxes meet and runs the exact segment_contact only on those:
+    O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
+    sites, landings = locations(diagram, curve)
 
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
 
-    for vid, p, out in zip(curve._ids, curve._points, curve._sites):
-        loc = diagram.contains(p)
+    for vid, p, out, loc in zip(curve._ids, curve._points, curve._sites,
+                                sites):
         if loc.kind is not LocationKind.INTERIOR:
             issue("vertex-position", vid, f"position {_text(p)} is {loc}, "
                   "must be strictly interior")
         if not out:
             issue("isolated-vertex", vid, "vertex has no incident elements")
 
-    for site, p in enumerate(curve._anchors, len(curve._ids)):
-        loc = diagram.contains(p)
+    for site, loc in enumerate(sites[len(curve._ids):], len(curve._ids)):
         if loc.kind is not LocationKind.INTERIOR:
             issue("anchor-position", _site_name(curve, site),
                   f"anchor is {loc}, must be strictly interior")
@@ -475,61 +485,56 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   "carries exactly two (declare a vertex instead)")
 
     end_segments = iter(segments[len(curve._edge_rows):])
-    for eid, _, direction, terminal in curve._end_rows:
-        u = "({},{})".format(*direction)
-        if isinstance(terminal, int):
-            if not 0 <= terminal < len(cuts):
-                issue("end-terminal", eid, f"no node with index {terminal}")
-                continue
-            _, start, finish, _, _, _ = next(end_segments)
-            node = diagram.nodes[terminal]
-            if not reaches(start, finish, direction):
-                issue("end-collinearity", eid,
-                      f"node at {node.position} is not reached along "
-                      f"direction {u}")
-            if direction != node.cut_direction:
+    for (eid, _, (dx, dy), terminal), loc in zip(curve._end_rows, landings):
+        if loc is None and not 0 <= terminal < len(cuts):
+            issue("end-terminal", eid, f"no node with index {terminal}")
+            continue
+        _, start, finish, _, _, u = next(end_segments)
+        node = diagram.nodes[terminal] if loc is None else None
+        if not reaches(start, finish, u):
+            target = (f"landing {_text(terminal)}" if node is None
+                      else f"node at {node.position}")
+            issue("end-collinearity", eid,
+                  f"{target} is not reached along direction ({dx},{dy})")
+        if node is not None:
+            if u != node.cut_direction:
                 issue("end-cut-direction", eid,
-                      f"direction {u} differs from the node's cut "
+                      f"direction ({dx},{dy}) differs from the node's cut "
                       f"direction {node.cut_direction}")
-        else:
-            _, start, finish, _, _, _ = next(end_segments)
-            if not reaches(start, finish, direction):
-                issue("end-collinearity", eid,
-                      f"landing {_text(terminal)} is not reached along "
-                      f"direction {u}")
-            loc = diagram.contains(terminal)
-            if loc.kind is LocationKind.ON_CORNER:
-                issue("end-corner-landing", eid,
-                      f"landing {_text(terminal)} is a polygon corner; "
-                      "corners are not legal landing sites")
-            elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
-                issue("end-landing", eid,
-                      f"landing {_text(terminal)} is {loc}, must lie in the "
-                      "open interior of a boundary edge")
+        elif loc.kind is LocationKind.ON_CORNER:
+            issue("end-corner-landing", eid,
+                  f"landing {_text(terminal)} is a polygon corner; "
+                  "corners are not legal landing sites")
+        elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
+            issue("end-landing", eid,
+                  f"landing {_text(terminal)} is {loc}, must lie in the "
+                  "open interior of a boundary edge")
 
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
-    # only if their closed bounding boxes do; candidates[i] holds each such
-    # j > i.
+    # only if their closed bounding boxes do; pairs holds each such (i, j),
+    # i < j, sorted, as plain int tuples the collector stops tracking.
     boxes = []
     for k, (_, (ax, ay), (bx, by), _, _, _) in enumerate(segments):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
         boxes.append((x0, x1, y0, y1, k))
     boxes.sort()
-    candidates = [[] for _ in segments]
+    pairs = []
     for n, (_, x1, y0, y1, k) in enumerate(boxes):
         for m in range(n + 1, len(boxes)):
             u0, _, v0, v1, other = boxes[m]
             if u0 > x1:
                 break
             if v0 <= y1 and y0 <= v1:
-                candidates[min(k, other)].append(max(k, other))
-    for i in range(len(segments)):
-        id1, a, b, tok_a, tok_b, _ = segments[i]
+                pairs.append((k, other) if k < other else (other, k))
+    pairs.sort()
+    stop = 0  # pairs[start:stop] are those of segment i
+    for i, (id1, a, b, tok_a, tok_b, _) in enumerate(segments):
+        start, stop = stop, bisect_left(pairs, (i + 1,), stop)
         if a == b:
             issue("degenerate-segment", id1, "segment has zero length")
             continue
-        for j in sorted(candidates[i]):
+        for _, j in pairs[start:stop]:
             id2, c, d, tok_c, tok_d, _ = segments[j]
             hit = segment_contact(a, b, c, d)
             if hit is None:
@@ -629,7 +634,8 @@ def vertex_double_points(m: int) -> int:
 
 # An end is a CurveEnd, or a row (id, site, (dx, dy), terminal) of a
 # curve's end column, whose terminal is a node index or a landing triple:
-# end_multiplicity and classify_end take either, and end_kinds the rows.
+# end_multiplicity and classify_end take either, and end_kinds the rows
+# with their landings' locations (None: the function locates the landing).
 
 def _terminal(end):
     """An end's node index, or its landing."""
@@ -639,7 +645,7 @@ def _terminal(end):
     return terminal
 
 
-def end_multiplicity(diagram: BaseDiagram, end) -> int:
+def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
     """mu = |wedge(end direction, boundary edge direction)| at the landing.
 
     mu = 1 is a collar (the Lagrangian acquires a boundary circle there),
@@ -648,7 +654,7 @@ def end_multiplicity(diagram: BaseDiagram, end) -> int:
     eid, (dx, dy), landing = end[0], end[2], _terminal(end)
     if isinstance(landing, int):
         raise NotABoundaryEnd(f"end {eid!r} terminates at a node")
-    loc = diagram.contains(landing)
+    loc = location or diagram.contains(landing)
     if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
         raise InvalidCurve(
             f"end {eid!r} landing {_text(landing)} is {loc}, "
@@ -668,12 +674,12 @@ class EndKind(Enum):
     COLLAR = "collar"
 
 
-def classify_end(diagram: BaseDiagram, end) -> EndKind:
+def classify_end(diagram: BaseDiagram, end, location=None) -> EndKind:
     """The cap over a weight-one end: a disc at a node, a collar at mu = 1,
-    a cross-cap at mu = 2."""
+    a cross-cap at mu = 2; location is as end_multiplicity takes it."""
     if isinstance(_terminal(end), int):
         return EndKind.DISC_CAP
-    mu = end_multiplicity(diagram, end)
+    mu = end_multiplicity(diagram, end, location)
     if mu == 1:
         return EndKind.COLLAR
     if mu == 2:
@@ -686,4 +692,5 @@ def classify_end(diagram: BaseDiagram, end) -> EndKind:
 def end_kinds(diagram: BaseDiagram, curve: TropicalCurve):
     """classify_end of every end row, in curve order (_remember)."""
     return _remember(diagram, curve, end_kinds, lambda: tuple(
-        classify_end(diagram, row) for row in curve._end_rows))
+        classify_end(diagram, row, loc)
+        for row, loc in zip(curve._end_rows, locations(diagram, curve)[1])))

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from troplag import (
+    BaseDiagram,
     BoundaryTerminal,
     CurveEnd,
     Document,
@@ -268,6 +269,20 @@ def test_certification_builds_no_record(monkeypatch):
     assert [len(calls) for calls in built] == [0, 0, 10]
 
 
+def test_constructed_curve_holds_no_record_until_one_is_read():
+    # A curve built from records keeps only its columns, as a parsed one
+    # does; certifying it builds none, and a first read builds and keeps
+    # them.
+    instance = trop_family(3)
+    curve = instance.curve
+    records = {"vertices", "edges", "ends", "sites"}
+    assert not records & set(vars(curve))
+    _certify(Document(instance.diagram, (curve,)))
+    assert not records & set(vars(curve))
+    assert curve.ends is curve.ends
+    assert records & set(vars(curve)) == {"ends"}
+
+
 def _assert_records(curve):
     """Every record of curve is of its type, down to its points."""
     for v in curve.vertices:
@@ -304,6 +319,14 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     diagram, (curve,) = doc.diagram, doc.curves
     planes = count_calls(monkeypatch, tropical, "_plane")
     kinds = count_calls(monkeypatch, tropical, "classify_end")
+    located = []
+    contains = BaseDiagram.contains
+
+    def counted(self, p):
+        located.append(p)
+        return contains(self, p)
+
+    monkeypatch.setattr(BaseDiagram, "contains", counted)
     assert validate(diagram, curve).passed
     classify(diagram, curve)
     euler_breakdown(diagram, curve)
@@ -313,11 +336,18 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # Once per end, on the row of the curve's end column that end_kinds
-    # passes, for the memo; render's markers read it there.
+    # Each site and each landing is located once, for the memo.
     rows = curve._end_rows
-    per_end = [sum(1 for _, end in kinds if end is row) for row in rows]
+    landings = [t for _, _, _, t in rows if not isinstance(t, int)]
+    assert sorted(located) == sorted([*curve._points, *landings])
+    assert len(located) == len(curve._sites) + len(landings) == 8 + 10
+    # Once per end, on the row of the curve's end column that end_kinds
+    # passes, with that landing's location from the memo; render's markers
+    # read it there.
+    per_end = [sum(1 for _, end, _ in kinds if end is row) for row in rows]
     assert per_end == [1] * len(rows) == [1] * 10
+    assert [loc for _, _, loc in kinds] == [contains(diagram, t)
+                                            for t in landings]
 
 
 def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():

@@ -19,6 +19,7 @@ from troplag import (
     UnbalancedVertex,
     check_balancing,
     end_multiplicity,
+    parse_document,
     pt,
     rectangle,
     rp2_curve,
@@ -135,6 +136,50 @@ def test_node_end_must_follow_cut_direction():
                  BoundaryTerminal(pt(2, 0)))])
     report = validate(diagram, curve)
     assert any(issue.code == "end-cut-direction" for issue in report.issues)
+
+
+def test_end_issues_name_the_direction_and_the_target():
+    # a runs up from (3/2,1/2) to node 1 at (2,1), whose cut runs along
+    # (1,0); b runs down to a landing it does not reach.  Each message
+    # prints its direction, in issue order.
+    diagram = x_abc(1, 1, F(4, 3), 4)
+    curve = TropicalCurve((), (), [
+        CurveEnd("a", pt(F(3, 2), F(1, 2)), IntVec(0, 1), NodeTerminal(1)),
+        CurveEnd("b", pt(F(3, 2), F(1, 2)), IntVec(0, -1),
+                 BoundaryTerminal(pt(3, 0)))])
+    assert validate(diagram, curve).lines() == [
+        "[end-collinearity] a: node at (2,1) is not reached along "
+        "direction (0,1)",
+        "[end-cut-direction] a: direction (0,1) differs from the node's "
+        "cut direction (1,0)",
+        "[end-collinearity] b: landing (3,0) is not reached along "
+        "direction (0,-1)"]
+
+
+def test_points_shared_without_a_shared_token_are_embedding_issues():
+    # Two ends that land on one boundary point, (4,1): each landing is its
+    # own endpoint, so the two segments meet where neither is shared.
+    twin = parse_document(
+        "diagram rectangle width=4 height=4\ncurve twin\n"
+        "end a (1,1) dir=(1,0) land=(4,1)\n"
+        "end b (1,1) dir=(-1,0) land=(0,1)\n"
+        "end c (3,3) dir=(1,-2) land=(4,1)\n"
+        "end d (3,3) dir=(-1,2) land=(5/2,4)\n")
+    assert validate(twin.diagram, twin.curves[0]).lines() == [
+        "[embedding] a: meets c at (4,1), which is not a shared endpoint",
+        "[disconnected] twin: underlying graph has 2 components"]
+    # Two balanced vertices at one point, (2,2): every segment of v meets
+    # every segment of w there.
+    two = parse_document(
+        "diagram rectangle width=6 height=6\ncurve two\n"
+        "vertex v (2,2)\nvertex w (2,2)\n"
+        "end a v dir=(1,0) land=(6,2)\nend b v dir=(-1,1) land=(0,4)\n"
+        "end c v dir=(0,-1) land=(2,0)\nend d w dir=(-1,0) land=(0,2)\n"
+        "end e w dir=(1,-1) land=(4,0)\nend f w dir=(0,1) land=(2,6)\n")
+    assert validate(two.diagram, two.curves[0]).lines() == [
+        f"[embedding] {one}: meets {other} at (2,2), which is not a shared "
+        "endpoint" for one in "abc" for other in "def"] + [
+        "[disconnected] two: underlying graph has 2 components"]
 
 
 def test_edge_crossing_rejected():
