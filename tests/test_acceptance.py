@@ -289,3 +289,22 @@ def test_criterion_11_format_and_rendering():
         assert svg_once.encode("utf-8") == golden
     _passed(11, "round-trip parse/serialize and byte-identical SVG against "
                 "committed goldens")
+
+
+def test_answer_corpus_replays():
+    """Every document of answer_corpus.json (see make_answer_corpus.py)
+    rebuilds to the text recorded for it and gives the recorded answers:
+    the diagram's public values, the SVG's sha256, and per curve the
+    validate lines, cap kinds, chi terms, surface, oracle, mod-2 class and
+    audin lines, or the same refusals."""
+    import json
+
+    from make_answer_corpus import CORPUS, answers, build
+    for case in json.loads(CORPUS.read_text(encoding="utf-8")):
+        kind, *_ = source = tuple(case["source"])
+        text = case["text"] if kind == "mutation" else build(source)
+        if "refusal" in case:
+            assert text == case["refusal"], source
+            continue
+        assert case.get("text", text) == text, source
+        assert answers(text) == case["answers"], source
