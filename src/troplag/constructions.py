@@ -66,7 +66,7 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
         landing, location = diagram.exit(anchor, way)
         if location.kind is LocationKind.ON_CORNER:
             raise DoesNotFit("the line exits through a corner")
-        if diagram.boundary_edges[location.index].direction.y == 0:
+        if diagram._directions[location.index][1] == 0:
             raise DoesNotFit("the line exits through a horizontal edge")
         ends.insert(0, CurveEnd(end_id, anchor, way,
                                 BoundaryTerminal(landing)))

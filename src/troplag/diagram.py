@@ -9,14 +9,18 @@ two spheres) and the triple blow-up triangle with one toric corner chop and
 two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
 a ray from an interior point leaves the polygon: each cut ends at its
 node's exit, and the constructions land their ends at theirs.
-BaseDiagram reads every point as its triple (X, Y, W): corners and nodes
-are cleared by one scale S when a diagram is built, contains locates the
-point (S*X, S*Y, W) of the scaled plane on ints, with no memo and no
-RatPoint needed, and exit finds its parameter and its exit point on ints.
+A diagram is a lattice polygon held as int columns on one scale S, the
+least that clears every corner, node and cut exit: corners, each edge's
+line (e.x, e.y, e ^ A) and primitive direction, bounds, node positions,
+cut directions and cut exits.  contains (of (X, Y, W) as (S*X, S*Y, W))
+and exit read only these; the boundary_edges and cut_segments records are
+built on first read, and bounds() makes its Fractions from the ints.
 """
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -30,6 +34,7 @@ from .lattice import (
     common_scale,
     displacement,
     reaches,
+    reduced,
     segment_contact,
     turn,
 )
@@ -173,7 +178,7 @@ class BaseDiagram:
             raise InvalidDiagram("polygon vertices must be distinct")
         self.nodes = nodes = tuple(nodes)
         scale = common_scale(vertices + tuple(n.position for n in nodes))
-        self._corners = corners = [cleared(v, scale) for v in vertices]
+        corners = [cleared(v, scale) for v in vertices]
         n = len(vertices)
         for i in range(n):
             side = turn(corners[i], corners[(i + 1) % n], corners[(i + 2) % n])
@@ -184,9 +189,8 @@ class BaseDiagram:
                 a, b, c = (vertices[(i + k) % n] for k in range(3))
                 raise InvalidDiagram("polygon must be strictly convex "
                                      f"(vertices {a}, {b}, {c} are collinear)")
-        edges, lines = [], []  # lines: (e.x, e.y, e ^ A) for A -> B, e = B - A
+        lines = []  # (e.x, e.y, e ^ A) for the edge A -> B, e = B - A
         for i in range(n):
-            a, b = vertices[i], vertices[(i + 1) % n]
             (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
             # Every turn is to the left, so the two corners next to edge i
             # lie left of it; the corners still wind more than once unless
@@ -196,57 +200,69 @@ class BaseDiagram:
                     raise InvalidDiagram(
                         "polygon must wind once counterclockwise (vertex "
                         f"{vertices[k % n]} is not strictly left of the edge "
-                        f"{a} to {b})")
-            edges.append(BoundaryEdge(a, b, *displacement(a, b)))
+                        f"{vertices[i]} to {vertices[(i + 1) % n]})")
             lines.append((bx - ax, by - ay, bx * ay - by * ax))
 
         self.polygon_vertices = vertices
-        self.boundary_edges = tuple(edges)
         self.homology = homology
         self.name = name
         self.kind = kind
         self.params = dict(params) if params else None
-        self._scale = scale
-        self._lines = tuple(lines)
+        self._scale, self._corners, self._lines = scale, corners, lines
         self._on_edges = tuple(PointLocation(LocationKind.ON_BOUNDARY_EDGE, i)
                                for i in range(n))
         self._rays = [(cleared(node.position, scale), node.cut_direction)
                       for node in nodes]
-        self._cut_segments = tuple(self._trace_cut(node) for node in nodes)
-        self._check_nodes()
-
-    # -- construction-time validation ---------------------------------
-
-    def _trace_cut(self, node: Node):
-        location = self.contains(node.position)
-        if location.kind not in (LocationKind.ON_NODE, LocationKind.ON_CUT):
-            raise InvalidDiagram(
-                f"node at {node.position} is not strictly inside the polygon")
-        point, location = self.exit(node.position, node.cut_direction)
-        if location.kind is LocationKind.ON_CORNER:
-            raise InvalidDiagram(f"cut from node at {node.position} exits "
-                                 f"through the corner {point}")
-        return node.position, point
-
-    def _check_nodes(self):
+        exits = []  # each cut's exit, reduced (X, Y, W) on this scale
+        for node, ((x, y), direction) in zip(nodes, self._rays):
+            if self._locate(x, y, 1).kind not in (LocationKind.ON_NODE,
+                                                  LocationKind.ON_CUT):
+                raise InvalidDiagram(f"node at {node.position} is not "
+                                     "strictly inside the polygon")
+            X, Y, W, location = self._exit(x, y, 1, direction)
+            if location.kind is LocationKind.ON_CORNER:
+                raise InvalidDiagram(
+                    f"cut from node at {node.position} exits through the "
+                    f"corner {RatPoint.of(X, Y, W * scale)}")
+            exits.append(reduced(X, Y, W))
+        # One scale for the cut exits too: k times every column.
+        k = lcm(*(w for _, _, w in exits))
+        if k != 1:
+            self._scale = scale * k
+            self._corners = [(x * k, y * k) for x, y in corners]
+            self._lines = [(ex * k, ey * k, w * k * k) for ex, ey, w in lines]
+            self._rays = [((x * k, y * k), u) for (x, y), u in self._rays]
+        self._cuts = tuple((node, (x * (k // w), y * (k // w)))
+                           for (node, _), (x, y, w) in zip(self._rays, exits))
+        self._directions = tuple((ex // g, ey // g) for ex, ey, _ in lines
+                                 for g in (gcd(ex, ey),))
+        xs, ys = zip(*self._corners)
+        self._box = min(xs), min(ys), max(xs), max(ys)
         if len({node for node, _ in self._rays}) != len(self._rays):
             raise InvalidDiagram("nodes must be at distinct positions")
         # A node on another node's cut needs no check of its own: its own
         # cut starts there, so the two cuts meet.  contains relies on it.
-        scale = common_scale(p for cut in self._cut_segments for p in cut)
-        cuts = [[cleared(p, scale) for p in cut] for cut in self._cut_segments]
-        pairs = combinations(zip(self.nodes, cuts), 2)
-        for (node, cut), (other, other_cut) in pairs:
+        for (node, cut), (other, other_cut) in combinations(
+                zip(nodes, self._cuts), 2):
             if segment_contact(*cut, *other_cut) is not None:
                 raise InvalidDiagram(f"cuts from nodes at {node.position} and "
                                      f"{other.position} collide")
 
-    # -- queries -------------------------------------------------------
+    # -- records, built on first read ------------------------------------
 
-    @property
+    @cached_property
+    def boundary_edges(self):
+        vertices = self.polygon_vertices
+        return tuple([BoundaryEdge(a, b, *displacement(a, b)) for a, b in
+                      zip(vertices, vertices[1:] + vertices[:1])])
+
+    @cached_property
     def cut_segments(self):
         """One (node position, boundary exit point) pair per node."""
-        return self._cut_segments
+        return tuple([(node.position, RatPoint.of(*end, self._scale))
+                      for node, (_, end) in zip(self.nodes, self._cuts)])
+
+    # -- queries -------------------------------------------------------
 
     def _locate(self, X: int, Y: int, W: int) -> PointLocation:
         """Where (X/W, Y/W) of the plane scaled by S sits in the diagram.
@@ -276,16 +292,11 @@ class BaseDiagram:
                 return PointLocation(LocationKind.ON_CUT, index)
         return INTERIOR
 
-    def exit(self, origin: RatPoint, direction: IntVec):
-        """Where the ray origin + t*direction (t > 0) leaves the polygon.
-
-        Returns (point, location): ON_CORNER(k) if point is polygon vertex
-        k, else ON_BOUNDARY_EDGE(i) for the edge i it crosses.  The ray
-        leaves through the nearest line of an edge it moves outward
-        through.  The origin must be strictly inside the polygon and the
-        direction nonzero."""
-        S, (dx, dy) = self._scale, (direction.x, direction.y)
-        X, Y, W = origin.X * S, origin.Y * S, origin.W  # the scaled origin P
+    def _exit(self, X: int, Y: int, W: int, direction):
+        """exit of (X/W, Y/W) of the plane scaled by S, as (X', Y', W',
+        location): the ray leaves through the nearest line of an edge it
+        moves outward through."""
+        dx, dy = direction
         best = None  # (W * (e ^ (P - A)), -(e ^ d), index); t is their ratio
         for index, (ex, ey, wedge_a) in enumerate(self._lines):
             outward = ey * dx - ex * dy
@@ -296,13 +307,23 @@ class BaseDiagram:
         if best is None:
             raise DegenerateDirection("a ray needs a nonzero direction")
         side, outward, index = best
-        # P + t*d with t = side / (W * outward), back in unscaled coordinates.
-        point = RatPoint.of(X * outward + side * dx, Y * outward + side * dy,
-                            W * outward * S)
-        for corner in (index, (index + 1) % len(self.polygon_vertices)):
-            if point == self.polygon_vertices[corner]:
-                return point, PointLocation(LocationKind.ON_CORNER, corner)
-        return point, PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
+        # P + t*d with t = side / (W * outward).
+        X, Y, W = X * outward + side * dx, Y * outward + side * dy, W * outward
+        for corner in (index, (index + 1) % len(self._corners)):
+            cx, cy = self._corners[corner]
+            if X == W * cx and Y == W * cy:
+                return X, Y, W, PointLocation(LocationKind.ON_CORNER, corner)
+        return X, Y, W, self._on_edges[index]
+
+    def exit(self, origin: RatPoint, direction: IntVec):
+        """Where the ray origin + t*direction (t > 0) leaves the polygon.
+
+        Returns (point, location): ON_CORNER(k) if point is polygon vertex
+        k, else ON_BOUNDARY_EDGE(i) for the edge i it crosses.  The origin
+        must be strictly inside the polygon and the direction nonzero."""
+        (X, Y, W), S = origin, self._scale
+        X, Y, W, location = self._exit(X * S, Y * S, W, direction)
+        return RatPoint.of(X, Y, W * S), location
 
     def contains(self, p: RatPoint) -> PointLocation:
         """Exact classification of p against polygon, nodes and cuts; p is a
@@ -311,18 +332,15 @@ class BaseDiagram:
         return self._locate(X * S, Y * S, W)
 
     def bounds(self):
-        xs = [v.x for v in self.polygon_vertices]
-        ys = [v.y for v in self.polygon_vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        """(min x, min y, max x, max y) of the corners, as Fractions."""
+        return tuple([Fraction(v, self._scale) for v in self._box])
 
     @property
     def is_rectangle(self) -> bool:
         """A node-free axis-aligned rectangle (the diagrams whose sweeps
         define classes); a rectangle with a node is not one."""
-        if self.nodes or len(self.boundary_edges) != 4:
-            return False
-        dirs = [(e.direction.x, e.direction.y) for e in self.boundary_edges]
-        return sorted(dirs) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        return not self.nodes and sorted(self._directions) == [
+            (-1, 0), (0, -1), (0, 1), (1, 0)]
 
     def transform(self, m: UnimodularAffineMap) -> "BaseDiagram":
         """The diagram in new integral affine coordinates.
@@ -359,6 +377,11 @@ class BaseDiagram:
 
 
 RECTANGLE_BASIS = ("sphere_h", "sphere_v")
+_RECTANGLE_HOMOLOGY = HomologyModel(
+    RECTANGLE_BASIS, ((0, 1), (1, 0)), class_of_horizontal_sweep=(1, 0),
+    class_of_vertical_sweep=(0, 1))
+_XABC_HOMOLOGY = HomologyModel(("E1", "E2", "E3"),
+                               ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
 
 
 def rectangle(width, height) -> BaseDiagram:
@@ -370,15 +393,11 @@ def rectangle(width, height) -> BaseDiagram:
     width, height = _as_fraction(width), _as_fraction(height)
     if width <= 0 or height <= 0:
         raise InvalidDiagram("rectangle sides must be positive")
-    vertices = [RatPoint(0, 0), RatPoint(width, 0),
-                RatPoint(width, height), RatPoint(0, height)]
-    homology = HomologyModel(
-        RECTANGLE_BASIS, ((0, 1), (1, 0)),
-        class_of_horizontal_sweep=(1, 0),
-        class_of_vertical_sweep=(0, 1))
-    return BaseDiagram(vertices, (), homology,
-                       name=f"rectangle {width}x{height}",
-                       kind="rectangle",
+    (w, p), (h, q) = width.as_integer_ratio(), height.as_integer_ratio()
+    vertices = [RatPoint(0, 0), RatPoint.of(w, 0, p),
+                RatPoint.of(w * q, h * p, p * q), RatPoint.of(0, h, q)]
+    return BaseDiagram(vertices, (), _RECTANGLE_HOMOLOGY,
+                       name=f"rectangle {width}x{height}", kind="rectangle",
                        params={"width": width, "height": height})
 
 
@@ -393,20 +412,22 @@ def x_abc(a, b, c, s) -> BaseDiagram:
     (a, s-a), lattice length a) and node_b = (s-2b, b) with horizontal cut.
     Homology basis E1, E2, E3 with intersection form -Identity.
     """
-    a, b, c, s = map(_as_fraction, (a, b, c, s))
+    a, b, c, s = params = tuple(map(_as_fraction, (a, b, c, s)))
     if a <= 0 or b <= 0:
         raise InvalidDiagram("blow-up sizes a and b must be positive")
     if not 0 < c < s:
         raise InvalidDiagram("chop size must satisfy 0 < c < s")
-    vertices = [RatPoint(0, c), RatPoint(c, 0), RatPoint(s, 0), RatPoint(0, s)]
-    node_a = Node(RatPoint(a, s - 2 * a), IntVec(0, 1))
-    node_b = Node(RatPoint(s - 2 * b, b), IntVec(1, 0))
-    homology = HomologyModel(("E1", "E2", "E3"),
-                             ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    (an, ad), (bn, bd), (cn, cd), (sn, sd) = map(Fraction.as_integer_ratio,
+                                                  params)
+    vertices = [RatPoint.of(0, cn, cd), RatPoint.of(cn, 0, cd),
+                RatPoint.of(sn, 0, sd), RatPoint.of(0, sn, sd)]
+    node_a = Node(RatPoint.of(an * sd, sn * ad - 2 * an * sd, ad * sd),
+                  IntVec(0, 1))
+    node_b = Node(RatPoint.of(sn * bd - 2 * bn * sd, bn * sd, bd * sd),
+                  IntVec(1, 0))
     try:
-        return BaseDiagram(vertices, (node_a, node_b), homology,
+        return BaseDiagram(vertices, (node_a, node_b), _XABC_HOMOLOGY,
                            name=f"xabc a={a} b={b} c={c} s={s}",
-                           kind="xabc",
-                           params={"a": a, "b": b, "c": c, "s": s})
+                           kind="xabc", params=dict(zip("abcs", params)))
     except InvalidDiagram as err:
         raise InvalidDiagram(f"x_abc(a={a}, b={b}, c={c}, s={s}): {err}") from None

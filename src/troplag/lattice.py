@@ -17,12 +17,12 @@ _make, _replace and unpickling too), so a vector equals the int pair
 All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
 homogeneous triple (X, Y, W) with W > 0 (reduced); the text parser and a
-curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram,
-tropical.TropicalCurve and tropical.geometry clear denominators
-(common_scale, cleared); other readers take their int pairs or compute on
-the triple, and its coordinates become fractions.Fraction only for
-printing and the public API.  Floats,
-bools and strings the document format would refuse are rejected at
+curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram
+clears denominators by common_scale and cleared, and TropicalCurve by
+common_scale; tropical.geometry multiplies both by one factor, and other
+readers take their int pairs or compute on the triple.  A coordinate
+becomes a fractions.Fraction only for printing and the public API.
+Floats, bools and strings the document format would refuse are rejected at
 construction time.
 """
 import re

@@ -2,19 +2,20 @@
 
 Shaded polygon, dashed cuts with an x mark at each node, curves in red,
 and a marker per cap kind (tropical.end_kinds; classify_end end by end,
-at the locations tropical.locations holds, when some end has none): a
-circled cross for a cross-cap (mu = 2), an open circle for a collar
-(mu = 1), a red x for a disc cap, a small circle for none.  Markers are
-drawn geometrically (no font glyphs) so output is byte-stable.  Curves are
-drawn from tropical.geometry: a point is its int pair over the curve's
-scale, and each SVG coordinate is one correctly rounded int division, so
-it is the float the reduced point gives.  Each distinct pair of a curve is
-projected once, into a table its lines and markers are written from.
+at the locations tropical.landing_locations holds, when some end has
+none): a circled cross for a cross-cap (mu = 2), an open circle for a
+collar (mu = 1), a red x for a disc cap, a small circle for none.  Markers
+are drawn geometrically (no font glyphs) so output is byte-stable.  The
+diagram is drawn from its int columns and curves from tropical.geometry:
+a point is its int pair over its scale, and each SVG coordinate is one
+correctly rounded int division, so it is the float the reduced point
+gives.  Each distinct pair of a curve is projected once, into a table its
+lines and markers are written from.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .tropical import (EndKind, InvalidCurve, classify_end, end_kinds,
-                       geometry, locations)
+                       geometry, landing_locations)
 
 SCALE = 48
 MARGIN = 40
@@ -38,23 +39,20 @@ def _divide(num: int, den: int) -> float:
 
 class _Frame:
     def __init__(self, diagram: BaseDiagram):
-        x0, y0, x1, y1 = diagram.bounds()
-        # x0 and y1 as (numerator, denominator), so that project makes
+        # The corners' int bounds on the diagram's scale S: project makes
         # each coordinate in ints and rounds it once, by one division.
-        self.x0 = (x0.numerator, x0.denominator)
-        self.y1 = (y1.numerator, y1.denominator)
-        width, height = (x1 - x0) * SCALE, (y1 - y0) * SCALE
-        self.width = _divide(width.numerator, width.denominator) + 2 * MARGIN
-        self.height = (_divide(height.numerator, height.denominator)
-                       + 2 * MARGIN)
+        S, (x0, y0, x1, y1) = diagram._scale, diagram._box
+        self.S, self.x0, self.y1 = S, x0, y1
+        self.width = _divide((x1 - x0) * SCALE, S) + 2 * MARGIN
+        self.height = _divide((y1 - y0) * SCALE, S) + 2 * MARGIN
 
     def project(self, p):
         """SVG text of (x - x0) * SCALE + MARGIN and, since SVG y grows
         downward, (y1 - y) * SCALE + MARGIN, for p = (X, Y, W), the point
-        (X/W, Y/W): a RatPoint, or a geometry() pair and its scale."""
-        (x0, dx0), (y1, dy1), (X, Y, W) = self.x0, self.y1, p
-        x = _divide((X * dx0 - x0 * W) * SCALE + MARGIN * W * dx0, W * dx0)
-        y = _divide((y1 * W - Y * dy1) * SCALE + MARGIN * W * dy1, W * dy1)
+        (X/W, Y/W): a diagram's or a geometry() pair and its scale."""
+        S, x0, y1, (X, Y, W) = self.S, self.x0, self.y1, p
+        x = _divide((X * S - x0 * W) * SCALE + MARGIN * W * S, W * S)
+        y = _divide((y1 * W - Y * S) * SCALE + MARGIN * W * S, W * S)
         return f"{x:.2f}", f"{y:.2f}"
 
 
@@ -103,13 +101,14 @@ def render_document(doc) -> str:
         f'viewBox="0 0 {frame.width:.0f} {frame.height:.0f}">',
     ]
 
-    points = " ".join(",".join(project(v)) for v in diagram.polygon_vertices)
+    S = diagram._scale
+    points = " ".join(",".join(project((*c, S))) for c in diagram._corners)
     parts.append(f'<polygon points="{points}" {_POLY_STYLE}/>')
 
-    for node, (start, exit_point) in zip(diagram.nodes,
-                                         diagram.cut_segments):
-        parts.append(_line(project(start), project(exit_point), _CUT_STYLE))
-        parts.append(_cross(project(node.position), _NODE_STYLE, 5.0))
+    for start, exit_point in diagram._cuts:
+        node = project((*start, S))
+        parts.append(_line(node, project((*exit_point, S)), _CUT_STYLE))
+        parts.append(_cross(node, _NODE_STYLE, 5.0))
 
     for curve in doc.curves:
         scale, _, _, segments = geometry(diagram, curve)
@@ -129,10 +128,10 @@ def render_document(doc) -> str:
             kinds = end_kinds(diagram, curve)
         except TroplagError:  # some end has no cap kind: ask end by end
             kinds = (None,) * len(ends)
+        landings = landing_locations(diagram, curve)
         parts += [_end_marker(diagram, row, kind, location, texts[point])
                   for row, kind, location, (_, _, point, _, _, _) in zip(
-                      curve._end_rows, kinds, locations(diagram, curve)[1],
-                      ends)]
+                      curve._end_rows, kinds, landings, ends)]
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -28,17 +28,18 @@ the columns).  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on
 int pairs, for validate(), the homology sweeps and render, with the
-diagram's corners and cuts on the same ints: the curve's cleared points
-times one factor, the plane's scale over the curve's.  validate() checks
+diagram's corners and cuts on the same ints: the diagram's and the curve's
+cleared points, each times one factor, the plane's scale over its own.
+validate() checks
 every geometric and combinatorial invariant and returns a report; the
 per-element facts (a vertex's multiplicity m and its (m-1)/2 double
 points, an end's mu and its cap kind) assume a validated curve and raise
 on contract violations.  Each reads the columns by index; end_multiplicity
 and classify_end take an end row or a CurveEnd, and its landing's location
-if known.  The plane, every site's and landing's location (locations),
-the cap kinds (end_kinds), the m's (multiplicities) and homology's default
-sweeps are computed once per curve and diagram and kept in the curve's one
-memo slot (_remember).
+if known.  The plane, the landings' locations (landing_locations), the cap
+kinds (end_kinds), the m's (multiplicities) and homology's default sweeps
+are computed once per curve and diagram and kept in the curve's one memo
+slot (_remember); validate alone locates the sites.
 """
 from bisect import bisect_left
 from enum import Enum
@@ -56,7 +57,6 @@ from .lattice import (
     RatPoint,
     UnimodularAffineMap,
     between,
-    cleared,
     common_scale,
     primitive_pair,
     reaches,
@@ -335,8 +335,8 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     for validate, the sweeps and render, built once per curve and diagram
     (_remember).  scale is the least common denominator of the corners,
     the cut ends and every curve point, and each point is cleared by it,
-    which keeps every sign; the curve's points, already cleared by its own
-    scale, are multiplied by one factor, none when the two scales agree.
+    which keeps every sign: the diagram's columns and the curve's points,
+    each already cleared by its own scale, are multiplied by one factor.
     corners holds the polygon's corners in order, cuts each node's
     (position, exit); segments holds (id, start, finish, start token,
     finish token, direction) per edge, then per end, in curve order, and
@@ -350,12 +350,11 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
 
 
 def _plane(diagram: BaseDiagram, curve: TropicalCurve):
-    scale = lcm(curve._scale, common_scale(
-        [*diagram.polygon_vertices,
-         *(p for cut in diagram.cut_segments for p in cut)]))
-    corners = tuple(cleared(p, scale) for p in diagram.polygon_vertices)
-    cuts = tuple((cleared(node, scale), cleared(end, scale))
-                 for node, end in diagram.cut_segments)
+    scale = lcm(curve._scale, diagram._scale)
+    k = scale // diagram._scale
+    corners = tuple([(x * k, y * k) for x, y in diagram._corners])
+    cuts = tuple([((x * k, y * k), (u * k, v * k))
+                  for (x, y), (u, v) in diagram._cuts])
     grid, landings = curve._grid, curve._landings
     factor = scale // curve._scale
     if factor != 1:
@@ -374,14 +373,12 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
     return scale, corners, cuts, tuple(segments)
 
 
-def locations(diagram: BaseDiagram, curve: TropicalCurve):
-    """(sites, landings): diagram.contains of each site's point, vertices
-    then anchors, and of each end's landing (None for an end at a node),
-    once per curve and diagram (_remember)."""
-    return _remember(diagram, curve, locations, lambda: (
-        tuple(map(diagram.contains, curve._points + curve._anchors)),
-        tuple([None if isinstance(t, int) else diagram.contains(t)
-               for _, _, _, t in curve._end_rows])))
+def landing_locations(diagram: BaseDiagram, curve: TropicalCurve):
+    """diagram.contains of each end's landing (None for an end at a node),
+    once per curve and diagram (_remember); validate alone locates sites."""
+    return _remember(diagram, curve, landing_locations, lambda: tuple([
+        None if isinstance(t, int) else diagram.contains(t)
+        for _, _, _, t in curve._end_rows]))
 
 
 class ValidationIssue(NamedTuple):
@@ -453,16 +450,17 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     endpoints, and avoid nodes and cuts), balancing, and connectivity.
     The empty curve is vacuously valid.
 
-    It reads the curve's columns by index, each point's location from
-    locations(), and the int pairs of geometry(); a point or a direction is
-    printed only in an issue.  Embeddedness sweeps the segments' bounding
-    boxes by min x (Shamos-Hoey) into one sorted list of the (i, j) whose
-    boxes meet and runs the exact segment_contact only on those:
-    O(n log n + k) for k pairs overlapping in x, not n(n-1)/2 tests.
+    It reads the columns by index, landing_locations(), each site's own
+    location and geometry()'s int pairs; a point or a direction is printed
+    only in an issue.  Embeddedness sweeps the segments' bounding boxes by
+    min x (Shamos-Hoey) into one sorted list of the (i, j) whose boxes
+    meet and runs the exact segment_contact only on those: O(n log n + k)
+    for k pairs overlapping in x, not n(n-1)/2 tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
-    sites, landings = locations(diagram, curve)
+    sites = list(map(diagram.contains, curve._points + curve._anchors))
+    landings = landing_locations(diagram, curve)
 
     def issue(code, element, message):
         issues.append(ValidationIssue(code, element, message))
@@ -659,7 +657,7 @@ def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
         raise InvalidCurve(
             f"end {eid!r} landing {_text(landing)} is {loc}, "
             "not in the open interior of a boundary edge")
-    ex, ey = diagram.boundary_edges[loc.index].direction
+    ex, ey = diagram._directions[loc.index]
     mu = abs(dx * ey - dy * ex)
     if mu == 0:
         raise InvalidCurve(
@@ -693,4 +691,5 @@ def end_kinds(diagram: BaseDiagram, curve: TropicalCurve):
     """classify_end of every end row, in curve order (_remember)."""
     return _remember(diagram, curve, end_kinds, lambda: tuple(
         classify_end(diagram, row, loc)
-        for row, loc in zip(curve._end_rows, locations(diagram, curve)[1])))
+        for row, loc in zip(curve._end_rows,
+                            landing_locations(diagram, curve))))

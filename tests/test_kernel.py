@@ -21,6 +21,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
@@ -48,6 +49,7 @@ from troplag.lattice import (
     between,
     cleared,
     common_scale,
+    displacement,
     reaches,
     segment_contact,
     turn,
@@ -637,3 +639,76 @@ def test_sweeps_match_the_reference_spans_and_criticals():
                     == ref_parity(diagram, curve, direction, line)[0]
             checked += 1
     assert checked >= 6
+
+
+# -- a diagram held as int columns --------------------------------------
+
+_rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 6))
+_positive = st.builds(F, st.integers(1, 40), st.integers(1, 6))
+
+
+@st.composite
+def _diagrams(draw):
+    """A strictly convex rational polygon (the hull of a few points, with a
+    node when one fits), a rectangle, or an x_abc diagram."""
+    kind = draw(st.sampled_from(("polygon", "rectangle", "xabc")))
+    if kind == "rectangle":
+        return rectangle(draw(_positive), draw(_positive))
+    if kind == "xabc":
+        a, b, c = draw(_positive), draw(_positive), draw(_positive)
+        s = a + b + c + draw(_positive)
+        try:
+            return x_abc(a, b, c, s)
+        except InvalidDiagram:
+            assume(False)
+    vertices = _hull([pt(draw(_rationals), draw(_rationals))
+                      for _ in range(draw(st.integers(3, 8)))])
+    assume(len(vertices) >= 3)
+    nodes = []
+    if draw(st.booleans()):
+        a, b, c = vertices[:3]
+        weights = [draw(st.integers(1, 5)) for _ in range(3)]
+        total = sum(weights)
+        node = pt(sum(w * p.x for w, p in zip(weights, (a, b, c))) / total,
+                  sum(w * p.y for w, p in zip(weights, (a, b, c))) / total)
+        nodes = [Node(node, draw(st.sampled_from(_SMALL_DIRECTIONS)))]
+    try:
+        return BaseDiagram(vertices, nodes)
+    except InvalidDiagram:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(_diagrams(), st.lists(st.tuples(_rationals, _rationals), max_size=12),
+       st.data())
+def test_int_columns_give_the_records_and_the_reference_answers(
+        diagram, coordinates, data):
+    vertices = diagram.polygon_vertices
+    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
+    # The records, built on first read, are displacement's of the corners,
+    # and the direction column is theirs.
+    assert diagram.boundary_edges == tuple(
+        BoundaryEdge(a, b, *displacement(a, b)) for a, b in pairs)
+    assert [e.direction for e in diagram.boundary_edges] \
+        == list(diagram._directions)
+    xs, ys = [v.x for v in vertices], [v.y for v in vertices]
+    assert diagram.bounds() == (min(xs), min(ys), max(xs), max(ys))
+    assert all(type(b) is F for b in diagram.bounds())
+    # One scale: the least that clears every corner, node and cut exit.
+    cut_points = [p for cut in diagram.cut_segments for p in cut]
+    assert diagram._scale == common_scale([*vertices, *cut_points])
+    assert diagram.cut_segments == tuple(
+        (node.position, ref_exit(vertices, node.position,
+                                 node.cut_direction)[0])
+        for node in diagram.nodes)
+    # contains and exit, against the Fraction references.
+    points = [pt(x, y) for x, y in coordinates] + list(vertices) \
+        + [_on(a, b, F(1, 2)) for a, b in pairs] + cut_points \
+        + [_on(vertices[0], _on(a, b, F(1, 3)), F(2, 3)) for a, b in pairs] \
+        + [_on(*cut, F(1, 3)) for cut in diagram.cut_segments]
+    _assert_locations(diagram, points, diagram.name)
+    for p in points:
+        if diagram.contains(p).kind is LocationKind.INTERIOR:
+            u = data.draw(st.sampled_from(_SMALL_DIRECTIONS))
+            assert diagram.exit(p, u) == ref_exit(vertices, p, u), (p, u)

@@ -378,3 +378,52 @@ def test_markers_keep_each_cap_kind_beside_an_end_without_one():
             'stroke="#cc0000" stroke-width="1.5" fill="none"/>'
             '<line x1="275.80" y1="35.80" x2="284.20" y2="44.20"') in svg
     assert '<circle cx="200.00" cy="232.00" r="3.00"' in svg
+
+
+@pytest.mark.parametrize("question", [
+    render_document,
+    lambda doc: classify(doc.diagram, doc.curves[0]),
+    lambda doc: mod2_class(doc.diagram, doc.curves[0]),
+], ids=["render", "classify", "mod2_class"])
+def test_cap_kinds_locate_only_the_landings(monkeypatch, question):
+    # On a curve validate has not read, the cap kinds need each landing's
+    # location and no vertex's.
+    doc = load_document("fig3_family.trop")
+    curve = doc.curves[0]
+    located = []
+    contains = BaseDiagram.contains
+
+    def counted(self, p):
+        located.append(p)
+        return contains(self, p)
+
+    monkeypatch.setattr(BaseDiagram, "contains", counted)
+    question(doc)
+    landings = [t for _, _, _, t in curve._end_rows if not isinstance(t, int)]
+    assert sorted(located) == sorted(landings) and len(located) == 10
+
+
+def test_a_certified_figure_makes_only_its_params_fractions():
+    # Parsing, validating and rendering fig2_klein makes a Fraction for
+    # each rectangle parameter and no other: the diagram is int columns.
+    import sys
+
+    codes = {getattr(Fraction, name).__code__
+             for name in ("__new__", "_from_coprime_ints")
+             if hasattr(Fraction, name)}
+    made = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            made.append(frame.f_code.co_name)
+
+    text = (FIGURES / "fig2_klein.trop").read_text(encoding="utf-8")
+    sys.setprofile(profile)
+    try:
+        doc = parse_document(text)
+        report = validate(doc.diagram, doc.curves[0])
+        svg = render_document(doc)
+    finally:
+        sys.setprofile(None)
+    assert report.passed and svg.endswith("</svg>\n")
+    assert len(made) == len(doc.diagram.params) == 2

@@ -8,6 +8,7 @@ cannot turn into a float.
 """
 import random
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,12 @@ def reference_project(x0, y1, p):
 
 
 def frame(x0, y0, x1, y1):
-    return _Frame(SimpleNamespace(bounds=lambda: (x0, y0, x1, y1)))
+    """The frame of a diagram whose corners have these bounds: _Frame reads
+    them as ints on the diagram's scale S."""
+    bounds = (x0, y0, x1, y1)
+    S = lcm(*(v.denominator for v in bounds))
+    return _Frame(SimpleNamespace(_scale=S, _box=tuple(
+        v.numerator * (S // v.denominator) for v in bounds)))
 
 
 def random_rational(rng):
