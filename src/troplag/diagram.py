@@ -215,8 +215,8 @@ class BaseDiagram:
                       for node in nodes]
         exits = []  # each cut's exit, reduced (X, Y, W) on this scale
         for node, ((x, y), direction) in zip(nodes, self._rays):
-            if self._locate(x, y, 1).kind not in (LocationKind.ON_NODE,
-                                                  LocationKind.ON_CUT):
+            if self.contains(node.position).kind not in (
+                    LocationKind.ON_NODE, LocationKind.ON_CUT):
                 raise InvalidDiagram(f"node at {node.position} is not "
                                      "strictly inside the polygon")
             X, Y, W, location = self._exit(x, y, 1, direction)
