@@ -26,17 +26,16 @@ RatPoint) and anchors() are built from the columns on first read, so a
 curve makes none until asked, even one built from records (it keeps only
 the columns).  Equality compares the columns.
 
-geometry() hands out the one plane in which a curve becomes segments on
-int pairs, for validate(), the homology sweeps and render, with the
-diagram's corners and cuts on the same ints: the diagram's and the curve's
-cleared points, each times one factor, the plane's scale over its own.
-validate() checks
-every geometric and combinatorial invariant and returns a report; the
-per-element facts (a vertex's multiplicity m and its (m-1)/2 double
-points, an end's mu and its cap kind) assume a validated curve and raise
-on contract violations.  Each reads the columns by index; end_multiplicity
-and classify_end take an end row or a CurveEnd, and its landing's location
-if known.  The plane, the landings' locations (landing_locations), the cap
+geometry() hands out the one plane in which a curve becomes segments on int
+pairs, for validate(), the homology sweeps and render, with the diagram's
+corners and cuts on the same ints: the diagram's and the curve's cleared
+points, each times one factor, the plane's scale over its own.  validate()
+checks every geometric and combinatorial invariant and returns a report;
+the per-element facts (a vertex's multiplicity m and its (m-1)/2 double
+points, an end's mu and its cap kind) assume a validated curve and raise on
+contract violations.  Each reads the columns by index; end_multiplicity and
+classify_end take an end row or a CurveEnd, and its landing's location if
+known.  The plane, the landings' locations (landing_locations), the cap
 kinds (end_kinds), the m's (multiplicities) and homology's default sweeps
 are computed once per curve and diagram and kept in the curve's one memo
 slot (_remember); validate alone locates the sites.
