@@ -49,7 +49,7 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
     Klein bottle exactly when both ends have mu = 2.
     """
     from .diagram import LocationKind, UnsupportedDiagram
-    from .tropical import BoundaryTerminal, CurveEnd, TropicalCurve
+    from .tropical import TropicalCurve
 
     if not diagram.is_rectangle:
         raise UnsupportedDiagram(
@@ -68,9 +68,8 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
             raise DoesNotFit("the line exits through a corner")
         if diagram._directions[location.index][1] == 0:
             raise DoesNotFit("the line exits through a horizontal edge")
-        ends.insert(0, CurveEnd(end_id, anchor, way,
-                                BoundaryTerminal(landing)))
-    return TropicalCurve((), (), ends, name="visible")
+        ends.insert(0, (end_id, tuple(anchor), tuple(way), tuple(landing)))
+    return TropicalCurve.of_rows("visible", (), (), (), ends)
 
 
 def klein_threshold(width, height) -> bool:
@@ -124,9 +123,7 @@ def rp2_curve(a, b, c, s):
     lands on a leg with mu = 1 and the surface is a disc.
     """
     from .diagram import LocationKind, x_abc
-    from .tropical import (BoundaryTerminal, CurveEnd, InvalidCurve,
-                           NodeTerminal, TropicalCurve, TropicalVertex,
-                           validate)
+    from .tropical import InvalidCurve, TropicalCurve, validate
 
     diagram = x_abc(a, b, c, s)
     a, b = _as_fraction(a), _as_fraction(b)
@@ -136,7 +133,7 @@ def rp2_curve(a, b, c, s):
         raise DegenerateConstruction(
             f"vertex {vertex_pos} lies on the boundary (c = a + b)")
 
-    down = IntVec(-1, -1)
+    down = (-1, -1)
     if location.kind is LocationKind.INTERIOR:
         landing, where = diagram.exit(vertex_pos, down)
         if where.kind is LocationKind.ON_CORNER:
@@ -147,15 +144,10 @@ def rp2_curve(a, b, c, s):
         # Vertex outside: let validation report it on a nominal landing.
         landing = RatPoint(0, b - a)
 
-    curve = TropicalCurve(
-        vertices=(TropicalVertex("v", vertex_pos),),
-        edges=(),
-        ends=(
-            CurveEnd("cap_a", "v", IntVec(0, 1), NodeTerminal(0)),
-            CurveEnd("cap_b", "v", IntVec(1, 0), NodeTerminal(1)),
-            CurveEnd("xcap", "v", down, BoundaryTerminal(landing)),
-        ),
-        name="rp2")
+    curve = TropicalCurve.of_rows(
+        "rp2", ("v",), (tuple(vertex_pos),), (),
+        (("cap_a", "v", (0, 1), 0), ("cap_b", "v", (1, 0), 1),
+         ("xcap", "v", down, tuple(landing))))
     report = validate(diagram, curve)
     if not report.passed:
         raise InvalidCurve(f"rp2 construction is invalid: {report}")
@@ -195,36 +187,34 @@ def trop_family(ell: int) -> FamilyInstance:
     at x = 10j + 13/2, as balancing forces.
     """
     from .diagram import rectangle
-    from .tropical import (BoundaryTerminal, CurveEnd, InternalEdge,
-                           TropicalCurve, TropicalVertex)
+    from .tropical import TropicalCurve
 
     if not isinstance(ell, int) or ell < 1:
         raise InvalidInput(f"ell must be a positive integer, got {ell!r}")
     diagram = rectangle(*_family_sides(ell))
-    positions = {}
+    positions = {}  # vertex id -> (X, Y, 1)
     edges = []
     rays = []  # (end id, vertex id, direction)
-    down, up = IntVec(-1, -2), IntVec(1, 2)
+    down, up = (-1, -2), (1, 2)
     for j in range(ell):
         base = 10 * j
-        positions.update({f"a{j}": RatPoint(base + 2, 1),
-                          f"b{j}": RatPoint(base + 5, 2),
-                          f"c{j}": RatPoint(base + 7, 1),
-                          f"d{j}": RatPoint(base + 10, 2)})
-        edges += [InternalEdge(f"ab{j}", f"a{j}", f"b{j}"),
-                  InternalEdge(f"bc{j}", f"b{j}", f"c{j}"),
-                  InternalEdge(f"cd{j}", f"c{j}", f"d{j}")]
+        positions.update({f"a{j}": (base + 2, 1, 1),
+                          f"b{j}": (base + 5, 2, 1),
+                          f"c{j}": (base + 7, 1, 1),
+                          f"d{j}": (base + 10, 2, 1)})
+        edges += [(f"ab{j}", f"a{j}", f"b{j}"),
+                  (f"bc{j}", f"b{j}", f"c{j}"),
+                  (f"cd{j}", f"c{j}", f"d{j}")]
         if j + 1 < ell:
-            edges.append(InternalEdge(f"da{j}", f"d{j}", f"a{j + 1}"))
+            edges.append((f"da{j}", f"d{j}", f"a{j + 1}"))
         rays += [(f"down_a{j}", f"a{j}", down), (f"up_b{j}", f"b{j}", up),
                  (f"down_c{j}", f"c{j}", down), (f"up_d{j}", f"d{j}", up)]
-    rays += [("left", "a0", IntVec(-2, 1)),
-             ("right", f"d{ell - 1}", IntVec(2, -1))]
-    vertices = [TropicalVertex(vid, p) for vid, p in positions.items()]
-    ends = [CurveEnd(end_id, vid, direction, BoundaryTerminal(
-                diagram.exit(positions[vid], direction)[0]))
+    rays += [("left", "a0", (-2, 1)), ("right", f"d{ell - 1}", (2, -1))]
+    ends = [(end_id, vid, direction,
+             tuple(diagram.exit(positions[vid], direction)[0]))
             for end_id, vid, direction in rays]
-    curve = TropicalCurve(vertices, edges, ends, name=f"family_ell{ell}")
+    curve = TropicalCurve.of_rows(f"family_ell{ell}", list(positions),
+                                  list(positions.values()), edges, ends)
     return FamilyInstance(ell, diagram, curve)
 
 

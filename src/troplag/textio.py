@@ -28,13 +28,14 @@ end line; _refuse reads the words of a line it refuses, in order, to raise
 the error, as the diagram line is read.  An error's column is where its
 word starts, plus len("key=") inside a key=value word.
 
-A curve block is read into int columns, not records: vertex ids with
-their reduced (X, Y, W) point triples, edges as (id, src id, dst id), and
-ends as (id, source, (dx, dy), terminal), the source a vertex id or an
-anchor triple and the terminal a node index or a landing triple.
-TropicalCurve._of_rows turns them into the curve's columns at the end of
-the block, and the curve builds its records only when they are read (by
-serialization, say), so a certification makes none.
+A curve block is read into rows, not records: vertex ids with their
+reduced (X, Y, W) point triples, edges as (id, src id, dst id), and ends
+as (id, source, (dx, dy), terminal), the source a vertex id or an anchor
+triple and the terminal a node index or a landing triple.
+TropicalCurve.of_rows turns them into the curve's columns at the end of
+the block.  Serialization reads the columns back, so neither a parse, a
+certification nor a serialization makes a record; the curve builds its
+records only when a caller reads them.
 """
 import re
 import sys
@@ -54,7 +55,7 @@ from .diagram import (
 )
 from .lattice import (IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL,
                       reduced)
-from .tropical import InvalidCurve, NodeTerminal, TropicalCurve
+from .tropical import InvalidCurve, TropicalCurve, _text
 
 
 class ParseError(TroplagError):
@@ -242,7 +243,7 @@ def parse_document(text: str) -> Document:
         if current is not None:
             header, name, *rows, _ = current
             try:
-                curves.append(TropicalCurve._of_rows(name, *rows))
+                curves.append(TropicalCurve.of_rows(name, *rows))
             except InvalidCurve as err:
                 raise _error(str(err), header) from None
             current = None
@@ -278,8 +279,8 @@ def parse_document(text: str) -> Document:
 
 
 def _parse_element(line, current, pattern):
-    """Append the element line's row to the curve block's columns, in the
-    form TropicalCurve._of_rows takes: no record and no RatPoint."""
+    """Append the element line's row to the curve block's rows, in the
+    form TropicalCurve.of_rows takes: no record and no RatPoint."""
     _, _, ids, points, edges, ends, seen = current
     head = line[2][0]
     m = pattern.match(line[1])
@@ -374,17 +375,16 @@ def _serialize_diagram(diagram: BaseDiagram) -> str:
 
 
 def _serialize_curve(curve: TropicalCurve):
+    """The curve's lines, read from its columns."""
+    ids = curve._ids
+    sources = [*ids, *map(_text, curve._anchors)]
     lines = [f"curve {curve.name or 'curve'}"]
-    for v in curve.vertices:
-        lines.append(f"vertex {v.id} {v.position}")
-    for e in curve.edges:
-        lines.append(f"edge {e.id} {e.src} {e.dst}")
-    for e in curve.ends:
-        if isinstance(e.terminal, NodeTerminal):
-            terminal = f"node={e.terminal.node_index}"
-        else:
-            terminal = f"land={e.terminal.landing}"
-        lines.append(f"end {e.id} {e.source} dir={e.direction} {terminal}")
+    lines += [f"vertex {vid} {_text(p)}" for vid, p in zip(ids, curve._points)]
+    lines += [f"edge {eid} {ids[s]} {ids[d]}"
+              for eid, s, d, _ in curve._edge_rows]
+    for eid, site, (dx, dy), t in curve._end_rows:
+        terminal = f"node={t}" if isinstance(t, int) else f"land={_text(t)}"
+        lines.append(f"end {eid} {sources[site]} dir=({dx},{dy}) {terminal}")
     return lines
 
 

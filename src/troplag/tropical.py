@@ -19,12 +19,13 @@ anchors by first appearance; each keeps the indices of the half-edges
 leaving it, edges first: edge k leaves src as 2k and dst as 2k + 1, end j
 its site as 2 * #edges + j, and each half-edge's direction is kept too.
 An edge's direction is derived by lattice.primitive_pair from its
-endpoints, and every point is cleared once by the curve's own scale.  The
-records (vertices, edges, ends), the public incidence `sites` (site key ->
-outgoing (direction, element id) pairs, the key a vertex id or the anchor
-RatPoint) and anchors() are built from the columns on first read, so a
-curve makes none until asked, even one built from records (it keeps only
-the columns).  Equality compares the columns.
+endpoints, and every point is cleared once by the curve's own scale.
+Every curve is built from rows of plain tuples (of_rows; the record
+constructor reduces its records to rows), so no column holds a RatPoint.
+The records (vertices, edges, ends), the public incidence `sites` (site
+key -> outgoing (direction, element id) pairs, the key a vertex id or the
+anchor RatPoint) and anchors() are built from the columns on first read,
+so a curve makes none until asked.  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on int
 pairs, for validate(), the homology sweeps and render, with the diagram's
@@ -125,31 +126,36 @@ class CurveEnd(NamedTuple):
     terminal: BoundaryTerminal | NodeTerminal
 
 
+def _plain(item):
+    """A vertex id or a node index as it is, a point as its plain triple."""
+    return item if isinstance(item, (str, int)) else tuple(item)
+
+
 class TropicalCurve:
     """An immutable tropical curve; geometry is validated against a diagram
     by validate().  It keeps only its columns, and builds its records on
     first read (see the module docstring)."""
 
     def __init__(self, vertices=(), edges=(), ends=(), name=""):
+        """The curve of records, reduced to rows (see of_rows)."""
         vertices = tuple(vertices)
         self._build(name, [v.id for v in vertices],
-                    [v.position for v in vertices], edges,
-                    [(e.id, e.source, tuple(e.direction), e.terminal[0])
-                     for e in ends])
+                    [tuple(v.position) for v in vertices], edges,
+                    [(e.id, _plain(e.source), tuple(e.direction),
+                      _plain(e.terminal[0])) for e in ends])
 
     @classmethod
-    def _of_rows(cls, name, ids, points, edges, ends):
-        """The curve of a parser's rows, as _build takes them; its records
-        are built on first read."""
+    def of_rows(cls, name, ids, points, edges, ends):
+        """The curve of rows of plain tuples: vertex ids, their reduced
+        (X, Y, W) points, edges (id, src id, dst id) and ends (id, source,
+        (dx, dy), terminal), the source a vertex id or an anchor triple and
+        the terminal a node index or a landing triple."""
         curve = cls.__new__(cls)
         curve._build(name, ids, points, edges, ends)
         return curve
 
     def _build(self, name, ids, points, edges, ends):
-        """The columns of vertex ids and reduced (X, Y, W) points, edges
-        (id, src id, dst id) and ends (id, source, (dx, dy), terminal), the
-        source a vertex id or an anchor point, the terminal a node index or
-        a landing point."""
+        """The columns of the rows of_rows takes."""
         self.name = name
         self._index = index = {}
         for i, vid in enumerate(ids):
@@ -284,19 +290,20 @@ class TropicalCurve:
         return not (self._ids or self._edge_rows or self._end_rows)
 
     def transform(self, m: UnimodularAffineMap) -> "TropicalCurve":
-        """The curve in new integral affine coordinates."""
-        vertices = [TropicalVertex(v.id, m.apply(v.position))
-                    for v in self.vertices]
-        ends = []
-        for e in self.ends:
-            source = e.source if isinstance(e.source, str) else m.apply(e.source)
-            if isinstance(e.terminal, NodeTerminal):
-                terminal = e.terminal
-            else:
-                terminal = BoundaryTerminal(m.apply(e.terminal.landing))
-            ends.append(CurveEnd(e.id, source, m.apply(e.direction),
-                                 terminal))
-        return TropicalCurve(vertices, self.edges, ends, name=self.name)
+        """The curve in new integral affine coordinates: m.apply moves each
+        point, anchor and landing, and m's linear part each direction."""
+        (a, b), (c, d) = m.linear
+        n = len(self._ids)
+        points = [tuple(m.apply(RatPoint.of(*p)))
+                  for p in self._points + self._anchors]
+        sources = [*self._ids, *points[n:]]
+        return TropicalCurve.of_rows(
+            self.name, self._ids, points[:n],
+            [(eid, sources[src], sources[dst])
+             for eid, src, dst, _ in self._edge_rows],
+            [(eid, sources[site], (a * x + b * y, c * x + d * y),
+              t if isinstance(t, int) else tuple(m.apply(RatPoint.of(*t))))
+             for eid, site, (x, y), t in self._end_rows])
 
     def _columns(self):
         return (self.name, self._ids, self._points, self._anchors,
@@ -416,7 +423,8 @@ def _imbalance(curve: TropicalCurve, out) -> tuple[int, int]:
 
 
 def _text(p) -> str:
-    """A reduced (X, Y, W) triple as RatPoint prints it, for a message."""
+    """A reduced (X, Y, W) triple as RatPoint prints it, in a message or a
+    document."""
     return str(RatPoint.of(*p))
 
 
@@ -635,9 +643,9 @@ def vertex_double_points(m: int) -> int:
 # with their landings' locations (None: the function locates the landing).
 
 def _terminal(end):
-    """An end's node index, or its landing."""
+    """An end's node index, or its landing (a terminal record's field)."""
     terminal = end[3]
-    if isinstance(terminal, (BoundaryTerminal, NodeTerminal)):
+    if not isinstance(terminal, int) and len(terminal) == 1:
         (terminal,) = terminal
     return terminal
 

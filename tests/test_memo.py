@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
@@ -37,6 +38,7 @@ from troplag import (
     pt,
     rectangle,
     render_document,
+    rp2_curve,
     serialize_document,
     sweep_parity,
     trop_family,
@@ -48,7 +50,7 @@ from troplag.homology import critical_coordinates
 from troplag.tropical import geometry
 
 from conftest import (BUNDLED_DOCS, FIGURES, count_calls, load_document,
-                      random_curve)
+                      random_curve, random_unimodular_map)
 
 H, V = SweepDirection.HORIZONTAL, SweepDirection.VERTICAL
 
@@ -206,6 +208,47 @@ def test_transform_and_equality_ignore_the_memo():
     assert moved == curve
 
 
+def _moved_records(curve, m):
+    """The records of curve moved one by one: m.apply on each position,
+    anchor, direction and landing."""
+    vertices = tuple(TropicalVertex(v.id, m.apply(v.position))
+                     for v in curve.vertices)
+    ends = []
+    for e in curve.ends:
+        source = e.source if isinstance(e.source, str) else m.apply(e.source)
+        if isinstance(e.terminal, NodeTerminal):
+            terminal = e.terminal
+        else:
+            terminal = BoundaryTerminal(m.apply(e.terminal.landing))
+        ends.append(CurveEnd(e.id, source, m.apply(e.direction), terminal))
+    return vertices, curve.edges, tuple(ends)
+
+
+def _random_tree(seed):
+    return random_curve(random.Random(seed))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from([case[1:] for case in CASES]),
+                 st.integers(0, 2**32).map(_random_tree)),
+       st.integers(0, 2**32).map(
+           lambda seed: random_unimodular_map(random.Random(seed))))
+def test_transform_moves_the_columns_as_the_map_moves_each_record(case, m):
+    # transform maps the columns and builds the moved curve from rows: its
+    # records are those moved one by one, its memo is empty, and each of
+    # its points and directions is a plain tuple.
+    diagram, curve = case
+    validate(diagram, curve)
+    moved = curve.transform(m)
+    assert (moved.vertices, moved.edges, moved.ends) \
+        == _moved_records(curve, m)
+    assert moved._memo is None
+    landings = [t for *_, t in moved._end_rows if not isinstance(t, int)]
+    directions = [u for *_, u, _ in moved._end_rows]
+    for column in (moved._points, moved._anchors, landings, directions):
+        assert {type(p) for p in column} <= {tuple}
+
+
 def test_no_plane_segment_stays_tracked_by_the_collector():
     # A full collection untracks a tuple whose items are all untracked,
     # one nesting level per collection: the points and tokens first, then
@@ -232,55 +275,88 @@ def _certify(doc):
     render_document(doc)
 
 
+def _constructed(ell):
+    instance = trop_family(ell)
+    return Document(instance.diagram, (instance.curve,))
+
+
 def test_tracked_objects_stay_flat_in_the_family_size():
     # A parsed, certified document keeps its columns and facts as plain
     # tuples of ints and strings, which the collector stops tracking, so
-    # what stays tracked does not grow with the curve.
-    texts = [serialize_document(Document(b.diagram, (b.curve,)))
-             for b in map(trop_family, (1, 24, 1000))]
+    # what stays tracked does not grow with the curve.  A constructed
+    # curve is built from rows of plain tuples too, and keeps no more.
+    texts = [serialize_document(_constructed(ell)) for ell in (1, 24, 1000)]
     _certify(parse_document(texts[0]))  # compiles the parser's patterns
+    _certify(_constructed(1))
     tracked = []
-    for text in texts[1:]:
+    for build in (lambda: parse_document(texts[1]),
+                  lambda: parse_document(texts[2]),
+                  lambda: _constructed(1000)):
         gc.collect()
         gc.collect()
         before = len(gc.get_objects())
-        doc = parse_document(text)
+        doc = build()
         _certify(doc)
         gc.collect()
         gc.collect()
         tracked.append(len(gc.get_objects()) - before)
         del doc
-    small, large = tracked
-    assert large <= small < 100, tracked
+    small, large, constructed = tracked
+    assert constructed <= large <= small < 100, tracked
+
+
+RECORDS = ("TropicalVertex", "InternalEdge", "CurveEnd", "BoundaryTerminal",
+           "NodeTerminal")
+LAZY_VIEWS = {"vertices", "edges", "ends", "sites"}
+SHEAR = UnimodularAffineMap(((1, 1), (0, 1)), pt(Fraction(1, 2), -3))
+
+
+def _read_without_records(doc):
+    """Certify, write and move each curve of doc, reading no lazy view;
+    the mod-2 class only in a rectangle, where it is defined."""
+    render_document(doc)
+    serialize_document(doc)
+    for curve in doc.curves:
+        assert validate(doc.diagram, curve).passed
+        classify(doc.diagram, curve)
+        oracle_classify(build_presentation(doc.diagram, curve))
+        if doc.diagram.is_rectangle:
+            mod2_class(doc.diagram, curve)
+        moved = curve.transform(SHEAR)
+        assert not LAZY_VIEWS & (set(vars(curve)) | set(vars(moved)))
 
 
 def test_certification_builds_no_record(monkeypatch):
     doc = parse_document((FIGURES / "fig3_family.trop").read_text())
     (curve,) = doc.curves
-    built = [count_calls(monkeypatch, tropical, name) for name in
-             ("TropicalVertex", "InternalEdge", "CurveEnd")]
-    _certify(doc)
+    built = [count_calls(monkeypatch, tropical, name) for name in RECORDS]
+    _read_without_records(doc)
     sweep_parity(doc.diagram, curve, H)
     euler_breakdown(doc.diagram, curve)
-    assert built == [[], [], []]
+    assert not LAZY_VIEWS & set(vars(curve))
+    assert built == [[]] * len(RECORDS)
     # The lazy records are built on first read, and kept.
-    assert not {"vertices", "edges", "ends", "sites"} & set(vars(curve))
     assert curve.ends is curve.ends
-    assert [len(calls) for calls in built] == [0, 0, 10]
+    assert [len(calls) for calls in built] == [0, 0, 10, 10, 0]
 
 
-def test_constructed_curve_holds_no_record_until_one_is_read():
-    # A curve built from records keeps only its columns, as a parsed one
-    # does; certifying it builds none, and a first read builds and keeps
-    # them.
-    instance = trop_family(3)
-    curve = instance.curve
-    records = {"vertices", "edges", "ends", "sites"}
-    assert not records & set(vars(curve))
-    _certify(Document(instance.diagram, (curve,)))
-    assert not records & set(vars(curve))
+def test_constructed_curve_holds_no_record_until_one_is_read(monkeypatch):
+    # A constructed curve is built from rows, as a parsed one is: building,
+    # certifying, writing and moving it builds no record, and a first read
+    # builds and keeps them.
+    built = [count_calls(monkeypatch, tropical, name) for name in RECORDS]
+    xabc, rp2 = rp2_curve(1, 1, Fraction(4, 3), 4)
+    visible = rectangle(5, 3)
+    segment = visible_segment(visible, IntVec(2, 1),
+                              pt(Fraction(5, 2), Fraction(3, 2)))
+    cases = [_constructed(3), Document(xabc, (rp2,)),
+             Document(visible, (segment,))]
+    for doc in cases:
+        _read_without_records(doc)
+    assert built == [[]] * len(RECORDS)
+    curve = cases[0].curves[0]
     assert curve.ends is curve.ends
-    assert records & set(vars(curve)) == {"ends"}
+    assert LAZY_VIEWS & set(vars(curve)) == {"ends"}
 
 
 def _assert_records(curve):
@@ -300,8 +376,9 @@ def _assert_records(curve):
 @pytest.mark.parametrize("diagram, curve", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
 def test_lazy_records_equal_the_given_records(diagram, curve):
-    # Figures are parsed, the rest built from records; each is compared
-    # with its parse_document(serialize_document(...)) copy.
+    # Figures are parsed, trop_family built from rows and random_curve
+    # from records; each is compared with its
+    # parse_document(serialize_document(...)) copy.
     copy = _fresh(diagram, curve)[1]
     for one, other in [(curve, copy), (copy, curve)]:
         assert one == other
