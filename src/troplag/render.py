@@ -9,8 +9,9 @@ are drawn geometrically (no font glyphs) so output is byte-stable.  The
 diagram is drawn from its int columns and curves from tropical.geometry:
 a point is its int pair over its scale, and each SVG coordinate is one
 correctly rounded int division, so it is the float the reduced point
-gives.  Each distinct pair of a curve is projected once, into a table its
-lines and markers are written from.
+gives.  A curve's pairs share one scale, so each distinct x and y of a
+curve is written once, into the tables its lines and markers are written
+from, and a marker's offsets once per coordinate text and half-width.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
@@ -39,32 +40,37 @@ def _divide(num: int, den: int) -> float:
 
 class _Frame:
     def __init__(self, diagram: BaseDiagram):
-        # The corners' int bounds on the diagram's scale S: project makes
+        # The corners' int bounds on the diagram's scale S: tables makes
         # each coordinate in ints and rounds it once, by one division.
         S, (x0, y0, x1, y1) = diagram._scale, diagram._box
         self.S, self.x0, self.y1 = S, x0, y1
         self.width = _divide((x1 - x0) * SCALE, S) + 2 * MARGIN
         self.height = _divide((y1 - y0) * SCALE, S) + 2 * MARGIN
 
-    def project(self, p):
-        """SVG text of (x - x0) * SCALE + MARGIN and, since SVG y grows
-        downward, (y1 - y) * SCALE + MARGIN, for p = (X, Y, W), the point
-        (X/W, Y/W): a diagram's or a geometry() pair and its scale."""
-        S, x0, y1, (X, Y, W) = self.S, self.x0, self.y1, p
-        x = _divide((X * S - x0 * W) * SCALE + MARGIN * W * S, W * S)
-        y = _divide((y1 * W - Y * S) * SCALE + MARGIN * W * S, W * S)
-        return f"{x:.2f}", f"{y:.2f}"
+    def tables(self, pairs, W: int):
+        """The SVG texts of the points (X/W, Y/W) of the int pairs: a table
+        from each distinct X to the text of (x - x0) * SCALE + MARGIN, and
+        one from each distinct Y to that of (y1 - y) * SCALE + MARGIN, as
+        SVG y grows downward."""
+        S, x0, y1 = self.S, self.x0, self.y1
+        den, pad = W * S, MARGIN * W * S
+        return ({X: f"{_divide((X * S - x0 * W) * SCALE + pad, den):.2f}"
+                 for X in {X for X, _ in pairs}},
+                {Y: f"{_divide((y1 * W - Y * S) * SCALE + pad, den):.2f}"
+                 for Y in {Y for _, Y in pairs}})
 
 
 def _line(a, b, style):
     return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" {style}/>'
 
 
-def _cross(p, style, r):
-    """An x of half-width r at the SVG text p, each offset formatted once."""
-    x, y = float(p[0]), float(p[1])
-    left, right = f"{x - r:.2f}", f"{x + r:.2f}"
-    top, bottom = f"{y - r:.2f}", f"{y + r:.2f}"
+def _cross(p, style, r, spans):
+    """An x of half-width r at the SVG text p; spans keeps the texts of
+    t - r and t + r for each coordinate text t and r, made once."""
+    for t in p:
+        if (t, r) not in spans:
+            spans[t, r] = f"{float(t) - r:.2f}", f"{float(t) + r:.2f}"
+    (left, right), (top, bottom) = spans[p[0], r], spans[p[1], r]
     return (f'<line x1="{left}" y1="{top}" x2="{right}" y2="{bottom}" '
             f'{style}/><line x1="{left}" y1="{bottom}" x2="{right}" '
             f'y2="{top}" {style}/>')
@@ -74,7 +80,7 @@ def _circle(p, style, radius):
     return f'<circle cx="{p[0]}" cy="{p[1]}" r="{radius}" {style}/>'
 
 
-def _end_marker(diagram, end, kind, location, p):
+def _end_marker(diagram, end, kind, location, p, spans):
     """The marker at the SVG text p of the cap kind of end (a row of the
     curve's end column); kind None asks classify_end at location."""
     if kind is None:
@@ -83,9 +89,10 @@ def _end_marker(diagram, end, kind, location, p):
         except TroplagError:
             return _circle(p, _MARK_STYLE, "3.00")
     if kind is EndKind.DISC_CAP:
-        return _cross(p, _MARK_STYLE, 4.0)
+        return _cross(p, _MARK_STYLE, 4.0, spans)
     if kind is EndKind.CROSS_CAP:
-        return _circle(p, _MARK_STYLE, "6.00") + _cross(p, _MARK_STYLE, 4.2)
+        return (_circle(p, _MARK_STYLE, "6.00")
+                + _cross(p, _MARK_STYLE, 4.2, spans))
     return _circle(p, _COLLAR_STYLE, "4.00")
 
 
@@ -93,7 +100,7 @@ def render_document(doc) -> str:
     """Render the diagram and all curves to SVG 1.1 text."""
     diagram = doc.diagram
     frame = _Frame(diagram)
-    project = frame.project
+    spans = {}  # _cross
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -101,14 +108,15 @@ def render_document(doc) -> str:
         f'viewBox="0 0 {frame.width:.0f} {frame.height:.0f}">',
     ]
 
-    S = diagram._scale
-    points = " ".join(",".join(project((*c, S))) for c in diagram._corners)
+    xs, ys = frame.tables([*diagram._corners, *(p for cut in diagram._cuts
+                                                for p in cut)], diagram._scale)
+    points = " ".join(f"{xs[X]},{ys[Y]}" for X, Y in diagram._corners)
     parts.append(f'<polygon points="{points}" {_POLY_STYLE}/>')
 
-    for start, exit_point in diagram._cuts:
-        node = project((*start, S))
-        parts.append(_line(node, project((*exit_point, S)), _CUT_STYLE))
-        parts.append(_cross(node, _NODE_STYLE, 5.0))
+    for (X, Y), (U, V) in diagram._cuts:
+        node = xs[X], ys[Y]
+        parts.append(_line(node, (xs[U], ys[V]), _CUT_STYLE))
+        parts.append(_cross(node, _NODE_STYLE, 5.0, spans))
 
     for curve in doc.curves:
         scale, _, _, segments = geometry(diagram, curve)
@@ -119,18 +127,20 @@ def render_document(doc) -> str:
                                     if row[0] not in drawn)
             raise InvalidCurve(f"curve {curve.name}: end {eid!r} refers to "
                                f"missing node {index}")
-        # Each distinct plane pair of the curve, projected once.
-        pairs = {p for _, a, b, _, _, _ in segments for p in (a, b)}
-        texts = {p: project((*p, scale)) for p in pairs}
-        parts += [_line(texts[a], texts[b], _CURVE_STYLE)
+        # The pairs share one scale: each distinct x and y is written once.
+        xs, ys = frame.tables(
+            {p for _, a, b, _, _, _ in segments for p in (a, b)}, scale)
+        parts += [f'<line x1="{xs[a[0]]}" y1="{ys[a[1]]}" x2="{xs[b[0]]}" '
+                  f'y2="{ys[b[1]]}" {_CURVE_STYLE}/>'
                   for _, a, b, _, _, _ in segments]
         try:
             kinds = end_kinds(diagram, curve)
         except TroplagError:  # some end has no cap kind: ask end by end
             kinds = (None,) * len(ends)
         landings = landing_locations(diagram, curve)
-        parts += [_end_marker(diagram, row, kind, location, texts[point])
-                  for row, kind, location, (_, _, point, _, _, _) in zip(
+        parts += [_end_marker(diagram, row, kind, location,
+                              (xs[X], ys[Y]), spans)
+                  for row, kind, location, (_, _, (X, Y), _, _, _) in zip(
                       curve._end_rows, kinds, landings, ends)]
 
     parts.append("</svg>")

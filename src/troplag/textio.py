@@ -22,11 +22,13 @@ its kind token, and errors in building a curve (an unknown vertex, a
 non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
 
-A line is kept as its number, its body (before any `#`) and its words,
-with no record per word.  One anchored pattern reads each vertex, edge or
-end line; _refuse reads the words of a line it refuses, in order, to raise
-the error, as the diagram line is read.  An error's column is where its
-word starts, plus len("key=") inside a key=value word.
+In a curve block, a line's body (before any `#`) is matched whole by the
+anchored pattern of its element kind; when one matches, the id is new and
+int() takes every number, the row is appended with no split.  Any other
+line is split into words and kept as its number, body and words: the
+diagram and curve headers are read word by word, and _refuse reads the
+words of a refused element line in order to raise its error.  An error's
+column is where its word starts, plus len("key=") inside a key=value word.
 
 A curve block is read into rows, not records: vertex ids with their
 reduced (X, Y, W) point triples, edges as (id, src id, dst id), and ends
@@ -92,15 +94,6 @@ _ELEMENTS = {
            rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
            r"\S+\s+\S+\s*\Z",
 }
-
-
-def _tokenize(text: str):
-    """(number, body, words) for each line that has a word."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        words = body.split()
-        if words:
-            yield lineno, body, words
 
 
 def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
@@ -234,22 +227,56 @@ def parse_document(text: str) -> Document:
     """Parse a document; exact rationals only, duplicate ids rejected."""
     diagram = None
     curves = []
-    # (header line, name, vertex ids, points, edges, ends, seen ids)
-    current = None
-    elements = {head: re.compile(p) for head, p in _ELEMENTS.items()}
+    # (header line, name, vertex ids, points, edges, ends) of the open
+    # curve block, and its ids so far; seen is None outside a block.
+    current = seen = None
+    vertex, edge, end = (re.compile(p).match for p in _ELEMENTS.values())
 
     def flush():
-        nonlocal current
         if current is not None:
-            header, name, *rows, _ = current
+            header, name, *rows = current
             try:
                 curves.append(TropicalCurve.of_rows(name, *rows))
             except InvalidCurve as err:
                 raise _error(str(err), header) from None
-            current = None
 
-    for line in _tokenize(text):
-        words = line[2]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0] if "#" in raw else raw
+        # An element line its pattern takes whole, with an unseen id and
+        # numbers int() takes, is a row; any other line is read by words.
+        if seen is not None:
+            try:
+                if m := vertex(body):
+                    ident, xn, xd, yn, yd = m.groups()
+                    if ident not in seen:
+                        points.append(_triple(xn, xd, yn, yd))
+                        ids.append(ident)
+                        seen.add(ident)
+                        continue
+                elif m := edge(body):
+                    ident, src, dst, weight = m.groups()
+                    if ident not in seen and (weight is None
+                                              or int(weight) == 1):
+                        edges.append((ident, src, dst))
+                        seen.add(ident)
+                        continue
+                elif m := end(body):
+                    (ident, name, axn, axd, ayn, ayd, dx, dy,
+                     xn, xd, yn, yd, node) = m.groups()
+                    if ident not in seen:
+                        ends.append((ident,
+                                     name or _triple(axn, axd, ayn, ayd),
+                                     (int(dx), int(dy)),
+                                     int(node) if node is not None
+                                     else _triple(xn, xd, yn, yd)))
+                        seen.add(ident)
+                        continue
+            except ValueError:  # a number too long for int()
+                pass
+        words = body.split()
+        if not words:
+            continue
+        line = (lineno, body, words)
         head = words[0]
         if head == "diagram":
             if diagram is not None:
@@ -265,46 +292,19 @@ def parse_document(text: str) -> Document:
             if len(words) != 2:
                 raise _error("curve <name>", line)
             flush()
-            current = (line, _name(words[1], line, 1), [], [], [], [], set())
-        elif head in elements:
-            if current is None:
+            ids, points, edges, ends, seen = [], [], [], [], set()
+            current = (line, _name(words[1], line, 1), ids, points, edges,
+                       ends)
+        elif head in _ELEMENTS:
+            if seen is None:
                 raise _error(f"{head} outside a curve block", line)
-            _parse_element(line, current, elements[head])
+            _refuse(line, seen)
         else:
             raise _error(f"unknown directive {head!r}", line)
     flush()
     if diagram is None:
         raise ParseError("document has no diagram", 1, 1)
     return Document(diagram, tuple(curves))
-
-
-def _parse_element(line, current, pattern):
-    """Append the element line's row to the curve block's rows, in the
-    form TropicalCurve.of_rows takes: no record and no RatPoint."""
-    _, _, ids, points, edges, ends, seen = current
-    head = line[2][0]
-    m = pattern.match(line[1])
-    if m is None or m[1] in seen:
-        _refuse(line, seen)
-    try:
-        if head == "vertex":
-            ident, xn, xd, yn, yd = m.groups()
-            points.append(_triple(xn, xd, yn, yd))
-            ids.append(ident)
-        elif head == "edge":
-            ident, src, dst, weight = m.groups()
-            if weight is not None and int(weight) != 1:
-                _refuse(line, seen)
-            edges.append((ident, src, dst))
-        else:
-            (ident, name, axn, axd, ayn, ayd, dx, dy,
-             xn, xd, yn, yd, node) = m.groups()
-            ends.append((ident, name or _triple(axn, axd, ayn, ayd),
-                         (int(dx), int(dy)), int(node) if node is not None
-                         else _triple(xn, xd, yn, yd)))
-    except ValueError:  # a number too long for int()
-        _refuse(line, seen)
-    seen.add(ident)
 
 
 def _refuse(line, seen):

@@ -424,8 +424,12 @@ def _imbalance(curve: TropicalCurve, out) -> tuple[int, int]:
 
 def _text(p) -> str:
     """A reduced (X, Y, W) triple as RatPoint prints it, in a message or a
-    document."""
-    return str(RatPoint.of(*p))
+    document: (x,y), each coordinate in lowest terms by one gcd."""
+    X, Y, W = p
+    gx, gy = gcd(X, W), gcd(Y, W)
+    x = f"{X // gx}" if gx == W else f"{X // gx}/{W // gx}"
+    y = f"{Y // gy}" if gy == W else f"{Y // gy}/{W // gy}"
+    return f"({x},{y})"
 
 
 def _site_name(curve: TropicalCurve, site: int) -> str:
@@ -517,7 +521,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
     # only if their closed bounding boxes do; pairs holds each such (i, j),
-    # i < j, sorted, as plain int tuples the collector stops tracking.
+    # i < j, as the int key i * N + j, sorted.
+    N = len(segments)
     boxes = []
     for k, (_, (ax, ay), (bx, by), _, _, _) in enumerate(segments):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
@@ -531,16 +536,16 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
             if u0 > x1:
                 break
             if v0 <= y1 and y0 <= v1:
-                pairs.append((k, other) if k < other else (other, k))
+                pairs.append(k * N + other if k < other else other * N + k)
     pairs.sort()
     stop = 0  # pairs[start:stop] are those of segment i
     for i, (id1, a, b, tok_a, tok_b, _) in enumerate(segments):
-        start, stop = stop, bisect_left(pairs, (i + 1,), stop)
+        start, stop = stop, bisect_left(pairs, (i + 1) * N, stop)
         if a == b:
             issue("degenerate-segment", id1, "segment has zero length")
             continue
-        for _, j in pairs[start:stop]:
-            id2, c, d, tok_c, tok_d, _ = segments[j]
+        for key in pairs[start:stop]:
+            id2, c, d, tok_c, tok_d, _ = segments[key - i * N]
             hit = segment_contact(a, b, c, d)
             if hit is None:
                 continue

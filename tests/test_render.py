@@ -1,10 +1,12 @@
-"""render's int projection against the Fraction formula it replaced.
+"""render's int coordinate texts against the Fraction formula they replaced.
 
 The reference is the old body of _Frame.project: (p.x - x0) * SCALE + MARGIN
 and (y1 - p.y) * SCALE + MARGIN in Fraction arithmetic, then float() and
-two decimals.  The int version must print the same text on seeded
-rationals of every size, and refuse exactly the coordinates the reference
-cannot turn into a float.
+two decimals.  render writes each distinct x and y of the diagram and of
+each curve once, with _Frame.tables, from the int coordinate over the
+plane's scale, a multiple of the point's own W.  They must print the same text on
+seeded rationals of every size, over their own W and a multiple of it, and
+refuse exactly the coordinates the reference cannot turn into a float.
 """
 import random
 from fractions import Fraction
@@ -20,6 +22,14 @@ from troplag.render import MARGIN, SCALE, _Frame
 def reference_project(x0, y1, p):
     return (f"{float((p.x - x0) * SCALE + MARGIN):.2f}",
             f"{float((y1 - p.y) * SCALE + MARGIN):.2f}")
+
+
+def texts(f, p, k=1):
+    """The x and y texts of p, given over k times its W, as a curve's plane
+    pairs are."""
+    X, Y = p.X * k, p.Y * k
+    xs, ys = f.tables([(X, Y)], p.W * k)
+    return xs[X], ys[Y]
 
 
 def frame(x0, y0, x1, y1):
@@ -54,15 +64,16 @@ def test_projection_matches_the_fraction_formula():
             continue
         for _ in range(20):
             p = pt(random_rational(rng), random_rational(rng))
+            k = rng.choice([1, 1, 6, 10 ** 20])
             try:
                 expected = reference_project(x0, y1, p)
             except OverflowError:
                 with pytest.raises(TroplagError,
                                    match="a coordinate is out of SVG range"):
-                    f.project(p)
+                    texts(f, p, k)
                 refused += 1
             else:
-                assert f.project(p) == expected
+                assert texts(f, p, k) == expected
                 printed += 1
     assert refused >= 1000 and printed >= 1000
 
@@ -76,7 +87,8 @@ def test_projection_at_chosen_points(x):
     x0, y1 = Fraction(-7, 3), Fraction(10 ** 350 + 1, 10 ** 349)
     f = frame(x0, Fraction(0), Fraction(5), y1)
     p = pt(x, -x)
-    assert f.project(p) == reference_project(x0, y1, p)
+    for k in (1, 12, 10 ** 30):
+        assert texts(f, p, k) == reference_project(x0, y1, p)
 
 
 def test_frame_size_out_of_range_is_refused():

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -187,12 +188,17 @@ def test_parse_raises_only_troplag_errors(text):
 
 # Columns count from 1 at the start of the word the error is in, and from
 # just after "key=" for an error in a key=value word; any run of Unicode
-# whitespace separates words.  The line under test is line 4.
+# whitespace separates words.  The line under test is line 4.  A number
+# too long for int() is refused at its word, also in a line whose pattern
+# matches, and a line ending or a trailing comment moves no column.
 _PREFIX = "diagram rectangle width=4 height=2\ncurve c\nvertex v (1,1)\n"
 _POINT_ERROR = "expected a point like (1,2/3), got {!r}"
+_DIGITS = sys.get_int_max_str_digits()
+_BIG = "9" * (_DIGITS + 1)
+_TOO_LONG = f"a number has more than {_DIGITS} digits"
 
 
-@pytest.mark.parametrize("line, message, col", [
+_ERROR_CASES = [
     ("vertex\tw  (1.5,1)", _POINT_ERROR.format("(1.5,1)"), 11),
     ("   edge e v w weight=2", "edges have weight 1, got 'weight=2'", 15),
     ("edge e v w\t weight=x", "expected an integer, got 'x'", 20),
@@ -206,16 +212,52 @@ _POINT_ERROR = "expected a point like (1,2/3), got {!r}"
     ("end a v land=(0,1) dir=(0,x)", "expected an integer vector like "
      "(2,-1), got '(0,x)'", 24),
     ("  vertex  v (2,1)", "duplicate id 'v'", 11),
+    ("edge v v w", "duplicate id 'v'", 6),
+    ("end v v dir=(1,0) land=(4,1)", "duplicate id 'v'", 5),
     ("  end a v dir=(1,0) dir=(0,1)",
      "end needs dir= and exactly one of land=/node=", 3),
-    ("end a v dir=(1,0) node=" + "9" * 5000,
-     "a number has more than 4300 digits", 24),
-])
+    ("end a v dir=(1,0) node=" + "9" * 5000, _TOO_LONG, 24),
+    (f"vertex w ({_BIG},1)", _TOO_LONG, 10),
+    (f"vertex w (1,1/{_BIG})", _TOO_LONG, 10),
+    (f"end a ({_BIG},1) dir=(1,0) land=(4,1)", _TOO_LONG, 7),
+    (f"end a v dir=(1,{_BIG}) land=(4,1)", _TOO_LONG, 13),
+    (f"end a v dir=(1,0) land=(4,{_BIG})", _TOO_LONG, 24),
+    (f"end a v dir=(1,0) node={_BIG}", _TOO_LONG, 24),
+]
+
+
+@pytest.mark.parametrize("line, message, col", _ERROR_CASES)
 def test_error_columns(line, message, col):
     with pytest.raises(ParseError) as err:
         parse_document(_PREFIX + line + "\n")
     assert (err.value.line, err.value.col) == (4, col)
     assert str(err.value) == f"line 4, col {col}: {message}"
+
+
+@pytest.mark.parametrize("ending", ["\r\n", " # note\n"])
+@pytest.mark.parametrize("line, message, col", _ERROR_CASES)
+def test_error_columns_after_crlf_or_comment(line, message, col, ending):
+    with pytest.raises(ParseError) as err:
+        parse_document((_PREFIX + line + "\n").replace("\n", ending))
+    assert str(err.value) == f"line 4, col {col}: {message}"
+
+
+# A curve block with a line of each element form: vertices, an edge with
+# weight=1, ends to a landing and to a node, and a standalone end from an
+# anchor point.
+_EACH_FORM = ("diagram rectangle width=6 height=4\ncurve c\n"
+              "vertex u (2,2)\nvertex w (4,2)\nedge g u w weight=1\n"
+              "end a u dir=(-1,1) land=(0,4)\nend d w dir=(1,-1) node=0\n"
+              "end s (1,1/3) dir=(1,0) land=(6,1/3)\n")
+
+
+@pytest.mark.parametrize("ending",
+                         ["\r\n", " # note\n", "#\n", "\t# a # b\r\n"])
+def test_line_ends_and_trailing_comments_parse_as_plain_text(ending):
+    plain = parse_document(_EACH_FORM)
+    assert plain.curves[0]._end_rows[1:] == (("d", 1, (1, -1), 0),
+                                             ("s", 2, (1, 0), (18, 1, 3)))
+    assert parse_document(_EACH_FORM.replace("\n", ending)) == plain
 
 
 def test_unicode_whitespace_separates_words():
