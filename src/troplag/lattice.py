@@ -20,10 +20,10 @@ homogeneous triple (X, Y, W) with W > 0 (reduced); the text parser and a
 curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram
 clears denominators by common_scale and cleared, and TropicalCurve by
 common_scale; tropical.geometry multiplies both by one factor, and other
-readers take their int pairs or compute on the triple.  A coordinate
-becomes a fractions.Fraction only for printing and the public API.
-Floats, bools and strings the document format would refuse are rejected at
-construction time.
+readers take their int pairs or compute on the triple, and point_text
+prints a point from it.  A coordinate becomes a fractions.Fraction only
+for the public API.  Floats, bools and strings the document format would
+refuse are rejected at construction time.
 """
 import re
 from fractions import Fraction
@@ -159,10 +159,21 @@ class RatPoint(tuple):
         return "RatPoint.of({}, {}, {})".format(*self)
 
     def __str__(self) -> str:
-        return f"({self.x},{self.y})"
+        return point_text(self)
 
 
 pt = RatPoint  # the short spelling
+
+
+def point_text(p) -> str:
+    """The text (x,y) of the point of an (X, Y, W) triple with W > 0, as
+    str(RatPoint) and documents print it: each coordinate in lowest terms,
+    as str(Fraction) writes it, by one gcd and with no Fraction."""
+    X, Y, W = p
+    gx, gy = gcd(X, W), gcd(Y, W)
+    x = f"{X // gx}" if gx == W else f"{X // gx}/{W // gx}"
+    y = f"{Y // gy}" if gy == W else f"{Y // gy}/{W // gy}"
+    return f"({x},{y})"
 
 
 def reduced(X: int, Y: int, W: int) -> tuple[int, int, int]:
@@ -182,7 +193,7 @@ def primitive_pair(a, b) -> tuple[int, int]:
     g = gcd(dx, dy)
     if g == 0:
         raise DegenerateDirection(
-            f"{RatPoint.of(*a)} to {RatPoint.of(*b)} has no direction")
+            f"{point_text(a)} to {point_text(b)} has no direction")
     return dx // g, dy // g
 
 

@@ -11,7 +11,7 @@ a point is its int pair over its scale, and each SVG coordinate is one
 correctly rounded int division, so it is the float the reduced point
 gives.  A curve's pairs share one scale, so each distinct x and y of a
 curve is written once, into the tables its lines and markers are written
-from, and a marker's offsets once per coordinate text and half-width.
+from.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
@@ -64,13 +64,11 @@ def _line(a, b, style):
     return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" {style}/>'
 
 
-def _cross(p, style, r, spans):
-    """An x of half-width r at the SVG text p; spans keeps the texts of
-    t - r and t + r for each coordinate text t and r, made once."""
-    for t in p:
-        if (t, r) not in spans:
-            spans[t, r] = f"{float(t) - r:.2f}", f"{float(t) + r:.2f}"
-    (left, right), (top, bottom) = spans[p[0], r], spans[p[1], r]
+def _cross(p, style, r):
+    """An x of half-width r at the SVG text p, each offset formatted once."""
+    x, y = float(p[0]), float(p[1])
+    left, right = f"{x - r:.2f}", f"{x + r:.2f}"
+    top, bottom = f"{y - r:.2f}", f"{y + r:.2f}"
     return (f'<line x1="{left}" y1="{top}" x2="{right}" y2="{bottom}" '
             f'{style}/><line x1="{left}" y1="{bottom}" x2="{right}" '
             f'y2="{top}" {style}/>')
@@ -80,7 +78,7 @@ def _circle(p, style, radius):
     return f'<circle cx="{p[0]}" cy="{p[1]}" r="{radius}" {style}/>'
 
 
-def _end_marker(diagram, end, kind, location, p, spans):
+def _end_marker(diagram, end, kind, location, p):
     """The marker at the SVG text p of the cap kind of end (a row of the
     curve's end column); kind None asks classify_end at location."""
     if kind is None:
@@ -89,10 +87,9 @@ def _end_marker(diagram, end, kind, location, p, spans):
         except TroplagError:
             return _circle(p, _MARK_STYLE, "3.00")
     if kind is EndKind.DISC_CAP:
-        return _cross(p, _MARK_STYLE, 4.0, spans)
+        return _cross(p, _MARK_STYLE, 4.0)
     if kind is EndKind.CROSS_CAP:
-        return (_circle(p, _MARK_STYLE, "6.00")
-                + _cross(p, _MARK_STYLE, 4.2, spans))
+        return _circle(p, _MARK_STYLE, "6.00") + _cross(p, _MARK_STYLE, 4.2)
     return _circle(p, _COLLAR_STYLE, "4.00")
 
 
@@ -100,7 +97,6 @@ def render_document(doc) -> str:
     """Render the diagram and all curves to SVG 1.1 text."""
     diagram = doc.diagram
     frame = _Frame(diagram)
-    spans = {}  # _cross
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -116,7 +112,7 @@ def render_document(doc) -> str:
     for (X, Y), (U, V) in diagram._cuts:
         node = xs[X], ys[Y]
         parts.append(_line(node, (xs[U], ys[V]), _CUT_STYLE))
-        parts.append(_cross(node, _NODE_STYLE, 5.0, spans))
+        parts.append(_cross(node, _NODE_STYLE, 5.0))
 
     for curve in doc.curves:
         scale, _, _, segments = geometry(diagram, curve)
@@ -130,16 +126,15 @@ def render_document(doc) -> str:
         # The pairs share one scale: each distinct x and y is written once.
         xs, ys = frame.tables(
             {p for _, a, b, _, _, _ in segments for p in (a, b)}, scale)
-        parts += [f'<line x1="{xs[a[0]]}" y1="{ys[a[1]]}" x2="{xs[b[0]]}" '
-                  f'y2="{ys[b[1]]}" {_CURVE_STYLE}/>'
+        parts += [_line((xs[a[0]], ys[a[1]]), (xs[b[0]], ys[b[1]]),
+                        _CURVE_STYLE)
                   for _, a, b, _, _, _ in segments]
         try:
             kinds = end_kinds(diagram, curve)
         except TroplagError:  # some end has no cap kind: ask end by end
             kinds = (None,) * len(ends)
         landings = landing_locations(diagram, curve)
-        parts += [_end_marker(diagram, row, kind, location,
-                              (xs[X], ys[Y]), spans)
+        parts += [_end_marker(diagram, row, kind, location, (xs[X], ys[Y]))
                   for row, kind, location, (_, _, (X, Y), _, _, _) in zip(
                       curve._end_rows, kinds, landings, ends)]
 

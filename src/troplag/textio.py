@@ -56,8 +56,8 @@ from .diagram import (
     x_abc,
 )
 from .lattice import (IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL,
-                      reduced)
-from .tropical import InvalidCurve, TropicalCurve, _text
+                      point_text, reduced)
+from .tropical import InvalidCurve, TropicalCurve
 
 
 class ParseError(TroplagError):
@@ -377,14 +377,14 @@ def _serialize_diagram(diagram: BaseDiagram) -> str:
 def _serialize_curve(curve: TropicalCurve):
     """The curve's lines, read from its columns."""
     ids = curve._ids
-    sources = [*ids, *map(_text, curve._anchors)]
+    sources = [*ids, *map(point_text, curve._anchors)]
     lines = [f"curve {curve.name or 'curve'}"]
-    lines += [f"vertex {vid} {_text(p)}" for vid, p in zip(ids, curve._points)]
+    lines += map("vertex {} {}".format, ids, map(point_text, curve._points))
     lines += [f"edge {eid} {ids[s]} {ids[d]}"
               for eid, s, d, _ in curve._edge_rows]
     for eid, site, (dx, dy), t in curve._end_rows:
-        terminal = f"node={t}" if isinstance(t, int) else f"land={_text(t)}"
-        lines.append(f"end {eid} {sources[site]} dir=({dx},{dy}) {terminal}")
+        t = f"node={t}" if isinstance(t, int) else f"land={point_text(t)}"
+        lines.append(f"end {eid} {sources[site]} dir=({dx},{dy}) {t}")
     return lines
 
 

@@ -58,6 +58,7 @@ from .lattice import (
     UnimodularAffineMap,
     between,
     common_scale,
+    point_text,
     primitive_pair,
     reaches,
     segment_contact,
@@ -422,21 +423,11 @@ def _imbalance(curve: TropicalCurve, out) -> tuple[int, int]:
     return sx, sy
 
 
-def _text(p) -> str:
-    """A reduced (X, Y, W) triple as RatPoint prints it, in a message or a
-    document: (x,y), each coordinate in lowest terms by one gcd."""
-    X, Y, W = p
-    gx, gy = gcd(X, W), gcd(Y, W)
-    x = f"{X // gx}" if gx == W else f"{X // gx}/{W // gx}"
-    y = f"{Y // gy}" if gy == W else f"{Y // gy}/{W // gy}"
-    return f"({x},{y})"
-
-
 def _site_name(curve: TropicalCurve, site: int) -> str:
     """A site as a message names it: its vertex id, or "anchor (x,y)"."""
     n = len(curve._ids)
     return (curve._ids[site] if site < n
-            else f"anchor {_text(curve._anchors[site - n])}")
+            else f"anchor {point_text(curve._anchors[site - n])}")
 
 
 def check_balancing(curve: TropicalCurve) -> ValidationReport:
@@ -479,8 +470,8 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     for vid, p, out, loc in zip(curve._ids, curve._points, curve._sites,
                                 sites):
         if loc.kind is not LocationKind.INTERIOR:
-            issue("vertex-position", vid, f"position {_text(p)} is {loc}, "
-                  "must be strictly interior")
+            issue("vertex-position", vid, f"position {point_text(p)} is "
+                  f"{loc}, must be strictly interior")
         if not out:
             issue("isolated-vertex", vid, "vertex has no incident elements")
 
@@ -501,7 +492,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
         _, start, finish, _, _, u = next(end_segments)
         node = diagram.nodes[terminal] if loc is None else None
         if not reaches(start, finish, u):
-            target = (f"landing {_text(terminal)}" if node is None
+            target = (f"landing {point_text(terminal)}" if node is None
                       else f"node at {node.position}")
             issue("end-collinearity", eid,
                   f"{target} is not reached along direction ({dx},{dy})")
@@ -512,11 +503,11 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                       f"direction {node.cut_direction}")
         elif loc.kind is LocationKind.ON_CORNER:
             issue("end-corner-landing", eid,
-                  f"landing {_text(terminal)} is a polygon corner; "
+                  f"landing {point_text(terminal)} is a polygon corner; "
                   "corners are not legal landing sites")
         elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
             issue("end-landing", eid,
-                  f"landing {_text(terminal)} is {loc}, must lie in the "
+                  f"landing {point_text(terminal)} is {loc}, must lie in the "
                   "open interior of a boundary edge")
 
     # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
@@ -667,7 +658,7 @@ def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
     loc = location or diagram.contains(landing)
     if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
         raise InvalidCurve(
-            f"end {eid!r} landing {_text(landing)} is {loc}, "
+            f"end {eid!r} landing {point_text(landing)} is {loc}, "
             "not in the open interior of a boundary edge")
     ex, ey = diagram._directions[loc.index]
     mu = abs(dx * ey - dy * ex)

@@ -27,6 +27,7 @@ from troplag.lattice import (
     OVERLAP,
     between,
     displacement,
+    point_text,
     primitive_direction,
     segment_contact,
     turn,
@@ -278,6 +279,19 @@ def test_displacement_is_the_primitive_direction_and_length(v, x, y, w, k):
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+       st.integers(1, 10**30), st.integers(1, 10**6))
+def test_point_text_is_the_fraction_text(X, Y, W, k):
+    """point_text, which documents, messages and str(RatPoint) print by,
+    writes each coordinate as str(Fraction) does, on reduced and
+    unreduced triples."""
+    for p in ((X, Y, W), (X * k, Y * k, W * k), RatPoint.of(X, Y, W)):
+        assert point_text(p) == f"({Fraction(X, W)},{Fraction(Y, W)})"
+    assert point_text((0, -3, 3)) == "(0,-1)"
+    assert point_text((-6, 4, 4)) == "(-3/2,1)"
 
 
 def _same(p, q):

@@ -107,9 +107,16 @@ def calls(stage, *args) -> int:
 
 
 def stage_calls(build, size):
-    """Calls per stage on the document build(size)."""
+    """Calls per stage on the document build(size), whose curve must
+    validate and classify as the oracle does, so that no stage is counted
+    on a refusal or an early exit."""
     counts = {"build": calls(build, size)}
     text = serialize_document(build(size))
+    doc = parse_document(text)
+    report = tropical.validate(doc.diagram, doc.curves[0])
+    assert report.passed, str(report)
+    assert (topology.classify(doc.diagram, doc.curves[0])
+            == oracle(doc.diagram, doc.curves[0]))
     counts["parse"] = calls(parse_document, text)
     for name, stage in STAGES.items():
         doc = parse_document(text)
