@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import _as_fraction
-from .tropical import (EndKind, TropicalCurve, _remember, end_kinds,
+from .tropical import (_CROSS_CAP, TropicalCurve, _remember, end_kinds,
                        geometry, multiplicities)
 
 
@@ -100,7 +100,7 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
     for (eid, *_), kind in zip(curve._end_rows, end_kinds(diagram, curve)):
-        if kind is not EndKind.CROSS_CAP:
+        if kind is not _CROSS_CAP:
             raise UnsweepableCurve(
                 f"end {eid!r} is a {kind.value}, not a crosscap; only a "
                 "closed curve has a mod-2 class to sweep")

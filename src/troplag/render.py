@@ -15,8 +15,8 @@ from.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
-from .tropical import (EndKind, InvalidCurve, classify_end, end_kinds,
-                       geometry, landing_locations)
+from .tropical import (_CROSS_CAP, _DISC_CAP, InvalidCurve, classify_end,
+                       end_kinds, geometry, landing_locations)
 
 SCALE = 48
 MARGIN = 40
@@ -86,9 +86,9 @@ def _end_marker(diagram, end, kind, location, p):
             kind = classify_end(diagram, end, location)
         except TroplagError:
             return _circle(p, _MARK_STYLE, "3.00")
-    if kind is EndKind.DISC_CAP:
+    if kind is _DISC_CAP:
         return _cross(p, _MARK_STYLE, 4.0)
-    if kind is EndKind.CROSS_CAP:
+    if kind is _CROSS_CAP:
         return _circle(p, _MARK_STYLE, "6.00") + _cross(p, _MARK_STYLE, 4.2)
     return _circle(p, _COLLAR_STYLE, "4.00")
 

@@ -23,8 +23,8 @@ non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
 
 In a curve block, a line's body (before any `#`) is matched whole by the
-anchored pattern of its element kind; when one matches, the id is new and
-int() takes every number, the row is appended with no split.  Any other
+one anchored pattern its first word picks; when it matches, the id is new
+and int() takes every number, the row is appended with no split.  Any other
 line is split into words and kept as its number, body and words: the
 diagram and curve headers are read word by word, and _refuse reads the
 words of a refused element line in order to raise its error.  An error's
@@ -244,23 +244,26 @@ def parse_document(text: str) -> Document:
         body = raw.split("#", 1)[0] if "#" in raw else raw
         # An element line its pattern takes whole, with an unseen id and
         # numbers int() takes, is a row; any other line is read by words.
+        # The first three letters of the first word pick the one pattern
+        # tried: lstrip() strips the \s that each pattern starts with.
         if seen is not None:
+            head = body.lstrip()[:3]
             try:
-                if m := vertex(body):
+                if head == "ver" and (m := vertex(body)):
                     ident, xn, xd, yn, yd = m.groups()
                     if ident not in seen:
                         points.append(_triple(xn, xd, yn, yd))
                         ids.append(ident)
                         seen.add(ident)
                         continue
-                elif m := edge(body):
+                elif head == "edg" and (m := edge(body)):
                     ident, src, dst, weight = m.groups()
                     if ident not in seen and (weight is None
                                               or int(weight) == 1):
                         edges.append((ident, src, dst))
                         seen.add(ident)
                         continue
-                elif m := end(body):
+                elif head == "end" and (m := end(body)):
                     (ident, name, axn, axd, ayn, ayd, dx, dy,
                      xn, xd, yn, yd, node) = m.groups()
                     if ident not in seen:

@@ -30,8 +30,9 @@ from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
-from .tropical import (EndKind, TropicalCurve, _components, end_kinds,
-                       multiplicities, vertex_double_points)
+from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, EndKind,
+                       TropicalCurve, _components, end_kinds, multiplicities,
+                       vertex_double_points)
 
 
 class EmptyCurve(TroplagError):
@@ -62,9 +63,9 @@ class ChiBreakdown(NamedTuple):
         cuts, so transporting fiber orientations around cycles is
         monodromy-free)."""
         return SurfaceClass(
-            orientable=EndKind.CROSS_CAP not in self.end_kinds,
+            orientable=_CROSS_CAP not in self.end_kinds,
             euler_char=self.chi,
-            boundary_circles=self.end_kinds.count(EndKind.COLLAR),
+            boundary_circles=self.end_kinds.count(_COLLAR),
             double_points_surgered=-self.surgery_term // 2)
 
 
@@ -78,7 +79,7 @@ def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
     kinds = end_kinds(diagram, curve)
     return ChiBreakdown(
         vertex_term=-len(ms),
-        cap_term=kinds.count(EndKind.DISC_CAP),
+        cap_term=kinds.count(_DISC_CAP),
         surgery_term=-2 * sum(map(vertex_double_points, ms)),
         multiplicities=ms,
         end_kinds=kinds)
@@ -177,6 +178,10 @@ class PieceKind(Enum):
         return kind
 
 
+# In order, bound once as tropical binds the cap kinds (tropical._INTERIOR).
+_PANTS, _ANNULUS, _DISC, _MOBIUS, _COLLAR_ANNULUS = PieceKind
+
+
 class _Piece(NamedTuple):
     kind: PieceKind
     labels: tuple[Hashable, ...]
@@ -222,23 +227,23 @@ def build_presentation(diagram: BaseDiagram,
         for h in out:
             slot[h] = n
             n += 1
-        pieces.append(Piece(PieceKind.PANTS if site < len(curve._ids)
-                            else PieceKind.ANNULUS, tuple(range(first, n))))
+        pieces.append(Piece(_PANTS if site < len(curve._ids) else _ANNULUS,
+                            tuple(range(first, n))))
 
     for k in range(len(curve._edge_rows)):  # edge k is half-edges 2k, 2k+1
-        pieces.append(Piece(PieceKind.ANNULUS, (n, n + 1)))
+        pieces.append(Piece(_ANNULUS, (n, n + 1)))
         gluings.append((slot[2 * k], n))
         gluings.append((slot[2 * k + 1], n + 1))
         n += 2
 
     for h, kind in enumerate(end_kinds(diagram, curve),
                              2 * len(curve._edge_rows)):
-        if kind is EndKind.DISC_CAP:
-            pieces.append(Piece(PieceKind.DISC, (n,)))
-        elif kind is EndKind.CROSS_CAP:
-            pieces.append(Piece(PieceKind.MOBIUS, (n,)))
+        if kind is _DISC_CAP:
+            pieces.append(Piece(_DISC, (n,)))
+        elif kind is _CROSS_CAP:
+            pieces.append(Piece(_MOBIUS, (n,)))
         else:
-            pieces.append(Piece(PieceKind.COLLAR, (n, n + 1)))
+            pieces.append(Piece(_COLLAR_ANNULUS, (n, n + 1)))
         gluings.append((slot[h], n))
         n += len(pieces[-1].labels)
 
@@ -284,10 +289,11 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
             (owner[a], owner[b]) for a, b in presentation.gluings]) != 1:
         raise MalformedPresentation("presentation is disconnected")
 
-    # Cells summed per kind (kinds.count, not a PieceKind hash per piece).
+    # Cells summed per kind, one kinds.count each (an Enum hashes in Python).
     kinds = [p.kind for p in pieces]
     cells_v, cells_e, cells_f = map(sum, zip(*(
-        [kinds.count(kind) * c for c in kind.cells] for kind in PieceKind)))
+        [n * c for c in kind.cells]
+        for kind in PieceKind for n in (kinds.count(kind),))))
     chi = cells_v - cells_e + cells_f - 2 * presentation.handles
 
     # Orientation propagation: each gluing joins two distinct boundary
@@ -295,7 +301,7 @@ def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
     # compatible across every gluing; the propagation fails exactly when a
     # piece admits no orientation at all, i.e. on a Mobius band.  Each
     # label left unglued is one boundary circle.
-    return SurfaceClass(orientable=PieceKind.MOBIUS not in kinds,
+    return SurfaceClass(orientable=_MOBIUS not in kinds,
                         euler_char=chi,
                         boundary_circles=len(owner) - len(glued),
                         double_points_surgered=presentation.handles)

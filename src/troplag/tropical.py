@@ -64,6 +64,12 @@ from .lattice import (
     segment_contact,
 )
 
+# Enum members read from globals: EnumType's __getattr__ (Python 3.11) makes
+# each read off the class a slow lookup, about 150 ns against 10.
+_INTERIOR, _ON_EDGE, _ON_CORNER = (LocationKind.INTERIOR,
+                                   LocationKind.ON_BOUNDARY_EDGE,
+                                   LocationKind.ON_CORNER)
+
 
 class InvalidCurve(TroplagError):
     """Curve data is structurally unusable (bad ids, degenerate geometry)."""
@@ -150,7 +156,8 @@ class TropicalCurve:
         """The curve of rows of plain tuples: vertex ids, their reduced
         (X, Y, W) points, edges (id, src id, dst id) and ends (id, source,
         (dx, dy), terminal), the source a vertex id or an anchor triple and
-        the terminal a node index or a landing triple."""
+        the terminal a node index or a landing triple; a triple that is not
+        reduced with W > 0 is an InvalidCurve."""
         curve = cls.__new__(cls)
         curve._build(name, ids, points, edges, ends)
         return curve
@@ -219,16 +226,33 @@ class TropicalCurve:
         self._edge_rows, self._end_rows = tuple(edge_rows), tuple(end_rows)
         self._sites, self._half = tuple(sites), tuple(half)
         # Every point cleared once by the curve's own scale: each site's,
-        # then each end's landing (None for an end at a node).
+        # then each end's landing (None for an end at a node).  A triple
+        # that is not reduced with W > 0 is refused as its W divides.
         landings = [None if isinstance(t, int) else t for *_, t in end_rows]
-        self._scale = scale = common_scale(
-            [*points, *anchors, *filter(None, landings)])
-        self._grid = tuple([(X * (scale // W), Y * (scale // W))
-                            for X, Y, W in (*points, *anchors)])
-        self._landings = tuple([p and (p[0] * (scale // p[2]),
-                                       p[1] * (scale // p[2]))
-                                for p in landings])
+        triples = [*points, *anchors, *filter(None, landings)]
+        self._scale = scale = common_scale(triples)
+        pairs = []
+        for X, Y, W in triples:
+            if W != 1 and (W < 1 or gcd(X, Y, W) != 1):
+                raise self._unreduced(len(pairs), (X, Y, W))
+            k = scale // W
+            pairs.append((X * k, Y * k))
+        m = len(points) + len(anchors)
+        self._grid, cleared = tuple(pairs[:m]), iter(pairs[m:])
+        self._landings = tuple([p and next(cleared) for p in landings])
         self._memo = None  # (diagram, {owner function: fact}); see _remember
+
+    def _unreduced(self, i, p) -> InvalidCurve:
+        """The error of p, the i-th triple of _build's pass, which is not
+        reduced with W > 0: its vertex, or the end of its landing or the
+        first end leaving its anchor, named."""
+        first = 2 * len(self._edge_rows)
+        names = [f"vertex {vid!r} position" for vid in self._ids]
+        names += [f"end {self._end_rows[out[0] - first][0]!r} anchor"
+                  for out in self._sites[len(self._ids):]]
+        names += [f"end {eid!r} landing" for eid, *_, t in self._end_rows
+                  if not isinstance(t, int)]
+        return InvalidCurve(f"{names[i]} {p} is not reduced with W > 0")
 
     # -- records, built on first read ------------------------------------
 
@@ -453,15 +477,18 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     The empty curve is vacuously valid.
 
     It reads the columns by index, landing_locations(), each site's own
-    location and geometry()'s int pairs; a point or a direction is printed
-    only in an issue.  Embeddedness sweeps the segments' bounding boxes by
-    min x (Shamos-Hoey) into one sorted list of the (i, j) whose boxes
-    meet and runs the exact segment_contact only on those: O(n log n + k)
-    for k pairs overlapping in x, not n(n-1)/2 tests.
+    location (diagram._locate) and geometry()'s int pairs; a point or a
+    direction is printed only in an issue.  Embeddedness sweeps the boxes
+    of the segments by min x (Shamos-Hoey) into one sorted list of keys
+    i * N + j, for each i < j whose boxes meet, and runs the exact
+    segment_contact only on those: O(n log n + k) for k pairs overlapping
+    in x, not n(n-1)/2 tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
-    sites = list(map(diagram.contains, curve._points + curve._anchors))
+    S, locate = diagram._scale, diagram._locate  # diagram.contains, inlined
+    sites = [locate(X * S, Y * S, W)
+             for X, Y, W in curve._points + curve._anchors]
     landings = landing_locations(diagram, curve)
 
     def issue(code, element, message):
@@ -469,14 +496,14 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     for vid, p, out, loc in zip(curve._ids, curve._points, curve._sites,
                                 sites):
-        if loc.kind is not LocationKind.INTERIOR:
+        if loc.kind is not _INTERIOR:
             issue("vertex-position", vid, f"position {point_text(p)} is "
                   f"{loc}, must be strictly interior")
         if not out:
             issue("isolated-vertex", vid, "vertex has no incident elements")
 
     for site, loc in enumerate(sites[len(curve._ids):], len(curve._ids)):
-        if loc.kind is not LocationKind.INTERIOR:
+        if loc.kind is not _INTERIOR:
             issue("anchor-position", _site_name(curve, site),
                   f"anchor is {loc}, must be strictly interior")
         if len(curve._sites[site]) != 2:
@@ -501,11 +528,11 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                 issue("end-cut-direction", eid,
                       f"direction ({dx},{dy}) differs from the node's cut "
                       f"direction {node.cut_direction}")
-        elif loc.kind is LocationKind.ON_CORNER:
+        elif loc.kind is _ON_CORNER:
             issue("end-corner-landing", eid,
                   f"landing {point_text(terminal)} is a polygon corner; "
                   "corners are not legal landing sites")
-        elif loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
+        elif loc.kind is not _ON_EDGE:
             issue("end-landing", eid,
                   f"landing {point_text(terminal)} is {loc}, must lie in the "
                   "open interior of a boundary edge")
@@ -656,7 +683,7 @@ def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
     if isinstance(landing, int):
         raise NotABoundaryEnd(f"end {eid!r} terminates at a node")
     loc = location or diagram.contains(landing)
-    if loc.kind is not LocationKind.ON_BOUNDARY_EDGE:
+    if loc.kind is not _ON_EDGE:
         raise InvalidCurve(
             f"end {eid!r} landing {point_text(landing)} is {loc}, "
             "not in the open interior of a boundary edge")
@@ -675,16 +702,19 @@ class EndKind(Enum):
     COLLAR = "collar"
 
 
+_DISC_CAP, _CROSS_CAP, _COLLAR = EndKind  # in order; see _INTERIOR
+
+
 def classify_end(diagram: BaseDiagram, end, location=None) -> EndKind:
     """The cap over a weight-one end: a disc at a node, a collar at mu = 1,
     a cross-cap at mu = 2; location is as end_multiplicity takes it."""
     if isinstance(_terminal(end), int):
-        return EndKind.DISC_CAP
+        return _DISC_CAP
     mu = end_multiplicity(diagram, end, location)
     if mu == 1:
-        return EndKind.COLLAR
+        return _COLLAR
     if mu == 2:
-        return EndKind.CROSS_CAP
+        return _CROSS_CAP
     raise UnsupportedEndMultiplicity(
         f"end {end[0]!r} has mu = {mu}; only mu = 1 (collar) and mu = 2 "
         "(cross-cap) carry a surface meaning")

@@ -397,13 +397,15 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     planes = count_calls(monkeypatch, tropical, "_plane")
     kinds = count_calls(monkeypatch, tropical, "classify_end")
     located = []
-    contains = BaseDiagram.contains
+    locate, contains = BaseDiagram._locate, BaseDiagram.contains
 
-    def counted(self, p):
-        located.append(p)
-        return contains(self, p)
+    def counted(self, X, Y, W):
+        located.append((X, Y, W))
+        return locate(self, X, Y, W)
 
-    monkeypatch.setattr(BaseDiagram, "contains", counted)
+    # validate locates each site by _locate, landing_locations each landing
+    # by contains, which calls _locate: counting _locate sees them all.
+    monkeypatch.setattr(BaseDiagram, "_locate", counted)
     assert validate(diagram, curve).passed
     classify(diagram, curve)
     euler_breakdown(diagram, curve)
@@ -413,10 +415,13 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # Each site and each landing is located once, for the memo.
+    # Each site and each landing is located once, for the memo, on the
+    # diagram's scale S.
     rows = curve._end_rows
     landings = [t for _, _, _, t in rows if not isinstance(t, int)]
-    assert sorted(located) == sorted([*curve._points, *landings])
+    S = diagram._scale
+    assert sorted(located) == sorted([(X * S, Y * S, W) for X, Y, W
+                                      in [*curve._points, *landings]])
     assert len(located) == len(curve._sites) + len(landings) == 8 + 10
     # Once per end, on the row of the curve's end column that end_kinds
     # passes, with that landing's location from the memo; render's markers

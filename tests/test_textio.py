@@ -251,13 +251,20 @@ _EACH_FORM = ("diagram rectangle width=6 height=4\ncurve c\n"
               "end s (1,1/3) dir=(1,0) land=(6,1/3)\n")
 
 
+# Before the element word of each element line: the \s that each element
+# pattern starts with is the whitespace lstrip() strips, so the line is
+# still read by its own pattern (the word path would end in _refuse).
+@pytest.mark.parametrize("lead", ["", "\t", "\u00a0", "\u2003"])
 @pytest.mark.parametrize("ending",
                          ["\r\n", " # note\n", "#\n", "\t# a # b\r\n"])
-def test_line_ends_and_trailing_comments_parse_as_plain_text(ending):
+def test_line_ends_and_trailing_comments_parse_as_plain_text(ending, lead):
     plain = parse_document(_EACH_FORM)
     assert plain.curves[0]._end_rows[1:] == (("d", 1, (1, -1), 0),
                                              ("s", 2, (1, 0), (18, 1, 3)))
-    assert parse_document(_EACH_FORM.replace("\n", ending)) == plain
+    text = "".join(lead + line if line.startswith(("vertex", "edge", "end"))
+                   else line for line in _EACH_FORM.splitlines(True))
+    assert text.count(lead) >= 6
+    assert parse_document(text.replace("\n", ending)) == plain
 
 
 def test_unicode_whitespace_separates_words():

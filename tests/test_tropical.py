@@ -238,6 +238,39 @@ def test_derived_edge_direction_is_primitive_from_src_to_dst():
         TropicalCurve([u, coincident], [InternalEdge("e", "u", "c")], [])
 
 
+def test_rows_refuse_an_unreduced_triple():
+    # In rectangle(4, 2), a vertex (2,1) with ends to (4,1) and (0,1).  A
+    # landing given as (0, 2, 2) would validate, serialize as land=(0,1)
+    # and yet compare unequal to the curve that text parses to.
+    def curve(point=(2, 1, 1), landing=(0, 1, 1), anchor=None):
+        source = "v" if anchor is None else anchor
+        ends = [("a", source, (1, 0), (4, 1, 1)),
+                ("b", source, (-1, 0), landing)]
+        if anchor is None:
+            return TropicalCurve.of_rows("c", ["v"], [point], [], ends)
+        return TropicalCurve.of_rows("c", [], [], [], ends)
+
+    diagram = rectangle(4, 2)
+    assert validate(diagram, curve()).passed
+    assert curve() == parse_document("diagram rectangle width=4 height=2\n"
+                                     "curve c\nvertex v (2,1)\n"
+                                     "end a v dir=(1,0) land=(4,1)\n"
+                                     "end b v dir=(-1,0) land=(0,1)\n"
+                                     ).curves[0]
+    assert validate(diagram, curve(anchor=(2, 1, 1))).passed
+    with pytest.raises(InvalidCurve, match=r"^end 'b' landing \(0, 2, 2\) "
+                       r"is not reduced with W > 0$"):
+        curve(landing=(0, 2, 2))
+    for point in [(4, 2, 2), (2, 1, 0), (-2, -1, -1)]:
+        with pytest.raises(InvalidCurve, match=r"^vertex 'v' position "
+                           rf"\({point[0]}, {point[1]}, {point[2]}\) is not"):
+            curve(point=point)
+    with pytest.raises(InvalidCurve, match=r"^end 'a' anchor \(4, 2, 2\) is"):
+        curve(anchor=(4, 2, 2))
+    with pytest.raises(InvalidCurve, match=r"^end 'b' landing \(0, 1, -1\)"):
+        curve(anchor=(2, 1, 1), landing=(0, 1, -1))
+
+
 def test_handshake_on_bundled_curves():
     # trivalent curves satisfy 3V = 2E + X
     for ell in (1, 2, 3):
