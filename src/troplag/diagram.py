@@ -103,6 +103,11 @@ class Node(_Node):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __new__(cls, position, cut_direction):
+        if not isinstance(position, RatPoint):
+            raise TypeError(f"position {position!r} is not a RatPoint")
+        if not isinstance(cut_direction, IntVec):
+            raise TypeError(
+                f"cut direction {cut_direction!r} is not an IntVec")
         if not cut_direction.is_primitive:
             raise InvalidDiagram(
                 f"cut direction {cut_direction} is not primitive")

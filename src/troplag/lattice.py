@@ -18,12 +18,12 @@ All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
 homogeneous triple (X, Y, W) with W > 0 (reduced); the text parser and a
 curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram
-clears denominators by common_scale and cleared, and TropicalCurve by
-common_scale; tropical.geometry multiplies both by one factor, and other
-readers take their int pairs or compute on the triple, and point_text
-prints a point from it.  A coordinate becomes a fractions.Fraction only
-for the public API.  Floats, bools and strings the document format would
-refuse are rejected at construction time.
+and tropical.geometry clear denominators, by common_scale and cleared:
+the plane's scale is the lcm of the diagram's and every W of the curve.
+Other readers take their int pairs or compute on the triple, and
+point_text prints a point from it.  A coordinate becomes a
+fractions.Fraction only for the public API.  Floats, bools and strings
+the document format would refuse are rejected at construction time.
 """
 import re
 from fractions import Fraction
@@ -229,6 +229,8 @@ class UnimodularAffineMap(_UnimodularAffineMap):
         if a * d - b * c not in (1, -1):
             raise NonUnimodularMap(
                 f"determinant {a * d - b * c} is not +1 or -1")
+        if not isinstance(translation, RatPoint):
+            raise TypeError(f"translation {translation!r} is not a RatPoint")
         return tuple.__new__(cls, (linear, translation))
 
     @classmethod

@@ -11,6 +11,9 @@
     edge <id> <from> <to>
     end <id> <from> dir=(<int>,<int>) [land=(<rat>,<rat>)] [node=<index>]
 
+A line ends at CR LF, CR or LF only: any other break (VT, FF, U+001C to
+U+001E, U+0085, U+2028, U+2029) is whitespace inside its line, as
+str.split() and the patterns take it, and cannot end a comment.
 Rationals are written exactly ("3", "22/7", "-4/3"); decimals are a syntax
 error; a point is built from its digits, with no Fraction.  Edges and ends
 have weight one: an edge may still say `weight=1`, and any other weight is
@@ -240,7 +243,9 @@ def parse_document(text: str) -> Document:
             except InvalidCurve as err:
                 raise _error(str(err), header) from None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only \r\n, \r and \n end a line (str.splitlines() ends more).
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0] if "#" in raw else raw
         # An element line its pattern takes whole, with an unseen id and
         # numbers int() takes, is a row; any other line is read by words.

@@ -19,7 +19,7 @@ anchors by first appearance; each keeps the indices of the half-edges
 leaving it, edges first: edge k leaves src as 2k and dst as 2k + 1, end j
 its site as 2 * #edges + j, and each half-edge's direction is kept too.
 An edge's direction is derived by lattice.primitive_pair from its
-endpoints, and every point is cleared once by the curve's own scale.
+endpoints; every point stays a reduced triple, cleared only by geometry().
 Every curve is built from rows of plain tuples (of_rows; the record
 constructor reduces its records to rows), so no column holds a RatPoint.
 The records (vertices, edges, ends), the public incidence `sites` (site
@@ -29,17 +29,17 @@ so a curve makes none until asked.  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on int
 pairs, for validate(), the homology sweeps and render, with the diagram's
-corners and cuts on the same ints: the diagram's and the curve's cleared
-points, each times one factor, the plane's scale over its own.  validate()
-checks every geometric and combinatorial invariant and returns a report;
-the per-element facts (a vertex's multiplicity m and its (m-1)/2 double
-points, an end's mu and its cap kind) assume a validated curve and raise on
-contract violations.  Each reads the columns by index; end_multiplicity and
-classify_end take an end row or a CurveEnd, and its landing's location if
-known.  The plane, the landings' locations (landing_locations), the cap
-kinds (end_kinds), the m's (multiplicities) and homology's default sweeps
-are computed once per curve and diagram and kept in the curve's one memo
-slot (_remember); validate alone locates the sites.
+corners and cuts on the same ints; it is the one place a curve's triples
+are cleared.  validate() checks every geometric and combinatorial
+invariant and returns a report; the per-element facts (a vertex's
+multiplicity m and its (m-1)/2 double points, an end's mu and its cap
+kind) assume a validated curve and raise on contract violations.  Each
+reads the columns by index; end_multiplicity and classify_end take an end
+row or a CurveEnd, and its landing's location if known.  The plane, the
+landings' locations (landing_locations), the cap kinds (end_kinds), the
+m's (multiplicities) and homology's default sweeps are computed once per
+curve and diagram and kept in the curve's one memo slot (_remember);
+validate alone locates the sites.
 """
 from bisect import bisect_left
 from enum import Enum
@@ -57,6 +57,7 @@ from .lattice import (
     RatPoint,
     UnimodularAffineMap,
     between,
+    cleared,
     common_scale,
     point_text,
     primitive_pair,
@@ -133,6 +134,15 @@ class CurveEnd(NamedTuple):
     terminal: BoundaryTerminal | NodeTerminal
 
 
+def _check_reduced(p, kind, name, part):
+    """Refuse p, the (X, Y, W) of part of the element kind name (an end's
+    landing, say), unless it is reduced with W > 0."""
+    X, Y, W = p
+    if W != 1 and (W < 1 or gcd(X, Y, W) != 1):
+        raise InvalidCurve(f"{kind} {name!r} {part} {(X, Y, W)} is not "
+                           "reduced with W > 0")
+
+
 def _plain(item):
     """A vertex id or a node index as it is, a point as its plain triple."""
     return item if isinstance(item, (str, int)) else tuple(item)
@@ -169,6 +179,7 @@ class TropicalCurve:
         for i, vid in enumerate(ids):
             if index.setdefault(vid, i) != i:
                 raise InvalidCurve(f"duplicate vertex id {vid!r}")
+            _check_reduced(points[i], "vertex", vid, "position")
         # Half-edges: edge k leaves src as 2k and dst as 2k + 1, end j
         # leaves its source as 2 * len(edges) + j; half holds each one's
         # direction and sites each site's half-edges, edges first, as
@@ -212,11 +223,14 @@ class TropicalCurve:
             elif source in anchors:
                 site = anchors[source]
             else:
+                _check_reduced(source, "end", eid, "anchor")
                 site = anchors[source] = len(sites)
                 sites.append(())
             if gcd(*u) != 1:
                 raise InvalidCurve(f"end {eid!r} direction "
                                    "({},{}) is not primitive".format(*u))
+            if not isinstance(terminal, int):
+                _check_reduced(terminal, "end", eid, "landing")
             sites[site] += (j,)
             half.append(u)
             end_rows.append((eid, site, u, terminal))
@@ -225,34 +239,7 @@ class TropicalCurve:
         self._anchors = tuple(anchors)
         self._edge_rows, self._end_rows = tuple(edge_rows), tuple(end_rows)
         self._sites, self._half = tuple(sites), tuple(half)
-        # Every point cleared once by the curve's own scale: each site's,
-        # then each end's landing (None for an end at a node).  A triple
-        # that is not reduced with W > 0 is refused as its W divides.
-        landings = [None if isinstance(t, int) else t for *_, t in end_rows]
-        triples = [*points, *anchors, *filter(None, landings)]
-        self._scale = scale = common_scale(triples)
-        pairs = []
-        for X, Y, W in triples:
-            if W != 1 and (W < 1 or gcd(X, Y, W) != 1):
-                raise self._unreduced(len(pairs), (X, Y, W))
-            k = scale // W
-            pairs.append((X * k, Y * k))
-        m = len(points) + len(anchors)
-        self._grid, cleared = tuple(pairs[:m]), iter(pairs[m:])
-        self._landings = tuple([p and next(cleared) for p in landings])
         self._memo = None  # (diagram, {owner function: fact}); see _remember
-
-    def _unreduced(self, i, p) -> InvalidCurve:
-        """The error of p, the i-th triple of _build's pass, which is not
-        reduced with W > 0: its vertex, or the end of its landing or the
-        first end leaving its anchor, named."""
-        first = 2 * len(self._edge_rows)
-        names = [f"vertex {vid!r} position" for vid in self._ids]
-        names += [f"end {self._end_rows[out[0] - first][0]!r} anchor"
-                  for out in self._sites[len(self._ids):]]
-        names += [f"end {eid!r} landing" for eid, *_, t in self._end_rows
-                  if not isinstance(t, int)]
-        return InvalidCurve(f"{names[i]} {p} is not reduced with W > 0")
 
     # -- records, built on first read ------------------------------------
 
@@ -364,10 +351,10 @@ def _remember(diagram: BaseDiagram, curve: TropicalCurve, key, build):
 def geometry(diagram: BaseDiagram, curve: TropicalCurve):
     """(scale, corners, cuts, segments): the diagram and the curve on ints,
     for validate, the sweeps and render, built once per curve and diagram
-    (_remember).  scale is the least common denominator of the corners,
-    the cut ends and every curve point, and each point is cleared by it,
-    which keeps every sign: the diagram's columns and the curve's points,
-    each already cleared by its own scale, are multiplied by one factor.
+    (_remember).  scale is the lcm of the diagram's scale and the W of
+    every vertex, anchor and landing triple, and each point is cleared by
+    it, which keeps every sign: the diagram's columns are multiplied by
+    scale over the diagram's scale, and each triple (X, Y, W) by scale // W.
     corners holds the polygon's corners in order, cuts each node's
     (position, exit); segments holds (id, start, finish, start token,
     finish token, direction) per edge, then per end, in curve order, and
@@ -381,21 +368,19 @@ def geometry(diagram: BaseDiagram, curve: TropicalCurve):
 
 
 def _plane(diagram: BaseDiagram, curve: TropicalCurve):
-    scale = lcm(curve._scale, diagram._scale)
+    points = curve._points + curve._anchors
+    landings = [t for *_, t in curve._end_rows if not isinstance(t, int)]
+    scale = lcm(diagram._scale, common_scale([*points, *landings]))
     k = scale // diagram._scale
     corners = tuple([(x * k, y * k) for x, y in diagram._corners])
     cuts = tuple([((x * k, y * k), (u * k, v * k))
                   for (x, y), (u, v) in diagram._cuts])
-    grid, landings = curve._grid, curve._landings
-    factor = scale // curve._scale
-    if factor != 1:
-        grid = [(x * factor, y * factor) for x, y in grid]
-        landings = [p and (p[0] * factor, p[1] * factor) for p in landings]
+    grid = [cleared(p, scale) for p in points]
     segments = [(eid, grid[s], grid[d], s, d, u)
                 for eid, s, d, u in curve._edge_rows]
-    for (eid, site, u, terminal), finish in zip(curve._end_rows, landings):
-        if finish is not None:
-            token = ("landing", eid)
+    for eid, site, u, terminal in curve._end_rows:
+        if not isinstance(terminal, int):
+            finish, token = cleared(terminal, scale), ("landing", eid)
         elif 0 <= terminal < len(cuts):
             finish, token = cuts[terminal][0], ("node", terminal)
         else:

@@ -395,6 +395,18 @@ def test_records_are_their_field_tuples():
         shear(1, 0, 0, 1)._replace(linear=((2, 0), (0, 1)))
     with pytest.raises(InvalidDiagram):
         Node._make((pt(1, 1), IntVec(2, 0)))
+    # Every field is checked as it is built, not where it is first read.
+    for translation in [(1, 2), "ab", (1, 2, 0), (5,)]:
+        with pytest.raises(TypeError, match="is not a RatPoint$"):
+            UnimodularAffineMap(((1, 0), (0, 1)), translation)
+        with pytest.raises(TypeError, match="is not a RatPoint$"):
+            shear(1, 0, 0, 1)._replace(translation=translation)
+    for position, direction in [(pt(1, 1), (0, 1)), ((1, 1, 1), IntVec(0, 1))]:
+        with pytest.raises(TypeError, match="is not an? (RatPoint|IntVec)$"):
+            Node(position, direction)
+        with pytest.raises(TypeError, match="is not an? (RatPoint|IntVec)$"):
+            Node(pt(1, 1), IntVec(0, 1))._replace(
+                position=position, cut_direction=direction)
 
 
 def _klein_class(witness):

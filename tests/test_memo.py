@@ -155,8 +155,17 @@ def test_one_curve_read_against_diagrams_in_turn():
     for diagram in DIAGRAMS * 2:
         _assert_memo_answers_fresh(diagram, curve)
         kinds.add(_outcome(tropical.end_kinds, diagram, curve))
-        assert geometry(diagram, curve)[0] == (
-            6 if diagram is DIAGRAMS[3] else 2)
+        scale, _, _, segments = geometry(diagram, curve)
+        assert scale == (6 if diagram is DIAGRAMS[3] else 2)
+        # Each segment runs from its anchor to its landing, each point
+        # times the plane's scale, as int pairs.
+        assert len(segments) == len(curve.ends)
+        for (eid, start, finish, *_), end in zip(segments, curve.ends):
+            assert eid == end.id
+            for got, p in ((start, end.source),
+                           (finish, end.terminal.landing)):
+                assert got == (p.x * scale, p.y * scale)
+                assert all(type(v) is int for v in got)
     # Three diagrams answer differently: a collar, a closed surface and a
     # refusal.
     assert len(kinds) == 3

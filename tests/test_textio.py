@@ -267,6 +267,24 @@ def test_line_ends_and_trailing_comments_parse_as_plain_text(ending, lead):
     assert parse_document(text.replace("\n", ending)) == plain
 
 
+# Only \r\n, \r and \n end a line.  Every other break that str.splitlines()
+# ends a line at is whitespace inside its line: it neither ends a comment
+# nor moves the line number of a later error.
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_only_cr_and_lf_end_a_line(brk):
+    assert len(f"a{brk}b".splitlines()) == 2
+    plain = parse_document(_PREFIX + "end a v dir=(1,0) land=(4,1)\n")
+    text = (_PREFIX.replace("curve c", f"curve c # note{brk}vertex w (2,1)")
+            .replace("vertex v", f"vertex{brk}v")
+            + f"end a v dir=(1,0){brk}land=(4,1){brk}\n")
+    assert parse_document(text) == plain
+    assert parse_document(text.replace("\n", "\r")) == plain
+    with pytest.raises(ParseError) as err:
+        parse_document(text + f"{brk}bogus\n")
+    assert str(err.value) == "line 5, col 2: unknown directive 'bogus'"
+
+
 def test_unicode_whitespace_separates_words():
     plain = parse_document(_PREFIX + "vertex w (3,1)\nedge e v w\n"
                            "end a v dir=(-1,0) land=(0,1)\n")

@@ -269,6 +269,12 @@ def test_rows_refuse_an_unreduced_triple():
         curve(anchor=(4, 2, 2))
     with pytest.raises(InvalidCurve, match=r"^end 'b' landing \(0, 1, -1\)"):
         curve(anchor=(2, 1, 1), landing=(0, 1, -1))
+    # The triple is refused before an edge's direction is derived from it:
+    # (4, 2, 2) is the point of v, not a second vertex at it.
+    with pytest.raises(InvalidCurve, match=r"^vertex 'w' position "
+                       r"\(4, 2, 2\) is not reduced with W > 0$"):
+        TropicalCurve.of_rows("c", ["v", "w"], [(2, 1, 1), (4, 2, 2)],
+                              [("e", "v", "w")], [])
 
 
 def test_handshake_on_bundled_curves():
