@@ -38,9 +38,8 @@ _EXPORTS = {
         "vertex_double_points", "vertex_multiplicity",
     ),
     "topology": (
-        "ChiBreakdown", "EmptyCurve", "MalformedPresentation", "Piece",
-        "PieceKind", "SurfaceClass", "SurfacePresentation",
-        "build_presentation", "classify", "euler_breakdown",
+        "CellComplex", "ChiBreakdown", "EmptyCurve", "MalformedPresentation",
+        "SurfaceClass", "build_presentation", "classify", "euler_breakdown",
         "oracle_classify", "surface_name",
     ),
     "homology": (

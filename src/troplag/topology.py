@@ -16,22 +16,33 @@ surgery replacing each one by an embedded handle drops chi by 2.  So
 
 euler_breakdown() counts this into a ChiBreakdown, which keeps the
 per-vertex multiplicities and per-end cap kinds beside the chi terms;
-classify() is that record's surface_class().  build_presentation() +
-oracle_classify() re-derive it from pieces, gluings and cell counts, but
-from the same cap kinds and double points, so they check only the gluing.
-Both read them from tropical.multiplicities and tropical.end_kinds, which
-keep them in the curve's memo.  The presentation reads the curve's
-columns by index and labels its circles 0, 1, 2, ...; the oracle takes
-any hashable labels and finds components by a union-find over the pieces.
+classify() is that record's surface_class().  Both read them from
+tropical.multiplicities and tropical.end_kinds, which keep them in the
+curve's memo.
+
+build_presentation() + oracle_classify() re-derive chi and orientability
+without the cap kinds, from a cell complex held as int columns
+(CellComplex).  Over a site of valence d lie d circles (a vertex and a
+loop each), d - 1 rungs joining them and one face; over an internal edge
+a rung and a face joining the circles of its two half-edges, glued with a
+sign read from fibre classes (the circle over a half-edge of direction u
+is rot90(u); the sign is 1 when the edge's two circles are opposite
+classes, as an annulus's boundary circles are); over an end at a node a
+face on its circle; over an end landing with degree mu = |det(u, e)| on an
+edge of direction e a core circle, a rung and a face that runs mu times
+around the core.  chi is the cell count V - E + F, less 2 per surgery
+handle; a core of degree 1 lies on one face, a boundary circle.
+Orientability is one depth-first walk over the sites, giving each a side
++-1: an edge whose sign disagrees with its sites' sides, or a core of
+even degree (a Mobius band's), is an odd loop.  A degree >= 3 is refused.
 """
-from collections.abc import Hashable
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
-from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, EndKind,
-                       TropicalCurve, _components, end_kinds, multiplicities,
+from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, _ON_EDGE, EndKind,
+                       TropicalCurve, UnsupportedEndMultiplicity, end_kinds,
+                       end_multiplicity, landing_locations, multiplicities,
                        vertex_double_points)
 
 
@@ -40,7 +51,7 @@ class EmptyCurve(TroplagError):
 
 
 class MalformedPresentation(TroplagError):
-    """A surface presentation with inconsistent gluing data."""
+    """A cell complex, or surface data, that no connected surface has."""
 
 
 class ChiBreakdown(NamedTuple):
@@ -152,156 +163,131 @@ def surface_name(sc: SurfaceClass) -> str | None:
 
 
 # -----------------------------------------------------------------------
-# Presentation oracle
+# Cell-complex oracle
 # -----------------------------------------------------------------------
 
-class PieceKind(Enum):
-    """A piece, with its boundary circle count and a cell structure
-    (V, E, F), each boundary circle cellulated as one vertex and one loop
-    edge:
-      disc: its circle plus one face                       -> chi = 1
-      annulus/collar: two circles, a rung, one face        -> chi = 0
-      mobius band: boundary circle, core circle, rung, one face (the face
-        runs around the core twice)                        -> chi = 0
-      pants: three circles, two rungs, one face            -> chi = -1
-    """
+class CellComplex(NamedTuple):
+    """The lift as int columns (see the module docstring): the surgery
+    handle count; per site its valence; per internal edge its two sites
+    and gluing sign; per end its site, attaching degree and id."""
 
-    PANTS = "pair-of-pants", 3, (3, 5, 1)
-    ANNULUS = "annulus", 2, (2, 3, 1)
-    DISC = "disc", 1, (1, 1, 1)
-    MOBIUS = "mobius-band", 1, (2, 3, 1)
-    COLLAR = "collar-annulus", 2, (2, 3, 1)
-
-    def __new__(cls, value, circles, cells):
-        kind = object.__new__(cls)
-        kind._value_, kind.circles, kind.cells = value, circles, cells
-        return kind
-
-
-# In order, bound once as tropical binds the cap kinds (tropical._INTERIOR).
-_PANTS, _ANNULUS, _DISC, _MOBIUS, _COLLAR_ANNULUS = PieceKind
-
-
-class _Piece(NamedTuple):
-    kind: PieceKind
-    labels: tuple[Hashable, ...]
-
-
-class Piece(_Piece):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
-
-    def __new__(cls, kind, labels):
-        if len(labels) != kind.circles:
-            raise MalformedPresentation(
-                f"{kind.value} carries {kind.circles} "
-                f"boundary circles, got labels {labels}")
-        return tuple.__new__(cls, (kind, labels))
-
-
-class SurfacePresentation(NamedTuple):
-    """Pieces with labelled boundary circles, a pairing of labels, and a
-    count of surgery handle attachments; a label is any hashable value."""
-
-    pieces: tuple[Piece, ...]
-    gluings: tuple[tuple[Hashable, Hashable], ...]
     handles: int
+    valence: tuple[int, ...]
+    edge_src: tuple[int, ...]
+    edge_dst: tuple[int, ...]
+    edge_sign: tuple[int, ...]
+    end_site: tuple[int, ...]
+    end_degree: tuple[int, ...]
+    end_ids: tuple[str, ...]
 
 
 def build_presentation(diagram: BaseDiagram,
-                       curve: TropicalCurve) -> SurfacePresentation:
-    """The piece decomposition mirroring the curve's incidence structure,
-    its circles labelled 0, 1, 2, ... in the order they are made."""
+                       curve: TropicalCurve) -> CellComplex:
+    """The cell complex over a validated curve, read from its columns."""
     if curve.is_empty:
         raise EmptyCurve("the empty curve has no presentation")
-    # vertex_multiplicity owns trivalence, and Piece each kind's circle count.
+    # First, so that vertex_multiplicity refuses a vertex not trivalent.
     handles = sum(map(vertex_double_points, multiplicities(diagram, curve)))
-    pieces = []
-    gluings = []
-    # A piece per site, a circle per half-edge leaving it: pants over each
-    # vertex (the sites start with the vertices), an annulus per anchor.
-    slot = [0] * len(curve._half)  # half-edge -> the circle it leaves by
-    n = 0  # the next label
-    for site, out in enumerate(curve._sites):
-        first = n
-        for h in out:
-            slot[h] = n
-            n += 1
-        pieces.append(Piece(_PANTS if site < len(curve._ids) else _ANNULUS,
-                            tuple(range(first, n))))
-
-    for k in range(len(curve._edge_rows)):  # edge k is half-edges 2k, 2k+1
-        pieces.append(Piece(_ANNULUS, (n, n + 1)))
-        gluings.append((slot[2 * k], n))
-        gluings.append((slot[2 * k + 1], n + 1))
-        n += 2
-
-    for h, kind in enumerate(end_kinds(diagram, curve),
-                             2 * len(curve._edge_rows)):
-        if kind is _DISC_CAP:
-            pieces.append(Piece(_DISC, (n,)))
-        elif kind is _CROSS_CAP:
-            pieces.append(Piece(_MOBIUS, (n,)))
-        else:
-            pieces.append(Piece(_COLLAR_ANNULUS, (n, n + 1)))
-        gluings.append((slot[h], n))
-        n += len(pieces[-1].labels)
-
-    return SurfacePresentation(tuple(pieces), tuple(gluings), handles)
+    # Edge k's circles are rot90 of the directions of half-edges 2k and
+    # 2k + 1: opposite classes, as an annulus's two boundary circles are,
+    # glue with sign 1.
+    half, n = curve._half, 2 * len(curve._edge_rows)
+    signs = [1 if x * v + y * w < 0 else -1
+             for (x, y), (v, w) in zip(half[0:n:2], half[1:n:2])]
+    directions, ends = diagram._directions, curve._end_rows
+    degrees = []
+    for row, loc in zip(ends, landing_locations(diagram, curve)):
+        degree = 0
+        if loc is not None:
+            (x, y), on_edge = row[2], loc.kind is _ON_EDGE
+            ex, ey = directions[loc.index] if on_edge else (x, y)
+            # 0 only off an edge's interior or parallel to the edge, which
+            # end_multiplicity refuses.
+            degree = abs(x * ey - y * ex) or end_multiplicity(diagram, row,
+                                                              loc)
+        degrees.append(degree)
+    rows = curve._edge_rows
+    return CellComplex(
+        handles, tuple(map(len, curve._sites)),
+        tuple([s for _, s, _, _ in rows]), tuple([d for _, _, d, _ in rows]),
+        tuple(signs), tuple([site for _, site, _, _ in ends]),
+        tuple(degrees), tuple([eid for eid, _, _, _ in ends]))
 
 
-def oracle_classify(presentation: SurfacePresentation) -> SurfaceClass:
-    """Classify the glued surface from the presentation alone.
-
-    chi comes from cell counts of the glued complex: each piece contributes
-    its (V, E, F) from PieceKind, and every circle gluing identifies
-    one vertex pair and one edge pair, which cancel in V - E; each surgery
-    handle then subtracts 2.
-    Orientability is decided by propagating orientations across the gluing
-    graph: Mobius pieces admit none, and the remaining pieces glue by the
-    orientation-compatible identifications the construction uses.
-    """
-    pieces = presentation.pieces
-    owner = {}
-    for index, piece in enumerate(pieces):
-        for label in piece.labels:
-            if label in owner:
-                raise MalformedPresentation(f"label {label!r} appears twice")
-            owner[label] = index
-
-    glued = set()
-    for a, b in presentation.gluings:
-        if a == b:  # first: the pair's second label would be glued twice
-            raise MalformedPresentation(f"label {a!r} glued to itself")
-        for label in (a, b):
-            if label not in owner:
-                raise MalformedPresentation(f"gluing names unknown label "
-                                            f"{label!r}")
-            if label in glued:
-                raise MalformedPresentation(f"label {label!r} glued twice")
-            glued.add(label)
-    if presentation.handles < 0:
+def oracle_classify(cx: CellComplex) -> SurfaceClass:
+    """Classify the surface from its cell complex alone: chi from the cell
+    counts, orientability from one parity walk over the sites (see the
+    module docstring); refuses a complex that is not a connected surface."""
+    handles, valence, src, dst, signs, end_site, degrees, end_ids = cx
+    n = len(valence)
+    if handles < 0:
         raise MalformedPresentation("negative handle count")
+    if not n:
+        raise MalformedPresentation("complex has no sites")
+    if min(valence) < 1:
+        raise MalformedPresentation(f"site {valence.index(min(valence))} "
+                                    "has no circles")
+    named = src + dst + end_site
+    if named and (min(named) < 0 or max(named) >= n):
+        site = next(s for s in named if not 0 <= s < n)
+        raise MalformedPresentation(f"site {site} is not in range({n})")
+    if not {*signs} <= {1, -1}:
+        k = next(k for k, sign in enumerate(signs) if sign not in (1, -1))
+        raise MalformedPresentation(f"edge {k} has gluing sign "
+                                    f"{signs[k]!r}, not 1 or -1")
+    if degrees and not 0 <= min(degrees) <= max(degrees) <= 2:
+        j = next(j for j, mu in enumerate(degrees) if not 0 <= mu <= 2)
+        if degrees[j] < 0:
+            raise MalformedPresentation(f"end {end_ids[j]!r} has negative "
+                                        "degree")
+        raise UnsupportedEndMultiplicity(
+            f"end {end_ids[j]!r} has mu = {degrees[j]}; only mu = 1 "
+            "(collar) and mu = 2 (cross-cap) carry a surface meaning")
 
-    if not pieces:
-        raise MalformedPresentation("presentation has no pieces")
-    if _components(len(pieces), [
-            (owner[a], owner[b]) for a, b in presentation.gluings]) != 1:
-        raise MalformedPresentation("presentation is disconnected")
+    # Per site, each edge's other site, as ~site when its sign is -1.
+    links = [[] for _ in valence]
+    for s, d, sign in zip(src, dst, signs):
+        links[s].append(d if sign > 0 else ~d)
+        links[d].append(s if sign > 0 else ~s)
+    attached = [*map(len, links)]
+    for s in end_site:
+        attached[s] += 1
+    if attached != [*valence]:
+        s = next(s for s, k in enumerate(attached) if k != valence[s])
+        raise MalformedPresentation(f"site {s} has valence {valence[s]}, "
+                                    f"but {attached[s]} circles attach")
 
-    # Cells summed per kind, one kinds.count each (an Enum hashes in Python).
-    kinds = [p.kind for p in pieces]
-    cells_v, cells_e, cells_f = map(sum, zip(*(
-        [n * c for c in kind.cells]
-        for kind in PieceKind for n in (kinds.count(kind),))))
-    chi = cells_v - cells_e + cells_f - 2 * presentation.handles
+    # Depth first from site 0, giving each site a side; an edge whose sign
+    # disagrees with its sites' sides closes an odd loop.
+    side = [0] * n
+    side[0] = 1
+    stack = [0]
+    odd = False
+    while stack:
+        s = stack.pop()
+        here = side[s]
+        for t in links[s]:
+            e = here
+            if t < 0:
+                t, e = ~t, -e
+            if not side[t]:
+                side[t] = e
+                stack.append(t)
+            elif side[t] != e:
+                odd = True
+    if 0 in side:
+        raise MalformedPresentation("complex is disconnected")
 
-    # Orientation propagation: each gluing joins two distinct boundary
-    # circles, so orientations chosen piece by piece can always be made
-    # compatible across every gluing; the propagation fails exactly when a
-    # piece admits no orientation at all, i.e. on a Mobius band.  Each
-    # label left unglued is one boundary circle.
-    return SurfaceClass(orientable=_MOBIUS not in kinds,
-                        euler_char=chi,
-                        boundary_circles=len(owner) - len(glued),
-                        double_points_surgered=presentation.handles)
+    # Vertices: one per circle, site or core.  Edges: a loop per circle and
+    # a rung per site circle but its first, per edge and per core.  Faces:
+    # one per site, edge and end.
+    total, landings = sum(valence), len(degrees) - degrees.count(0)
+    cells_v = total + landings
+    cells_e = 2 * total - n + len(src) + 2 * landings
+    cells_f = n + len(src) + len(degrees)
+    # A core of degree 2 is a Mobius band's, an odd loop; a core of degree
+    # 1 lies on one face, a boundary circle.
+    return SurfaceClass(orientable=not odd and 2 not in degrees,
+                        euler_char=cells_v - cells_e + cells_f - 2 * handles,
+                        boundary_circles=degrees.count(1),
+                        double_points_surgered=handles)

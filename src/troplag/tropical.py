@@ -167,13 +167,17 @@ class TropicalCurve:
         (X, Y, W) points, edges (id, src id, dst id) and ends (id, source,
         (dx, dy), terminal), the source a vertex id or an anchor triple and
         the terminal a node index or a landing triple; a triple that is not
-        reduced with W > 0 is an InvalidCurve."""
+        reduced with W > 0, or ids and points of different lengths, is an
+        InvalidCurve."""
         curve = cls.__new__(cls)
         curve._build(name, ids, points, edges, ends)
         return curve
 
     def _build(self, name, ids, points, edges, ends):
         """The columns of the rows of_rows takes."""
+        if len(ids) != len(points):
+            raise InvalidCurve(f"{len(ids)} vertex ids for {len(points)} "
+                               "vertex points")
         self.name = name
         self._index = index = {}
         for i, vid in enumerate(ids):

@@ -34,8 +34,8 @@ EXPORTS = {
                  "ValidationIssue", "ValidationReport", "check_balancing",
                  "classify_end", "end_multiplicity", "validate",
                  "vertex_double_points", "vertex_multiplicity"],
-    "topology": ["ChiBreakdown", "EmptyCurve", "MalformedPresentation",
-                 "Piece", "PieceKind", "SurfaceClass", "SurfacePresentation",
+    "topology": ["CellComplex", "ChiBreakdown", "EmptyCurve",
+                 "MalformedPresentation", "SurfaceClass",
                  "build_presentation", "classify", "euler_breakdown",
                  "oracle_classify", "surface_name"],
     "homology": ["InvalidClass", "Mod2Class", "NonGenericWitness",
@@ -108,7 +108,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 88
+    assert len(NAMES) == 86
     assert sorted(troplag.__all__) == NAMES
 
 

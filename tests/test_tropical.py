@@ -277,6 +277,19 @@ def test_rows_refuse_an_unreduced_triple():
                               [("e", "v", "w")], [])
 
 
+@pytest.mark.parametrize("ids, points", [
+    (["v"], [(1, 1, 1), (2, 1, 1)]),
+    (["v", "w"], [(1, 1, 1)]),
+    ([], [(1, 1, 1)]),
+])
+def test_rows_refuse_ids_and_points_of_different_lengths(ids, points):
+    # An extra point would stay in the columns and a missing one raise a
+    # bare IndexError.
+    with pytest.raises(InvalidCurve, match=rf"^{len(ids)} vertex ids for "
+                       rf"{len(points)} vertex points$"):
+        TropicalCurve.of_rows("c", ids, points, [], [])
+
+
 def test_handshake_on_bundled_curves():
     # trivalent curves satisfy 3V = 2E + X
     for ell in (1, 2, 3):
