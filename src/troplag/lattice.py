@@ -327,12 +327,19 @@ def segment_contact(a, b, c, d):
     one-dimensional piece, or else their single point of contact as a
     reduced triple (X, Y, W) with W > 0, the point (X/W, Y/W), so a
     contact at an int pair p is (*p, 1).  In coordinates scaled by S, the
-    contact is the point RatPoint.of(X, Y, W * S).
+    contact is the point RatPoint.of(X, Y, W * S).  Two segments that are
+    not parallel meet in at most one point, so one that shares an endpoint
+    (as adjacent segments of a curve do) returns it before any division.
     """
     ux, uy = b[0] - a[0], b[1] - a[1]
     vx, vy = d[0] - c[0], d[1] - c[1]
-    wx, wy = c[0] - a[0], c[1] - a[1]
     denom = ux * vy - uy * vx
+    if denom:
+        if a == c or a == d:
+            return (*a, 1)
+        if b == c or b == d:
+            return (*b, 1)
+    wx, wy = c[0] - a[0], c[1] - a[1]
     if denom == 0:
         if wx * uy - wy * ux != 0:
             return None          # parallel, distinct lines

@@ -41,7 +41,6 @@ m's (multiplicities) and homology's default sweeps are computed once per
 curve and diagram and kept in the curve's one memo slot (_remember);
 validate alone locates the sites.
 """
-from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from math import gcd, lcm
@@ -468,10 +467,12 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     It reads the columns by index, landing_locations(), each site's own
     location (diagram._locate) and geometry()'s int pairs; a point or a
     direction is printed only in an issue.  Embeddedness sweeps the boxes
-    of the segments by min x (Shamos-Hoey) into one sorted list of keys
-    i * N + j, for each i < j whose boxes meet, and runs the exact
-    segment_contact only on those: O(n log n + k) for k pairs overlapping
-    in x, not n(n-1)/2 tests.
+    of the segments by min x (Shamos-Hoey) and runs the exact
+    segment_contact on each pair i < j as the sweep finds their closed
+    boxes meet: O(n log n + k) for k pairs overlapping in x, not n(n-1)/2
+    tests.  Its issues are sorted once: by segment, then degenerate,
+    contacts (by j), nodes and cuts.  Only a diagram with nodes runs the
+    node and cut tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
@@ -526,39 +527,35 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   f"landing {point_text(terminal)} is {loc}, must lie in the "
                   "open interior of a boundary edge")
 
-    # Embeddedness: segment contacts, nodes, cuts.  Two segments can meet
-    # only if their closed bounding boxes do; pairs holds each such (i, j),
-    # i < j, as the int key i * N + j, sorted.
-    N = len(segments)
+    # Embeddedness: segment contacts, nodes, cuts, kept as (i, rank, j,
+    # code, element, message), unique in (i, rank, j), and sorted once.  A
+    # pair i < j is tested as the sweep finds its closed boxes meet.
+    found = [(k, 0, 0, "degenerate-segment", seg[0], "segment has zero "
+              "length") for k, seg in enumerate(segments) if seg[1] == seg[2]]
     boxes = []
     for k, (_, (ax, ay), (bx, by), _, _, _) in enumerate(segments):
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
         boxes.append((x0, x1, y0, y1, k))
     boxes.sort()
-    pairs = []
     for n, (_, x1, y0, y1, k) in enumerate(boxes):
         for m in range(n + 1, len(boxes)):
             u0, _, v0, v1, other = boxes[m]
             if u0 > x1:
                 break
-            if v0 <= y1 and y0 <= v1:
-                pairs.append(k * N + other if k < other else other * N + k)
-    pairs.sort()
-    stop = 0  # pairs[start:stop] are those of segment i
-    for i, (id1, a, b, tok_a, tok_b, _) in enumerate(segments):
-        start, stop = stop, bisect_left(pairs, (i + 1) * N, stop)
-        if a == b:
-            issue("degenerate-segment", id1, "segment has zero length")
-            continue
-        for key in pairs[start:stop]:
-            id2, c, d, tok_c, tok_d, _ = segments[key - i * N]
+            if v0 > y1 or y0 > v1:
+                continue  # the boxes are apart in y
+            i, j = (k, other) if k < other else (other, k)
+            id1, a, b, tok_a, tok_b, _ = segments[i]
+            if a == b:
+                continue  # reported as degenerate; j may be of zero length
+            id2, c, d, tok_c, tok_d, _ = segments[j]
             hit = segment_contact(a, b, c, d)
             if hit is None:
                 continue
             if hit == OVERLAP:
-                issue("embedding", id1,
-                      f"overlaps {id2} along a segment")
+                found.append((i, 1, j, "embedding", id1,
+                              f"overlaps {id2} along a segment"))
                 continue
             # At most one end of i (which has length) is the contact, and a
             # token names one point: j (maybe of zero length) shares it.
@@ -566,21 +563,26 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                    tok_b if hit == (*b, 1) else None)
             if tok is None or tok not in (tok_c, tok_d):
                 x, y, w = hit
-                issue("embedding", id1,
-                      f"meets {id2} at {RatPoint.of(x, y, w * scale)}, which "
-                      "is not a shared endpoint")
+                found.append((i, 1, j, "embedding", id1,
+                              f"meets {id2} at {RatPoint.of(x, y, w * scale)}"
+                              ", which is not a shared endpoint"))
+    for i, (id1, a, b, tok_a, tok_b, _) in enumerate(segments if cuts else ()):
+        if a == b:
+            continue
         for node_index, (node, _) in enumerate(cuts):
             if between(node, a, b):
-                issue("crosses-node", id1, "passes through the node at "
-                      f"{diagram.nodes[node_index].position}")
+                found.append((i, 2, node_index, "crosses-node", id1,
+                              "passes through the node at "
+                              f"{diagram.nodes[node_index].position}"))
         for cut_index, (cs, ce) in enumerate(cuts):
             hit = segment_contact(a, b, cs, ce)
             if hit is None:
                 continue
             if hit == (*cs, 1) and ("node", cut_index) in (tok_a, tok_b):
                 continue  # an end terminating at this cut's own node
-            issue("crosses-cut", id1,
-                  f"touches the cut of node {cut_index}")
+            found.append((i, 3, cut_index, "crosses-cut", id1,
+                          f"touches the cut of node {cut_index}"))
+    issues += [ValidationIssue(*issue[3:]) for issue in sorted(found)]
 
     issues.extend(check_balancing(curve).issues)
 

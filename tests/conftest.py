@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -26,6 +27,18 @@ from troplag import (
     validate,
 )
 from troplag.textio import parse_document
+
+# When a hypothesis test fails, its explain phase imports libcst, whose
+# import warns with a DeprecationWarning; under -W error (CI's flag, which
+# an ini filterwarnings entry cannot override) that becomes an
+# INTERNALERROR in place of the falsifying example.  So import it here,
+# once, with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
 GOLDEN = Path(__file__).resolve().parent / "golden"

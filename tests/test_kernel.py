@@ -313,6 +313,42 @@ def _segment_quads(rng, count):
     return quads
 
 
+SHARED_ENDPOINT_KINDS = {"not parallel": "point",
+                         "collinear, opposite": "point",
+                         "collinear, same way": "overlap",
+                         "zero length": "point",
+                         "reversed": "overlap"}
+
+
+def _shared_endpoint_quads(rng, kind, count):
+    """Seeded segment pairs [a,b], [c,d] where c or d is a or b: [c,d] not
+    parallel to [a,b]; on its line, leaving the shared point away from
+    [a,b] or along it; of zero length at the shared point; or [b,a]."""
+    quads = []
+    while len(quads) < count:
+        a, b = _random_point(rng), _random_point(rng)
+        if a == b:
+            continue
+        if kind == "reversed":
+            quads.append((a, b, b, a))
+            continue
+        p, q = rng.choice(((a, b), (b, a)))  # p is shared, q is not
+        t = F(rng.randint(1, 12), rng.choice((1, 2, 3, 6)))
+        if kind == "not parallel":
+            other = _random_point(rng)
+            if diff(other, p).wedge(diff(q, p)) == 0:
+                continue
+        elif kind == "collinear, opposite":
+            other = moved(p, diff(p, q), t)
+        elif kind == "collinear, same way":
+            other = moved(p, diff(q, p), t)
+        else:
+            other = p  # zero length
+        c, d = rng.choice(((p, other), (other, p)))
+        quads.append((a, b, c, d))
+    return quads
+
+
 def _probe_points(rng, diagram):
     """Corners, node positions, points on every edge and cut (their ends
     and midpoints included) and on their lines beyond both ends, points on
@@ -494,6 +530,26 @@ def test_contact_of_seeded_rational_segments():
         m = random_unimodular_map(rng)
         _assert_segment_predicates(
             [tuple(m.apply(p) for p in quad) for quad in quads[:800]])
+
+
+@pytest.mark.parametrize("kind", SHARED_ENDPOINT_KINDS)
+def test_contact_at_a_shared_endpoint(kind):
+    # segment_contact returns a shared endpoint of two segments that are
+    # not parallel before it solves for their crossing.
+    rng = random.Random(f"shared endpoint {kind}")
+    quads = _shared_endpoint_quads(rng, kind, 150)
+    quads += [(c, d, a, b) for a, b, c, d in quads]
+    _assert_segment_predicates(quads)
+    for a, b, c, d in quads:
+        hit = ref_segment_contact(a, b, c, d)
+        if SHARED_ENDPOINT_KINDS[kind] == "overlap":
+            assert hit == "overlap"
+        else:
+            assert hit in (a, b) and hit in (c, d)
+    for _ in range(3):
+        m = random_unimodular_map(rng)
+        _assert_segment_predicates(
+            [tuple(m.apply(p) for p in quad) for quad in quads])
 
 
 def test_contact_on_cleared_ints_reports_reduced_points():

@@ -12,7 +12,9 @@ size, so a pattern compiled on a first call is not counted.
 It runs on trop_family(100) and trop_family(1000), and on seeded random
 caterpillar trees of 100 and 1,000 vertices: a spine of random directions
 and lengths, with a cross-cap end at each vertex, whose coordinates and
-directions follow no period, unlike the family's.
+directions follow no period, unlike the family's.  validate also runs on
+an invalid row of 100 and 1,000 edges, each crossing the next, so that its
+issue path is counted too.
 
 What it cannot see is work inside one C call: a sort, `x in list`,
 `list.index`, a big-int product, or a str.join.  Each counts as one event
@@ -68,6 +70,21 @@ def caterpillar(n: int, seed: int) -> Document:
     curve = TropicalCurve.of_rows(f"caterpillar{n}", ids, points, edges,
                                   ends)
     return Document(rectangle(x + 2, 4), (curve,))
+
+
+def crossing_row(n: int) -> Document:
+    """An invalid curve: a row of n lone edges, each crossing the next and
+    no other.  Edge k runs over x in [2k+1, 2k+4], rising for even k and
+    falling for odd k, so the boxes of k and k+1 overlap only for x in
+    [2k+3, 2k+4], where the two edges cross."""
+    ids, points, edges = [], [], []
+    for k in range(n):
+        low, high = (1, 3) if k % 2 == 0 else (3, 1)
+        ids += [f"a{k}", f"b{k}"]
+        points += [(2 * k + 1, low, 1), (2 * k + 4, high, 1)]
+        edges.append((f"s{k}", f"a{k}", f"b{k}"))
+    curve = TropicalCurve.of_rows(f"row{n}", ids, points, edges, [])
+    return Document(rectangle(2 * n + 4, 4), (curve,))
 
 
 def family(ell: int) -> Document:
@@ -134,3 +151,19 @@ def test_every_stage_is_linear_in_calls(build, small, large):
     before, after = stage_calls(build, small), stage_calls(build, large)
     ratios = {name: round(after[name] / before[name], 2) for name in before}
     assert not {name: r for name, r in ratios.items() if r > RATIO}, ratios
+
+
+def test_issue_path_is_linear_in_calls():
+    # The embeddedness issues are collected and sorted once: a row with
+    # ten times the crossings takes at most RATIO times the calls.
+    def validate_calls(n):
+        text = serialize_document(crossing_row(n))
+        doc = parse_document(text)
+        issues = tropical.validate(doc.diagram, doc.curves[0]).issues
+        assert sum(issue.code == "embedding" for issue in issues) == n - 1
+        doc = parse_document(text)
+        return calls(tropical.validate, doc.diagram, doc.curves[0])
+
+    validate_calls(100)
+    before, after = validate_calls(100), validate_calls(1000)
+    assert after / before <= RATIO, (before, after)

@@ -448,6 +448,19 @@ HAND_BUILT = {
     "t-junction": _segments_curve(((1, 6), (5, 6)), ((3, 6), (3, 7))),
 }
 
+# Ends s<k>, each from an anchor of its own, in x_abc(1, 1, 4/3, 4), whose
+# node 0 is at (1,2) with its cut up to (1,3): s1 overlaps s2, meets s3 at
+# its own end, passes through node 0 and touches its cut there, after the
+# zero-length s0 on it (a zero-length segment is an end, and ends follow
+# the edges).
+NODE_AND_CUT = TropicalCurve([], [], [
+    CurveEnd(f"s{k}", pt(*p), _direction(pt(*p), pt(*q)),
+             BoundaryTerminal(pt(*q)))
+    for k, (p, q) in enumerate((
+        ((F(3, 4), 2), (F(3, 4), 2)), ((F(1, 2), 2), (F(3, 2), 2)),
+        ((F(5, 4), 2), (F(7, 4), 2)),
+        ((F(3, 2), F(7, 4)), (F(3, 2), F(9, 4)))))], name="soup")
+
 
 def _random_soup(rng, diagram, size, den):
     """Random edges and ends on a coarse rational grid: crossings, overlaps,
@@ -497,6 +510,7 @@ def _embedding_cases():
         yield f"random-{k}", *random_curve(rng)
     for name, curve in HAND_BUILT.items():
         yield name, rectangle(8, 8), curve
+    yield "node-and-cut", x_abc(1, 1, F(4, 3), 4), NODE_AND_CUT
     for k in range(60):
         diagram = rng.choice((rectangle(6, 6), x_abc(1, 1, F(4, 3), 4)))
         yield f"soup-{k}", diagram, _random_soup(rng, diagram, 6,
@@ -545,6 +559,15 @@ def test_hand_built_contacts_are_reported():
         "[embedding] s2: meets s3 at (5,5), which is not a shared endpoint"]
     assert embedding("t-junction") == [
         "[embedding] s0: meets s1 at (3,6), which is not a shared endpoint"]
+    # By segment; within one: zero length, contacts, nodes, then cuts.
+    issues = validate(x_abc(1, 1, F(4, 3), 4), NODE_AND_CUT).issues
+    assert [str(issue) for issue in issues if issue.code in _LOOP_CODES] == [
+        "[degenerate-segment] s0: segment has zero length",
+        "[embedding] s1: overlaps s2 along a segment",
+        "[embedding] s1: meets s3 at (3/2,2), which is not a shared endpoint",
+        "[crosses-node] s1: passes through the node at (1,2)",
+        "[crosses-cut] s1: touches the cut of node 0",
+        "[embedding] s2: meets s3 at (3/2,2), which is not a shared endpoint"]
 
 
 @pytest.mark.parametrize("ell", [6, 12, 24])
