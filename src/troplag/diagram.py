@@ -15,29 +15,23 @@ line (e.x, e.y, e ^ A) and primitive direction, bounds, node positions,
 cut directions and cut exits.  contains (of (X, Y, W) as (S*X, S*Y, W))
 and exit read only these; the boundary_edges and cut_segments records are
 built on first read, and bounds() makes its Fractions from the ints.
+A corner is a RatPoint or a reduced (X, Y, W) of ints with W > 0, held
+as a RatPoint.  One pass over the edges clears the corners, checks each
+turn and emits the lines, directions and bounds into tuples.  rectangle
+and x_abc check their signs on the ints of their parameters and pass
+their corners and nodes as reduced triples: they make no Fraction but
+their params.
 """
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property, partial
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import TroplagError
-from .lattice import (
-    DegenerateDirection,
-    IntVec,
-    RatPoint,
-    UnimodularAffineMap,
-    _as_fraction,
-    cleared,
-    common_scale,
-    displacement,
-    reaches,
-    reduced,
-    segment_contact,
-    turn,
-)
+from .lattice import (DegenerateDirection, IntVec, RatPoint,
+                      UnimodularAffineMap, _as_fraction, displacement,
+                      reaches, reduced, segment_contact)
 
 
 class InvalidDiagram(TroplagError):
@@ -72,6 +66,8 @@ class PointLocation(NamedTuple):
 
 OUTSIDE = PointLocation(LocationKind.OUTSIDE)
 INTERIOR = PointLocation(LocationKind.INTERIOR)
+_ON_EDGE, _ON_CORNER = LocationKind.ON_BOUNDARY_EDGE, LocationKind.ON_CORNER
+_ON_NODE, _ON_CUT = LocationKind.ON_NODE, LocationKind.ON_CUT
 
 
 class BoundaryEdge(NamedTuple):
@@ -163,6 +159,22 @@ class HomologyModel(_HomologyModel):
 _EMPTY_HOMOLOGY = HomologyModel((), ())
 
 
+@cache
+def _on_edges(n: int) -> tuple[PointLocation, ...]:
+    """ON_BOUNDARY_EDGE(i) for each edge i of an n-gon, shared by all."""
+    return tuple([PointLocation(_ON_EDGE, i) for i in range(n)])
+
+
+def _corner(i: int, p) -> RatPoint:
+    """Corner i, given as p, as a RatPoint: p must be a reduced (X, Y, W)
+    of ints with W > 0 (a RatPoint is one); InvalidDiagram names any other."""
+    if not (isinstance(p, tuple) and len(p) == 3
+            and all(type(c) is int for c in p) and p[2] > 0 and gcd(*p) == 1):
+        raise InvalidDiagram(f"polygon vertex {i} {p!r} is not a RatPoint "
+                             "or a reduced (X, Y, W) of ints with W > 0")
+    return tuple.__new__(RatPoint, p)
+
+
 class BaseDiagram:
     """A strictly convex polygon with focus-focus nodes and cuts.
 
@@ -176,17 +188,31 @@ class BaseDiagram:
 
     def __init__(self, polygon_vertices, nodes=(), homology=_EMPTY_HOMOLOGY,
                  name="polygon", kind="polygon", params=None):
-        vertices = tuple(polygon_vertices)
-        if len(vertices) < 3:
+        vertices = tuple([p if type(p) is RatPoint else _corner(i, p)
+                          for i, p in enumerate(polygon_vertices)])
+        n = len(vertices)
+        if n < 3:
             raise InvalidDiagram("a polygon needs at least three vertices")
-        if len(set(vertices)) != len(vertices):
+        if len(set(vertices)) != n:
             raise InvalidDiagram("polygon vertices must be distinct")
         self.nodes = nodes = tuple(nodes)
-        scale = common_scale(vertices + tuple(n.position for n in nodes))
-        corners = [cleared(v, scale) for v in vertices]
-        n = len(vertices)
-        for i in range(n):
-            side = turn(corners[i], corners[(i + 1) % n], corners[(i + 2) % n])
+        scale = lcm(*{W for _, _, W in vertices})
+        for node in nodes:
+            if not isinstance(node, Node):
+                raise TypeError(f"node {node!r} is not a Node")
+            scale = lcm(scale, node[0][2])
+        corners = tuple([p[:2] for p in vertices] if scale == 1 else [
+            (X * (scale // W), Y * (scale // W)) for X, Y, W in vertices])
+        # One pass over the edges.  Edge i runs from A to B, corners i and
+        # i + 1, with line (e.x, e.y, e ^ A) for e = B - A; it turns left
+        # onto edge i + 1, to the corner C, iff e ^ (C - B) > 0.
+        lines, directions = [], []
+        (ax, ay), (bx, by) = corners[0], corners[1]
+        ex, ey = bx - ax, by - ay
+        x0, y0 = x1, y1 = ax, ay
+        for i, (cx, cy) in enumerate(corners[2:] + corners[:2]):
+            fx, fy = cx - bx, cy - by
+            side = ex * fy - ey * fx
             if side < 0:
                 raise InvalidDiagram("polygon vertices must be listed "
                                      "counterclockwise")
@@ -194,64 +220,71 @@ class BaseDiagram:
                 a, b, c = (vertices[(i + k) % n] for k in range(3))
                 raise InvalidDiagram("polygon must be strictly convex "
                                      f"(vertices {a}, {b}, {c} are collinear)")
-        lines = []  # (e.x, e.y, e ^ A) for the edge A -> B, e = B - A
-        for i in range(n):
-            (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
-            # Every turn is to the left, so the two corners next to edge i
-            # lie left of it; the corners still wind more than once unless
-            # every other corner does too.
+            g = gcd(ex, ey)
+            lines.append((ex, ey, bx * ay - by * ax))
+            directions.append((ex // g, ey // g))
+            x0, x1 = bx if bx < x0 else x0, bx if bx > x1 else x1
+            y0, y1 = by if by < y0 else y0, by if by > y1 else y1
+            ax, ay, bx, by, ex, ey = bx, by, cx, cy, fx, fy
+        # Every turn is to the left, so the two corners next to edge i lie
+        # left of it; the corners still wind more than once unless every
+        # other corner does too (only when there are five or more).
+        for i, (ex, ey, wedge_a) in enumerate(lines if n > 4 else ()):
             for k in range(i + 3, i + n - 1):
-                if turn(corners[i], corners[(i + 1) % n], corners[k % n]) <= 0:
+                x, y = corners[k % n]
+                if ex * y - ey * x <= wedge_a:
                     raise InvalidDiagram(
                         "polygon must wind once counterclockwise (vertex "
                         f"{vertices[k % n]} is not strictly left of the edge "
                         f"{vertices[i]} to {vertices[(i + 1) % n]})")
-            lines.append((bx - ax, by - ay, bx * ay - by * ax))
 
         self.polygon_vertices = vertices
         self.homology = homology
         self.name = name
         self.kind = kind
         self.params = dict(params) if params else None
-        self._scale, self._corners, self._lines = scale, corners, lines
-        self._on_edges = tuple(PointLocation(LocationKind.ON_BOUNDARY_EDGE, i)
-                               for i in range(n))
-        self._rays = [(cleared(node.position, scale), node.cut_direction)
-                      for node in nodes]
-        exits = []  # each cut's exit, reduced (X, Y, W) on this scale
-        for node, ((x, y), direction) in zip(nodes, self._rays):
-            if self.contains(node.position).kind not in (
-                    LocationKind.ON_NODE, LocationKind.ON_CUT):
-                raise InvalidDiagram(f"node at {node.position} is not "
-                                     "strictly inside the polygon")
-            X, Y, W, location = self._exit(x, y, 1, direction)
-            if location.kind is LocationKind.ON_CORNER:
+        self._scale, self._corners, self._lines = scale, corners, tuple(lines)
+        self._directions, self._on_edges = tuple(directions), _on_edges(n)
+        self._box = x0, y0, x1, y1
+        self._rays = self._cuts = ()
+        if not nodes:
+            return
+        rays, exits = [], []  # exits: reduced (X, Y, W) on this scale
+        for p, u in nodes:
+            x, y = p[0] * (scale // p[2]), p[1] * (scale // p[2])
+            for ex, ey, wedge_a in lines:
+                if ex * y - ey * x <= wedge_a:
+                    raise InvalidDiagram(f"node at {p} is not strictly "
+                                         "inside the polygon")
+            X, Y, W, location = self._exit(x, y, 1, u)
+            if location.kind is _ON_CORNER:
                 raise InvalidDiagram(
-                    f"cut from node at {node.position} exits through the "
+                    f"cut from node at {p} exits through the "
                     f"corner {RatPoint.of(X, Y, W * scale)}")
-            exits.append(reduced(X, Y, W))
+            rays.append(((x, y), u))
+            g = gcd(X, Y, W)
+            exits.append((X // g, Y // g, W // g))
         # One scale for the cut exits too: k times every column.
-        k = lcm(*(w for _, _, w in exits))
+        k = lcm(*[w for _, _, w in exits])
         if k != 1:
             self._scale = scale * k
-            self._corners = [(x * k, y * k) for x, y in corners]
-            self._lines = [(ex * k, ey * k, w * k * k) for ex, ey, w in lines]
-            self._rays = [((x * k, y * k), u) for (x, y), u in self._rays]
-        self._cuts = tuple((node, (x * (k // w), y * (k // w)))
-                           for (node, _), (x, y, w) in zip(self._rays, exits))
-        self._directions = tuple((ex // g, ey // g) for ex, ey, _ in lines
-                                 for g in (gcd(ex, ey),))
-        xs, ys = zip(*self._corners)
-        self._box = min(xs), min(ys), max(xs), max(ys)
-        if len({node for node, _ in self._rays}) != len(self._rays):
+            self._corners = tuple([(x * k, y * k) for x, y in corners])
+            self._lines = tuple([(ex * k, ey * k, w * k * k)
+                                 for ex, ey, w in lines])
+            rays = [((x * k, y * k), u) for (x, y), u in rays]
+            self._box = tuple([v * k for v in self._box])
+        self._rays = tuple(rays)
+        self._cuts = tuple([(p, (x * (k // w), y * (k // w)))
+                            for (p, _), (x, y, w) in zip(rays, exits)])
+        if len({p for p, _ in rays}) != len(rays):
             raise InvalidDiagram("nodes must be at distinct positions")
         # A node on another node's cut needs no check of its own: its own
         # cut starts there, so the two cuts meet.  contains relies on it.
-        for (node, cut), (other, other_cut) in combinations(
-                zip(nodes, self._cuts), 2):
-            if segment_contact(*cut, *other_cut) is not None:
-                raise InvalidDiagram(f"cuts from nodes at {node.position} and "
-                                     f"{other.position} collide")
+        for i, (node, (a, b)) in enumerate(zip(nodes, self._cuts)):
+            for other, (c, d) in zip(nodes[i + 1:], self._cuts[i + 1:]):
+                if segment_contact(a, b, c, d) is not None:
+                    raise InvalidDiagram(f"cuts from nodes at {node.position} "
+                                         f"and {other.position} collide")
 
     # -- records, built on first read ------------------------------------
 
@@ -286,15 +319,15 @@ class BaseDiagram:
             for index in (on_line, (on_line + 1) % len(self._corners)):
                 cx, cy = self._corners[index]
                 if X == W * cx and Y == W * cy:
-                    return PointLocation(LocationKind.ON_CORNER, index)
+                    return PointLocation(_ON_CORNER, index)
             return self._on_edges[on_line]
         for index, ((nx, ny), direction) in enumerate(self._rays):
             node = (W * nx, W * ny)  # times W, as (X, Y) is
             if node == (X, Y):
-                return PointLocation(LocationKind.ON_NODE, index)
+                return PointLocation(_ON_NODE, index)
             # Past the node on its cut's line, and inside: on the open cut.
             if reaches(node, (X, Y), direction):
-                return PointLocation(LocationKind.ON_CUT, index)
+                return PointLocation(_ON_CUT, index)
         return INTERIOR
 
     def _exit(self, X: int, Y: int, W: int, direction):
@@ -317,7 +350,7 @@ class BaseDiagram:
         for corner in (index, (index + 1) % len(self._corners)):
             cx, cy = self._corners[corner]
             if X == W * cx and Y == W * cy:
-                return X, Y, W, PointLocation(LocationKind.ON_CORNER, corner)
+                return X, Y, W, PointLocation(_ON_CORNER, corner)
         return X, Y, W, self._on_edges[index]
 
     def exit(self, origin: RatPoint, direction: IntVec):
@@ -381,6 +414,9 @@ class BaseDiagram:
                 f"vertices, {len(self.nodes)} nodes)")
 
 
+# The builders' corners and nodes: RatPoints of triples known to be reduced.
+_point = partial(tuple.__new__, RatPoint)
+_ORIGIN, _UP, _RIGHT = RatPoint(0, 0), IntVec(0, 1), IntVec(1, 0)
 RECTANGLE_BASIS = ("sphere_h", "sphere_v")
 _RECTANGLE_HOMOLOGY = HomologyModel(
     RECTANGLE_BASIS, ((0, 1), (1, 0)), class_of_horizontal_sweep=(1, 0),
@@ -396,12 +432,12 @@ def rectangle(width, height) -> BaseDiagram:
     (sphere over a vertical segment), intersection form [[0,1],[1,0]].
     """
     width, height = _as_fraction(width), _as_fraction(height)
-    if width <= 0 or height <= 0:
-        raise InvalidDiagram("rectangle sides must be positive")
     (w, p), (h, q) = width.as_integer_ratio(), height.as_integer_ratio()
-    vertices = [RatPoint(0, 0), RatPoint.of(w, 0, p),
-                RatPoint.of(w * q, h * p, p * q), RatPoint.of(0, h, q)]
-    return BaseDiagram(vertices, (), _RECTANGLE_HOMOLOGY,
+    if w <= 0 or h <= 0:
+        raise InvalidDiagram("rectangle sides must be positive")
+    return BaseDiagram((_ORIGIN, _point((w, 0, p)),
+                        RatPoint.of(w * q, h * p, p * q), _point((0, h, q))),
+                       (), _RECTANGLE_HOMOLOGY,
                        name=f"rectangle {width}x{height}", kind="rectangle",
                        params={"width": width, "height": height})
 
@@ -418,21 +454,21 @@ def x_abc(a, b, c, s) -> BaseDiagram:
     Homology basis E1, E2, E3 with intersection form -Identity.
     """
     a, b, c, s = params = tuple(map(_as_fraction, (a, b, c, s)))
-    if a <= 0 or b <= 0:
-        raise InvalidDiagram("blow-up sizes a and b must be positive")
-    if not 0 < c < s:
-        raise InvalidDiagram("chop size must satisfy 0 < c < s")
     (an, ad), (bn, bd), (cn, cd), (sn, sd) = map(Fraction.as_integer_ratio,
                                                   params)
-    vertices = [RatPoint.of(0, cn, cd), RatPoint.of(cn, 0, cd),
-                RatPoint.of(sn, 0, sd), RatPoint.of(0, sn, sd)]
-    node_a = Node(RatPoint.of(an * sd, sn * ad - 2 * an * sd, ad * sd),
-                  IntVec(0, 1))
-    node_b = Node(RatPoint.of(sn * bd - 2 * bn * sd, bn * sd, bd * sd),
-                  IntVec(1, 0))
+    if an <= 0 or bn <= 0:
+        raise InvalidDiagram("blow-up sizes a and b must be positive")
+    if cn <= 0 or cn * sd >= sn * cd:
+        raise InvalidDiagram("chop size must satisfy 0 < c < s")
+    node_a = tuple.__new__(Node, (RatPoint.of(
+        an * sd, sn * ad - 2 * an * sd, ad * sd), _UP))
+    node_b = tuple.__new__(Node, (RatPoint.of(
+        sn * bd - 2 * bn * sd, bn * sd, bd * sd), _RIGHT))
     try:
-        return BaseDiagram(vertices, (node_a, node_b), _XABC_HOMOLOGY,
-                           name=f"xabc a={a} b={b} c={c} s={s}",
-                           kind="xabc", params=dict(zip("abcs", params)))
+        return BaseDiagram((_point((0, cn, cd)), _point((cn, 0, cd)),
+                            _point((sn, 0, sd)), _point((0, sn, sd))),
+                           (node_a, node_b), _XABC_HOMOLOGY,
+                           name=f"xabc a={a} b={b} c={c} s={s}", kind="xabc",
+                           params={"a": a, "b": b, "c": c, "s": s})
     except InvalidDiagram as err:
         raise InvalidDiagram(f"x_abc(a={a}, b={b}, c={c}, s={s}): {err}") from None

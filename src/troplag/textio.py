@@ -25,13 +25,16 @@ its kind token, and errors in building a curve (an unknown vertex, a
 non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
 
-In a curve block, a line's body (before any `#`) is matched whole by the
-one anchored pattern its first word picks; when it matches, the id is new
-and int() takes every number, the row is appended with no split.  Any other
-line is split into words and kept as its number, body and words: the
-diagram and curve headers are read word by word, and _refuse reads the
-words of a refused element line in order to raise its error.  An error's
-column is where its word starts, plus len("key=") inside a key=value word.
+A line's body (before any `#`) is matched whole by the one anchored
+pattern its first word picks: _DIAGRAM for a rectangle or xabc line,
+whose rationals go to its builder, and in a curve block the pattern of
+its element, whose row is appended when the id is new.  When the pattern
+matches and int() takes every number there is no split.  Any other line
+is split into words and kept as its number, body and words: the polygon
+diagram and the curve headers are read word by word, and a refused
+diagram or element line is read word by word to raise its error.  An
+error's column is where its word starts, plus len("key=") inside a
+key=value word; a builder's refusal of a matched line points at its kind.
 
 A curve block is read into rows, not records: vertex ids with their
 reduced (X, Y, W) point triples, edges as (id, src id, dst id), and ends
@@ -45,7 +48,7 @@ records only when a caller reads them.
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -84,6 +87,10 @@ _WORD = r"\S+"  # a word of str.split(), with its offset
 # The diagram kinds given by rationals: the builder and the keys in order.
 _PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
                "xabc": (x_abc, ("a", "b", "c", "s"))}
+# A rectangle or xabc line, whole: each key's numerator and denominator.
+_DIAGRAM = r"\s*diagram\s+(?:{})\s*\Z".format("|".join(
+    kind + "".join(rf"\s+{key}=({_INT})(?:/({_DEN}))?" for key in keys)
+    for kind, (_, keys) in _PARAMETRIC.items()))
 
 # One pattern per element line, anchored at both ends; \s is the
 # whitespace str.split() splits on.  An end's dir= and terminal come in
@@ -97,6 +104,12 @@ _ELEMENTS = {
            rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
            r"\S+\s+\S+\s*\Z",
 }
+
+
+@cache
+def _matchers():
+    """The element patterns' and _DIAGRAM's matchers, on the first parse."""
+    return tuple(re.compile(p).match for p in (*_ELEMENTS.values(), _DIAGRAM))
 
 
 def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
@@ -233,7 +246,7 @@ def parse_document(text: str) -> Document:
     # (header line, name, vertex ids, points, edges, ends) of the open
     # curve block, and its ids so far; seen is None outside a block.
     current = seen = None
-    vertex, edge, end = (re.compile(p).match for p in _ELEMENTS.values())
+    vertex, edge, end, parametric = _matchers()
 
     def flush():
         if current is not None:
@@ -247,40 +260,47 @@ def parse_document(text: str) -> Document:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0] if "#" in raw else raw
-        # An element line its pattern takes whole, with an unseen id and
-        # numbers int() takes, is a row; any other line is read by words.
         # The first three letters of the first word pick the one pattern
-        # tried: lstrip() strips the \s that each pattern starts with.
-        if seen is not None:
-            head = body.lstrip()[:3]
-            try:
-                if head == "ver" and (m := vertex(body)):
-                    ident, xn, xd, yn, yd = m.groups()
-                    if ident not in seen:
-                        points.append(_triple(xn, xd, yn, yd))
-                        ids.append(ident)
-                        seen.add(ident)
-                        continue
-                elif head == "edg" and (m := edge(body)):
-                    ident, src, dst, weight = m.groups()
-                    if ident not in seen and (weight is None
-                                              or int(weight) == 1):
-                        edges.append((ident, src, dst))
-                        seen.add(ident)
-                        continue
-                elif head == "end" and (m := end(body)):
-                    (ident, name, axn, axd, ayn, ayd, dx, dy,
-                     xn, xd, yn, yd, node) = m.groups()
-                    if ident not in seen:
-                        ends.append((ident,
-                                     name or _triple(axn, axd, ayn, ayd),
-                                     (int(dx), int(dy)),
-                                     int(node) if node is not None
-                                     else _triple(xn, xd, yn, yd)))
-                        seen.add(ident)
-                        continue
-            except ValueError:  # a number too long for int()
-                pass
+        # tried (see the module docstring): lstrip() strips the \s that each
+        # pattern starts with.  _DIAGRAM's groups are the rectangle's four
+        # numerators and denominators, then the xabc's eight.
+        head = body.lstrip()[:3]
+        try:
+            if seen is None:
+                if head == "dia" and diagram is None and (
+                        m := parametric(body)):
+                    n = m.groups()
+                    diagram = (rectangle if n[0] else x_abc)(*[
+                        Fraction(int(p), int(q)) if q else Fraction(int(p))
+                        for p, q in zip(n[::2], n[1::2]) if p])
+                    continue
+            elif head == "ver" and (m := vertex(body)):
+                ident, xn, xd, yn, yd = m.groups()
+                if ident not in seen:
+                    points.append(_triple(xn, xd, yn, yd))
+                    ids.append(ident)
+                    seen.add(ident)
+                    continue
+            elif head == "edg" and (m := edge(body)):
+                ident, src, dst, weight = m.groups()
+                if ident not in seen and (weight is None or int(weight) == 1):
+                    edges.append((ident, src, dst))
+                    seen.add(ident)
+                    continue
+            elif head == "end" and (m := end(body)):
+                (ident, name, axn, axd, ayn, ayd, dx, dy,
+                 xn, xd, yn, yd, node) = m.groups()
+                if ident not in seen:
+                    ends.append((ident, name or _triple(axn, axd, ayn, ayd),
+                                 (int(dx), int(dy)),
+                                 int(node) if node is not None
+                                 else _triple(xn, xd, yn, yd)))
+                    seen.add(ident)
+                    continue
+        except ValueError:  # a number too long for int()
+            pass
+        except InvalidDiagram as err:  # at the kind, as by words
+            raise _error(str(err), (lineno, body, body.split()), 1) from None
         words = body.split()
         if not words:
             continue

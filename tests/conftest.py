@@ -183,6 +183,22 @@ def moved(p, u, t) -> RatPoint:
     return RatPoint(p.x + t * u.x, p.y + t * u.y)
 
 
+def convex_hull(points):
+    """The counterclockwise convex hull of distinct points, without
+    collinear corners (Andrew's monotone chain)."""
+    points = sorted(set(points), key=lambda p: (p.x, p.y))
+    if len(points) < 3:
+        return points
+    lower, upper = [], []
+    for chain, ordered in ((lower, points), (upper, points[::-1])):
+        for p in ordered:
+            while len(chain) >= 2 and diff(chain[-1], chain[-2]).wedge(
+                    diff(p, chain[-2])) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 @pytest.fixture(scope="session")
 def bundled_documents():
     return {name: load_document(name) for name in BUNDLED_DOCS}

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
@@ -17,8 +20,10 @@ from troplag import (
     rectangle,
     x_abc,
 )
-from conftest import (FIGURES, FracVec, diff, load_document, moved,
-                      random_unimodular_map)
+from troplag.textio import Document, ParseError, parse_document, \
+    serialize_document
+from conftest import (DIRECTION_POOL, FIGURES, FracVec, convex_hull, diff,
+                      load_document, moved, random_unimodular_map)
 
 F = Fraction
 
@@ -212,23 +217,23 @@ def test_contains_memo_is_transparent():
 
 # -- boundary exits ----------------------------------------------------
 
-def _least_hit(diagram, origin, direction):
+def _least_hit(vertices, origin, direction):
     """A reference exit: the least t at which the ray meets a closed edge,
     and whether that point ends the edge (a corner)."""
     d = FracVec(F(direction.x), F(direction.y))
     hits = []
-    for edge in diagram.boundary_edges:
-        v = diff(edge.end, edge.start)
+    for start, end in zip(vertices, vertices[1:] + vertices[:1]):
+        v = diff(end, start)
         denom = d.wedge(v)
         if denom == 0:
             continue
-        w = diff(edge.start, origin)
+        w = diff(start, origin)
         t = w.wedge(v) / denom
         s = w.wedge(d) / denom
         if t > 0 and 0 <= s <= 1:
-            hits.append((t, moved(origin, direction, t), edge))
+            hits.append((t, moved(origin, direction, t), (start, end)))
     _, point, edge = min(hits, key=lambda h: h[0])
-    return point, point in (edge.start, edge.end)
+    return point, point in edge
 
 
 def test_exit_matches_the_least_edge_hit():
@@ -253,7 +258,8 @@ def test_exit_matches_the_least_edge_hit():
                     directions.append(u)
             for u in directions:
                 point, location = d.exit(origin, u)
-                expected_point, expected_corner = _least_hit(d, origin, u)
+                expected_point, expected_corner = _least_hit(
+                    d.polygon_vertices, origin, u)
                 assert point == expected_point, (d, origin, u)
                 at_corner = location.kind is LocationKind.ON_CORNER
                 assert at_corner == expected_corner
@@ -337,3 +343,133 @@ def test_rectangle_with_a_node_is_not_a_rectangle():
 def test_homology_model_requires_symmetry():
     with pytest.raises(InvalidDiagram):
         HomologyModel(("A", "B"), ((0, 1), (0, 0)))
+
+
+# -- the corners and nodes a diagram accepts -----------------------------
+
+def test_plain_reduced_triples_are_corners():
+    corners = [(0, 0, 1), (4, 0, 1), (4, 4, 1), (0, 4, 1)]
+    d = BaseDiagram(corners)
+    assert d == BaseDiagram([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
+    assert all(type(v) is RatPoint for v in d.polygon_vertices)
+    text = serialize_document(Document(d, ()))
+    assert text == "diagram polygon (0,0) (4,0) (4,4) (0,4)\n"
+    assert parse_document(text).diagram == d
+
+
+@pytest.mark.parametrize("corner", [(8, 0, 2), (4, 0, -1), (4, 0, 0),
+                                    (4, 0), (4.0, 0, 1), (True, 0, 1),
+                                    ("4", "0", "1"), [4, 0, 1], "4,0"])
+def test_other_corners_are_refused(corner):
+    with pytest.raises(InvalidDiagram) as err:
+        BaseDiagram([pt(0, 0), corner, pt(4, 4), pt(0, 4)])
+    assert str(err.value) == (f"polygon vertex 1 {corner!r} is not a "
+                              "RatPoint or a reduced (X, Y, W) of ints with "
+                              "W > 0")
+
+
+def test_a_node_must_be_a_node():
+    corners = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
+    node = (pt(2, 2), IntVec(1, 0))
+    with pytest.raises(TypeError) as err:
+        BaseDiagram(corners, [node])
+    assert str(err.value) == f"node {node!r} is not a Node"
+
+
+# -- the int columns, from the builders and from their text --------------
+
+_rationals = st.builds(F, st.integers(-3, 30), st.integers(1, 6))
+
+
+@st.composite
+def _diagram_sources(draw):
+    """(build, line): a builder call and its diagram line, for a rectangle,
+    x_abc parameters on both sides of its checks, or a convex rational
+    polygon with up to two nodes.  A node is a weighted mean of three
+    corners, so inside, or at the node before it, and its cut may be aimed
+    at a corner."""
+    kind = draw(st.sampled_from(("rectangle", "xabc", "polygon")))
+    if kind == "rectangle":
+        w, h = draw(_rationals), draw(_rationals)
+        return (partial(rectangle, w, h),
+                f"diagram rectangle width={w} height={h}")
+    if kind == "xabc":
+        a, c = draw(_rationals), draw(_rationals)
+        b = draw(st.one_of(st.just(a), _rationals))  # b = a, s = 3a: a node
+        s = draw(st.sampled_from((0, a, 3 * a, a + b + c))) + draw(
+            st.one_of(st.just(F(0)), _rationals))
+        return (partial(x_abc, a, b, c, s),
+                f"diagram xabc a={a} b={b} c={c} s={s}")
+    q = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           min_size=3, max_size=8))
+    vertices = convex_hull([pt(F(x, q), F(y, q)) for x, y in points])
+    assume(len(vertices) >= 3)
+    k = draw(st.integers(0, len(vertices) - 1))
+    vertices = vertices[k:] + vertices[:k]
+    nodes = []
+    for _ in range(draw(st.integers(0, 2))):
+        corners = draw(st.permutations(vertices))[:3]
+        weights = [draw(st.integers(1, 4)) for _ in corners]
+        position = pt(*(sum(w * getattr(c, axis) for w, c in
+                            zip(weights, corners)) / sum(weights)
+                        for axis in "xy"))
+        if nodes and draw(st.booleans()):
+            position = nodes[-1].position
+        direction = draw(st.sampled_from(DIRECTION_POOL))
+        if draw(st.integers(0, 3)) == 0:
+            direction = diff(corners[0], position).primitive_direction()
+        nodes.append(Node(position, direction))
+    line = " ; ".join([" ".join(["diagram polygon", *map(str, vertices)]),
+                       *(f"node {n.position} cut={n.cut_direction}"
+                         for n in nodes)])
+    return partial(BaseDiagram, vertices, nodes), line
+
+
+def _columns(diagram):
+    return (diagram._scale, tuple(diagram._corners), tuple(diagram._lines),
+            tuple(diagram._directions), tuple(diagram._box),
+            tuple(diagram._cuts))
+
+
+def _reference_columns(vertices, nodes):
+    """The int columns recomputed in Fractions: the least scale S that
+    clears every corner, node and cut exit, and everything times S."""
+    exits = [_least_hit(vertices, n.position, n.cut_direction)[0]
+             for n in nodes]
+    points = [*vertices, *(n.position for n in nodes), *exits]
+    S = lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+
+    def scaled(p):
+        return int(p.x * S), int(p.y * S)
+
+    corners = tuple(map(scaled, vertices))
+    lines, directions = [], []
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        e = diff(b, a)
+        lines.append((int(e.x * S), int(e.y * S),
+                      int((b.x * a.y - b.y * a.x) * S * S)))
+        directions.append(e.primitive_direction())
+    xs, ys = [v.x * S for v in vertices], [v.y * S for v in vertices]
+    box = (min(xs), min(ys), max(xs), max(ys))
+    cuts = tuple((scaled(n.position), scaled(p)) for n, p in zip(nodes, exits))
+    return S, corners, tuple(lines), tuple(directions), box, cuts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_diagram_sources())
+def test_builders_and_their_text_give_the_reference_columns(source):
+    build, line = source
+    try:
+        built = build()
+    except InvalidDiagram as err:
+        with pytest.raises(ParseError) as parse_err:
+            parse_document(line + "\n")
+        assert str(parse_err.value) == f"line 1, col 9: {err}"
+        return
+    text = serialize_document(Document(built, ()))
+    assert text == line + "\n"
+    parsed = parse_document(text).diagram
+    assert parsed == built
+    expected = _reference_columns(built.polygon_vertices, built.nodes)
+    assert _columns(built) == _columns(parsed) == expected

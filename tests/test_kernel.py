@@ -55,7 +55,7 @@ from troplag.lattice import (
     turn,
     within,
 )
-from conftest import (FIGURES, diff, load_document, moved,
+from conftest import (FIGURES, convex_hull, diff, load_document, moved,
                       random_unimodular_map)
 
 F = Fraction
@@ -444,29 +444,14 @@ _SMALL_DIRECTIONS = [IntVec(x, y) for x in range(-3, 4) for y in range(-3, 4)
                      if gcd(x, y) == 1]
 
 
-def _hull(points):
-    """The counterclockwise convex hull of distinct points, without
-    collinear corners (Andrew's monotone chain)."""
-    points = sorted(set(points), key=lambda p: (p.x, p.y))
-    if len(points) < 3:
-        return points
-    lower, upper = [], []
-    for chain, ordered in ((lower, points), (upper, points[::-1])):
-        for p in ordered:
-            while len(chain) >= 2 and ref_orientation(chain[-2], chain[-1],
-                                                      p) <= 0:
-                chain.pop()
-            chain.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def _random_construction(rng):
     """Seeded polygon vertices and nodes for BaseDiagram, valid or broken
     in each way its checks tell apart: too few, repeated, clockwise or
     collinear corners, corners in star order (all turns to the left, but
     winding twice), nodes outside, on the boundary, on a corner's ray,
     repeated or on another node's cut line."""
-    vertices = _hull([_random_point(rng) for _ in range(rng.randint(3, 7))])
+    vertices = convex_hull([_random_point(rng)
+                            for _ in range(rng.randint(3, 7))])
     kind = rng.randrange(10)
     if kind == 0:
         vertices = vertices[::-1]
@@ -717,8 +702,8 @@ def _diagrams(draw):
             return x_abc(a, b, c, s)
         except InvalidDiagram:
             assume(False)
-    vertices = _hull([pt(draw(_rationals), draw(_rationals))
-                      for _ in range(draw(st.integers(3, 8)))])
+    vertices = convex_hull([pt(draw(_rationals), draw(_rationals))
+                            for _ in range(draw(st.integers(3, 8)))])
     assume(len(vertices) >= 3)
     nodes = []
     if draw(st.booleans()):

@@ -242,6 +242,90 @@ def test_error_columns_after_crlf_or_comment(line, message, col, ending):
     assert str(err.value) == f"line 4, col {col}: {message}"
 
 
+# A diagram line is refused at its kind word (col 9 below) when a builder
+# or BaseDiagram refuses it, and at the word otherwise, with the message,
+# line and column recorded before rectangle and xabc lines were read by
+# one pattern.  Each case is tried as line 1, as line 3 after a comment and
+# a blank line with CRLF endings, and with a trailing comment.
+_XABC = "x_abc(a={}, b={}, c={}, s={}): "
+_RATIONAL_ERROR = ("expected a rational like 3 or 22/7, got {!r} "
+                   "(decimals are not allowed)")
+_SQUARE = "diagram polygon (0,0) (4,0) (4,4) (0,4)"
+_DIAGRAM_ERROR_CASES = [
+    ("diagram rectangle width=0 height=1",
+     "rectangle sides must be positive", 9),
+    ("\tdiagram rectangle width=4 height=-5/2",
+     "rectangle sides must be positive", 10),
+    ("diagram xabc a=0 b=1 c=1 s=4",
+     "blow-up sizes a and b must be positive", 9),
+    ("diagram xabc a=1 b=-1/2 c=1 s=4",
+     "blow-up sizes a and b must be positive", 9),
+    ("diagram xabc a=1 b=1 c=4 s=4", "chop size must satisfy 0 < c < s", 9),
+    ("diagram xabc a=1 b=1 c=0 s=4", "chop size must satisfy 0 < c < s", 9),
+    ("diagram xabc a=2 b=1 c=4/3 s=4", _XABC.format(2, 1, "4/3", 4)
+     + "node at (2,0) is not strictly inside the polygon", 9),
+    ("diagram xabc a=1 b=3 c=1 s=4", _XABC.format(1, 3, 1, 4)
+     + "node at (-2,3) is not strictly inside the polygon", 9),
+    ("diagram  xabc a=1 b=1 c=1 s=3", _XABC.format(1, 1, 1, 3)
+     + "nodes must be at distinct positions", 10),
+    ("diagram xabc a=3/2 b=3/2 c=1 s=4", _XABC.format("3/2", "3/2", 1, 4)
+     + "cuts from nodes at (3/2,1) and (1,3/2) collide", 9),
+    ("diagram polygon (0,0) (4,0) (0,0) (0,4)",
+     "polygon vertices must be distinct", 9),
+    ("diagram polygon (0,0) (0,4) (4,0)",
+     "polygon vertices must be listed counterclockwise", 9),
+    ("diagram polygon (0,0) (2,0) (4,0) (0,4)", "polygon must be strictly "
+     "convex (vertices (0,0), (2,0), (4,0) are collinear)", 9),
+    ("diagram polygon (0,0) (5,3) (-1,3) (4,0) (2,5)", "polygon must wind "
+     "once counterclockwise (vertex (4,0) is not strictly left of the edge "
+     "(0,0) to (5,3))", 9),
+    (_SQUARE + " ; node (5,1) cut=(1,0)",
+     "node at (5,1) is not strictly inside the polygon", 9),
+    ("diagram polygon (0,0) (2,0) (2,2) (0,2) ; node (1,1) cut=(1,1)",
+     "cut from node at (1,1) exits through the corner (2,2)", 9),
+    (_SQUARE + " ; node (1,1) cut=(1,0) ; node (1,1) cut=(0,1)",
+     "nodes must be at distinct positions", 9),
+    (_SQUARE + " ; node (2,1) cut=(0,1) ; node (1,2) cut=(1,0)",
+     "cuts from nodes at (2,1) and (1,2) collide", 9),
+    (_SQUARE + " ; node (2,1) cut=(0,2)",
+     "cut direction (0,2) is not primitive", 9),
+    (_SQUARE + " ; basis A B ; form 0 1 0 0",
+     "intersection form must be symmetric", 9),
+    ("diagram rectangle width=4 hight=2",
+     "expected height=..., got 'hight=2'", 27),
+    ("diagram rectangle height=2 width=4",
+     "expected width=..., got 'height=2'", 19),
+    ("diagram xabc a=1 b=1 c=1 t=4", "expected s=..., got 't=4'", 26),
+    ("diagram rectangle width=4",
+     "diagram rectangle width=<rat> height=<rat>", 9),
+    ("diagram rectangle width=4 height=2 depth=1",
+     "diagram rectangle width=<rat> height=<rat>", 9),
+    ("diagram xabc a=1 b=1 c=1",
+     "diagram xabc a=<rat> b=<rat> c=<rat> s=<rat>", 9),
+    ("diagram xabc a=1 b=1 c=1 s=4 t=5",
+     "diagram xabc a=<rat> b=<rat> c=<rat> s=<rat>", 9),
+    ("diagram rectangle width=1.5 height=2", _RATIONAL_ERROR.format("1.5"),
+     25),
+    ("diagram xabc a=1 b=1 c=0.5 s=4", _RATIONAL_ERROR.format("0.5"), 24),
+    ("diagram rectangle width=4 height=2/0", _RATIONAL_ERROR.format("2/0"),
+     34),
+    (f"diagram rectangle width={_BIG} height=2", _TOO_LONG, 25),
+    (f"diagram xabc a=1 b=1 c=1/{_BIG} s=4", _TOO_LONG, 24),
+    ("diagram", "diagram needs a kind", 1),
+    ("diagram square side=2", "unknown diagram kind 'square'", 9),
+]
+
+
+@pytest.mark.parametrize("lead, ending, lineno", [
+    ("", "\n", 1), ("# header\n\n", "\r\n", 3), ("", " # note\n", 1)])
+@pytest.mark.parametrize("line, message, col", _DIAGRAM_ERROR_CASES)
+def test_diagram_line_errors(line, message, col, lead, ending, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_document((lead + line + "\n").replace("\n", ending))
+    assert (err.value.line, err.value.col) == (lineno, col)
+    assert str(err.value) == f"line {lineno}, col {col}: {message}"
+
+
 # A curve block with a line of each element form: vertices, an edge with
 # weight=1, ends to a landing and to a node, and a standalone end from an
 # anchor point.
