@@ -26,12 +26,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .lattice import (DegenerateDirection, IntVec, RatPoint,
                       UnimodularAffineMap, _as_fraction, displacement,
-                      reaches, reduced, segment_contact)
+                      point_text, reaches, reduced, segment_contact)
 
 
 class InvalidDiagram(TroplagError):
@@ -242,7 +243,7 @@ class BaseDiagram:
         self.homology = homology
         self.name = name
         self.kind = kind
-        self.params = dict(params) if params else None
+        self.params = MappingProxyType(dict(params)) if params else None
         self._scale, self._corners, self._lines = scale, corners, tuple(lines)
         self._directions, self._on_edges = tuple(directions), _on_edges(n)
         self._box = x0, y0, x1, y1
@@ -252,11 +253,11 @@ class BaseDiagram:
         rays, exits = [], []  # exits: reduced (X, Y, W) on this scale
         for p, u in nodes:
             x, y = p[0] * (scale // p[2]), p[1] * (scale // p[2])
-            for ex, ey, wedge_a in lines:
-                if ex * y - ey * x <= wedge_a:
-                    raise InvalidDiagram(f"node at {p} is not strictly "
-                                         "inside the polygon")
-            X, Y, W, location = self._exit(x, y, 1, u)
+            found = self._exit(x, y, 1, u)
+            if found is None:
+                raise InvalidDiagram(f"node at {p} is not strictly "
+                                     "inside the polygon")
+            X, Y, W, location = found
             if location.kind is _ON_CORNER:
                 raise InvalidDiagram(
                     f"cut from node at {p} exits through the "
@@ -333,15 +334,17 @@ class BaseDiagram:
     def _exit(self, X: int, Y: int, W: int, direction):
         """exit of (X/W, Y/W) of the plane scaled by S, as (X', Y', W',
         location): the ray leaves through the nearest line of an edge it
-        moves outward through."""
+        moves outward through.  None if the point is not strictly inside."""
         dx, dy = direction
         best = None  # (W * (e ^ (P - A)), -(e ^ d), index); t is their ratio
         for index, (ex, ey, wedge_a) in enumerate(self._lines):
+            side = ex * Y - ey * X - W * wedge_a
+            if side <= 0:
+                return None
             outward = ey * dx - ex * dy
-            if outward > 0:
-                side = ex * Y - ey * X - W * wedge_a
-                if best is None or side * best[1] < best[0] * outward:
-                    best = (side, outward, index)
+            if outward > 0 and (best is None
+                                or side * best[1] < best[0] * outward):
+                best = (side, outward, index)
         if best is None:
             raise DegenerateDirection("a ray needs a nonzero direction")
         side, outward, index = best
@@ -358,9 +361,14 @@ class BaseDiagram:
 
         Returns (point, location): ON_CORNER(k) if point is polygon vertex
         k, else ON_BOUNDARY_EDGE(i) for the edge i it crosses.  The origin
-        must be strictly inside the polygon and the direction nonzero."""
+        must be strictly inside the polygon, or TroplagError names it, and
+        the direction nonzero."""
         (X, Y, W), S = origin, self._scale
-        X, Y, W, location = self._exit(X * S, Y * S, W, direction)
+        found = self._exit(X * S, Y * S, W, direction)
+        if found is None:
+            raise TroplagError(f"ray origin {point_text(origin)} is not "
+                               "strictly inside the polygon")
+        X, Y, W, location = found
         return RatPoint.of(X, Y, W * S), location
 
     def contains(self, p: RatPoint) -> PointLocation:

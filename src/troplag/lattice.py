@@ -323,33 +323,34 @@ def segment_contact(a, b, c, d):
     """How the closed segments [a,b] and [c,d] meet.
 
     The four points are int pairs cleared by one scale (see common_scale).
-    Returns None if disjoint, OVERLAP ("overlap") if they share a
-    one-dimensional piece, or else their single point of contact as a
-    reduced triple (X, Y, W) with W > 0, the point (X/W, Y/W), so a
+    Returns None if disjoint, OVERLAP itself (`is` tests it) if they
+    share a one-dimensional piece, or else their single point of contact
+    as a reduced triple (X, Y, W) with W > 0, the point (X/W, Y/W), so a
     contact at an int pair p is (*p, 1).  In coordinates scaled by S, the
     contact is the point RatPoint.of(X, Y, W * S).  Two segments that are
     not parallel meet in at most one point, so one that shares an endpoint
     (as adjacent segments of a curve do) returns it before any division.
     """
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    vx, vy = d[0] - c[0], d[1] - c[1]
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    ux, uy = bx - ax, by - ay
+    vx, vy = dx - cx, dy - cy
     denom = ux * vy - uy * vx
     if denom:
         if a == c or a == d:
-            return (*a, 1)
+            return ax, ay, 1
         if b == c or b == d:
-            return (*b, 1)
-    wx, wy = c[0] - a[0], c[1] - a[1]
+            return bx, by, 1
+    wx, wy = cx - ax, cy - ay
     if denom == 0:
         if wx * uy - wy * ux != 0:
             return None          # parallel, distinct lines
         # Collinear: compare parameter intervals along the common line.
         if ux == uy == 0 and vx == vy == 0:
-            return (*a, 1) if a == c else None
+            return (ax, ay, 1) if a == c else None
         ex, ey = (ux, uy) if ux or uy else (vx, vy)
 
         def key(p):
-            return (p[0] - a[0]) * ex + (p[1] - a[1]) * ey
+            return (p[0] - ax) * ex + (p[1] - ay) * ey
 
         lo1, hi1 = sorted((key(a), key(b)))
         lo2, hi2 = sorted((key(c), key(d)))
@@ -368,7 +369,7 @@ def segment_contact(a, b, c, d):
     if denom < 0:
         denom, t, s = -denom, -t, -s
     if 0 <= t <= denom and 0 <= s <= denom:
-        x, y = a[0] * denom + t * ux, a[1] * denom + t * uy
+        x, y = ax * denom + t * ux, ay * denom + t * uy
         g = gcd(x, y, denom)
         return (x // g, y // g, denom // g)
     return None

@@ -11,12 +11,13 @@ a point is its int pair over its scale, and each SVG coordinate is one
 correctly rounded int division, so it is the float the reduced point
 gives.  A curve's pairs share one scale, so each distinct x and y of a
 curve is written once, into the tables its lines and markers are written
-from.
+from.  One writer draws every marker, node crosses too, from offset
+tables: each distinct text a cross needs is offset once per half-width.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
-from .tropical import (_CROSS_CAP, _DISC_CAP, InvalidCurve, classify_end,
-                       end_kinds, geometry, landing_locations)
+from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, InvalidCurve,
+                       classify_end, end_kinds, geometry, landing_locations)
 
 SCALE = 48
 MARGIN = 40
@@ -54,43 +55,53 @@ class _Frame:
         SVG y grows downward."""
         S, x0, y1 = self.S, self.x0, self.y1
         den, pad = W * S, MARGIN * W * S
-        return ({X: f"{_divide((X * S - x0 * W) * SCALE + pad, den):.2f}"
-                 for X in {X for X, _ in pairs}},
-                {Y: f"{_divide((y1 * W - Y * S) * SCALE + pad, den):.2f}"
-                 for Y in {Y for _, Y in pairs}})
-
-
-def _line(a, b, style):
-    return f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" {style}/>'
-
-
-def _cross(p, style, r):
-    """An x of half-width r at the SVG text p, each offset formatted once."""
-    x, y = float(p[0]), float(p[1])
-    left, right = f"{x - r:.2f}", f"{x + r:.2f}"
-    top, bottom = f"{y - r:.2f}", f"{y + r:.2f}"
-    return (f'<line x1="{left}" y1="{top}" x2="{right}" y2="{bottom}" '
-            f'{style}/><line x1="{left}" y1="{bottom}" x2="{right}" '
-            f'y2="{top}" {style}/>')
-
-
-def _circle(p, style, radius):
-    return f'<circle cx="{p[0]}" cy="{p[1]}" r="{radius}" {style}/>'
-
-
-def _end_marker(diagram, end, kind, location, p):
-    """The marker at the SVG text p of the cap kind of end (a row of the
-    curve's end column); kind None asks classify_end at location."""
-    if kind is None:
         try:
-            kind = classify_end(diagram, end, location)
-        except TroplagError:
-            return _circle(p, _MARK_STYLE, "3.00")
-    if kind is _DISC_CAP:
-        return _cross(p, _MARK_STYLE, 4.0)
-    if kind is _CROSS_CAP:
-        return _circle(p, _MARK_STYLE, "6.00") + _cross(p, _MARK_STYLE, 4.2)
-    return _circle(p, _COLLAR_STYLE, "4.00")
+            return ({X: f"{((X * S - x0 * W) * SCALE + pad) / den:.2f}"
+                     for X in {X for X, _ in pairs}},
+                    {Y: f"{((y1 * W - Y * S) * SCALE + pad) / den:.2f}"
+                     for Y in {Y for _, Y in pairs}})
+        except OverflowError:
+            raise TroplagError("a coordinate is out of SVG range") from None
+
+
+# A marker's circle (radius text, style) and cross (half-width, style), or
+# None: a node's, each cap kind's, and (under None) an end's without one.
+_NODE_MARK = None, (5.0, _NODE_STYLE)
+_END_MARKS = {_DISC_CAP: (None, (4.0, _MARK_STYLE)),
+              _CROSS_CAP: (("6.00", _MARK_STYLE), (4.2, _MARK_STYLE)),
+              _COLLAR: (("4.00", _COLLAR_STYLE), None),
+              None: (("3.00", _MARK_STYLE), None)}
+
+
+def _markers(marks):
+    """The SVG of each marker (x, y, (circle, cross)) at the SVG texts x and
+    y; each distinct text of a cross is parsed once per half-width r, into
+    r's table of (text - r, text + r)."""
+    svg, near = [], {}
+    for x, y, (circle, cross) in marks:
+        text = (f'<circle cx="{x}" cy="{y}" r="{circle[0]}" {circle[1]}/>'
+                if circle else "")
+        if cross:
+            r, style = cross
+            table = near.setdefault(r, {})
+            for t in (x, y):
+                if t not in table:
+                    v = float(t)
+                    table[t] = f"{v - r:.2f}", f"{v + r:.2f}"
+            (left, right), (top, bottom) = table[x], table[y]
+            text += (f'<line x1="{left}" y1="{top}" x2="{right}" '
+                     f'y2="{bottom}" {style}/><line x1="{left}" '
+                     f'y1="{bottom}" x2="{right}" y2="{top}" {style}/>')
+        svg.append(text)
+    return svg
+
+
+def _cap_kind(diagram, end, location):
+    """classify_end of an end row at location, or None if it has none."""
+    try:
+        return classify_end(diagram, end, location)
+    except TroplagError:
+        return None
 
 
 def render_document(doc) -> str:
@@ -109,10 +120,11 @@ def render_document(doc) -> str:
     points = " ".join(f"{xs[X]},{ys[Y]}" for X, Y in diagram._corners)
     parts.append(f'<polygon points="{points}" {_POLY_STYLE}/>')
 
-    for (X, Y), (U, V) in diagram._cuts:
-        node = xs[X], ys[Y]
-        parts.append(_line(node, (xs[U], ys[V]), _CUT_STYLE))
-        parts.append(_cross(node, _NODE_STYLE, 5.0))
+    nodes = _markers([(xs[X], ys[Y], _NODE_MARK)
+                      for (X, Y), _ in diagram._cuts])
+    for ((X, Y), (U, V)), node in zip(diagram._cuts, nodes):
+        parts += (f'<line x1="{xs[X]}" y1="{ys[Y]}" x2="{xs[U]}" '
+                  f'y2="{ys[V]}" {_CUT_STYLE}/>', node)
 
     for curve in doc.curves:
         scale, _, _, segments = geometry(diagram, curve)
@@ -126,17 +138,16 @@ def render_document(doc) -> str:
         # The pairs share one scale: each distinct x and y is written once.
         xs, ys = frame.tables(
             {p for _, a, b, _, _, _ in segments for p in (a, b)}, scale)
-        parts += [_line((xs[a[0]], ys[a[1]]), (xs[b[0]], ys[b[1]]),
-                        _CURVE_STYLE)
-                  for _, a, b, _, _, _ in segments]
+        parts += [f'<line x1="{xs[ax]}" y1="{ys[ay]}" x2="{xs[bx]}" '
+                  f'y2="{ys[by]}" {_CURVE_STYLE}/>'
+                  for _, (ax, ay), (bx, by), _, _, _ in segments]
         try:
             kinds = end_kinds(diagram, curve)
         except TroplagError:  # some end has no cap kind: ask end by end
-            kinds = (None,) * len(ends)
-        landings = landing_locations(diagram, curve)
-        parts += [_end_marker(diagram, row, kind, location, (xs[X], ys[Y]))
-                  for row, kind, location, (_, _, (X, Y), _, _, _) in zip(
-                      curve._end_rows, kinds, landings, ends)]
+            kinds = [_cap_kind(diagram, row, location) for row, location in
+                     zip(curve._end_rows, landing_locations(diagram, curve))]
+        parts += _markers([(xs[X], ys[Y], _END_MARKS[kind]) for kind, (
+            _, _, (X, Y), _, _, _) in zip(kinds, ends)])
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -26,14 +26,14 @@ non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
 
 A line's body (before any `#`) is matched whole by the one anchored
-pattern its first word picks: _DIAGRAM for a rectangle or xabc line,
-whose rationals go to its builder, and in a curve block the pattern of
-its element, whose row is appended when the id is new.  When the pattern
-matches and int() takes every number there is no split.  Any other line
-is split into words and kept as its number, body and words: the polygon
-diagram and the curve headers are read word by word, and a refused
-diagram or element line is read word by word to raise its error.  An
-error's column is where its word starts, plus len("key=") inside a
+pattern its first word picks: for a rectangle or xabc line its kind's
+(_diagram), whose rationals go to its builder, and in a curve block the
+pattern of its element, whose row is appended when the id is new.  When
+the pattern matches and int() takes every number there is no split.  Any
+other line is split into words and kept as its number, body and words:
+the polygon diagram and the curve headers are read word by word, and a
+refused diagram or element line is read word by word to raise its error.
+An error's column is where its word starts, plus len("key=") inside a
 key=value word; a builder's refusal of a matched line points at its kind.
 
 A curve block is read into rows, not records: vertex ids with their
@@ -87,10 +87,6 @@ _WORD = r"\S+"  # a word of str.split(), with its offset
 # The diagram kinds given by rationals: the builder and the keys in order.
 _PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
                "xabc": (x_abc, ("a", "b", "c", "s"))}
-# A rectangle or xabc line, whole: each key's numerator and denominator.
-_DIAGRAM = r"\s*diagram\s+(?:{})\s*\Z".format("|".join(
-    kind + "".join(rf"\s+{key}=({_INT})(?:/({_DEN}))?" for key in keys)
-    for kind, (_, keys) in _PARAMETRIC.items()))
 
 # One pattern per element line, anchored at both ends; \s is the
 # whitespace str.split() splits on.  An end's dir= and terminal come in
@@ -108,8 +104,17 @@ _ELEMENTS = {
 
 @cache
 def _matchers():
-    """The element patterns' and _DIAGRAM's matchers, on the first parse."""
-    return tuple(re.compile(p).match for p in (*_ELEMENTS.values(), _DIAGRAM))
+    """The element patterns' matchers, on the first parse."""
+    return tuple(re.compile(p).match for p in _ELEMENTS.values())
+
+
+@cache
+def _diagram(kind):
+    """The matcher of a whole line of kind (each key's numerator and
+    denominator), compiled when a line of that kind first appears."""
+    return re.compile(rf"\s*diagram\s+{kind}" + "".join(
+        rf"\s+{key}=({_INT})(?:/({_DEN}))?" for key in _PARAMETRIC[kind][1])
+        + r"\s*\Z").match
 
 
 def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
@@ -246,7 +251,7 @@ def parse_document(text: str) -> Document:
     # (header line, name, vertex ids, points, edges, ends) of the open
     # curve block, and its ids so far; seen is None outside a block.
     current = seen = None
-    vertex, edge, end, parametric = _matchers()
+    vertex, edge, end = _matchers()
 
     def flush():
         if current is not None:
@@ -262,17 +267,18 @@ def parse_document(text: str) -> Document:
         body = raw.split("#", 1)[0] if "#" in raw else raw
         # The first three letters of the first word pick the one pattern
         # tried (see the module docstring): lstrip() strips the \s that each
-        # pattern starts with.  _DIAGRAM's groups are the rectangle's four
-        # numerators and denominators, then the xabc's eight.
+        # pattern starts with.  A diagram line's second word picks its kind.
         head = body.lstrip()[:3]
         try:
             if seen is None:
-                if head == "dia" and diagram is None and (
-                        m := parametric(body)):
+                words = (body.split(None, 2) if head == "dia"
+                         and diagram is None else ())
+                if len(words) > 1 and words[1] in _PARAMETRIC and (
+                        m := _diagram(words[1])(body)):
                     n = m.groups()
-                    diagram = (rectangle if n[0] else x_abc)(*[
+                    diagram = _PARAMETRIC[words[1]][0](*[
                         Fraction(int(p), int(q)) if q else Fraction(int(p))
-                        for p, q in zip(n[::2], n[1::2]) if p])
+                        for p, q in zip(n[::2], n[1::2])])
                     continue
             elif head == "ver" and (m := vertex(body)):
                 ident, xn, xd, yn, yd = m.groups()

@@ -467,12 +467,14 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     It reads the columns by index, landing_locations(), each site's own
     location (diagram._locate) and geometry()'s int pairs; a point or a
     direction is printed only in an issue.  Embeddedness sweeps the boxes
-    of the segments by min x (Shamos-Hoey) and runs the exact
-    segment_contact on each pair i < j as the sweep finds their closed
-    boxes meet: O(n log n + k) for k pairs overlapping in x, not n(n-1)/2
-    tests.  Its issues are sorted once: by segment, then degenerate,
-    contacts (by j), nodes and cuts.  Only a diagram with nodes runs the
-    node and cut tests.
+    of the segments by min x (Shamos-Hoey); each box record carries its
+    segment's int points and tokens, and segment_contact, the one contact
+    test, runs on each pair as the sweep finds their closed boxes meet:
+    O(n log n + k) for k pairs overlapping in x.  A point contact of two
+    segments that carry one token is settled there; only a pair with an
+    issue reads its ids, as i < j.  The issues are sorted once: by
+    segment, then degenerate, contacts (by j), nodes and cuts.  Only a
+    diagram with nodes runs the node and cut tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
@@ -528,40 +530,39 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
                   "open interior of a boundary edge")
 
     # Embeddedness: segment contacts, nodes, cuts, kept as (i, rank, j,
-    # code, element, message), unique in (i, rank, j), and sorted once.  A
-    # pair i < j is tested as the sweep finds its closed boxes meet.
+    # code, element, message), unique in (i, rank, j), and sorted once.
     found = [(k, 0, 0, "degenerate-segment", seg[0], "segment has zero "
               "length") for k, seg in enumerate(segments) if seg[1] == seg[2]]
     boxes = []
-    for k, (_, (ax, ay), (bx, by), _, _, _) in enumerate(segments):
+    for k, (_, a, b, tok_a, tok_b, _) in enumerate(segments):
+        (ax, ay), (bx, by) = a, b
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
-        boxes.append((x0, x1, y0, y1, k))
-    boxes.sort()
-    for n, (_, x1, y0, y1, k) in enumerate(boxes):
+        boxes.append((x0, x1, y0, y1, k, a, b, tok_a, tok_b))
+    boxes.sort()  # k is unique: no points or tokens are compared
+    for n, (_, x1, y0, y1, k, a, b, tok_a, tok_b) in enumerate(boxes):
         for m in range(n + 1, len(boxes)):
-            u0, _, v0, v1, other = boxes[m]
+            u0, _, v0, v1, other, c, d, tok_c, tok_d = boxes[m]
             if u0 > x1:
                 break
             if v0 > y1 or y0 > v1:
                 continue  # the boxes are apart in y
-            i, j = (k, other) if k < other else (other, k)
-            id1, a, b, tok_a, tok_b, _ = segments[i]
-            if a == b:
-                continue  # reported as degenerate; j may be of zero length
-            id2, c, d, tok_c, tok_d, _ = segments[j]
             hit = segment_contact(a, b, c, d)
-            if hit is None:
+            # A token names one point, so two segments that both carry one
+            # share that point and meet there alone, or overlap.
+            if hit is None or hit is not OVERLAP and (
+                    tok_a == tok_c or tok_a == tok_d
+                    or tok_b == tok_c or tok_b == tok_d):
                 continue
-            if hit == OVERLAP:
+            i, j = (k, other) if k < other else (other, k)
+            id1, a1, b1, *_ = segments[i]
+            if a1 == b1:
+                continue  # reported as degenerate; j may be of zero length
+            id2 = segments[j][0]
+            if hit is OVERLAP:
                 found.append((i, 1, j, "embedding", id1,
                               f"overlaps {id2} along a segment"))
-                continue
-            # At most one end of i (which has length) is the contact, and a
-            # token names one point: j (maybe of zero length) shares it.
-            tok = (tok_a if hit == (*a, 1) else
-                   tok_b if hit == (*b, 1) else None)
-            if tok is None or tok not in (tok_c, tok_d):
+            else:
                 x, y, w = hit
                 found.append((i, 1, j, "embedding", id1,
                               f"meets {id2} at {RatPoint.of(x, y, w * scale)}"

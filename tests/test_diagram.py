@@ -15,6 +15,7 @@ from troplag import (
     Node,
     PointLocation,
     RatPoint,
+    TroplagError,
     UnimodularAffineMap,
     pt,
     rectangle,
@@ -267,6 +268,27 @@ def test_exit_matches_the_least_edge_hit():
                 corner_rays += at_corner
                 edge_rays += not at_corner
     assert corner_rays > 100 and edge_rays > 100
+
+
+@pytest.mark.parametrize("origin, direction", [
+    (pt(5, 1), IntVec(1, 0)), (pt(-3, 1), IntVec(-1, 0)),
+    (pt(5, 1), IntVec(-1, 0)), (pt(4, 1), IntVec(-1, 0))])
+def test_exit_refuses_an_origin_not_strictly_inside(origin, direction):
+    # Outside, the answer was a point behind the ray: (4,1), (0,1), (0,1).
+    with pytest.raises(TroplagError, match=rf"^ray origin \({origin.x},1\) "
+                       "is not strictly inside the polygon$"):
+        rectangle(4, 4).exit(origin, direction)
+
+
+def test_params_are_read_only():
+    d = rectangle(4, 2)
+    text = serialize_document(Document(d, ()))
+    with pytest.raises(TypeError):
+        d.params["width"] = 9
+    assert d.params == {"width": 4, "height": 2}
+    assert serialize_document(Document(d, ())) == text
+    assert parse_document(text).diagram == d == rectangle(4, 2)
+    assert BaseDiagram(d.polygon_vertices).params is None
 
 
 def test_transform_keeps_counterclockwise():

@@ -461,6 +461,32 @@ NODE_AND_CUT = TropicalCurve([], [], [
         ((F(5, 4), 2), (F(7, 4), 2)),
         ((F(3, 2), F(7, 4)), (F(3, 2), F(9, 4)))))], name="soup")
 
+# Pairs that share a token (a site, a node) and still go through the whole
+# contact decision: a contact at the shared point is allowed, an overlap is
+# not, and a zero-length segment is reported on its own.
+SHARED_TOKEN = {
+    "anchor-opposite-ends": (rectangle(8, 8), TropicalCurve([], [], [
+        CurveEnd("l", pt(4, 4), IntVec(-1, 0), BoundaryTerminal(pt(0, 4))),
+        CurveEnd("r", pt(4, 4), IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
+    "ends-overlap": (rectangle(8, 8), one_vertex_curve(pt(4, 4), [
+        (IntVec(1, 0), BoundaryTerminal(pt(8, 4))),
+        (IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
+    "edge-and-end-overlap": (rectangle(8, 8), TropicalCurve(
+        [TropicalVertex("v", pt(2, 4)), TropicalVertex("w", pt(5, 4))],
+        [InternalEdge("e", "v", "w")],
+        [CurveEnd("x", "v", IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
+    "zero-length-end-at-vertex": (rectangle(8, 8), TropicalCurve(
+        [TropicalVertex("v", pt(4, 4)), TropicalVertex("w", pt(6, 4))],
+        [InternalEdge("e", "v", "w")],
+        [CurveEnd("z", "v", IntVec(1, 0), BoundaryTerminal(pt(4, 4))),
+         CurveEnd("y", "v", IntVec(0, 1), BoundaryTerminal(pt(4, 8)))])),
+    # x_abc(1, 1, 4/3, 4) has node 0 at (1,2), its cut up to (1,3).
+    "two-ends-to-one-node": (x_abc(1, 1, F(4, 3), 4), TropicalCurve([], [], [
+        CurveEnd("a", pt(1, 1), IntVec(0, 1), NodeTerminal(0)),
+        CurveEnd("b", pt(1, F(3, 2)), IntVec(0, 1), NodeTerminal(0)),
+        CurveEnd("c", pt(F(1, 2), 2), IntVec(1, 0), NodeTerminal(0))])),
+}
+
 
 def _random_soup(rng, diagram, size, den):
     """Random edges and ends on a coarse rational grid: crossings, overlaps,
@@ -511,6 +537,8 @@ def _embedding_cases():
     for name, curve in HAND_BUILT.items():
         yield name, rectangle(8, 8), curve
     yield "node-and-cut", x_abc(1, 1, F(4, 3), 4), NODE_AND_CUT
+    for name, (diagram, curve) in SHARED_TOKEN.items():
+        yield name, diagram, curve
     for k in range(60):
         diagram = rng.choice((rectangle(6, 6), x_abc(1, 1, F(4, 3), 4)))
         yield f"soup-{k}", diagram, _random_soup(rng, diagram, 6,
@@ -559,6 +587,16 @@ def test_hand_built_contacts_are_reported():
         "[embedding] s2: meets s3 at (5,5), which is not a shared endpoint"]
     assert embedding("t-junction") == [
         "[embedding] s0: meets s1 at (3,6), which is not a shared endpoint"]
+    # A shared token allows a contact at its point alone.
+    assert {name: [str(issue) for issue in validate(diagram, curve).issues
+                   if issue.code in ("embedding", "degenerate-segment")]
+            for name, (diagram, curve) in SHARED_TOKEN.items()} == {
+        "anchor-opposite-ends": [],
+        "ends-overlap": ["[embedding] e0: overlaps e1 along a segment"],
+        "edge-and-end-overlap": ["[embedding] e: overlaps x along a segment"],
+        "zero-length-end-at-vertex": [
+            "[degenerate-segment] z: segment has zero length"],
+        "two-ends-to-one-node": ["[embedding] a: overlaps b along a segment"]}
     # By segment; within one: zero length, contacts, nodes, then cuts.
     issues = validate(x_abc(1, 1, F(4, 3), 4), NODE_AND_CUT).issues
     assert [str(issue) for issue in issues if issue.code in _LOOP_CODES] == [
