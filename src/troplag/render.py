@@ -48,18 +48,18 @@ class _Frame:
         self.width = _divide((x1 - x0) * SCALE, S) + 2 * MARGIN
         self.height = _divide((y1 - y0) * SCALE, S) + 2 * MARGIN
 
-    def tables(self, pairs, W: int):
-        """The SVG texts of the points (X/W, Y/W) of the int pairs: a table
-        from each distinct X to the text of (x - x0) * SCALE + MARGIN, and
-        one from each distinct Y to that of (y1 - y) * SCALE + MARGIN, as
-        SVG y grows downward."""
+    def tables(self, xs, ys, W: int):
+        """The SVG texts of the points (X/W, Y/W) of the ints X in xs and Y
+        in ys: a table from each X to the text of (x - x0) * SCALE + MARGIN,
+        and one from each Y to that of (y1 - y) * SCALE + MARGIN, as SVG y
+        grows downward."""
         S, x0, y1 = self.S, self.x0, self.y1
         den, pad = W * S, MARGIN * W * S
         try:
             return ({X: f"{((X * S - x0 * W) * SCALE + pad) / den:.2f}"
-                     for X in {X for X, _ in pairs}},
+                     for X in xs},
                     {Y: f"{((y1 * W - Y * S) * SCALE + pad) / den:.2f}"
-                     for Y in {Y for _, Y in pairs}})
+                     for Y in ys})
         except OverflowError:
             raise TroplagError("a coordinate is out of SVG range") from None
 
@@ -115,8 +115,8 @@ def render_document(doc) -> str:
         f'viewBox="0 0 {frame.width:.0f} {frame.height:.0f}">',
     ]
 
-    xs, ys = frame.tables([*diagram._corners, *(p for cut in diagram._cuts
-                                                for p in cut)], diagram._scale)
+    pairs = [*diagram._corners, *(p for cut in diagram._cuts for p in cut)]
+    xs, ys = frame.tables(*map(set, zip(*pairs)), diagram._scale)
     points = " ".join(f"{xs[X]},{ys[Y]}" for X, Y in diagram._corners)
     parts.append(f'<polygon points="{points}" {_POLY_STYLE}/>')
 
@@ -136,8 +136,13 @@ def render_document(doc) -> str:
             raise InvalidCurve(f"curve {curve.name}: end {eid!r} refers to "
                                f"missing node {index}")
         # The pairs share one scale: each distinct x and y is written once.
-        xs, ys = frame.tables(
-            {p for _, a, b, _, _, _ in segments for p in (a, b)}, scale)
+        xs, ys = set(), set()
+        for _, (ax, ay), (bx, by), _, _, _ in segments:
+            xs.add(ax)
+            xs.add(bx)
+            ys.add(ay)
+            ys.add(by)
+        xs, ys = frame.tables(xs, ys, scale)
         parts += [f'<line x1="{xs[ax]}" y1="{ys[ay]}" x2="{xs[bx]}" '
                   f'y2="{ys[by]}" {_CURVE_STYLE}/>'
                   for _, (ax, ay), (bx, by), _, _, _ in segments]

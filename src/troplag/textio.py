@@ -25,25 +25,26 @@ its kind token, and errors in building a curve (an unknown vertex, a
 non-primitive direction) at its `curve` header; geometric errors (a
 landing off the boundary, say) are deferred to validate().
 
-A line's body (before any `#`) is matched whole by the one anchored
-pattern its first word picks: for a rectangle or xabc line its kind's
-(_diagram), whose rationals go to its builder, and in a curve block the
-pattern of its element, whose row is appended when the id is new.  When
-the pattern matches and int() takes every number there is no split.  Any
-other line is split into words and kept as its number, body and words:
-the polygon diagram and the curve headers are read word by word, and a
-refused diagram or element line is read word by word to raise its error.
+A curve block, from its header to the next header or the end of the
+text, is read by one scan (findall) per element kind, from the newline
+before each line of that kind to the one after it, and the groups become
+rows in comprehensions.  The block is taken when the scans account for
+every line that is not blank or a comment, int() takes every number and
+TropicalCurve.of_rows takes the rows (it refuses a duplicate id); any
+other block is walked line by line, with the same patterns and the words
+of a refused line, to raise its first error.  A rectangle or xabc line
+matched whole by its kind's pattern (_diagram) goes to its builder; any
+other line is split into words and kept as its number, body and words.
 An error's column is where its word starts, plus len("key=") inside a
-key=value word; a builder's refusal of a matched line points at its kind.
+key=value word; a builder refuses a matched line at its kind.
 
-A curve block is read into rows, not records: vertex ids with their
-reduced (X, Y, W) point triples, edges as (id, src id, dst id), and ends
-as (id, source, (dx, dy), terminal), the source a vertex id or an anchor
-triple and the terminal a node index or a landing triple.
-TropicalCurve.of_rows turns them into the curve's columns at the end of
-the block.  Serialization reads the columns back, so neither a parse, a
-certification nor a serialization makes a record; the curve builds its
-records only when a caller reads them.
+The rows are plain tuples, not records: vertex ids with their reduced
+(X, Y, W) point triples, edges as (id, src id, dst id), and ends as (id,
+source, (dx, dy), terminal), the source a vertex id or an anchor triple
+and the terminal a node index or a landing triple.  Serialization reads
+the curve's columns back, so neither a parse, a certification nor a
+serialization makes a record; the curve builds its records only when a
+caller reads them.
 """
 import re
 import sys
@@ -88,24 +89,31 @@ _WORD = r"\S+"  # a word of str.split(), with its offset
 _PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
                "xabc": (x_abc, ("a", "b", "c", "s"))}
 
-# One pattern per element line, anchored at both ends; \s is the
-# whitespace str.split() splits on.  An end's dir= and terminal come in
-# either order: each lookahead finds its word among the last two.  Like the
-# word patterns above, they are compiled in re's cache on first use.
+# One pattern per element line, from the \n before it to the one after
+# it; _S, \s but \n, is the whitespace str.split() splits a line on.  An
+# end's dir= comes before its terminal or after it, with groups of each.
+# _OTHER is any other line: its comment-free text, and the name of a curve
+# header that names one.  All four are compiled on the first parse.
+_S = r"[^\S\n]"
+_TAIL = rf"{_S}*(?:#[^\n]*)?(?=\n)"
+_DIR = rf"dir=\(({_INT}),({_INT})\)"
+_TERMINAL = rf"(?:land={_PAIR}|node=({_INT}))"
 _ELEMENTS = {
-    "vertex": rf"\s*vertex\s+{_ID}\s+{_PAIR}\s*\Z",
-    "edge": rf"\s*edge\s+{_ID}\s+{_ID}\s+{_ID}(?:\s+weight=({_INT}))?\s*\Z",
-    "end": rf"\s*end\s+{_ID}\s+(?:{_ID}|{_PAIR})\s+"
-           rf"(?=(?:\S+\s+)?dir=\(({_INT}),({_INT})\)(?:\s|\Z))"
-           rf"(?=(?:\S+\s+)?(?:land={_PAIR}|node=({_INT}))(?:\s|\Z))"
-           r"\S+\s+\S+\s*\Z",
+    "vertex": rf"\n{_S}*vertex{_S}+{_ID}{_S}+{_PAIR}{_TAIL}",
+    "edge": rf"\n{_S}*edge{_S}+{_ID}{_S}+{_ID}{_S}+{_ID}"
+            rf"(?:{_S}+weight=({_INT}))?{_TAIL}",
+    "end": rf"\n{_S}*end{_S}+{_ID}{_S}+(?:{_ID}|{_PAIR}){_S}+(?:{_DIR}{_S}+"
+           rf"{_TERMINAL}|{_TERMINAL}{_S}+{_DIR}){_TAIL}",
 }
+_OTHER = (rf"\n(?!{_S}*(?:vertex|edge|end)(?![^\s#]))"
+          rf"(?=(?:{_S}*curve{_S}+{_ID}{_S}*(?![^#\n]))?)([^#\n]*)")
 
 
 @cache
-def _matchers():
-    """The element patterns' matchers, on the first parse."""
-    return tuple(re.compile(p).match for p in _ELEMENTS.values())
+def _patterns():
+    """The element patterns by kind, and _OTHER, on the first parse."""
+    return ({kind: re.compile(p) for kind, p in _ELEMENTS.items()},
+            re.compile(_OTHER))
 
 
 @cache
@@ -140,8 +148,8 @@ def _read(pattern, message, build, text, line, i, skip=0):
 
 def _triple(xn, xd, yn, yd) -> tuple[int, int, int]:
     """The reduced (X, Y, W) of the point (xn/xd, yn/yd) of digit groups;
-    None for xd or yd is 1."""
-    if xd is None and yd is None:
+    None or "" for xd or yd is 1."""
+    if not xd and not yd:
         return int(xn), int(yn), 1
     xn, yn, xd, yd = int(xn), int(yn), int(xd or 1), int(yd or 1)
     return reduced(xn * yd, yn * xd, xd * yd)
@@ -227,115 +235,131 @@ def _parse_polygon_diagram(line):
 
 
 def _parse_diagram(line):
-    words = line[2]
+    _, body, words = line
     if len(words) < 2:
         raise _error("diagram needs a kind", line)
     kind = words[1]
-    if kind in _PARAMETRIC:
-        build, keys = _PARAMETRIC[kind]
-        if len(words) != 2 + len(keys):
-            raise _error(" ".join(["diagram", kind,
-                                   *(f"{key}=<rat>" for key in keys)]),
-                         line, 1)
-        return build(*(_keyvalue(line, i, key, _rational)
-                       for i, key in enumerate(keys, start=2)))
-    if kind == "polygon":
-        return _parse_polygon_diagram(line)
+    try:
+        if kind in _PARAMETRIC:
+            build, keys = _PARAMETRIC[kind]
+            try:
+                if m := _diagram(kind)(body):
+                    n = m.groups()
+                    return build(*[
+                        Fraction(int(p), int(q)) if q else Fraction(int(p))
+                        for p, q in zip(n[::2], n[1::2])])
+            except ValueError:  # a number too long for int()
+                pass
+            if len(words) != 2 + len(keys):
+                raise _error(" ".join(["diagram", kind,
+                                       *(f"{key}=<rat>" for key in keys)]),
+                             line, 1)
+            return build(*(_keyvalue(line, i, key, _rational)
+                           for i, key in enumerate(keys, start=2)))
+        if kind == "polygon":
+            return _parse_polygon_diagram(line)
+    except InvalidDiagram as err:
+        raise _error(str(err), line, 1) from None
     raise _error(f"unknown diagram kind {kind!r}", line, 1)
+
+
+def _rows(vertex=(), edge=(), end=()):
+    """The rows of a curve block from the groups of its vertex, edge and
+    end lines ("" for a group that took no text; an end's attributes in
+    either order), or None if int() refuses a number or a weight is not 1."""
+    try:
+        edges = [(e, s, d) for e, s, d, w in edge if not w or int(w) == 1]
+        if len(edges) == len(edge):
+            return ([v[0] for v in vertex],
+                    [_triple(x, xd, y, yd) for _, x, xd, y, yd in vertex],
+                    edges,
+                    [(e, s or _triple(a, b, c, d),
+                      (int(dx + dx_), int(dy + dy_)), int(n + n_) if n or n_
+                      else _triple(x + x_, xd + xd_, y + y_, yd + yd_))
+                     for (e, s, a, b, c, d, dx, dy, x, xd, y, yd, n,
+                          x_, xd_, y_, yd_, n_, dx_, dy_) in end])
+    except ValueError:  # a number too long for int()
+        pass
+    return None
+
+
+def _walk(t, pos, stop, lineno, seen):
+    """Raise the first error in the element lines of t from the newline at
+    pos (line lineno) to stop: one outside a curve block (seen is None), or
+    one its pattern, int() or a new id (not in seen) refuses, by words."""
+    elements = _patterns()[0]
+    for lineno, raw in enumerate(t[pos + 1:stop].split("\n"), lineno):
+        body = raw.split("#", 1)[0]
+        words = body.split()
+        if words and words[0] in elements:
+            line = (lineno, body, words)
+            if seen is None:
+                raise _error(f"{words[0]} outside a curve block", line)
+            m = elements[words[0]].match(f"\n{raw}\n")
+            if not (m and m[1] not in seen
+                    and _rows(**{words[0]: [m.groups("")]})):
+                _refuse(line, seen)
+            seen.add(m[1])
 
 
 def parse_document(text: str) -> Document:
     """Parse a document; exact rationals only, duplicate ids rejected."""
+    # Only \r\n, \r and \n end a line (str.splitlines() ends more): each
+    # line of t starts at a \n, and the last one is followed by one.
+    t = "\n" + text.replace("\r\n", "\n").replace("\r", "\n") + "\n"
+    elements, other = _patterns()
     diagram = None
     curves = []
-    # (header line, name, vertex ids, points, edges, ends) of the open
-    # curve block, and its ids so far; seen is None outside a block.
-    current = seen = None
-    vertex, edge, end = _matchers()
+    # The open region starts at the \n of line first (a header's, or line
+    # 1) and has others lines that are no element line; block is its
+    # header's line and name, None before the first header.
+    start, first, others, block = 0, 1, 0, None
 
-    def flush():
-        if current is not None:
-            header, name, *rows = current
+    def close(stop, lines):
+        """Read the region's element lines, lines of them before stop, into
+        its curve; before the first header there must be none."""
+        if block is None:
+            if lines:
+                _walk(t, start, stop, first, None)
+            return
+        found = [p.findall(t, start, stop + 1) for p in elements.values()]
+        refusal = None
+        if sum(map(len, found)) == lines and (rows := _rows(*found)):
             try:
-                curves.append(TropicalCurve.of_rows(name, *rows))
+                curves.append(TropicalCurve.of_rows(block[1], *rows))
+                return
             except InvalidCurve as err:
-                raise _error(str(err), header) from None
+                refusal = _error(str(err), block[0])
+        _walk(t, start, stop, first, set())
+        raise refusal or AssertionError(
+            f"line {first}: the walk takes a block the scans refuse")
 
-    # Only \r\n, \r and \n end a line (str.splitlines() ends more).
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0] if "#" in raw else raw
-        # The first three letters of the first word pick the one pattern
-        # tried (see the module docstring): lstrip() strips the \s that each
-        # pattern starts with.  A diagram line's second word picks its kind.
-        head = body.lstrip()[:3]
-        try:
-            if seen is None:
-                words = (body.split(None, 2) if head == "dia"
-                         and diagram is None else ())
-                if len(words) > 1 and words[1] in _PARAMETRIC and (
-                        m := _diagram(words[1])(body)):
-                    n = m.groups()
-                    diagram = _PARAMETRIC[words[1]][0](*[
-                        Fraction(int(p), int(q)) if q else Fraction(int(p))
-                        for p, q in zip(n[::2], n[1::2])])
-                    continue
-            elif head == "ver" and (m := vertex(body)):
-                ident, xn, xd, yn, yd = m.groups()
-                if ident not in seen:
-                    points.append(_triple(xn, xd, yn, yd))
-                    ids.append(ident)
-                    seen.add(ident)
-                    continue
-            elif head == "edg" and (m := edge(body)):
-                ident, src, dst, weight = m.groups()
-                if ident not in seen and (weight is None or int(weight) == 1):
-                    edges.append((ident, src, dst))
-                    seen.add(ident)
-                    continue
-            elif head == "end" and (m := end(body)):
-                (ident, name, axn, axd, ayn, ayd, dx, dy,
-                 xn, xd, yn, yd, node) = m.groups()
-                if ident not in seen:
-                    ends.append((ident, name or _triple(axn, axd, ayn, ayd),
-                                 (int(dx), int(dy)),
-                                 int(node) if node is not None
-                                 else _triple(xn, xd, yn, yd)))
-                    seen.add(ident)
-                    continue
-        except ValueError:  # a number too long for int()
-            pass
-        except InvalidDiagram as err:  # at the kind, as by words
-            raise _error(str(err), (lineno, body, body.split()), 1) from None
+    for m in other.finditer(t, 0, len(t) - 1):
+        name, body = m.groups()
         words = body.split()
         if not words:
+            others += 1
             continue
-        line = (lineno, body, words)
+        pos = m.start()
+        n = t.count("\n", start, pos)
+        line = (first + n, body, words)
         head = words[0]
-        if head == "diagram":
+        if head == "curve" and diagram is not None and len(words) == 2:
+            close(pos, n - others)
+            block = line, name or _name(words[1], line, 1)
+        else:  # the diagram, or an error after those of the lines before
+            if n != others:
+                _walk(t, start, pos, first, None if block is None else set())
+            if head == "curve":
+                raise _error("curve before diagram" if diagram is None
+                             else "curve <name>", line)
+            if head != "diagram":
+                raise _error(f"unknown directive {head!r}", line)
             if diagram is not None:
                 raise _error("only one diagram per document", line)
-            try:
-                diagram = _parse_diagram(line)
-            except InvalidDiagram as err:
-                # _parse_diagram rejects a missing kind
-                raise _error(str(err), line, 1) from None
-        elif head == "curve":
-            if diagram is None:
-                raise _error("curve before diagram", line)
-            if len(words) != 2:
-                raise _error("curve <name>", line)
-            flush()
-            ids, points, edges, ends, seen = [], [], [], [], set()
-            current = (line, _name(words[1], line, 1), ids, points, edges,
-                       ends)
-        elif head in _ELEMENTS:
-            if seen is None:
-                raise _error(f"{head} outside a curve block", line)
-            _refuse(line, seen)
-        else:
-            raise _error(f"unknown directive {head!r}", line)
-    flush()
+            diagram = _parse_diagram(line)
+        start, first, others = pos, first + n, 1
+    close(len(t) - 1, t.count("\n", start, len(t) - 1) - others)
     if diagram is None:
         raise ParseError("document has no diagram", 1, 1)
     return Document(diagram, tuple(curves))

@@ -182,12 +182,13 @@ class TropicalCurve:
         for i, vid in enumerate(ids):
             if index.setdefault(vid, i) != i:
                 raise InvalidCurve(f"duplicate vertex id {vid!r}")
-            _check_reduced(points[i], "vertex", vid, "position")
+            if points[i][2] != 1:
+                _check_reduced(points[i], "vertex", vid, "position")
         # Half-edges: edge k leaves src as 2k and dst as 2k + 1, end j
         # leaves its source as 2 * len(edges) + j; half holds each one's
-        # direction and sites each site's half-edges, edges first, as
-        # tuples of ints (lists would stay tracked by the collector).
-        sites = [()] * len(ids)
+        # direction and sites each site's half-edges, edges first, in lists
+        # made tuples of ints at the end (lists stay tracked by the collector).
+        sites = [[] for _ in ids]
         half = []
         edge_rows = []
         seen_ids = set(index)
@@ -195,20 +196,19 @@ class TropicalCurve:
             if eid in seen_ids:
                 raise InvalidCurve(f"duplicate element id {eid!r}")
             seen_ids.add(eid)
-            for endpoint in (src, dst):
-                if endpoint not in index:
-                    raise InvalidCurve(
-                        f"edge {eid!r} refers to unknown vertex {endpoint!r}")
-            if src == dst:
+            s, d = index.get(src), index.get(dst)
+            if s is None or d is None:
+                raise InvalidCurve(f"edge {eid!r} refers to unknown vertex "
+                                   f"{src if s is None else dst!r}")
+            if s == d:
                 raise InvalidCurve(f"edge {eid!r} is a loop")
-            s, d = index[src], index[dst]
             try:
                 u = x, y = primitive_pair(points[s], points[d])
             except DegenerateDirection:
                 raise InvalidCurve(
                     f"edge {eid!r} joins coincident vertices") from None
-            sites[s] += (2 * k,)
-            sites[d] += (2 * k + 1,)
+            sites[s].append(2 * k)
+            sites[d].append(2 * k + 1)
             half += (u, (-x, -y))
             edge_rows.append((eid, s, d, u))
 
@@ -226,22 +226,23 @@ class TropicalCurve:
             elif source in anchors:
                 site = anchors[source]
             else:
-                _check_reduced(source, "end", eid, "anchor")
+                if source[2] != 1:
+                    _check_reduced(source, "end", eid, "anchor")
                 site = anchors[source] = len(sites)
-                sites.append(())
+                sites.append([])
             if gcd(*u) != 1:
                 raise InvalidCurve(f"end {eid!r} direction "
                                    "({},{}) is not primitive".format(*u))
-            if not isinstance(terminal, int):
+            if not isinstance(terminal, int) and terminal[2] != 1:
                 _check_reduced(terminal, "end", eid, "landing")
-            sites[site] += (j,)
+            sites[site].append(j)
             half.append(u)
             end_rows.append((eid, site, u, terminal))
 
         self._ids, self._points = tuple(ids), tuple(points)
         self._anchors = tuple(anchors)
         self._edge_rows, self._end_rows = tuple(edge_rows), tuple(end_rows)
-        self._sites, self._half = tuple(sites), tuple(half)
+        self._sites, self._half = tuple(map(tuple, sites)), tuple(half)
         self._memo = None  # (diagram, {owner function: fact}); see _remember
 
     # -- records, built on first read ------------------------------------

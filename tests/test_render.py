@@ -28,7 +28,7 @@ def texts(f, p, k=1):
     """The x and y texts of p, given over k times its W, as a curve's plane
     pairs are."""
     X, Y = p.X * k, p.Y * k
-    xs, ys = f.tables([(X, Y)], p.W * k)
+    xs, ys = f.tables({X}, {Y}, p.W * k)
     return xs[X], ys[Y]
 
 

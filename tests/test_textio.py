@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from troplag import (
     Document,
@@ -20,8 +20,9 @@ from troplag import (
     visible_segment,
     x_abc,
 )
-from conftest import (BUNDLED_DOCS, load_document, FIGURES,
-                      klein_as_polygon, token_soups)
+from troplag import textio
+from conftest import (BUNDLED_DOCS, load_document, FIGURES, count_calls,
+                      klein_as_polygon, random_curve, token_soups)
 
 F = Fraction
 
@@ -393,3 +394,159 @@ def test_fig3_matches_generator():
     doc = load_document("fig3_family.trop")
     instance = trop_family(2)
     assert doc == Document(instance.diagram, (instance.curve,))
+
+
+# A curve block is read by one scan per element kind.  A block the scans
+# do not take is walked line by line (textio._walk) only to raise its first
+# error, so a valid document is never walked.  _BLANKS are the \s that do
+# not end a line; _FORMS has the element forms random_curve does not make:
+# an anchor end, an end to a node and a vertex at a rational point.
+_BLANKS = "\t\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028"
+_FORMS = ("curve forms\nvertex u (2,2)\nvertex w (9/2,2)\nedge g u w\n"
+          "end a u dir=(-1,1) land=(0,4)\nend d w dir=(1,-1) node=0\n"
+          "end s (1,1/3) dir=(1,0) land=(24,1/3)\n")
+
+
+def _interleave(rng, lines):
+    """The element lines in a random order that keeps each kind's order."""
+    queues = {}
+    for line in lines:
+        queues.setdefault(line.split()[0], []).append(line)
+    merged = []
+    while queues:
+        kind = rng.choice(sorted(queues))
+        merged.append(queues[kind].pop(0))
+        if not queues[kind]:
+            del queues[kind]
+    return merged
+
+
+def _decorate(rng, text):
+    """text, meaning the same, with every line decorated: whitespace around
+    and between its words, a trailing comment, blank and comment lines
+    between lines, a weight on an edge, an end's terminal before its dir=,
+    the element kinds of a block interleaved, and CRLF or CR endings."""
+    def blank():
+        return "".join(rng.choices(_BLANKS, k=rng.randint(1, 3)))
+
+    blocks = [[]]
+    for line in text.splitlines():
+        if line.startswith("curve"):
+            blocks.append([line])
+        else:
+            blocks[-1].append(line)
+    lines = []
+    for block in blocks:
+        lines += block[:1] + _interleave(rng, block[1:])
+    out = []
+    for line in lines:
+        words = line.split(" ")
+        if words[0] == "edge" and rng.random() < 0.5:
+            words.append(rng.choice(["weight=1", "weight=01"]))
+        if words[0] == "end" and rng.random() < 0.5:
+            words[3], words[4] = words[4], words[3]
+        line = words[0] + "".join(rng.choice([" ", blank()]) + word
+                                  for word in words[1:])
+        lead, trail, comment = rng.choice(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+        line = (blank() if lead else "") + line + (blank() if trail else "")
+        if comment:
+            line += rng.choice(["#", " #", blank() + "#"]) + rng.choice(
+                ["", " note", " vertex q (1,1)", "# curve x", blank()])
+        out.append(line)
+        if rng.random() < 0.3:
+            out.append(rng.choice(["", blank(), "#", blank() + "# x"]))
+    return rng.choice(["\r\n", "\r"]).join(out) + rng.choice(["", "\r"])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 3))
+def test_decorated_documents_parse_as_plain_text(rng, blocks):
+    curves = [random_curve(rng)[1] for _ in range(blocks)]
+    plain = serialize_document(Document(rectangle(24, 24), tuple(curves)))
+    plain += _FORMS
+    text = _decorate(rng, plain)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        walks = count_calls(monkeypatch, textio, "_walk")
+        doc = parse_document(text)
+        assert doc == parse_document(plain)
+        assert walks == []
+    assert len(doc.curves) == blocks + 1
+
+
+def test_valid_documents_are_never_walked(monkeypatch):
+    walks = count_calls(monkeypatch, textio, "_walk")
+    instance = trop_family(24)
+    texts = [serialize_document(Document(instance.diagram, (instance.curve,)))]
+    texts += [path.read_text(encoding="utf-8")
+              for path in sorted(FIGURES.glob("*.trop"))]
+    assert len(texts) == 8
+    for text in texts:
+        parse_document(text)
+    assert walks == []
+    with pytest.raises(ParseError):
+        parse_document(_PREFIX + "vertex v (2,1)\n")
+    assert len(walks) == 1
+
+
+# The first error in document order wins, with the message, line and column
+# recorded before blocks were read by scans.
+_R = "diagram rectangle width=4 height=2\ncurve c\nvertex v (1,1)\n"
+_FIRST_ERROR_CASES = [
+    # two faults in one block
+    (_R + "vertex w (1.5,1)\nedge e v w weight=2\n",
+     4, 10, _POINT_ERROR.format("(1.5,1)")),
+    (_R + "vertex w (3,1)\nedge e v w weight=2\nvertex x (1.5,1)\n",
+     5, 12, "edges have weight 1, got 'weight=2'"),
+    (_R + f"vertex w (1,{_BIG})\nvertex v (2,1)\n", 4, 10, _TOO_LONG),
+    (_R + "vertex v (2,1)\nend a v dir=(1,0)\n", 4, 8, "duplicate id 'v'"),
+    (_R + "edge e v x\nend a v dir=(1,0)\n", 5, 1,
+     "end <id> <from> dir=(<int>,<int>) land=(<rat>,<rat>)|node=<index>"),
+    # a duplicate across kinds
+    (_R + "vertex a (2,1)\nend a a dir=(1,0) land=(4,1)\n",
+     5, 5, "duplicate id 'a'"),
+    (_R + "edge a v w\nvertex a (3,1)\nvertex w (2,1)\n",
+     5, 8, "duplicate id 'a'"),
+    # a diagram line inside a block, after a duplicate, in a refused block
+    (_R + "diagram rectangle width=4 height=2\n",
+     4, 1, "only one diagram per document"),
+    (_R + "vertex v (2,1)\ndiagram rectangle width=4 height=2\n",
+     4, 8, "duplicate id 'v'"),
+    (_R + "edge e v x\ndiagram rectangle width=4 height=2\n",
+     5, 1, "only one diagram per document"),
+    # a fault in the second block
+    (_R + "end a v dir=(1,0) land=(4,1)\ncurve d\nvertex v (1,1)\n"
+     "end a v dir=(1,0) land=(4,x)\n", 7, 24, _POINT_ERROR.format("(4,x)")),
+    (_R + "curve d\nvertex v (1,1)\nend v v dir=(1,0) land=(4,1)\n",
+     6, 5, "duplicate id 'v'"),
+    # a weight 0...01 longer than int() reads, and one it reads
+    (_R + f"vertex w (2,1)\nedge e v w weight={'0' * _DIGITS}1\n",
+     5, 19, _TOO_LONG),
+    (_R + "vertex w (2,1)\nedge e v w weight=0001\nedge f v w weight=2\n",
+     6, 12, "edges have weight 1, got 'weight=2'"),
+    # a malformed next header after a block whose curve is refused: its
+    # words are counted before the block's curve is built, its name after
+    (_R + "edge e v x\ncurve a b\n", 5, 1, "curve <name>"),
+    (_R + "edge e v x\ncurve\n", 5, 1, "curve <name>"),
+    (_R + "edge e v x\ncurve 1x\n", 2, 1,
+     "edge 'e' refers to unknown vertex 'x'"),
+    (_R + "vertex v (2,1)\ncurve a b\n", 4, 8, "duplicate id 'v'"),
+    (_R + "end a v dir=(2,2) land=(4,1)\n", 2, 1,
+     "end 'a' direction (2,2) is not primitive"),
+    # element lines outside a block come before a later fault
+    ("diagram rectangle width=4 height=2\nvertex v (1,1)\nbogus\ncurve c\n",
+     2, 1, "vertex outside a curve block"),
+    ("vertex v (1,1)\ndiagram rectangle width=0 height=1\n",
+     1, 1, "vertex outside a curve block"),
+    ("vertex v (1,1)\ncurve c\n", 1, 1, "vertex outside a curve block"),
+    (_R + f"end a v dir=(1,{_BIG}) land=(4,1)\nvertx q (1,1)\n",
+     4, 13, _TOO_LONG),
+]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("text, line, col, message", _FIRST_ERROR_CASES)
+def test_first_error_wins(text, line, col, message, ending):
+    with pytest.raises(ParseError) as err:
+        parse_document(text.replace("\n", ending))
+    assert str(err.value) == f"line {line}, col {col}: {message}"
