@@ -331,6 +331,14 @@ class BaseDiagram:
                 return PointLocation(_ON_CUT, index)
         return INTERIOR
 
+    def _inside(self, X: int, Y: int, W: int) -> bool:
+        """Whether (X/W, Y/W) of the plane scaled by S is strictly left of
+        every edge line: INTERIOR for _locate when there are no nodes."""
+        for ex, ey, wedge_a in self._lines:
+            if ex * Y - ey * X <= W * wedge_a:
+                return False
+        return True
+
     def _exit(self, X: int, Y: int, W: int, direction):
         """exit of (X/W, Y/W) of the plane scaled by S, as (X', Y', W',
         location): the ray leaves through the nearest line of an edge it

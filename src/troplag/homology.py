@@ -11,17 +11,22 @@ parity; balancing makes it independent of the witness for closed curves.
 Closedness is read from tropical.end_kinds: every end must be a
 cross-cap, so a collar, an end at a node (a disc cap) and an end with no
 cap kind (mu >= 3) are refused, the last before any collar.  _sweep
-orders each span of the plane tropical.geometry hands out once, and
-chooses the default witness.  Both default sweeps are one per-curve fact,
-_default_sweeps, read by sweep_parity without a witness and by mod2_class,
-which asks tropical.multiplicities first, as topology does, and keeps them.
+walks the plane tropical.geometry hands out once per curve, for both
+directions, and keeps each direction's critical coordinates and the ends
+of the segments that can change a parity; _parity reads it at the default witness or at a
+given one, and critical_coordinates reads it as it is.  Both default
+sweeps are one per-curve fact, _default_sweeps, read by sweep_parity
+without a witness and by mod2_class, which asks tropical.multiplicities
+first, as topology does, and keeps them.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
 """
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
+from operator import sub
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -47,6 +52,9 @@ class UnsweepableCurve(TroplagError):
 class SweepDirection(Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
+
+
+_VERTICAL = SweepDirection.VERTICAL  # read from globals; see tropical._INTERIOR
 
 
 class SweepParity(NamedTuple):
@@ -99,31 +107,53 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
     if not diagram.is_rectangle:
         raise UnsupportedDiagram(
             "sweep parities are defined for node-free rectangle diagrams")
-    for (eid, *_), kind in zip(curve._end_rows, end_kinds(diagram, curve)):
-        if kind is not _CROSS_CAP:
-            raise UnsweepableCurve(
-                f"end {eid!r} is a {kind.value}, not a crosscap; only a "
-                "closed curve has a mod-2 class to sweep")
+    kinds = end_kinds(diagram, curve)
+    if kinds.count(_CROSS_CAP) != len(kinds):
+        eid, kind = next((row[0], kind) for row, kind in zip(
+            curve._end_rows, kinds) if kind is not _CROSS_CAP)
+        raise UnsweepableCurve(
+            f"end {eid!r} is a {kind.value}, not a crosscap; only a "
+            "closed curve has a mod-2 class to sweep")
 
 
-def _sweep(plane, direction: SweepDirection, witness=None):
-    """One sweep over the plane geometry() returns: (criticals, the
-    SweepParity of the witness or of the default one; see sweep_parity).
-    Coordinates are scaled and run across the witness lines (x for vertical
-    lines, y for horizontal ones), and t is the unit vector along the lines;
-    criticals is the sorted set a generic witness line must avoid, the
-    rectangle's bounds included."""
-    scale, corners, _, segments = plane
-    axis, other = (0, 1) if direction is SweepDirection.VERTICAL else (1, 0)
-    # Per segment: its span (low, high) across the lines, and its direction.
-    spans = [(ca, cb, u) if ca <= cb else (cb, ca, u) for _, a, b, _, _, u
-             in segments for ca, cb in ((a[axis], b[axis]),)]
-    bounds = [corner[axis] for corner in corners]
-    criticals = sorted({min(bounds), max(bounds)}.union(
-        *islice(zip(*spans), 2)))
+def _sweep(diagram: BaseDiagram, curve: TropicalCurve):
+    """Both directions' sweep data from one walk of the plane geometry()
+    hands out, once per curve and diagram (_remember): (scale, horizontal,
+    vertical), each direction as (criticals, odd).  Coordinates are scaled
+    and run across the direction's witness lines (y for horizontal lines,
+    x for vertical ones); criticals is the sorted tuple a generic witness
+    line must avoid, the rectangle's bounds included, and odd the sorted
+    tuple of both ends of each segment whose weight |dot(u, t)| is odd, t
+    the unit vector along the lines: an even weight never changes a
+    parity."""
+    def walk():
+        scale, corners, _, segments = geometry(diagram, curve)
+        cx, cy = zip(*corners)
+        xs, ys = {min(cx), max(cx)}, {min(cy), max(cy)}
+        odd_y, odd_x = [], []
+        for _, (ax, ay), (bx, by), _, _, (ux, uy) in segments:
+            xs.add(ax)
+            xs.add(bx)
+            ys.add(ay)
+            ys.add(by)
+            if ux & 1:  # odd weight |ux| across horizontal lines
+                odd_y += ay, by
+            if uy & 1:
+                odd_x += ax, bx
+        return (scale, (tuple(sorted(ys)), tuple(sorted(odd_y))),
+                (tuple(sorted(xs)), tuple(sorted(odd_x))))
+    return _remember(diagram, curve, _sweep, walk)
+
+
+def _parity(diagram: BaseDiagram, curve: TropicalCurve,
+            direction: SweepDirection, witness=None) -> SweepParity:
+    """The SweepParity of direction at the witness, or at the default one
+    (see sweep_parity), read from _sweep's walk."""
+    scale, horizontal, vertical = _sweep(diagram, curve)
+    criticals, odd = vertical if direction is _VERTICAL else horizontal
     # The witness line's scaled coordinate is line / den.
     if witness is None:
-        gaps = [hi - lo for lo, hi in zip(criticals, criticals[1:])]
+        gaps = list(map(sub, criticals[1:], criticals))
         k = gaps.index(max(gaps))  # the first largest gap
         line, den = criticals[k] + criticals[k + 1], 2
         witness = Fraction(line, den * scale)
@@ -136,17 +166,20 @@ def _sweep(plane, direction: SweepDirection, witness=None):
         if not criticals[0] * den < line < criticals[-1] * den:
             raise NonGenericWitness(
                 f"witness {witness} lies outside the rectangle")
-    total = sum(abs(u[other]) for lo, hi, u in spans
-                if lo * den < line < hi * den)
-    return criticals, SweepParity(direction, total % 2, witness)
+    # A line crosses a segment when one of its ends lies below the line and
+    # the other above, so it crosses as many odd-weight segments, mod 2, as
+    # their ends below it: those at most (line - 1) // den, as none is on it.
+    below = bisect_right(odd, (line - 1) // den)
+    return SweepParity(direction, below % 2, witness)
 
 
 def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
                          direction: SweepDirection):
     """Sorted coordinates a generic witness line must avoid, including the
     rectangle bounds; an end to a missing node has no segment to add."""
-    plane = geometry(diagram, curve)
-    return [Fraction(c, plane[0]) for c in _sweep(plane, direction)[0]]
+    scale, horizontal, vertical = _sweep(diagram, curve)
+    criticals = (vertical if direction is _VERTICAL else horizontal)[0]
+    return [Fraction(c, scale) for c in criticals]
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -164,18 +197,17 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     """
     if witness is None:
         horizontal, vertical = _default_sweeps(diagram, curve)
-        return vertical if direction is SweepDirection.VERTICAL else horizontal
+        return vertical if direction is _VERTICAL else horizontal
     _require_sweepable(diagram, curve)
-    return _sweep(geometry(diagram, curve), direction, witness)[1]
+    return _parity(diagram, curve, direction, witness)
 
 
 def _default_sweeps(diagram: BaseDiagram, curve: TropicalCurve):
     """The (horizontal, vertical) SweepParity at the default witnesses,
-    walked once per curve and diagram (tropical._remember)."""
+    once per curve and diagram (tropical._remember)."""
     def build():
         _require_sweepable(diagram, curve)
-        plane = geometry(diagram, curve)
-        return tuple(_sweep(plane, d)[1] for d in SweepDirection)
+        return tuple(_parity(diagram, curve, d) for d in SweepDirection)
     return _remember(diagram, curve, _default_sweeps, build)
 
 

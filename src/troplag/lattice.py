@@ -18,12 +18,13 @@ All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
 homogeneous triple (X, Y, W) with W > 0 (reduced); the text parser and a
 curve's columns keep the plain triple, with no RatPoint.  Only BaseDiagram
-and tropical.geometry clear denominators, by common_scale and cleared:
-the plane's scale is the lcm of the diagram's and every W of the curve.
-Other readers take their int pairs or compute on the triple, and
-point_text prints a point from it.  A coordinate becomes a
-fractions.Fraction only for the public API.  Floats, bools and strings
-the document format would refuse are rejected at construction time.
+and tropical.geometry clear denominators, by a common_scale multiple,
+each triple (X, Y, W) times scale // W: the plane's scale is the lcm of
+the diagram's and every W of the curve.  Other readers take their int
+pairs or compute on the triple, and point_text prints a point from it.  A
+coordinate becomes a fractions.Fraction only for the public API.  Floats,
+bools and strings the document format would refuse are rejected at
+construction time.
 """
 import re
 from fractions import Fraction
@@ -272,7 +273,7 @@ class UnimodularAffineMap(_UnimodularAffineMap):
 
 # ---------------------------------------------------------------------------
 # Exact segment predicates, with every sign convention, on int pairs cleared
-# by one scale (common_scale, then cleared): scaling by a positive integer
+# by one scale (a common_scale multiple): scaling by a positive integer
 # keeps every sign, so every answer is the one on the rational points.
 # ---------------------------------------------------------------------------
 
@@ -285,13 +286,6 @@ def common_scale(points) -> int:
     # is grown and then shrunk, and each shrunk tuple stays on the
     # interpreter's free list for its length, which holds up to 2000.
     return lcm(*{W for _, _, W in points})
-
-
-def cleared(p: RatPoint, scale: int) -> tuple[int, int]:
-    """p times scale as an int pair; scale must be a common_scale multiple."""
-    X, Y, W = p
-    k = scale // W
-    return X * k, Y * k
 
 
 def turn(a, b, c) -> int:

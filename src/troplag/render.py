@@ -54,12 +54,12 @@ class _Frame:
         and one from each Y to that of (y1 - y) * SCALE + MARGIN, as SVG y
         grows downward."""
         S, x0, y1 = self.S, self.x0, self.y1
-        den, pad = W * S, MARGIN * W * S
+        # Over den, the texts' numerators are X * a + bx and by - Y * a.
+        den, a = W * S, S * SCALE
+        bx, by = (MARGIN * S - x0 * SCALE) * W, (MARGIN * S + y1 * SCALE) * W
         try:
-            return ({X: f"{((X * S - x0 * W) * SCALE + pad) / den:.2f}"
-                     for X in xs},
-                    {Y: f"{((y1 * W - Y * S) * SCALE + pad) / den:.2f}"
-                     for Y in ys})
+            return ({X: f"{(X * a + bx) / den:.2f}" for X in xs},
+                    {Y: f"{(by - Y * a) / den:.2f}" for Y in ys})
         except OverflowError:
             raise TroplagError("a coordinate is out of SVG range") from None
 

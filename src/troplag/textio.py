@@ -32,9 +32,12 @@ rows in comprehensions.  The block is taken when the scans account for
 every line that is not blank or a comment, int() takes every number and
 TropicalCurve.of_rows takes the rows (it refuses a duplicate id); any
 other block is walked line by line, with the same patterns and the words
-of a refused line, to raise its first error.  A rectangle or xabc line
-matched whole by its kind's pattern (_diagram) goes to its builder; any
-other line is split into words and kept as its number, body and words.
+of a refused line, to raise its first error: the groups of the lines
+matched before it go to the row builder at once, and are read again line
+by line only if it refuses them (a number too long for int(), a weight).
+A rectangle or xabc line matched whole by its kind's pattern (_diagram)
+goes to its builder; any other line is split into words and kept as its
+number, body and words.
 An error's column is where its word starts, plus len("key=") inside a
 key=value word; a builder refuses a matched line at its kind.
 
@@ -51,6 +54,7 @@ import sys
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
+from math import gcd
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -63,7 +67,7 @@ from .diagram import (
     x_abc,
 )
 from .lattice import (IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL,
-                      point_text, reduced)
+                      point_text)
 from .tropical import InvalidCurve, TropicalCurve
 
 
@@ -148,11 +152,21 @@ def _read(pattern, message, build, text, line, i, skip=0):
 
 def _triple(xn, xd, yn, yd) -> tuple[int, int, int]:
     """The reduced (X, Y, W) of the point (xn/xd, yn/yd) of digit groups;
-    None or "" for xd or yd is 1."""
-    if not xd and not yd:
-        return int(xn), int(yn), 1
-    xn, yn, xd, yd = int(xn), int(yn), int(xd or 1), int(yd or 1)
-    return reduced(xn * yd, yn * xd, xd * yd)
+    None or "" for xd or yd is 1.  A point with one denominator w, say
+    (x/w, y), is (x, y * w, w) over gcd(x, w): one gcd of two ints."""
+    if xd and yd:
+        x, y, w = int(xn) * int(yd), int(yn) * int(xd), int(xd) * int(yd)
+        g = gcd(x, y, w)
+        return x // g, y // g, w // g
+    if xd:
+        x, w = int(xn), int(xd)
+        g = gcd(x, w)
+        return x // g, int(yn) * (w // g), w // g
+    if yd:
+        y, w = int(yn), int(yd)
+        g = gcd(y, w)
+        return int(xn) * (w // g), y // g, w // g
+    return int(xn), int(yn), 1
 
 
 # The word readers, called as reader(text, line, i, skip=0): the text of
@@ -271,7 +285,8 @@ def _rows(vertex=(), edge=(), end=()):
         edges = [(e, s, d) for e, s, d, w in edge if not w or int(w) == 1]
         if len(edges) == len(edge):
             return ([v[0] for v in vertex],
-                    [_triple(x, xd, y, yd) for _, x, xd, y, yd in vertex],
+                    [_triple(x, xd, y, yd) if xd or yd else (int(x), int(y), 1)
+                     for _, x, xd, y, yd in vertex],
                     edges,
                     [(e, s or _triple(a, b, c, d),
                       (int(dx + dx_), int(dy + dy_)), int(n + n_) if n or n_
@@ -283,23 +298,37 @@ def _rows(vertex=(), edge=(), end=()):
     return None
 
 
-def _walk(t, pos, stop, lineno, seen):
+def _walk(t, pos, stop, lineno, block):
     """Raise the first error in the element lines of t from the newline at
-    pos (line lineno) to stop: one outside a curve block (seen is None), or
-    one its pattern, int() or a new id (not in seen) refuses, by words."""
+    pos (line lineno) to stop: one outside a curve block (block false), or
+    one its pattern, a repeated id, int() or a weight refuses.  The groups
+    of the lines matched before the first line a pattern or an id refuses
+    go to _rows at once; only if it refuses them are they read again, line
+    by line, for the first line it refuses."""
     elements = _patterns()[0]
+    seen, matched, refused = set(), [], None
+    groups = {kind: [] for kind in elements}
     for lineno, raw in enumerate(t[pos + 1:stop].split("\n"), lineno):
         body = raw.split("#", 1)[0]
         words = body.split()
         if words and words[0] in elements:
             line = (lineno, body, words)
-            if seen is None:
+            if not block:
                 raise _error(f"{words[0]} outside a curve block", line)
             m = elements[words[0]].match(f"\n{raw}\n")
-            if not (m and m[1] not in seen
-                    and _rows(**{words[0]: [m.groups("")]})):
-                _refuse(line, seen)
+            if not m or m[1] in seen:
+                refused = line
+                break
             seen.add(m[1])
+            kind, found = words[0], m.groups("")
+            groups[kind].append(found)
+            matched.append((line, kind, found))
+    if _rows(**groups) is None:  # the matched ids are distinct
+        for line, kind, found in matched:
+            if _rows(**{kind: [found]}) is None:
+                _refuse(line, ())
+    if refused:
+        _refuse(refused, seen)
 
 
 def parse_document(text: str) -> Document:
@@ -320,7 +349,7 @@ def parse_document(text: str) -> Document:
         its curve; before the first header there must be none."""
         if block is None:
             if lines:
-                _walk(t, start, stop, first, None)
+                _walk(t, start, stop, first, False)
             return
         found = [p.findall(t, start, stop + 1) for p in elements.values()]
         refusal = None
@@ -330,7 +359,7 @@ def parse_document(text: str) -> Document:
                 return
             except InvalidCurve as err:
                 refusal = _error(str(err), block[0])
-        _walk(t, start, stop, first, set())
+        _walk(t, start, stop, first, True)
         raise refusal or AssertionError(
             f"line {first}: the walk takes a block the scans refuse")
 
@@ -349,7 +378,7 @@ def parse_document(text: str) -> Document:
             block = line, name or _name(words[1], line, 1)
         else:  # the diagram, or an error after those of the lines before
             if n != others:
-                _walk(t, start, pos, first, None if block is None else set())
+                _walk(t, start, pos, first, block is not None)
             if head == "curve":
                 raise _error("curve before diagram" if diagram is None
                              else "curve <name>", line)

@@ -15,10 +15,12 @@ surgery replacing each one by an embedded handle drops chi by 2.  So
     chi = -#vertices + #disc caps - 2 * sum (m-1)/2.
 
 euler_breakdown() counts this into a ChiBreakdown, which keeps the
-per-vertex multiplicities and per-end cap kinds beside the chi terms;
-classify() is that record's surface_class().  Both read them from
-tropical.multiplicities and tropical.end_kinds, which keep them in the
-curve's memo.
+per-vertex multiplicities and per-end cap kinds beside the chi terms; it
+reads them from tropical.multiplicities and tropical.end_kinds, and is
+itself a fact the curve's memo keeps (tropical._remember), so classify(),
+that record's surface_class(), builds no second one.  The surgery handle
+count, the sum of (m-1)/2, is one more such fact, which the breakdown and
+build_presentation read.
 
 build_presentation() + oracle_classify() re-derive chi and orientability
 without the cap kinds, from a cell complex held as int columns
@@ -41,9 +43,9 @@ from typing import NamedTuple
 from .errors import TroplagError
 from .diagram import BaseDiagram
 from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, _ON_EDGE, EndKind,
-                       TropicalCurve, UnsupportedEndMultiplicity, end_kinds,
-                       end_multiplicity, landing_locations, multiplicities,
-                       vertex_double_points)
+                       TropicalCurve, UnsupportedEndMultiplicity, _remember,
+                       end_kinds, end_multiplicity, landing_locations,
+                       multiplicities, vertex_double_points)
 
 
 class EmptyCurve(TroplagError):
@@ -81,19 +83,29 @@ class ChiBreakdown(NamedTuple):
 
 
 def euler_breakdown(diagram: BaseDiagram, curve: TropicalCurve) -> ChiBreakdown:
-    """chi terms and inventory of the surface over a validated curve; raises
-    if the curve is empty, a vertex is not trivalent, or an end
-    has no cap type."""
-    if curve.is_empty:
-        raise EmptyCurve("the empty curve carries no surface")
-    ms = multiplicities(diagram, curve)
-    kinds = end_kinds(diagram, curve)
-    return ChiBreakdown(
-        vertex_term=-len(ms),
-        cap_term=kinds.count(_DISC_CAP),
-        surgery_term=-2 * sum(map(vertex_double_points, ms)),
-        multiplicities=ms,
-        end_kinds=kinds)
+    """chi terms and inventory of the surface over a validated curve, once
+    per curve and diagram (_remember); raises if the curve is empty, a
+    vertex is not trivalent, or an end has no cap type."""
+    def build():
+        if curve.is_empty:
+            raise EmptyCurve("the empty curve carries no surface")
+        ms = multiplicities(diagram, curve)
+        kinds = end_kinds(diagram, curve)
+        return ChiBreakdown(
+            vertex_term=-len(ms),
+            cap_term=kinds.count(_DISC_CAP),
+            surgery_term=-2 * _handles(diagram, curve),
+            multiplicities=ms,
+            end_kinds=kinds)
+    return _remember(diagram, curve, euler_breakdown, build)
+
+
+def _handles(diagram: BaseDiagram, curve: TropicalCurve) -> int:
+    """The surgery handles, one per double point: the sum of
+    vertex_double_points over the multiplicities, once per curve and
+    diagram (_remember), for the breakdown and the cell complex."""
+    return _remember(diagram, curve, _handles, lambda: sum(
+        map(vertex_double_points, multiplicities(diagram, curve))))
 
 
 class _SurfaceClass(NamedTuple):
@@ -187,7 +199,7 @@ def build_presentation(diagram: BaseDiagram,
     if curve.is_empty:
         raise EmptyCurve("the empty curve has no presentation")
     # First, so that vertex_multiplicity refuses a vertex not trivalent.
-    handles = sum(map(vertex_double_points, multiplicities(diagram, curve)))
+    handles = _handles(diagram, curve)
     # Edge k's circles are rot90 of the directions of half-edges 2k and
     # 2k + 1: opposite classes, as an annulus's two boundary circles are,
     # glue with sign 1.

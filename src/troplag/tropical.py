@@ -37,9 +37,12 @@ kind) assume a validated curve and raise on contract violations.  Each
 reads the columns by index; end_multiplicity and classify_end take an end
 row or a CurveEnd, and its landing's location if known.  The plane, the
 landings' locations (landing_locations), the cap kinds (end_kinds), the
-m's (multiplicities) and homology's default sweeps are computed once per
-curve and diagram and kept in the curve's one memo slot (_remember);
-validate alone locates the sites.
+m's (multiplicities), topology's ChiBreakdown and surgery handle count,
+and homology's sweep walk and default sweeps are computed once per curve
+and diagram and kept in the curve's one memo slot (_remember).  validate
+alone reads the sites: each is tested against the diagram's edge lines
+(BaseDiagram._inside), and located only if it fails, or if the diagram
+has nodes.
 """
 from enum import Enum
 from functools import cached_property
@@ -48,7 +51,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import TroplagError
-from .diagram import BaseDiagram, LocationKind
+from .diagram import INTERIOR, BaseDiagram, LocationKind
 from .lattice import (
     OVERLAP,
     DegenerateDirection,
@@ -56,7 +59,6 @@ from .lattice import (
     RatPoint,
     UnimodularAffineMap,
     between,
-    cleared,
     common_scale,
     point_text,
     primitive_pair,
@@ -379,12 +381,14 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
     corners = tuple([(x * k, y * k) for x, y in diagram._corners])
     cuts = tuple([((x * k, y * k), (u * k, v * k))
                   for (x, y), (u, v) in diagram._cuts])
-    grid = [cleared(p, scale) for p in points]
+    grid = [(X * w, Y * w) for X, Y, W in points for w in (scale // W,)]
     segments = [(eid, grid[s], grid[d], s, d, u)
                 for eid, s, d, u in curve._edge_rows]
     for eid, site, u, terminal in curve._end_rows:
         if not isinstance(terminal, int):
-            finish, token = cleared(terminal, scale), ("landing", eid)
+            X, Y, W = terminal
+            w = scale // W
+            finish, token = (X * w, Y * w), ("landing", eid)
         elif 0 <= terminal < len(cuts):
             finish, token = cuts[terminal][0], ("node", terminal)
         else:
@@ -466,21 +470,27 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     The empty curve is vacuously valid.
 
     It reads the columns by index, landing_locations(), each site's own
-    location (diagram._locate) and geometry()'s int pairs; a point or a
-    direction is printed only in an issue.  Embeddedness sweeps the boxes
-    of the segments by min x (Shamos-Hoey); each box record carries its
-    segment's int points and tokens, and segment_contact, the one contact
-    test, runs on each pair as the sweep finds their closed boxes meet:
-    O(n log n + k) for k pairs overlapping in x.  A point contact of two
-    segments that carry one token is settled there; only a pair with an
-    issue reads its ids, as i < j.  The issues are sorted once: by
-    segment, then degenerate, contacts (by j), nodes and cuts.  Only a
-    diagram with nodes runs the node and cut tests.
+    location (interior when diagram._inside finds it strictly inside every
+    edge line and the diagram has no nodes, else diagram._locate) and
+    geometry()'s int pairs; a point or a direction is printed only in an
+    issue.  Embeddedness sweeps the boxes of the segments by min x
+    (Shamos-Hoey), built in one walk that also finds the segments of zero
+    length; each box record carries its segment's int points and tokens,
+    and segment_contact, the one contact test, runs on each pair as the
+    sweep finds their closed boxes meet: O(n log n + k) for k pairs
+    overlapping in x.  A point contact of two segments that carry one
+    token is settled there; only a pair with an issue reads its ids, as
+    i < j.  The issues are sorted once: by segment, then degenerate,
+    contacts (by j), nodes and cuts.  Only a diagram with nodes runs the
+    node and cut tests.
     """
     issues = []
     scale, _, cuts, segments = geometry(diagram, curve)
-    S, locate = diagram._scale, diagram._locate  # diagram.contains, inlined
-    sites = [locate(X * S, Y * S, W)
+    # diagram.contains, inlined: a site strictly inside every edge line of
+    # a diagram with no nodes is interior, and only another is located.
+    S, locate, inside = diagram._scale, diagram._locate, diagram._inside
+    sites = [INTERIOR if not cuts and inside(X * S, Y * S, W)
+             else locate(X * S, Y * S, W)
              for X, Y, W in curve._points + curve._anchors]
     landings = landing_locations(diagram, curve)
 
@@ -532,10 +542,11 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
 
     # Embeddedness: segment contacts, nodes, cuts, kept as (i, rank, j,
     # code, element, message), unique in (i, rank, j), and sorted once.
-    found = [(k, 0, 0, "degenerate-segment", seg[0], "segment has zero "
-              "length") for k, seg in enumerate(segments) if seg[1] == seg[2]]
-    boxes = []
-    for k, (_, a, b, tok_a, tok_b, _) in enumerate(segments):
+    found, boxes = [], []
+    for k, (eid, a, b, tok_a, tok_b, _) in enumerate(segments):
+        if a == b:
+            found.append((k, 0, 0, "degenerate-segment", eid,
+                          "segment has zero length"))
         (ax, ay), (bx, by) = a, b
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
@@ -143,6 +144,56 @@ def test_sweep_parity_counts_the_ends_on_each_edge():
                         for witness in (None, near_low)}
             assert len(counts) == 1 and parities == counts, (name, direction)
     assert closed > 5
+
+
+def _closed(diagram, curve) -> bool:
+    """Whether the curve is closed in a node-free rectangle: swept."""
+    return diagram.is_rectangle and all(
+        classify_end(diagram, e) is EndKind.CROSS_CAP for e in curve.ends)
+
+
+def _assert_default_sweep_is_every_generic_sweep(diagram, curve):
+    # The default sweep, its own witness given back, and a witness at the
+    # midpoint of every gap between critical coordinates: one parity.
+    for direction in SweepDirection:
+        default = sweep_parity(diagram, curve, direction)
+        assert sweep_parity(diagram, curve, direction,
+                            default.witness_line_coordinate) == default
+        criticals = critical_coordinates(diagram, curve, direction)
+        assert default.witness_line_coordinate not in criticals
+        for lo, hi in zip(criticals, criticals[1:]):
+            witness = (lo + hi) / 2
+            assert sweep_parity(diagram, curve, direction, witness) \
+                == SweepParity(direction, default.parity, witness)
+
+
+CLOSED_CASES = [
+    (f"{path.name}:{curve.name}", doc.diagram, curve)
+    for path in sorted(FIGURES.glob("*.trop"))
+    for doc in [load_document(path.name)] for curve in doc.curves
+    if _closed(doc.diagram, curve)] + [
+    (f"trop_family({ell})", instance.diagram, instance.curve)
+    for ell in range(1, 6) for instance in [trop_family(ell)]]
+
+
+@pytest.mark.parametrize("diagram, curve", [case[1:] for case in CLOSED_CASES],
+                         ids=[case[0] for case in CLOSED_CASES])
+def test_default_sweep_is_the_sweep_at_every_gap(diagram, curve):
+    _assert_default_sweep_is_every_generic_sweep(diagram, curve)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_default_sweep_is_the_sweep_at_every_gap_of_random_curves(seed):
+    # About one random_curve in a hundred is closed: draw until one is.
+    rng = random.Random(seed)
+    for _ in range(2000):
+        diagram, curve = random_curve(rng)
+        if _closed(diagram, curve):
+            break
+    else:
+        raise AssertionError("no closed random curve in 2000 draws")
+    _assert_default_sweep_is_every_generic_sweep(diagram, curve)
 
 
 def test_default_witness_is_largest_gap_midpoint(klein):

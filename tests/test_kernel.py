@@ -47,7 +47,6 @@ from troplag.homology import critical_coordinates
 from troplag.lattice import (
     OVERLAP,
     between,
-    cleared,
     common_scale,
     displacement,
     reaches,
@@ -59,6 +58,13 @@ from conftest import (FIGURES, convex_hull, diff, load_document, moved,
                       random_unimodular_map)
 
 F = Fraction
+
+
+def cleared(p, scale):
+    """p times scale as an int pair, as tropical.geometry clears a point;
+    scale must be a common_scale multiple."""
+    X, Y, W = p
+    return X * (scale // W), Y * (scale // W)
 
 
 # -- the Fraction references -------------------------------------------

@@ -40,6 +40,7 @@ from troplag import (
     render_document,
     rp2_curve,
     serialize_document,
+    topology,
     sweep_parity,
     trop_family,
     tropical,
@@ -400,21 +401,31 @@ def test_lazy_records_equal_the_given_records(diagram, curve):
     assert moved == copy and copy == moved
 
 
+def _count_points(monkeypatch, name):
+    """The (X, Y, W) of each call of BaseDiagram.name, _locate or _inside."""
+    calls, method = [], getattr(BaseDiagram, name)
+
+    def counted(self, X, Y, W):
+        calls.append((X, Y, W))
+        return method(self, X, Y, W)
+
+    monkeypatch.setattr(BaseDiagram, name, counted)
+    return calls
+
+
 def test_one_certification_builds_each_fact_once(monkeypatch):
     doc = parse_document((FIGURES / "fig3_family.trop").read_text())
     diagram, (curve,) = doc.diagram, doc.curves
     planes = count_calls(monkeypatch, tropical, "_plane")
     kinds = count_calls(monkeypatch, tropical, "classify_end")
-    located = []
-    locate, contains = BaseDiagram._locate, BaseDiagram.contains
-
-    def counted(self, X, Y, W):
-        located.append((X, Y, W))
-        return locate(self, X, Y, W)
-
-    # validate locates each site by _locate, landing_locations each landing
-    # by contains, which calls _locate: counting _locate sees them all.
-    monkeypatch.setattr(BaseDiagram, "_locate", counted)
+    breakdowns = count_calls(monkeypatch, topology, "ChiBreakdown")
+    double_points = count_calls(monkeypatch, tropical, "vertex_double_points")
+    contains = BaseDiagram.contains
+    # validate tests each site against the edge lines by _inside, and
+    # locates one by _locate only if that test fails; landing_locations
+    # locates each landing by contains, which calls _locate.
+    located = _count_points(monkeypatch, "_locate")
+    tested = _count_points(monkeypatch, "_inside")
     assert validate(diagram, curve).passed
     classify(diagram, curve)
     euler_breakdown(diagram, curve)
@@ -424,14 +435,23 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # Each site and each landing is located once, for the memo, on the
-    # diagram's scale S.
+    # Each site is tested once and, strictly inside, never located; each
+    # landing is located once, for the memo; all on the diagram's scale S.
     rows = curve._end_rows
     landings = [t for _, _, _, t in rows if not isinstance(t, int)]
     S = diagram._scale
-    assert sorted(located) == sorted([(X * S, Y * S, W) for X, Y, W
-                                      in [*curve._points, *landings]])
-    assert len(located) == len(curve._sites) + len(landings) == 8 + 10
+    assert sorted(tested) == sorted([(X * S, Y * S, W)
+                                     for X, Y, W in curve._points])
+    assert sorted(located) == sorted([(X * S, Y * S, W)
+                                      for X, Y, W in landings])
+    assert len(tested) == len(curve._sites) == 8
+    assert len(located) == len(landings) == 10
+    # classify and euler_breakdown read one remembered ChiBreakdown, and
+    # it and build_presentation one remembered handle count.
+    assert len(breakdowns) == 1
+    assert sorted(m for (m,) in double_points) == sorted(
+        tropical.multiplicities(diagram, curve))
+    assert len(double_points) == len(curve._ids) == 8
     # Once per end, on the row of the curve's end column that end_kinds
     # passes, with that landing's location from the memo; render's markers
     # read it there.
@@ -439,6 +459,34 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     assert per_end == [1] * len(rows) == [1] * 10
     assert [loc for _, _, loc in kinds] == [contains(diagram, t)
                                             for t in landings]
+
+
+def test_a_site_off_the_edge_lines_is_located(monkeypatch):
+    # A vertex on the boundary fails the line test and is located there,
+    # once; the one inside is tested and never located.
+    doc = parse_document(
+        "diagram rectangle width=4 height=4\ncurve c\nvertex in (2,2)\n"
+        "vertex on (4,1)\nedge e in on\n")
+    diagram, (curve,) = doc.diagram, doc.curves
+    located = _count_points(monkeypatch, "_locate")
+    tested = _count_points(monkeypatch, "_inside")
+    report = validate(diagram, curve)
+    assert [issue.element for issue in report.issues
+            if issue.code == "vertex-position"] == ["on"]
+    assert tested == [(2, 2, 1), (4, 1, 1)]
+    assert located == [(4, 1, 1)]
+
+
+def test_every_site_is_located_in_a_diagram_with_nodes(monkeypatch):
+    # A node or a cut may hold a point inside every edge line.
+    diagram, curve = rp2_curve(1, 1, Fraction(4, 3), 4)
+    located = _count_points(monkeypatch, "_locate")
+    tested = _count_points(monkeypatch, "_inside")
+    assert validate(diagram, curve).passed
+    S = diagram._scale
+    assert tested == []
+    sites = [(X * S, Y * S, W) for X, Y, W in curve._points + curve._anchors]
+    assert sites and located[:len(sites)] == sites
 
 
 def test_marker_of_an_end_without_a_cap_kind_is_a_small_circle():

@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -550,3 +551,19 @@ def test_first_error_wins(text, line, col, message, ending):
     with pytest.raises(ParseError) as err:
         parse_document(text.replace("\n", ending))
     assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
+_NUMERATORS = st.integers(-10**30, 10**30)
+_DENOMINATORS = st.one_of(st.just(""), st.integers(1, 10**30).map(str))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS)
+def test_a_point_reads_as_the_reduced_triple_of_its_fractions(x, xd, y, yd):
+    # With no denominator, one, or two: the triple of (x/xd, y/yd) over
+    # the lcm of their denominators, as the Fractions reduce them.
+    fx, fy = F(x, int(xd or 1)), F(y, int(yd or 1))
+    w = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
+    assert textio._triple(str(x), xd, str(y), yd) == (
+        fx.numerator * (w // fx.denominator),
+        fy.numerator * (w // fy.denominator), w)
