@@ -29,13 +29,13 @@ for ell in range(1, 5):
     instance = trop_family(ell)
     assert validate(instance.diagram, instance.curve).passed
     sc = classify(instance.diagram, instance.curve)
-    multiplicities = {vertex_multiplicity(instance.curve, v.id)
-                      for v in instance.curve.vertices}
+    _, ids, *_ = instance.curve.rows()
+    multiplicities = {vertex_multiplicity(instance.curve, vid) for vid in ids}
     cls = mod2_class(instance.diagram, instance.curve)
     p2 = pontryagin_square(instance.diagram.homology, cls.coefficients)
     verdict = "PASS" if audin_check(p2, sc.euler_char) else "FAIL"
     x1 = instance.diagram.bounds()[2]
-    print(f"{ell:>2} {f'[0,{x1}]x[0,3]':>12} {len(instance.curve.vertices):>3} "
+    print(f"{ell:>2} {f'[0,{x1}]x[0,3]':>12} {len(ids):>3} "
           f"{multiplicities.pop():>3} {sc.double_points_surgered:>4} "
           f"{sc.euler_char:>6} {sc.nonorientable_genus:>5} "
           f"{cls.label_sum():>9} {verdict:>6}")

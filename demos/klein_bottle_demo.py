@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from troplag import (
     DoesNotFit,
     IntVec,
+    RatPoint,
     classify,
     klein_threshold,
     mod2_class,
@@ -30,9 +31,10 @@ for w, h in ((3, 2), (4, F(5, 2)), (4, 2), (2, 1), (2, F(3, 2))):
         curve = visible_segment(diagram, IntVec(2, 1), pt(F(w) / 2, F(h) / 2))
         sc = classify(diagram, curve)
         cls = mod2_class(diagram, curve)
+        *_, (first, second) = curve.rows()
         line += (f"; built {surface_name(sc)} in class {cls.label_sum()}, "
-                 f"ends at {curve.ends[1].terminal.landing} and "
-                 f"{curve.ends[0].terminal.landing}")
+                 f"ends at {RatPoint.of(*second[3])} and "
+                 f"{RatPoint.of(*first[3])}")
     except DoesNotFit as err:
         line += f"; construction agrees ({err})"
     print(line)
@@ -42,7 +44,8 @@ print("squeezing over a cylinder of interval length I (sphere area 2):")
 for length in (F(3, 2), F(101, 100), F(1), F(1, 2)):
     result = squeeze_check(length)
     if result.exists:
-        landings = [str(e.terminal.landing) for e in result.witness.ends]
+        landings = [str(RatPoint.of(*landing))
+                    for *_, landing in result.witness.rows()[4]]
         print(f"  I = {length}: Klein bottle exists, over the segment "
               f"between {landings[1]} and {landings[0]}")
     else:

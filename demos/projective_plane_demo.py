@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from troplag import (
     DegenerateConstruction,
     InvalidCurve,
+    RatPoint,
     audin_check,
     classify,
     end_multiplicity,
@@ -37,8 +38,8 @@ for a, b, c in CASES:
         diagram, curve = rp2_curve(a, b, c, s)
         sc = classify(diagram, curve)
         outcome = surface_name(sc) or f"chi={sc.euler_char}"
-        third = next(e for e in curve.ends if e.id == "xcap")
-        outcome += (f"  (third end lands at {third.terminal.landing}, "
+        third = next(e for e in curve.rows()[4] if e[0] == "xcap")
+        outcome += (f"  (third end lands at {RatPoint.of(*third[3])}, "
                     f"mu={end_multiplicity(diagram, third)})")
     except DegenerateConstruction as err:
         outcome = f"degenerate: {err}"

@@ -29,13 +29,12 @@ _EXPORTS = {
         "rectangle", "x_abc",
     ),
     "tropical": (
-        "BoundaryTerminal", "CurveEnd", "EndKind", "InternalEdge",
-        "InvalidCurve", "NodeTerminal", "NonIntegralSelfIntersection",
+        "EndKind", "InvalidCurve", "NonIntegralSelfIntersection",
         "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
-        "TropicalVertex", "UnbalancedVertex", "UnsupportedEndMultiplicity",
-        "ValidationIssue", "ValidationReport", "check_balancing",
-        "classify_end", "end_multiplicity", "validate",
-        "vertex_double_points", "vertex_multiplicity",
+        "UnbalancedVertex", "UnsupportedEndMultiplicity", "ValidationIssue",
+        "ValidationReport", "check_balancing", "classify_end",
+        "end_multiplicity", "validate", "vertex_double_points",
+        "vertex_multiplicity",
     ),
     "topology": (
         "CellComplex", "ChiBreakdown", "EmptyCurve", "MalformedPresentation",

@@ -295,16 +295,18 @@ def _cmd_genus_bound(args) -> int:
 
 def _cmd_squeeze(args) -> int:
     from .constructions import squeeze_check
+    from .lattice import point_text
 
     length = _parse_rational(args.interval_length, "I")
     result = squeeze_check(length)
     if result.exists:
-        plus, minus = result.witness.ends
+        # The witness's two end rows, (id, anchor, direction, landing).
+        *_, ((_, _, (dx, dy), finish), (*_, start)) = result.witness.rows()
         x0, y0, x1, y1 = result.diagram.bounds()
         print(f"interval length = {length} > 1: visible Lagrangian Klein "
               "bottle exists")
-        print(f"witness: segment from {minus.terminal.landing} to "
-              f"{plus.terminal.landing} with direction {plus.direction} "
+        print(f"witness: segment from {point_text(start)} to "
+              f"{point_text(finish)} with direction ({dx},{dy}) "
               f"in rectangle [{x0},{x1}]x[{y0},{y1}]")
         return PASS
     print(f"interval length = {length} <= 1: {result.note}")
@@ -328,7 +330,51 @@ def _cmd_render(args) -> int:
     return PASS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {"help": "document path, or - for stdin"})
+
+# Each command's name, then its function, summary and arguments, as
+# add_argument takes them, in the order the help lists them.
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate every curve in a document",
+                 [_FILE]),
+    "topology": (_cmd_topology, "surface class of every curve in a document",
+                 [_FILE]),
+    "homology": (_cmd_homology, "sweep parities and mod-2 class (rectangles)",
+                 [_FILE]),
+    "audin": (_cmd_audin, "check P2(class) = chi mod 4 for each curve", [
+        _FILE, (("--class",), {
+            "dest": "integral_class", "default": None,
+            "metavar": "C1,C2,...",
+            "help": "integral lift to use when the diagram has no sweep "
+                    "classes (e.g. 1,1,1)"})]),
+    "triangle": (_cmd_triangle, "check the strict triangle inequalities",
+                 [(("a",), {}), (("b",), {}), (("c",), {})]),
+    "gen-family": (_cmd_gen_family, "emit the genus 20L+2 family document",
+                   [(("ell",), {"metavar": "L"})]),
+    "gen-visible": (
+        _cmd_gen_visible, "emit a visible-segment document in a rectangle", [
+            (("width",), {}), (("height",), {}),
+            (("--direction",), {"default": "2,1", "metavar": "DX,DY"}),
+            (("--anchor",), {"default": None, "metavar": "X,Y",
+                             "help": "defaults to the rectangle centre"})]),
+    "genus-bound": (
+        _cmd_genus_bound, "nonorientable genus bound at a given width", [
+            (("lam",), {"metavar": "LAMBDA"}),
+            (("--threshold",), {"choices": ("statement", "proof"),
+                                "default": "statement"})]),
+    "squeeze": (_cmd_squeeze, "visible Klein bottle existence over a cylinder",
+                [(("interval_length",), {"metavar": "I"})]),
+    "render": (_cmd_render, "render a document to SVG", [
+        _FILE, (("-o", "--output"), {
+            "required": True, "metavar": "FILE.svg",
+            "help": "output path, or - for stdout"})]),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of command only, or of every command
+    if command is None; a subparser's usage, help and errors are the same
+    either way, since each names only its own prog."""
     parser = argparse.ArgumentParser(
         prog="troplag",
         description="Exact tropical curves in almost toric base diagrams: "
@@ -336,70 +382,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "thresholds and SVG rendering.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    for name, func, summary in (
-            ("validate", _cmd_validate, "validate every curve in a document"),
-            ("topology", _cmd_topology,
-             "surface class of every curve in a document"),
-            ("homology", _cmd_homology,
-             "sweep parities and mod-2 class (rectangles)")):
+    for name in _COMMANDS if command is None else (command,):
+        func, summary, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.add_argument("file", help="document path, or - for stdin")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("audin",
-                       help="check P2(class) = chi mod 4 for each curve")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.add_argument("--class", dest="integral_class", default=None,
-                   metavar="C1,C2,...",
-                   help="integral lift to use when the diagram has no "
-                        "sweep classes (e.g. 1,1,1)")
-    p.set_defaults(func=_cmd_audin)
-
-    p = sub.add_parser("triangle",
-                       help="check the strict triangle inequalities")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.set_defaults(func=_cmd_triangle)
-
-    p = sub.add_parser("gen-family",
-                       help="emit the genus 20L+2 family document")
-    p.add_argument("ell", metavar="L")
-    p.set_defaults(func=_cmd_gen_family)
-
-    p = sub.add_parser("gen-visible",
-                       help="emit a visible-segment document in a rectangle")
-    p.add_argument("width")
-    p.add_argument("height")
-    p.add_argument("--direction", default="2,1", metavar="DX,DY")
-    p.add_argument("--anchor", default=None, metavar="X,Y",
-                   help="defaults to the rectangle centre")
-    p.set_defaults(func=_cmd_gen_visible)
-
-    p = sub.add_parser("genus-bound",
-                       help="nonorientable genus bound at a given width")
-    p.add_argument("lam", metavar="LAMBDA")
-    p.add_argument("--threshold", choices=("statement", "proof"),
-                   default="statement")
-    p.set_defaults(func=_cmd_genus_bound)
-
-    p = sub.add_parser("squeeze",
-                       help="visible Klein bottle existence over a cylinder")
-    p.add_argument("interval_length", metavar="I")
-    p.set_defaults(func=_cmd_squeeze)
-
-    p = sub.add_parser("render", help="render a document to SVG")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.add_argument("-o", "--output", required=True, metavar="FILE.svg",
-                   help="output path, or - for stdout")
-    p.set_defaults(func=_cmd_render)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the running command's subparser is built; any other first word
+    # (-h, --version, a typo or none) gets all of them, for its message.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                           else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -41,13 +41,11 @@ number, body and words.
 An error's column is where its word starts, plus len("key=") inside a
 key=value word; a builder refuses a matched line at its kind.
 
-The rows are plain tuples, not records: vertex ids with their reduced
-(X, Y, W) point triples, edges as (id, src id, dst id), and ends as (id,
-source, (dx, dy), terminal), the source a vertex id or an anchor triple
-and the terminal a node index or a landing triple.  Serialization reads
-the curve's columns back, so neither a parse, a certification nor a
-serialization makes a record; the curve builds its records only when a
-caller reads them.
+The rows are plain tuples: vertex ids with their reduced (X, Y, W) point
+triples, edges as (id, src id, dst id), and ends as (id, source, (dx,
+dy), terminal), the source a vertex id or an anchor triple and the
+terminal a node index or a landing triple.  Serialization reads the
+curve's columns back.
 """
 import re
 import sys

@@ -6,9 +6,8 @@ terminate either on the interior of a boundary edge or at a focus-focus
 node (travelling along the node's cut direction).  Edges and ends have
 weight one by construction, as the text format writes them.  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
-standalone anchor point.  Vertices, edges, ends, terminals and validation
-issues are typing.NamedTuple records, each the tuple of its fields, so an
-end unpacks as (id, source, direction, terminal).
+standalone anchor point.  A curve is its rows: of_rows builds one from
+plain tuples and rows() gives them back, so of_rows(*curve.rows()) == curve.
 
 A curve holds int columns, built once: vertex ids (with an id -> index
 dict) and reduced (X, Y, W) point triples, the anchors' triples, edge rows
@@ -17,15 +16,11 @@ terminal), the terminal a node index or a landing triple, all plain tuples
 that the collector stops tracking.  Sites are the vertices, then the
 anchors by first appearance; each keeps the indices of the half-edges
 leaving it, edges first: edge k leaves src as 2k and dst as 2k + 1, end j
-its site as 2 * #edges + j, and each half-edge's direction is kept too.
+its site as 2 * #edges + j, and each half-edge's direction is kept too,
+with the sum of each site's directions (its imbalance; (0, 0) balances).
 An edge's direction is derived by lattice.primitive_pair from its
-endpoints; every point stays a reduced triple, cleared only by geometry().
-Every curve is built from rows of plain tuples (of_rows; the record
-constructor reduces its records to rows), so no column holds a RatPoint.
-The records (vertices, edges, ends), the public incidence `sites` (site
-key -> outgoing (direction, element id) pairs, the key a vertex id or the
-anchor RatPoint) and anchors() are built from the columns on first read,
-so a curve makes none until asked.  Equality compares the columns.
+endpoints; every point stays a reduced triple, cleared only by geometry(),
+and no column holds a RatPoint.  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on int
 pairs, for validate(), the homology sweeps and render, with the diagram's
@@ -35,7 +30,7 @@ invariant and returns a report; the per-element facts (a vertex's
 multiplicity m and its (m-1)/2 double points, an end's mu and its cap
 kind) assume a validated curve and raise on contract violations.  Each
 reads the columns by index; end_multiplicity and classify_end take an end
-row or a CurveEnd, and its landing's location if known.  The plane, the
+row, and its landing's location if known.  The plane, the
 landings' locations (landing_locations), the cap kinds (end_kinds), the
 m's (multiplicities), topology's ChiBreakdown and surgery handle count,
 and homology's sweep walk and default sweeps are computed once per curve
@@ -45,9 +40,7 @@ alone reads the sites: each is tested against the diagram's edge lines
 has nodes.
 """
 from enum import Enum
-from functools import cached_property
 from math import gcd, lcm
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -55,7 +48,6 @@ from .diagram import INTERIOR, BaseDiagram, LocationKind
 from .lattice import (
     OVERLAP,
     DegenerateDirection,
-    IntVec,
     RatPoint,
     UnimodularAffineMap,
     between,
@@ -97,44 +89,6 @@ class UnsupportedEndMultiplicity(TroplagError):
     """Boundary ends with mu >= 3 have no assigned surface topology."""
 
 
-class TropicalVertex(NamedTuple):
-    id: str
-    position: RatPoint
-
-
-class InternalEdge(NamedTuple):
-    """A weight-one edge between two vertices at distinct points; the
-    curve derives its primitive direction, src -> dst."""
-
-    id: str
-    src: str
-    dst: str
-
-
-class BoundaryTerminal(NamedTuple):
-    """An end landing at a point in the open interior of a boundary edge;
-    the edge is the one diagram.contains finds there."""
-
-    landing: RatPoint
-
-
-class NodeTerminal(NamedTuple):
-    """An end terminating at a focus-focus node, along its cut direction."""
-
-    node_index: int
-
-
-class CurveEnd(NamedTuple):
-    """A weight-one ray leaving the curve.  source is a vertex id, or a
-    RatPoint anchor for a standalone (vertexless) segment.  direction is
-    primitive and outgoing."""
-
-    id: str
-    source: str | RatPoint
-    direction: IntVec
-    terminal: BoundaryTerminal | NodeTerminal
-
-
 def _check_reduced(p, kind, name, part):
     """Refuse p, the (X, Y, W) of part of the element kind name (an end's
     landing, say), unless it is reduced with W > 0."""
@@ -144,23 +98,9 @@ def _check_reduced(p, kind, name, part):
                            "reduced with W > 0")
 
 
-def _plain(item):
-    """A vertex id or a node index as it is, a point as its plain triple."""
-    return item if isinstance(item, (str, int)) else tuple(item)
-
-
 class TropicalCurve:
     """An immutable tropical curve; geometry is validated against a diagram
-    by validate().  It keeps only its columns, and builds its records on
-    first read (see the module docstring)."""
-
-    def __init__(self, vertices=(), edges=(), ends=(), name=""):
-        """The curve of records, reduced to rows (see of_rows)."""
-        vertices = tuple(vertices)
-        self._build(name, [v.id for v in vertices],
-                    [tuple(v.position) for v in vertices], edges,
-                    [(e.id, _plain(e.source), tuple(e.direction),
-                      _plain(e.terminal[0])) for e in ends])
+    by validate().  It keeps only its columns (see the module docstring)."""
 
     @classmethod
     def of_rows(cls, name, ids, points, edges, ends):
@@ -170,11 +110,9 @@ class TropicalCurve:
         the terminal a node index or a landing triple; a triple that is not
         reduced with W > 0, or ids and points of different lengths, is an
         InvalidCurve."""
-        curve = cls.__new__(cls)
-        curve._build(name, ids, points, edges, ends)
-        return curve
+        return cls(name, ids, points, edges, ends)
 
-    def _build(self, name, ids, points, edges, ends):
+    def __init__(self, name, ids, points, edges, ends):
         """The columns of the rows of_rows takes."""
         if len(ids) != len(points):
             raise InvalidCurve(f"{len(ids)} vertex ids for {len(points)} "
@@ -241,67 +179,31 @@ class TropicalCurve:
             half.append(u)
             end_rows.append((eid, site, u, terminal))
 
+        sums = []  # per site, for check_balancing and vertex_multiplicity
+        for out in sites:
+            sx = sy = 0
+            for h in out:
+                x, y = half[h]
+                sx += x
+                sy += y
+            sums.append((sx, sy))
+
         self._ids, self._points = tuple(ids), tuple(points)
         self._anchors = tuple(anchors)
         self._edge_rows, self._end_rows = tuple(edge_rows), tuple(end_rows)
         self._sites, self._half = tuple(map(tuple, sites)), tuple(half)
+        self._sums = tuple(sums)
         self._memo = None  # (diagram, {owner function: fact}); see _remember
 
-    # -- records, built on first read ------------------------------------
-
-    @cached_property
-    def vertices(self):
-        return tuple([TropicalVertex(vid, RatPoint.of(*p))
-                      for vid, p in zip(self._ids, self._points)])
-
-    @cached_property
-    def edges(self):
-        ids = self._ids
-        return tuple([InternalEdge(eid, ids[s], ids[d])
-                      for eid, s, d, _ in self._edge_rows])
-
-    @cached_property
-    def ends(self):
-        keys = self._keys()
-        return tuple([CurveEnd(
-            eid, keys[site], tuple.__new__(IntVec, u),  # ints already
-            NodeTerminal(t) if isinstance(t, int)
-            else BoundaryTerminal(RatPoint.of(*t)))
-            for eid, site, u, t in self._end_rows])
-
-    @cached_property
-    def sites(self):
-        """Site key -> outgoing (direction, element id) pairs, vertex sites
-        first, then anchors; edges before ends at each site."""
-        names = [row[0] for row in self._edge_rows for _ in (0, 1)]
-        names += [row[0] for row in self._end_rows]
-        return MappingProxyType({
-            key: tuple([(tuple.__new__(IntVec, self._half[h]), names[h])
-                        for h in out])
-            for key, out in zip(self._keys(), self._sites)})
-
-    def _keys(self):
-        """Each site's key: its vertex id, or its anchor RatPoint."""
-        return [*self._ids, *(RatPoint.of(*p) for p in self._anchors)]
-
-    # -- basic accessors ------------------------------------------------
-
-    def vertex(self, vertex_id: str) -> TropicalVertex:
-        try:
-            return self.vertices[self._index[vertex_id]]
-        except KeyError:
-            raise InvalidCurve(f"no vertex with id {vertex_id!r}") from None
-
-    def anchors(self):
-        """Standalone anchor points, with their ends, in declaration order."""
-        ends, first = self.ends, 2 * len(self._edge_rows)
-        return tuple((RatPoint.of(*p), tuple(ends[h - first] for h in out))
-                     for p, out in zip(self._anchors,
-                                       self._sites[len(self._ids):]))
-
-    def outgoing(self, key):
-        """Outgoing (direction, element id) pairs at a vertex id or anchor."""
-        return self.sites.get(key, ())
+    def rows(self):
+        """(name, ids, points, edges, ends): the arguments of of_rows that
+        build this curve, each a tuple of plain tuples."""
+        sources = self._ids + self._anchors
+        return (self.name, self._ids, self._points,
+                tuple([(eid, sources[s], sources[d])
+                       for eid, s, d, _ in self._edge_rows]),
+                tuple([(eid, sources[site], u, t)
+                       for eid, site, u, t in self._end_rows]))
 
     @property
     def is_empty(self) -> bool:
@@ -311,17 +213,17 @@ class TropicalCurve:
         """The curve in new integral affine coordinates: m.apply moves each
         point, anchor and landing, and m's linear part each direction."""
         (a, b), (c, d) = m.linear
-        n = len(self._ids)
-        points = [tuple(m.apply(RatPoint.of(*p)))
-                  for p in self._points + self._anchors]
-        sources = [*self._ids, *points[n:]]
+        name, ids, points, edges, ends = self.rows()
+
+        def move(p):
+            return tuple(m.apply(RatPoint.of(*p)))
+
         return TropicalCurve.of_rows(
-            self.name, self._ids, points[:n],
-            [(eid, sources[src], sources[dst])
-             for eid, src, dst, _ in self._edge_rows],
-            [(eid, sources[site], (a * x + b * y, c * x + d * y),
-              t if isinstance(t, int) else tuple(m.apply(RatPoint.of(*t))))
-             for eid, site, (x, y), t in self._end_rows])
+            name, ids, [move(p) for p in points], edges,
+            [(eid, s if isinstance(s, str) else move(s),
+              (a * x + b * y, c * x + d * y),
+              t if isinstance(t, int) else move(t))
+             for eid, s, (x, y), t in ends])
 
     def _columns(self):
         return (self.name, self._ids, self._points, self._anchors,
@@ -428,18 +330,6 @@ class ValidationReport(NamedTuple):
         return "ok" if self.passed else "; ".join(self.lines())
 
 
-def _imbalance(curve: TropicalCurve, out) -> tuple[int, int]:
-    """The sum of the outgoing directions of the half-edges out at a site;
-    (0, 0) is balanced."""
-    half = curve._half
-    sx = sy = 0
-    for h in out:
-        x, y = half[h]
-        sx += x
-        sy += y
-    return sx, sy
-
-
 def _site_name(curve: TropicalCurve, site: int) -> str:
     """A site as a message names it: its vertex id, or "anchor (x,y)"."""
     n = len(curve._ids)
@@ -451,8 +341,7 @@ def check_balancing(curve: TropicalCurve) -> ValidationReport:
     """Outgoing directions must sum to zero at every vertex, and at every
     standalone anchor (where this just says the segment is straight)."""
     issues = []
-    for site, out in enumerate(curve._sites):
-        sx, sy = _imbalance(curve, out)
+    for site, (sx, sy) in enumerate(curve._sums):
         if sx or sy:
             issues.append(ValidationIssue(
                 "balancing", _site_name(curve, site),
@@ -631,13 +520,14 @@ def vertex_multiplicity(curve: TropicalCurve, vertex_id: str) -> int:
     """m = |d1 ^ d2| for two outgoing directions at a trivalent vertex that
     balances as check_balancing requires (then every pair gives m)."""
     try:
-        out = curve._sites[curve._index[vertex_id]]
+        site = curve._index[vertex_id]
     except KeyError:
         raise InvalidCurve(f"no vertex with id {vertex_id!r}") from None
+    out = curve._sites[site]
     if len(out) != 3:
         raise NonTrivalentVertex(
             f"vertex {vertex_id!r} has valence {len(out)}, expected 3")
-    sx, sy = _imbalance(curve, out)
+    sx, sy = curve._sums[site]
     if sx or sy:
         raise UnbalancedVertex(
             f"vertex {vertex_id!r} is unbalanced: outgoing directions sum "
@@ -664,18 +554,11 @@ def vertex_double_points(m: int) -> int:
     return (m - 1) // 2
 
 
-# An end is a CurveEnd, or a row (id, site, (dx, dy), terminal) of a
-# curve's end column, whose terminal is a node index or a landing triple:
-# end_multiplicity and classify_end take either, and end_kinds the rows
-# with their landings' locations (None: the function locates the landing).
-
-def _terminal(end):
-    """An end's node index, or its landing (a terminal record's field)."""
-    terminal = end[3]
-    if not isinstance(terminal, int) and len(terminal) == 1:
-        (terminal,) = terminal
-    return terminal
-
+# An end is a row (id, source, (dx, dy), terminal), of a curve's end
+# column or of its rows(), whose terminal is a node index or a landing
+# triple: end_multiplicity and classify_end take one, and end_kinds the
+# column's rows with their landings' locations (None: the function locates
+# the landing).
 
 def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
     """mu = |wedge(end direction, boundary edge direction)| at the landing.
@@ -683,7 +566,7 @@ def end_multiplicity(diagram: BaseDiagram, end, location=None) -> int:
     mu = 1 is a collar (the Lagrangian acquires a boundary circle there),
     mu = 2 a cross-cap.  Only boundary ends have one.
     """
-    eid, (dx, dy), landing = end[0], end[2], _terminal(end)
+    eid, _, (dx, dy), landing = end
     if isinstance(landing, int):
         raise NotABoundaryEnd(f"end {eid!r} terminates at a node")
     loc = location or diagram.contains(landing)
@@ -712,7 +595,7 @@ _DISC_CAP, _CROSS_CAP, _COLLAR = EndKind  # in order; see _INTERIOR
 def classify_end(diagram: BaseDiagram, end, location=None) -> EndKind:
     """The cap over a weight-one end: a disc at a node, a collar at mu = 1,
     a cross-cap at mu = 2; location is as end_multiplicity takes it."""
-    if isinstance(_terminal(end), int):
+    if isinstance(end[3], int):
         return _DISC_CAP
     mu = end_multiplicity(diagram, end, location)
     if mu == 1:

@@ -14,14 +14,10 @@ import pytest
 from hypothesis import strategies as st
 
 from troplag import (
-    BoundaryTerminal,
-    CurveEnd,
     IntVec,
-    InternalEdge,
     LocationKind,
     RatPoint,
     TropicalCurve,
-    TropicalVertex,
     UnimodularAffineMap,
     rectangle,
     validate,
@@ -61,6 +57,20 @@ def count_calls(monkeypatch, module, name):
         if key.split(".")[0] == "troplag" and held is original:
             monkeypatch.setattr(holder, name, counted)
     return calls
+
+
+def curve_of(vertices=(), edges=(), ends=(), name=""):
+    """The curve of rows written with points and vectors: vertices as (id,
+    point) pairs, edges (id, src, dst) and ends (id, source, direction,
+    terminal), a source a vertex id or an anchor point and a terminal a
+    node index or a landing point; of_rows takes them as plain tuples."""
+    def plain(item):
+        return item if isinstance(item, (str, int)) else tuple(item)
+
+    return TropicalCurve.of_rows(
+        name, [vid for vid, _ in vertices], [tuple(p) for _, p in vertices],
+        edges, [(eid, plain(source), tuple(u), plain(terminal))
+                for eid, source, u, terminal in ends])
 
 
 def load_document(name: str):
@@ -244,7 +254,7 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
         target = rng.randint(1, max_vertices)
         position = RatPoint(rng.randint(size // 3, 2 * size // 3),
                             rng.randint(size // 3, 2 * size // 3))
-        vertices = [TropicalVertex("v0", position)]
+        vertices = {"v0": position}  # id -> point, in order
         edges = []
         rays = [("v0", d) for d in rng.choice(BALANCED_TRIPLES)]
         counter = 1
@@ -253,7 +263,7 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
             vid, direction = rays[index]
             splits = SPLITS.get((direction.x, direction.y))
             step = rng.randint(1, 3)
-            source = next(v.position for v in vertices if v.id == vid)
+            source = vertices[vid]
             landing_zone = moved(source, direction, step)
             margin = Fraction(2)
             if (not splits
@@ -263,24 +273,25 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
             rays.pop(index)
             new_id = f"v{counter}"
             counter += 1
-            vertices.append(TropicalVertex(new_id, landing_zone))
-            edges.append(InternalEdge(f"e{vid}.{new_id}", vid, new_id))
+            vertices[new_id] = landing_zone
+            edges.append((f"e{vid}.{new_id}", vid, new_id))
             a, b = rng.choice(splits)
             rays.append((new_id, a))
             rays.append((new_id, b))
         ends = []
         corner_hit = False
         for i, (vid, direction) in enumerate(rays):
-            source = next(v.position for v in vertices if v.id == vid)
+            source = vertices[vid]
             landing, location = diagram.exit(source, direction)
             if location.kind is LocationKind.ON_CORNER:
                 corner_hit = True
                 break
-            ends.append(CurveEnd(f"x{i}", vid, direction,
-                                 BoundaryTerminal(landing)))
+            ends.append((f"x{i}", vid, tuple(direction), tuple(landing)))
         if corner_hit:
             continue
-        curve = TropicalCurve(vertices, edges, ends, name="random")
+        curve = TropicalCurve.of_rows(
+            "random", list(vertices), [tuple(p) for p in vertices.values()],
+            edges, ends)
         if validate(diagram, curve).passed:
             return diagram, curve
     raise AssertionError("random curve generation failed to converge")

@@ -41,7 +41,7 @@ from troplag import (
 )
 from troplag.cli import main
 from troplag.homology import critical_coordinates
-from troplag.tropical import BoundaryTerminal
+from troplag.lattice import point_text
 
 from conftest import (
     BUNDLED_DOCS,
@@ -93,7 +93,8 @@ def test_criterion_2_klein_bottles():
         assert doc.diagram.bounds() == (0, 0) + dims
         curve = doc.curves[0]
         assert validate(doc.diagram, curve).passed
-        assert [end_multiplicity(doc.diagram, e) for e in curve.ends] == [2, 2]
+        assert [end_multiplicity(doc.diagram, e)
+                for e in curve.rows()[4]] == [2, 2]
         sc = classify(doc.diagram, curve)
         assert (sc.closed, sc.orientable, sc.euler_char,
                 sc.nonorientable_genus) == (True, False, 0, 2)
@@ -218,7 +219,7 @@ def test_criterion_8_thresholds():
     assert not squeeze_check(1).exists
     result = squeeze_check(F(101, 100))
     assert result.exists
-    landings = sorted(str(e.terminal.landing) for e in result.witness.ends)
+    landings = sorted(point_text(e[3]) for e in result.witness.rows()[4])
     assert landings == ["(0,1/200)", "(2,201/200)"]
     assert klein_threshold(3, 2)
     assert not klein_threshold(4, 2)  # lambda = 2 exactly: strict
@@ -258,15 +259,15 @@ def test_criterion_10_unimodular_invariance():
         diagram, curve = pairs[index % len(pairs)]
         moved_diagram, moved_curve = diagram.transform(m), curve.transform(m)
         assert validate(moved_diagram, moved_curve).passed
-        ms = {v.id: vertex_multiplicity(curve, v.id) for v in curve.vertices}
-        moved_ms = {v.id: vertex_multiplicity(moved_curve, v.id)
-                    for v in moved_curve.vertices}
+        _, ids, _, _, ends = curve.rows()
+        *_, moved_ends = moved_curve.rows()
+        ms = {vid: vertex_multiplicity(curve, vid) for vid in ids}
+        moved_ms = {vid: vertex_multiplicity(moved_curve, vid) for vid in ids}
         assert ms == moved_ms
-        mus = {e.id: end_multiplicity(diagram, e) for e in curve.ends
-               if isinstance(e.terminal, BoundaryTerminal)}
-        moved_mus = {e.id: end_multiplicity(moved_diagram, e)
-                     for e in moved_curve.ends
-                     if isinstance(e.terminal, BoundaryTerminal)}
+        mus = {e[0]: end_multiplicity(diagram, e) for e in ends
+               if not isinstance(e[3], int)}
+        moved_mus = {e[0]: end_multiplicity(moved_diagram, e)
+                     for e in moved_ends if not isinstance(e[3], int)}
         assert mus == moved_mus
         assert classify(moved_diagram, moved_curve) == classify(diagram, curve)
         # validation status is also preserved on a failing curve

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from troplag import (InvalidCurve, homology, parse_document,
+from troplag import (InvalidCurve, cli, homology, parse_document,
                      render_document, tropical)
 from troplag.cli import main
 from conftest import (FIGURES, GOLDEN, KLEIN_POLYGON_DIAGRAM,
@@ -24,6 +24,31 @@ def run(capsys, *argv, stdin_text=None, monkeypatch=None):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PARSER_CASES = [["-h"], ["--version"], [], ["no-such-command"]] + [
+    [command, *help] for command in cli._COMMANDS for help in (["-h"], [])]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-argument")
+def test_parser_of_one_command_answers_as_the_full_parser(capsys, monkeypatch,
+                                                          argv):
+    # main builds only the subparser of the command argv[0] names, and all
+    # ten for any other first word; either way its exit code, help, usage
+    # and errors are those of the parser with all ten, as this
+    # interpreter's argparse words them.  Each command alone misses a
+    # required argument.
+    build, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: (
+        built.append(command) or build(command)))
+    lazy = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert lazy == run(capsys, *argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    assert lazy[0] == (0 if argv in (["-h"], ["--version"]) or argv[1:]
+                       else 2)
+    assert len(cli._COMMANDS) == 10
 
 
 @pytest.mark.parametrize("name", TOPOLOGY_GOLDENS)

@@ -31,6 +31,7 @@ from troplag import (
     vertex_multiplicity,
     visible_segment,
 )
+from troplag.lattice import point_text
 from conftest import FIGURES
 
 F = Fraction
@@ -62,16 +63,16 @@ def test_vertical_segment_exits_horizontally(direction):
 def test_segment_in_taller_rectangle_is_klein_bottle():
     diagram = rectangle(4, F(5, 2))
     curve = visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))
-    landings = sorted((str(e.terminal.landing) for e in curve.ends))
+    landings = sorted((point_text(e[3]) for e in curve.rows()[4]))
     assert landings == ["(0,1/4)", "(4,9/4)"]
-    assert all(end_multiplicity(diagram, e) == 2 for e in curve.ends)
+    assert all(end_multiplicity(diagram, e) == 2 for e in curve.rows()[4])
     assert surface_name(classify(diagram, curve)) == "Klein bottle"
 
 
 def test_segment_cylinder_picture():
     diagram = rectangle(2, F(3, 2))
     curve = visible_segment(diagram, IntVec(2, 1), pt(1, F(3, 4)))
-    landings = sorted((str(e.terminal.landing) for e in curve.ends))
+    landings = sorted((point_text(e[3]) for e in curve.rows()[4]))
     assert landings == ["(0,1/4)", "(2,5/4)"]
     assert surface_name(classify(diagram, curve)) == "Klein bottle"
 
@@ -123,8 +124,8 @@ def test_klein_threshold_matches_segment_existence():
 def test_rp2_satisfied_instance():
     diagram, curve = rp2_curve(1, 1, F(4, 3), 4)
     assert validate(diagram, curve).passed
-    xcap = next(e for e in curve.ends if e.id == "xcap")
-    assert xcap.terminal.landing == pt(F(2, 3), F(2, 3))
+    xcap = next(e for e in curve.rows()[4] if e[0] == "xcap")
+    assert xcap[3] == pt(F(2, 3), F(2, 3))
     assert end_multiplicity(diagram, xcap) == 2
     sc = classify(diagram, curve)
     assert surface_name(sc) == "projective plane"
@@ -135,8 +136,8 @@ def test_rp2_violated_instance_is_disc():
     diagram, curve = rp2_curve(F(2, 3), F(5, 3), F(2, 3), 5)
     sc = classify(diagram, curve)
     assert surface_name(sc) == "disc"
-    out = next(e for e in curve.ends if e.id == "xcap")
-    assert out.terminal.landing == pt(0, 1)
+    out = next(e for e in curve.rows()[4] if e[0] == "xcap")
+    assert out[3] == pt(0, 1)
     assert end_multiplicity(diagram, out) == 1
 
 
@@ -207,18 +208,18 @@ def test_family_validates_and_matches_expected(ell):
 def test_family_counts_and_multiplicities():
     instance = trop_family(1)
     curve = instance.curve
-    assert (len(curve.vertices), len(curve.edges), len(curve.ends)) == (4, 3, 6)
-    assert all(vertex_multiplicity(curve, v.id) == 5 for v in curve.vertices)
+    _, ids, _, edges, ends = curve.rows()
+    assert (len(ids), len(edges), len(ends)) == (4, 3, 6)
+    assert all(vertex_multiplicity(curve, vid) == 5 for vid in ids)
     instance2 = trop_family(2)
-    assert (len(instance2.curve.vertices), len(instance2.curve.edges),
-            len(instance2.curve.ends)) == (8, 7, 10)
+    assert tuple(map(len, instance2.curve.rows()[1:])) == (8, 8, 7, 10)
 
 
 def test_family_down_end_coordinate():
     # balancing at the second bottom vertex forces the landing x = 13/2
     instance = trop_family(1)
-    down = next(e for e in instance.curve.ends if e.id == "down_c0")
-    assert down.terminal.landing == pt(F(13, 2), 0)
+    down = next(e for e in instance.curve.rows()[4] if e[0] == "down_c0")
+    assert down[3] == pt(F(13, 2), 0)
 
 
 def test_family_serializes_to_the_bundled_figure():
@@ -270,7 +271,7 @@ def test_genus_bound_is_stepwise_constant():
 def test_squeeze_just_above_one():
     result = squeeze_check(F(101, 100))
     assert result.exists
-    landings = sorted(str(e.terminal.landing) for e in result.witness.ends)
+    landings = sorted(point_text(e[3]) for e in result.witness.rows()[4])
     assert landings == ["(0,1/200)", "(2,201/200)"]
     assert validate(result.diagram, result.witness).passed
     assert classify(result.diagram,

@@ -12,9 +12,9 @@ from troplag import (
     IntVec,
     InvalidClass,
     NonGenericWitness,
+    RatPoint,
     SweepDirection,
     SweepParity,
-    TropicalCurve,
     TroplagError,
     UnimodularAffineMap,
     UnsupportedDiagram,
@@ -36,7 +36,7 @@ from troplag import (
 )
 from troplag.homology import _solve, critical_coordinates
 
-from conftest import FIGURES, load_document, random_curve
+from conftest import FIGURES, curve_of, load_document, random_curve
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_family_parities_all_ell():
 
 def test_empty_curve_parities():
     diagram = rectangle(4, 2)
-    empty = TropicalCurve(name="empty")
+    empty = curve_of(name="empty")
     for direction in SweepDirection:
         assert sweep_parity(diagram, empty, direction).parity == 0
 
@@ -127,11 +127,11 @@ def test_sweep_parity_counts_the_ends_on_each_edge():
     for name, diagram, curve in _closed_rectangle_curves():
         if not diagram.is_rectangle or not all(
                 classify_end(diagram, e) is EndKind.CROSS_CAP
-                for e in curve.ends):
+                for e in curve.rows()[4]):
             continue
         closed += 1
         x0, y0, x1, y1 = diagram.bounds()
-        landings = [e.terminal.landing for e in curve.ends]
+        landings = [RatPoint.of(*e[3]) for e in curve.rows()[4]]
         for direction, low, high, coordinate in (
                 (SweepDirection.VERTICAL, x0, x1, lambda p: p.x),
                 (SweepDirection.HORIZONTAL, y0, y1, lambda p: p.y)):
@@ -149,7 +149,8 @@ def test_sweep_parity_counts_the_ends_on_each_edge():
 def _closed(diagram, curve) -> bool:
     """Whether the curve is closed in a node-free rectangle: swept."""
     return diagram.is_rectangle and all(
-        classify_end(diagram, e) is EndKind.CROSS_CAP for e in curve.ends)
+        classify_end(diagram, e) is EndKind.CROSS_CAP
+        for e in curve.rows()[4])
 
 
 def _assert_default_sweep_is_every_generic_sweep(diagram, curve):
@@ -228,18 +229,17 @@ def test_witness_is_exact(klein):
 def test_sweep_requires_rectangle():
     diagram = x_abc(1, 1, F(4, 3), 4)
     with pytest.raises(UnsupportedDiagram):
-        sweep_parity(diagram, TropicalCurve(name="empty"),
+        sweep_parity(diagram, curve_of(name="empty"),
                      SweepDirection.VERTICAL)
 
 
 def test_sweep_requires_closed_curve():
     # a mu = 1 end landing on the bottom edge breaks vertical witness
     # independence, so sweeps refuse curves with boundary
-    from troplag import BoundaryTerminal, CurveEnd
     diagram = rectangle(6, 6)
-    curve = TropicalCurve((), (), (
-        CurveEnd("a", pt(3, 3), IntVec(0, 1), BoundaryTerminal(pt(3, 6))),
-        CurveEnd("b", pt(3, 3), IntVec(0, -1), BoundaryTerminal(pt(3, 0)))))
+    curve = curve_of((), (), (
+        ("a", pt(3, 3), IntVec(0, 1), pt(3, 6)),
+        ("b", pt(3, 3), IntVec(0, -1), pt(3, 0))))
     with pytest.raises(UnsweepableCurve):
         sweep_parity(diagram, curve, SweepDirection.VERTICAL)
 
@@ -284,7 +284,7 @@ def test_family_class_is_horizontal_sphere():
 
 
 def test_empty_curve_class_is_zero():
-    cls = mod2_class(rectangle(4, 2), TropicalCurve(name="empty"))
+    cls = mod2_class(rectangle(4, 2), curve_of(name="empty"))
     assert cls.coefficients == (0, 0)
     assert cls.label_sum() == "0"
 

@@ -26,12 +26,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from troplag import (
     BaseDiagram,
     BoundaryEdge,
-    BoundaryTerminal,
     IntVec,
     InvalidDiagram,
     LocationKind,
     Node,
-    NodeTerminal,
     PointLocation,
     RatPoint,
     SweepDirection,
@@ -251,18 +249,21 @@ def ref_parity(diagram, curve, direction, witness=None):
 def ref_segments(diagram, curve):
     """Each edge's, then each end's, (start, finish, direction), read from
     the vertices, anchors, landings and node positions."""
-    def position(site):
-        return curve.vertex(site).position if isinstance(site, str) else site
+    _, ids, points, edges, ends = curve.rows()
+    at = dict(zip(ids, points))
 
-    segments = [(position(e.src), position(e.dst),
-                 diff(position(e.dst), position(e.src)).primitive_direction())
-                for e in curve.edges]
-    for e in curve.ends:
-        if isinstance(e.terminal, NodeTerminal):
-            finish = diagram.nodes[e.terminal.node_index].position
+    def position(site):
+        return RatPoint.of(*at.get(site, site))
+
+    segments = [(position(src), position(dst),
+                 diff(position(dst), position(src)).primitive_direction())
+                for _, src, dst in edges]
+    for _, source, u, terminal in ends:
+        if isinstance(terminal, int):
+            finish = diagram.nodes[terminal].position
         else:
-            finish = e.terminal.landing
-        segments.append((position(e.source), finish, e.direction))
+            finish = RatPoint.of(*terminal)
+        segments.append((position(source), finish, IntVec(*u)))
     return segments
 
 
@@ -653,8 +654,7 @@ def _sweep_cases():
              for name, diagram, curves in _diagrams_and_curves()
              for curve in curves
              if diagram.is_rectangle and not diagram.nodes
-             and all(isinstance(e.terminal, BoundaryTerminal)
-                     for e in curve.ends)]
+             and not any(isinstance(e[3], int) for e in curve.rows()[4])]
     cases += [(f"family {ell}", trop_family(ell).diagram,
                trop_family(ell).curve) for ell in (1, 3)]
     return cases

@@ -321,7 +321,7 @@ def test_every_route_builds_the_same_point(x, y, k, direction, linear):
                f"{y.numerator * k}/{y.denominator * k})")
     doc = parse_document("diagram rectangle width=1 height=1\ncurve c\n"
                          f"vertex v {spelled}\n")
-    _same(doc.curves[0].vertex("v").position, p)
+    assert doc.curves[0].rows()[2] == ((p.X, p.Y, p.W),)
 
     # Rectangle corners.
     w, h = abs(x) + 1, abs(y) + 1

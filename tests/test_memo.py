@@ -17,16 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
-    BoundaryTerminal,
-    CurveEnd,
     Document,
-    InternalEdge,
     IntVec,
-    NodeTerminal,
     RatPoint,
     SweepDirection,
-    TropicalCurve,
-    TropicalVertex,
     TroplagError,
     UnimodularAffineMap,
     build_presentation,
@@ -50,8 +44,8 @@ from troplag import (
 from troplag.homology import critical_coordinates
 from troplag.tropical import geometry
 
-from conftest import (BUNDLED_DOCS, FIGURES, count_calls, load_document,
-                      random_curve, random_unimodular_map)
+from conftest import (BUNDLED_DOCS, FIGURES, count_calls, curve_of,
+                      load_document, random_curve, random_unimodular_map)
 
 H, V = SweepDirection.HORIZONTAL, SweepDirection.VERTICAL
 
@@ -142,16 +136,14 @@ def test_cached_plane_is_made_of_tuples():
 # lift is a closed Klein bottle), and a corner of rectangle(4,2) (refused).
 # rectangle(19/3,2) also changes the plane's scale from 2 to 6.
 SLANTED_ENDS = (
-    CurveEnd("up", pt(Fraction(7, 2), 1), IntVec(1, 2),
-             BoundaryTerminal(pt(4, 2))),
-    CurveEnd("down", pt(Fraction(7, 2), 1), IntVec(-1, -2),
-             BoundaryTerminal(pt(3, 0))))
+    ("up", pt(Fraction(7, 2), 1), (1, 2), pt(4, 2)),
+    ("down", pt(Fraction(7, 2), 1), (-1, -2), pt(3, 0)))
 DIAGRAMS = (rectangle(4, 4), rectangle(6, 2), rectangle(4, 2),
             rectangle(Fraction(19, 3), 2))
 
 
 def test_one_curve_read_against_diagrams_in_turn():
-    curve = TropicalCurve(ends=SLANTED_ENDS, name="slanted")
+    curve = curve_of(ends=SLANTED_ENDS, name="slanted")
     kinds = set()
     for diagram in DIAGRAMS * 2:
         _assert_memo_answers_fresh(diagram, curve)
@@ -160,11 +152,10 @@ def test_one_curve_read_against_diagrams_in_turn():
         assert scale == (6 if diagram is DIAGRAMS[3] else 2)
         # Each segment runs from its anchor to its landing, each point
         # times the plane's scale, as int pairs.
-        assert len(segments) == len(curve.ends)
-        for (eid, start, finish, *_), end in zip(segments, curve.ends):
-            assert eid == end.id
-            for got, p in ((start, end.source),
-                           (finish, end.terminal.landing)):
+        assert len(segments) == len(SLANTED_ENDS)
+        for (eid, start, finish, *_), end in zip(segments, SLANTED_ENDS):
+            assert eid == end[0]
+            for got, p in ((start, end[1]), (finish, end[3])):
                 assert got == (p.x * scale, p.y * scale)
                 assert all(type(v) is int for v in got)
     # Three diagrams answer differently: a collar, a closed surface and a
@@ -218,20 +209,17 @@ def test_transform_and_equality_ignore_the_memo():
     assert moved == curve
 
 
-def _moved_records(curve, m):
-    """The records of curve moved one by one: m.apply on each position,
+def _moved_rows(curve, m):
+    """The rows of curve moved one by one: m.apply on each position,
     anchor, direction and landing."""
-    vertices = tuple(TropicalVertex(v.id, m.apply(v.position))
-                     for v in curve.vertices)
-    ends = []
-    for e in curve.ends:
-        source = e.source if isinstance(e.source, str) else m.apply(e.source)
-        if isinstance(e.terminal, NodeTerminal):
-            terminal = e.terminal
-        else:
-            terminal = BoundaryTerminal(m.apply(e.terminal.landing))
-        ends.append(CurveEnd(e.id, source, m.apply(e.direction), terminal))
-    return vertices, curve.edges, tuple(ends)
+    def move(p):
+        return m.apply(RatPoint.of(*p))
+
+    name, ids, points, edges, ends = curve.rows()
+    return name, ids, tuple(map(move, points)), edges, tuple(
+        (eid, source if isinstance(source, str) else move(source),
+         m.apply(IntVec(*u)), t if isinstance(t, int) else move(t))
+        for eid, source, u, t in ends)
 
 
 def _random_tree(seed):
@@ -243,15 +231,14 @@ def _random_tree(seed):
                  st.integers(0, 2**32).map(_random_tree)),
        st.integers(0, 2**32).map(
            lambda seed: random_unimodular_map(random.Random(seed))))
-def test_transform_moves_the_columns_as_the_map_moves_each_record(case, m):
+def test_transform_moves_the_columns_as_the_map_moves_each_row(case, m):
     # transform maps the columns and builds the moved curve from rows: its
-    # records are those moved one by one, its memo is empty, and each of
-    # its points and directions is a plain tuple.
+    # rows are those moved one by one, its memo is empty, and each of its
+    # points and directions is a plain tuple.
     diagram, curve = case
     validate(diagram, curve)
     moved = curve.transform(m)
-    assert (moved.vertices, moved.edges, moved.ends) \
-        == _moved_records(curve, m)
+    assert moved.rows() == _moved_rows(curve, m)
     assert moved._memo is None
     landings = [t for *_, t in moved._end_rows if not isinstance(t, int)]
     directions = [u for *_, u, _ in moved._end_rows]
@@ -315,88 +302,16 @@ def test_tracked_objects_stay_flat_in_the_family_size():
     assert constructed <= large <= small < 100, tracked
 
 
-RECORDS = ("TropicalVertex", "InternalEdge", "CurveEnd", "BoundaryTerminal",
-           "NodeTerminal")
-LAZY_VIEWS = {"vertices", "edges", "ends", "sites"}
-SHEAR = UnimodularAffineMap(((1, 1), (0, 1)), pt(Fraction(1, 2), -3))
-
-
-def _read_without_records(doc):
-    """Certify, write and move each curve of doc, reading no lazy view;
-    the mod-2 class only in a rectangle, where it is defined."""
-    render_document(doc)
-    serialize_document(doc)
-    for curve in doc.curves:
-        assert validate(doc.diagram, curve).passed
-        classify(doc.diagram, curve)
-        oracle_classify(build_presentation(doc.diagram, curve))
-        if doc.diagram.is_rectangle:
-            mod2_class(doc.diagram, curve)
-        moved = curve.transform(SHEAR)
-        assert not LAZY_VIEWS & (set(vars(curve)) | set(vars(moved)))
-
-
-def test_certification_builds_no_record(monkeypatch):
-    doc = parse_document((FIGURES / "fig3_family.trop").read_text())
-    (curve,) = doc.curves
-    built = [count_calls(monkeypatch, tropical, name) for name in RECORDS]
-    _read_without_records(doc)
-    sweep_parity(doc.diagram, curve, H)
-    euler_breakdown(doc.diagram, curve)
-    assert not LAZY_VIEWS & set(vars(curve))
-    assert built == [[]] * len(RECORDS)
-    # The lazy records are built on first read, and kept.
-    assert curve.ends is curve.ends
-    assert [len(calls) for calls in built] == [0, 0, 10, 10, 0]
-
-
-def test_constructed_curve_holds_no_record_until_one_is_read(monkeypatch):
-    # A constructed curve is built from rows, as a parsed one is: building,
-    # certifying, writing and moving it builds no record, and a first read
-    # builds and keeps them.
-    built = [count_calls(monkeypatch, tropical, name) for name in RECORDS]
-    xabc, rp2 = rp2_curve(1, 1, Fraction(4, 3), 4)
-    visible = rectangle(5, 3)
-    segment = visible_segment(visible, IntVec(2, 1),
-                              pt(Fraction(5, 2), Fraction(3, 2)))
-    cases = [_constructed(3), Document(xabc, (rp2,)),
-             Document(visible, (segment,))]
-    for doc in cases:
-        _read_without_records(doc)
-    assert built == [[]] * len(RECORDS)
-    curve = cases[0].curves[0]
-    assert curve.ends is curve.ends
-    assert LAZY_VIEWS & set(vars(curve)) == {"ends"}
-
-
-def _assert_records(curve):
-    """Every record of curve is of its type, down to its points."""
-    for v in curve.vertices:
-        assert type(v) is TropicalVertex and type(v.position) is RatPoint
-    assert all(type(e) is InternalEdge for e in curve.edges)
-    for e in curve.ends:
-        assert type(e) is CurveEnd and type(e.direction) is IntVec
-        assert type(e.source) in (str, RatPoint)
-        if type(e.terminal) is BoundaryTerminal:
-            assert type(e.terminal.landing) is RatPoint
-        else:
-            assert type(e.terminal) is NodeTerminal
-
-
 @pytest.mark.parametrize("diagram, curve", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
-def test_lazy_records_equal_the_given_records(diagram, curve):
-    # Figures are parsed, trop_family built from rows and random_curve
-    # from records; each is compared with its
-    # parse_document(serialize_document(...)) copy.
+def test_rows_equal_the_copys_rows(diagram, curve):
+    # Figures are parsed, and trop_family and random_curve built from
+    # rows; each is compared with its parse_document(serialize_document(...))
+    # copy.
     copy = _fresh(diagram, curve)[1]
     for one, other in [(curve, copy), (copy, curve)]:
         assert one == other
-        assert (one.vertices, one.edges, one.ends) \
-            == (other.vertices, other.edges, other.ends)
-        assert dict(one.sites) == dict(other.sites)
-        assert one.anchors() == other.anchors()
-        _assert_records(one)
+        assert one.rows() == other.rows()
     moved = copy.transform(UnimodularAffineMap.identity())
     assert moved == copy and copy == moved
 

@@ -26,10 +26,8 @@ EXPORTS = {
     "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
                 "InvalidDiagram", "LocationKind", "Node", "PointLocation",
                 "UnsupportedDiagram", "rectangle", "x_abc"],
-    "tropical": ["BoundaryTerminal", "CurveEnd", "EndKind", "InternalEdge",
-                 "InvalidCurve", "NodeTerminal",
-                 "NonIntegralSelfIntersection", "NonTrivalentVertex",
-                 "NotABoundaryEnd", "TropicalCurve", "TropicalVertex",
+    "tropical": ["EndKind", "InvalidCurve", "NonIntegralSelfIntersection",
+                 "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
                  "UnbalancedVertex", "UnsupportedEndMultiplicity",
                  "ValidationIssue", "ValidationReport", "check_balancing",
                  "classify_end", "end_multiplicity", "validate",
@@ -108,7 +106,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 86
+    assert len(NAMES) == 81
     assert sorted(troplag.__all__) == NAMES
 
 

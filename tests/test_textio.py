@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from troplag import (
     Document,
     IntVec,
-    NodeTerminal,
     ParseError,
     TroplagError,
     UnimodularAffineMap,
@@ -35,8 +34,9 @@ def test_parse_fig1_left():
     assert len(doc.curves) == 1
     curve = doc.curves[0]
     assert curve.name == "rp2"
-    assert len(curve.vertices) == 1
-    assert sum(isinstance(e.terminal, NodeTerminal) for e in curve.ends) == 2
+    _, ids, _, _, ends = curve.rows()
+    assert len(ids) == 1
+    assert sum(isinstance(e[3], int) for e in ends) == 2
 
 
 def test_parse_polygon_diagram_with_nodes():

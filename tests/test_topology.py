@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplag import (
-    BoundaryTerminal,
     CellComplex,
-    CurveEnd,
     EmptyCurve,
     EndKind,
     IntVec,
     MalformedPresentation,
     SurfaceClass,
-    TropicalCurve,
     UnsupportedEndMultiplicity,
     audin_check,
     build_presentation,
@@ -39,7 +36,7 @@ from troplag import (
     visible_segment,
 )
 from cellular import boundaries, integral_homology
-from conftest import (BUNDLED_DOCS, load_document, random_curve,
+from conftest import (BUNDLED_DOCS, curve_of, load_document, random_curve,
                       random_unimodular_map)
 
 F = Fraction
@@ -60,31 +57,31 @@ def klein():
 
 def test_node_terminal_is_disc_cap(fig1_left):
     diagram, curve = fig1_left
-    cap = next(e for e in curve.ends if e.id == "cap_a")
+    cap = next(e for e in curve.rows()[4] if e[0] == "cap_a")
     assert classify_end(diagram, cap) is EndKind.DISC_CAP
 
 
 def test_mu2_is_cross_cap(klein):
     diagram, curve = klein
-    assert [classify_end(diagram, e) for e in curve.ends] == [
+    assert [classify_end(diagram, e) for e in curve.rows()[4]] == [
         EndKind.CROSS_CAP, EndKind.CROSS_CAP]
 
 
 def test_mu1_is_collar():
     doc = load_document("fig1_right.trop")
     curve = doc.curves[0]
-    out = next(e for e in curve.ends if e.id == "out")
+    out = next(e for e in curve.rows()[4] if e[0] == "out")
     assert classify_end(doc.diagram, out) is EndKind.COLLAR
 
 
 def test_mu3_rejected():
     diagram = rectangle(9, 9)
-    curve = TropicalCurve((), (), [
-        CurveEnd("a", pt(3, 3), IntVec(3, 1), BoundaryTerminal(pt(9, 5))),
-        CurveEnd("b", pt(3, 3), IntVec(-3, -1), BoundaryTerminal(pt(0, 2)))])
+    curve = curve_of((), (), [
+        ("a", pt(3, 3), IntVec(3, 1), pt(9, 5)),
+        ("b", pt(3, 3), IntVec(-3, -1), pt(0, 2))])
     assert validate(diagram, curve).passed
     with pytest.raises(UnsupportedEndMultiplicity):
-        classify_end(diagram, curve.ends[0])
+        classify_end(diagram, curve.rows()[4][0])
 
 
 # -- euler characteristic ------------------------------------------------
@@ -111,7 +108,7 @@ def test_chi_family():
 
 def test_chi_empty_curve_rejected():
     with pytest.raises(EmptyCurve):
-        euler_breakdown(rectangle(2, 2), TropicalCurve(name="empty"))
+        euler_breakdown(rectangle(2, 2), curve_of(name="empty"))
 
 
 # -- classify ------------------------------------------------------------
@@ -171,9 +168,9 @@ def test_chi_parity_invariant_on_bundled():
         doc = load_document(name)
         for curve in doc.curves:
             chi = euler_breakdown(doc.diagram, curve).chi
-            disccaps = sum(1 for e in curve.ends
+            disccaps = sum(1 for e in curve.rows()[4]
                            if classify_end(doc.diagram, e) is EndKind.DISC_CAP)
-            assert (chi - len(curve.vertices) - disccaps) % 2 == 0
+            assert (chi - len(curve.rows()[1]) - disccaps) % 2 == 0
 
 
 # -- cell complexes ------------------------------------------------------
@@ -274,9 +271,9 @@ def test_oracle_refuses_a_core_of_degree_three_or_more(mu):
 
 def test_mu3_curve_is_refused_by_the_oracle_as_by_the_engine():
     diagram = rectangle(9, 9)
-    curve = TropicalCurve((), (), [
-        CurveEnd("a", pt(3, 3), IntVec(3, 1), BoundaryTerminal(pt(9, 5))),
-        CurveEnd("b", pt(3, 3), IntVec(-3, -1), BoundaryTerminal(pt(0, 2)))])
+    curve = curve_of((), (), [
+        ("a", pt(3, 3), IntVec(3, 1), pt(9, 5)),
+        ("b", pt(3, 3), IntVec(-3, -1), pt(0, 2))])
     cx = build_presentation(diagram, curve)
     assert cx.end_degree == (3, 3)
     with pytest.raises(UnsupportedEndMultiplicity) as oracle:
@@ -440,9 +437,9 @@ def assert_breakdown_is_the_inventory(diagram, curve, sc):
     breakdown = euler_breakdown(diagram, curve)
     assert breakdown.surface_class() == sc
     assert breakdown.multiplicities == tuple(
-        vertex_multiplicity(curve, v.id) for v in curve.vertices)
+        vertex_multiplicity(curve, vid) for vid in curve.rows()[1])
     assert breakdown.end_kinds == tuple(
-        classify_end(diagram, e) for e in curve.ends)
+        classify_end(diagram, e) for e in curve.rows()[4])
 
 
 def test_engine_equals_oracle_on_bundled():
@@ -478,9 +475,10 @@ def test_cycle_figure_answers():
     # The hexagon is one cycle: six vertices joined by six edges.
     doc = load_document("fig5_cycle.trop")
     diagram, (curve,) = doc.diagram, doc.curves
-    assert len(curve.edges) == len(curve.vertices) == 6
+    _, ids, _, edges, _ = curve.rows()
+    assert len(edges) == len(ids) == 6
     assert validate(diagram, curve).passed
-    ms = {v.id: vertex_multiplicity(curve, v.id) for v in curve.vertices}
+    ms = {vid: vertex_multiplicity(curve, vid) for vid in ids}
     assert Counter(ms.values()) == {3: 1, 5: 3, 7: 2}
     sc = classify(diagram, curve)
     assert (sc.closed, sc.orientable, sc.euler_char) == (True, False, -32)
@@ -496,8 +494,9 @@ def test_cycle_figure_answers():
         m = random_unimodular_map(rng)
         d2, c2 = diagram.transform(m), curve.transform(m)
         assert validate(d2, c2).passed
-        assert {v.id: vertex_multiplicity(c2, v.id)
-                for v in c2.vertices} == ms
-        assert all(classify_end(d2, e) is EndKind.CROSS_CAP for e in c2.ends)
+        assert {vid: vertex_multiplicity(c2, vid)
+                for vid in c2.rows()[1]} == ms
+        assert all(classify_end(d2, e) is EndKind.CROSS_CAP
+                   for e in c2.rows()[4])
         assert classify(d2, c2) == sc
         assert oracle_classify(build_presentation(d2, c2)) == sc

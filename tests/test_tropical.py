@@ -2,20 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from troplag import (
-    BoundaryTerminal,
-    CurveEnd,
     IntVec,
-    InternalEdge,
     InvalidCurve,
-    NodeTerminal,
     NonIntegralSelfIntersection,
     NonTrivalentVertex,
     NotABoundaryEnd,
+    RatPoint,
     TropicalCurve,
-    TropicalVertex,
     UnbalancedVertex,
     check_balancing,
     end_multiplicity,
@@ -31,7 +27,8 @@ from troplag import (
 )
 from troplag import tropical
 from troplag.tropical import ValidationIssue
-from conftest import FIGURES, diff, load_document, moved, random_curve
+from conftest import (FIGURES, curve_of, diff, load_document, moved,
+                      random_curve, random_unimodular_map)
 from test_kernel import ref_on_open_segment, ref_segment_contact
 
 F = Fraction
@@ -39,8 +36,8 @@ F = Fraction
 
 def one_vertex_curve(position, rays, name="c"):
     """rays: list of (direction, terminal)."""
-    ends = [CurveEnd(f"e{i}", "v", d, t) for i, (d, t) in enumerate(rays)]
-    return TropicalCurve([TropicalVertex("v", position)], [], ends, name=name)
+    ends = [(f"e{i}", "v", d, t) for i, (d, t) in enumerate(rays)]
+    return curve_of([("v", position)], [], ends, name=name)
 
 
 @pytest.fixture
@@ -53,7 +50,8 @@ def fig1_left():
 def test_balancing_from_figure_coordinates(fig1_left):
     # re-derive the directions at the vertex by coordinate subtraction
     diagram, curve = fig1_left
-    v = curve.vertex("v").position
+    _, ids, points, _, _ = curve.rows()
+    v = RatPoint.of(*points[ids.index("v")])
     targets = [diagram.nodes[0].position, diagram.nodes[1].position,
                pt(F(2, 3), F(2, 3))]
     directions = [diff(t, v).primitive_direction() for t in targets]
@@ -75,8 +73,8 @@ def test_balancing_family_vertex():
 
 def test_unbalanced_vertex_reported():
     curve = one_vertex_curve(pt(2, 1), [
-        (IntVec(1, 0), BoundaryTerminal(pt(4, 1))),
-        (IntVec(0, 1), BoundaryTerminal(pt(2, 2))),
+        (IntVec(1, 0), pt(4, 1)),
+        (IntVec(0, 1), pt(2, 2)),
     ])
     report = check_balancing(curve)
     assert not report.passed
@@ -85,9 +83,9 @@ def test_unbalanced_vertex_reported():
 
 
 def test_anchor_balancing():
-    bent = TropicalCurve((), (), [
-        CurveEnd("a", pt(2, 1), IntVec(1, 0), BoundaryTerminal(pt(4, 1))),
-        CurveEnd("b", pt(2, 1), IntVec(0, 1), BoundaryTerminal(pt(2, 2)))])
+    bent = curve_of((), (), [
+        ("a", pt(2, 1), IntVec(1, 0), pt(4, 1)),
+        ("b", pt(2, 1), IntVec(0, 1), pt(2, 2))])
     assert not check_balancing(bent).passed
 
 
@@ -100,9 +98,8 @@ def test_figure_curve_validates(fig1_left):
 
 def test_moved_vertex_breaks_collinearity(fig1_left):
     diagram, curve = fig1_left
-    moved = TropicalCurve(
-        [TropicalVertex("v", pt(1, F(3, 2)))], [],
-        curve.ends, name=curve.name)
+    name, _, _, edges, ends = curve.rows()
+    moved = TropicalCurve.of_rows(name, ["v"], [(2, 3, 2)], edges, ends)
     report = validate(diagram, moved)
     assert not report.passed
     assert any(issue.code == "end-collinearity" for issue in report.issues)
@@ -111,8 +108,8 @@ def test_moved_vertex_breaks_collinearity(fig1_left):
 def test_corner_landing_rejected():
     diagram = rectangle(4, 2)
     curve = one_vertex_curve(pt(2, 1), [
-        (IntVec(2, -1), BoundaryTerminal(pt(4, 0))),
-        (IntVec(-2, 1), BoundaryTerminal(pt(0, 2))),
+        (IntVec(2, -1), pt(4, 0)),
+        (IntVec(-2, 1), pt(0, 2)),
     ])
     report = validate(diagram, curve)
     assert any(issue.code == "end-corner-landing" for issue in report.issues)
@@ -121,8 +118,8 @@ def test_corner_landing_rejected():
 def test_vertex_on_cut_rejected():
     diagram = x_abc(1, 1, F(4, 3), 4)
     curve = one_vertex_curve(pt(1, F(5, 2)), [
-        (IntVec(0, 1), NodeTerminal(0)),
-        (IntVec(0, -1), BoundaryTerminal(pt(1, 0)))])
+        (IntVec(0, 1), 0),
+        (IntVec(0, -1), pt(1, 0))])
     report = validate(diagram, curve)
     assert any(issue.code == "vertex-position" for issue in report.issues)
 
@@ -130,10 +127,9 @@ def test_vertex_on_cut_rejected():
 def test_node_end_must_follow_cut_direction():
     diagram = x_abc(1, 1, F(4, 3), 4)
     # approach node_b (cut (1,0)) from below instead of from the left
-    curve = TropicalCurve((), (), [
-        CurveEnd("a", pt(2, F(1, 2)), IntVec(0, 1), NodeTerminal(1)),
-        CurveEnd("b", pt(2, F(1, 2)), IntVec(0, -1),
-                 BoundaryTerminal(pt(2, 0)))])
+    curve = curve_of((), (), [
+        ("a", pt(2, F(1, 2)), IntVec(0, 1), 1),
+        ("b", pt(2, F(1, 2)), IntVec(0, -1), pt(2, 0))])
     report = validate(diagram, curve)
     assert any(issue.code == "end-cut-direction" for issue in report.issues)
 
@@ -143,10 +139,9 @@ def test_end_issues_name_the_direction_and_the_target():
     # (1,0); b runs down to a landing it does not reach.  Each message
     # prints its direction, in issue order.
     diagram = x_abc(1, 1, F(4, 3), 4)
-    curve = TropicalCurve((), (), [
-        CurveEnd("a", pt(F(3, 2), F(1, 2)), IntVec(0, 1), NodeTerminal(1)),
-        CurveEnd("b", pt(F(3, 2), F(1, 2)), IntVec(0, -1),
-                 BoundaryTerminal(pt(3, 0)))])
+    curve = curve_of((), (), [
+        ("a", pt(F(3, 2), F(1, 2)), IntVec(0, 1), 1),
+        ("b", pt(F(3, 2), F(1, 2)), IntVec(0, -1), pt(3, 0))])
     assert validate(diagram, curve).lines() == [
         "[end-collinearity] a: node at (2,1) is not reached along "
         "direction (0,1)",
@@ -184,14 +179,14 @@ def test_points_shared_without_a_shared_token_are_embedding_issues():
 
 def test_edge_crossing_rejected():
     diagram = rectangle(8, 8)
-    crossing = TropicalCurve(
-        [TropicalVertex("u", pt(2, 2)), TropicalVertex("w", pt(6, 6)),
-         TropicalVertex("p", pt(2, 6)), TropicalVertex("q", pt(6, 2))],
-        [InternalEdge("g1", "u", "w"), InternalEdge("g2", "p", "q")],
-        [CurveEnd("a", "u", IntVec(-1, -1), BoundaryTerminal(pt(0, 0))),
-         CurveEnd("b", "w", IntVec(1, 1), BoundaryTerminal(pt(8, 8))),
-         CurveEnd("c", "p", IntVec(-1, 1), BoundaryTerminal(pt(0, 8))),
-         CurveEnd("d", "q", IntVec(1, -1), BoundaryTerminal(pt(8, 0)))])
+    crossing = curve_of(
+        [("u", pt(2, 2)), ("w", pt(6, 6)),
+         ("p", pt(2, 6)), ("q", pt(6, 2))],
+        [("g1", "u", "w"), ("g2", "p", "q")],
+        [("a", "u", IntVec(-1, -1), pt(0, 0)),
+         ("b", "w", IntVec(1, 1), pt(8, 8)),
+         ("c", "p", IntVec(-1, 1), pt(0, 8)),
+         ("d", "q", IntVec(1, -1), pt(8, 0))])
     report = validate(diagram, crossing)
     assert any(issue.code == "embedding" for issue in report.issues)
     # the two straight lines are balanced but disconnected as a graph
@@ -201,41 +196,39 @@ def test_edge_crossing_rejected():
 def test_curve_may_not_cross_cut():
     diagram = x_abc(1, 1, F(4, 3), 4)
     # horizontal segment at height 5/2 crosses the vertical cut x=1
-    curve = TropicalCurve((), (), [
-        CurveEnd("a", pt(F(1, 2), F(5, 2)), IntVec(-1, 0),
-                 BoundaryTerminal(pt(0, F(5, 2)))),
-        CurveEnd("b", pt(F(1, 2), F(5, 2)), IntVec(1, 0),
-                 BoundaryTerminal(pt(F(3, 2), F(5, 2))))])
+    curve = curve_of((), (), [
+        ("a", pt(F(1, 2), F(5, 2)), IntVec(-1, 0), pt(0, F(5, 2))),
+        ("b", pt(F(1, 2), F(5, 2)), IntVec(1, 0), pt(F(3, 2), F(5, 2)))])
     report = validate(diagram, curve)
     assert any(issue.code == "crosses-cut" for issue in report.issues)
 
 
 def test_empty_curve_is_vacuously_valid():
-    assert validate(rectangle(4, 2), TropicalCurve(name="empty")).passed
+    assert validate(rectangle(4, 2), curve_of(name="empty")).passed
 
 
 def test_duplicate_ids_rejected():
     with pytest.raises(InvalidCurve):
-        TropicalCurve([TropicalVertex("v", pt(1, 1)),
-                       TropicalVertex("v", pt(2, 2))], [], [])
+        curve_of([("v", pt(1, 1)), ("v", pt(2, 2))], [], [])
 
 
 def test_nonprimitive_direction_rejected():
     with pytest.raises(InvalidCurve):
-        TropicalCurve((), (), [
-            CurveEnd("a", pt(2, 1), IntVec(2, 2), BoundaryTerminal(pt(4, 3)))])
+        curve_of((), (), [
+            ("a", pt(2, 1), IntVec(2, 2), pt(4, 3))])
 
 
 def test_derived_edge_direction_is_primitive_from_src_to_dst():
-    u, w = (TropicalVertex("u", pt(Fraction(1, 3), 2)),
-            TropicalVertex("w", pt(Fraction(5, 3), Fraction(4, 3))))
-    curve = TropicalCurve([u, w], [InternalEdge("e", "w", "u")], [])
-    assert curve.edges == (InternalEdge("e", "w", "u"),)
-    assert curve.outgoing("w") == ((IntVec(-2, 1), "e"),)
-    assert curve.outgoing("u") == ((IntVec(2, -1), "e"),)
-    coincident = TropicalVertex("c", pt(Fraction(2, 6), 2))
+    u, w = (("u", pt(Fraction(1, 3), 2)),
+            ("w", pt(Fraction(5, 3), Fraction(4, 3))))
+    curve = curve_of([u, w], [("e", "w", "u")], [])
+    assert curve.rows()[3] == (("e", "w", "u"),)
+    assert curve._edge_rows == (("e", 1, 0, (-2, 1)),)
+    assert curve._sites == ((1,), (0,))
+    assert curve._half == ((-2, 1), (2, -1))
+    coincident = ("c", pt(Fraction(2, 6), 2))
     with pytest.raises(InvalidCurve, match="joins coincident vertices"):
-        TropicalCurve([u, coincident], [InternalEdge("e", "u", "c")], [])
+        curve_of([u, coincident], [("e", "u", "c")], [])
 
 
 def test_rows_refuse_an_unreduced_triple():
@@ -290,34 +283,64 @@ def test_rows_refuse_ids_and_points_of_different_lengths(ids, points):
         TropicalCurve.of_rows("c", ids, points, [], [])
 
 
+FIGURE_CURVES = [curve for path in sorted(FIGURES.glob("*.trop"))
+                 for curve in load_document(path.name).curves]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(FIGURE_CURVES),
+                 st.integers(0, 2**32).map(
+                     lambda seed: random_curve(random.Random(seed))[1])),
+       st.integers(0, 2**32).map(
+           lambda seed: random_unimodular_map(random.Random(seed))))
+def test_rows_rebuild_the_curve(curve, m):
+    # rows() gives back exactly what of_rows takes, as plain tuples, for a
+    # figure (the Klein bottle and squeeze figures have anchors, fig1_left
+    # node ends), a random tree and the image of either under a map.
+    for one in (curve, curve.transform(m)):
+        rows = one.rows()
+        again = TropicalCurve.of_rows(*rows)
+        assert again == one and again.rows() == rows
+        name, ids, points, edges, ends = rows
+        assert type(name) is str and type(ids) is tuple
+        for column in (points, edges, ends, *points, *edges, *ends):
+            assert type(column) is tuple
+        for _, source, u, terminal in ends:
+            assert type(source) in (str, tuple) and type(u) is tuple
+            assert type(terminal) in (int, tuple)
+
+
 def test_handshake_on_bundled_curves():
     # trivalent curves satisfy 3V = 2E + X
     for ell in (1, 2, 3):
         instance = trop_family(ell)
-        curve = instance.curve
-        assert 3 * len(curve.vertices) == 2 * len(curve.edges) + len(curve.ends)
-        assert len(curve.vertices) == 4 * ell
-        assert len(curve.edges) == 4 * ell - 1
-        assert len(curve.ends) == 4 * ell + 2
+        _, vertices, _, edges, ends = instance.curve.rows()
+        assert 3 * len(vertices) == 2 * len(edges) + len(ends)
+        assert len(vertices) == 4 * ell
+        assert len(edges) == 4 * ell - 1
+        assert len(ends) == 4 * ell + 2
 
 
 # -- incidence ---------------------------------------------------------
 
 def _scanned_outgoing(curve, key):
-    """The linear scan over every edge and end that the index replaces;
-    an edge's direction is the Fraction reference's, src -> dst."""
+    """The outgoing (direction, element id) pairs at the site key (a vertex
+    id or an anchor triple), by the linear scan over every edge and end row
+    that the index replaces; an edge's direction is the Fraction
+    reference's, src -> dst."""
+    _, ids, points, edges, ends = curve.rows()
+    at = {vid: RatPoint.of(*p) for vid, p in zip(ids, points)}
     out = []
-    for e in curve.edges:
-        direction = diff(curve.vertex(e.dst).position,
-                         curve.vertex(e.src).position).primitive_direction()
-        if e.src == key:
-            out.append((direction, e.id))
-        if e.dst == key:
-            out.append((-direction, e.id))
-    for e in curve.ends:
-        if e.source == key:
-            out.append((e.direction, e.id))
-    return tuple(out)
+    for eid, src, dst in edges:
+        direction = diff(at[dst], at[src]).primitive_direction()
+        if src == key:
+            out.append((direction, eid))
+        if dst == key:
+            out.append((-direction, eid))
+    for eid, source, u, _ in ends:
+        if source == key:
+            out.append((u, eid))
+    return out
 
 
 def _index_test_curves():
@@ -329,22 +352,26 @@ def _index_test_curves():
 
 
 def test_incidence_index_matches_linear_scan():
+    # The sites are the vertices, then the anchors by first appearance;
+    # each keeps its half-edges, with their directions, and their sum.
     anchored = 0
     for curve in _index_test_curves():
-        anchor_keys = []
-        for e in curve.ends:
-            if not isinstance(e.source, str) and e.source not in anchor_keys:
-                anchor_keys.append(e.source)
-        keys = [v.id for v in curve.vertices] + anchor_keys
-        assert list(curve.sites) == keys
-        for key, out in curve.sites.items():
-            assert out == curve.outgoing(key) == _scanned_outgoing(curve, key)
-        assert [(point, list(anchor_ends))
-                for point, anchor_ends in curve.anchors()] \
-            == [(key, [e for e in curve.ends if e.source == key])
-                for key in anchor_keys]
-        assert curve.outgoing("no-such-site") == ()
-        anchored += bool(anchor_keys)
+        _, ids, _, edges, ends = curve.rows()
+        anchors = []
+        for _, source, _, _ in ends:
+            if not isinstance(source, str) and source not in anchors:
+                anchors.append(source)
+        assert curve._anchors == tuple(anchors)
+        names = [eid for eid, _, _ in edges for _ in (0, 1)]
+        names += [eid for eid, *_ in ends]
+        keys = [*ids, *anchors]
+        assert len(curve._sites) == len(curve._sums) == len(keys)
+        for key, out, total in zip(keys, curve._sites, curve._sums):
+            scanned = _scanned_outgoing(curve, key)
+            assert [(curve._half[h], names[h]) for h in out] == scanned
+            assert total == (sum(u[0] for u, _ in scanned),
+                             sum(u[1] for u, _ in scanned))
+        anchored += bool(anchors)
     assert anchored >= 2  # the Klein bottle and squeeze figures
 
 
@@ -357,20 +384,17 @@ _LOOP_CODES = {"degenerate-segment", "embedding", "crosses-node",
 def _all_pairs_embeddedness(diagram, curve):
     """The all-pairs loop the box sweep in validate replaces: every pair of
     segments goes through the Fraction reference of segment_contact."""
-    segments = [(e.id, curve.vertex(e.src).position,
-                 curve.vertex(e.dst).position, e.src, e.dst)
-                for e in curve.edges]
-    for e in curve.ends:
-        start = (curve.vertex(e.source).position if isinstance(e.source, str)
-                 else e.source)
-        if isinstance(e.terminal, NodeTerminal):
-            index = e.terminal.node_index
-            if 0 <= index < len(diagram.nodes):
-                segments.append((e.id, start, diagram.nodes[index].position,
-                                 e.source, ("node", index)))
-        else:
-            segments.append((e.id, start, e.terminal.landing, e.source,
-                             ("landing", e.id)))
+    _, ids, points, edges, ends = curve.rows()
+    at = {vid: RatPoint.of(*p) for vid, p in zip(ids, points)}
+    segments = [(eid, at[src], at[dst], src, dst) for eid, src, dst in edges]
+    for eid, source, _, terminal in ends:
+        start = at[source] if isinstance(source, str) else RatPoint.of(*source)
+        if not isinstance(terminal, int):
+            segments.append((eid, start, RatPoint.of(*terminal), source,
+                             ("landing", eid)))
+        elif 0 <= terminal < len(diagram.nodes):
+            segments.append((eid, start, diagram.nodes[terminal].position,
+                             source, ("node", terminal)))
     issues = []
 
     def issue(code, element, message):
@@ -425,12 +449,11 @@ def _segments_curve(*pairs):
     for k, (p, q) in enumerate(pairs):
         a, b = pt(*p), pt(*q)
         if a == b:
-            ends.append(CurveEnd(f"s{k}", a, IntVec(1, 0),
-                                 BoundaryTerminal(b)))
+            ends.append((f"s{k}", a, IntVec(1, 0), b))
             continue
-        vertices += [TropicalVertex(f"s{k}a", a), TropicalVertex(f"s{k}b", b)]
-        edges.append(InternalEdge(f"s{k}", f"s{k}a", f"s{k}b"))
-    return TropicalCurve(vertices, edges, ends, name="soup")
+        vertices += [(f"s{k}a", a), (f"s{k}b", b)]
+        edges.append((f"s{k}", f"s{k}a", f"s{k}b"))
+    return curve_of(vertices, edges, ends, name="soup")
 
 
 HAND_BUILT = {
@@ -453,9 +476,8 @@ HAND_BUILT = {
 # its own end, passes through node 0 and touches its cut there, after the
 # zero-length s0 on it (a zero-length segment is an end, and ends follow
 # the edges).
-NODE_AND_CUT = TropicalCurve([], [], [
-    CurveEnd(f"s{k}", pt(*p), _direction(pt(*p), pt(*q)),
-             BoundaryTerminal(pt(*q)))
+NODE_AND_CUT = curve_of([], [], [
+    (f"s{k}", pt(*p), _direction(pt(*p), pt(*q)), pt(*q))
     for k, (p, q) in enumerate((
         ((F(3, 4), 2), (F(3, 4), 2)), ((F(1, 2), 2), (F(3, 2), 2)),
         ((F(5, 4), 2), (F(7, 4), 2)),
@@ -465,26 +487,26 @@ NODE_AND_CUT = TropicalCurve([], [], [
 # contact decision: a contact at the shared point is allowed, an overlap is
 # not, and a zero-length segment is reported on its own.
 SHARED_TOKEN = {
-    "anchor-opposite-ends": (rectangle(8, 8), TropicalCurve([], [], [
-        CurveEnd("l", pt(4, 4), IntVec(-1, 0), BoundaryTerminal(pt(0, 4))),
-        CurveEnd("r", pt(4, 4), IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
+    "anchor-opposite-ends": (rectangle(8, 8), curve_of([], [], [
+        ("l", pt(4, 4), IntVec(-1, 0), pt(0, 4)),
+        ("r", pt(4, 4), IntVec(1, 0), pt(8, 4))])),
     "ends-overlap": (rectangle(8, 8), one_vertex_curve(pt(4, 4), [
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 4))),
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
-    "edge-and-end-overlap": (rectangle(8, 8), TropicalCurve(
-        [TropicalVertex("v", pt(2, 4)), TropicalVertex("w", pt(5, 4))],
-        [InternalEdge("e", "v", "w")],
-        [CurveEnd("x", "v", IntVec(1, 0), BoundaryTerminal(pt(8, 4)))])),
-    "zero-length-end-at-vertex": (rectangle(8, 8), TropicalCurve(
-        [TropicalVertex("v", pt(4, 4)), TropicalVertex("w", pt(6, 4))],
-        [InternalEdge("e", "v", "w")],
-        [CurveEnd("z", "v", IntVec(1, 0), BoundaryTerminal(pt(4, 4))),
-         CurveEnd("y", "v", IntVec(0, 1), BoundaryTerminal(pt(4, 8)))])),
+        (IntVec(1, 0), pt(8, 4)),
+        (IntVec(1, 0), pt(8, 4))])),
+    "edge-and-end-overlap": (rectangle(8, 8), curve_of(
+        [("v", pt(2, 4)), ("w", pt(5, 4))],
+        [("e", "v", "w")],
+        [("x", "v", IntVec(1, 0), pt(8, 4))])),
+    "zero-length-end-at-vertex": (rectangle(8, 8), curve_of(
+        [("v", pt(4, 4)), ("w", pt(6, 4))],
+        [("e", "v", "w")],
+        [("z", "v", IntVec(1, 0), pt(4, 4)),
+         ("y", "v", IntVec(0, 1), pt(4, 8))])),
     # x_abc(1, 1, 4/3, 4) has node 0 at (1,2), its cut up to (1,3).
-    "two-ends-to-one-node": (x_abc(1, 1, F(4, 3), 4), TropicalCurve([], [], [
-        CurveEnd("a", pt(1, 1), IntVec(0, 1), NodeTerminal(0)),
-        CurveEnd("b", pt(1, F(3, 2)), IntVec(0, 1), NodeTerminal(0)),
-        CurveEnd("c", pt(F(1, 2), 2), IntVec(1, 0), NodeTerminal(0))])),
+    "two-ends-to-one-node": (x_abc(1, 1, F(4, 3), 4), curve_of([], [], [
+        ("a", pt(1, 1), IntVec(0, 1), 0),
+        ("b", pt(1, F(3, 2)), IntVec(0, 1), 0),
+        ("c", pt(F(1, 2), 2), IntVec(1, 0), 0)])),
 }
 
 
@@ -496,34 +518,32 @@ def _random_soup(rng, diagram, size, den):
         return pt(F(rng.randint(0, size * den), den),
                   F(rng.randint(0, size * den), den))
 
-    vertices = [TropicalVertex("v0", point())]
+    vertices = [("v0", point())]
     edges, ends = [], []
     for k in range(rng.randint(1, 12)):
         src = rng.choice(vertices)
         if rng.random() < 0.3 and len(vertices) > 1:
             dst = rng.choice([v for v in vertices if v is not src])
         else:
-            dst = TropicalVertex(f"v{len(vertices)}", point())
+            dst = (f"v{len(vertices)}", point())
             vertices.append(dst)
-        if dst.position != src.position:  # an edge needs two points
-            edges.append(InternalEdge(f"e{k}", src.id, dst.id))
+        if dst[1] != src[1]:  # an edge needs two points
+            edges.append((f"e{k}", src[0], dst[0]))
     for k in range(rng.randint(0, 6)):
-        vertex = rng.choice(vertices)
-        source, start = vertex.id, vertex.position
+        source, start = rng.choice(vertices)
         if rng.random() < 0.3:
             source = start = point()  # a standalone anchor
         if diagram.nodes and rng.random() < 0.3:
             index = rng.randrange(len(diagram.nodes) + 1)
             target = diagram.nodes[index % len(diagram.nodes)].position
-            terminal = NodeTerminal(index)
+            terminal = index
         else:
             edge = rng.choice(diagram.boundary_edges)
             target = moved(edge.start, diff(edge.end, edge.start),
                            F(rng.randint(0, 4), 4))
-            terminal = BoundaryTerminal(target)
-        ends.append(CurveEnd(f"x{k}", source, _direction(start, target),
-                             terminal))
-    return TropicalCurve(vertices, edges, ends, name="soup")
+            terminal = target
+        ends.append((f"x{k}", source, _direction(start, target), terminal))
+    return curve_of(vertices, edges, ends, name="soup")
 
 
 def _embedding_cases():
@@ -627,8 +647,9 @@ def test_validate_tests_a_linear_number_of_pairs(monkeypatch, ell):
 
 def test_family_vertex_multiplicity_is_five():
     instance = trop_family(1)
-    assert [vertex_multiplicity(instance.curve, v.id)
-            for v in instance.curve.vertices] == [5, 5, 5, 5]
+    _, ids, *_ = instance.curve.rows()
+    assert [vertex_multiplicity(instance.curve, vid)
+            for vid in ids] == [5, 5, 5, 5]
 
 
 def test_smooth_vertex_multiplicity(fig1_left):
@@ -638,19 +659,19 @@ def test_smooth_vertex_multiplicity(fig1_left):
 
 def test_four_valent_vertex_rejected():
     curve = one_vertex_curve(pt(4, 4), [
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 4))),
-        (IntVec(-1, 0), BoundaryTerminal(pt(0, 4))),
-        (IntVec(0, 1), BoundaryTerminal(pt(4, 8))),
-        (IntVec(0, -1), BoundaryTerminal(pt(4, 0)))])
+        (IntVec(1, 0), pt(8, 4)),
+        (IntVec(-1, 0), pt(0, 4)),
+        (IntVec(0, 1), pt(4, 8)),
+        (IntVec(0, -1), pt(4, 0))])
     with pytest.raises(NonTrivalentVertex):
         vertex_multiplicity(curve, "v")
 
 
 def test_unbalanced_multiplicity_mismatch():
     curve = one_vertex_curve(pt(4, 4), [
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 4))),
-        (IntVec(0, 1), BoundaryTerminal(pt(4, 8))),
-        (IntVec(-2, -1), BoundaryTerminal(pt(0, 2)))])
+        (IntVec(1, 0), pt(8, 4)),
+        (IntVec(0, 1), pt(4, 8)),
+        (IntVec(-2, -1), pt(0, 2))])
     with pytest.raises(UnbalancedVertex):
         vertex_multiplicity(curve, "v")
 
@@ -658,9 +679,9 @@ def test_unbalanced_multiplicity_mismatch():
 def test_unbalanced_vertex_with_equal_pairwise_wedges():
     # |wedge| is 1 for each pair, but the directions sum to (2,2).
     curve = one_vertex_curve(pt(4, 2), [
-        (IntVec(1, 0), BoundaryTerminal(pt(8, 2))),
-        (IntVec(0, 1), BoundaryTerminal(pt(4, 8))),
-        (IntVec(1, 1), BoundaryTerminal(pt(8, 6)))])
+        (IntVec(1, 0), pt(8, 2)),
+        (IntVec(0, 1), pt(4, 8)),
+        (IntVec(1, 1), pt(8, 6))])
     with pytest.raises(UnbalancedVertex) as err:
         vertex_multiplicity(curve, "v")
     assert str(err.value) == ("vertex 'v' is unbalanced: outgoing directions "
@@ -700,27 +721,26 @@ def test_double_points_even_rejected():
 
 def test_end_multiplicity_slope_half_into_vertical_edge():
     diagram = rectangle(4, F(5, 2))
-    end = CurveEnd("e", pt(2, F(5, 4)), IntVec(2, 1),
-                   BoundaryTerminal(pt(4, F(9, 4))))
+    end = ("e", pt(2, F(5, 4)), (2, 1), pt(4, F(9, 4)))
     assert end_multiplicity(diagram, end) == 2
 
 
 def test_end_multiplicity_into_chopped_edge(fig1_left):
     diagram, curve = fig1_left
-    xcap = next(e for e in curve.ends if e.id == "xcap")
+    xcap = next(e for e in curve.rows()[4] if e[0] == "xcap")
     assert end_multiplicity(diagram, xcap) == 2
 
 
 def test_end_multiplicity_disc_escape():
     # the disc-side instance: the (-1,-1) end meets the left edge with mu 1
     diagram, curve = rp2_curve(F(2, 3), F(5, 3), F(2, 3), 5)
-    out = next(e for e in curve.ends if isinstance(e.terminal, BoundaryTerminal))
-    assert out.terminal.landing == pt(0, 1)
+    out = next(e for e in curve.rows()[4] if not isinstance(e[3], int))
+    assert out[3] == pt(0, 1)
     assert end_multiplicity(diagram, out) == 1
 
 
 def test_node_end_has_no_boundary_multiplicity(fig1_left):
     diagram, curve = fig1_left
-    cap = next(e for e in curve.ends if isinstance(e.terminal, NodeTerminal))
+    cap = next(e for e in curve.rows()[4] if isinstance(e[3], int))
     with pytest.raises(NotABoundaryEnd):
         end_multiplicity(diagram, cap)
