@@ -9,9 +9,12 @@ there is no floating point in the core.
 
 Importing the package loads none of its submodules: each public name below
 is imported from its submodule on first access (PEP 562), so a command that
-needs only parsing and validation never compiles the rest.
+needs only parsing and validation never compiles the rest.  Code that most
+calls never run sits in submodules that the others reach through _submodule,
+on first use.
 """
 
+import functools
 import importlib
 
 __version__ = "0.1.0"
@@ -19,15 +22,14 @@ __version__ = "0.1.0"
 # Submodule -> the public names it defines.
 _EXPORTS = {
     "errors": ("TroplagError",),
-    "lattice": (
-        "DegenerateDirection", "IntVec", "NonUnimodularMap", "RatPoint",
-        "UnimodularAffineMap", "pt",
-    ),
+    "lattice": ("DegenerateDirection", "IntVec", "RatPoint", "pt"),
+    "maps": ("NonUnimodularMap", "UnimodularAffineMap"),
     "diagram": (
         "BaseDiagram", "BoundaryEdge", "HomologyModel", "InvalidDiagram",
         "LocationKind", "Node", "PointLocation", "UnsupportedDiagram",
-        "rectangle", "x_abc",
+        "rectangle",
     ),
+    "nodes": ("x_abc",),
     "tropical": (
         "EndKind", "InvalidCurve", "NonIntegralSelfIntersection",
         "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
@@ -73,6 +75,12 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
+
+
+@functools.cache
+def _submodule(name):
+    """The submodule name, imported on its first use."""
+    return importlib.import_module(f"{__name__}.{name}")
 
 
 def __dir__():

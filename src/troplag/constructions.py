@@ -122,7 +122,8 @@ def rp2_curve(a, b, c, s):
     the surface is a projective plane; when one is strictly violated it
     lands on a leg with mu = 1 and the surface is a disc.
     """
-    from .diagram import LocationKind, x_abc
+    from .diagram import LocationKind
+    from .nodes import x_abc
     from .tropical import InvalidCurve, TropicalCurve, validate
 
     diagram = x_abc(a, b, c, s)

@@ -4,11 +4,12 @@ A base diagram is a strictly convex polygon together with interior
 focus-focus nodes, each carrying a straight cut running from the node to the
 boundary, plus a description of the mod-2 homology of the ambient
 4-manifold (basis labels and intersection form).  Two constructors cover
-the spaces used throughout the package: the toric rectangle (a product of
-two spheres) and the triple blow-up triangle with one toric corner chop and
-two non-toric nodes.  BaseDiagram.exit is the one routine that finds where
+the spaces used throughout the package: rectangle, the toric rectangle (a
+product of two spheres), and nodes.x_abc, the triple blow-up triangle with
+one toric corner chop and two non-toric nodes.  nodes.ray_exit finds where
 a ray from an interior point leaves the polygon: each cut ends at its
-node's exit, and the constructions land their ends at theirs.
+node's exit, and BaseDiagram.exit (where the constructions land their
+ends) reads it; a diagram without nodes loads nodes only for exit.
 A diagram is a lattice polygon held as int columns on one scale S, the
 least that clears every corner, node and cut exit: corners, each edge's
 line (e.x, e.y, e ^ A) and primitive direction, bounds, node positions,
@@ -29,10 +30,10 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _submodule
 from .errors import TroplagError
-from .lattice import (DegenerateDirection, IntVec, RatPoint,
-                      UnimodularAffineMap, _as_fraction, displacement,
-                      point_text, reaches, reduced, segment_contact)
+from .lattice import (IntVec, RatPoint, _as_fraction, displacement, reaches,
+                      reduced, segment_contact)
 
 
 class InvalidDiagram(TroplagError):
@@ -250,10 +251,11 @@ class BaseDiagram:
         self._rays = self._cuts = ()
         if not nodes:
             return
+        ray_exit = _submodule("nodes").ray_exit
         rays, exits = [], []  # exits: reduced (X, Y, W) on this scale
         for p, u in nodes:
             x, y = p[0] * (scale // p[2]), p[1] * (scale // p[2])
-            found = self._exit(x, y, 1, u)
+            found = ray_exit(self, x, y, 1, u)
             if found is None:
                 raise InvalidDiagram(f"node at {p} is not strictly "
                                      "inside the polygon")
@@ -339,45 +341,9 @@ class BaseDiagram:
                 return False
         return True
 
-    def _exit(self, X: int, Y: int, W: int, direction):
-        """exit of (X/W, Y/W) of the plane scaled by S, as (X', Y', W',
-        location): the ray leaves through the nearest line of an edge it
-        moves outward through.  None if the point is not strictly inside."""
-        dx, dy = direction
-        best = None  # (W * (e ^ (P - A)), -(e ^ d), index); t is their ratio
-        for index, (ex, ey, wedge_a) in enumerate(self._lines):
-            side = ex * Y - ey * X - W * wedge_a
-            if side <= 0:
-                return None
-            outward = ey * dx - ex * dy
-            if outward > 0 and (best is None
-                                or side * best[1] < best[0] * outward):
-                best = (side, outward, index)
-        if best is None:
-            raise DegenerateDirection("a ray needs a nonzero direction")
-        side, outward, index = best
-        # P + t*d with t = side / (W * outward).
-        X, Y, W = X * outward + side * dx, Y * outward + side * dy, W * outward
-        for corner in (index, (index + 1) % len(self._corners)):
-            cx, cy = self._corners[corner]
-            if X == W * cx and Y == W * cy:
-                return X, Y, W, PointLocation(_ON_CORNER, corner)
-        return X, Y, W, self._on_edges[index]
-
     def exit(self, origin: RatPoint, direction: IntVec):
-        """Where the ray origin + t*direction (t > 0) leaves the polygon.
-
-        Returns (point, location): ON_CORNER(k) if point is polygon vertex
-        k, else ON_BOUNDARY_EDGE(i) for the edge i it crosses.  The origin
-        must be strictly inside the polygon, or TroplagError names it, and
-        the direction nonzero."""
-        (X, Y, W), S = origin, self._scale
-        found = self._exit(X * S, Y * S, W, direction)
-        if found is None:
-            raise TroplagError(f"ray origin {point_text(origin)} is not "
-                               "strictly inside the polygon")
-        X, Y, W, location = found
-        return RatPoint.of(X, Y, W * S), location
+        """Where the ray origin + t*direction (t > 0) leaves the polygon."""
+        return _submodule("nodes").exit_point(self, origin, direction)
 
     def contains(self, p: RatPoint) -> PointLocation:
         """Exact classification of p against polygon, nodes and cuts; p is a
@@ -396,24 +362,9 @@ class BaseDiagram:
         return not self.nodes and sorted(self._directions) == [
             (-1, 0), (0, -1), (0, 1), (1, 0)]
 
-    def transform(self, m: UnimodularAffineMap) -> "BaseDiagram":
-        """The diagram in new integral affine coordinates.
-
-        Orientation-reversing maps reverse the vertex list to keep it
-        counterclockwise.  The result is a generic polygon diagram, named
-        as one.  Its homology is this one's, except that a map swapping the
-        axes swaps the two sweep classes: the sphere over a horizontal
-        segment then lies over a vertical one.
-        """
-        vertices = [m.apply(v) for v in self.polygon_vertices]
-        if m.det < 0:
-            vertices.reverse()
-        nodes = [Node(m.apply(n.position), m.apply(n.cut_direction))
-                 for n in self.nodes]
-        basis, form, h, v = self.homology
-        if m.linear[0][0] == m.linear[1][1] == 0:  # the axes swap
-            h, v = v, h
-        return BaseDiagram(vertices, nodes, HomologyModel(basis, form, h, v))
+    def transform(self, m) -> "BaseDiagram":
+        """The diagram moved by the unimodular affine map m."""
+        return _submodule("maps").transform_diagram(self, m)
 
     def __eq__(self, other):
         if not isinstance(other, BaseDiagram):
@@ -432,13 +383,11 @@ class BaseDiagram:
 
 # The builders' corners and nodes: RatPoints of triples known to be reduced.
 _point = partial(tuple.__new__, RatPoint)
-_ORIGIN, _UP, _RIGHT = RatPoint(0, 0), IntVec(0, 1), IntVec(1, 0)
+_ORIGIN = RatPoint(0, 0)
 RECTANGLE_BASIS = ("sphere_h", "sphere_v")
 _RECTANGLE_HOMOLOGY = HomologyModel(
     RECTANGLE_BASIS, ((0, 1), (1, 0)), class_of_horizontal_sweep=(1, 0),
     class_of_vertical_sweep=(0, 1))
-_XABC_HOMOLOGY = HomologyModel(("E1", "E2", "E3"),
-                               ((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
 
 
 def rectangle(width, height) -> BaseDiagram:
@@ -456,35 +405,3 @@ def rectangle(width, height) -> BaseDiagram:
                        (), _RECTANGLE_HOMOLOGY,
                        name=f"rectangle {width}x{height}", kind="rectangle",
                        params={"width": width, "height": height})
-
-
-def x_abc(a, b, c, s) -> BaseDiagram:
-    """The triple blow-up triangle: leg s, toric corner chop c, two nodes.
-
-    The polygon has vertices (0,c), (c,0), (s,0), (0,s).  The chopped edge
-    has affine length c (the toric blow-up).  The two non-toric blow-ups of
-    sizes a and b are encoded by focus-focus nodes placed so that the cut
-    from each node to the slanted edge has affine length equal to the
-    blow-up size: node_a = (a, s-2a) with vertical cut (its cut exits at
-    (a, s-a), lattice length a) and node_b = (s-2b, b) with horizontal cut.
-    Homology basis E1, E2, E3 with intersection form -Identity.
-    """
-    a, b, c, s = params = tuple(map(_as_fraction, (a, b, c, s)))
-    (an, ad), (bn, bd), (cn, cd), (sn, sd) = map(Fraction.as_integer_ratio,
-                                                  params)
-    if an <= 0 or bn <= 0:
-        raise InvalidDiagram("blow-up sizes a and b must be positive")
-    if cn <= 0 or cn * sd >= sn * cd:
-        raise InvalidDiagram("chop size must satisfy 0 < c < s")
-    node_a = tuple.__new__(Node, (RatPoint.of(
-        an * sd, sn * ad - 2 * an * sd, ad * sd), _UP))
-    node_b = tuple.__new__(Node, (RatPoint.of(
-        sn * bd - 2 * bn * sd, bn * sd, bd * sd), _RIGHT))
-    try:
-        return BaseDiagram((_point((0, cn, cd)), _point((cn, 0, cd)),
-                            _point((sn, 0, sd)), _point((0, sn, sd))),
-                           (node_a, node_b), _XABC_HOMOLOGY,
-                           name=f"xabc a={a} b={b} c={c} s={s}", kind="xabc",
-                           params={"a": a, "b": b, "c": c, "s": s})
-    except InvalidDiagram as err:
-        raise InvalidDiagram(f"x_abc(a={a}, b={b}, c={c}, s={s}): {err}") from None

@@ -1,18 +1,17 @@
 """Exact planar lattice geometry.
 
 Integer vectors (edge directions), rational points (positions in a base
-diagram), unimodular affine maps (integral affine changes of coordinates),
-the ASCII spellings of numbers, and the exact rules that every other
-module reads from here alone: the primitive direction of b - a
+diagram), the ASCII spellings of numbers, and the exact rules that every
+other module reads from here alone: the primitive direction of b - a
 (primitive_pair, and primitive_direction as an IntVec; displacement adds
 the lattice length), the reduced triple of a point (reduced) and, on int
 pairs with denominators cleared, orientation, containment, reach (b - a is
 a positive multiple of a direction) and contact.
 
-Every value type is a tuple.  IntVec and UnimodularAffineMap are
-typing.NamedTuple records that check their fields in __new__ (and so in
-_make, _replace and unpickling too), so a vector equals the int pair
-(x, y) and a map the pair (linear, translation).
+Every value type is a tuple.  IntVec is a typing.NamedTuple record that
+checks its fields in __new__ (and so in _make, _replace and unpickling
+too), so a vector equals the int pair (x, y); the unimodular affine maps
+are in maps.
 
 All arithmetic is exact and on Python ints (arbitrary precision, so
 overflow cannot occur).  A rational point is the tuple of its reduced
@@ -37,10 +36,6 @@ from .errors import TroplagError
 
 class DegenerateDirection(TroplagError):
     """A nonzero direction was required but the zero vector was supplied."""
-
-
-class NonUnimodularMap(TroplagError):
-    """The linear part of an affine map must have determinant +1 or -1."""
 
 
 # Numbers are spelled in ASCII digits only (\d would admit any Unicode digit).
@@ -209,66 +204,6 @@ def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
     u = primitive_direction(a, b)
     k = 0 if u[0] else 1
     return u, Fraction(b[k] * a[2] - a[k] * b[2], a[2] * b[2] * u[k])
-
-
-class _UnimodularAffineMap(NamedTuple):
-    linear: tuple[tuple[int, int], tuple[int, int]]
-    translation: RatPoint
-
-
-class UnimodularAffineMap(_UnimodularAffineMap):
-    """An integral affine map x -> L x + t with det L = +-1; translation is
-    t, the image of the origin."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
-
-    def __new__(cls, linear, translation):
-        (a, b), (c, d) = linear
-        for entry in (a, b, c, d):
-            _as_int(entry)
-        if a * d - b * c not in (1, -1):
-            raise NonUnimodularMap(
-                f"determinant {a * d - b * c} is not +1 or -1")
-        if not isinstance(translation, RatPoint):
-            raise TypeError(f"translation {translation!r} is not a RatPoint")
-        return tuple.__new__(cls, (linear, translation))
-
-    @classmethod
-    def identity(cls) -> "UnimodularAffineMap":
-        return cls(((1, 0), (0, 1)), RatPoint(0, 0))
-
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.linear
-        return a * d - b * c
-
-    def apply(self, obj):
-        """Points get linear part plus translation; vectors only the linear part."""
-        (a, b), (c, d) = self.linear
-        if isinstance(obj, IntVec):
-            return IntVec(a * obj.x + b * obj.y, c * obj.x + d * obj.y)
-        if isinstance(obj, RatPoint):
-            (tX, tY, tW), (X, Y, W) = self.translation, obj
-            return RatPoint.of((a * X + b * Y) * tW + tX * W,
-                               (c * X + d * Y) * tW + tY * W, W * tW)
-        raise TypeError(f"cannot apply an affine map to {obj!r}")
-
-    def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
-        """The map sending x to self(other(x))."""
-        (a, b), (c, d) = self.linear
-        (e, f), (g, h) = other.linear
-        linear = ((a * e + b * g, a * f + b * h),
-                  (c * e + d * g, c * f + d * h))
-        return UnimodularAffineMap(linear, self.apply(other.translation))
-
-    def inverse(self) -> "UnimodularAffineMap":
-        (a, b), (c, d) = self.linear
-        det = self.det  # 1/det == det for det in {1, -1}
-        (a, b), (c, d) = linear = ((d * det, -b * det), (-c * det, a * det))
-        tX, tY, tW = self.translation  # the inverse sends it to -L^-1 t
-        return UnimodularAffineMap(linear, RatPoint.of(
-            -(a * tX + b * tY), -(c * tX + d * tY), tW))
 
 
 # ---------------------------------------------------------------------------

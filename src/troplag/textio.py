@@ -30,42 +30,30 @@ text, is read by one scan (findall) per element kind, from the newline
 before each line of that kind to the one after it, and the groups become
 rows in comprehensions.  The block is taken when the scans account for
 every line that is not blank or a comment, int() takes every number and
-TropicalCurve.of_rows takes the rows (it refuses a duplicate id); any
-other block is walked line by line, with the same patterns and the words
-of a refused line, to raise its first error: the groups of the lines
-matched before it go to the row builder at once, and are read again line
-by line only if it refuses them (a number too long for int(), a weight).
-A rectangle or xabc line matched whole by its kind's pattern (_diagram)
-goes to its builder; any other line is split into words and kept as its
-number, body and words.
-An error's column is where its word starts, plus len("key=") inside a
-key=value word; a builder refuses a matched line at its kind.
+TropicalCurve.of_rows takes the rows (it refuses a duplicate id).  A
+rectangle or xabc line matched whole by its kind's pattern (_diagram) goes
+to its builder, and a builder refuses it at its kind.
+
+Only well-formed text is read here: refusal walks any other block to raise
+its first error and reads any other diagram line word by word (polygon a
+polygon line), and serialize_document loads writer.
 
 The rows are plain tuples: vertex ids with their reduced (X, Y, W) point
 triples, edges as (id, src id, dst id), and ends as (id, source, (dx,
 dy), terminal), the source a vertex id or an anchor triple and the
-terminal a node index or a landing triple.  Serialization reads the
-curve's columns back.
+terminal a node index or a landing triple.
 """
 import re
-import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
+from . import _submodule
 from .errors import TroplagError
-from .diagram import (
-    BaseDiagram,
-    HomologyModel,
-    InvalidDiagram,
-    Node,
-    rectangle,
-    x_abc,
-)
-from .lattice import (IntVec, RatPoint, _DEN, _INT, _INTEGER, _RATIONAL,
-                      point_text)
+from .diagram import BaseDiagram, InvalidDiagram, rectangle
+from .lattice import _DEN, _INT
 from .tropical import InvalidCurve, TropicalCurve
 
 
@@ -83,13 +71,14 @@ class Document(NamedTuple):
 
 # A point's numerators and denominators, each denominator optional.
 _PAIR = rf"\(({_INT})(?:/({_DEN}))?,({_INT})(?:/({_DEN}))?\)"
-_POINT = _PAIR + r"\Z"
 _ID = r"([A-Za-z_][A-Za-z0-9_.-]*)"
-_NAME = _ID + r"\Z"
 _WORD = r"\S+"  # a word of str.split(), with its offset
+
+
 # The diagram kinds given by rationals: the builder and the keys in order.
 _PARAMETRIC = {"rectangle": (rectangle, ("width", "height")),
-               "xabc": (x_abc, ("a", "b", "c", "s"))}
+               "xabc": (lambda *abcs: _submodule("nodes").x_abc(*abcs),
+                        ("a", "b", "c", "s"))}
 
 # One pattern per element line, from the \n before it to the one after
 # it; _S, \s but \n, is the whitespace str.split() splits a line on.  An
@@ -134,20 +123,6 @@ def _error(message: str, line, i: int = 0, skip: int = 0) -> ParseError:
     return ParseError(message, lineno, word.start() + 1 + skip)
 
 
-def _read(pattern, message, build, text, line, i, skip=0):
-    """build(match) of a word that pattern matches in full, refusing any
-    other word with message and a number too long for int() at its place."""
-    m = re.match(pattern, text)
-    if m is None:
-        raise _error(message.format(text), line, i, skip)
-    try:
-        return build(m)
-    except ValueError:
-        raise _error(f"a number has more than "
-                     f"{sys.get_int_max_str_digits()} digits",
-                     line, i, skip) from None
-
-
 def _triple(xn, xd, yn, yd) -> tuple[int, int, int]:
     """The reduced (X, Y, W) of the point (xn/xd, yn/yd) of digit groups;
     None or "" for xd or yd is 1.  A point with one denominator w, say
@@ -167,112 +142,25 @@ def _triple(xn, xd, yn, yd) -> tuple[int, int, int]:
     return int(xn), int(yn), 1
 
 
-# The word readers, called as reader(text, line, i, skip=0): the text of
-# the i-th word of line, skip characters into the word.
-_rational = partial(_read, _RATIONAL, "expected a rational like 3 or 22/7, "
-                    "got {!r} (decimals are not allowed)",
-                    lambda m: Fraction(*map(int, m[0].split("/"))))
-_integer = partial(_read, _INTEGER, "expected an integer, got {!r}",
-                   lambda m: int(m[0]))
-_point = partial(_read, _POINT, "expected a point like (1,2/3), got {!r}",
-                 lambda m: RatPoint.of(*_triple(*m.groups())))
-_intvec = partial(_read, rf"\(({_INT}),({_INT})\)\Z",
-                  "expected an integer vector like (2,-1), got {!r}",
-                  lambda m: IntVec(int(m[1]), int(m[2])))
-_name = partial(_read, _NAME, "expected a name, got {!r}", lambda m: m[0])
-_intlist = partial(_read, rf"{_INT}(?:,{_INT})*\Z",
-                   "expected comma-separated integers, got {!r}",
-                   lambda m: tuple(map(int, m[0].split(","))))
-
-
-def _keyvalue(line, i, key, read):
-    """read applied to the value of the i-th word, which must be key=..."""
-    text = line[2][i]
-    prefix = key + "="
-    if not text.startswith(prefix):
-        raise _error(f"expected {key}=..., got {text!r}", line, i)
-    return read(text[len(prefix):], line, i, len(prefix))
-
-
-def _parse_polygon_diagram(line):
-    words = line[2]
-    cuts = [1, *(i for i, w in enumerate(words) if w == ";"), len(words)]
-    sections = [range(a + 1, b) for a, b in zip(cuts, cuts[1:])]
-    vertices = [_point(words[i], line, i) for i in sections[0]]
-    if len(vertices) < 3:
-        raise _error("polygon needs at least three vertices", line, 1)
-    nodes = []
-    basis = form = sweep_h = sweep_v = None
-    given = set()
-    for section in sections[1:]:
-        if not section:
-            raise _error("empty ';' section", line, 1)
-        k = section[0]
-        kind = words[k]
-        if kind != "node" and kind in given:
-            raise _error(f"{kind} given twice", line, k)
-        given.add(kind)
-        if kind == "node":
-            if len(section) != 3:
-                raise _error("node takes a position and cut=(dx,dy)", line, k)
-            nodes.append(Node(_point(words[k + 1], line, k + 1),
-                              _keyvalue(line, k + 2, "cut", _intvec)))
-        elif kind == "basis":
-            basis = tuple(_name(words[i], line, i) for i in section[1:])
-        elif kind == "form":
-            form = [_integer(words[i], line, i) for i in section[1:]]
-        elif kind == "sweepclasses":
-            if len(section) != 3:
-                raise _error("sweepclasses takes h=... and v=...", line, k)
-            sweep_h = _keyvalue(line, k + 1, "h", _intlist)
-            sweep_v = _keyvalue(line, k + 2, "v", _intlist)
-        else:
-            raise _error(f"unknown diagram section {kind!r}", line, k)
-    if basis is None:
-        homology = HomologyModel((), ())
-        if form is not None:
-            raise _error("form given without basis", line, 1)
-        if sweep_h is not None:
-            raise _error("sweepclasses given without basis", line, 1)
-    else:
-        n = len(basis)
-        if form is None or len(form) != n * n:
-            raise _error(f"form must list {n}x{n} row-major integers",
-                         line, 1)
-        rows = tuple(tuple(form[i * n:(i + 1) * n]) for i in range(n))
-        homology = HomologyModel(basis, rows,
-                                 class_of_horizontal_sweep=sweep_h,
-                                 class_of_vertical_sweep=sweep_v)
-    return BaseDiagram(vertices, nodes, homology, name="polygon")
-
-
 def _parse_diagram(line):
+    """The diagram of a diagram line: a rectangle or xabc line matched
+    whole by its kind's pattern goes to its builder, and any other line to
+    refusal, which reads its words."""
     _, body, words = line
-    if len(words) < 2:
-        raise _error("diagram needs a kind", line)
-    kind = words[1]
+    kind = words[1] if len(words) > 1 else ""
     try:
         if kind in _PARAMETRIC:
-            build, keys = _PARAMETRIC[kind]
             try:
                 if m := _diagram(kind)(body):
                     n = m.groups()
-                    return build(*[
+                    return _PARAMETRIC[kind][0](*[
                         Fraction(int(p), int(q)) if q else Fraction(int(p))
                         for p, q in zip(n[::2], n[1::2])])
             except ValueError:  # a number too long for int()
                 pass
-            if len(words) != 2 + len(keys):
-                raise _error(" ".join(["diagram", kind,
-                                       *(f"{key}=<rat>" for key in keys)]),
-                             line, 1)
-            return build(*(_keyvalue(line, i, key, _rational)
-                           for i, key in enumerate(keys, start=2)))
-        if kind == "polygon":
-            return _parse_polygon_diagram(line)
+        return _submodule("refusal")._read_diagram(line)
     except InvalidDiagram as err:
         raise _error(str(err), line, 1) from None
-    raise _error(f"unknown diagram kind {kind!r}", line, 1)
 
 
 def _rows(vertex=(), edge=(), end=()):
@@ -296,39 +184,6 @@ def _rows(vertex=(), edge=(), end=()):
     return None
 
 
-def _walk(t, pos, stop, lineno, block):
-    """Raise the first error in the element lines of t from the newline at
-    pos (line lineno) to stop: one outside a curve block (block false), or
-    one its pattern, a repeated id, int() or a weight refuses.  The groups
-    of the lines matched before the first line a pattern or an id refuses
-    go to _rows at once; only if it refuses them are they read again, line
-    by line, for the first line it refuses."""
-    elements = _patterns()[0]
-    seen, matched, refused = set(), [], None
-    groups = {kind: [] for kind in elements}
-    for lineno, raw in enumerate(t[pos + 1:stop].split("\n"), lineno):
-        body = raw.split("#", 1)[0]
-        words = body.split()
-        if words and words[0] in elements:
-            line = (lineno, body, words)
-            if not block:
-                raise _error(f"{words[0]} outside a curve block", line)
-            m = elements[words[0]].match(f"\n{raw}\n")
-            if not m or m[1] in seen:
-                refused = line
-                break
-            seen.add(m[1])
-            kind, found = words[0], m.groups("")
-            groups[kind].append(found)
-            matched.append((line, kind, found))
-    if _rows(**groups) is None:  # the matched ids are distinct
-        for line, kind, found in matched:
-            if _rows(**{kind: [found]}) is None:
-                _refuse(line, ())
-    if refused:
-        _refuse(refused, seen)
-
-
 def parse_document(text: str) -> Document:
     """Parse a document; exact rationals only, duplicate ids rejected."""
     # Only \r\n, \r and \n end a line (str.splitlines() ends more): each
@@ -347,7 +202,7 @@ def parse_document(text: str) -> Document:
         its curve; before the first header there must be none."""
         if block is None:
             if lines:
-                _walk(t, start, stop, first, False)
+                _submodule("refusal")._walk(t, start, stop, first, False)
             return
         found = [p.findall(t, start, stop + 1) for p in elements.values()]
         refusal = None
@@ -357,7 +212,7 @@ def parse_document(text: str) -> Document:
                 return
             except InvalidCurve as err:
                 refusal = _error(str(err), block[0])
-        _walk(t, start, stop, first, True)
+        _submodule("refusal")._walk(t, start, stop, first, True)
         raise refusal or AssertionError(
             f"line {first}: the walk takes a block the scans refuse")
 
@@ -373,10 +228,12 @@ def parse_document(text: str) -> Document:
         head = words[0]
         if head == "curve" and diagram is not None and len(words) == 2:
             close(pos, n - others)
-            block = line, name or _name(words[1], line, 1)
+            block = (line, name
+                     or _submodule("refusal")._name(words[1], line, 1))
         else:  # the diagram, or an error after those of the lines before
             if n != others:
-                _walk(t, start, pos, first, block is not None)
+                _submodule("refusal")._walk(t, start, pos, first,
+                                            block is not None)
             if head == "curve":
                 raise _error("curve before diagram" if diagram is None
                              else "curve <name>", line)
@@ -392,90 +249,6 @@ def parse_document(text: str) -> Document:
     return Document(diagram, tuple(curves))
 
 
-def _refuse(line, seen):
-    """Raise the error in an element line that its pattern refused, or
-    whose number int() refused: its words are read in order, as the
-    format at the top of this module gives them, until one fails."""
-    words = line[2]
-    head = words[0]
-    if len(words) < 2:
-        raise _error(f"{head} needs an id", line)
-    ident = _name(words[1], line, 1)
-    if ident in seen:
-        raise _error(f"duplicate id {ident!r}", line, 1)
-    if head == "vertex":
-        if len(words) != 3:
-            raise _error("vertex <id> (<rat>,<rat>)", line)
-        _point(words[2], line, 2)
-    elif head == "edge":
-        if len(words) not in (4, 5):
-            raise _error("edge <id> <from> <to>", line)
-        if len(words) == 5 and _keyvalue(line, 4, "weight", _integer) != 1:
-            raise _error(f"edges have weight 1, got {words[4]!r}", line, 4)
-        _name(words[2], line, 2)
-        _name(words[3], line, 3)
-    else:
-        if len(words) != 5:
-            raise _error("end <id> <from> dir=(<int>,<int>) "
-                         "land=(<rat>,<rat>)|node=<index>", line)
-        (_point if re.match(_POINT, words[2]) else _name)(words[2], line, 2)
-        readers = {"dir": _intvec, "land": _point, "node": _integer}
-        for i in (3, 4):
-            key, sep, _ = words[i].partition("=")
-            if not sep or key not in readers:
-                raise _error(f"unknown end attribute {words[i]!r}", line, i)
-            _keyvalue(line, i, key, readers[key])
-        if words[3].startswith("dir=") == words[4].startswith("dir="):
-            raise _error("end needs dir= and exactly one of land=/node=",
-                         line)
-    raise AssertionError(f"line {line[0]} passes every check but _ELEMENTS")
-
-
-# -----------------------------------------------------------------------
-# Serialization
-# -----------------------------------------------------------------------
-
-def _serialize_diagram(diagram: BaseDiagram) -> str:
-    if diagram.kind in _PARAMETRIC:
-        return " ".join(["diagram", diagram.kind,
-                         *(f"{key}={diagram.params[key]}"
-                           for key in _PARAMETRIC[diagram.kind][1])])
-    parts = ["diagram polygon"]
-    parts += [str(v) for v in diagram.polygon_vertices]
-    for node in diagram.nodes:
-        parts += [";", "node", str(node.position),
-                  f"cut={node.cut_direction}"]
-    homology = diagram.homology
-    if homology.basis_labels:
-        parts += [";", "basis", *homology.basis_labels]
-        flat = [str(entry) for row in homology.intersection_form
-                for entry in row]
-        parts += [";", "form", *flat]
-        if (homology.class_of_horizontal_sweep is not None
-                and homology.class_of_vertical_sweep is not None):
-            h = ",".join(str(c) for c in homology.class_of_horizontal_sweep)
-            v = ",".join(str(c) for c in homology.class_of_vertical_sweep)
-            parts += [";", "sweepclasses", f"h={h}", f"v={v}"]
-    return " ".join(parts)
-
-
-def _serialize_curve(curve: TropicalCurve):
-    """The curve's lines, read from its columns."""
-    ids = curve._ids
-    sources = [*ids, *map(point_text, curve._anchors)]
-    lines = [f"curve {curve.name or 'curve'}"]
-    lines += map("vertex {} {}".format, ids, map(point_text, curve._points))
-    lines += [f"edge {eid} {ids[s]} {ids[d]}"
-              for eid, s, d, _ in curve._edge_rows]
-    for eid, site, (dx, dy), t in curve._end_rows:
-        t = f"node={t}" if isinstance(t, int) else f"land={point_text(t)}"
-        lines.append(f"end {eid} {sources[site]} dir=({dx},{dy}) {t}")
-    return lines
-
-
 def serialize_document(doc: Document) -> str:
-    """Serialize so that parse(serialize(doc)) equals doc."""
-    lines = [_serialize_diagram(doc.diagram)]
-    for curve in doc.curves:
-        lines.extend(_serialize_curve(curve))
-    return "\n".join(lines) + "\n"
+    """Serialize so that parse(serialize(doc)) equals doc (see writer)."""
+    return _submodule("writer").serialize(doc)

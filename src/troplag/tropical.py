@@ -43,13 +43,13 @@ from enum import Enum
 from math import gcd, lcm
 from typing import NamedTuple
 
+from . import _submodule
 from .errors import TroplagError
 from .diagram import INTERIOR, BaseDiagram, LocationKind
 from .lattice import (
     OVERLAP,
     DegenerateDirection,
     RatPoint,
-    UnimodularAffineMap,
     between,
     common_scale,
     point_text,
@@ -209,21 +209,9 @@ class TropicalCurve:
     def is_empty(self) -> bool:
         return not (self._ids or self._edge_rows or self._end_rows)
 
-    def transform(self, m: UnimodularAffineMap) -> "TropicalCurve":
-        """The curve in new integral affine coordinates: m.apply moves each
-        point, anchor and landing, and m's linear part each direction."""
-        (a, b), (c, d) = m.linear
-        name, ids, points, edges, ends = self.rows()
-
-        def move(p):
-            return tuple(m.apply(RatPoint.of(*p)))
-
-        return TropicalCurve.of_rows(
-            name, ids, [move(p) for p in points], edges,
-            [(eid, s if isinstance(s, str) else move(s),
-              (a * x + b * y, c * x + d * y),
-              t if isinstance(t, int) else move(t))
-             for eid, s, (x, y), t in ends])
+    def transform(self, m) -> "TropicalCurve":
+        """The curve moved by the unimodular affine map m."""
+        return _submodule("maps").transform_curve(self, m)
 
     def _columns(self):
         return (self.name, self._ids, self._points, self._anchors,

@@ -29,7 +29,7 @@ from conftest import FIGURES, random_curve
 from troplag import (Document, IntVec, ParseError, RatPoint, TroplagError,
                      parse_document, rectangle, render_document, rp2_curve,
                      serialize_document, trop_family, visible_segment)
-from troplag.cli import _audin_lines
+from troplag.reports import _audin_lines
 from troplag.homology import mod2_class
 from troplag.topology import (build_presentation, euler_breakdown,
                               oracle_classify)

@@ -21,11 +21,12 @@ PACKAGE_ROOT = str(Path(troplag.__file__).resolve().parent.parent)
 
 EXPORTS = {
     "errors": ["TroplagError"],
-    "lattice": ["DegenerateDirection", "IntVec", "NonUnimodularMap",
-                "RatPoint", "UnimodularAffineMap", "pt"],
+    "lattice": ["DegenerateDirection", "IntVec", "RatPoint", "pt"],
+    "maps": ["NonUnimodularMap", "UnimodularAffineMap"],
     "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
                 "InvalidDiagram", "LocationKind", "Node", "PointLocation",
-                "UnsupportedDiagram", "rectangle", "x_abc"],
+                "UnsupportedDiagram", "rectangle"],
+    "nodes": ["x_abc"],
     "tropical": ["EndKind", "InvalidCurve", "NonIntegralSelfIntersection",
                  "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
                  "UnbalancedVertex", "UnsupportedEndMultiplicity",
@@ -50,9 +51,17 @@ EXPORTS = {
     "render": ["render_document"],
 }
 NAMES = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
-# What `validate` loads; every document command loads at least these.
-VALIDATE_SET = ["troplag.cli", "troplag.diagram", "troplag.errors",
+# What every command that reads or writes a document loads.
+DOCUMENT_SET = ["troplag.cli", "troplag.diagram", "troplag.errors",
                 "troplag.lattice", "troplag.textio", "troplag.tropical"]
+# What `validate` loads; every document report loads at least these.
+VALIDATE_SET = sorted(DOCUMENT_SET + ["troplag.reports"])
+# The modules that hold code a rectangle report never runs: the other
+# commands, the refusal path, the polygon reader, the writer, the maps, and
+# x_abc with the ray exits.
+MOVED = ["troplag.maps", "troplag.nodes", "troplag.numeric",
+         "troplag.polygon", "troplag.refusal", "troplag.writer"]
+KLEIN = str(FIGURES / "fig2_klein.trop")
 
 # Prints, as its last line, the public names dir() misses on a fresh
 # package and the troplag submodules loaded after each step.
@@ -106,7 +115,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 81
+    assert len(NAMES) == 83
     assert sorted(troplag.__all__) == NAMES
 
 
@@ -152,15 +161,15 @@ def test_threshold_commands_load_no_geometry(argv):
     loaded, code = _fresh_interpreter(COMMAND, *argv)
     assert code == 0
     assert loaded == ["troplag.cli", "troplag.constructions",
-                      "troplag.errors", "troplag.lattice"]
+                      "troplag.errors", "troplag.lattice", "troplag.numeric"]
 
 
 @pytest.mark.parametrize("argv, extra", [
-    (["homology", str(FIGURES / "fig2_klein.trop")], ["homology"]),
-    (["render", str(FIGURES / "fig2_klein.trop"), "-o", "-"], ["render"]),
-    (["topology", str(FIGURES / "fig2_klein.trop")], ["topology"]),
-    (["audin", str(FIGURES / "fig2_klein.trop")], ["homology", "topology"]),
-    (["gen-family", "2"], ["constructions"]),
+    (["homology", KLEIN], ["homology", "reports"]),
+    (["render", KLEIN, "-o", "-"], ["render", "reports"]),
+    (["topology", KLEIN], ["reports", "topology"]),
+    (["audin", KLEIN], ["homology", "reports", "topology"]),
+    (["gen-family", "2"], ["constructions", "nodes", "numeric", "writer"]),
 ], ids=["homology", "render", "topology", "audin", "gen-family"])
 def test_only_chi_commands_load_topology(argv, extra):
     # An end's cap kind is tropical.classify_end, so the sweeps and the
@@ -168,7 +177,41 @@ def test_only_chi_commands_load_topology(argv, extra):
     # only when it is read; topology and audin print chi.
     loaded, code = _fresh_interpreter(COMMAND, *argv)
     assert code == 0
-    assert loaded == sorted(VALIDATE_SET + [f"troplag.{m}" for m in extra])
+    assert loaded == sorted(DOCUMENT_SET + [f"troplag.{m}" for m in extra])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", KLEIN], ["topology", KLEIN], ["homology", KLEIN],
+    ["audin", KLEIN], ["render", KLEIN, "-o", "-"],
+], ids=lambda argv: argv[0])
+def test_rectangle_reports_load_no_moved_module(argv):
+    # A rectangle document that parses runs none of the code moved out of
+    # cli, textio, lattice, diagram and tropical.
+    loaded, code = _fresh_interpreter(COMMAND, *argv)
+    assert code == 0
+    assert "troplag.reports" in loaded
+    assert sorted(set(loaded) & set(MOVED)) == []
+
+
+@pytest.mark.parametrize("text, argv, expected_code, own", [
+    ("diagram rectangle width=1.5 height=2\n", ["validate"], 2,
+     ["refusal"]),
+    (None, ["validate", str(FIGURES / "fig1_right.trop")], 0,
+     ["nodes", "polygon", "refusal"]),
+    (None, ["gen-family", "2"], 0, ["nodes", "numeric", "writer"]),
+], ids=["malformed", "polygon", "gen-family"])
+def test_other_paths_load_their_own_modules(tmp_path, text, argv,
+                                            expected_code, own):
+    # Malformed input loads the refusal path, a polygon line the polygon
+    # reader (with the word readers of refusal, and the ray exits for its
+    # nodes' cuts), and gen-family the other commands and the writer.
+    if text is not None:
+        path = tmp_path / "malformed.trop"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, str(path)]
+    loaded, code = _fresh_interpreter(COMMAND, *argv)
+    assert code == expected_code
+    assert sorted(set(loaded) & set(MOVED)) == [f"troplag.{m}" for m in own]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ from troplag import (
     visible_segment,
     x_abc,
 )
-from troplag import textio
+from troplag import refusal, textio
 from conftest import (BUNDLED_DOCS, load_document, FIGURES, count_calls,
                       klein_as_polygon, random_curve, token_soups)
 
@@ -398,7 +398,7 @@ def test_fig3_matches_generator():
 
 
 # A curve block is read by one scan per element kind.  A block the scans
-# do not take is walked line by line (textio._walk) only to raise its first
+# do not take is walked line by line (refusal._walk) only to raise its first
 # error, so a valid document is never walked.  _BLANKS are the \s that do
 # not end a line; _FORMS has the element forms random_curve does not make:
 # an anchor end, an end to a node and a vertex at a rational point.
@@ -468,7 +468,7 @@ def test_decorated_documents_parse_as_plain_text(rng, blocks):
     plain += _FORMS
     text = _decorate(rng, plain)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        walks = count_calls(monkeypatch, textio, "_walk")
+        walks = count_calls(monkeypatch, refusal, "_walk")
         doc = parse_document(text)
         assert doc == parse_document(plain)
         assert walks == []
@@ -476,7 +476,7 @@ def test_decorated_documents_parse_as_plain_text(rng, blocks):
 
 
 def test_valid_documents_are_never_walked(monkeypatch):
-    walks = count_calls(monkeypatch, textio, "_walk")
+    walks = count_calls(monkeypatch, refusal, "_walk")
     instance = trop_family(24)
     texts = [serialize_document(Document(instance.diagram, (instance.curve,)))]
     texts += [path.read_text(encoding="utf-8")
