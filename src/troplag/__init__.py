@@ -25,9 +25,8 @@ _EXPORTS = {
     "lattice": ("DegenerateDirection", "IntVec", "RatPoint", "pt"),
     "maps": ("NonUnimodularMap", "UnimodularAffineMap"),
     "diagram": (
-        "BaseDiagram", "BoundaryEdge", "HomologyModel", "InvalidDiagram",
-        "LocationKind", "Node", "PointLocation", "UnsupportedDiagram",
-        "rectangle",
+        "BaseDiagram", "HomologyModel", "InvalidDiagram", "LocationKind",
+        "Node", "PointLocation", "UnsupportedDiagram", "rectangle",
     ),
     "nodes": ("x_abc",),
     "tropical": (

@@ -49,6 +49,7 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
     Klein bottle exactly when both ends have mu = 2.
     """
     from .diagram import LocationKind, UnsupportedDiagram
+    from .nodes import exit_point
     from .tropical import TropicalCurve
 
     if not diagram.is_rectangle:
@@ -63,13 +64,13 @@ def visible_segment(diagram: BaseDiagram, direction: IntVec,
         raise DoesNotFit(f"anchor {anchor} is not strictly inside")
     ends = []
     for end_id, way in (("minus", -u), ("plus", u)):  # left exit first
-        landing, location = diagram.exit(anchor, way)
+        landing, location = exit_point(diagram, anchor, way)
         if location.kind is LocationKind.ON_CORNER:
             raise DoesNotFit("the line exits through a corner")
         if diagram._directions[location.index][1] == 0:
             raise DoesNotFit("the line exits through a horizontal edge")
         ends.insert(0, (end_id, tuple(anchor), tuple(way), tuple(landing)))
-    return TropicalCurve.of_rows("visible", (), (), (), ends)
+    return TropicalCurve("visible", (), (), (), ends)
 
 
 def klein_threshold(width, height) -> bool:
@@ -123,7 +124,7 @@ def rp2_curve(a, b, c, s):
     lands on a leg with mu = 1 and the surface is a disc.
     """
     from .diagram import LocationKind
-    from .nodes import x_abc
+    from .nodes import exit_point, x_abc
     from .tropical import InvalidCurve, TropicalCurve, validate
 
     diagram = x_abc(a, b, c, s)
@@ -136,7 +137,7 @@ def rp2_curve(a, b, c, s):
 
     down = (-1, -1)
     if location.kind is LocationKind.INTERIOR:
-        landing, where = diagram.exit(vertex_pos, down)
+        landing, where = exit_point(diagram, vertex_pos, down)
         if where.kind is LocationKind.ON_CORNER:
             raise DegenerateConstruction(
                 f"the (-1,-1) end hits the corner {landing} exactly "
@@ -145,7 +146,7 @@ def rp2_curve(a, b, c, s):
         # Vertex outside: let validation report it on a nominal landing.
         landing = RatPoint(0, b - a)
 
-    curve = TropicalCurve.of_rows(
+    curve = TropicalCurve(
         "rp2", ("v",), (tuple(vertex_pos),), (),
         (("cap_a", "v", (0, 1), 0), ("cap_b", "v", (1, 0), 1),
          ("xcap", "v", down, tuple(landing))))
@@ -188,6 +189,7 @@ def trop_family(ell: int) -> FamilyInstance:
     at x = 10j + 13/2, as balancing forces.
     """
     from .diagram import rectangle
+    from .nodes import exit_point
     from .tropical import TropicalCurve
 
     if not isinstance(ell, int) or ell < 1:
@@ -212,10 +214,10 @@ def trop_family(ell: int) -> FamilyInstance:
                  (f"down_c{j}", f"c{j}", down), (f"up_d{j}", f"d{j}", up)]
     rays += [("left", "a0", (-2, 1)), ("right", f"d{ell - 1}", (2, -1))]
     ends = [(end_id, vid, direction,
-             tuple(diagram.exit(positions[vid], direction)[0]))
+             tuple(exit_point(diagram, positions[vid], direction)[0]))
             for end_id, vid, direction in rays]
-    curve = TropicalCurve.of_rows(f"family_ell{ell}", list(positions),
-                                  list(positions.values()), edges, ends)
+    curve = TropicalCurve(f"family_ell{ell}", list(positions),
+                          list(positions.values()), edges, ends)
     return FamilyInstance(ell, diagram, curve)
 
 

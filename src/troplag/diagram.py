@@ -8,14 +8,14 @@ the spaces used throughout the package: rectangle, the toric rectangle (a
 product of two spheres), and nodes.x_abc, the triple blow-up triangle with
 one toric corner chop and two non-toric nodes.  nodes.ray_exit finds where
 a ray from an interior point leaves the polygon: each cut ends at its
-node's exit, and BaseDiagram.exit (where the constructions land their
-ends) reads it; a diagram without nodes loads nodes only for exit.
+node's exit, and nodes.exit_point (where the constructions land their
+ends) reads it; a diagram without nodes loads nodes only for exit_point.
 A diagram is a lattice polygon held as int columns on one scale S, the
 least that clears every corner, node and cut exit: corners, each edge's
 line (e.x, e.y, e ^ A) and primitive direction, bounds, node positions,
 cut directions and cut exits.  contains (of (X, Y, W) as (S*X, S*Y, W))
-and exit read only these; the boundary_edges and cut_segments records are
-built on first read, and bounds() makes its Fractions from the ints.
+and nodes.exit_point read only these, and bounds() makes its Fractions
+from the ints.
 A corner is a RatPoint or a reduced (X, Y, W) of ints with W > 0, held
 as a RatPoint.  One pass over the edges clears the corners, checks each
 turn and emits the lines, directions and bounds into tuples.  rectangle
@@ -25,15 +25,14 @@ their params.
 """
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import _submodule
 from .errors import TroplagError
-from .lattice import (IntVec, RatPoint, _as_fraction, displacement, reaches,
-                      reduced, segment_contact)
+from .lattice import IntVec, RatPoint, _as_fraction, reaches, segment_contact
 
 
 class InvalidDiagram(TroplagError):
@@ -70,19 +69,6 @@ OUTSIDE = PointLocation(LocationKind.OUTSIDE)
 INTERIOR = PointLocation(LocationKind.INTERIOR)
 _ON_EDGE, _ON_CORNER = LocationKind.ON_BOUNDARY_EDGE, LocationKind.ON_CORNER
 _ON_NODE, _ON_CUT = LocationKind.ON_NODE, LocationKind.ON_CUT
-
-
-class BoundaryEdge(NamedTuple):
-    """One edge of the polygon, oriented counterclockwise.
-
-    direction is primitive and points from start to end; affine_length is
-    the rational t with end - start == t * direction (the lattice length).
-    """
-
-    start: RatPoint
-    end: RatPoint
-    direction: IntVec
-    affine_length: Fraction
 
 
 class _Node(NamedTuple):
@@ -289,20 +275,6 @@ class BaseDiagram:
                     raise InvalidDiagram(f"cuts from nodes at {node.position} "
                                          f"and {other.position} collide")
 
-    # -- records, built on first read ------------------------------------
-
-    @cached_property
-    def boundary_edges(self):
-        vertices = self.polygon_vertices
-        return tuple([BoundaryEdge(a, b, *displacement(a, b)) for a, b in
-                      zip(vertices, vertices[1:] + vertices[:1])])
-
-    @cached_property
-    def cut_segments(self):
-        """One (node position, boundary exit point) pair per node."""
-        return tuple([(node.position, RatPoint.of(*end, self._scale))
-                      for node, (_, end) in zip(self.nodes, self._cuts)])
-
     # -- queries -------------------------------------------------------
 
     def _locate(self, X: int, Y: int, W: int) -> PointLocation:
@@ -341,10 +313,6 @@ class BaseDiagram:
                 return False
         return True
 
-    def exit(self, origin: RatPoint, direction: IntVec):
-        """Where the ray origin + t*direction (t > 0) leaves the polygon."""
-        return _submodule("nodes").exit_point(self, origin, direction)
-
     def contains(self, p: RatPoint) -> PointLocation:
         """Exact classification of p against polygon, nodes and cuts; p is a
         RatPoint or any (X, Y, W) triple of ints with W > 0."""
@@ -361,10 +329,6 @@ class BaseDiagram:
         define classes); a rectangle with a node is not one."""
         return not self.nodes and sorted(self._directions) == [
             (-1, 0), (0, -1), (0, 1), (1, 0)]
-
-    def transform(self, m) -> "BaseDiagram":
-        """The diagram moved by the unimodular affine map m."""
-        return _submodule("maps").transform_diagram(self, m)
 
     def __eq__(self, other):
         if not isinstance(other, BaseDiagram):

@@ -12,12 +12,12 @@ Closedness is read from tropical.end_kinds: every end must be a
 cross-cap, so a collar, an end at a node (a disc cap) and an end with no
 cap kind (mu >= 3) are refused, the last before any collar.  _sweep
 walks the plane tropical.geometry hands out once per curve, for both
-directions, and keeps each direction's critical coordinates and the ends
-of the segments that can change a parity; _parity reads it at the default witness or at a
-given one, and critical_coordinates reads it as it is.  Both default
-sweeps are one per-curve fact, _default_sweeps, read by sweep_parity
-without a witness and by mod2_class, which asks tropical.multiplicities
-first, as topology does, and keeps them.
+directions, and keeps each direction's critical coordinates (the
+rectangle's bounds and tropical.coordinates) and the ends of the segments
+that can change a parity; _parity reads it at the default witness or at a
+given one.  Both default sweeps are one per-curve fact, _default_sweeps,
+read by sweep_parity without a witness and by mod2_class, which asks
+tropical.multiplicities first, as topology does, and keeps them.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -32,8 +32,8 @@ from typing import NamedTuple
 from .errors import TroplagError
 from .diagram import BaseDiagram, HomologyModel, UnsupportedDiagram
 from .lattice import _as_fraction
-from .tropical import (_CROSS_CAP, TropicalCurve, _remember, end_kinds,
-                       geometry, multiplicities)
+from .tropical import (_CROSS_CAP, TropicalCurve, _remember, coordinates,
+                       end_kinds, geometry, multiplicities)
 
 
 class InvalidClass(TroplagError):
@@ -122,20 +122,17 @@ def _sweep(diagram: BaseDiagram, curve: TropicalCurve):
     vertical), each direction as (criticals, odd).  Coordinates are scaled
     and run across the direction's witness lines (y for horizontal lines,
     x for vertical ones); criticals is the sorted tuple a generic witness
-    line must avoid, the rectangle's bounds included, and odd the sorted
-    tuple of both ends of each segment whose weight |dot(u, t)| is odd, t
-    the unit vector along the lines: an even weight never changes a
-    parity."""
+    line must avoid, the curve's coordinates and the rectangle's bounds,
+    and odd the sorted tuple of both ends of each segment whose weight
+    |dot(u, t)| is odd, t the unit vector along the lines: an even weight
+    never changes a parity."""
     def walk():
         scale, corners, _, segments = geometry(diagram, curve)
         cx, cy = zip(*corners)
-        xs, ys = {min(cx), max(cx)}, {min(cy), max(cy)}
+        xs, ys = coordinates(diagram, curve)
+        xs, ys = xs | {min(cx), max(cx)}, ys | {min(cy), max(cy)}
         odd_y, odd_x = [], []
         for _, (ax, ay), (bx, by), _, _, (ux, uy) in segments:
-            xs.add(ax)
-            xs.add(bx)
-            ys.add(ay)
-            ys.add(by)
             if ux & 1:  # odd weight |ux| across horizontal lines
                 odd_y += ay, by
             if uy & 1:
@@ -171,15 +168,6 @@ def _parity(diagram: BaseDiagram, curve: TropicalCurve,
     # their ends below it: those at most (line - 1) // den, as none is on it.
     below = bisect_right(odd, (line - 1) // den)
     return SweepParity(direction, below % 2, witness)
-
-
-def critical_coordinates(diagram: BaseDiagram, curve: TropicalCurve,
-                         direction: SweepDirection):
-    """Sorted coordinates a generic witness line must avoid, including the
-    rectangle bounds; an end to a missing node has no segment to add."""
-    scale, horizontal, vertical = _sweep(diagram, curve)
-    criticals = (vertical if direction is _VERTICAL else horizontal)[0]
-    return [Fraction(c, scale) for c in criticals]
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,

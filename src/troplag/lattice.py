@@ -2,11 +2,10 @@
 
 Integer vectors (edge directions), rational points (positions in a base
 diagram), the ASCII spellings of numbers, and the exact rules that every
-other module reads from here alone: the primitive direction of b - a
-(primitive_pair, and primitive_direction as an IntVec; displacement adds
-the lattice length), the reduced triple of a point (reduced) and, on int
-pairs with denominators cleared, orientation, containment, reach (b - a is
-a positive multiple of a direction) and contact.
+other module reads from here alone: the primitive direction of b - a as
+an int pair (primitive_pair), the reduced triple of a point (reduced)
+and, on int pairs with denominators cleared, orientation, containment,
+reach (b - a is a positive multiple of a direction) and contact.
 
 Every value type is a tuple.  IntVec is a typing.NamedTuple record that
 checks its fields in __new__ (and so in _make, _replace and unpickling
@@ -28,7 +27,6 @@ construction time.
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import TroplagError
@@ -136,10 +134,6 @@ class RatPoint(tuple):
         """The point (X/W, Y/W) of ints with W > 0."""
         return tuple.__new__(cls, reduced(X, Y, W))
 
-    X = property(itemgetter(0))
-    Y = property(itemgetter(1))
-    W = property(itemgetter(2))
-
     def __reduce__(self):
         return RatPoint.of, tuple(self)
 
@@ -191,19 +185,6 @@ def primitive_pair(a, b) -> tuple[int, int]:
         raise DegenerateDirection(
             f"{point_text(a)} to {point_text(b)} has no direction")
     return dx // g, dy // g
-
-
-def primitive_direction(a: RatPoint, b: RatPoint) -> IntVec:
-    """The primitive direction of b - a; DegenerateDirection if a == b."""
-    return tuple.__new__(IntVec, primitive_pair(a, b))  # ints already
-
-
-def displacement(a: RatPoint, b: RatPoint) -> tuple[IntVec, Fraction]:
-    """b - a as (u, t): the primitive direction u and the lattice length
-    t > 0 with b = a + t*u, read off a nonzero component of u."""
-    u = primitive_direction(a, b)
-    k = 0 if u[0] else 1
-    return u, Fraction(b[k] * a[2] - a[k] * b[2], a[2] * b[2] * u[k])
 
 
 # ---------------------------------------------------------------------------

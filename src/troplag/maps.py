@@ -92,13 +92,15 @@ def transform_diagram(diagram, m: UnimodularAffineMap):
 def transform_curve(curve, m: UnimodularAffineMap):
     """The curve in new integral affine coordinates: m.apply moves each
     point, anchor and landing, and m's linear part each direction."""
+    from .tropical import TropicalCurve
+
     (a, b), (c, d) = m.linear
     name, ids, points, edges, ends = curve.rows()
 
     def move(p):
         return tuple(m.apply(RatPoint.of(*p)))
 
-    return curve.of_rows(
+    return TropicalCurve(
         name, ids, [move(p) for p in points], edges,
         [(eid, s if isinstance(s, str) else move(s),
           (a * x + b * y, c * x + d * y),

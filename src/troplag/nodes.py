@@ -1,7 +1,7 @@
 """Diagrams with focus-focus nodes: x_abc, the triple blow-up triangle,
 and ray_exit, where a ray from an interior point leaves a diagram's
-polygon (each node's cut ends there, and BaseDiagram.exit reads it).  A
-diagram without nodes loads this module only if exit is called on it.
+polygon (each node's cut ends there, and exit_point reads it).  A diagram
+without nodes loads this module only if exit_point is called on it.
 """
 from fractions import Fraction
 

@@ -10,14 +10,15 @@ diagram is drawn from its int columns and curves from tropical.geometry:
 a point is its int pair over its scale, and each SVG coordinate is one
 correctly rounded int division, so it is the float the reduced point
 gives.  A curve's pairs share one scale, so each distinct x and y of a
-curve is written once, into the tables its lines and markers are written
-from.  One writer draws every marker, node crosses too, from offset
+curve (tropical.coordinates) is written once, into the tables its lines
+and markers are written from.  One writer draws every marker, node crosses too, from offset
 tables: each distinct text a cross needs is offset once per half-width.
 """
 from .diagram import BaseDiagram
 from .errors import TroplagError
 from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, InvalidCurve,
-                       classify_end, end_kinds, geometry, landing_locations)
+                       classify_end, coordinates, end_kinds, geometry,
+                       landing_locations)
 
 SCALE = 48
 MARGIN = 40
@@ -136,13 +137,7 @@ def render_document(doc) -> str:
             raise InvalidCurve(f"curve {curve.name}: end {eid!r} refers to "
                                f"missing node {index}")
         # The pairs share one scale: each distinct x and y is written once.
-        xs, ys = set(), set()
-        for _, (ax, ay), (bx, by), _, _, _ in segments:
-            xs.add(ax)
-            xs.add(bx)
-            ys.add(ay)
-            ys.add(by)
-        xs, ys = frame.tables(xs, ys, scale)
+        xs, ys = frame.tables(*coordinates(diagram, curve), scale)
         parts += [f'<line x1="{xs[ax]}" y1="{ys[ay]}" x2="{xs[bx]}" '
                   f'y2="{ys[by]}" {_CURVE_STYLE}/>'
                   for _, (ax, ay), (bx, by), _, _, _ in segments]

@@ -30,9 +30,9 @@ text, is read by one scan (findall) per element kind, from the newline
 before each line of that kind to the one after it, and the groups become
 rows in comprehensions.  The block is taken when the scans account for
 every line that is not blank or a comment, int() takes every number and
-TropicalCurve.of_rows takes the rows (it refuses a duplicate id).  A
-rectangle or xabc line matched whole by its kind's pattern (_diagram) goes
-to its builder, and a builder refuses it at its kind.
+TropicalCurve takes the rows (it refuses a duplicate id).  A rectangle or
+xabc line matched whole by its kind's pattern (_diagram) goes to its
+builder, and a builder refuses it at its kind.
 
 Only well-formed text is read here: refusal walks any other block to raise
 its first error and reads any other diagram line word by word (polygon a
@@ -208,7 +208,7 @@ def parse_document(text: str) -> Document:
         refusal = None
         if sum(map(len, found)) == lines and (rows := _rows(*found)):
             try:
-                curves.append(TropicalCurve.of_rows(block[1], *rows))
+                curves.append(TropicalCurve(block[1], *rows))
                 return
             except InvalidCurve as err:
                 refusal = _error(str(err), block[0])

@@ -6,8 +6,9 @@ terminate either on the interior of a boundary edge or at a focus-focus
 node (travelling along the node's cut direction).  Edges and ends have
 weight one by construction, as the text format writes them.  A vertexless
 curve (a single straight segment) is written as two opposite ends sharing a
-standalone anchor point.  A curve is its rows: of_rows builds one from
-plain tuples and rows() gives them back, so of_rows(*curve.rows()) == curve.
+standalone anchor point.  A curve is its rows: TropicalCurve builds one
+from plain tuples and rows() gives them back, so
+TropicalCurve(*curve.rows()) == curve.
 
 A curve holds int columns, built once: vertex ids (with an id -> index
 dict) and reduced (X, Y, W) point triples, the anchors' triples, edge rows
@@ -25,25 +26,26 @@ and no column holds a RatPoint.  Equality compares the columns.
 geometry() hands out the one plane in which a curve becomes segments on int
 pairs, for validate(), the homology sweeps and render, with the diagram's
 corners and cuts on the same ints; it is the one place a curve's triples
-are cleared.  validate() checks every geometric and combinatorial
+are cleared.  coordinates() holds the plane's distinct x and y, which
+render writes its tables from and the sweeps take as critical
+coordinates.  validate() checks every geometric and combinatorial
 invariant and returns a report; the per-element facts (a vertex's
 multiplicity m and its (m-1)/2 double points, an end's mu and its cap
 kind) assume a validated curve and raise on contract violations.  Each
 reads the columns by index; end_multiplicity and classify_end take an end
-row, and its landing's location if known.  The plane, the
-landings' locations (landing_locations), the cap kinds (end_kinds), the
-m's (multiplicities), topology's ChiBreakdown and surgery handle count,
-and homology's sweep walk and default sweeps are computed once per curve
-and diagram and kept in the curve's one memo slot (_remember).  validate
-alone reads the sites: each is tested against the diagram's edge lines
-(BaseDiagram._inside), and located only if it fails, or if the diagram
-has nodes.
+row, and its landing's location if known.  The plane and its coordinates,
+the landings' locations (landing_locations), the cap kinds (end_kinds),
+the m's (multiplicities), topology's ChiBreakdown and surgery handle
+count, and homology's sweep walk and default sweeps are computed once per
+curve and diagram and kept in the curve's one memo slot (_remember).
+validate alone reads the sites: each is tested against the diagram's edge
+lines (BaseDiagram._inside), and located only if it fails, or if the
+diagram has nodes.
 """
 from enum import Enum
 from math import gcd, lcm
 from typing import NamedTuple
 
-from . import _submodule
 from .errors import TroplagError
 from .diagram import INTERIOR, BaseDiagram, LocationKind
 from .lattice import (
@@ -102,18 +104,13 @@ class TropicalCurve:
     """An immutable tropical curve; geometry is validated against a diagram
     by validate().  It keeps only its columns (see the module docstring)."""
 
-    @classmethod
-    def of_rows(cls, name, ids, points, edges, ends):
+    def __init__(self, name, ids, points, edges, ends):
         """The curve of rows of plain tuples: vertex ids, their reduced
         (X, Y, W) points, edges (id, src id, dst id) and ends (id, source,
         (dx, dy), terminal), the source a vertex id or an anchor triple and
         the terminal a node index or a landing triple; a triple that is not
         reduced with W > 0, or ids and points of different lengths, is an
         InvalidCurve."""
-        return cls(name, ids, points, edges, ends)
-
-    def __init__(self, name, ids, points, edges, ends):
-        """The columns of the rows of_rows takes."""
         if len(ids) != len(points):
             raise InvalidCurve(f"{len(ids)} vertex ids for {len(points)} "
                                "vertex points")
@@ -196,8 +193,8 @@ class TropicalCurve:
         self._memo = None  # (diagram, {owner function: fact}); see _remember
 
     def rows(self):
-        """(name, ids, points, edges, ends): the arguments of of_rows that
-        build this curve, each a tuple of plain tuples."""
+        """(name, ids, points, edges, ends): the arguments that build this
+        curve, each a tuple of plain tuples."""
         sources = self._ids + self._anchors
         return (self.name, self._ids, self._points,
                 tuple([(eid, sources[s], sources[d])
@@ -208,10 +205,6 @@ class TropicalCurve:
     @property
     def is_empty(self) -> bool:
         return not (self._ids or self._edge_rows or self._end_rows)
-
-    def transform(self, m) -> "TropicalCurve":
-        """The curve moved by the unimodular affine map m."""
-        return _submodule("maps").transform_curve(self, m)
 
     def _columns(self):
         return (self.name, self._ids, self._points, self._anchors,
@@ -285,6 +278,21 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
             continue  # an end to a missing node has no segment
         segments.append((eid, grid[site], finish, site, token, u))
     return scale, corners, cuts, tuple(segments)
+
+
+def coordinates(diagram: BaseDiagram, curve: TropicalCurve):
+    """(xs, ys): the frozensets of the distinct x and y of the ends of
+    geometry()'s segments, on its scale, once per curve and diagram
+    (_remember), for render's tables and the sweeps' critical coordinates."""
+    def build():
+        xs, ys = set(), set()
+        for _, (ax, ay), (bx, by), _, _, _ in geometry(diagram, curve)[3]:
+            xs.add(ax)
+            xs.add(bx)
+            ys.add(ay)
+            ys.add(by)
+        return frozenset(xs), frozenset(ys)
+    return _remember(diagram, curve, coordinates, build)
 
 
 def landing_locations(diagram: BaseDiagram, curve: TropicalCurve):

@@ -17,11 +17,13 @@ from troplag import (
     IntVec,
     LocationKind,
     RatPoint,
+    SweepDirection,
     TropicalCurve,
     UnimodularAffineMap,
     rectangle,
     validate,
 )
+from troplag.nodes import exit_point
 from troplag.textio import parse_document
 
 # When a hypothesis test fails, its explain phase imports libcst, whose
@@ -63,11 +65,12 @@ def curve_of(vertices=(), edges=(), ends=(), name=""):
     """The curve of rows written with points and vectors: vertices as (id,
     point) pairs, edges (id, src, dst) and ends (id, source, direction,
     terminal), a source a vertex id or an anchor point and a terminal a
-    node index or a landing point; of_rows takes them as plain tuples."""
+    node index or a landing point; TropicalCurve takes them as plain
+    tuples."""
     def plain(item):
         return item if isinstance(item, (str, int)) else tuple(item)
 
-    return TropicalCurve.of_rows(
+    return TropicalCurve(
         name, [vid for vid, _ in vertices], [tuple(p) for _, p in vertices],
         edges, [(eid, plain(source), tuple(u), plain(terminal))
                 for eid, source, u, terminal in ends])
@@ -183,6 +186,42 @@ class FracVec:
         return self.y / direction.y
 
 
+def polygon_edges(diagram):
+    """The (start, end) corners of each polygon edge, counterclockwise."""
+    vertices = diagram.polygon_vertices
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def cut_segments(diagram):
+    """(node position, exit) per node, the exit where exit_point finds the
+    node's cut ray leaves the polygon."""
+    return [(node.position,
+             exit_point(diagram, node.position, node.cut_direction)[0])
+            for node in diagram.nodes]
+
+
+def sweep_criticals(diagram, curve, direction) -> list[Fraction]:
+    """The sorted coordinates a generic witness line of the sweep direction
+    must avoid, from curve.rows() and diagram.bounds() in Fractions: the y
+    (horizontal lines) or x (vertical lines) of both ends of every edge and
+    of every end with a landing, and the diagram's two bounds.  An end to
+    a node has no segment in a node-free diagram, so it adds nothing."""
+    _, ids, points, edges, ends = curve.rows()
+    at = dict(zip(ids, points))
+
+    def point(p):
+        return at[p] if isinstance(p, str) else p
+
+    ends_of_segments = [point(p) for _, src, dst in edges for p in (src, dst)]
+    ends_of_segments += [p for _, source, _, landing in ends
+                         if not isinstance(landing, int)
+                         for p in (point(source), landing)]
+    k = 0 if direction is SweepDirection.VERTICAL else 1
+    bounds = diagram.bounds()[k::2]
+    return sorted({Fraction(p[k], p[2]) for p in ends_of_segments}
+                  | set(bounds))
+
+
 def diff(b, a) -> FracVec:
     """The displacement b - a of two points."""
     return FracVec(b.x - a.x, b.y - a.y)
@@ -282,14 +321,14 @@ def random_curve(rng: random.Random, max_vertices: int = 6, size: int = 24):
         corner_hit = False
         for i, (vid, direction) in enumerate(rays):
             source = vertices[vid]
-            landing, location = diagram.exit(source, direction)
+            landing, location = exit_point(diagram, source, direction)
             if location.kind is LocationKind.ON_CORNER:
                 corner_hit = True
                 break
             ends.append((f"x{i}", vid, tuple(direction), tuple(landing)))
         if corner_hit:
             continue
-        curve = TropicalCurve.of_rows(
+        curve = TropicalCurve(
             "random", list(vertices), [tuple(p) for p in vertices.values()],
             edges, ends)
         if validate(diagram, curve).passed:

@@ -25,12 +25,13 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import FIGURES, random_curve
+from conftest import FIGURES, cut_segments, polygon_edges, random_curve
 from troplag import (Document, IntVec, ParseError, RatPoint, TroplagError,
                      parse_document, rectangle, render_document, rp2_curve,
                      serialize_document, trop_family, visible_segment)
 from troplag.reports import _audin_lines
 from troplag.homology import mod2_class
+from troplag.lattice import primitive_pair
 from troplag.topology import (build_presentation, euler_breakdown,
                               oracle_classify)
 from troplag.tropical import end_kinds, validate
@@ -71,19 +72,27 @@ def attempt(compute):
         return refusal(err)
 
 
+def edge_facts(a, b):
+    """The edge from a to b as text: its ends, its primitive direction u
+    and its lattice length t, with b = a + t*u."""
+    u = IntVec(*primitive_pair(a, b))
+    t = (b.x - a.x) / u.x if u.x else (b.y - a.y) / u.y
+    return [str(a), str(b), str(u), str(t)]
+
+
 def diagram_facts(diagram):
-    """The diagram's public values, as text."""
+    """The diagram's public values, as text; each cut ends where
+    exit_point finds its ray leaves the polygon."""
     return {
         "name": diagram.name, "kind": diagram.kind,
         "params": None if diagram.params is None else {
             key: str(value) for key, value in diagram.params.items()},
         "vertices": [str(v) for v in diagram.polygon_vertices],
-        "edges": [[str(e.start), str(e.end), str(e.direction),
-                   str(e.affine_length)] for e in diagram.boundary_edges],
+        "edges": [edge_facts(a, b) for a, b in polygon_edges(diagram)],
         "bounds": [str(b) for b in diagram.bounds()],
         "nodes": [[str(n.position), str(n.cut_direction)]
                   for n in diagram.nodes],
-        "cuts": [[str(a), str(b)] for a, b in diagram.cut_segments],
+        "cuts": [[str(a), str(b)] for a, b in cut_segments(diagram)],
         "homology": repr(tuple(diagram.homology)),
         "is_rectangle": diagram.is_rectangle,
     }

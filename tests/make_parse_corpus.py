@@ -12,9 +12,15 @@ sys.get_int_max_str_digits() digits, inside land=, dir=, node= and
 weight= too.  The outcome is {"doc": serialize_document(...)} or
 {"error": str(err), "line": err.line, "col": err.col}.  In the file, that
 over-long number is written as the marker {big} (see expand()), in inputs
-and outcomes alike, and there is one case per line.  Rerunning this script
-(with the same hypothesis version) against a parser that keeps every
-outcome leaves the file unchanged.
+and outcomes alike, and there is one case per line.
+
+test_parse_corpus_replays is the check for a parser change: it replays
+the committed file, whatever this script would draw today.  A rerun
+writes the same file only while the hypothesis version and the string and
+number constants of every loaded local module stay the same: hypothesis
+also draws from the constants it collects from the modules in
+sys.modules, so an edit to a literal anywhere in src/ can change the
+drawn soups, and so the file, even where the parser keeps every outcome.
 """
 import json
 import random

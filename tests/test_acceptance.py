@@ -40,8 +40,8 @@ from troplag import (
     x_abc,
 )
 from troplag.cli import main
-from troplag.homology import critical_coordinates
 from troplag.lattice import point_text
+from troplag.maps import transform_curve, transform_diagram
 
 from conftest import (
     BUNDLED_DOCS,
@@ -50,6 +50,7 @@ from conftest import (
     load_document,
     random_curve,
     random_unimodular_map,
+    sweep_criticals,
 )
 
 F = Fraction
@@ -124,8 +125,8 @@ def test_criterion_4_family_parities_two_witnesses():
         instance = trop_family(ell)
         for direction, expected in ((SweepDirection.HORIZONTAL, 0),
                                     (SweepDirection.VERTICAL, 1)):
-            criticals = critical_coordinates(instance.diagram,
-                                             instance.curve, direction)
+            criticals = sweep_criticals(instance.diagram, instance.curve,
+                                        direction)
             first = (criticals[0] + criticals[1]) / 2
             last = (criticals[-2] + criticals[-1]) / 2
             assert first != last
@@ -257,7 +258,8 @@ def test_criterion_10_unimodular_invariance():
     for index in range(100):
         m = random_unimodular_map(rng)
         diagram, curve = pairs[index % len(pairs)]
-        moved_diagram, moved_curve = diagram.transform(m), curve.transform(m)
+        moved_diagram = transform_diagram(diagram, m)
+        moved_curve = transform_curve(curve, m)
         assert validate(moved_diagram, moved_curve).passed
         _, ids, _, _, ends = curve.rows()
         *_, moved_ends = moved_curve.rows()
@@ -271,8 +273,8 @@ def test_criterion_10_unimodular_invariance():
         assert mus == moved_mus
         assert classify(moved_diagram, moved_curve) == classify(diagram, curve)
         # validation status is also preserved on a failing curve
-        bad_diagram = invalid.diagram.transform(m)
-        bad_curve = invalid.curves[0].transform(m)
+        bad_diagram = transform_diagram(invalid.diagram, m)
+        bad_curve = transform_curve(invalid.curves[0], m)
         assert not validate(bad_diagram, bad_curve).passed
     _passed(10, "validation, m, mu, chi and surface class invariant under "
                 "100 random unimodular maps")

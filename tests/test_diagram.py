@@ -21,10 +21,13 @@ from troplag import (
     rectangle,
     x_abc,
 )
+from troplag.maps import transform_diagram
+from troplag.nodes import exit_point
 from troplag.textio import Document, ParseError, parse_document, \
     serialize_document
-from conftest import (DIRECTION_POOL, FIGURES, FracVec, convex_hull, diff,
-                      load_document, moved, random_unimodular_map)
+from conftest import (DIRECTION_POOL, FIGURES, FracVec, convex_hull,
+                      cut_segments, diff, load_document, moved, polygon_edges,
+                      random_unimodular_map)
 
 F = Fraction
 
@@ -37,8 +40,9 @@ def kind_of(location: PointLocation) -> LocationKind:
 
 def test_rectangle_edge_lengths():
     r = rectangle(4, 2)
-    assert [e.affine_length for e in r.boundary_edges] == [4, 2, 4, 2]
-    assert [e.direction for e in r.boundary_edges] == [
+    assert [diff(b, a).ratio_along(IntVec(*u)) for (a, b), u
+            in zip(polygon_edges(r), r._directions)] == [4, 2, 4, 2]
+    assert list(r._directions) == [
         IntVec(1, 0), IntVec(0, 1), IntVec(-1, 0), IntVec(0, -1)]
 
 
@@ -67,14 +71,14 @@ def test_rectangle_rejects_nonpositive():
         rectangle(3, -2)
 
 
-def test_polygon_closure():
+def test_direction_column_runs_along_each_edge():
+    # Each edge, from its start to its end, is a positive multiple of the
+    # primitive direction the diagram keeps for it.
     for diagram in (rectangle(4, 2), x_abc(1, 1, F(4, 3), 4),
                     rectangle(F(7, 3), F(1, 2))):
-        total_x = sum(e.affine_length * e.direction.x
-                      for e in diagram.boundary_edges)
-        total_y = sum(e.affine_length * e.direction.y
-                      for e in diagram.boundary_edges)
-        assert (total_x, total_y) == (0, 0)
+        for (a, b), u in zip(polygon_edges(diagram), diagram._directions):
+            assert IntVec(*u).is_primitive
+            assert diff(b, a).ratio_along(IntVec(*u)) > 0
 
 
 # -- x_abc -------------------------------------------------------------
@@ -92,7 +96,7 @@ def test_x_abc_cut_length_equals_blowup_size():
     # the visible disc over each cut has affine length equal to the size
     for a, b, c, s in ((1, 1, F(4, 3), 4), (F(1, 2), F(3, 4), F(1, 3), 4)):
         d = x_abc(a, b, c, s)
-        (start_a, exit_a), (start_b, exit_b) = d.cut_segments
+        (start_a, exit_a), (start_b, exit_b) = cut_segments(d)
         assert diff(exit_a, start_a).ratio_along(IntVec(0, 1)) == a
         assert diff(exit_b, start_b).ratio_along(IntVec(1, 0)) == b
         # both exits on the slanted edge
@@ -164,7 +168,7 @@ def test_contains_invariant_under_joint_transform():
               pt(F(2, 3), F(2, 3)), pt(0, F(4, 3))]
     for _ in range(25):
         m = random_unimodular_map(rng)
-        moved = d.transform(m)
+        moved = transform_diagram(d, m)
         for p in probes:
             before = d.contains(p)
             after = moved.contains(m.apply(p))
@@ -178,8 +182,7 @@ def _probe_points(rng, d):
     corners, at nodes, on cuts, at cut exits and outside."""
     x0, y0, x1, y1 = d.bounds()
     points = list(d.polygon_vertices) + [n.position for n in d.nodes]
-    for start, end in [(e.start, e.end) for e in d.boundary_edges] \
-            + list(d.cut_segments):
+    for start, end in polygon_edges(d) + cut_segments(d):
         points += [moved(start, diff(end, start), F(rng.randint(1, 11), 12))
                    for _ in range(3)]
         points.append(end)
@@ -208,8 +211,8 @@ def test_contains_memo_is_transparent():
         kinds.update(location.kind for location in expected.values())
         # A transformed diagram answers for its own geometry, not from the
         # memo of the diagram it came from.
-        moved = d.transform(shift)
-        unmemoized = d.transform(shift)
+        moved = transform_diagram(d, shift)
+        unmemoized = transform_diagram(d, shift)
         answers = [moved.contains(p) for p in points]
         assert answers == [unmemoized.contains(p) for p in points]
         assert answers != [expected[p] for p in points]
@@ -258,7 +261,7 @@ def test_exit_matches_the_least_edge_hit():
                 if not u.is_zero:
                     directions.append(u)
             for u in directions:
-                point, location = d.exit(origin, u)
+                point, location = exit_point(d, origin, u)
                 expected_point, expected_corner = _least_hit(
                     d.polygon_vertices, origin, u)
                 assert point == expected_point, (d, origin, u)
@@ -277,7 +280,7 @@ def test_exit_refuses_an_origin_not_strictly_inside(origin, direction):
     # Outside, the answer was a point behind the ray: (4,1), (0,1), (0,1).
     with pytest.raises(TroplagError, match=rf"^ray origin \({origin.x},1\) "
                        "is not strictly inside the polygon$"):
-        rectangle(4, 4).exit(origin, direction)
+        exit_point(rectangle(4, 4), origin, direction)
 
 
 def test_params_are_read_only():
@@ -298,8 +301,9 @@ def test_transform_keeps_counterclockwise():
     for _ in range(20):
         m = random_unimodular_map(rng)
         seen_reflection = seen_reflection or m.det == -1
-        moved = d.transform(m)  # constructor re-validates convexity/ccw
-        assert len(moved.boundary_edges) == 4
+        # The constructor re-validates convexity and orientation.
+        moved = transform_diagram(d, m)
+        assert len(moved.polygon_vertices) == 4
     assert seen_reflection
 
 

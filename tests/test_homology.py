@@ -34,9 +34,11 @@ from troplag import (
     visible_segment,
     x_abc,
 )
-from troplag.homology import _solve, critical_coordinates
+from troplag.homology import _solve
+from troplag.maps import transform_curve, transform_diagram
 
-from conftest import FIGURES, curve_of, load_document, random_curve
+from conftest import (FIGURES, curve_of, load_document, random_curve,
+                      sweep_criticals)
 
 F = Fraction
 
@@ -78,7 +80,7 @@ def test_witness_position_independence(klein):
     diagram, curve = klein
     rng = random.Random(8881)
     for direction in SweepDirection:
-        criticals = critical_coordinates(diagram, curve, direction)
+        criticals = sweep_criticals(diagram, curve, direction)
         lo, hi = criticals[0], criticals[-1]
         base = sweep_parity(diagram, curve, direction).parity
         found = 0
@@ -137,7 +139,7 @@ def test_sweep_parity_counts_the_ends_on_each_edge():
                 (SweepDirection.HORIZONTAL, y0, y1, lambda p: p.y)):
             counts = {sum(coordinate(p) == edge for p in landings) % 2
                       for edge in (low, high)}
-            criticals = critical_coordinates(diagram, curve, direction)
+            criticals = sweep_criticals(diagram, curve, direction)
             near_low = (criticals[0] + criticals[1]) / 2
             parities = {sweep_parity(diagram, curve, direction,
                                      witness=witness).parity
@@ -160,7 +162,7 @@ def _assert_default_sweep_is_every_generic_sweep(diagram, curve):
         default = sweep_parity(diagram, curve, direction)
         assert sweep_parity(diagram, curve, direction,
                             default.witness_line_coordinate) == default
-        criticals = critical_coordinates(diagram, curve, direction)
+        criticals = sweep_criticals(diagram, curve, direction)
         assert default.witness_line_coordinate not in criticals
         for lo, hi in zip(criticals, criticals[1:]):
             witness = (lo + hi) / 2
@@ -199,7 +201,7 @@ def test_default_sweep_is_the_sweep_at_every_gap_of_random_curves(seed):
 
 def test_default_witness_is_largest_gap_midpoint(klein):
     diagram, curve = klein
-    criticals = critical_coordinates(diagram, curve, SweepDirection.VERTICAL)
+    criticals = sweep_criticals(diagram, curve, SweepDirection.VERTICAL)
     assert criticals == [0, 2, 4]
     assert sweep_parity(diagram, curve, SweepDirection.VERTICAL
                         ).witness_line_coordinate == 1
@@ -298,10 +300,11 @@ def test_class_is_unchanged_by_the_maps_that_keep_a_rectangle(name):
     for linear in ([((x, 0), (0, y)) for x, y in signs]
                    + [((0, x), (y, 0)) for x, y in signs]):
         m = UnimodularAffineMap(linear, pt(F(7, 3), -5))
-        diagram = doc.diagram.transform(m)
+        diagram = transform_diagram(doc.diagram, m)
         assert diagram.is_rectangle
         for curve in doc.curves:
-            assert mod2_class(diagram, curve.transform(m)).coefficients \
+            moved = transform_curve(curve, m)
+            assert mod2_class(diagram, moved).coefficients \
                 == mod2_class(doc.diagram, curve).coefficients == (1, 0)
 
 

@@ -25,11 +25,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
-    BoundaryEdge,
     IntVec,
     InvalidDiagram,
     LocationKind,
     Node,
+    NonGenericWitness,
     PointLocation,
     RatPoint,
     SweepDirection,
@@ -41,19 +41,20 @@ from troplag import (
     validate,
     x_abc,
 )
-from troplag.homology import critical_coordinates
 from troplag.lattice import (
     OVERLAP,
     between,
     common_scale,
-    displacement,
     reaches,
     segment_contact,
     turn,
     within,
 )
-from conftest import (FIGURES, convex_hull, diff, load_document, moved,
-                      random_unimodular_map)
+from troplag.maps import transform_curve, transform_diagram
+from troplag.nodes import exit_point
+from conftest import (FIGURES, convex_hull, cut_segments, diff, load_document,
+                      moved, polygon_edges, random_unimodular_map,
+                      sweep_criticals)
 
 F = Fraction
 
@@ -115,9 +116,10 @@ def ref_segment_contact(a, b, c, d):
 
 
 def ref_locate_in_polygon(diagram, p):
+    edges = polygon_edges(diagram)
     on_edges = []
-    for index, edge in enumerate(diagram.boundary_edges):
-        side = ref_orientation(edge.start, edge.end, p)
+    for index, (start, end) in enumerate(edges):
+        side = ref_orientation(start, end, p)
         if side < 0:
             return PointLocation(LocationKind.OUTSIDE)
         if side == 0:
@@ -128,8 +130,7 @@ def ref_locate_in_polygon(diagram, p):
         if p == v:
             return PointLocation(LocationKind.ON_CORNER, index)
     for index in on_edges:
-        edge = diagram.boundary_edges[index]
-        if ref_on_open_segment(p, edge.start, edge.end):
+        if ref_on_open_segment(p, *edges[index]):
             return PointLocation(LocationKind.ON_BOUNDARY_EDGE, index)
     return PointLocation(LocationKind.OUTSIDE)
 
@@ -140,8 +141,10 @@ def ref_contains(diagram, p):
         for index, node in enumerate(diagram.nodes):
             if p == node.position:
                 return PointLocation(LocationKind.ON_NODE, index)
-        for index, (start, end) in enumerate(diagram.cut_segments):
-            if ref_on_open_segment(p, start, end):
+        for index, node in enumerate(diagram.nodes):
+            end, _ = ref_exit(diagram.polygon_vertices, node.position,
+                              node.cut_direction)
+            if ref_on_open_segment(p, node.position, end):
                 return PointLocation(LocationKind.ON_CUT, index)
     return location
 
@@ -170,9 +173,7 @@ def ref_construction(vertices, nodes):
                         f"{vertices[k % n]} is not strictly left of the edge "
                         f"{a} to {b})")
     # The locator reads only the corners and each edge's two ends.
-    polygon = SimpleNamespace(polygon_vertices=vertices, boundary_edges=[
-        BoundaryEdge(a, b, None, None)
-        for a, b in zip(vertices, vertices[1:] + vertices[:1])])
+    polygon = SimpleNamespace(polygon_vertices=vertices)
     segments = []
     for node in nodes:
         if ref_locate_in_polygon(polygon, node.position).kind \
@@ -201,7 +202,7 @@ def ref_construction(vertices, nodes):
 
 
 def ref_exit(vertices, origin, direction):
-    """BaseDiagram.exit: the ray leaves through the nearest line of an edge
+    """nodes.exit_point: the ray leaves through the nearest line of an edge
     it moves outward through."""
     n = len(vertices)
     edges = [diff(vertices[(i + 1) % n], vertices[i]) for i in range(n)]
@@ -363,9 +364,7 @@ def _probe_points(rng, diagram):
     seeded points in and around it."""
     points = list(diagram.polygon_vertices)
     points += [n.position for n in diagram.nodes]
-    pieces = [(e.start, e.end) for e in diagram.boundary_edges]
-    pieces += list(diagram.cut_segments)
-    for start, end in pieces:
+    for start, end in polygon_edges(diagram) + cut_segments(diagram):
         points += [_on(start, end, F(k, 7)) for k in range(-1, 9)]
         points.append(_on(start, end, F(1, 2)))
     for node in diagram.nodes:
@@ -413,8 +412,8 @@ def _moved(rng, cases):
     out = []
     for name, diagram, curves in cases:
         m = random_unimodular_map(rng)
-        out.append((f"{name} moved", diagram.transform(m),
-                    tuple(curve.transform(m) for curve in curves)))
+        out.append((f"{name} moved", transform_diagram(diagram, m),
+                    tuple(transform_curve(c, m) for c in curves)))
     return out
 
 
@@ -579,7 +578,7 @@ def test_figures_segments_match_the_references():
     cases = _diagrams_and_curves()
     moved = _moved(rng, cases)
     for name, diagram, curves in cases + moved:
-        segments = list(diagram.cut_segments)
+        segments = cut_segments(diagram)
         for curve in curves:
             segments += _curve_segments(diagram, curve)
         quads = [(a, b, c, d) for i, (a, b) in enumerate(segments)
@@ -616,7 +615,7 @@ def test_construction_matches_the_reference_checks():
                      for n in nodes]
         expected = ref_construction(vertices, nodes)
         try:
-            built = BaseDiagram(vertices, nodes).cut_segments
+            built = tuple(cut_segments(BaseDiagram(vertices, nodes)))
         except InvalidDiagram as err:
             built = str(err)
         assert built == expected, (vertices, nodes)
@@ -643,8 +642,8 @@ def test_family_locations_and_validation(ell):
         points += [a, b]
     _assert_locations(instance.diagram, points, f"family {ell}")
     m = random_unimodular_map(rng)
-    diagram, curve = (instance.diagram.transform(m),
-                      instance.curve.transform(m))
+    diagram, curve = (transform_diagram(instance.diagram, m),
+                      transform_curve(instance.curve, m))
     assert validate(diagram, curve).passed
     _assert_locations(diagram, [m.apply(p) for p in points], "moved")
 
@@ -667,7 +666,7 @@ def test_sweeps_match_the_reference_spans_and_criticals():
         for direction in SweepDirection:
             spans = ref_spans(diagram, curve, direction)
             criticals = ref_criticals(diagram, direction, spans)
-            assert critical_coordinates(diagram, curve, direction) \
+            assert sweep_criticals(diagram, curve, direction) \
                 == criticals, (name, direction)
             try:
                 sweep = sweep_parity(diagram, curve, direction)
@@ -676,6 +675,15 @@ def test_sweeps_match_the_reference_spans_and_criticals():
             parity, witness = ref_parity(diagram, curve, direction)
             assert (sweep.parity, sweep.witness_line_coordinate) \
                 == (parity, witness)
+            # The sweep refuses each critical coordinate as a witness, and
+            # takes the midpoint of each gap between two of them.
+            for c in criticals:
+                with pytest.raises(NonGenericWitness):
+                    sweep_parity(diagram, curve, direction, witness=c)
+            for a, b in zip(criticals, criticals[1:]):
+                assert sweep_parity(diagram, curve, direction,
+                                    witness=(a + b) / 2).parity \
+                    == ref_parity(diagram, curve, direction, (a + b) / 2)[0]
             lo, hi = criticals[0], criticals[-1]
             for _ in range(10):
                 line = lo + (hi - lo) * F(rng.randint(1, 239), 240)
@@ -729,33 +737,34 @@ def _diagrams(draw):
           suppress_health_check=list(HealthCheck))
 @given(_diagrams(), st.lists(st.tuples(_rationals, _rationals), max_size=12),
        st.data())
-def test_int_columns_give_the_records_and_the_reference_answers(
-        diagram, coordinates, data):
+def test_int_columns_give_the_reference_answers(diagram, coordinates, data):
     vertices = diagram.polygon_vertices
-    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
-    # The records, built on first read, are displacement's of the corners,
-    # and the direction column is theirs.
-    assert diagram.boundary_edges == tuple(
-        BoundaryEdge(a, b, *displacement(a, b)) for a, b in pairs)
-    assert [e.direction for e in diagram.boundary_edges] \
+    pairs = polygon_edges(diagram)
+    # The direction column holds each edge's primitive direction.
+    assert [diff(b, a).primitive_direction() for a, b in pairs] \
         == list(diagram._directions)
     xs, ys = [v.x for v in vertices], [v.y for v in vertices]
     assert diagram.bounds() == (min(xs), min(ys), max(xs), max(ys))
     assert all(type(b) is F for b in diagram.bounds())
     # One scale: the least that clears every corner, node and cut exit.
-    cut_points = [p for cut in diagram.cut_segments for p in cut]
+    cuts = [(node.position, ref_exit(vertices, node.position,
+                                     node.cut_direction)[0])
+            for node in diagram.nodes]
+    cut_points = [p for cut in cuts for p in cut]
     assert diagram._scale == common_scale([*vertices, *cut_points])
-    assert diagram.cut_segments == tuple(
-        (node.position, ref_exit(vertices, node.position,
-                                 node.cut_direction)[0])
-        for node in diagram.nodes)
+    # The cut column holds each (node, exit) on the diagram's scale S, and
+    # exit_point finds the same exits.
+    S = diagram._scale
+    assert [(RatPoint.of(*p, S), RatPoint.of(*e, S))
+            for p, e in diagram._cuts] == cuts == cut_segments(diagram)
     # contains and exit, against the Fraction references.
     points = [pt(x, y) for x, y in coordinates] + list(vertices) \
         + [_on(a, b, F(1, 2)) for a, b in pairs] + cut_points \
         + [_on(vertices[0], _on(a, b, F(1, 3)), F(2, 3)) for a, b in pairs] \
-        + [_on(*cut, F(1, 3)) for cut in diagram.cut_segments]
+        + [_on(*cut, F(1, 3)) for cut in cuts]
     _assert_locations(diagram, points, diagram.name)
     for p in points:
         if diagram.contains(p).kind is LocationKind.INTERIOR:
             u = data.draw(st.sampled_from(_SMALL_DIRECTIONS))
-            assert diagram.exit(p, u) == ref_exit(vertices, p, u), (p, u)
+            assert exit_point(diagram, p, u) == ref_exit(vertices, p, u), \
+                (p, u)

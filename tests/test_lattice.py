@@ -26,13 +26,13 @@ from troplag import (
 from troplag.lattice import (
     OVERLAP,
     between,
-    displacement,
     point_text,
-    primitive_direction,
+    primitive_pair,
     segment_contact,
     turn,
     within,
 )
+from troplag.nodes import exit_point
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 vecs = st.builds(IntVec, ints, ints)
@@ -226,52 +226,53 @@ def test_segment_contact_cases():
 
 
 def test_ratio_along():
-    # displacement(a, b) is b - a as a lattice length along its primitive
-    # direction
-    assert displacement(pt(1, Fraction(1, 2)), pt(4, 2)) \
-        == (IntVec(2, 1), Fraction(3, 2))
-    assert displacement(pt(2, 1), pt(0, 0)) == (IntVec(-2, -1), 1)
-    assert displacement(pt(0, Fraction(1, 3)), pt(0, Fraction(5, 6))) \
-        == (IntVec(0, 1), Fraction(1, 2))
+    # b - a is a positive lattice length t along its primitive direction
+    for a, b, u, t in [
+            (pt(1, Fraction(1, 2)), pt(4, 2), (2, 1), Fraction(3, 2)),
+            (pt(2, 1), pt(0, 0), (-2, -1), 1),
+            (pt(0, Fraction(1, 3)), pt(0, Fraction(5, 6)), (0, 1),
+             Fraction(1, 2))]:
+        assert primitive_pair(a, b) == u
+        assert (b.x - a.x, b.y - a.y) == (t * u[0], t * u[1])
     with pytest.raises(DegenerateDirection):
-        displacement(pt(Fraction(2, 4), 1), pt(Fraction(1, 2), 1))
+        primitive_pair(pt(Fraction(2, 4), 1), pt(Fraction(1, 2), 1))
 
 
 def test_primitive_direction_of_rational_displacement():
-    direction, _ = displacement(pt(1, 1), pt(Fraction(2, 3), Fraction(2, 3)))
+    direction = primitive_pair(pt(1, 1), pt(Fraction(2, 3), Fraction(2, 3)))
     assert direction == IntVec(-1, -1)
 
 
 def test_primitive_direction_reduces_the_difference():
-    u = primitive_direction(pt(1, Fraction(1, 2)), pt(4, 2))
-    assert u == IntVec(2, 1) and type(u) is IntVec
-    assert primitive_direction(pt(0, 0), pt(6, -9)) == IntVec(2, -3)
-    assert primitive_direction(pt(Fraction(1, 3), 0),
-                               pt(Fraction(1, 3), Fraction(7, 5))) \
-        == IntVec(0, 1)
+    u = primitive_pair(pt(1, Fraction(1, 2)), pt(4, 2))
+    assert u == IntVec(2, 1) and type(u) is tuple
+    assert primitive_pair(pt(0, 0), pt(6, -9)) == IntVec(2, -3)
+    assert primitive_pair(pt(Fraction(1, 3), 0),
+                          pt(Fraction(1, 3), Fraction(7, 5))) == IntVec(0, 1)
 
 
 def test_primitive_direction_points_from_a_to_b():
     a, b = pt(Fraction(5, 3), 2), pt(-1, Fraction(-2, 3))
-    assert primitive_direction(a, b) == IntVec(-1, -1)
-    assert primitive_direction(b, a) == IntVec(1, 1)
-    assert primitive_direction(pt(3, 1), pt(0, 1)) == IntVec(-1, 0)
+    assert primitive_pair(a, b) == IntVec(-1, -1)
+    assert primitive_pair(b, a) == IntVec(1, 1)
+    assert primitive_pair(pt(3, 1), pt(0, 1)) == IntVec(-1, 0)
 
 
 def test_primitive_direction_of_equal_points_raises():
     with pytest.raises(DegenerateDirection):
-        primitive_direction(pt(2, 1), pt(2, 1))
+        primitive_pair(pt(2, 1), pt(2, 1))
     with pytest.raises(DegenerateDirection):
-        primitive_direction(pt(Fraction(2, 4), 1), RatPoint.of(3, 6, 6))
+        primitive_pair(pt(Fraction(2, 4), 1), RatPoint.of(3, 6, 6))
 
 
 @given(nonzero_vecs, ints, ints, st.integers(min_value=1, max_value=50),
        st.integers(min_value=1, max_value=50))
-def test_displacement_is_the_primitive_direction_and_length(v, x, y, w, k):
+def test_primitive_pair_is_b_minus_a_over_its_lattice_length(v, x, y, w, k):
     a = RatPoint.of(x, y, w)
     b = RatPoint.of(x * k + v.x * w, y * k + v.y * w, w * k)  # a + v/k
-    u, t = displacement(a, b)
-    assert u == primitive_direction(a, b) and u.is_primitive
+    u = IntVec(*primitive_pair(a, b))
+    t = (b.x - a.x) / u.x if u.x else (b.y - a.y) / u.y
+    assert u.is_primitive
     assert (b.x - a.x, b.y - a.y) == (t * u.x, t * u.y) and t > 0
 
 
@@ -298,8 +299,9 @@ def _same(p, q):
     """p and q are one point, however each was built: equal, with equal
     hashes and one reduced triple."""
     assert p == q and hash(p) == hash(q)
-    assert (p.X, p.Y, p.W) == (q.X, q.Y, q.W)
-    assert p.W > 0 and gcd(p.X, p.Y, p.W) == 1
+    assert tuple(p) == tuple(q)
+    X, Y, W = p
+    assert W > 0 and gcd(X, Y, W) == 1
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -314,14 +316,14 @@ def test_every_route_builds_the_same_point(x, y, k, direction, linear):
     assert str(p) == f"({x},{y})"
     _same(p, pt(x, y))
     _same(p, pt(str(x), str(y)))
-    _same(p, RatPoint.of(p.X * k, p.Y * k, p.W * k))
+    _same(p, RatPoint.of(*(c * k for c in p)))
 
     # The parser, from unreduced digits.
     spelled = (f"({x.numerator * k}/{x.denominator * k},"
                f"{y.numerator * k}/{y.denominator * k})")
     doc = parse_document("diagram rectangle width=1 height=1\ncurve c\n"
                          f"vertex v {spelled}\n")
-    assert doc.curves[0].rows()[2] == ((p.X, p.Y, p.W),)
+    assert doc.curves[0].rows()[2] == (tuple(p),)
 
     # Rectangle corners.
     w, h = abs(x) + 1, abs(y) + 1
@@ -330,7 +332,7 @@ def test_every_route_builds_the_same_point(x, y, k, direction, linear):
                                 [(0, 0), (w, 0), (w, h), (0, h)]):
         _same(corner, pt(cx, cy))
 
-    # exit, against the least positive t at which the ray meets one of the
+    # exit_point, against the least positive t at which the ray meets one of the
     # box's four lines.
     u = IntVec(*direction)
     origin = pt(w * Fraction(k, 51), h * Fraction(51 - k, 51))
@@ -338,7 +340,7 @@ def test_every_route_builds_the_same_point(x, y, k, direction, linear):
         ((w - origin.x) if u.x > 0 else -origin.x, u.x),
         ((h - origin.y) if u.y > 0 else -origin.y, u.y)) if step]
     t = min(times)
-    point, _ = box.exit(origin, u)
+    point, _ = exit_point(box, origin, u)
     _same(point, pt(origin.x + t * u.x, origin.y + t * u.y))
 
     # An affine map and its inverse.
@@ -358,7 +360,7 @@ def test_every_route_builds_the_same_point(x, y, k, direction, linear):
 def test_point_is_immutable():
     p = pt(Fraction(1, 2), 3)
     with pytest.raises(AttributeError):
-        p.X = 2
+        p.x = 2
     assert repr(p) == "RatPoint.of(1, 6, 2)"
 
 
@@ -366,13 +368,13 @@ def test_point_is_its_triple():
     p = pt(Fraction(1, 2), 3)
     assert p == (1, 6, 2) and hash(p) == hash((1, 6, 2))
     assert {p: "p"}[(1, 6, 2)] == "p"
-    assert tuple(p) == (p.X, p.Y, p.W) == (1, 6, 2)
+    assert tuple(p) == (1, 6, 2)
     copy = pickle.loads(pickle.dumps(p))
     assert type(copy) is RatPoint and copy == p and repr(copy) == repr(p)
     # No NamedTuple helpers that would build an unreduced triple, and no
     # field that can be set or deleted.
     assert not hasattr(p, "_replace") and not hasattr(p, "_make")
-    for field in ("X", "Y", "W", "x", "y"):
+    for field in ("x", "y"):
         with pytest.raises(AttributeError):
             setattr(p, field, 4)
         with pytest.raises(AttributeError):

@@ -10,6 +10,7 @@ refusal is never stored: it is raised again, the same, on every read.
 """
 import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,11 +42,12 @@ from troplag import (
     validate,
     visible_segment,
 )
-from troplag.homology import critical_coordinates
+from troplag.maps import transform_curve
 from troplag.tropical import geometry
 
 from conftest import (BUNDLED_DOCS, FIGURES, count_calls, curve_of,
-                      load_document, random_curve, random_unimodular_map)
+                      load_document, random_curve, random_unimodular_map,
+                      sweep_criticals)
 
 H, V = SweepDirection.HORIZONTAL, SweepDirection.VERTICAL
 
@@ -61,7 +63,7 @@ def _outcome(question, diagram, curve):
 
 
 def _first_gap_midpoint(diagram, curve, direction):
-    criticals = critical_coordinates(diagram, curve, direction)
+    criticals = sweep_criticals(diagram, curve, direction)
     return (criticals[0] + criticals[1]) / 2
 
 
@@ -128,6 +130,29 @@ def test_cached_plane_is_made_of_tuples():
     assert geometry(doc.diagram, curve) is geometry(doc.diagram, curve)
     for part in (corners, cuts, segments, *segments):
         assert type(part) is tuple
+
+
+def test_coordinates_are_the_distinct_x_and_y_of_the_segments():
+    # Both ends of each edge, and of each end to a landing or to a node of
+    # the diagram, read from the rows, on the plane's scale; kept once.
+    for name, diagram, curve in CASES:
+        scale = geometry(diagram, curve)[0]
+        _, ids, points, edges, ends = curve.rows()
+        at = dict(zip(ids, points))
+        nodes = [node.position for node in diagram.nodes]
+        pairs = [(at[src], at[dst]) for _, src, dst in edges]
+        for _, source, _, terminal in ends:
+            if isinstance(terminal, int):
+                if not 0 <= terminal < len(nodes):
+                    continue  # a missing node: no segment
+                terminal = nodes[terminal]
+            pairs.append((at.get(source, source), terminal))
+        expected = [{Fraction(p[k] * scale, p[2]) for pair in pairs
+                     for p in pair} for k in (0, 1)]
+        xs, ys = tropical.coordinates(diagram, curve)
+        assert [xs, ys] == expected, name
+        assert type(xs) is type(ys) is frozenset
+        assert tropical.coordinates(diagram, curve)[0] is xs
 
 
 # A segment through (7/2, 1) along (1,2), landing at (4,2) and at (3,0).
@@ -204,7 +229,7 @@ def test_transform_and_equality_ignore_the_memo():
     copy = _fresh(doc.diagram, curve)[1]
     assert copy._memo is None
     assert curve == copy
-    moved = curve.transform(UnimodularAffineMap.identity())
+    moved = transform_curve(curve, UnimodularAffineMap.identity())
     assert moved._memo is None
     assert moved == curve
 
@@ -237,7 +262,7 @@ def test_transform_moves_the_columns_as_the_map_moves_each_row(case, m):
     # points and directions is a plain tuple.
     diagram, curve = case
     validate(diagram, curve)
-    moved = curve.transform(m)
+    moved = transform_curve(curve, m)
     assert moved.rows() == _moved_rows(curve, m)
     assert moved._memo is None
     landings = [t for *_, t in moved._end_rows if not isinstance(t, int)]
@@ -312,7 +337,7 @@ def test_rows_equal_the_copys_rows(diagram, curve):
     for one, other in [(curve, copy), (copy, curve)]:
         assert one == other
         assert one.rows() == other.rows()
-    moved = copy.transform(UnimodularAffineMap.identity())
+    moved = transform_curve(copy, UnimodularAffineMap.identity())
     assert moved == copy and copy == moved
 
 
@@ -328,10 +353,30 @@ def _count_points(monkeypatch, name):
     return calls
 
 
+def _count_builds(monkeypatch, key):
+    """The curve of each build of the fact key, wherever a troplag module
+    holds tropical._remember."""
+    builds, remember = [], tropical._remember
+
+    def counted(diagram, curve, fact, build):
+        def counted_build():
+            builds.append(curve)
+            return build()
+        return remember(diagram, curve, fact,
+                        counted_build if fact is key else build)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("troplag.") \
+                and vars(module).get("_remember") is remember:
+            monkeypatch.setattr(module, "_remember", counted)
+    return builds
+
+
 def test_one_certification_builds_each_fact_once(monkeypatch):
     doc = parse_document((FIGURES / "fig3_family.trop").read_text())
     diagram, (curve,) = doc.diagram, doc.curves
     planes = count_calls(monkeypatch, tropical, "_plane")
+    coordinates = _count_builds(monkeypatch, tropical.coordinates)
     kinds = count_calls(monkeypatch, tropical, "classify_end")
     breakdowns = count_calls(monkeypatch, topology, "ChiBreakdown")
     double_points = count_calls(monkeypatch, tropical, "vertex_double_points")
@@ -350,6 +395,8 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
+    # The sweeps and render read one set of the plane's distinct x and y.
+    assert coordinates == [curve]
     # Each site is tested once and, strictly inside, never located; each
     # landing is located once, for the memo; all on the diagram's scale S.
     rows = curve._end_rows

@@ -23,9 +23,9 @@ EXPORTS = {
     "errors": ["TroplagError"],
     "lattice": ["DegenerateDirection", "IntVec", "RatPoint", "pt"],
     "maps": ["NonUnimodularMap", "UnimodularAffineMap"],
-    "diagram": ["BaseDiagram", "BoundaryEdge", "HomologyModel",
-                "InvalidDiagram", "LocationKind", "Node", "PointLocation",
-                "UnsupportedDiagram", "rectangle"],
+    "diagram": ["BaseDiagram", "HomologyModel", "InvalidDiagram",
+                "LocationKind", "Node", "PointLocation", "UnsupportedDiagram",
+                "rectangle"],
     "nodes": ["x_abc"],
     "tropical": ["EndKind", "InvalidCurve", "NonIntegralSelfIntersection",
                  "NonTrivalentVertex", "NotABoundaryEnd", "TropicalCurve",
@@ -115,7 +115,7 @@ def _fresh_interpreter(script, *args):
 
 
 def test_public_names_are_the_listed_ones():
-    assert len(NAMES) == 83
+    assert len(NAMES) == 82
     assert sorted(troplag.__all__) == NAMES
 
 

@@ -27,8 +27,8 @@ def reference_project(x0, y1, p):
 def texts(f, p, k=1):
     """The x and y texts of p, given over k times its W, as a curve's plane
     pairs are."""
-    X, Y = p.X * k, p.Y * k
-    xs, ys = f.tables({X}, {Y}, p.W * k)
+    X, Y, W = (k * c for c in p)
+    xs, ys = f.tables({X}, {Y}, W)
     return xs[X], ys[Y]
 
 

@@ -67,8 +67,7 @@ def caterpillar(n: int, seed: int) -> Document:
         if i < n - 1:
             x, y = x + step * dx, y + step * dy
     ends.append(("right", f"v{n - 1}", (2, dy), (x + 2, y + dy, 1)))
-    curve = TropicalCurve.of_rows(f"caterpillar{n}", ids, points, edges,
-                                  ends)
+    curve = TropicalCurve(f"caterpillar{n}", ids, points, edges, ends)
     return Document(rectangle(x + 2, 4), (curve,))
 
 
@@ -83,7 +82,7 @@ def crossing_row(n: int) -> Document:
         ids += [f"a{k}", f"b{k}"]
         points += [(2 * k + 1, low, 1), (2 * k + 4, high, 1)]
         edges.append((f"s{k}", f"a{k}", f"b{k}"))
-    curve = TropicalCurve.of_rows(f"row{n}", ids, points, edges, [])
+    curve = TropicalCurve(f"row{n}", ids, points, edges, [])
     return Document(rectangle(2 * n + 4, 4), (curve,))
 
 

@@ -21,6 +21,7 @@ from troplag import (
     x_abc,
 )
 from troplag import refusal, textio
+from troplag.maps import transform_curve, transform_diagram
 from conftest import (BUNDLED_DOCS, load_document, FIGURES, count_calls,
                       klein_as_polygon, random_curve, token_soups)
 
@@ -165,8 +166,8 @@ def test_round_trip_transformed_diagrams():
     for linear in (((1, 1), (0, 1)), ((0, -1), (1, 0))):
         m = UnimodularAffineMap(linear, pt(F(1, 2), -3))
         for doc in documents:
-            moved = Document(doc.diagram.transform(m),
-                             tuple(c.transform(m) for c in doc.curves))
+            moved = Document(transform_diagram(doc.diagram, m), tuple(
+                transform_curve(c, m) for c in doc.curves))
             assert moved.diagram.name == "polygon"
             assert parse_document(serialize_document(moved)) == moved
 

@@ -35,6 +35,8 @@ from troplag import (
     vertex_multiplicity,
     visible_segment,
 )
+from troplag.maps import transform_curve, transform_diagram
+
 from cellular import boundaries, integral_homology
 from conftest import (BUNDLED_DOCS, curve_of, load_document, random_curve,
                       random_unimodular_map)
@@ -427,7 +429,7 @@ def test_oracle_equals_engine_on_random_curves_and_their_images(seed,
                                                                 map_seed):
     diagram, curve = random_curve(random.Random(seed))
     m = random_unimodular_map(random.Random(map_seed))
-    moved = diagram.transform(m), curve.transform(m)
+    moved = transform_diagram(diagram, m), transform_curve(curve, m)
     assert validate(*moved).passed
     for d, c in ((diagram, curve), moved):
         assert oracle_classify(build_presentation(d, c)) == classify(d, c)
@@ -466,7 +468,7 @@ def test_classify_invariant_under_unimodular_maps(fig1_left):
     expected = classify(diagram, curve)
     for _ in range(20):
         m = random_unimodular_map(rng)
-        d2, c2 = diagram.transform(m), curve.transform(m)
+        d2, c2 = transform_diagram(diagram, m), transform_curve(curve, m)
         assert validate(d2, c2).passed
         assert classify(d2, c2) == expected
 
@@ -492,7 +494,7 @@ def test_cycle_figure_answers():
     rng = random.Random(5)
     for _ in range(20):
         m = random_unimodular_map(rng)
-        d2, c2 = diagram.transform(m), curve.transform(m)
+        d2, c2 = transform_diagram(diagram, m), transform_curve(curve, m)
         assert validate(d2, c2).passed
         assert {vid: vertex_multiplicity(c2, vid)
                 for vid in c2.rows()[1]} == ms

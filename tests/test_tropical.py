@@ -26,10 +26,11 @@ from troplag import (
     x_abc,
 )
 from troplag import tropical
+from troplag.maps import transform_curve
 from troplag.tropical import ValidationIssue
 from conftest import (FIGURES, curve_of, diff, load_document, moved,
-                      random_curve, random_unimodular_map)
-from test_kernel import ref_on_open_segment, ref_segment_contact
+                      polygon_edges, random_curve, random_unimodular_map)
+from test_kernel import ref_exit, ref_on_open_segment, ref_segment_contact
 
 F = Fraction
 
@@ -99,7 +100,7 @@ def test_figure_curve_validates(fig1_left):
 def test_moved_vertex_breaks_collinearity(fig1_left):
     diagram, curve = fig1_left
     name, _, _, edges, ends = curve.rows()
-    moved = TropicalCurve.of_rows(name, ["v"], [(2, 3, 2)], edges, ends)
+    moved = TropicalCurve(name, ["v"], [(2, 3, 2)], edges, ends)
     report = validate(diagram, moved)
     assert not report.passed
     assert any(issue.code == "end-collinearity" for issue in report.issues)
@@ -240,8 +241,8 @@ def test_rows_refuse_an_unreduced_triple():
         ends = [("a", source, (1, 0), (4, 1, 1)),
                 ("b", source, (-1, 0), landing)]
         if anchor is None:
-            return TropicalCurve.of_rows("c", ["v"], [point], [], ends)
-        return TropicalCurve.of_rows("c", [], [], [], ends)
+            return TropicalCurve("c", ["v"], [point], [], ends)
+        return TropicalCurve("c", [], [], [], ends)
 
     diagram = rectangle(4, 2)
     assert validate(diagram, curve()).passed
@@ -266,8 +267,8 @@ def test_rows_refuse_an_unreduced_triple():
     # (4, 2, 2) is the point of v, not a second vertex at it.
     with pytest.raises(InvalidCurve, match=r"^vertex 'w' position "
                        r"\(4, 2, 2\) is not reduced with W > 0$"):
-        TropicalCurve.of_rows("c", ["v", "w"], [(2, 1, 1), (4, 2, 2)],
-                              [("e", "v", "w")], [])
+        TropicalCurve("c", ["v", "w"], [(2, 1, 1), (4, 2, 2)],
+                      [("e", "v", "w")], [])
 
 
 @pytest.mark.parametrize("ids, points", [
@@ -280,7 +281,7 @@ def test_rows_refuse_ids_and_points_of_different_lengths(ids, points):
     # bare IndexError.
     with pytest.raises(InvalidCurve, match=rf"^{len(ids)} vertex ids for "
                        rf"{len(points)} vertex points$"):
-        TropicalCurve.of_rows("c", ids, points, [], [])
+        TropicalCurve("c", ids, points, [], [])
 
 
 FIGURE_CURVES = [curve for path in sorted(FIGURES.glob("*.trop"))
@@ -294,12 +295,13 @@ FIGURE_CURVES = [curve for path in sorted(FIGURES.glob("*.trop"))
        st.integers(0, 2**32).map(
            lambda seed: random_unimodular_map(random.Random(seed))))
 def test_rows_rebuild_the_curve(curve, m):
-    # rows() gives back exactly what of_rows takes, as plain tuples, for a
-    # figure (the Klein bottle and squeeze figures have anchors, fig1_left
-    # node ends), a random tree and the image of either under a map.
-    for one in (curve, curve.transform(m)):
+    # rows() gives back exactly what TropicalCurve takes, as plain tuples,
+    # for a figure (the Klein bottle and squeeze figures have anchors,
+    # fig1_left node ends), a random tree and the image of either under a
+    # map.
+    for one in (curve, transform_curve(curve, m)):
         rows = one.rows()
-        again = TropicalCurve.of_rows(*rows)
+        again = TropicalCurve(*rows)
         assert again == one and again.rows() == rows
         name, ids, points, edges, ends = rows
         assert type(name) is str and type(ids) is tuple
@@ -425,7 +427,9 @@ def _all_pairs_embeddedness(diagram, curve):
             if ref_on_open_segment(node.position, a, b):
                 issue("crosses-node", id1,
                       f"passes through the node at {node.position}")
-        for cut_index, (cs, ce) in enumerate(diagram.cut_segments):
+        for cut_index, node in enumerate(diagram.nodes):
+            cs = node.position
+            ce, _ = ref_exit(diagram.polygon_vertices, cs, node.cut_direction)
             contact = ref_segment_contact(a, b, cs, ce)
             if contact is None:
                 continue
@@ -538,9 +542,8 @@ def _random_soup(rng, diagram, size, den):
             target = diagram.nodes[index % len(diagram.nodes)].position
             terminal = index
         else:
-            edge = rng.choice(diagram.boundary_edges)
-            target = moved(edge.start, diff(edge.end, edge.start),
-                           F(rng.randint(0, 4), 4))
+            a, b = rng.choice(polygon_edges(diagram))
+            target = moved(a, diff(b, a), F(rng.randint(0, 4), 4))
             terminal = target
         ends.append((f"x{k}", source, _direction(start, target), terminal))
     return curve_of(vertices, edges, ends, name="soup")
