@@ -12,10 +12,10 @@ node's exit, and nodes.exit_point (where the constructions land their
 ends) reads it; a diagram without nodes loads nodes only for exit_point.
 A diagram is a lattice polygon held as int columns on one scale S, the
 least that clears every corner, node and cut exit: corners, each edge's
-line (e.x, e.y, e ^ A) and primitive direction, bounds, node positions,
-cut directions and cut exits.  contains (of (X, Y, W) as (S*X, S*Y, W))
-and nodes.exit_point read only these, and bounds() makes its Fractions
-from the ints.
+line (e.x, e.y, e ^ A) and primitive direction, bounds, and each node's
+position and cut exit.  contains (of (X, Y, W) as (S*X, S*Y, W)) and
+nodes.exit_point read only these and the nodes' cut directions, and
+bounds() makes its Fractions from the ints.
 A corner is a RatPoint or a reduced (X, Y, W) of ints with W > 0, held
 as a RatPoint.  One pass over the edges clears the corners, checks each
 turn and emits the lines, directions and bounds into tuples.  rectangle
@@ -234,11 +234,11 @@ class BaseDiagram:
         self._scale, self._corners, self._lines = scale, corners, tuple(lines)
         self._directions, self._on_edges = tuple(directions), _on_edges(n)
         self._box = x0, y0, x1, y1
-        self._rays = self._cuts = ()
+        self._cuts = ()
         if not nodes:
             return
         ray_exit = _submodule("nodes").ray_exit
-        rays, exits = [], []  # exits: reduced (X, Y, W) on this scale
+        starts, exits = [], []  # exits: reduced (X, Y, W) on this scale
         for p, u in nodes:
             x, y = p[0] * (scale // p[2]), p[1] * (scale // p[2])
             found = ray_exit(self, x, y, 1, u)
@@ -250,7 +250,7 @@ class BaseDiagram:
                 raise InvalidDiagram(
                     f"cut from node at {p} exits through the "
                     f"corner {RatPoint.of(X, Y, W * scale)}")
-            rays.append(((x, y), u))
+            starts.append((x, y))
             g = gcd(X, Y, W)
             exits.append((X // g, Y // g, W // g))
         # One scale for the cut exits too: k times every column.
@@ -260,12 +260,11 @@ class BaseDiagram:
             self._corners = tuple([(x * k, y * k) for x, y in corners])
             self._lines = tuple([(ex * k, ey * k, w * k * k)
                                  for ex, ey, w in lines])
-            rays = [((x * k, y * k), u) for (x, y), u in rays]
+            starts = [(x * k, y * k) for x, y in starts]
             self._box = tuple([v * k for v in self._box])
-        self._rays = tuple(rays)
         self._cuts = tuple([(p, (x * (k // w), y * (k // w)))
-                            for (p, _), (x, y, w) in zip(rays, exits)])
-        if len({p for p, _ in rays}) != len(rays):
+                            for p, (x, y, w) in zip(starts, exits)])
+        if len(set(starts)) != len(starts):
             raise InvalidDiagram("nodes must be at distinct positions")
         # A node on another node's cut needs no check of its own: its own
         # cut starts there, so the two cuts meet.  contains relies on it.
@@ -296,12 +295,12 @@ class BaseDiagram:
                 if X == W * cx and Y == W * cy:
                     return PointLocation(_ON_CORNER, index)
             return self._on_edges[on_line]
-        for index, ((nx, ny), direction) in enumerate(self._rays):
+        for index, ((nx, ny), _) in enumerate(self._cuts):
             node = (W * nx, W * ny)  # times W, as (X, Y) is
             if node == (X, Y):
                 return PointLocation(_ON_NODE, index)
             # Past the node on its cut's line, and inside: on the open cut.
-            if reaches(node, (X, Y), direction):
+            if reaches(node, (X, Y), self.nodes[index].cut_direction):
                 return PointLocation(_ON_CUT, index)
         return INTERIOR
 

@@ -12,12 +12,13 @@ Closedness is read from tropical.end_kinds: every end must be a
 cross-cap, so a collar, an end at a node (a disc cap) and an end with no
 cap kind (mu >= 3) are refused, the last before any collar.  _sweep
 walks the plane tropical.geometry hands out once per curve, for both
-directions, and keeps each direction's critical coordinates (the
-rectangle's bounds and tropical.coordinates) and the ends of the segments
-that can change a parity; _parity reads it at the default witness or at a
-given one.  Both default sweeps are one per-curve fact, _default_sweeps,
-read by sweep_parity without a witness and by mod2_class, which asks
-tropical.multiplicities first, as topology does, and keeps them.
+directions, after refusing a curve that is not closed, and keeps each
+direction's critical coordinates (the rectangle's bounds and
+tropical.coordinates), the ends of the segments that can change a parity
+and the default witness line; sweep_parity reads the walk at that line or
+at a given one, so a default sweep is a memo read and one bisect.
+mod2_class asks tropical.multiplicities first, as topology does, then
+reads both sweeps through sweep_parity.
 
 Pontryagin squares are evaluated on integral lifts through the diagram's
 intersection form, Q(c, c) mod 4, which only depends on c mod 2.
@@ -66,33 +67,20 @@ class SweepParity(NamedTuple):
 class _Mod2Class(NamedTuple):
     coefficients: tuple[int, ...]
     basis_labels: tuple[str, ...]
-    sweeps: tuple[SweepParity, SweepParity]
 
 
 class Mod2Class(_Mod2Class):
-    """Coefficients over {0,1} in the diagram's homology basis, with the
-    (horizontal, vertical) sweeps they were solved from.  Two classes are
-    equal, and hash alike, when their coefficients and labels are; the
-    sweeps are not compared."""
+    """Coefficients over {0,1} in the diagram's homology basis."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
-    def __new__(cls, coefficients, basis_labels, sweeps):
+    def __new__(cls, coefficients, basis_labels):
         if len(coefficients) != len(basis_labels):
             raise InvalidClass("coefficient vector does not match basis")
         if any(c not in (0, 1) for c in coefficients):
             raise InvalidClass("mod-2 coefficients must be 0 or 1")
-        return tuple.__new__(cls, (coefficients, basis_labels, sweeps))
-
-    def __eq__(self, other):
-        return isinstance(other, Mod2Class) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
+        return tuple.__new__(cls, (coefficients, basis_labels))
 
     def label_sum(self) -> str:
         terms = [label for c, label in
@@ -118,56 +106,39 @@ def _require_sweepable(diagram: BaseDiagram, curve: TropicalCurve):
 
 def _sweep(diagram: BaseDiagram, curve: TropicalCurve):
     """Both directions' sweep data from one walk of the plane geometry()
-    hands out, once per curve and diagram (_remember): (scale, horizontal,
-    vertical), each direction as (criticals, odd).  Coordinates are scaled
-    and run across the direction's witness lines (y for horizontal lines,
-    x for vertical ones); criticals is the sorted tuple a generic witness
-    line must avoid, the curve's coordinates and the rectangle's bounds,
-    and odd the sorted tuple of both ends of each segment whose weight
-    |dot(u, t)| is odd, t the unit vector along the lines: an even weight
-    never changes a parity."""
+    hands out, once per curve and diagram (_remember), after
+    _require_sweepable, so a stored walk is of a sweepable curve: (scale,
+    horizontal, vertical), each direction as (criticals, odd, default).
+    Coordinates are scaled and run across the direction's witness lines (y
+    for horizontal lines, x for vertical ones); criticals is the sorted
+    tuple a generic witness line must avoid, the curve's coordinates and
+    the rectangle's bounds, odd the sorted tuple of both ends of each
+    segment whose weight |dot(u, t)| is odd, t the unit vector along the
+    lines (an even weight never changes a parity), and default the default
+    witness line, unscaled: the midpoint of the first largest gap between
+    criticals."""
     def walk():
-        scale, corners, _, segments = geometry(diagram, curve)
-        cx, cy = zip(*corners)
+        _require_sweepable(diagram, curve)
+        scale, _, segments = geometry(diagram, curve)
+        k = scale // diagram._scale
+        x0, y0, x1, y1 = diagram._box
         xs, ys = coordinates(diagram, curve)
-        xs, ys = xs | {min(cx), max(cx)}, ys | {min(cy), max(cy)}
         odd_y, odd_x = [], []
         for _, (ax, ay), (bx, by), _, _, (ux, uy) in segments:
             if ux & 1:  # odd weight |ux| across horizontal lines
                 odd_y += ay, by
             if uy & 1:
                 odd_x += ax, bx
-        return (scale, (tuple(sorted(ys)), tuple(sorted(odd_y))),
-                (tuple(sorted(xs)), tuple(sorted(odd_x))))
+        spans = []
+        for coords, odd in ((ys | {y0 * k, y1 * k}, odd_y),
+                            (xs | {x0 * k, x1 * k}, odd_x)):
+            criticals = sorted(coords)
+            gaps = list(map(sub, criticals[1:], criticals))
+            g = gaps.index(max(gaps))
+            spans.append((tuple(criticals), tuple(sorted(odd)), Fraction(
+                criticals[g] + criticals[g + 1], 2 * scale)))
+        return scale, *spans
     return _remember(diagram, curve, _sweep, walk)
-
-
-def _parity(diagram: BaseDiagram, curve: TropicalCurve,
-            direction: SweepDirection, witness=None) -> SweepParity:
-    """The SweepParity of direction at the witness, or at the default one
-    (see sweep_parity), read from _sweep's walk."""
-    scale, horizontal, vertical = _sweep(diagram, curve)
-    criticals, odd = vertical if direction is _VERTICAL else horizontal
-    # The witness line's scaled coordinate is line / den.
-    if witness is None:
-        gaps = list(map(sub, criticals[1:], criticals))
-        k = gaps.index(max(gaps))  # the first largest gap
-        line, den = criticals[k] + criticals[k + 1], 2
-        witness = Fraction(line, den * scale)
-    else:
-        witness = _as_fraction(witness)
-        line, den = witness.numerator * scale, witness.denominator
-        if any(c * den == line for c in criticals):
-            raise NonGenericWitness(
-                f"witness {witness} hits a critical coordinate")
-        if not criticals[0] * den < line < criticals[-1] * den:
-            raise NonGenericWitness(
-                f"witness {witness} lies outside the rectangle")
-    # A line crosses a segment when one of its ends lies below the line and
-    # the other above, so it crosses as many odd-weight segments, mod 2, as
-    # their ends below it: those at most (line - 1) // den, as none is on it.
-    below = bisect_right(odd, (line - 1) // den)
-    return SweepParity(direction, below % 2, witness)
 
 
 def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
@@ -183,26 +154,30 @@ def sweep_parity(diagram: BaseDiagram, curve: TropicalCurve,
     weight-one curve in a node-free rectangle diagram: every end must be a
     cross-cap.
     """
-    if witness is None:
-        horizontal, vertical = _default_sweeps(diagram, curve)
-        return vertical if direction is _VERTICAL else horizontal
-    _require_sweepable(diagram, curve)
-    return _parity(diagram, curve, direction, witness)
+    scale, horizontal, vertical = _sweep(diagram, curve)
+    criticals, odd, default = (vertical if direction is _VERTICAL
+                               else horizontal)
+    given = witness is not None
+    witness = _as_fraction(witness) if given else default
+    # The witness line's scaled coordinate is line / den.
+    line, den = witness.numerator * scale, witness.denominator
+    if given and any(c * den == line for c in criticals):
+        raise NonGenericWitness(
+            f"witness {witness} hits a critical coordinate")
+    if given and not criticals[0] * den < line < criticals[-1] * den:
+        raise NonGenericWitness(
+            f"witness {witness} lies outside the rectangle")
+    # A line crosses a segment when one of its ends lies below the line and
+    # the other above, so it crosses as many odd-weight segments, mod 2, as
+    # their ends below it: those at most (line - 1) // den, as none is on it.
+    below = bisect_right(odd, (line - 1) // den)
+    return SweepParity(direction, below % 2, witness)
 
 
-def _default_sweeps(diagram: BaseDiagram, curve: TropicalCurve):
-    """The (horizontal, vertical) SweepParity at the default witnesses,
-    once per curve and diagram (tropical._remember)."""
-    def build():
-        _require_sweepable(diagram, curve)
-        return tuple(_parity(diagram, curve, d) for d in SweepDirection)
-    return _remember(diagram, curve, _default_sweeps, build)
-
-
-def _solve(homology: HomologyModel, sweeps) -> Mod2Class:
+def _solve(homology: HomologyModel, parities) -> Mod2Class:
     """The class whose pairings with the horizontal and vertical sweep
-    sphere classes are the parities of the (horizontal, vertical) sweeps:
-    the one such lift c in {0,1}^2; zero or several is a singular pairing."""
+    sphere classes are the (horizontal, vertical) parities: the one such
+    lift c in {0,1}^2; zero or several is a singular pairing."""
     classes = (homology.class_of_horizontal_sweep,
                homology.class_of_vertical_sweep)
     if None in classes:
@@ -211,13 +186,13 @@ def _solve(homology: HomologyModel, sweeps) -> Mod2Class:
         raise UnsupportedDiagram("sweep classes determine the mod-2 class "
                                  "only in a rank-2 basis")
     lifts = [c for c in product((0, 1), repeat=2)
-             if all(homology.pairing(c, s) % 2 == sweep.parity
-                    for s, sweep in zip(classes, sweeps))]
+             if all(homology.pairing(c, s) % 2 == parity
+                    for s, parity in zip(classes, parities))]
     if len(lifts) != 1:
         raise UnsupportedDiagram(
             "sweep classes do not determine the mod-2 class "
             "(singular pairing)")
-    return Mod2Class(lifts[0], homology.basis_labels, sweeps)
+    return Mod2Class(lifts[0], homology.basis_labels)
 
 
 def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
@@ -227,7 +202,8 @@ def mod2_class(diagram: BaseDiagram, curve: TropicalCurve) -> Mod2Class:
     no multiplicity (no surface over the curve), a diagram that is not a
     node-free rectangle, a curve that is not closed, then the basis."""
     multiplicities(diagram, curve)
-    return _solve(diagram.homology, _default_sweeps(diagram, curve))
+    return _solve(diagram.homology, [sweep_parity(diagram, curve, d).parity
+                                     for d in SweepDirection])
 
 
 def pontryagin_square(form: HomologyModel, integral_class) -> int:

@@ -91,32 +91,17 @@ def _line(t, pos, lineno, p):
 def _walk(t, pos, stop, lineno, block):
     """Raise the first error in the element lines of t from the newline at
     pos (line lineno) to stop: one outside a curve block (block false), or
-    one its pattern, a repeated id, int() or a weight refuses.  The groups
-    of the lines matched before the first line a pattern or an id refuses
-    go to _rows at once; only if it refuses them are they read again, line
-    by line, for the first line it refuses."""
-    elements = _patterns()[0]
-    seen, matched, refused = set(), [], None
-    groups = {kind: [] for kind in elements}
+    the first line its pattern, a repeated id, int() or a weight refuses."""
+    elements, seen = _patterns()[0], set()
     for head in _HEAD.finditer(t, pos, stop):
         p, kind = head.start(), head[1]
         if not block:
             raise _error(f"{kind} outside a curve block",
                          _line(t, pos, lineno, p))
         m = elements[kind].match(t, p)
-        if not m or m[1] in seen:
-            refused = p
-            break
+        if not m or m[1] in seen or _rows(**{kind: [m.groups("")]}) is None:
+            _refuse(_line(t, pos, lineno, p), seen)
         seen.add(m[1])
-        found = m.groups("")
-        groups[kind].append(found)
-        matched.append((p, kind, found))
-    if _rows(**groups) is None:  # the matched ids are distinct
-        for p, kind, found in matched:
-            if _rows(**{kind: [found]}) is None:
-                _refuse(_line(t, pos, lineno, p), ())
-    if refused is not None:
-        _refuse(_line(t, pos, lineno, refused), seen)
 
 
 def _refuse(line, seen):

@@ -128,7 +128,7 @@ def render_document(doc) -> str:
                   f'y2="{ys[V]}" {_CUT_STYLE}/>', node)
 
     for curve in doc.curves:
-        scale, _, _, segments = geometry(diagram, curve)
+        scale, _, segments = geometry(diagram, curve)
         ends = segments[len(curve._edge_rows):]
         if len(ends) < len(curve._end_rows):
             drawn = {eid for eid, *_ in ends}

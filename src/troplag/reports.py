@@ -92,18 +92,18 @@ def _topology_lines(doc, curve):
 
 
 def _homology_lines(doc, curve):
-    from .homology import mod2_class
+    from .homology import SweepDirection, mod2_class, sweep_parity
 
     cls = mod2_class(doc.diagram, curve)
-    horizontal, vertical = cls.sweeps
-    return [f"curve {curve.name}: horizontal sweep parity = "
-            f"{horizontal.parity} (witness y = "
-            f"{horizontal.witness_line_coordinate})",
-            f"curve {curve.name}: vertical sweep parity = "
-            f"{vertical.parity} (witness x = "
-            f"{vertical.witness_line_coordinate})",
-            f"curve {curve.name}: mod2 class = {cls} = {cls.label_sum()}"
-            ], PASS
+    lines = []
+    for direction, axis in zip(SweepDirection, "yx"):
+        sweep = sweep_parity(doc.diagram, curve, direction)
+        lines.append(f"curve {curve.name}: {direction.value} sweep parity = "
+                     f"{sweep.parity} (witness {axis} = "
+                     f"{sweep.witness_line_coordinate})")
+    lines.append(f"curve {curve.name}: mod2 class = {cls} = "
+                 f"{cls.label_sum()}")
+    return lines, PASS
 
 
 def _audin_lines(doc, curve, override):

@@ -26,26 +26,33 @@ build_presentation() + oracle_classify() re-derive chi and orientability
 without the cap kinds, from a cell complex held as int columns
 (CellComplex).  Over a site of valence d lie d circles (a vertex and a
 loop each), d - 1 rungs joining them and one face; over an internal edge
-a rung and a face joining the circles of its two half-edges, glued with a
-sign read from fibre classes (the circle over a half-edge of direction u
-is rot90(u); the sign is 1 when the edge's two circles are opposite
-classes, as an annulus's boundary circles are); over an end at a node a
-face on its circle; over an end landing with degree mu = |det(u, e)| on an
-edge of direction e a core circle, a rung and a face that runs mu times
-around the core.  chi is the cell count V - E + F, less 2 per surgery
-handle; a core of degree 1 lies on one face, a boundary circle.
-Orientability is one depth-first walk over the sites, giving each a side
-+-1: an edge whose sign disagrees with its sites' sides, or a core of
-even degree (a Mobius band's), is an odd loop.  A degree >= 3 is refused.
+a rung and a face joining the circles of its two half-edges; over an end
+at a node a face on its circle; over an end landing with degree
+mu = |det(u, e)| on an edge of direction e a core circle, a rung and a
+face that runs mu times around the core.  chi is the cell count
+V - E + F, less 2 per surgery handle; a core of degree 1 lies on one face,
+a boundary circle.
+
+Every edge glues with sign 1, so the complex holds no sign.  An edge
+avoids every cut (validate refuses one that touches a cut), so the torus
+fibration over it is trivial and the annulus over it has no monodromy.
+The circle over a half-edge of direction u is rot90(u), and an edge's two
+half-edges leave its ends as u and -u (TropicalCurve keeps them so), so
+its two circles are rot90(u) and rot90(-u): opposite classes, as an
+annulus's two boundary circles are, which is sign 1.  A loop of sites
+then never reverses a side, and the only odd loop is a core of even
+degree, a Mobius band's: the surface is orientable iff 2 is not a degree.
+The sites are still searched for connectivity, and a degree >= 3 is
+refused.
 """
 from typing import NamedTuple
 
 from .errors import TroplagError
 from .diagram import BaseDiagram
 from .tropical import (_COLLAR, _CROSS_CAP, _DISC_CAP, _ON_EDGE, EndKind,
-                       TropicalCurve, UnsupportedEndMultiplicity, _remember,
-                       end_kinds, end_multiplicity, landing_locations,
-                       multiplicities, vertex_double_points)
+                       TropicalCurve, UnsupportedEndMultiplicity, _components,
+                       _remember, end_kinds, end_multiplicity,
+                       landing_locations, multiplicities, vertex_double_points)
 
 
 class EmptyCurve(TroplagError):
@@ -180,14 +187,13 @@ def surface_name(sc: SurfaceClass) -> str | None:
 
 class CellComplex(NamedTuple):
     """The lift as int columns (see the module docstring): the surgery
-    handle count; per site its valence; per internal edge its two sites
-    and gluing sign; per end its site, attaching degree and id."""
+    handle count; per site its valence; per internal edge its two sites;
+    per end its site, attaching degree and id."""
 
     handles: int
     valence: tuple[int, ...]
     edge_src: tuple[int, ...]
     edge_dst: tuple[int, ...]
-    edge_sign: tuple[int, ...]
     end_site: tuple[int, ...]
     end_degree: tuple[int, ...]
     end_ids: tuple[str, ...]
@@ -200,12 +206,6 @@ def build_presentation(diagram: BaseDiagram,
         raise EmptyCurve("the empty curve has no presentation")
     # First, so that vertex_multiplicity refuses a vertex not trivalent.
     handles = _handles(diagram, curve)
-    # Edge k's circles are rot90 of the directions of half-edges 2k and
-    # 2k + 1: opposite classes, as an annulus's two boundary circles are,
-    # glue with sign 1.
-    half, n = curve._half, 2 * len(curve._edge_rows)
-    signs = [1 if x * v + y * w < 0 else -1
-             for (x, y), (v, w) in zip(half[0:n:2], half[1:n:2])]
     directions, ends = diagram._directions, curve._end_rows
     degrees = []
     for row, loc in zip(ends, landing_locations(diagram, curve)):
@@ -222,15 +222,15 @@ def build_presentation(diagram: BaseDiagram,
     return CellComplex(
         handles, tuple(map(len, curve._sites)),
         tuple([s for _, s, _, _ in rows]), tuple([d for _, _, d, _ in rows]),
-        tuple(signs), tuple([site for _, site, _, _ in ends]),
+        tuple([site for _, site, _, _ in ends]),
         tuple(degrees), tuple([eid for eid, _, _, _ in ends]))
 
 
 def oracle_classify(cx: CellComplex) -> SurfaceClass:
     """Classify the surface from its cell complex alone: chi from the cell
-    counts, orientability from one parity walk over the sites (see the
-    module docstring); refuses a complex that is not a connected surface."""
-    handles, valence, src, dst, signs, end_site, degrees, end_ids = cx
+    counts, orientability from the core degrees (see the module
+    docstring); refuses a complex that is not a connected surface."""
+    handles, valence, src, dst, end_site, degrees, end_ids = cx
     n = len(valence)
     if handles < 0:
         raise MalformedPresentation("negative handle count")
@@ -243,10 +243,6 @@ def oracle_classify(cx: CellComplex) -> SurfaceClass:
     if named and (min(named) < 0 or max(named) >= n):
         site = next(s for s in named if not 0 <= s < n)
         raise MalformedPresentation(f"site {site} is not in range({n})")
-    if not {*signs} <= {1, -1}:
-        k = next(k for k, sign in enumerate(signs) if sign not in (1, -1))
-        raise MalformedPresentation(f"edge {k} has gluing sign "
-                                    f"{signs[k]!r}, not 1 or -1")
     if degrees and not 0 <= min(degrees) <= max(degrees) <= 2:
         j = next(j for j, mu in enumerate(degrees) if not 0 <= mu <= 2)
         if degrees[j] < 0:
@@ -255,39 +251,14 @@ def oracle_classify(cx: CellComplex) -> SurfaceClass:
         raise UnsupportedEndMultiplicity(
             f"end {end_ids[j]!r} has mu = {degrees[j]}; only mu = 1 "
             "(collar) and mu = 2 (cross-cap) carry a surface meaning")
-
-    # Per site, each edge's other site, as ~site when its sign is -1.
-    links = [[] for _ in valence]
-    for s, d, sign in zip(src, dst, signs):
-        links[s].append(d if sign > 0 else ~d)
-        links[d].append(s if sign > 0 else ~s)
-    attached = [*map(len, links)]
-    for s in end_site:
+    attached = [0] * n
+    for s in named:
         attached[s] += 1
     if attached != [*valence]:
         s = next(s for s, k in enumerate(attached) if k != valence[s])
         raise MalformedPresentation(f"site {s} has valence {valence[s]}, "
                                     f"but {attached[s]} circles attach")
-
-    # Depth first from site 0, giving each site a side; an edge whose sign
-    # disagrees with its sites' sides closes an odd loop.
-    side = [0] * n
-    side[0] = 1
-    stack = [0]
-    odd = False
-    while stack:
-        s = stack.pop()
-        here = side[s]
-        for t in links[s]:
-            e = here
-            if t < 0:
-                t, e = ~t, -e
-            if not side[t]:
-                side[t] = e
-                stack.append(t)
-            elif side[t] != e:
-                odd = True
-    if 0 in side:
+    if _components(n, zip(src, dst)) > 1:
         raise MalformedPresentation("complex is disconnected")
 
     # Vertices: one per circle, site or core.  Edges: a loop per circle and
@@ -297,9 +268,9 @@ def oracle_classify(cx: CellComplex) -> SurfaceClass:
     cells_v = total + landings
     cells_e = 2 * total - n + len(src) + 2 * landings
     cells_f = n + len(src) + len(degrees)
-    # A core of degree 2 is a Mobius band's, an odd loop; a core of degree
-    # 1 lies on one face, a boundary circle.
-    return SurfaceClass(orientable=not odd and 2 not in degrees,
+    # A core of degree 2 is a Mobius band's, the one odd loop; a core of
+    # degree 1 lies on one face, a boundary circle.
+    return SurfaceClass(orientable=2 not in degrees,
                         euler_char=cells_v - cells_e + cells_f - 2 * handles,
                         boundary_circles=degrees.count(1),
                         double_points_surgered=handles)

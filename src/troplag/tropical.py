@@ -25,19 +25,19 @@ and no column holds a RatPoint.  Equality compares the columns.
 
 geometry() hands out the one plane in which a curve becomes segments on int
 pairs, for validate(), the homology sweeps and render, with the diagram's
-corners and cuts on the same ints; it is the one place a curve's triples
-are cleared.  coordinates() holds the plane's distinct x and y, which
-render writes its tables from and the sweeps take as critical
-coordinates.  validate() checks every geometric and combinatorial
-invariant and returns a report; the per-element facts (a vertex's
-multiplicity m and its (m-1)/2 double points, an end's mu and its cap
-kind) assume a validated curve and raise on contract violations.  Each
-reads the columns by index; end_multiplicity and classify_end take an end
-row, and its landing's location if known.  The plane and its coordinates,
-the landings' locations (landing_locations), the cap kinds (end_kinds),
-the m's (multiplicities), topology's ChiBreakdown and surgery handle
-count, and homology's sweep walk and default sweeps are computed once per
-curve and diagram and kept in the curve's one memo slot (_remember).
+cuts on the same ints; it is the one place a curve's triples are cleared.
+coordinates() holds the plane's distinct x and y, which render writes its
+tables from and the sweeps take as critical coordinates.  validate()
+checks every geometric and combinatorial invariant and returns a report;
+the per-element facts (a vertex's multiplicity m and its (m-1)/2 double
+points, an end's mu and its cap kind) assume a validated curve and raise
+on contract violations.  Each reads the columns by index;
+end_multiplicity and classify_end take an end row, and its landing's
+location if known.  The plane and its coordinates, the landings'
+locations (landing_locations), the cap kinds (end_kinds), the m's
+(multiplicities), topology's ChiBreakdown and surgery handle count, and
+homology's sweep walk (with its default witness lines) are computed once
+per curve and diagram and kept in the curve's one memo slot (_remember).
 validate alone reads the sites: each is tested against the diagram's edge
 lines (BaseDiagram._inside), and located only if it fails, or if the
 diagram has nodes.
@@ -238,20 +238,19 @@ def _remember(diagram: BaseDiagram, curve: TropicalCurve, key, build):
 
 
 def geometry(diagram: BaseDiagram, curve: TropicalCurve):
-    """(scale, corners, cuts, segments): the diagram and the curve on ints,
+    """(scale, cuts, segments): the diagram's cuts and the curve on ints,
     for validate, the sweeps and render, built once per curve and diagram
     (_remember).  scale is the lcm of the diagram's scale and the W of
     every vertex, anchor and landing triple, and each point is cleared by
-    it, which keeps every sign: the diagram's columns are multiplied by
-    scale over the diagram's scale, and each triple (X, Y, W) by scale // W.
-    corners holds the polygon's corners in order, cuts each node's
-    (position, exit); segments holds (id, start, finish, start token,
-    finish token, direction) per edge, then per end, in curve order, and
-    none for an end to a missing node.  Every part is a plain tuple of
-    ints and strings, which the collector stops tracking.  Two segments
-    may share a point only where both carry the same token there: a site
-    index (an int) at a vertex or an anchor, or a node or landing token (a
-    pair that starts with a string).
+    it, which keeps every sign: the diagram's cuts are multiplied by scale
+    over the diagram's scale, and each triple (X, Y, W) by scale // W.
+    cuts holds each node's (position, exit); segments holds (id, start,
+    finish, start token, finish token, direction) per edge, then per end,
+    in curve order, and none for an end to a missing node.  Every part is
+    a plain tuple of ints and strings, which the collector stops tracking.
+    Two segments may share a point only where both carry the same token
+    there: a site index (an int) at a vertex or an anchor, or a node or
+    landing token (a pair that starts with a string).
     """
     return _remember(diagram, curve, geometry, lambda: _plane(diagram, curve))
 
@@ -261,7 +260,6 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
     landings = [t for *_, t in curve._end_rows if not isinstance(t, int)]
     scale = lcm(diagram._scale, common_scale([*points, *landings]))
     k = scale // diagram._scale
-    corners = tuple([(x * k, y * k) for x, y in diagram._corners])
     cuts = tuple([((x * k, y * k), (u * k, v * k))
                   for (x, y), (u, v) in diagram._cuts])
     grid = [(X * w, Y * w) for X, Y, W in points for w in (scale // W,)]
@@ -277,7 +275,7 @@ def _plane(diagram: BaseDiagram, curve: TropicalCurve):
         else:
             continue  # an end to a missing node has no segment
         segments.append((eid, grid[site], finish, site, token, u))
-    return scale, corners, cuts, tuple(segments)
+    return scale, cuts, tuple(segments)
 
 
 def coordinates(diagram: BaseDiagram, curve: TropicalCurve):
@@ -286,7 +284,7 @@ def coordinates(diagram: BaseDiagram, curve: TropicalCurve):
     (_remember), for render's tables and the sweeps' critical coordinates."""
     def build():
         xs, ys = set(), set()
-        for _, (ax, ay), (bx, by), _, _, _ in geometry(diagram, curve)[3]:
+        for _, (ax, ay), (bx, by), _, _, _ in geometry(diagram, curve)[2]:
             xs.add(ax)
             xs.add(bx)
             ys.add(ay)
@@ -370,7 +368,7 @@ def validate(diagram: BaseDiagram, curve: TropicalCurve) -> ValidationReport:
     node and cut tests.
     """
     issues = []
-    scale, _, cuts, segments = geometry(diagram, curve)
+    scale, cuts, segments = geometry(diagram, curve)
     # diagram.contains, inlined: a site strictly inside every edge line of
     # a diagram with no nodes is interior, and only another is located.
     S, locate, inside = diagram._scale, diagram._locate, diagram._inside

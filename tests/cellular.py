@@ -6,7 +6,8 @@ valence d has d circles, each a vertex p and a loop c, which its d
 attachments take in order (edges first, src before dst, then ends), and
 d - 1 rungs from its first circle's vertex to each other one; its face
 bounds every one of its loops once.  Edge k adds a rung between the
-vertices of its two circles and a face with word c_a r c_b^sign r^-1.  An
+vertices of its two circles and a face with word c_a r c_b r^-1 (every
+edge glues with sign 1; see the topology module docstring).  An
 end at a node (degree 0) adds a face on its circle; an end of degree mu
 adds a core vertex and loop z, a rung to it and a face with word
 c r z^mu r^-1.  Surgery handles are left out: each only subtracts 2 from
@@ -103,10 +104,9 @@ def boundaries(cx):
         circles.append(iter(own))
     taken = [next(circles[s]) for pair in zip(cx.edge_src, cx.edge_dst)
              for s in pair]
-    for k, sign in enumerate(cx.edge_sign):
-        (p, c), (q, e) = taken[2 * k], taken[2 * k + 1]
+    for (p, c), (q, e) in zip(taken[0::2], taken[1::2]):
         points.append((p, q))
-        faces.append({c: 1, e: sign})
+        faces.append({c: 1, e: 1})
     for s, mu in zip(cx.end_site, cx.end_degree):
         p, c = next(circles[s])
         if not mu:

@@ -13,9 +13,10 @@ most of them invalid.  Per document the answers are the diagram's public
 values, the sha256 of its SVG (rendered on a fresh parse, before any other
 reading), and per curve: the validate lines and, for a valid curve, the
 cap kinds, ChiBreakdown, SurfaceClass, the oracle's SurfaceClass, the
-mod-2 class with its sweeps, and the audin lines (with the all-ones lift
-where there is no class), each a value or a refusal.  Regenerate it only
-for an intended answer change, and name each changed entry when doing so.
+mod-2 class with its two default sweeps, and the audin lines (with the
+all-ones lift where there is no class), each a value or a refusal.
+Regenerate it only for an intended answer change, and name each changed
+entry when doing so.
 """
 import hashlib
 import json
@@ -30,7 +31,7 @@ from troplag import (Document, IntVec, ParseError, RatPoint, TroplagError,
                      parse_document, rectangle, render_document, rp2_curve,
                      serialize_document, trop_family, visible_segment)
 from troplag.reports import _audin_lines
-from troplag.homology import mod2_class
+from troplag.homology import SweepDirection, mod2_class, sweep_parity
 from troplag.lattice import primitive_pair
 from troplag.topology import (build_presentation, euler_breakdown,
                               oracle_classify)
@@ -117,7 +118,8 @@ def curve_facts(doc, curve):
         cls = mod2_class(diagram, curve)
         return [str(cls), cls.label_sum(),
                 [[s.direction.value, s.parity, str(s.witness_line_coordinate)]
-                 for s in cls.sweeps]]
+                 for s in (sweep_parity(diagram, curve, direction)
+                           for direction in SweepDirection)]]
 
     facts["mod2"] = attempt(mod2)
     facts["audin"] = attempt(lambda: list(_audin_lines(doc, curve, None)))

@@ -11,6 +11,7 @@ from troplag import (
     InvalidCurve,
     InvalidInput,
     SweepDirection,
+    UnsupportedDiagram,
     audin_check,
     classify,
     end_multiplicity,
@@ -30,6 +31,7 @@ from troplag import (
     validate,
     vertex_multiplicity,
     visible_segment,
+    x_abc,
 )
 from troplag.lattice import point_text
 from conftest import FIGURES
@@ -51,6 +53,23 @@ def test_segment_exiting_horizontally_does_not_fit():
         visible_segment(diagram, IntVec(2, 1), pt(2, F(9, 8)))
 
 
+@pytest.mark.parametrize("diagram, direction, anchor, error, message", [
+    (x_abc(1, 1, F(4, 3), 4), IntVec(2, 1), pt(1, 1), UnsupportedDiagram,
+     "visible segments are constructed in node-free rectangles"),
+    (rectangle(4, 2), IntVec(0, 0), pt(2, 1), InvalidInput,
+     "direction must be nonzero"),
+    (rectangle(4, 2), IntVec(2, 1), pt(5, 1), DoesNotFit,
+     "anchor (5,1) is not strictly inside"),
+    (rectangle(4, 2), IntVec(2, 1), pt(4, 1), DoesNotFit,
+     "anchor (4,1) is not strictly inside"),
+], ids=["polygon-with-nodes", "zero-direction", "outside", "on-an-edge"])
+def test_segment_refuses_its_inputs(diagram, direction, anchor, error,
+                                    message):
+    with pytest.raises(error) as refusal:
+        visible_segment(diagram, direction, anchor)
+    assert str(refusal.value) == message
+
+
 @pytest.mark.parametrize("direction", [IntVec(0, 1), IntVec(0, -3)])
 def test_vertical_segment_exits_horizontally(direction):
     # A vertical line is refused as any line leaving through a horizontal
@@ -60,9 +79,13 @@ def test_vertical_segment_exits_horizontally(direction):
         visible_segment(rectangle(4, 2), direction, pt(1, 1))
 
 
-def test_segment_in_taller_rectangle_is_klein_bottle():
+@pytest.mark.parametrize("direction", [IntVec(2, 1), IntVec(-2, -1),
+                                       IntVec(-4, -2)])
+def test_segment_in_taller_rectangle_is_klein_bottle(direction):
+    # A direction is made primitive and pointed right: one curve for each.
     diagram = rectangle(4, F(5, 2))
-    curve = visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))
+    curve = visible_segment(diagram, direction, pt(2, F(5, 4)))
+    assert curve == visible_segment(diagram, IntVec(2, 1), pt(2, F(5, 4)))
     landings = sorted((point_text(e[3]) for e in curve.rows()[4]))
     assert landings == ["(0,1/4)", "(4,9/4)"]
     assert all(end_multiplicity(diagram, e) == 2 for e in curve.rows()[4])
@@ -100,6 +123,18 @@ def test_klein_threshold_values():
     assert not klein_threshold(4, 2)        # lambda = 2, strict
     assert not klein_threshold(2, 1)        # unit cylinder boundary case
     assert klein_threshold(4, F(5, 2))
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: klein_threshold(0, 2), "rectangle sides must be positive"),
+    (lambda: klein_threshold(4, F(-1, 2)), "rectangle sides must be positive"),
+    (lambda: genus_bound(0), "lambda must be positive"),
+    (lambda: genus_bound(F(-3, 2)), "lambda must be positive"),
+], ids=["zero-width", "negative-height", "zero-lambda", "negative-lambda"])
+def test_thresholds_refuse_a_nonpositive_argument(refused, message):
+    with pytest.raises(InvalidInput) as refusal:
+        refused()
+    assert str(refusal.value) == message
 
 
 def test_klein_threshold_matches_segment_existence():

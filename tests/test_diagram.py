@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from troplag import (
     BaseDiagram,
+    DegenerateDirection,
     HomologyModel,
     IntVec,
     InvalidDiagram,
@@ -283,6 +284,12 @@ def test_exit_refuses_an_origin_not_strictly_inside(origin, direction):
         exit_point(rectangle(4, 4), origin, direction)
 
 
+def test_exit_refuses_the_zero_direction():
+    with pytest.raises(DegenerateDirection) as refusal:
+        exit_point(rectangle(4, 4), pt(1, 1), IntVec(0, 0))
+    assert str(refusal.value) == "a ray needs a nonzero direction"
+
+
 def test_params_are_read_only():
     d = rectangle(4, 2)
     text = serialize_document(Document(d, ()))
@@ -369,6 +376,27 @@ def test_rectangle_with_a_node_is_not_a_rectangle():
 def test_homology_model_requires_symmetry():
     with pytest.raises(InvalidDiagram):
         HomologyModel(("A", "B"), ((0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((((0, 1),),), "intersection form must be square and match the number "
+     "of basis labels"),
+    ((((0, 1), (1,)),), "intersection form must be square and match the "
+     "number of basis labels"),
+    ((((0, 1), (1, 0)), (1, 0, 0)), "sweep class vector has wrong length"),
+    ((((0, 1), (1, 0)), (1, 0), (1,)), "sweep class vector has wrong length"),
+], ids=["too-few-rows", "short-row", "horizontal-sweep", "vertical-sweep"])
+def test_homology_model_checks_its_shapes(args, message):
+    with pytest.raises(InvalidDiagram) as refusal:
+        HomologyModel(("A", "B"), *args)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("u, v", [((1, 0, 0), (1, 0)), ((1, 0), (1,))])
+def test_pairing_refuses_a_vector_of_the_wrong_length(u, v):
+    with pytest.raises(InvalidDiagram) as refusal:
+        rectangle(1, 1).homology.pairing(u, v)
+    assert str(refusal.value) == "class vector has wrong length"
 
 
 # -- the corners and nodes a diagram accepts -----------------------------

@@ -329,16 +329,16 @@ def _sweep_cases():
                                        pt(width / 2, height / 2))
 
 
-def test_class_carries_the_sweeps_it_was_solved_from():
+def test_class_is_solved_from_the_default_sweeps():
+    # In the standard rectangle basis the class is (vertical parity,
+    # horizontal parity) of the default sweeps.
     cases = list(_sweep_cases())
     assert len(cases) == 23
     for diagram, curve in cases:
         cls = mod2_class(diagram, curve)
-        assert cls.sweeps == (
-            sweep_parity(diagram, curve, SweepDirection.HORIZONTAL),
-            sweep_parity(diagram, curve, SweepDirection.VERTICAL))
-        assert cls.coefficients == (cls.sweeps[1].parity,
-                                    cls.sweeps[0].parity)
+        horizontal, vertical = (sweep_parity(diagram, curve, direction)
+                                for direction in SweepDirection)
+        assert cls.coefficients == (vertical.parity, horizontal.parity)
 
 
 def ref_solve_mod2_2x2(matrix, rhs):
@@ -363,12 +363,6 @@ def ref_mod2_class(homology, p_h, p_v):
     return ref_solve_mod2_2x2(rows, (p_v, p_h))
 
 
-def _sweeps(parities):
-    """(horizontal, vertical) sweeps with the given parities."""
-    return tuple(SweepParity(direction, parity, F(1, 2))
-                 for direction, parity in zip(SweepDirection, parities))
-
-
 def test_solve_matches_the_2x2_formula_on_every_case():
     # Every symmetric form mod 2, each through several integer lifts, every
     # pair of sweep vectors and every pair of parities.
@@ -382,12 +376,13 @@ def test_solve_matches_the_2x2_formula_on_every_case():
                 if expected is None:
                     with pytest.raises(UnsupportedDiagram,
                                        match=r"\(singular pairing\)"):
-                        _solve(homology, _sweeps(parities))
+                        _solve(homology, parities)
                     refused += 1
                 else:
-                    cls = _solve(homology, _sweeps(parities))
+                    cls = _solve(homology, parities)
                     assert cls.coefficients == expected
-                    assert [s.parity for s in cls.sweeps] == list(parities)
+                    assert [homology.pairing(cls.coefficients, s) % 2
+                            for s in (s_h, s_v)] == list(parities)
                     solved += 1
     # Solvable: an invertible form mod 2 (32 of the 64) and two independent
     # sweep vectors (6 of the 16 pairs), under each of the 4 parity pairs.
@@ -403,7 +398,7 @@ def test_solve_matches_the_2x2_formula_on_every_case():
 ], ids=["no-vectors", "one-vector", "rank-3"])
 def test_solve_refuses_a_basis_without_two_sweep_classes(homology, message):
     with pytest.raises(UnsupportedDiagram, match=message):
-        _solve(homology, _sweeps((1, 0)))
+        _solve(homology, (1, 0))
 
 
 def test_class_refuses_a_diagram_before_its_basis():
@@ -440,6 +435,13 @@ def test_p2_lift_independence():
 def test_p2_dimension_mismatch():
     with pytest.raises(InvalidClass):
         pontryagin_square(rectangle(1, 1).homology, (1, 0, 0))
+
+
+@pytest.mark.parametrize("entry", [F(1, 2), 1.0, True, "1"])
+def test_p2_refuses_a_lift_that_is_not_integral(entry):
+    with pytest.raises(InvalidClass) as refusal:
+        pontryagin_square(rectangle(1, 1).homology, (1, entry))
+    assert str(refusal.value) == f"integral lift required, got {entry!r}"
 
 
 # -- Audin --------------------------------------------------------------

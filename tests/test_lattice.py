@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from troplag import (
     DegenerateDirection,
     IntVec,
+    InvalidClass,
     InvalidDiagram,
     Mod2Class,
     Node,
     NonUnimodularMap,
     RatPoint,
-    SweepDirection,
-    SweepParity,
     UnimodularAffineMap,
     genus_bound,
     parse_document,
@@ -411,22 +410,29 @@ def test_records_are_their_field_tuples():
                 position=position, cut_direction=direction)
 
 
-def _klein_class(witness):
-    """The class (1,0) with both sweeps read at the given witness."""
-    sweeps = tuple(SweepParity(d, 0, witness) for d in SweepDirection)
-    return Mod2Class((1, 0), ("sphere_h", "sphere_v"), sweeps)
-
-
-def test_mod2_classes_differing_only_in_sweeps_are_equal():
-    a, b = _klein_class(Fraction(1, 2)), _klein_class(Fraction(1, 3))
-    assert a.sweeps != b.sweeps
-    assert a == b and not a != b and hash(a) == hash(b)
-    assert a != Mod2Class((0, 1), a.basis_labels, a.sweeps)
+@pytest.mark.parametrize("coefficients, message", [
+    ((1, 0, 1), "coefficient vector does not match basis"),
+    ((1, 2), "mod-2 coefficients must be 0 or 1"),
+    ((-1, 0), "mod-2 coefficients must be 0 or 1"),
+])
+def test_mod2_class_checks_its_coefficients(coefficients, message):
+    # A class is its coefficients and basis labels alone, checked as built,
+    # also through _replace, and compared as the tuple it is.
+    labels = ("sphere_h", "sphere_v")
+    assert Mod2Class._fields == ("coefficients", "basis_labels")
+    assert not {"__eq__", "__ne__", "__hash__"} & set(vars(Mod2Class))
+    for build in (lambda: Mod2Class(coefficients, labels),
+                  lambda: Mod2Class((1, 0), labels)._replace(
+                      coefficients=coefficients)):
+        with pytest.raises(InvalidClass) as refusal:
+            build()
+        assert str(refusal.value) == message
 
 
 def test_records_survive_pickling():
     records = [IntVec(2, -1), Node(pt(Fraction(1, 2), 3), IntVec(0, 1)),
-               rectangle(4, 3).homology, _klein_class(Fraction(1, 2))]
+               rectangle(4, 3).homology,
+               Mod2Class((1, 0), ("sphere_h", "sphere_v"))]
     for record in records:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)

@@ -27,6 +27,7 @@ from troplag import (
     build_presentation,
     classify,
     euler_breakdown,
+    homology,
     mod2_class,
     oracle_classify,
     parse_document,
@@ -58,7 +59,6 @@ def _outcome(question, diagram, curve):
         answer = question(diagram, curve)
     except TroplagError as err:
         return type(err), str(err)
-    # A mod-2 class compares on its coefficients; keep its sweeps too.
     return tuple(answer) if isinstance(answer, tuple) else answer
 
 
@@ -126,9 +126,9 @@ def test_memo_answers_equal_fresh_answers(diagram, curve):
 def test_cached_plane_is_made_of_tuples():
     doc = load_document("fig3_family.trop")
     (curve,) = doc.curves
-    scale, corners, cuts, segments = geometry(doc.diagram, curve)
+    scale, cuts, segments = geometry(doc.diagram, curve)
     assert geometry(doc.diagram, curve) is geometry(doc.diagram, curve)
-    for part in (corners, cuts, segments, *segments):
+    for part in (cuts, segments, *segments):
         assert type(part) is tuple
 
 
@@ -173,7 +173,7 @@ def test_one_curve_read_against_diagrams_in_turn():
     for diagram in DIAGRAMS * 2:
         _assert_memo_answers_fresh(diagram, curve)
         kinds.add(_outcome(tropical.end_kinds, diagram, curve))
-        scale, _, _, segments = geometry(diagram, curve)
+        scale, _, segments = geometry(diagram, curve)
         assert scale == (6 if diagram is DIAGRAMS[3] else 2)
         # Each segment runs from its anchor to its landing, each point
         # times the plane's scale, as int pairs.
@@ -282,7 +282,7 @@ def test_no_plane_segment_stays_tracked_by_the_collector():
             visible, visible_segment(visible, IntVec(2, 1),
                                      pt(Fraction(5, 2), Fraction(3, 2))))]:
         assert validate(diagram, curve).passed
-        segments = geometry(diagram, curve)[3]
+        segments = geometry(diagram, curve)[2]
         gc.collect()
         gc.collect()
         assert [s[0] for s in segments if gc.is_tracked(s)] == []
@@ -377,6 +377,7 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     diagram, (curve,) = doc.diagram, doc.curves
     planes = count_calls(monkeypatch, tropical, "_plane")
     coordinates = _count_builds(monkeypatch, tropical.coordinates)
+    sweeps = _count_builds(monkeypatch, homology._sweep)
     kinds = count_calls(monkeypatch, tropical, "classify_end")
     breakdowns = count_calls(monkeypatch, topology, "ChiBreakdown")
     double_points = count_calls(monkeypatch, tropical, "vertex_double_points")
@@ -395,8 +396,10 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     mod2_class(diagram, curve)
     render_document(doc)
     assert len(planes) == 1
-    # The sweeps and render read one set of the plane's distinct x and y.
+    # The sweeps and render read one set of the plane's distinct x and y,
+    # and both sweeps and the class one walk of the plane.
     assert coordinates == [curve]
+    assert sweeps == [curve]
     # Each site is tested once and, strictly inside, never located; each
     # landing is located once, for the memo; all on the diagram's scale S.
     rows = curve._end_rows
@@ -421,6 +424,20 @@ def test_one_certification_builds_each_fact_once(monkeypatch):
     assert per_end == [1] * len(rows) == [1] * 10
     assert [loc for _, _, loc in kinds] == [contains(diagram, t)
                                             for t in landings]
+
+
+def test_a_default_sweep_reads_its_witness_from_the_walk(monkeypatch):
+    # The walk finds each direction's largest gap once; a default sweep
+    # after it scans no gap, and equals the sweep at the witness it gives.
+    doc = load_document("fig3_family.trop")
+    diagram, (curve,) = doc.diagram, doc.curves
+    homology._sweep(diagram, curve)
+    gaps = count_calls(monkeypatch, homology, "sub")
+    for direction in (H, V):
+        default = sweep_parity(diagram, curve, direction)
+        assert sweep_parity(diagram, curve, direction,
+                            default.witness_line_coordinate) == default
+    assert gaps == []
 
 
 def test_a_site_off_the_edge_lines_is_located(monkeypatch):

@@ -134,6 +134,15 @@ def test_surface_class_rejects_impossible_closed_surfaces(orientable, chi,
                      boundary_circles=0, double_points_surgered=0)
 
 
+@pytest.mark.parametrize("orientable, chi, circles", [
+    (True, -1, 3), (True, -1, 1), (True, -2, 2), (False, 0, 1)],
+    ids=["pants", "punctured-torus", "twice-punctured-torus", "mobius-band"])
+def test_surface_with_boundary_and_no_name(orientable, chi, circles):
+    sc = SurfaceClass(orientable=orientable, euler_char=chi,
+                      boundary_circles=circles, double_points_surgered=0)
+    assert surface_name(sc) is None
+
+
 def test_classify_disc():
     doc = load_document("fig1_right.trop")
     sc = classify(doc.diagram, doc.curves[0])
@@ -154,9 +163,9 @@ def test_classify_family_two_blocks():
 
 # An anchor's annulus with a cap on each of its two circles: two node discs
 # make a sphere, a disc and a degree-2 core RP^2, two such cores a Klein
-# bottle; the torus is two annuli joined end to end with sign 1.
-SPHERE = CellComplex(0, (2,), (), (), (), (0, 0), (0, 0), ("a", "b"))
-TORUS = CellComplex(0, (2, 2), (0, 0), (1, 1), (1, 1), (), (), ())
+# bottle; the torus is two annuli joined end to end.
+SPHERE = CellComplex(0, (2,), (), (), (0, 0), (0, 0), ("a", "b"))
+TORUS = CellComplex(0, (2, 2), (0, 0), (1, 1), (), (), ())
 
 
 def test_oracle_two_discs_plus_annulus_is_sphere():
@@ -179,13 +188,13 @@ def test_chi_parity_invariant_on_bundled():
 
 def test_presentation_klein(klein):
     assert build_presentation(*klein) == CellComplex(
-        handles=0, valence=(2,), edge_src=(), edge_dst=(), edge_sign=(),
+        handles=0, valence=(2,), edge_src=(), edge_dst=(),
         end_site=(0, 0), end_degree=(2, 2), end_ids=("plus", "minus"))
 
 
 def test_presentation_rp2(fig1_left):
     assert build_presentation(*fig1_left) == CellComplex(
-        handles=0, valence=(3,), edge_src=(), edge_dst=(), edge_sign=(),
+        handles=0, valence=(3,), edge_src=(), edge_dst=(),
         end_site=(0, 0, 0), end_degree=(0, 0, 2),
         end_ids=("cap_a", "cap_b", "xcap"))
 
@@ -194,8 +203,7 @@ def test_presentation_family():
     instance = trop_family(1)
     cx = build_presentation(instance.diagram, instance.curve)
     assert cx.valence == (3, 3, 3, 3) and cx.handles == 8
-    assert (cx.edge_src, cx.edge_dst, cx.edge_sign) \
-        == ((0, 1, 2), (1, 2, 3), (1, 1, 1))
+    assert (cx.edge_src, cx.edge_dst) == ((0, 1, 2), (1, 2, 3))
     assert cx.end_site == (0, 1, 2, 3, 0, 3)
     assert cx.end_degree == (2,) * 6
 
@@ -211,16 +219,6 @@ def test_oracle_two_mobius_plus_annulus_is_klein():
     assert (sc.closed, sc.euler_char, sc.nonorientable_genus) == (True, 0, 2)
 
 
-@pytest.mark.parametrize("signs, orientable", [
-    ((1, 1), True), ((1, -1), False), ((-1, -1), True)],
-    ids=["torus", "klein", "torus-both-flipped"])
-def test_oracle_walk_reads_the_edge_signs(signs, orientable):
-    # Two annuli joined end to end: a torus, unless the two signs differ
-    # around the loop, which closes it as a Klein bottle.
-    sc = oracle_classify(TORUS._replace(edge_sign=signs))
-    assert (sc.closed, sc.orientable, sc.euler_char) == (True, orientable, 0)
-
-
 def test_oracle_counts_degree_one_cores_as_boundary():
     sc = oracle_classify(SPHERE._replace(end_degree=(1, 1), handles=1))
     assert (sc.orientable, sc.euler_char, sc.boundary_circles,
@@ -228,21 +226,17 @@ def test_oracle_counts_degree_one_cores_as_boundary():
 
 
 MALFORMED = {
-    "no-sites": (CellComplex(0, (), (), (), (), (), (), ()),
+    "no-sites": (CellComplex(0, (), (), (), (), (), ()),
                  "complex has no sites"),
     "site-out-of-range": (SPHERE._replace(end_site=(0, 1)),
                           "site 1 is not in range(1)"),
     "negative-site": (TORUS._replace(edge_dst=(1, -1)),
                       "site -1 is not in range(2)"),
-    "disconnected": (CellComplex(0, (2, 2), (), (), (), (0, 0, 1, 1),
+    "disconnected": (CellComplex(0, (2, 2), (), (), (0, 0, 1, 1),
                                  (0, 0, 0, 0), tuple("abcd")),
                      "complex is disconnected"),
     "negative-handles": (SPHERE._replace(handles=-1),
                          "negative handle count"),
-    "sign-zero": (TORUS._replace(edge_sign=(1, 0)),
-                  "edge 1 has gluing sign 0, not 1 or -1"),
-    "sign-two": (TORUS._replace(edge_sign=(2, 1)),
-                 "edge 0 has gluing sign 2, not 1 or -1"),
     "negative-degree": (SPHERE._replace(end_degree=(0, -1)),
                         "end 'b' has negative degree"),
     "valence-zero": (TORUS._replace(valence=(2, 0)),
@@ -299,7 +293,6 @@ def test_presentation_reads_the_curve_columns(diagram, curve):
     assert cx.valence == tuple(map(len, curve._sites))
     assert list(zip(cx.edge_src, cx.edge_dst)) \
         == [(s, d) for _, s, d, _ in curve._edge_rows]
-    assert set(cx.edge_sign) <= {1}
     assert list(zip(cx.end_ids, cx.end_site)) \
         == [(j, s) for j, s, _, _ in curve._end_rows]
     assert oracle_classify(cx) == classify(diagram, curve)
@@ -333,10 +326,10 @@ def test_oracle_reads_no_cap_kind(monkeypatch):
             for doc in docs for curve in doc.curves] == expected
 
 
-# -- the walk against integral homology ----------------------------------
+# -- the oracle against integral homology --------------------------------
 
 def assert_homology_agrees(cx):
-    """The Smith normal form of the cellulation agrees with the walk: H0 is
+    """The Smith normal form of the cellulation agrees with the oracle: H0 is
     Z, the Betti numbers sum to chi without the handles, and a closed
     surface has H2 = Z exactly when orientable, and H1 torsion Z/2 when
     not; one with boundary has neither."""
@@ -357,7 +350,7 @@ def assert_homology_agrees(cx):
 def _homology_cases():
     cases = {"sphere": SPHERE, "torus": TORUS,
              "rp2": SPHERE._replace(end_degree=(0, 2)),
-             "klein": TORUS._replace(edge_sign=(1, -1)),
+             "klein": SPHERE._replace(end_degree=(2, 2)),
              "collar": SPHERE._replace(end_degree=(1, 2))}
     for name in BUNDLED_DOCS:
         doc = load_document(name)
@@ -396,7 +389,7 @@ def test_smith_normal_form_of_the_small_surfaces():
 @st.composite
 def complexes(draw):
     """A connected complex on up to five sites: a random spanning tree and
-    up to three more edges (loops too), each of random sign, and up to
+    up to three more edges (loops too), and up to
     four ends of degree 0, 1 or 2 (one at least on a lone site, which
     would have no circles)."""
     n = draw(st.integers(1, 5))
@@ -410,7 +403,6 @@ def complexes(draw):
     return CellComplex(
         draw(st.integers(0, 2)), tuple(valence[s] for s in range(n)),
         tuple(s for s, _ in pairs), tuple(d for _, d in pairs),
-        tuple(draw(st.sampled_from((1, -1))) for _ in pairs),
         tuple(s for s, _ in ends), tuple(mu for _, mu in ends),
         tuple(f"x{j}" for j in range(len(ends))))
 

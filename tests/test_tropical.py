@@ -660,6 +660,12 @@ def test_smooth_vertex_multiplicity(fig1_left):
     assert vertex_multiplicity(curve, "v") == 1
 
 
+def test_multiplicity_of_an_unknown_vertex_is_refused(fig1_left):
+    with pytest.raises(InvalidCurve) as refusal:
+        vertex_multiplicity(fig1_left[1], "w")
+    assert str(refusal.value) == "no vertex with id 'w'"
+
+
 def test_four_valent_vertex_rejected():
     curve = one_vertex_curve(pt(4, 4), [
         (IntVec(1, 0), pt(8, 4)),
@@ -714,6 +720,14 @@ def test_double_points_values():
     assert vertex_double_points(1) == 0
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_double_points_of_a_nonpositive_m_are_refused(m):
+    with pytest.raises(NonIntegralSelfIntersection) as refusal:
+        vertex_double_points(m)
+    assert str(refusal.value) == ("multiplicity must be a positive integer, "
+                                  f"got {m}")
+
+
 def test_double_points_even_rejected():
     with pytest.raises(NonIntegralSelfIntersection) as err:
         vertex_double_points(4)
@@ -740,6 +754,17 @@ def test_end_multiplicity_disc_escape():
     out = next(e for e in curve.rows()[4] if not isinstance(e[3], int))
     assert out[3] == pt(0, 1)
     assert end_multiplicity(diagram, out) == 1
+
+
+@pytest.mark.parametrize("direction", [(1, 0), (-1, 0)])
+def test_end_parallel_to_its_edge_has_no_multiplicity(direction):
+    # (3,4) is in the open top edge of rectangle(4,4), which runs along x.
+    end = ("e", pt(1, 4), direction, pt(3, 4))
+    with pytest.raises(InvalidCurve) as refusal:
+        end_multiplicity(rectangle(4, 4), end)
+    assert str(refusal.value) == (
+        "end 'e' is parallel to the boundary edge it lands on; a legal "
+        "landing cannot have mu = 0")
 
 
 def test_node_end_has_no_boundary_multiplicity(fig1_left):
